@@ -2,9 +2,10 @@
 
 The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
-softmax, trigonometry for rotation decoding, and the indexing ops that
-assemble edge features. No broadcasting beyond scalar-with-tensor, no
-higher-order derivatives, no views: every op produces a fresh array.
+softmax, trigonometry and the SVD rotation projection for rotation decoding,
+and the indexing ops that assemble edge features. No broadcasting beyond
+scalar-with-tensor, no higher-order derivatives, no views: every op produces
+a fresh array.
 
 Ops applied to constant tensors (no tape attached) skip all bookkeeping,
 so the same pipeline code serves both training and inference.
@@ -308,6 +309,41 @@ def matmul(a, b) -> Tensor:
         return vjp
 
     return _emit("matmul", out, (a, b), build)
+
+
+def nearest_rotation(a) -> Tensor:
+    """Proper rotation nearest to a 3x3 matrix in the Frobenius norm.
+
+    With the SVD a = U S V^T and d = sign det(U V^T), the result is
+    R = U' V^T for U' = U diag(1, 1, d): a reflection flips the axis of the
+    smallest singular value. The VJP (Levinson et al., 2020) uses
+    s' = (s1, s2, d s3): B = U'^T G V, X_ij = (B_ij - B_ji) / (s'_i + s'_j),
+    dL/da = U' X V^T. The value is defined for every input; the gradient only
+    where R is unique, s2 + d s3 > 0.
+    """
+    a = as_tensor(a)
+    if a.shape != (3, 3):
+        raise ShapeError(f"nearest_rotation: expects a 3x3 tensor, got {a.shape}")
+    u, s, vt = np.linalg.svd(a.data)
+    flip = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
+    u = u * flip
+    out = u @ vt
+    sp = s * flip
+
+    def build(ids):
+        if sp[1] + sp[2] <= 1e-12 * sp[0]:
+            raise DomainError("nearest_rotation: the nearest rotation is not unique "
+                              f"(singular values {s}, det {np.linalg.det(a.data):.3g})")
+        denom = sp[:, None] + sp[None, :]
+        np.fill_diagonal(denom, 1.0)
+        nid = a.node_id
+
+        def vjp(g):
+            b = u.T @ g @ vt.T
+            return [(nid, u @ ((b - b.T) / denom) @ vt)]
+        return vjp
+
+    return _emit("nearest_rotation", out, (a,), build)
 
 
 def softmax(v) -> Tensor:

@@ -423,7 +423,7 @@ def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
     p.add_argument("--config", help="key = value configuration file")
     p.add_argument("--preset", choices=sorted(PRESETS), help="size preset")
     p.add_argument("--seed", type=int, help="master seed (default 7)")
-    p.add_argument("--mode", choices=("euler", "quaternion", "sixd", "matrix"),
+    p.add_argument("--mode", choices=tuple(geom.ROTATION_MODES),
                    help="rotation parameterization (default euler)")
     p.add_argument("--feature", choices=FEATURE_KINDS,
                    help="pose-invariant feature kind (default distance)")

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geom
 from .features import FeatureSpec, embed_from_features, neighbor_feature_array
-from .geom import PointCloud, rotation_param_dim
+from .geom import PointCloud
 from .rng import Rng
 
 # per-layer widths for the two standard sizes (last width == m)
@@ -113,6 +113,7 @@ def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
                 seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, in a deterministic name order."""
+    rot_len = geom.rotation_mode(rotation_mode).length
     rng = Rng(seed)
     t: dict[str, np.ndarray] = {}
     c_in = 3
@@ -128,7 +129,7 @@ def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
         t[f"inv.{i}.w"] = _glorot(rng, 2 * c_in, c_out)
         t[f"inv.{i}.b"] = np.zeros((1, c_out))
         c_in = c_out
-    dims = (config.m,) + config.head_widths + (rotation_param_dim(rotation_mode) + 3,)
+    dims = (config.m,) + config.head_widths + (rot_len + 3,)
     for i in range(len(dims) - 1):
         t[f"head.{i}.w"] = _glorot(rng, dims[i], dims[i + 1])
         t[f"head.{i}.b"] = np.zeros((1, dims[i + 1]))

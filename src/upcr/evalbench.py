@@ -237,7 +237,7 @@ class TimingReport:
 
 
 def timing(fn, repetitions: int = 5) -> TimingReport:
-    """Wall-clock mean/std per call after one warm-up, single thread."""
+    """Wall-clock mean/std per call, in ms, after one warm-up call."""
     if repetitions < 3:
         raise ValueError("timing needs at least 3 repetitions")
     fn()  # warm-up

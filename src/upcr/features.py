@@ -184,11 +184,6 @@ def _theta_bin(theta: np.ndarray, bins: int) -> np.ndarray:
     return np.mod(idx, bins)
 
 
-def spfh_feature(cloud: PointCloud, index: int, k: int) -> np.ndarray:
-    """Simplified point-feature histogram of one point (3 sub-histograms)."""
-    return spfh_table(cloud, k).values[index]
-
-
 def spfh_table(cloud: PointCloud, k: int, bins: int = 11) -> PointFeatureTable:
     """SPFH histograms for every point, [N, 3*bins].
 
@@ -217,11 +212,6 @@ def spfh_table(cloud: PointCloud, k: int, bins: int = 11) -> PointFeatureTable:
         np.divide(acc, counts, out=acc, where=counts > 0)
         hist[:, sub * bins:(sub + 1) * bins] = acc
     return PointFeatureTable(hist, FeatureSpec("spfh", spfh_bins=bins))
-
-
-def pfh_feature(cloud: PointCloud, index: int, k: int) -> np.ndarray:
-    """Point-feature histogram of one point (joint bins^3 histogram)."""
-    return pfh_table(cloud, k).values[index]
 
 
 def pfh_table(cloud: PointCloud, k: int, bins: int = 5) -> PointFeatureTable:
@@ -326,20 +316,6 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> Poin
     nbr = geom.knn(cloud, k)
     arr = neighbor_feature_array(cloud, spec, nbr)
     return PointFeatureTable(arr.max(axis=1), spec)
-
-
-def invariant_point_embed(cloud: PointCloud, spec: FeatureSpec, k: int,
-                          weight, bias, slope: float = 0.2) -> ad.Tensor:
-    """Embed each point from its neighbors' pose-invariant features.
-
-    Each neighbor feature runs through the shared affine + LeakyReLU layer,
-    then max-pooling over the k neighbors gives the per-point embedding
-    [N, width]. ``weight``/``bias`` may be tape tensors (training) or plain
-    arrays (inference).
-    """
-    nbr = geom.knn(cloud, k)
-    phi = neighbor_feature_array(cloud, spec, nbr)
-    return embed_from_features(phi, weight, bias, slope)
 
 
 def embed_from_features(phi: np.ndarray, weight, bias, slope: float = 0.2) -> ad.Tensor:

@@ -1,19 +1,25 @@
-"""Point-cloud containers, rigid-motion algebra, and nearest-neighbor search.
+"""Point-cloud containers, rigid-motion algebra, rotation decoders, and
+nearest-neighbor search.
 
 Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
     i.e. ``points @ R.T + t`` on row storage
   * Euler angles (alpha, beta, gamma) are radians and decode as
     R = Rz(gamma) @ Ry(beta) @ Rx(alpha)
-  * quaternions are scalar-first (w, x, y, z)
+  * quaternions are scalar-first (w, x, y, z); sixd holds the first two
+    rotation columns (Gram-Schmidt); matrix mode is a row-major 3x3 mapped
+    to its nearest proper rotation
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from . import autodiff as ad
 
 ORTHO_TOL = 1e-8
 # brute-force KNN below this size; kd-tree above
@@ -72,29 +78,6 @@ class RigidTransform:
 
     def matrix34(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])
-
-
-_ROT_PARAM_LEN = {"euler": 3, "quaternion": 4, "sixd": 6, "matrix": 9}
-
-
-@dataclass
-class RotationParam:
-    """Rotation parameterization: euler / quaternion / sixd / matrix."""
-
-    mode: str
-    values: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.mode not in _ROT_PARAM_LEN:
-            raise ValueError(f"unknown rotation mode {self.mode!r}")
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        want = _ROT_PARAM_LEN[self.mode]
-        if self.values.shape[0] != want:
-            raise ValueError(f"mode {self.mode!r} needs {want} values, got {self.values.shape[0]}")
-
-
-def rotation_param_dim(mode: str) -> int:
-    return _ROT_PARAM_LEN[mode]
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +156,6 @@ def graph_knn(data: np.ndarray, k: int) -> np.ndarray:
     return reps[nbr_uniq][inverse]
 
 
-def _knn_brute(points: np.ndarray, k: int) -> np.ndarray:
-    return knn_indices(points, k)
-
-
 def knn(cloud: PointCloud, k: int) -> np.ndarray:
     """KNN table [N, k] for a 3D cloud; kd-tree backed above 64 points.
 
@@ -189,7 +168,7 @@ def knn(cloud: PointCloud, k: int) -> np.ndarray:
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, N-1] = [1, {n - 1}], got {k}")
     if n < _KDTREE_MIN_POINTS or k + 2 >= n:
-        return _knn_brute(pts, k)
+        return knn_indices(pts, k)
 
     m = k + 2
     tree = cKDTree(pts)
@@ -205,7 +184,7 @@ def knn(cloud: PointCloud, k: int) -> np.ndarray:
     # ambiguous from m candidates alone
     unsafe = (not_self.sum(axis=1) != m - 1) | (d2[:, k - 1] >= d2[:, k])
     if np.any(unsafe):
-        sub = _knn_brute(pts, k)
+        sub = knn_indices(pts, k)
         out[unsafe] = sub[unsafe]
     return out
 
@@ -240,45 +219,108 @@ def euler_from_matrix(rot: np.ndarray) -> np.ndarray:
     return np.array([alpha, beta, gamma])
 
 
-def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+# ---------------------------------------------------------------------------
+# rotation decoders: one tape decoder per mode, for training and inference
+
+
+def _slice(v: ad.Tensor, idx) -> ad.Tensor:
+    return ad.gather_rows(v, idx)
+
+
+def _mat3(entries: list[ad.Tensor]) -> ad.Tensor:
+    return ad.reshape(ad.concat(entries), (3, 3))
+
+
+def _euler_tensor(angles: ad.Tensor) -> ad.Tensor:
+    one, zero = ad.constant([1.0]), ad.constant([0.0])
+    s, c = ad.sin(angles), ad.cos(angles)
+    sa, sb, sg = _slice(s, [0]), _slice(s, [1]), _slice(s, [2])
+    ca, cb, cg = _slice(c, [0]), _slice(c, [1]), _slice(c, [2])
+    rx = _mat3([one, zero, zero, zero, ca, ad.neg(sa), zero, sa, ca])
+    ry = _mat3([cb, zero, sb, zero, one, zero, ad.neg(sb), zero, cb])
+    rz = _mat3([cg, ad.neg(sg), zero, sg, cg, zero, zero, zero, one])
+    return ad.matmul(rz, ad.matmul(ry, rx))
+
+
+def _quaternion_tensor(q: ad.Tensor) -> ad.Tensor:
+    nrm2 = ad.reduce_sum(ad.mul(q, q))
+    if float(nrm2.data) < 1e-24:
+        raise ValueError("degenerate quaternion (all zero)")
+    qn = ad.div(q, ad.sqrt(nrm2))
+    w, x, y, z = (_slice(qn, [i]) for i in range(4))
+    two = ad.constant(2.0)
+    one = ad.constant([1.0])
+
+    def e(a, b):
+        return ad.mul(two, ad.mul(a, b))
+
+    return _mat3([
+        ad.sub(one, e(y, y) + e(z, z)), ad.sub(e(x, y), e(z, w)), ad.add(e(x, z), e(y, w)),
+        ad.add(e(x, y), e(z, w)), ad.sub(one, e(x, x) + e(z, z)), ad.sub(e(y, z), e(x, w)),
+        ad.sub(e(x, z), e(y, w)), ad.add(e(y, z), e(x, w)), ad.sub(one, e(x, x) + e(y, y)),
     ])
 
 
-def decode_rotation(param: RotationParam) -> np.ndarray:
-    """Decode any rotation parameterization to a proper rotation matrix."""
-    v = param.values
-    if param.mode == "euler":
-        return euler_to_matrix(v)
-    if param.mode == "quaternion":
-        norm = np.linalg.norm(v)
-        if norm < 1e-12:
-            raise ValueError("degenerate quaternion (all zero)")
-        return quaternion_to_matrix(v / norm)
-    if param.mode == "sixd":
-        a, b = v[:3], v[3:]
-        na = np.linalg.norm(a)
-        if na < 1e-9:
-            raise ValueError("degenerate sixd parameter: first column is zero")
-        c1 = a / na
-        b_perp = b - np.dot(c1, b) * c1
-        nb = np.linalg.norm(b_perp)
-        if nb < 1e-9:
-            raise ValueError("degenerate sixd parameter: columns are parallel")
-        c2 = b_perp / nb
-        c3 = np.cross(c1, c2)
-        return np.column_stack([c1, c2, c3])
-    # matrix mode: nearest rotation by SVD projection with reflection guard
-    m = v.reshape(3, 3)
-    u, _, vt = np.linalg.svd(m)
-    d = np.sign(np.linalg.det(u @ vt))
-    if d == 0.0:
-        d = 1.0
-    return u @ np.diag([1.0, 1.0, d]) @ vt
+def _cross_t(a: tuple, b: tuple) -> tuple:
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
+            ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
+            ad.sub(ad.mul(ax, by), ad.mul(ay, bx)))
+
+
+def _sixd_tensor(v: ad.Tensor) -> ad.Tensor:
+    a = _slice(v, [0, 1, 2])
+    b = _slice(v, [3, 4, 5])
+    na2 = ad.reduce_sum(ad.mul(a, a))
+    if float(na2.data) < 1e-18:
+        raise ValueError("degenerate sixd parameter: first column is zero")
+    c1 = ad.div(a, ad.sqrt(na2))
+    proj = ad.reduce_sum(ad.mul(c1, b))
+    bp = ad.sub(b, ad.mul(proj, c1))
+    nb2 = ad.reduce_sum(ad.mul(bp, bp))
+    if float(nb2.data) < 1e-18:
+        raise ValueError("degenerate sixd parameter: columns are parallel")
+    c2 = ad.div(bp, ad.sqrt(nb2))
+    c1s = tuple(_slice(c1, [i]) for i in range(3))
+    c2s = tuple(_slice(c2, [i]) for i in range(3))
+    c3s = _cross_t(c1s, c2s)
+    return _mat3([c1s[0], c2s[0], c3s[0],
+                  c1s[1], c2s[1], c3s[1],
+                  c1s[2], c2s[2], c3s[2]])
+
+
+def _matrix_tensor(v: ad.Tensor) -> ad.Tensor:
+    return ad.nearest_rotation(ad.reshape(v, (3, 3)))
+
+
+class RotationMode(NamedTuple):
+    """One rotation parameterization of the pose head.
+
+    ``length`` head outputs plus the ``identity`` offset (so a zero head
+    output decodes to the identity) go through ``decode``, a tape op chain
+    that returns a proper 3x3 rotation.
+    """
+
+    length: int
+    identity: np.ndarray
+    decode: Callable[[ad.Tensor], ad.Tensor]
+
+
+ROTATION_MODES = {
+    "euler": RotationMode(3, np.zeros(3), _euler_tensor),
+    "quaternion": RotationMode(4, np.array([1.0, 0.0, 0.0, 0.0]), _quaternion_tensor),
+    "sixd": RotationMode(6, np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), _sixd_tensor),
+    "matrix": RotationMode(9, np.eye(3).reshape(-1), _matrix_tensor),
+}
+
+
+def rotation_mode(name) -> RotationMode:
+    """The table entry for ``name``; ValueError naming the modes otherwise."""
+    if not isinstance(name, str) or name not in ROTATION_MODES:
+        raise ValueError(f"unknown rotation mode {name!r}; expected one of "
+                         f"{', '.join(ROTATION_MODES)}")
+    return ROTATION_MODES[name]
 
 
 # ---------------------------------------------------------------------------

@@ -16,178 +16,24 @@ import numpy as np
 from . import autodiff as ad
 from . import geom
 from .encoder import CloudCache, EncoderConfig, ModelParams, affine, encode_global, \
-    encode_invariant, precompute_cloud
-from .features import FeatureSpec
-from .geom import PointCloud, RigidTransform, RotationParam, rotation_param_dim
+    encode_invariant
+from .geom import PointCloud, RigidTransform
 
 # guards softmax underflow inside log(p/q); well below every test tolerance
 EPS_FLOOR = 1e-12
 
-_IDENTITY_OFFSET = {
-    "euler": np.zeros(3),
-    "quaternion": np.array([1.0, 0.0, 0.0, 0.0]),
-    "sixd": np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
-    "matrix": np.eye(3).reshape(-1),
-}
-
-
-@dataclass
-class Representation:
-    """m-dimensional holistic descriptor with a provenance tag."""
-
-    values: np.ndarray
-    tag: str = "global"  # global | invariant | pose_related | distribution
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
-        if self.tag == "distribution":
-            if np.any(self.values < 0) or abs(self.values.sum() - 1.0) > 1e-9:
-                raise ValueError("distribution tag requires nonnegative entries summing to 1")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass
 class PosePrediction:
-    """Regressed pose: raw rotation parameters plus the decoded transform."""
+    """Regressed pose: raw rotation head output plus the decoded transform."""
 
-    rotation_param: RotationParam
-    translation: np.ndarray
+    rotation_param: np.ndarray
     decoded: RigidTransform
-
-
-def to_distribution(rep: Representation) -> Representation:
-    """Softmax of the representation values."""
-    p = ad.softmax(ad.constant(rep.values))
-    return Representation(p.data, tag="distribution")
-
-
-def pose_related_rep(p: Representation, q: Representation) -> Representation:
-    """Entrywise p_i * log(p_i / q_i); entries sum to KL(p || q) >= 0."""
-    if p.width != q.width:
-        raise ValueError(f"width mismatch: {p.width} vs {q.width}")
-    out = _pose_related_t(ad.constant(p.values), ad.constant(q.values))
-    return Representation(out.data, tag="pose_related")
 
 
 def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
     ratio = ad.div(ad.add(p, EPS_FLOOR), ad.add(q, EPS_FLOOR))
     return ad.mul(p, ad.log(ratio))
-
-
-# ---------------------------------------------------------------------------
-# differentiable rotation decoding (mirrors geom.decode_rotation)
-
-
-def _slice(v: ad.Tensor, idx) -> ad.Tensor:
-    return ad.gather_rows(v, idx)
-
-
-def _mat3(entries: list[ad.Tensor]) -> ad.Tensor:
-    return ad.reshape(ad.concat(entries), (3, 3))
-
-
-_ONE = None
-_ZERO = None
-
-
-def _consts():
-    global _ONE, _ZERO
-    if _ONE is None:
-        _ONE, _ZERO = ad.constant([1.0]), ad.constant([0.0])
-    return _ONE, _ZERO
-
-
-def _euler_tensor(angles: ad.Tensor) -> ad.Tensor:
-    one, zero = _consts()
-    s, c = ad.sin(angles), ad.cos(angles)
-    sa, sb, sg = _slice(s, [0]), _slice(s, [1]), _slice(s, [2])
-    ca, cb, cg = _slice(c, [0]), _slice(c, [1]), _slice(c, [2])
-    rx = _mat3([one, zero, zero, zero, ca, ad.neg(sa), zero, sa, ca])
-    ry = _mat3([cb, zero, sb, zero, one, zero, ad.neg(sb), zero, cb])
-    rz = _mat3([cg, ad.neg(sg), zero, sg, cg, zero, zero, zero, one])
-    return ad.matmul(rz, ad.matmul(ry, rx))
-
-
-def _quaternion_tensor(q: ad.Tensor) -> ad.Tensor:
-    nrm2 = ad.reduce_sum(ad.mul(q, q))
-    if float(nrm2.data) < 1e-24:
-        raise ValueError("degenerate quaternion (all zero)")
-    qn = ad.div(q, ad.sqrt(nrm2))
-    w, x, y, z = (_slice(qn, [i]) for i in range(4))
-    two = ad.constant(2.0)
-    one, _ = _consts()
-
-    def e(a, b):
-        return ad.mul(two, ad.mul(a, b))
-
-    return _mat3([
-        ad.sub(one, e(y, y) + e(z, z)), ad.sub(e(x, y), e(z, w)), ad.add(e(x, z), e(y, w)),
-        ad.add(e(x, y), e(z, w)), ad.sub(one, e(x, x) + e(z, z)), ad.sub(e(y, z), e(x, w)),
-        ad.sub(e(x, z), e(y, w)), ad.add(e(y, z), e(x, w)), ad.sub(one, e(x, x) + e(y, y)),
-    ])
-
-
-def _cross_t(a: tuple, b: tuple) -> tuple:
-    ax, ay, az = a
-    bx, by, bz = b
-    return (ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
-            ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
-            ad.sub(ad.mul(ax, by), ad.mul(ay, bx)))
-
-
-def _sixd_tensor(v: ad.Tensor) -> ad.Tensor:
-    a = _slice(v, [0, 1, 2])
-    b = _slice(v, [3, 4, 5])
-    na2 = ad.reduce_sum(ad.mul(a, a))
-    if float(na2.data) < 1e-18:
-        raise ValueError("degenerate sixd parameter: first column is zero")
-    c1 = ad.div(a, ad.sqrt(na2))
-    proj = ad.reduce_sum(ad.mul(c1, b))
-    bp = ad.sub(b, ad.mul(proj, c1))
-    nb2 = ad.reduce_sum(ad.mul(bp, bp))
-    if float(nb2.data) < 1e-18:
-        raise ValueError("degenerate sixd parameter: columns are parallel")
-    c2 = ad.div(bp, ad.sqrt(nb2))
-    c1s = tuple(_slice(c1, [i]) for i in range(3))
-    c2s = tuple(_slice(c2, [i]) for i in range(3))
-    c3s = _cross_t(c1s, c2s)
-    return _mat3([c1s[0], c2s[0], c3s[0],
-                  c1s[1], c2s[1], c3s[1],
-                  c1s[2], c2s[2], c3s[2]])
-
-
-def _matrix_tensor(v: ad.Tensor) -> ad.Tensor:
-    """Orthonormalize a raw 3x3 by Newton-Schulz polar iteration.
-
-    Differentiable stand-in for the SVD projection in geom.decode_rotation;
-    identical for det > 0 inputs (the trained regime). A negative determinant
-    is flipped about z first so the limit is always a proper rotation.
-    """
-    m = ad.reshape(v, (3, 3))
-    det = float(np.linalg.det(m.data))
-    if abs(det) < 1e-12:
-        raise ValueError("degenerate matrix parameter: determinant ~ 0")
-    if det < 0:
-        m = ad.matmul(m, ad.constant(np.diag([1.0, 1.0, -1.0])))
-    fro2 = ad.reduce_sum(ad.mul(m, m))
-    x = ad.div(m, ad.sqrt(fro2))
-    half = ad.constant(0.5)
-    three_eye = ad.constant(3.0 * np.eye(3))
-    for _ in range(16):
-        xtx = ad.matmul(ad.transpose2d(x), x)
-        x = ad.mul(half, ad.matmul(x, ad.sub(three_eye, xtx)))
-    return x
-
-
-_ROT_TENSOR = {
-    "euler": _euler_tensor,
-    "quaternion": _quaternion_tensor,
-    "sixd": _sixd_tensor,
-    "matrix": _matrix_tensor,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +43,13 @@ _ROT_TENSOR = {
 def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
                   mode: str):
     """Shared MLP head: returns (rotation param tensor, translation tensor,
-    rotation matrix tensor)."""
-    rd = rotation_param_dim(mode)
+    rotation matrix tensor).
+
+    The head output parameterizes the rotation as a residual from the
+    identity (zero output decodes to the identity pose in every mode).
+    """
+    rot_mode = geom.rotation_mode(mode)
+    rd = rot_mode.length
     x = ad.reshape(gamma_mu, (1, gamma_mu.shape[0]))
     n_layers = len(config.head_widths) + 1
     for i in range(n_layers):
@@ -206,25 +57,9 @@ def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
         if i < n_layers - 1:
             x = ad.leaky_relu(x, config.slope)
     out = ad.reshape(x, (rd + 3,))
-    rot_vals = ad.add(_slice(out, list(range(rd))), ad.constant(_IDENTITY_OFFSET[mode]))
-    trans = _slice(out, list(range(rd, rd + 3)))
-    rot = _ROT_TENSOR[mode](rot_vals)
-    return rot_vals, trans, rot
-
-
-def regress_pose(gamma_mu: Representation, model: ModelParams,
-                 mode: str | None = None) -> PosePrediction:
-    """Decode the pose-related representation into a rigid pose.
-
-    The head output parameterizes the rotation as a residual from the
-    identity (zero output decodes to the identity pose in every mode).
-    """
-    mode = mode or model.rotation_mode
-    rot_vals, trans, _ = _head_forward(ad.constant(gamma_mu.values),
-                                       model.constants(), model.config, mode)
-    param = RotationParam(mode, rot_vals.data.copy())
-    return PosePrediction(param, trans.data.copy(),
-                          RigidTransform(geom.decode_rotation(param), trans.data))
+    rot_vals = ad.add(ad.gather_rows(out, list(range(rd))), ad.constant(rot_mode.identity))
+    trans = ad.gather_rows(out, list(range(rd, rd + 3)))
+    return rot_vals, trans, rot_mode.decode(rot_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -244,22 +79,25 @@ class RegistrationResult:
 
 
 def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
-                   cache: CloudCache | None, mode: str):
+                   cache: CloudCache | None):
+    """The cloud's pose and its canonical coordinates R^T (p - t), both from
+    the one tape rotation that the loss trains on."""
     gamma_g = encode_global(cloud, model.config, params, cache)
     gamma_v = encode_invariant(cloud, model.spec, model.config, params, cache)
     q = ad.softmax(gamma_g)
     p = ad.softmax(gamma_v)
     gamma_mu = _pose_related_t(p, q)
-    rot_vals, trans, rot = _head_forward(gamma_mu, params, model.config, mode)
+    rot_vals, trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
     pts = ad.constant(cloud.points)
     n = len(cloud)
     t_row = ad.repeat_rows(ad.reshape(trans, (1, 3)), n)
     canonical = ad.matmul(ad.sub(pts, t_row), rot)  # rows: R^T (p - t)
-    return rot_vals, trans, canonical
+    pose = PosePrediction(rot_vals.data.copy(),
+                          RigidTransform(rot.data.copy(), trans.data.copy()))
+    return pose, canonical
 
 
 def register_pair(x: PointCloud, y: PointCloud, model: ModelParams,
-                  mode: str | None = None,
                   caches: tuple[CloudCache, CloudCache] | None = None,
                   bound: dict | None = None) -> RegistrationResult:
     """Register source ``x`` onto target ``y``.
@@ -270,23 +108,14 @@ def register_pair(x: PointCloud, y: PointCloud, model: ModelParams,
     computation for training; the canonical-coordinate tensors then ride
     along in the result.
     """
-    mode = mode or model.rotation_mode
     params = bound if bound is not None else model.constants()
     cache_x = caches[0] if caches else None
     cache_y = caches[1] if caches else None
-    rot_x, trans_x, canon_x = _forward_cloud(x, model, params, cache_x, mode)
-    rot_y, trans_y, canon_y = _forward_cloud(y, model, params, cache_y, mode)
-
-    param_x = RotationParam(mode, rot_x.data.copy())
-    param_y = RotationParam(mode, rot_y.data.copy())
-    pose_x = PosePrediction(param_x, trans_x.data.copy(),
-                            RigidTransform(geom.decode_rotation(param_x), trans_x.data))
-    pose_y = PosePrediction(param_y, trans_y.data.copy(),
-                            RigidTransform(geom.decode_rotation(param_y), trans_y.data))
-    transform = geom.compose_relative(pose_x.decoded, pose_y.decoded)
+    pose_x, canon_x = _forward_cloud(x, model, params, cache_x)
+    pose_y, canon_y = _forward_cloud(y, model, params, cache_y)
     on_tape = bound is not None
     return RegistrationResult(
-        transform=transform,
+        transform=geom.compose_relative(pose_x.decoded, pose_y.decoded),
         pose_x=pose_x,
         pose_y=pose_y,
         canonical_x=PointCloud(canon_x.data.copy()),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import geom
 from .encoder import EncoderConfig, ModelParams, init_params, precompute_cloud
 from .features import FeatureSpec
 from .geom import PointCloud, sqdist_matrix
@@ -220,6 +221,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                    if k.startswith("optim.m.")}
         optim.v = {k[len("optim.v."):]: v for k, v in tensors.items()
                    if k.startswith("optim.v.")}
+    geom.rotation_mode(header["rotation_mode"])  # an unknown mode raises ValueError here
     return Checkpoint(
         config=EncoderConfig.from_dict(header["config"]),
         spec=FeatureSpec(**header["spec"]),

@@ -27,3 +27,25 @@ def random_cloud(rng: Rng, n: int = 64) -> geom.PointCloud:
 @pytest.fixture
 def rng():
     return Rng(0xC0FFEE)
+
+
+def rotation_oracle(mode: str, vals) -> np.ndarray:
+    """Plain NumPy reference for the tape rotation decoders in ``geom``."""
+    v = np.asarray(vals, dtype=np.float64)
+    if mode == "euler":
+        return geom.euler_to_matrix(v)
+    if mode == "quaternion":
+        w, x, y, z = v / np.linalg.norm(v)
+        return np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+        ])
+    if mode == "sixd":
+        c1 = v[:3] / np.linalg.norm(v[:3])
+        b = v[3:] - np.dot(c1, v[3:]) * c1
+        c2 = b / np.linalg.norm(b)
+        return np.column_stack([c1, c2, np.cross(c1, c2)])
+    # matrix: SVD projection, flipping the smallest singular axis if det < 0
+    u, _, vt = np.linalg.svd(v.reshape(3, 3))
+    return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt

@@ -167,6 +167,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown configuration key" in capsys.readouterr().err
 
 
+def test_config_file_unknown_rotation_mode_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[rotation]\nmode = spin\n")
+    rc = main(["time", "--config", str(cfg), "--features", "distance", "--points", "48",
+               "--reps", "3", "--k", "5", "--m", "16", "--layers", "2"])
+    assert rc == 1
+    assert "expected one of euler, quaternion, sixd, matrix" in capsys.readouterr().err
+
+
 def test_preset_desk_and_paper():
     ns = cli.build_parser().parse_args(["gen", "--preset", "paper", "--out", "x"])
     resolved = cli.resolve_config(ns)

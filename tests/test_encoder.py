@@ -43,6 +43,11 @@ def test_param_shapes_follow_config():
         assert np.all(np.isfinite(arr))
 
 
+def test_init_params_rejects_unknown_rotation_mode():
+    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+        init_params(EncoderConfig(k=4, m=16, layers=2, widths=(8, 16)), SPEC, "spin", 0)
+
+
 def test_edge_conv_shape_contract():
     rng = Rng(2)
     feats = ad.constant(rng.uniform(-1, 1, (4, 3)))

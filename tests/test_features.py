@@ -145,7 +145,7 @@ def _shape_with_normals(seed=35, n=64, k=8):
 
 def test_spfh_histograms_normalized():
     cloud = _shape_with_normals()
-    hist = features.spfh_feature(cloud, 0, 8)
+    hist = features.spfh_table(cloud, 8).values[0]
     assert hist.shape == (33,)
     assert np.all(hist >= 0)
     for sub in range(3):
@@ -159,7 +159,7 @@ def test_spfh_parallel_normals_concentrate_alpha():
     pts[:, :2] = rng.uniform(-1, 1, (30, 2))
     normals = np.tile([0.0, 0.0, 1.0], (30, 1))
     cloud = PointCloud(pts, normals)
-    hist = features.spfh_feature(cloud, 0, 6)
+    hist = features.spfh_table(cloud, 6).values[0]
     alpha_hist = hist[:11]
     # alpha = 0 falls in the central bin of [-1, 1]
     assert alpha_hist[5] == pytest.approx(1.0, abs=1e-9)
@@ -178,7 +178,7 @@ def test_spfh_rigid_invariance():
 def test_pfh_two_point_neighborhood_single_bin():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
     normals = np.tile([0.0, 0.0, 1.0], (2, 1))
-    hist = features.pfh_feature(PointCloud(pts, normals), 0, 1)
+    hist = features.pfh_table(PointCloud(pts, normals), 1).values[0]
     assert hist.shape == (125,)
     assert np.count_nonzero(hist) == 1
     assert hist.max() == pytest.approx(1.0)
@@ -214,11 +214,11 @@ def test_pfh_spfh_antiparallel_seam_invariant():
 
 def test_pfh_permutation_invariance():
     cloud = _shape_with_normals(40, n=32, k=6)
-    base = features.pfh_feature(cloud, 0, 6)
+    base = features.pfh_table(cloud, 6).values[0]
     # permute every point except index 0, re-estimate nothing (reuse normals)
     perm = np.concatenate([[0], 1 + np.argsort(Rng(3).uniform(size=31))])
     permuted = PointCloud(cloud.points[perm], cloud.normals[perm])
-    out = features.pfh_feature(permuted, 0, 6)
+    out = features.pfh_table(permuted, 6).values[0]
     np.testing.assert_allclose(out, base, atol=1e-12)
 
 
@@ -232,9 +232,9 @@ def test_embed_k1_equals_h_alpha_of_single_neighbor():
     spec = FeatureSpec("distance")
     w = rng.uniform(-1, 1, (3, 5))
     b = rng.uniform(-1, 1, (1, 5))
-    out = features.invariant_point_embed(cloud, spec, 1, w, b).data
     nbr = geom.knn(cloud, 1)
     phi = features.neighbor_feature_array(cloud, spec, nbr)
+    out = features.embed_from_features(phi, w, b).data
     expect = phi[:, 0, :] @ w + b
     expect = np.maximum(expect, 0.2 * expect)
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -244,8 +244,8 @@ def test_embed_identity_halpha_symmetric_points():
     # equally spaced collinear interior points see mirror-image neighborhoods
     pts = np.array([[float(i), 0.0, 0.0] for i in range(5)])
     cloud = PointCloud(pts)
-    out = features.invariant_point_embed(cloud, FeatureSpec("distance"), 2,
-                                         np.eye(3), np.zeros((1, 3))).data
+    phi = features.neighbor_feature_array(cloud, FeatureSpec("distance"), geom.knn(cloud, 2))
+    out = features.embed_from_features(phi, np.eye(3), np.zeros((1, 3))).data
     np.testing.assert_allclose(out[1], out[3], atol=1e-12)
 
 
@@ -256,12 +256,13 @@ def test_embed_rigid_invariance_all_specs():
     for kind in features.FEATURE_KINDS:
         spec = FeatureSpec(kind)
         w = w_cache.setdefault(spec.dim, Rng(spec.dim).uniform(-1, 1, (spec.dim, 6)))
-        base = features.invariant_point_embed(cloud, spec, 8, w, np.zeros((1, 6))).data
+        phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 8))
+        base = features.embed_from_features(phi, w, np.zeros((1, 6))).data
         for _ in range(3):
             t = random_transform(rng, 180.0, 10.0)
             moved_cloud = geom.apply_transform(t, PointCloud(cloud.points))
-            moved = features.invariant_point_embed(moved_cloud, spec, 8, w,
-                                                   np.zeros((1, 6))).data
+            phi = features.neighbor_feature_array(moved_cloud, spec, geom.knn(moved_cloud, 8))
+            moved = features.embed_from_features(phi, w, np.zeros((1, 6))).data
             np.testing.assert_allclose(moved, base, atol=1e-6)
 
 
@@ -270,10 +271,12 @@ def test_embed_permutation_equivariance():
     spec = FeatureSpec("distance")
     w = Rng(45).uniform(-1, 1, (3, 4))
     b = np.zeros((1, 4))
-    base = features.invariant_point_embed(cloud, spec, 5, w, b).data
+    phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 5))
+    base = features.embed_from_features(phi, w, b).data
     perm = np.argsort(Rng(46).uniform(size=40))
     permuted = PointCloud(cloud.points[perm])
-    out = features.invariant_point_embed(permuted, spec, 5, w, b).data
+    phi = features.neighbor_feature_array(permuted, spec, geom.knn(permuted, 5))
+    out = features.embed_from_features(phi, w, b).data
     np.testing.assert_allclose(out, base[perm], atol=1e-12)
 
 
@@ -283,7 +286,8 @@ def test_embed_runs_on_tape():
     tape = ad.Tape()
     w = tape.leaf(Rng(48).uniform(-1, 1, (3, 4)), requires_grad=True)
     b = tape.leaf(np.zeros((1, 4)), requires_grad=True)
-    out = features.invariant_point_embed(cloud, spec, 3, w, b)
+    phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 3))
+    out = features.embed_from_features(phi, w, b)
     ad.backward(ad.reduce_sum(out))
     assert w.grad is not None and np.any(w.grad != 0)
     assert b.grad is not None

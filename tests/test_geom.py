@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
+from upcr import autodiff as ad
 from upcr import geom
-from upcr.geom import PointCloud, RigidTransform, RotationParam
+from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
 from conftest import random_cloud, random_rotation, random_transform
+
+
+def decode(mode, vals) -> np.ndarray:
+    return geom.rotation_mode(mode).decode(ad.constant(vals)).data
 
 
 # ---------------------------------------------------------------------------
@@ -29,11 +34,10 @@ def test_rigid_transform_validation():
 
 
 def test_rotation_param_lengths():
-    RotationParam("euler", np.zeros(3))
-    with pytest.raises(ValueError):
-        RotationParam("euler", np.zeros(4))
-    with pytest.raises(ValueError):
-        RotationParam("spin", np.zeros(3))
+    lengths = {mode: entry.length for mode, entry in geom.ROTATION_MODES.items()}
+    assert lengths == {"euler": 3, "quaternion": 4, "sixd": 6, "matrix": 9}
+    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+        geom.rotation_mode("spin")
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +118,11 @@ def test_knn_order_independence_up_to_tie_rule():
 
 def test_decode_euler_identity():
     np.testing.assert_allclose(
-        geom.decode_rotation(RotationParam("euler", np.zeros(3))), np.eye(3))
+        decode("euler", np.zeros(3)), np.eye(3))
 
 
 def test_decode_euler_quarter_turn():
-    rot = geom.decode_rotation(RotationParam("euler", [0.0, 0.0, np.pi / 2]))
+    rot = decode("euler", [0.0, 0.0, np.pi / 2])
     np.testing.assert_allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
 
@@ -128,7 +132,7 @@ def test_decode_euler_against_axis_composition_oracle():
     rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
     ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
     rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-    rot = geom.decode_rotation(RotationParam("euler", [a, b, g]))
+    rot = decode("euler", [a, b, g])
     np.testing.assert_allclose(rot, rz @ ry @ rx, atol=1e-12)
 
 
@@ -143,29 +147,29 @@ def test_euler_round_trip():
 def test_decode_quaternion_known_values():
     # 90 degrees about z: q = (cos45, 0, 0, sin45); scale invariance via norm
     q = np.array([np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)]) * 3.7
-    rot = geom.decode_rotation(RotationParam("quaternion", q))
+    rot = decode("quaternion", q)
     np.testing.assert_allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
 
 
 def test_decode_degenerate_inputs_rejected():
     with pytest.raises(ValueError):
-        geom.decode_rotation(RotationParam("quaternion", np.zeros(4)))
+        decode("quaternion", np.zeros(4))
     with pytest.raises(ValueError):
-        geom.decode_rotation(RotationParam("sixd", [1, 0, 0, 2, 0, 0]))
+        decode("sixd", [1, 0, 0, 2, 0, 0])
     with pytest.raises(ValueError):
-        geom.decode_rotation(RotationParam("sixd", [0, 0, 0, 0, 1, 0]))
+        decode("sixd", [0, 0, 0, 0, 1, 0])
 
 
 def test_decode_matrix_mode_projects_and_guards_reflection():
     rng = Rng(5)
     rot = random_rotation(rng)
     noisy = rot + 0.05 * rng.uniform(-1, 1, (3, 3))
-    out = geom.decode_rotation(RotationParam("matrix", noisy.reshape(-1)))
+    out = decode("matrix", noisy.reshape(-1))
     assert np.abs(out.T @ out - np.eye(3)).max() < 1e-12
     assert abs(np.linalg.det(out) - 1.0) < 1e-12
     # reflection input still yields a proper rotation
     refl = np.diag([1.0, 1.0, -1.0])
-    out = geom.decode_rotation(RotationParam("matrix", refl.reshape(-1)))
+    out = decode("matrix", refl.reshape(-1))
     assert abs(np.linalg.det(out) - 1.0) < 1e-12
 
 
@@ -176,7 +180,7 @@ def test_decode_rotation_always_in_so3(mode, dim):
     for _ in range(1000):
         vals = rng.uniform(-2.0, 2.0, dim)
         try:
-            rot = geom.decode_rotation(RotationParam(mode, vals))
+            rot = decode(mode, vals)
         except ValueError:
             continue  # degenerate draws are allowed to be rejected
         assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-8

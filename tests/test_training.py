@@ -202,6 +202,15 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
+    ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 27))
+    ckpt.rotation_mode = "spin"
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, ckpt)
+    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_config_guard(tmp_path):
     model = init_params(CFG, SPEC, "euler", 25)
     ckpt = Checkpoint.from_model(model)
