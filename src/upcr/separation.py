@@ -32,6 +32,7 @@ class PosePrediction:
 
 
 def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
+    """Entrywise p_i * log(p_i / q_i); entries sum to KL(p || q) >= 0."""
     ratio = ad.div(ad.add(p, EPS_FLOOR), ad.add(q, EPS_FLOOR))
     return ad.mul(p, ad.log(ratio))
 
