@@ -247,10 +247,6 @@ def neg(a) -> Tensor:
     return _unary("neg", a, np.negative, lambda g, x, y: -g)
 
 
-def exp(a) -> Tensor:
-    return _unary("exp", a, np.exp, lambda g, x, y: g * y)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -490,22 +486,6 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
         return vjp
 
     return _emit("reshape", out, (a,), build)
-
-
-def transpose2d(a) -> Tensor:
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d: expects a rank-2 tensor, got {a.shape}")
-    out = a.data.T.copy()
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            return [(nid, g.T)]
-        return vjp
-
-    return _emit("transpose2d", out, (a,), build)
 
 
 def affine(x, weight, bias) -> Tensor:

@@ -36,7 +36,6 @@ class Protocol:
     pose_regime: str = "modelnet_style"
     noise: tuple[float, float] | None = None
     partial_keep: int | None = None
-    noise_both: bool = True  # add independent noise to source as well as target
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
@@ -331,8 +330,7 @@ def make_sample(protocol: Protocol, category: int, shape_index: int,
         target = make_partial(target, protocol.partial_keep, rng.spawn("partial_tgt"))
     if protocol.noise is not None:
         sigma, clip = protocol.noise
-        if protocol.noise_both:
-            source = add_noise(source, sigma, clip, rng.spawn("noise_src"))
+        source = add_noise(source, sigma, clip, rng.spawn("noise_src"))
         target = add_noise(target, sigma, clip, rng.spawn("noise_tgt"))
     tags = protocol.tags()
     tags["shape_index"] = shape_index
@@ -462,21 +460,22 @@ def _load_ply(path: str) -> PointCloud:
     return PointCloud(np.array(pts))
 
 
-def load_cloud(path: str, fmt: str | None = None) -> PointCloud:
-    """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix
-    unless given)."""
-    fmt = fmt or os.path.splitext(path)[1].lstrip(".").lower()
-    loaders = {"xyz": _load_xyz, "off": _load_off, "ply": _load_ply}
-    if fmt not in loaders:
-        raise ValueError(f"unsupported cloud format {fmt!r} (use xyz, off or ply)")
-    return loaders[fmt](path)
-
-
-def save_cloud(cloud: PointCloud, path: str, fmt: str | None = None) -> None:
-    """Write a cloud with 9 significant digits per coordinate."""
-    fmt = fmt or os.path.splitext(path)[1].lstrip(".").lower()
+def _cloud_format(path: str) -> str:
+    fmt = os.path.splitext(path)[1].lstrip(".").lower()
     if fmt not in ("xyz", "off", "ply"):
         raise ValueError(f"unsupported cloud format {fmt!r} (use xyz, off or ply)")
+    return fmt
+
+
+def load_cloud(path: str) -> PointCloud:
+    """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix)."""
+    loaders = {"xyz": _load_xyz, "off": _load_off, "ply": _load_ply}
+    return loaders[_cloud_format(path)](path)
+
+
+def save_cloud(cloud: PointCloud, path: str) -> None:
+    """Write a cloud with 9 significant digits per coordinate."""
+    fmt = _cloud_format(path)
     n = len(cloud)
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "off":

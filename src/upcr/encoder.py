@@ -188,18 +188,15 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
 class CloudCache:
     """Pose- and parameter-independent per-cloud work, reusable across steps."""
 
-    spatial_graph: np.ndarray   # [N, k] graph for layer 0 / invariant layers
-    embed_neighbors: np.ndarray  # [N, k] neighborhood for the point embedding
-    phi: np.ndarray             # [N, k, d] raw invariant neighbor features
+    spatial_graph: np.ndarray  # [N, k] geom.graph_knn table: layer 0, embedding, invariant layers
+    phi: np.ndarray            # [N, k, d] raw invariant neighbor features over spatial_graph
 
 
 def precompute_cloud(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig) -> CloudCache:
     if len(cloud) <= config.k:
         raise ValueError(f"need more than k={config.k} points, got {len(cloud)}")
     graph = geom.graph_knn(cloud.points, config.k)
-    embed_nbr = geom.knn(cloud, config.k)
-    phi = neighbor_feature_array(cloud, spec, embed_nbr)
-    return CloudCache(graph, embed_nbr, phi)
+    return CloudCache(graph, neighbor_feature_array(cloud, spec, graph))
 
 
 def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,

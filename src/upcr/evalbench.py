@@ -40,21 +40,16 @@ def _check_paired(predictions, ground_truths):
                          f"vs {len(ground_truths)}")
 
 
-def rotation_metrics(predictions, ground_truths, per_axis_difference: bool = False):
+def rotation_metrics(predictions, ground_truths):
     """(RMSE, MAE) in degrees over all 3n Euler error components.
 
-    By default the error angles are the Euler decomposition of the relative
-    rotation R_gt^T R_pred; ``per_axis_difference`` switches to the
-    difference of the two Euler decompositions.
+    The error angles are the Euler decomposition of the relative rotation
+    R_gt^T R_pred.
     """
     _check_paired(predictions, ground_truths)
     comps = []
     for pred, gt in zip(predictions, ground_truths):
-        if per_axis_difference:
-            err = geom.euler_from_matrix(pred.rotation) - geom.euler_from_matrix(gt.rotation)
-        else:
-            err = geom.euler_from_matrix(gt.rotation.T @ pred.rotation)
-        comps.extend(np.rad2deg(err))
+        comps.extend(np.rad2deg(geom.euler_from_matrix(gt.rotation.T @ pred.rotation)))
     comps = np.array(comps)
     return float(np.sqrt(np.mean(comps ** 2))), float(np.mean(np.abs(comps)))
 
@@ -103,12 +98,11 @@ def _correspondence_stats(src_pts: np.ndarray, dst_pts: np.ndarray,
 
 def icp(source: PointCloud, target: PointCloud,
         init: RigidTransform | None = None, max_iters: int = 50,
-        tol: float = 1e-7, trim_fraction: float = 0.0) -> RigidTransform:
+        tol: float = 1e-7) -> RigidTransform:
     """Point-to-point ICP with SVD pose fits; returns the best pose seen.
 
     The best pose (by mean correspondence distance) is tracked from the
     initial guess onward, so the result never degrades the initialization.
-    ``trim_fraction`` optionally drops the worst correspondences each round.
     """
     pose = init if init is not None else RigidTransform.identity()
     src = source.points
@@ -117,15 +111,7 @@ def icp(source: PointCloud, target: PointCloud,
     best_pose, best_d = pose, mean_d
     prev_d = mean_d
     for _ in range(max_iters):
-        matched_src = src
-        matched_dst = dst[nn]
-        if trim_fraction > 0.0:
-            moved = src @ pose.rotation.T + pose.translation
-            resid = np.linalg.norm(moved - matched_dst, axis=1)
-            keep = resid <= np.quantile(resid, 1.0 - trim_fraction)
-            if keep.sum() >= 3:
-                matched_src, matched_dst = src[keep], matched_dst[keep]
-        pose = geom.fit_rigid(matched_src, matched_dst)
+        pose = geom.fit_rigid(src, dst[nn])
         nn, mean_d = _correspondence_stats(src, dst, pose)
         if mean_d < best_d:
             best_pose, best_d = pose, mean_d

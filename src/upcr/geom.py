@@ -1,6 +1,11 @@
 """Point-cloud containers, rigid-motion algebra, rotation decoders, and
 nearest-neighbor search.
 
+One neighbor rule serves 3D clouds (:func:`knn`) and feature rows
+(:func:`graph_knn`): the k nearest distinct locations by brute-force scan,
+ascending by distance, lower index on ties, never self or an exactly
+coincident twin.
+
 Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
     i.e. ``points @ R.T + t`` on row storage
@@ -17,13 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 
 ORTHO_TOL = 1e-8
-# brute-force KNN below this size; kd-tree above
-_KDTREE_MIN_POINTS = 64
 
 
 @dataclass
@@ -117,37 +119,26 @@ def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def knn_indices(data: np.ndarray, k: int) -> np.ndarray:
-    """Brute-force k-nearest-neighbor table for row vectors of any dimension.
+def _neighbor_table(data: np.ndarray, k: int) -> np.ndarray:
+    """The one neighbor rule behind :func:`knn` and :func:`graph_knn`.
 
-    Sorted ascending by squared distance, ties broken by lower index; a row
-    is never its own neighbor.
-    """
-    n = data.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, N-1] = [1, {n - 1}], got {k}")
-    d2 = sqdist_matrix(data, data)
-    np.fill_diagonal(d2, np.inf)
-    return _select_k(d2, np.arange(n), k)
-
-
-def graph_knn(data: np.ndarray, k: int) -> np.ndarray:
-    """Neighbor table over the k nearest *distinct* feature locations.
-
-    Exactly coincident rows collapse to one graph vertex whose representative
-    is the lowest index, so duplicated points neither crowd out genuine
-    neighbors nor link to themselves. Falls back to plain :func:`knn_indices`
-    when fewer than k+1 distinct locations exist.
+    Per row, the k nearest *distinct* locations, ascending by squared
+    distance, lower index first on ties, never the row itself or a twin
+    (an exactly coincident row). Coincident rows collapse to one location
+    represented by its lowest index, so a duplicated point neither crowds
+    out genuine neighbors nor links to itself, and every copy of a point
+    gets the same row. With fewer than k+1 distinct locations the table is
+    the plain scan over rows, twins included.
     """
     n = data.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, N-1] = [1, {n - 1}], got {k}")
     uniq, inverse = np.unique(data, axis=0, return_inverse=True)
     m = uniq.shape[0]
-    if m == n:
-        return knn_indices(data, k)
-    if m - 1 < k:
-        return knn_indices(data, k)
+    if m == n or m - 1 < k:
+        d2 = sqdist_matrix(data, data)
+        np.fill_diagonal(d2, np.inf)
+        return _select_k(d2, np.arange(n), k)
     reps = np.full(m, n, dtype=np.int64)
     np.minimum.at(reps, inverse, np.arange(n))
     d2 = sqdist_matrix(uniq, uniq)
@@ -156,37 +147,14 @@ def graph_knn(data: np.ndarray, k: int) -> np.ndarray:
     return reps[nbr_uniq][inverse]
 
 
+def graph_knn(data: np.ndarray, k: int) -> np.ndarray:
+    """Neighbor table [N, k] for row vectors of any dimension (feature space)."""
+    return _neighbor_table(data, k)
+
+
 def knn(cloud: PointCloud, k: int) -> np.ndarray:
-    """KNN table [N, k] for a 3D cloud; kd-tree backed above 64 points.
-
-    Same ordering contract as :func:`knn_indices`. The kd-tree path falls
-    back to the brute scan for any row whose neighbor set is ambiguous
-    (boundary ties, coincident points), so results are always exact.
-    """
-    pts = cloud.points
-    n = pts.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be in [1, N-1] = [1, {n - 1}], got {k}")
-    if n < _KDTREE_MIN_POINTS or k + 2 >= n:
-        return knn_indices(pts, k)
-
-    m = k + 2
-    tree = cKDTree(pts)
-    _, cand = tree.query(pts, k=m)
-    d2 = np.sum((pts[:, None, :] - pts[cand]) ** 2, axis=-1)  # [n, m]
-    not_self = cand != np.arange(n)[:, None]
-    d2[~not_self] = np.inf
-    order = np.lexsort((cand, d2), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-    d2 = np.take_along_axis(d2, order, axis=1)
-    out = cand[:, :k].astype(np.int64)
-    # rows where self is missing/duplicated, or where the boundary ties, are
-    # ambiguous from m candidates alone
-    unsafe = (not_self.sum(axis=1) != m - 1) | (d2[:, k - 1] >= d2[:, k])
-    if np.any(unsafe):
-        sub = knn_indices(pts, k)
-        out[unsafe] = sub[unsafe]
-    return out
+    """Neighbor table [N, k] for a 3D cloud."""
+    return _neighbor_table(cloud.points, k)
 
 
 # ---------------------------------------------------------------------------

@@ -212,20 +212,29 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
 
     params = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
-    optim = None
-    if header.get("optim") is not None:
-        o = header["optim"]
-        optim = OptimState(lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"],
-                           eps=o["eps"], step=o["step"])
+    try:
+        if not isinstance(header["config"], dict) or not isinstance(header["spec"], dict):
+            raise TypeError("config and spec must be JSON objects")
+        config = EncoderConfig.from_dict(header["config"])
+        spec = FeatureSpec(**header["spec"])
+        mode = header["rotation_mode"]
+        o = header.get("optim")
+        optim = None if o is None else OptimState(
+            lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"], step=o["step"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: corrupt checkpoint header: missing key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
+    if optim is not None:
         optim.m = {k[len("optim.m."):]: v for k, v in tensors.items()
                    if k.startswith("optim.m.")}
         optim.v = {k[len("optim.v."):]: v for k, v in tensors.items()
                    if k.startswith("optim.v.")}
-    geom.rotation_mode(header["rotation_mode"])  # an unknown mode raises ValueError here
+    geom.rotation_mode(mode)  # an unknown mode raises ValueError here
     return Checkpoint(
-        config=EncoderConfig.from_dict(header["config"]),
-        spec=FeatureSpec(**header["spec"]),
-        rotation_mode=header["rotation_mode"],
+        config=config,
+        spec=spec,
+        rotation_mode=mode,
         params=params,
         optim=optim,
         metadata=header.get("metadata", {}),

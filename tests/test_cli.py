@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,18 @@ def test_missing_model_file_is_error_with_path(tmp_path, capsys):
     assert "missing.upcr" in capsys.readouterr().err
 
 
+def test_corrupt_checkpoint_header_is_error(tmp_path, capsys):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    model = tiny_model_file(tmp_path)
+    blob = Path(model).read_bytes()
+    Path(model).write_bytes(blob.replace(b'"spec"', b'"spek"', 1))
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "corrupt checkpoint header" in err
+
+
 def test_register_self_prints_identity(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(1, 48, Rng(2)), a)
@@ -78,7 +91,7 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert os.path.exists(os.path.join(out, "index.csv"))
     assert os.path.exists(os.path.join(out, "manifest.txt"))
     assert os.path.exists(os.path.join(out, "train", "0000_source.xyz"))
-    manifest = open(os.path.join(out, "manifest.txt")).read()
+    manifest = Path(out, "manifest.txt").read_text()
     assert "seed = 3" in manifest and "sha256" in manifest
 
 
@@ -132,7 +145,7 @@ def test_sweep_outliers_csv(tmp_path):
     rc = main(["sweep-outliers", "--model", model, "--out", out,
                "--ratios", "0,10"] + TINY)
     assert rc == 0
-    lines = open(os.path.join(out, "outlier_sweep.csv")).read().splitlines()
+    lines = Path(out, "outlier_sweep.csv").read_text().splitlines()
     assert lines[0].startswith("ratio,method")
     assert len(lines) == 5  # header + 2 ratios x 2 methods
 

@@ -6,7 +6,7 @@ from upcr import geom
 from upcr.datagen import synth_shape
 from upcr.encoder import (CloudCache, EncoderConfig, edge_conv_layer, init_params,
                           precompute_cloud, encode_global, encode_invariant)
-from upcr.features import FeatureSpec
+from upcr.features import FEATURE_KINDS, FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
@@ -100,6 +100,17 @@ def test_encode_global_duplication_invariance():
     base = encode_global(cloud, DESK, model.constants()).data
     doubled = PointCloud(np.concatenate([cloud.points, cloud.points]))
     out = encode_global(doubled, DESK, model.constants()).data
+    np.testing.assert_allclose(out, base, atol=1e-9)
+
+
+@pytest.mark.parametrize("kind", FEATURE_KINDS)
+def test_encode_invariant_duplication_invariance(kind):
+    spec = FeatureSpec(kind)
+    model = init_params(DESK, spec, "euler", 1)
+    cloud = synth_shape(2, 40, Rng(5))
+    base = encode_invariant(cloud, spec, DESK, model.constants()).data
+    doubled = PointCloud(np.concatenate([cloud.points, cloud.points]))
+    out = encode_invariant(doubled, spec, DESK, model.constants()).data
     np.testing.assert_allclose(out, base, atol=1e-9)
 
 

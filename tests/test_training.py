@@ -1,4 +1,7 @@
 import dataclasses
+import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,9 +188,9 @@ def test_checkpoint_corrupt_header_rejected(tmp_path):
     model = init_params(CFG, SPEC, "euler", 21)
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, Checkpoint.from_model(model))
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[2] ^= 0xFF  # flip a magic byte
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
 
@@ -196,9 +199,32 @@ def test_checkpoint_truncated_rejected(tmp_path):
     model = init_params(CFG, SPEC, "euler", 23)
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, Checkpoint.from_model(model))
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:len(blob) - 20])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:len(blob) - 20])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a saved checkpoint's JSON header in place."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h.pop("spec"), "missing key 'spec'"),
+    (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+    (lambda h: h.update(config=[5, 16]), "config and spec must be JSON objects"),
+], ids=["missing-key", "unknown-config-key", "non-dict-config"])
+def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 29)))
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=f"corrupt checkpoint header: .*{message}"):
         load_checkpoint(path)
 
 
@@ -225,6 +251,6 @@ def test_checkpoint_config_guard(tmp_path):
 def test_loss_curve_csv(tmp_path):
     path = str(tmp_path / "curve.csv")
     write_loss_curve(path, [0.5, 0.25])
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "epoch,mean_loss"
     assert lines[1].startswith("1,0.5")
