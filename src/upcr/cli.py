@@ -94,16 +94,26 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def _coerce(key: str, value):
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        return str(value).strip().lower() in ("1", "true", "yes", "on")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+    if isinstance(default, bool) and isinstance(value, bool):
+        return value
+    try:
+        if isinstance(default, bool):
+            return _BOOLS[str(value).strip().lower()]
+        if isinstance(default, int):
+            return int(value)
+        if isinstance(default, float):
+            return float(value)
+    except (KeyError, ValueError):
+        expected = ("1/true/yes/on or 0/false/no/off" if isinstance(default, bool)
+                    else f"a {type(default).__name__}")
+        raise CliError(f"configuration key {key!r}: cannot parse {value!r}; "
+                       f"expected {expected}") from None
     return str(value)
 
 

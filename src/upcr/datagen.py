@@ -396,7 +396,7 @@ def _load_off(path: str) -> PointCloud:
     idx += 1
     while idx < len(lines) and not lines[idx].strip():
         idx += 1
-    counts = lines[idx].split()
+    counts = lines[idx].split() if idx < len(lines) else []
     if len(counts) < 2:
         raise CloudParseError(f"{path}:{idx + 1}: malformed OFF count line")
     try:
@@ -432,11 +432,13 @@ def _load_ply(path: str) -> PointCloud:
         if not tok:
             continue
         if tok[0] == "format":
-            if tok[1] != "ascii":
+            if tok[1:2] != ["ascii"]:
                 raise CloudParseError(f"{path}:{idx}: only ascii PLY is supported")
         elif tok[0] == "element":
-            in_vertex = tok[1] == "vertex"
+            in_vertex = tok[1:2] == ["vertex"]
             if in_vertex:
+                if len(tok) < 3 or not tok[2].isdecimal():
+                    raise CloudParseError(f"{path}:{idx}: malformed vertex count")
                 n_vertex = int(tok[2])
         elif tok[0] == "property" and in_vertex:
             props.append(tok[-1])

@@ -110,29 +110,37 @@ def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
-def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
-                seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, in a deterministic name order."""
+def param_shapes(config: EncoderConfig, spec: FeatureSpec,
+                 rotation_mode: str) -> dict[str, tuple[int, int]]:
+    """Name and shape of every parameter, in :func:`init_params` order."""
     rot_len = geom.rotation_mode(rotation_mode).length
-    rng = Rng(seed)
-    t: dict[str, np.ndarray] = {}
+    shapes: dict[str, tuple[int, int]] = {}
     c_in = 3
     for i, c_out in enumerate(config.widths):
-        t[f"global.{i}.w"] = _glorot(rng, 2 * c_in, c_out)
-        t[f"global.{i}.b"] = np.zeros((1, c_out))
+        shapes[f"global.{i}.w"] = (2 * c_in, c_out)
+        shapes[f"global.{i}.b"] = (1, c_out)
         c_in = c_out
-    t["alpha.w"] = _glorot(rng, spec.dim, config.widths[0])
-    t["alpha.b"] = np.zeros((1, config.widths[0]))
+    shapes["alpha.w"] = (spec.dim, config.widths[0])
+    shapes["alpha.b"] = (1, config.widths[0])
     c_in = config.widths[0]
     for i in range(1, config.layers):
         c_out = config.widths[i]
-        t[f"inv.{i}.w"] = _glorot(rng, 2 * c_in, c_out)
-        t[f"inv.{i}.b"] = np.zeros((1, c_out))
+        shapes[f"inv.{i}.w"] = (2 * c_in, c_out)
+        shapes[f"inv.{i}.b"] = (1, c_out)
         c_in = c_out
     dims = (config.m,) + config.head_widths + (rot_len + 3,)
     for i in range(len(dims) - 1):
-        t[f"head.{i}.w"] = _glorot(rng, dims[i], dims[i + 1])
-        t[f"head.{i}.b"] = np.zeros((1, dims[i + 1]))
+        shapes[f"head.{i}.w"] = (dims[i], dims[i + 1])
+        shapes[f"head.{i}.b"] = (1, dims[i + 1])
+    return shapes
+
+
+def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
+                seed: int) -> ModelParams:
+    """Glorot-uniform weights, zero biases, in a deterministic name order."""
+    rng = Rng(seed)
+    t = {name: _glorot(rng, *shape) if name.endswith(".w") else np.zeros(shape)
+         for name, shape in param_shapes(config, spec, rotation_mode).items()}
     return ModelParams(config, spec, rotation_mode, t)
 
 
@@ -188,8 +196,10 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
 class CloudCache:
     """Pose- and parameter-independent per-cloud work, reusable across steps."""
 
-    spatial_graph: np.ndarray  # [N, k] geom.graph_knn table: layer 0, embedding, invariant layers
-    phi: np.ndarray            # [N, k, d] raw invariant neighbor features over spatial_graph
+    # [N, k] geom.graph_knn table, the cloud's one spatial neighbor search: normals,
+    # SPFH/PFH and phi are built over it; global layer 0 and the invariant layers use it
+    spatial_graph: np.ndarray
+    phi: np.ndarray  # [N, k, d] raw invariant neighbor features over spatial_graph
 
 
 def precompute_cloud(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig) -> CloudCache:

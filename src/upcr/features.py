@@ -83,32 +83,19 @@ class PointFeatureTable:
 # individual features
 
 
-def distance_feature(center: np.ndarray, point: np.ndarray, neighbor: np.ndarray) -> np.ndarray:
-    """[D(neighbor, center), D(neighbor, point), D(center, point)]."""
-    center = np.asarray(center, dtype=np.float64)
-    point = np.asarray(point, dtype=np.float64)
-    neighbor = np.asarray(neighbor, dtype=np.float64)
-    return np.array([
-        np.linalg.norm(neighbor - center),
-        np.linalg.norm(neighbor - point),
-        np.linalg.norm(center - point),
-    ])
-
-
-def estimate_normals(cloud: PointCloud, k: int) -> tuple[PointCloud, list[int]]:
+def estimate_normals(cloud: PointCloud, nbr: np.ndarray) -> tuple[PointCloud, list[int]]:
     """Per-point normals from neighborhood covariance.
 
     The normal is the eigenvector of the smallest eigenvalue of the
-    covariance of {point} + its k nearest neighbors, oriented away from the
-    cloud centroid (ties resolve toward +z, then +y, then +x). Returns the
-    cloud with normals plus the indices of degenerate (rank < 2)
-    neighborhoods, whose normal defaults to (0, 0, 1).
+    covariance of {point} + its k neighbors in the [N, k] table ``nbr``,
+    oriented away from the cloud centroid (ties resolve toward +z, then +y,
+    then +x). Returns the cloud with normals plus the indices of degenerate
+    (rank < 2) neighborhoods, whose normal defaults to (0, 0, 1).
     """
+    n, k = nbr.shape
     if k < 3:
         raise ValueError(f"normal estimation needs k >= 3, got {k}")
     pts = cloud.points
-    n = pts.shape[0]
-    nbr = geom.knn(cloud, k)
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     p = pts[nbh]  # [n, k+1, 3]
     p = p - p.mean(axis=1, keepdims=True)
@@ -133,17 +120,6 @@ def estimate_normals(cloud: PointCloud, k: int) -> tuple[PointCloud, list[int]]:
                 break
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(pts, normals), warnings
-
-
-def ppf_feature(p1: np.ndarray, n1: np.ndarray, p2: np.ndarray, n2: np.ndarray) -> np.ndarray:
-    """(angle(n1, d), angle(n2, d), angle(n1, n2), |d|) with d = p2 - p1."""
-    d = np.asarray(p2, dtype=np.float64) - np.asarray(p1, dtype=np.float64)
-    dist = np.linalg.norm(d)
-    if dist < 1e-12:
-        raise ValueError("ppf_feature: coincident points")
-    dn = d / dist
-    ang = lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-    return np.array([ang(n1, dn), ang(n2, dn), ang(n1, n2), dist])
 
 
 def _darboux(ps, ns, pt, nt):
@@ -184,8 +160,8 @@ def _theta_bin(theta: np.ndarray, bins: int) -> np.ndarray:
     return np.mod(idx, bins)
 
 
-def spfh_table(cloud: PointCloud, k: int, bins: int = 11) -> PointFeatureTable:
-    """SPFH histograms for every point, [N, 3*bins].
+def spfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 11) -> PointFeatureTable:
+    """SPFH histograms for every point over its neighbors in ``nbr``, [N, 3*bins].
 
     Alpha and phi are binned over [-1, 1]; theta is binned periodically over
     [-pi, pi), so the antiparallel-normal seam (theta = +-pi) lands in one bin.
@@ -193,8 +169,7 @@ def spfh_table(cloud: PointCloud, k: int, bins: int = 11) -> PointFeatureTable:
     if cloud.normals is None:
         raise ValueError("spfh needs normals; call estimate_normals first")
     pts, nrm = cloud.points, cloud.normals
-    n = pts.shape[0]
-    nbr = geom.knn(cloud, k)
+    n, k = nbr.shape
     ps = np.repeat(pts, k, axis=0)
     ns = np.repeat(nrm, k, axis=0)
     pt = pts[nbr.ravel()]
@@ -214,19 +189,18 @@ def spfh_table(cloud: PointCloud, k: int, bins: int = 11) -> PointFeatureTable:
     return PointFeatureTable(hist, FeatureSpec("spfh", spfh_bins=bins))
 
 
-def pfh_table(cloud: PointCloud, k: int, bins: int = 5) -> PointFeatureTable:
+def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeatureTable:
     """PFH histograms for every point, [N, bins**3].
 
-    Every unordered pair inside {i} + neighbors(i) contributes one Darboux
-    triplet; the frame origin is the endpoint whose normal makes the smaller
-    angle with the pair direction. Theta is binned periodically, as in
+    Every unordered pair inside {i} + its neighbors in ``nbr`` contributes one
+    Darboux triplet; the frame origin is the endpoint whose normal makes the
+    smaller angle with the pair direction. Theta is binned periodically, as in
     :func:`spfh_table`.
     """
     if cloud.normals is None:
         raise ValueError("pfh needs normals; call estimate_normals first")
     pts, nrm = cloud.points, cloud.normals
-    n = pts.shape[0]
-    nbr = geom.knn(cloud, k)
+    n, k = nbr.shape
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     pair_local = np.array(list(combinations(range(k + 1), 2)))  # [m, 2]
     m = pair_local.shape[0]
@@ -266,18 +240,15 @@ def pfh_table(cloud: PointCloud, k: int, bins: int = 5) -> PointFeatureTable:
 # assembled neighbor features and the invariant embedding
 
 
-def _with_normals(cloud: PointCloud, spec: FeatureSpec, k: int) -> PointCloud:
-    if spec.needs_normals and cloud.normals is None:
-        cloud, _ = estimate_normals(cloud, k)
-    return cloud
-
-
 def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
-    """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d]."""
-    k = nbr.shape[1]
-    cloud = _with_normals(cloud, spec, k)
+    """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
+
+    Missing normals and the SPFH/PFH tables come from the same table ``nbr``.
+    """
+    n, k = nbr.shape
+    if spec.needs_normals and cloud.normals is None:
+        cloud, _ = estimate_normals(cloud, nbr)
     pts = cloud.points
-    n = pts.shape[0]
     center = pts.mean(axis=0)
     blocks = []
     for part in spec.parts:
@@ -300,21 +271,20 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             a1 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, dn), -1.0, 1.0))
             a2 = np.arccos(np.clip(np.einsum("ij,ij->i", n2, dn), -1.0, 1.0))
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
-            block = np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4)
-            blocks.append(block)
+            blocks.append(np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4))
         elif part == "spfh":
-            table = spfh_table(cloud, k, spec.spfh_bins).values
-            blocks.append(table[nbr])
+            blocks.append(spfh_table(cloud, nbr, spec.spfh_bins).values[nbr])
         elif part == "pfh":
-            table = pfh_table(cloud, k, spec.pfh_bins).values
-            blocks.append(table[nbr])
+            blocks.append(pfh_table(cloud, nbr, spec.pfh_bins).values[nbr])
     return np.concatenate(blocks, axis=2)
 
 
 def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> PointFeatureTable:
-    """Per-point descriptors for feature matching: max over neighbor features."""
-    nbr = geom.knn(cloud, k)
-    arr = neighbor_feature_array(cloud, spec, nbr)
+    """Per-point descriptors for feature matching: max over neighbor features.
+
+    One neighbor table per cloud feeds the normals, histograms and features.
+    """
+    arr = neighbor_feature_array(cloud, spec, geom.knn(cloud, k))
     return PointFeatureTable(arr.max(axis=1), spec)
 
 

@@ -86,10 +86,6 @@ class RigidTransform:
 # basic cloud ops
 
 
-def centroid(cloud: PointCloud) -> np.ndarray:
-    return cloud.points.mean(axis=0)
-
-
 def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise squared distances via the expanded form (fast, may be -eps)."""
     a2 = np.sum(a * a, axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geom
-from .encoder import EncoderConfig, ModelParams, init_params, precompute_cloud
+from .encoder import EncoderConfig, ModelParams, init_params, param_shapes, precompute_cloud
 from .features import FeatureSpec
 from .geom import PointCloud, sqdist_matrix
 from .rng import Rng, derive_seed
@@ -231,6 +231,17 @@ def load_checkpoint(path: str) -> Checkpoint:
         optim.v = {k[len("optim.v."):]: v for k, v in tensors.items()
                    if k.startswith("optim.v.")}
     geom.rotation_mode(mode)  # an unknown mode raises ValueError here
+    # Adam moments mirror the parameters; nothing else may ride along
+    prefixes = ("",) if optim is None else ("", "optim.m.", "optim.v.")
+    want = {p + k: s for p in prefixes for k, s in param_shapes(config, spec, mode).items()}
+    got = {k: a.shape for k, a in tensors.items()}
+    problems = ([f"missing {k}" for k in want if k not in got]
+                + [f"unexpected {k}" for k in got if k not in want]
+                + [f"{k} has shape {got[k]}, expected {s}"
+                   for k, s in want.items() if k in got and got[k] != s])
+    if problems:
+        raise ValueError(f"{path}: checkpoint tensors do not match header: "
+                         + "; ".join(problems))
     return Checkpoint(
         config=config,
         spec=spec,

@@ -70,6 +70,32 @@ def test_corrupt_checkpoint_header_is_error(tmp_path, capsys):
     assert "error:" in err and "corrupt checkpoint header" in err
 
 
+def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    ckpt = Checkpoint.from_model(init_params(cfg, FeatureSpec("distance"), "euler", 3))
+    del ckpt.params["head.0.w"]
+    model = str(tmp_path / "model.upcr")
+    save_checkpoint(model, ckpt)
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "checkpoint tensors do not match header: missing head.0.w" in err
+
+
+@pytest.mark.parametrize("text", ["OFF\n\n", "ply\nformat\nelement vertex 3\nend_header\n"],
+                         ids=["off-no-count", "ply-no-format-type"])
+def test_corrupt_cloud_file_is_error(tmp_path, capsys, text):
+    src = tmp_path / ("bad.off" if text.startswith("OFF") else "bad.ply")
+    src.write_text(text)
+    rc = main(["register", "--source", str(src), "--target", str(src),
+               "--model", tiny_model_file(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and f"{src}:" in err
+
+
 def test_register_self_prints_identity(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(1, 48, Rng(2)), a)
@@ -178,6 +204,30 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, value", [
+    ("dynamic_graph = ture", "'ture'"), ("k = abc", "'abc'"), ("slope = fast", "'fast'")],
+    ids=["bool", "int", "float"])
+def test_config_file_unparsable_value_rejected(tmp_path, capsys, line, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[encoder]\n{line}\n")
+    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key = "encoder." + line.split()[0]
+    assert f"error: configuration key {key!r}: cannot parse {value}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("OFF", False), ("no", False), ("0", False), ("False", False),
+    ("ON", True), ("yes", True), ("1", True), ("True", True)])
+def test_config_file_bool_spellings(tmp_path, text, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[encoder]\ndynamic_graph = {text}\n")
+    ns = cli.build_parser().parse_args(["gen", "--config", str(cfg), "--out", "x"])
+    assert cli.resolve_config(ns)["encoder.dynamic_graph"] is expected
 
 
 def test_config_file_unknown_rotation_mode_rejected(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,19 @@ def test_ply_missing_header_rejected(tmp_path):
     path = tmp_path / "bad.ply"
     path.write_text("plyx\n")
     with pytest.raises(CloudParseError):
+        load_cloud(str(path))
+
+
+@pytest.mark.parametrize("name, text, line", [
+    ("no_count.off", "OFF\n\n", 3),
+    ("no_count.ply", "ply\nformat ascii 1.0\nelement vertex\nend_header\n", 3),
+    ("bad_count.ply", "ply\nformat ascii 1.0\nelement vertex abc\nend_header\n", 3),
+    ("no_type.ply", "ply\nformat\nelement vertex 0\nend_header\n", 2),
+], ids=["off-no-count", "ply-no-count", "ply-bad-count", "ply-no-format-type"])
+def test_corrupt_header_rejected_with_line(tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(CloudParseError, match=f"^{re.escape(str(path))}:{line}: "):
         load_cloud(str(path))
 
 

@@ -4,11 +4,12 @@ import pytest
 from upcr import features, geom
 from upcr import autodiff as ad
 from upcr.datagen import synth_shape
+from upcr.encoder import EncoderConfig, precompute_cloud
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import random_cloud, random_transform
+from conftest import distance_feature, ppf_feature, random_cloud, random_transform
 
 
 def transformed(cloud: PointCloud, rng: Rng, max_angle=180.0, max_trans=10.0):
@@ -39,12 +40,12 @@ def test_spec_rejects_unknown_kind():
 
 
 def test_distance_feature_hand_case():
-    out = features.distance_feature([0, 0, 0], [1, 0, 0], [0, 1, 0])
+    out = distance_feature([0, 0, 0], [1, 0, 0], [0, 1, 0])
     np.testing.assert_allclose(out, [1.0, np.sqrt(2.0), 1.0])
 
 
 def test_distance_feature_coincident_neighbor():
-    out = features.distance_feature([0, 0, 0], [1, 2, 2], [1, 2, 2])
+    out = distance_feature([0, 0, 0], [1, 2, 2], [1, 2, 2])
     assert out[1] == 0.0
     assert out[0] == out[2] == 3.0
 
@@ -54,10 +55,10 @@ def test_distance_feature_rigid_invariance():
     o = rng.uniform(-1, 1, 3)
     xi = rng.uniform(-1, 1, 3)
     xij = rng.uniform(-1, 1, 3)
-    base = features.distance_feature(o, xi, xij)
+    base = distance_feature(o, xi, xij)
     for _ in range(50):
         t = random_transform(rng, 180.0, 10.0)
-        moved = features.distance_feature(
+        moved = distance_feature(
             t.rotation @ o + t.translation,
             t.rotation @ xi + t.translation,
             t.rotation @ xij + t.translation)
@@ -72,7 +73,8 @@ def test_normals_on_plane():
     rng = Rng(32)
     pts = np.zeros((60, 3))
     pts[:, :2] = rng.uniform(-1, 1, (60, 2))
-    cloud, warn = features.estimate_normals(PointCloud(pts), k=8)
+    cloud = PointCloud(pts)
+    cloud, warn = features.estimate_normals(cloud, geom.knn(cloud, 8))
     assert not warn
     np.testing.assert_allclose(np.abs(cloud.normals[:, 2]), 1.0, atol=1e-9)
 
@@ -81,7 +83,8 @@ def test_normals_on_sphere_close_to_radial():
     rng = Rng(33)
     dirs = rng.normal((500, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    cloud, _ = features.estimate_normals(PointCloud(dirs), k=8)
+    cloud = PointCloud(dirs)
+    cloud, _ = features.estimate_normals(cloud, geom.knn(cloud, 8))
     cos = np.abs(np.einsum("ij,ij->i", cloud.normals, dirs))
     angles = np.rad2deg(np.arccos(np.clip(cos, -1, 1)))
     assert np.max(angles) < 15.0
@@ -90,15 +93,17 @@ def test_normals_on_sphere_close_to_radial():
 def test_normals_flag_collinear_points():
     pts = np.zeros((10, 3))
     pts[:, 0] = np.arange(10.0)
-    cloud, warn = features.estimate_normals(PointCloud(pts), k=4)
+    cloud = PointCloud(pts)
+    cloud, warn = features.estimate_normals(cloud, geom.knn(cloud, 4))
     assert warn  # every neighborhood is rank deficient
     for i in warn:
         np.testing.assert_array_equal(cloud.normals[i], [0.0, 0.0, 1.0])
 
 
 def test_normals_need_k_at_least_3():
+    cloud = random_cloud(Rng(1), 10)
     with pytest.raises(ValueError):
-        features.estimate_normals(random_cloud(Rng(1), 10), k=2)
+        features.estimate_normals(cloud, geom.knn(cloud, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -106,30 +111,30 @@ def test_normals_need_k_at_least_3():
 
 
 def test_ppf_orthogonal_configuration():
-    out = features.ppf_feature([0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1])
+    out = ppf_feature([0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1])
     np.testing.assert_allclose(out, [np.pi / 2, np.pi / 2, 0.0, 1.0], atol=1e-12)
 
 
 def test_ppf_antipodal_normals():
     n1 = np.array([0.0, 0.0, 1.0])
-    out = features.ppf_feature([0, 0, 0], n1, [1, 0, 0], -n1)
+    out = ppf_feature([0, 0, 0], n1, [1, 0, 0], -n1)
     assert out[2] == pytest.approx(np.pi)
 
 
 def test_ppf_coincident_points_rejected():
     with pytest.raises(ValueError):
-        features.ppf_feature([1, 2, 3], [0, 0, 1], [1, 2, 3], [0, 0, 1])
+        ppf_feature([1, 2, 3], [0, 0, 1], [1, 2, 3], [0, 0, 1])
 
 
 def test_ppf_rigid_invariance():
     rng = Rng(34)
     p1, p2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
     n1, n2 = rng.unit_vector(), rng.unit_vector()
-    base = features.ppf_feature(p1, n1, p2, n2)
+    base = ppf_feature(p1, n1, p2, n2)
     for _ in range(200):
         t = random_transform(rng, 180.0, 10.0)
-        out = features.ppf_feature(t.rotation @ p1 + t.translation, t.rotation @ n1,
-                                   t.rotation @ p2 + t.translation, t.rotation @ n2)
+        out = ppf_feature(t.rotation @ p1 + t.translation, t.rotation @ n1,
+                          t.rotation @ p2 + t.translation, t.rotation @ n2)
         np.testing.assert_allclose(out, base, atol=1e-9)
 
 
@@ -139,13 +144,13 @@ def test_ppf_rigid_invariance():
 
 def _shape_with_normals(seed=35, n=64, k=8):
     cloud = synth_shape(3, n, Rng(seed))
-    with_normals, _ = features.estimate_normals(cloud, k)
+    with_normals, _ = features.estimate_normals(cloud, geom.knn(cloud, k))
     return with_normals
 
 
 def test_spfh_histograms_normalized():
     cloud = _shape_with_normals()
-    hist = features.spfh_table(cloud, 8).values[0]
+    hist = features.spfh_table(cloud, geom.knn(cloud, 8)).values[0]
     assert hist.shape == (33,)
     assert np.all(hist >= 0)
     for sub in range(3):
@@ -159,7 +164,7 @@ def test_spfh_parallel_normals_concentrate_alpha():
     pts[:, :2] = rng.uniform(-1, 1, (30, 2))
     normals = np.tile([0.0, 0.0, 1.0], (30, 1))
     cloud = PointCloud(pts, normals)
-    hist = features.spfh_table(cloud, 6).values[0]
+    hist = features.spfh_table(cloud, geom.knn(cloud, 6)).values[0]
     alpha_hist = hist[:11]
     # alpha = 0 falls in the central bin of [-1, 1]
     assert alpha_hist[5] == pytest.approx(1.0, abs=1e-9)
@@ -167,18 +172,20 @@ def test_spfh_parallel_normals_concentrate_alpha():
 
 def test_spfh_rigid_invariance():
     cloud = _shape_with_normals()
-    base = features.spfh_table(cloud, 8).values
+    base = features.spfh_table(cloud, geom.knn(cloud, 8)).values
     rng = Rng(37)
     for _ in range(5):
         t = random_transform(rng, 180.0, 10.0)
-        moved = features.spfh_table(geom.apply_transform(t, cloud), 8).values
+        moved_cloud = geom.apply_transform(t, cloud)
+        moved = features.spfh_table(moved_cloud, geom.knn(moved_cloud, 8)).values
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
 def test_pfh_two_point_neighborhood_single_bin():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
     normals = np.tile([0.0, 0.0, 1.0], (2, 1))
-    hist = features.pfh_table(PointCloud(pts, normals), 1).values[0]
+    cloud = PointCloud(pts, normals)
+    hist = features.pfh_table(cloud, geom.knn(cloud, 1)).values[0]
     assert hist.shape == (125,)
     assert np.count_nonzero(hist) == 1
     assert hist.max() == pytest.approx(1.0)
@@ -186,11 +193,12 @@ def test_pfh_two_point_neighborhood_single_bin():
 
 def test_pfh_normalized_and_invariant():
     cloud = _shape_with_normals(38)
-    table = features.pfh_table(cloud, 8).values
+    table = features.pfh_table(cloud, geom.knn(cloud, 8)).values
     np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
     rng = Rng(39)
     t = random_transform(rng, 180.0, 10.0)
-    moved = features.pfh_table(geom.apply_transform(t, cloud), 8).values
+    moved_cloud = geom.apply_transform(t, cloud)
+    moved = features.pfh_table(moved_cloud, geom.knn(moved_cloud, 8)).values
     np.testing.assert_allclose(moved, table, atol=1e-9)
 
 
@@ -204,22 +212,66 @@ def test_pfh_spfh_antiparallel_seam_invariant():
     normals[24:, 2] = -1.0
     cloud = PointCloud(pts, normals)
     for table in (features.pfh_table, features.spfh_table):
-        base = table(cloud, 8).values
+        base = table(cloud, geom.knn(cloud, 8)).values
         rng = Rng(42)
         for _ in range(20):
             t = random_transform(rng, 180.0, 10.0)
-            moved = table(geom.apply_transform(t, cloud), 8).values
+            moved_cloud = geom.apply_transform(t, cloud)
+            moved = table(moved_cloud, geom.knn(moved_cloud, 8)).values
             np.testing.assert_array_equal(moved, base)
 
 
 def test_pfh_permutation_invariance():
     cloud = _shape_with_normals(40, n=32, k=6)
-    base = features.pfh_table(cloud, 6).values[0]
+    base = features.pfh_table(cloud, geom.knn(cloud, 6)).values[0]
     # permute every point except index 0, re-estimate nothing (reuse normals)
     perm = np.concatenate([[0], 1 + np.argsort(Rng(3).uniform(size=31))])
     permuted = PointCloud(cloud.points[perm], cloud.normals[perm])
-    out = features.pfh_table(permuted, 6).values[0]
+    out = features.pfh_table(permuted, geom.knn(permuted, 6)).values[0]
     np.testing.assert_allclose(out, base, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# assembled neighbor features
+
+
+def test_neighbor_feature_blocks_match_scalar_oracles():
+    # arccos near +-1 turns a one-ulp dot difference into ~1e-8, hence the
+    # looser angle bound; distances and |d| agree to rounding
+    for category in (1, 4, 6):
+        cloud = synth_shape(category, 64, Rng(50 + category))
+        nbr = geom.knn(cloud, 8)
+        phi = features.neighbor_feature_array(cloud, FeatureSpec("distance+ppf"), nbr)
+        pts = cloud.points
+        nrm = features.estimate_normals(cloud, nbr)[0].normals
+        center = pts.mean(axis=0)
+        dist = np.array([[distance_feature(center, pts[i], pts[j]) for j in row]
+                         for i, row in enumerate(nbr)])
+        ppf = np.array([[ppf_feature(pts[i], nrm[i], pts[j], nrm[j]) for j in row]
+                        for i, row in enumerate(nbr)])
+        np.testing.assert_allclose(phi[:, :, :3], dist, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi[:, :, 3:6], ppf[:, :, :3], rtol=0, atol=1e-7)
+        np.testing.assert_allclose(phi[:, :, 6], ppf[:, :, 3], rtol=0, atol=1e-12)
+
+
+def test_one_neighbor_search_per_cloud(monkeypatch):
+    # normals, SPFH/PFH and edge features all read the caller's one table
+    calls = {"knn": 0, "graph_knn": 0}
+    for name in calls:
+        def counted(*args, _orig=getattr(geom, name), _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(geom, name, counted)
+    cloud = synth_shape(2, 40, Rng(52))
+    config = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16))
+    for kind in features.FEATURE_KINDS:
+        spec = FeatureSpec(kind)
+        calls.update(knn=0, graph_knn=0)
+        features.point_descriptor_table(cloud, spec, 6)
+        assert calls == {"knn": 1, "graph_knn": 0}, kind
+        calls.update(knn=0, graph_knn=0)
+        precompute_cloud(cloud, spec, config)
+        assert calls == {"knn": 0, "graph_knn": 1}, kind
 
 
 # ---------------------------------------------------------------------------

@@ -43,19 +43,6 @@ def test_rotation_param_lengths():
 
 
 # ---------------------------------------------------------------------------
-# centroid
-
-
-def test_centroid_cases():
-    np.testing.assert_array_equal(
-        geom.centroid(PointCloud([[0.0, 0.0, 0.0]])), [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(
-        geom.centroid(PointCloud([[1.0, 0, 0], [-1.0, 0, 0]])), [0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(
-        geom.centroid(PointCloud([[1.0, 2, 3], [3.0, 2, 1]])), [2.0, 2.0, 2.0])
-
-
-# ---------------------------------------------------------------------------
 # knn
 
 

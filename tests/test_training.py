@@ -228,6 +228,45 @@ def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
         load_checkpoint(path)
 
 
+def _save_with_optim(path, edit=lambda c: None):
+    model = init_params(CFG, SPEC, "euler", 31)
+    ckpt = Checkpoint.from_model(model, optim=OptimState.for_params(model.tensors, lr=1e-3))
+    edit(ckpt)
+    save_checkpoint(path, ckpt)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda c: c.params.pop("head.0.w"), "missing head.0.w"),
+    (lambda c: c.params.update(extra=np.zeros((1, 1))), "unexpected extra"),
+    (lambda c: c.params.update({"alpha.b": np.zeros((1, 3))}),
+     r"alpha.b has shape \(1, 3\), expected \(1, 8\)"),
+    (lambda c: c.optim.m.pop("alpha.w"), "missing optim.m.alpha.w"),
+    (lambda c: c.optim.v.update(bogus=np.zeros((1, 1))), "unexpected optim.v.bogus"),
+    (lambda c: c.optim.v.update({"head.1.b": np.zeros((1, 7))}),
+     r"optim.v.head.1.b has shape \(1, 7\), expected \(1, 6\)"),
+], ids=["missing", "extra", "wrong-shape", "optim-missing", "optim-extra", "optim-wrong-shape"])
+def test_checkpoint_tensors_must_match_header(tmp_path, edit, message):
+    path = str(tmp_path / "model.upcr")
+    _save_with_optim(path, edit)
+    with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda h: h["spec"].update(kind="ppf"), r"alpha.w has shape \(3, 8\), expected \(4, 8\)"),
+    (lambda h: h.update(rotation_mode="quaternion"),
+     r"head.1.w has shape \(8, 6\), expected \(8, 7\)"),
+    (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]), "missing global.2.w"),
+    (lambda h: h.update(optim=None), "unexpected optim.m.global.0.w"),
+], ids=["spec", "rotation-mode", "layers", "optim-dropped"])
+def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
+    path = str(tmp_path / "model.upcr")
+    _save_with_optim(path)
+    rewrite_header(path, edit)
+    with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
     ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 27))
     ckpt.rotation_mode = "spin"
