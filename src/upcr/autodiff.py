@@ -13,7 +13,6 @@ so the same pipeline code serves both training and inference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -362,18 +361,23 @@ def softmax(v) -> Tensor:
 
 
 def reduce_max(a, axis: int = 0) -> Tensor:
-    """Maximum along one axis; ties route the gradient to the lowest index."""
+    """Maximum along one axis; ties route the gradient to the lowest index.
+
+    The argmax is computed only for taped inputs, when the backward node is
+    built; untaped inference takes the plain maximum.
+    """
     a = as_tensor(a)
     if a.ndim == 0 or not 0 <= axis < a.ndim:
         raise ShapeError(f"reduce_max: axis {axis} invalid for shape {a.shape}")
     if a.shape[axis] < 1:
         raise ShapeError("reduce_max: reduced axis is empty")
-    arg = np.argmax(a.data, axis=axis)  # first occurrence = lowest index
-    out = np.take_along_axis(a.data, np.expand_dims(arg, axis), axis=axis).squeeze(axis)
+    av = a.data
+    out = np.max(av, axis=axis)
     in_shape = a.shape
 
     def build(ids):
         nid = a.node_id
+        arg = np.argmax(av, axis=axis)  # first occurrence = lowest index
 
         def vjp(g):
             full = np.zeros(in_shape)
@@ -565,7 +569,7 @@ def pair_table(a, b, neighbors) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# backward pass
 
 
 def backward(loss: Tensor) -> dict[int, np.ndarray]:
@@ -598,57 +602,3 @@ def backward(loss: Tensor) -> dict[int, np.ndarray]:
         else:
             tape.grad_buffer[nid] = g
     return tape.grad_buffer
-
-
-@dataclass
-class GradCheckReport:
-    """Per-coordinate comparison of analytic vs central-difference gradients."""
-
-    analytic: np.ndarray
-    numeric: np.ndarray
-    rel_errors: np.ndarray
-    max_rel_error: float
-    tol: float
-    passed: bool = field(init=False)
-
-    def __post_init__(self):
-        self.passed = bool(self.max_rel_error <= self.tol)
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x, h: float = 1e-6,
-               tol: float = 1e-4, floor: float = 1e-6) -> GradCheckReport:
-    """Compare d f(x) / dx against central finite differences.
-
-    ``f`` must return a single-element tensor. The error at coordinate i is
-    |a_i - n_i| / max(|a_i|, |n_i|, floor), so near-zero gradients fall back
-    to an absolute comparison against ``floor``.
-    """
-    x_arr = _as_array(x.data if isinstance(x, Tensor) else x).copy()
-
-    tape = Tape()
-    leaf = tape.leaf(x_arr, requires_grad=True)
-    out = f(leaf)
-    if out.size != 1:
-        raise ShapeError(f"grad_check: f must be scalar-valued, got shape {out.shape}")
-    backward(out)
-    analytic = leaf.grad
-    if analytic is None:
-        analytic = np.zeros_like(x_arr)
-
-    numeric = np.zeros_like(x_arr)
-    flat = x_arr.reshape(-1)
-    num_flat = numeric.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        hi = f(constant(x_arr)).item()
-        flat[i] = orig - h
-        lo = f(constant(x_arr)).item()
-        flat[i] = orig
-        num_flat[i] = (hi - lo) / (2.0 * h)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
-    rel = np.abs(analytic - numeric) / denom
-    return GradCheckReport(analytic=analytic, numeric=numeric, rel_errors=rel,
-                           max_rel_error=float(np.max(rel)) if rel.size else 0.0,
-                           tol=tol)

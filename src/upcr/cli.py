@@ -31,10 +31,10 @@ DEFAULTS = {
     "encoder.k": 24,
     "encoder.m": 64,
     "encoder.layers": 5,
-    "encoder.widths": "",          # comma list; empty = preset for (layers, m)
+    "encoder.widths": (),          # comma list; empty = preset for (layers, m)
     "encoder.slope": 0.2,
     "encoder.dynamic_graph": True,
-    "encoder.head_widths": "256,128",
+    "encoder.head_widths": (256, 128),
     "feature.kind": "distance",
     "feature.spfh_bins": 11,
     "feature.pfh_bins": 5,
@@ -103,6 +103,11 @@ def _coerce(key: str, value):
     if isinstance(default, bool) and isinstance(value, bool):
         return value
     try:
+        if isinstance(default, tuple):
+            items = tuple(int(w) for w in str(value).split(",")) if str(value).strip() else ()
+            if any(w < 1 for w in items):
+                raise ValueError
+            return items
         if isinstance(default, bool):
             return _BOOLS[str(value).strip().lower()]
         if isinstance(default, int):
@@ -111,6 +116,7 @@ def _coerce(key: str, value):
             return float(value)
     except (KeyError, ValueError):
         expected = ("1/true/yes/on or 0/false/no/off" if isinstance(default, bool)
+                    else "a comma list of positive ints" if isinstance(default, tuple)
                     else f"a {type(default).__name__}")
         raise CliError(f"configuration key {key!r}: cannot parse {value!r}; "
                        f"expected {expected}") from None
@@ -143,15 +149,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
 
 
 def encoder_config(cfg: dict) -> EncoderConfig:
-    widths = None
-    if cfg["encoder.widths"]:
-        widths = tuple(int(w) for w in str(cfg["encoder.widths"]).split(","))
-    head = tuple(int(w) for w in str(cfg["encoder.head_widths"]).split(","))
     return EncoderConfig(k=cfg["encoder.k"], m=cfg["encoder.m"],
-                         layers=cfg["encoder.layers"], widths=widths,
+                         layers=cfg["encoder.layers"], widths=cfg["encoder.widths"] or None,
                          slope=cfg["encoder.slope"],
                          dynamic_graph=cfg["encoder.dynamic_graph"],
-                         head_widths=head)
+                         head_widths=cfg["encoder.head_widths"])
 
 
 def feature_spec(cfg: dict) -> FeatureSpec:
@@ -194,7 +196,8 @@ def write_manifest(out_dir: str, cfg: dict, command: str,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
         for key in sorted(cfg):
-            fh.write(f"{key} = {cfg[key]}\n")
+            val = cfg[key]
+            fh.write(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}\n")
         for label, paths in (("input", inputs), ("output", outputs)):
             for p in paths:
                 fh.write(f"{label} {os.path.basename(p)} sha256 = {_sha256(p)}\n")

@@ -5,6 +5,11 @@ contributes concat(center, neighbor - center) through a shared affine +
 LeakyReLU, and max-pooling over neighbors gives the new point feature.
 Max-pooling over all points turns the last layer into an m-vector.
 
+LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
+slope*x, so max_j act(x_j) == act(max_j x_j) bit for bit. Every layer
+therefore pools over the k neighbors first and applies the activation to the
+pooled [n, c] rows, never to the [n*k, c] edge table.
+
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
 on pose-invariant neighbor features over the fixed spatial graph, so its
@@ -59,9 +64,9 @@ class EncoderConfig:
             raise ValueError(f"widths {self.widths} must have one entry per layer ({self.layers})")
         if self.widths[-1] != self.m:
             raise ValueError(f"last width {self.widths[-1]} must equal m={self.m}")
-        if any(w < 1 for w in self.widths):
-            raise ValueError("layer widths must be positive")
         self.head_widths = tuple(int(w) for w in self.head_widths)
+        if any(w < 1 for w in self.widths + self.head_widths):
+            raise ValueError("layer and head widths must be positive")
 
     def to_dict(self) -> dict:
         return {
@@ -175,6 +180,10 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     The edge input concat(F_i, F_j - F_i) @ W factors into per-point linear
     maps, F_i @ (W_top - W_bot) + F_j @ W_bot, so the k-fold expansion happens
     after the matrix products (k times fewer GEMM flops, same function).
+
+    Pooling comes before the activation: for slope >= 0 LeakyReLU is
+    monotone, so max_j act(x_j) == act(max_j x_j) exactly and the activation
+    runs on [n, c'] rows instead of the [n*k, c'] edge table.
     """
     n, k = neighbors.shape
     if feats.shape[0] != n:
@@ -187,9 +196,9 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)  # [n, c']
     nbr_part = ad.matmul(feats, w_bot)                     # [n, c']
-    h = ad.leaky_relu(ad.pair_table(center, nbr_part, neighbors), slope)
-    h = ad.reshape(h, (n, k, h.shape[1]))
-    return ad.reduce_max(h, axis=1)                        # [n, c']
+    h = ad.pair_table(center, nbr_part, neighbors)
+    h = ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)  # [n, c']
+    return ad.leaky_relu(h, slope)
 
 
 @dataclass

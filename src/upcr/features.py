@@ -289,10 +289,13 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> Poin
 
 
 def embed_from_features(phi: np.ndarray, weight, bias, slope: float = 0.2) -> ad.Tensor:
-    """h_alpha + neighbor max-pool on a precomputed [N, k, d] feature array."""
+    """h_alpha + neighbor max-pool on a precomputed [N, k, d] feature array.
+
+    The max over k comes before the LeakyReLU, which is monotone, so the
+    result equals pooling the activated [N*k, c] table, at N rows of cost.
+    """
     n, k, d = phi.shape
     w = ad.as_tensor(weight)
     flat = ad.constant(phi.reshape(n * k, d))
-    h = ad.leaky_relu(ad.affine(flat, w, bias), slope)
-    h = ad.reshape(h, (n, k, w.shape[1]))
-    return ad.reduce_max(h, axis=1)
+    h = ad.reshape(ad.affine(flat, w, bias), (n, k, w.shape[1]))
+    return ad.leaky_relu(ad.reduce_max(h, axis=1), slope)

@@ -1,6 +1,10 @@
+from dataclasses import dataclass, field
+from typing import Callable
+
 import numpy as np
 import pytest
 
+from upcr import autodiff as ad
 from upcr import geom
 from upcr.rng import Rng
 
@@ -74,3 +78,83 @@ def rotation_oracle(mode: str, vals) -> np.ndarray:
     # matrix: SVD projection, flipping the smallest singular axis if det < 0
     u, _, vt = np.linalg.svd(v.reshape(3, 3))
     return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+
+
+def _activate_then_pool(pre: ad.Tensor, n: int, k: int, slope: float) -> ad.Tensor:
+    h = ad.leaky_relu(pre, slope)
+    return ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)
+
+
+def edge_conv_oracle(feats, neighbors, weight, bias, slope: float) -> ad.Tensor:
+    """``encoder.edge_conv_layer`` with LeakyReLU on the [n*k, c'] edge table
+    before the max over k (the library pools first)."""
+    n, k = neighbors.shape
+    c = feats.shape[1]
+    w = ad.as_tensor(weight)
+    w_top = ad.gather_rows(w, np.arange(c))
+    w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
+    center = ad.affine(feats, ad.sub(w_top, w_bot), bias)
+    table = ad.pair_table(center, ad.matmul(feats, w_bot), neighbors)
+    return _activate_then_pool(table, n, k, slope)
+
+
+def embed_oracle(phi: np.ndarray, weight, bias, slope: float) -> ad.Tensor:
+    """``features.embed_from_features`` with LeakyReLU on the [N*k, c] table
+    before the max over k (the library pools first)."""
+    n, k, d = phi.shape
+    pre = ad.affine(ad.constant(phi.reshape(n * k, d)), weight, bias)
+    return _activate_then_pool(pre, n, k, slope)
+
+
+@dataclass
+class GradCheckReport:
+    """Per-coordinate comparison of analytic vs central-difference gradients."""
+
+    analytic: np.ndarray
+    numeric: np.ndarray
+    rel_errors: np.ndarray
+    max_rel_error: float
+    tol: float
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.passed = bool(self.max_rel_error <= self.tol)
+
+
+def grad_check(f: Callable[[ad.Tensor], ad.Tensor], x, h: float = 1e-6,
+               tol: float = 1e-4, floor: float = 1e-6) -> GradCheckReport:
+    """Compare d f(x) / dx against central finite differences.
+
+    ``f`` must return a single-element tensor. The error at coordinate i is
+    |a_i - n_i| / max(|a_i|, |n_i|, floor), so near-zero gradients fall back
+    to an absolute comparison against ``floor``.
+    """
+    x_arr = np.array(x.data if isinstance(x, ad.Tensor) else x, dtype=np.float64)
+
+    tape = ad.Tape()
+    leaf = tape.leaf(x_arr, requires_grad=True)
+    out = f(leaf)
+    if out.size != 1:
+        raise ad.ShapeError(f"grad_check: f must be scalar-valued, got shape {out.shape}")
+    ad.backward(out)
+    analytic = leaf.grad
+    if analytic is None:
+        analytic = np.zeros_like(x_arr)
+
+    numeric = np.zeros_like(x_arr)
+    flat = x_arr.reshape(-1)
+    num_flat = numeric.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = f(ad.constant(x_arr)).item()
+        flat[i] = orig - h
+        lo = f(ad.constant(x_arr)).item()
+        flat[i] = orig
+        num_flat[i] = (hi - lo) / (2.0 * h)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    rel = np.abs(analytic - numeric) / denom
+    return GradCheckReport(analytic=analytic, numeric=numeric, rel_errors=rel,
+                           max_rel_error=float(np.max(rel)) if rel.size else 0.0,
+                           tol=tol)

@@ -7,6 +7,8 @@ import pytest
 from upcr import autodiff as ad
 from upcr.rng import Rng
 
+from conftest import grad_check
+
 
 def leaf(tape, values):
     return tape.leaf(np.asarray(values, dtype=np.float64), requires_grad=True)
@@ -35,7 +37,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = Rng(11)
     a = rng.uniform(-1, 1, (3, 4))
     b = ad.constant(rng.uniform(-1, 1, (4, 2)))
-    rep = ad.grad_check(lambda t: ad.reduce_sum(ad.matmul(t, b)), a, h=1e-6, tol=1e-6)
+    rep = grad_check(lambda t: ad.reduce_sum(ad.matmul(t, b)), a, h=1e-6, tol=1e-6)
     assert rep.passed, rep.max_rel_error
 
 
@@ -147,8 +149,8 @@ def test_softmax_gradient():
     rng = Rng(5)
     v = rng.uniform(-2, 2, 6)
     w = ad.constant(rng.uniform(-1, 1, 6))
-    rep = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t), w)), v,
-                        h=1e-6, tol=1e-5)
+    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t), w)), v,
+                     h=1e-6, tol=1e-5)
     assert rep.passed, rep.max_rel_error
 
 
@@ -168,8 +170,8 @@ def test_nearest_rotation_gradient_matches_finite_differences(sign):
     m = _rotation(rng) @ np.diag([3.0, 2.0, sign * 0.5]) @ _rotation(rng)
     assert np.sign(np.linalg.det(m)) == sign
     probe = ad.constant(rng.uniform(-1, 1, (3, 3)))
-    rep = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.nearest_rotation(t), probe)),
-                        m, h=1e-6, tol=1e-6)
+    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(ad.nearest_rotation(t), probe)),
+                     m, h=1e-6, tol=1e-6)
     assert rep.passed, rep.max_rel_error
 
 
@@ -231,6 +233,17 @@ def test_reduce_max_3d_axis():
     x = np.arange(24.0).reshape(2, 3, 4)
     out = ad.reduce_max(ad.constant(x), axis=1)
     np.testing.assert_array_equal(out.data, x.max(axis=1))
+
+
+def test_reduce_max_3d_axis_tie_goes_to_lowest_index():
+    tape = ad.Tape()
+    x = leaf(tape, [[[1.0, 4.0], [3.0, 4.0], [3.0, 0.0]],
+                    [[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]]])
+    out = ad.reduce_max(x, axis=1)
+    np.testing.assert_array_equal(out.data, [[3.0, 4.0], [2.0, 2.0]])
+    ad.backward(ad.reduce_sum(ad.mul(out, np.array([[5.0, 6.0], [7.0, 8.0]]))))
+    np.testing.assert_array_equal(x.grad, [[[0.0, 6.0], [5.0, 0.0], [0.0, 0.0]],
+                                           [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]]])
 
 
 def test_reduce_max_empty_axis_rejected():
@@ -309,8 +322,8 @@ def test_pair_table_matches_naive(rng):
 
 def test_reshape_gradients(rng):
     x = rng.uniform(-1, 1, (3, 4))
-    rep = ad.grad_check(lambda t: ad.reduce_sum(ad.reshape(t, (12,))), x,
-                        h=1e-6, tol=1e-6)
+    rep = grad_check(lambda t: ad.reduce_sum(ad.reshape(t, (12,))), x,
+                     h=1e-6, tol=1e-6)
     assert rep.passed
 
 
@@ -325,7 +338,7 @@ def test_affine_matches_parts(rng):
             parts = {"x": ad.constant(x), "w": ad.constant(w), "b": ad.constant(b)}
             parts[pick] = t
             return ad.reduce_sum(ad.affine(parts["x"], parts["w"], parts["b"]))
-        rep = ad.grad_check(fn, arr, h=1e-6, tol=1e-6)
+        rep = grad_check(fn, arr, h=1e-6, tol=1e-6)
         assert rep.passed, (pick, rep.max_rel_error)
 
 
@@ -376,7 +389,7 @@ def test_backward_mlp_matches_finite_differences():
         h = ad.leaky_relu(ad.affine(ad.constant(x), t, ad.constant(b1)), 0.2)
         return ad.reduce_sum(ad.matmul(h, ad.constant(w2)))
 
-    rep = ad.grad_check(fn, w1, h=1e-5, tol=1e-4)
+    rep = grad_check(fn, w1, h=1e-5, tol=1e-4)
     assert rep.passed, rep.max_rel_error
 
 
@@ -401,22 +414,22 @@ def test_forward_is_deterministic(rng):
 
 
 def test_grad_check_exact_for_sum():
-    rep = ad.grad_check(ad.reduce_sum, np.array([1.0, 2.0, 3.0]))
+    rep = grad_check(ad.reduce_sum, np.array([1.0, 2.0, 3.0]))
     assert rep.passed
     assert rep.max_rel_error < 1e-9
 
 
 def test_grad_check_softmax_sum_uses_absolute_fallback():
     # softmax sums to one, so the analytic gradient is ~0 everywhere
-    rep = ad.grad_check(lambda t: ad.reduce_sum(ad.softmax(t)),
-                        np.array([0.3, -0.2, 1.4]))
+    rep = grad_check(lambda t: ad.reduce_sum(ad.softmax(t)),
+                     np.array([0.3, -0.2, 1.4]))
     assert rep.passed
     np.testing.assert_allclose(rep.analytic, 0.0, atol=1e-15)
 
 
 def test_grad_check_rejects_vector_valued():
     with pytest.raises(ad.ShapeError):
-        ad.grad_check(lambda t: ad.mul(t, t), np.array([1.0, 2.0]))
+        grad_check(lambda t: ad.mul(t, t), np.array([1.0, 2.0]))
 
 
 # every differentiable op against central differences on random shapes
@@ -438,7 +451,7 @@ def test_op_gradients_random_shapes(name, op, binary, shape):
     rng = Rng(zlib.crc32(repr((name, shape)).encode()))
     x = rng.uniform(0.5, 2.0, shape)  # positive keeps div/log/sqrt happy
     c = ad.constant(rng.uniform(0.5, 2.0, shape))
-    rep = ad.grad_check(lambda t: ad.reduce_sum(op(t, c)), x, h=1e-6, tol=1e-4)
+    rep = grad_check(lambda t: ad.reduce_sum(op(t, c)), x, h=1e-6, tol=1e-4)
     assert rep.passed, (name, shape, rep.max_rel_error)
 
 
@@ -447,5 +460,5 @@ def test_log_sqrt_gradients(shape):
     rng = Rng(hash(shape) & 0xFFFF)
     x = rng.uniform(0.5, 3.0, shape)
     for op in (ad.log, ad.sqrt):
-        rep = ad.grad_check(lambda t: ad.reduce_sum(op(t)), x, h=1e-6, tol=1e-4)
+        rep = grad_check(lambda t: ad.reduce_sum(op(t)), x, h=1e-6, tol=1e-4)
         assert rep.passed, (op.__name__, rep.max_rel_error)

@@ -220,6 +220,35 @@ def test_config_file_unparsable_value_rejected(tmp_path, capsys, line, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("line", ["head_widths = 8,x", "widths = 8,,16", "head_widths = 8,0"],
+                         ids=["non-int", "empty-item", "zero"])
+@pytest.mark.parametrize("command", ["gen", "time"])
+def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[encoder]\n{line}\n")
+    argv = (["gen", "--out", str(tmp_path / "o")] if command == "gen" else
+            ["time", "--features", "distance", "--points", "48", "--reps", "1",
+             "--k", "5", "--m", "16", "--layers", "2", "--out", str(tmp_path / "o")])
+    rc = main(argv + ["--config", str(cfg)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    key, value = (part.strip() for part in line.split("="))
+    assert f"error: configuration key 'encoder.{key}': cannot parse {value!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_width_lists_parsed(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")
+    ns = cli.build_parser().parse_args(["time", "--config", str(cfg), "--layers", "2",
+                                        "--m", "16"])
+    enc = cli.encoder_config(cli.resolve_config(ns))
+    assert enc.widths == (8, 16) and enc.head_widths == (12,)
+    defaults = cli.encoder_config(cli.resolve_config(cli.build_parser().parse_args(
+        ["time"])))
+    assert defaults.widths == (16, 16, 32, 32, 64) and defaults.head_widths == (256, 128)
+
+
 @pytest.mark.parametrize("text, expected", [
     ("OFF", False), ("no", False), ("0", False), ("False", False),
     ("ON", True), ("yes", True), ("1", True), ("True", True)])

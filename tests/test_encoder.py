@@ -6,11 +6,11 @@ from upcr import geom
 from upcr.datagen import synth_shape
 from upcr.encoder import (CloudCache, EncoderConfig, edge_conv_layer, init_params,
                           precompute_cloud, encode_global, encode_invariant)
-from upcr.features import FEATURE_KINDS, FeatureSpec
+from upcr.features import FEATURE_KINDS, FeatureSpec, embed_from_features
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import random_transform
+from conftest import edge_conv_oracle, embed_oracle, random_transform
 
 DESK = EncoderConfig(k=6, m=32, layers=3, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -29,6 +29,8 @@ def test_config_presets_and_validation():
         EncoderConfig(k=24, m=64, layers=2, widths=(16, 32))  # last != m
     with pytest.raises(ValueError):
         EncoderConfig(k=0, m=8, layers=1)
+    with pytest.raises(ValueError, match="head widths must be positive"):
+        EncoderConfig(k=24, m=64, layers=5, head_widths=(8, 0))
 
 
 def test_param_shapes_follow_config():
@@ -85,6 +87,58 @@ def test_edge_conv_index_out_of_range():
     with pytest.raises(ad.ShapeError):
         edge_conv_layer(ad.constant(np.zeros((3, 2))), np.array([[5], [0], [1]]),
                         np.zeros((4, 3)), np.zeros((1, 3)))
+
+
+def _pooling_inputs(seed: int, ties: bool, n: int = 12, k: int = 5, c: int = 4, c_out: int = 6):
+    """Mixed-sign pre-activations; with ``ties`` every row repeats its first
+    neighbor (and its first feature row) at k slots 2 and 4, so several k
+    entries hold exactly the same value."""
+    rng = Rng(seed)
+    feats = rng.normal((n, c))
+    nbr = rng.integers(0, n, (n, k))
+    phi = rng.normal((n, k, 3))
+    if ties:
+        nbr[:, 2] = nbr[:, 4] = nbr[:, 0]
+        phi[:, 2] = phi[:, 4] = phi[:, 0]
+    return feats, nbr, phi, rng.normal((2 * c, c_out)), rng.normal((1, c_out)), rng.normal((3, c_out))
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+@pytest.mark.parametrize("slope", [0.2, 0.0])
+def test_pool_first_matches_activate_first_bit_for_bit(slope, ties):
+    outputs = []
+    for seed in range(5):
+        feats, nbr, phi, w, b, alpha = _pooling_inputs(seed, ties)
+        got = edge_conv_layer(ad.constant(feats), nbr, w, b, slope).data
+        want = edge_conv_oracle(ad.constant(feats), nbr, w, b, slope).data
+        assert got.tobytes() == want.tobytes()
+        outputs.append(got)
+        got = embed_from_features(phi, alpha, b, slope).data
+        want = embed_oracle(phi, alpha, b, slope).data
+        assert got.tobytes() == want.tobytes()
+        outputs.append(got)
+    # pooled maxima of both signs: the activation's negative branch is exercised
+    for out in outputs[0::2], outputs[1::2]:
+        assert np.signbit(np.stack(out)).any() and (np.stack(out) > 0).any()
+
+
+@pytest.mark.parametrize("slope", [0.2, 0.0])
+def test_pool_first_gradients_match_activate_first(slope):
+    for seed in range(5):
+        feats, nbr, phi, w, b, alpha = _pooling_inputs(seed, ties=False)
+        probe = Rng(100 + seed).normal((feats.shape[0], w.shape[1]))
+        grads = []
+        for conv, embed in ((edge_conv_layer, embed_from_features),
+                            (edge_conv_oracle, embed_oracle)):
+            tape = ad.Tape()
+            x, wt, bt, at = (tape.leaf(v, requires_grad=True) for v in (feats, w, b, alpha))
+            loss = ad.add(ad.reduce_sum(ad.mul(conv(x, nbr, wt, bt, slope), probe)),
+                          ad.reduce_sum(ad.mul(embed(phi, at, bt, slope), probe)))
+            ad.backward(loss)
+            grads.append([t.grad for t in (x, wt, bt, at)])
+        for got, want in zip(*grads):
+            assert np.abs(want).max() > 0
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_encode_global_needs_enough_points():

@@ -12,7 +12,7 @@ from upcr.geom import PointCloud
 from upcr.rng import Rng
 from upcr.separation import register_pair
 
-from conftest import random_transform, rotation_oracle
+from conftest import grad_check, random_transform, rotation_oracle
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -135,7 +135,7 @@ def test_pose_head_gradient_through_rotation(mode):
         _, _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
         return ad.reduce_sum(ad.mul(rot, ad.constant(probe)))
 
-    rep = ad.grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
+    rep = grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
     assert rep.passed, (mode, rep.max_rel_error)
 
 
@@ -229,5 +229,44 @@ def test_full_pipeline_grad_check_all_parameters():
                       for k, v in model.tensors.items()}
             res = register_pair(x, y, model, bound=params)
             return unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
-        rep = ad.grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
+        rep = grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
         assert rep.passed, (name, rep.max_rel_error)
+
+
+def _desk_pair():
+    rng = Rng(19)
+    x = synth_shape(5, 256, rng.spawn("x"))
+    y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)
+    return x, y, init_params(EncoderConfig(k=24, m=64), SPEC, "euler", 7)
+
+
+def test_activation_never_runs_on_edge_tables(monkeypatch):
+    x, y, model = _desk_pair()
+    rows = []
+    relu = ad.leaky_relu
+
+    def counted(a, *args, **kwargs):
+        rows.append(ad.as_tensor(a).shape[0])
+        return relu(a, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "leaky_relu", counted)
+    register_pair(x, y, model)
+    assert rows and max(rows) <= len(x)
+
+
+def test_argmax_only_on_a_tape(monkeypatch):
+    calls = []
+    argmax = np.argmax
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return argmax(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argmax", counted)
+    x, y, model = _desk_pair()
+    register_pair(x, y, model)
+    assert not calls
+    model = small_model()
+    x = synth_shape(1, 24, Rng(20))
+    register_pair(x, x, model, bound=model.bind(ad.Tape()))
+    assert calls
