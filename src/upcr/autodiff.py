@@ -377,7 +377,10 @@ def reduce_max(a, axis: int = 0) -> Tensor:
 
     def build(ids):
         nid = a.node_id
-        arg = np.argmax(av, axis=axis)  # first occurrence = lowest index
+        hit = av == np.expand_dims(out, axis)  # 1-byte table; first hit = lowest index
+        if np.isnan(out).any():  # a NaN max equals nothing: the first NaN wins
+            hit |= np.isnan(av)
+        arg = np.argmax(hit, axis=axis)
 
         def vjp(g):
             full = np.zeros(in_shape)

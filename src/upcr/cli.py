@@ -145,6 +145,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             cfg[key] = _coerce(key, val)
+    encoder_config(cfg)  # cross-key checks (widths per layer, ...) for every command
+    feature_spec(cfg)
     return cfg
 
 

@@ -196,6 +196,10 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
     Darboux triplet; the frame origin is the endpoint whose normal makes the
     smaller angle with the pair direction. Theta is binned periodically, as in
     :func:`spfh_table`.
+
+    Overlapping neighborhoods share one triplet per distinct *ordered* pair.
+    Ordered: on an exact angle tie the first endpoint stays the origin, so
+    (a, b) and (b, a) can land in different bins.
     """
     if cloud.normals is None:
         raise ValueError("pfh needs normals; call estimate_normals first")
@@ -203,10 +207,11 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
     n, k = nbr.shape
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     pair_local = np.array(list(combinations(range(k + 1), 2)))  # [m, 2]
-    m = pair_local.shape[0]
+    key = nbh[:, pair_local[:, 0]] * n + nbh[:, pair_local[:, 1]]  # [n, m] ordered pair ids
+    seen = np.zeros(n * n, dtype=bool)
+    seen[key] = True
+    ia, ib = np.divmod(np.flatnonzero(seen), n)  # distinct ordered pairs, by key
 
-    ia = nbh[:, pair_local[:, 0]].ravel()  # [n*m] global ids, first endpoint
-    ib = nbh[:, pair_local[:, 1]].ravel()
     pa, na = pts[ia], nrm[ia]
     pb, nb = pts[ib], nrm[ib]
     d = pb - pa
@@ -225,11 +230,10 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
     ba = _bin_index(alpha, -1.0, 1.0, bins)
     bp = _bin_index(phi, -1.0, 1.0, bins)
     bt = _theta_bin(theta, bins)
-    joint = (ba * bins + bp) * bins + bt
-    owner = np.repeat(np.arange(n), m)
-
     cells = bins ** 3
-    flat = owner[ok] * cells + joint[ok]
+    joint = (ba * bins + bp) * bins + bt
+    rows = np.cumsum(seen)[key] - 1  # [n, m] slot of each pair among the distinct ones
+    flat = (np.arange(n)[:, None] * cells + joint[rows])[ok[rows]]
     hist = np.bincount(flat, minlength=n * cells).reshape(n, cells).astype(np.float64)
     counts = hist.sum(axis=1, keepdims=True)
     np.divide(hist, counts, out=hist, where=counts > 0)

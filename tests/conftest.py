@@ -1,11 +1,12 @@
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import geom
+from upcr import features, geom
 from upcr.rng import Rng
 
 
@@ -104,6 +105,46 @@ def embed_oracle(phi: np.ndarray, weight, bias, slope: float) -> ad.Tensor:
     n, k, d = phi.shape
     pre = ad.affine(ad.constant(phi.reshape(n * k, d)), weight, bias)
     return _activate_then_pool(pre, n, k, slope)
+
+
+def pfh_oracle(cloud: geom.PointCloud, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
+    """``features.pfh_table`` values with one Darboux triplet per pair of every
+    (k+1)-neighborhood (the library evaluates each distinct ordered pair once)."""
+    pts, nrm = cloud.points, cloud.normals
+    n, k = nbr.shape
+    nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
+    pair_local = np.array(list(combinations(range(k + 1), 2)))  # [m, 2]
+    m = pair_local.shape[0]
+
+    ia = nbh[:, pair_local[:, 0]].ravel()  # [n*m] global ids, first endpoint
+    ib = nbh[:, pair_local[:, 1]].ravel()
+    pa, na = pts[ia], nrm[ia]
+    pb, nb = pts[ib], nrm[ib]
+    d = pb - pa
+    dist = np.linalg.norm(d, axis=1)
+    safe = np.where(dist[:, None] == 0.0, 1.0, dist[:, None])
+    dn = d / safe
+    cos_a = np.einsum("ij,ij->i", na, dn)
+    cos_b = np.einsum("ij,ij->i", nb, -dn)
+    swap = cos_a < cos_b  # origin gets the smaller angle; ties keep the first
+    ps = np.where(swap[:, None], pb, pa)
+    ns = np.where(swap[:, None], nb, na)
+    pt = np.where(swap[:, None], pa, pb)
+    nt = np.where(swap[:, None], na, nb)
+
+    alpha, phi, theta, ok = features._darboux(ps, ns, pt, nt)
+    ba = features._bin_index(alpha, -1.0, 1.0, bins)
+    bp = features._bin_index(phi, -1.0, 1.0, bins)
+    bt = features._theta_bin(theta, bins)
+    joint = (ba * bins + bp) * bins + bt
+    owner = np.repeat(np.arange(n), m)
+
+    cells = bins ** 3
+    flat = owner[ok] * cells + joint[ok]
+    hist = np.bincount(flat, minlength=n * cells).reshape(n, cells).astype(np.float64)
+    counts = hist.sum(axis=1, keepdims=True)
+    np.divide(hist, counts, out=hist, where=counts > 0)
+    return hist
 
 
 @dataclass

@@ -246,6 +246,34 @@ def test_reduce_max_3d_axis_tie_goes_to_lowest_index():
                                            [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]]])
 
 
+def _argmax_cases():
+    rng = np.random.default_rng(11)
+    ties = rng.integers(0, 3, (4, 5, 6)).astype(np.float64)
+    zeros = rng.choice([-0.0, 0.0, -1.0], (4, 5, 6))
+    nan_row = rng.normal(size=(4, 5, 6))
+    nan_row[1, 2:4, 3] = np.nan
+    nan_row[2, :, 0] = np.nan
+    return [rng.normal(size=(4, 5, 6)), ties, zeros, nan_row]
+
+
+@pytest.mark.parametrize("case", range(4), ids=["random", "ties", "signed-zero", "nan"])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_reduce_max_gradient_lands_on_np_argmax(case, axis):
+    # the taped argmax is found without np.argmax on the values; it must
+    # still pick what np.argmax picks: lowest index on ties, -0.0 == +0.0,
+    # and the first NaN of a row whose maximum is NaN
+    x_arr = _argmax_cases()[case]
+    tape = ad.Tape()
+    x = leaf(tape, x_arr)
+    out = ad.reduce_max(x, axis=axis)
+    weights = 1.0 + np.arange(out.size, dtype=np.float64).reshape(out.shape)
+    ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+    expected = np.zeros_like(x_arr)
+    np.put_along_axis(expected, np.expand_dims(np.argmax(x_arr, axis=axis), axis),
+                      np.expand_dims(weights, axis), axis=axis)
+    np.testing.assert_array_equal(x.grad, expected)
+
+
 def test_reduce_max_empty_axis_rejected():
     with pytest.raises(ad.ShapeError):
         ad.reduce_max(ad.constant(np.zeros((0, 3))))

@@ -237,6 +237,21 @@ def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "time"])
+def test_config_file_widths_layers_mismatch_rejected(tmp_path, capsys, command):
+    # a cross-key error is caught for every command, not only those that
+    # build an encoder
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[encoder]\nwidths = 8,16\n")
+    argv = (["gen", "--out", str(tmp_path / "o")] if command == "gen" else
+            ["time", "--features", "distance", "--points", "48", "--reps", "1",
+             "--out", str(tmp_path / "o")])
+    rc = main(argv + ["--config", str(cfg)])
+    assert rc == 1
+    assert "error: widths (8, 16) must have one entry per layer (5)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_width_lists_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")

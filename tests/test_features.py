@@ -9,7 +9,8 @@ from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import distance_feature, ppf_feature, random_cloud, random_transform
+from conftest import (distance_feature, pfh_oracle, ppf_feature, random_cloud,
+                      random_transform)
 
 
 def transformed(cloud: PointCloud, rng: Rng, max_angle=180.0, max_trans=10.0):
@@ -229,6 +230,95 @@ def test_pfh_permutation_invariance():
     permuted = PointCloud(cloud.points[perm], cloud.normals[perm])
     out = features.pfh_table(permuted, geom.knn(permuted, 6)).values[0]
     np.testing.assert_allclose(out, base, atol=1e-12)
+
+
+def _tie_pairs(count=16):
+    """Far-apart two-point clusters, d = +x exactly, with cos_a == cos_b
+    exactly and alpha on the 0.2 bin edge: (a, b) and (b, a) then differ
+    only by rounding, which can put them in different bins."""
+    rng = np.random.default_rng(48)
+    c = rng.uniform(-0.9, 0.9, count)
+    s = np.sqrt(1.0 - c * c)
+    f1 = rng.uniform(-np.pi, np.pi, count)
+    f2 = f1 + np.arcsin(0.2 / s)  # alpha = s * sin(f2 - f1)
+    na = np.column_stack([c, s * np.cos(f1), s * np.sin(f1)])
+    nb = np.column_stack([-c, s * np.cos(f2), s * np.sin(f2)])
+    x = np.repeat(100.0 * np.arange(count), 2) + np.tile([0.0, 1.0], count)
+    pts = np.column_stack([x, np.zeros(2 * count), np.zeros(2 * count)])
+    cloud = PointCloud(pts, np.stack([na, nb], axis=1).reshape(-1, 3))
+    return cloud, geom.knn(cloud, 1)
+
+
+def test_pfh_tie_pairs_split_by_order():
+    # the tie case has teeth: some cluster bins (a, b) and (b, a) apart, so
+    # deduplicating unordered pairs would change the table
+    hist = pfh_oracle(*_tie_pairs())
+    assert np.any(hist[0::2].argmax(axis=1) != hist[1::2].argmax(axis=1))
+
+
+def _pfh_clouds():
+    """(cloud with normals, neighbor table) cases for the PFH oracle tests."""
+    cases = []
+    for seed, n in ((43, 256), (44, 96)):
+        cloud = PointCloud(np.random.default_rng(seed).normal(size=(n, 3)))
+        for k in (8, 24):
+            nbr = geom.knn(cloud, k)
+            cases.append((features.estimate_normals(cloud, nbr)[0], nbr))
+    shape = synth_shape(5, 200, Rng(45))
+    nbr = geom.knn(shape, 24)
+    cases.append((features.estimate_normals(shape, nbr)[0], nbr))
+    # planar grid with one normal: every pair has cos_a == cos_b == 0, so the
+    # first endpoint is the origin, in both orders of each pair
+    g = np.arange(12.0)
+    grid = np.column_stack([np.repeat(g, 12), np.tile(g, 12), np.zeros(144)])
+    grid_cloud = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (144, 1)))
+    nbr = geom.knn(grid_cloud, 8)
+    cases.append((grid_cloud, nbr))
+    cases.append((grid_cloud, nbr[:, ::-1]))
+    # doubled cloud with twins as neighbors: zero-length pairs, masked by ok
+    base = _shape_with_normals(46, n=40, k=6)
+    doubled = PointCloud(np.concatenate([base.points] * 2), np.concatenate([base.normals] * 2))
+    d2 = geom.sqdist_matrix(doubled.points, doubled.points)
+    np.fill_diagonal(d2, np.inf)
+    cases.append((doubled, np.argsort(d2, axis=1, kind="stable")[:, :7]))
+    cases.append(_tie_pairs())
+    # +-z slabs: antiparallel normals at the theta seam
+    xy = Rng(41).uniform(-1.0, 1.0, (48, 2))
+    slab_normals = np.zeros((48, 3))
+    slab_normals[:, 2] = np.repeat([1.0, -1.0], 24)
+    slabs = PointCloud(np.column_stack([xy, np.repeat([0.05, -0.05], 24)]), slab_normals)
+    cases.append((slabs, geom.knn(slabs, 8)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(10), ids=[
+    "random-k8", "random-k24", "random96-k8", "random96-k24", "shape-k24",
+    "grid", "grid-reversed", "doubled", "tie-pairs", "slabs"])
+def test_pfh_table_matches_per_neighborhood_oracle(case):
+    cloud, nbr = _pfh_clouds()[case]
+    for bins in (5, 3):
+        got = features.pfh_table(cloud, nbr, bins).values
+        assert got.tobytes() == pfh_oracle(cloud, nbr, bins).tobytes()
+
+
+def test_pfh_evaluates_each_distinct_ordered_pair_once(monkeypatch):
+    rows = []
+    darboux = features._darboux
+
+    def counted(ps, *args):
+        rows.append(len(ps))
+        return darboux(ps, *args)
+
+    monkeypatch.setattr(features, "_darboux", counted)
+    cloud = PointCloud(np.random.default_rng(47).normal(size=(256, 3)))
+    nbr = geom.knn(cloud, 24)
+    cloud, _ = features.estimate_normals(cloud, nbr)
+    features.pfh_table(cloud, nbr)
+    nbh = np.concatenate([np.arange(256)[:, None], nbr], axis=1)
+    first, second = np.triu_indices(25, k=1)
+    distinct = np.unique(nbh[:, first] * 256 + nbh[:, second]).size
+    assert distinct < 256 * first.size  # neighborhoods overlap
+    assert sum(rows) <= distinct
 
 
 # ---------------------------------------------------------------------------
