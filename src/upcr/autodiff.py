@@ -432,6 +432,14 @@ def concat(parts: Sequence) -> Tensor:
     return _emit("concat", out, ts, build)
 
 
+def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
+    """out[r] = sum of g[e] over idx[e] == r, for 2-d ``g``. One flat bincount (far
+    faster than np.add.at): each row adds its entries in order, starting from 0.0."""
+    c = g.shape[1]
+    flat_idx = (idx[:, None] * c + np.arange(c)).reshape(-1)
+    return np.bincount(flat_idx, weights=g.reshape(-1), minlength=n * c).reshape(n, c)
+
+
 def gather_rows(a, idx) -> Tensor:
     """Select rows (axis 0) by integer index; backward scatter-adds."""
     a = as_tensor(a)
@@ -449,11 +457,7 @@ def gather_rows(a, idx) -> Tensor:
 
         def vjp(g):
             if g.ndim == 2:
-                # one flat bincount beats np.add.at by a wide margin
-                c = g.shape[1]
-                flat_idx = (idx[:, None] * c + np.arange(c)).reshape(-1)
-                acc = np.bincount(flat_idx, weights=g.reshape(-1), minlength=n * c)
-                return [(nid, acc.reshape(n, c))]
+                return [(nid, _scatter_rows(idx, g, n))]
             acc = np.zeros((n,) + tail)
             np.add.at(acc, idx, g)
             return [(nid, acc)]
@@ -553,16 +557,7 @@ def pair_table(a, b, neighbors) -> Tensor:
         if a.node_id is not None:
             handlers.append((a.node_id, lambda g: g.reshape(n, k, c).sum(axis=1)))
         if b.node_id is not None:
-            # segment-sum the edge gradients back onto their source rows
-            order = np.argsort(flat, kind="stable")
-            uniq, starts = np.unique(flat[order], return_index=True)
-
-            def scatter(g):
-                acc = np.add.reduceat(g[order], starts, axis=0)
-                full = np.zeros((n, c))
-                full[uniq] = acc
-                return full
-            handlers.append((b.node_id, scatter))
+            handlers.append((b.node_id, lambda g: _scatter_rows(flat, g, n)))
 
         def vjp(g):
             return [(nid, fn(g)) for nid, fn in handlers]

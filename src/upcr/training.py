@@ -7,6 +7,7 @@ never enter this module's training functions.
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import struct
@@ -279,7 +280,7 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                precompute_cloud(y, model.spec, model.config)) for x, y in pairs]
     order_rng = Rng(derive_seed(seed, "batch-order"))
     curve: list[float] = []
-    last_good = model.copy()
+    last_good = model.copy(), copy.deepcopy(state)
     lr0 = state.lr
     steps_per_epoch = (len(pairs) + batch_size - 1) // batch_size
     total_steps = max(1, epochs * steps_per_epoch)
@@ -301,7 +302,8 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                 total = li if total is None else ad.add(total, li)
             loss = ad.div(total, float(len(batch)))
             if not np.isfinite(loss.item()):
-                model.tensors = last_good.tensors
+                model.tensors, good = last_good[0].tensors, last_good[1]
+                state.m, state.v, state.step, state.lr = good.m, good.v, good.step, lr0
                 return curve, True
             ad.backward(loss)
             grads = {name: bound[name].grad for name in model.tensors}
@@ -312,7 +314,7 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
             adam_step(model.tensors, grads, state)
             step += 1
         curve.append(float(np.mean(sample_losses)))
-        last_good = model.copy()
+        last_good = model.copy(), copy.deepcopy(state)
     state.lr = lr0
     return curve, False
 

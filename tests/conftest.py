@@ -81,6 +81,16 @@ def rotation_oracle(mode: str, vals) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
 
 
+def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:
+    """Row scatter-add as a loop: each of the ``n`` rows starts from 0.0 and
+    adds ``g[e]`` for every ``idx[e]`` naming it, in edge order."""
+    out = [[0.0] * g.shape[1] for _ in range(n)]
+    for e, r in enumerate(idx):
+        for ch in range(g.shape[1]):
+            out[r][ch] += float(g[e, ch])
+    return np.array(out).reshape(n, g.shape[1])
+
+
 def _activate_then_pool(pre: ad.Tensor, n: int, k: int, slope: float) -> ad.Tensor:
     h = ad.leaky_relu(pre, slope)
     return ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)

@@ -7,7 +7,7 @@ import pytest
 from upcr import autodiff as ad
 from upcr.rng import Rng
 
-from conftest import grad_check
+from conftest import grad_check, scatter_rows_oracle
 
 
 def leaf(tape, values):
@@ -324,6 +324,16 @@ def test_gather_rows_forward_backward():
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
+def test_gather_rows_2d_gradient_matches_sequential_oracle(rng):
+    idx = np.array([3, 0, 3, 1, 3, 0])  # row 2 is never gathered
+    x, g = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (6, 5))
+    tape = ad.Tape()
+    xt = leaf(tape, x)
+    ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(xt, idx), ad.constant(g))))
+    assert xt.grad.tobytes() == scatter_rows_oracle(idx, g, 4).tobytes()
+    assert not xt.grad[2].any()
+
+
 def test_gather_rows_out_of_range():
     with pytest.raises(ad.ShapeError):
         ad.gather_rows(ad.constant(np.zeros((2, 2))), [2])
@@ -346,6 +356,27 @@ def test_pair_table_matches_naive(rng):
     out = ad.pair_table(ad.constant(a), ad.constant(b), nbr).data
     naive = np.repeat(a, 2, axis=0) + b[nbr.reshape(-1)]
     np.testing.assert_array_equal(out, naive)
+
+
+# row 9 is nobody's neighbour, point 3 lists point 0 twice, and point 0 is
+# listed 11 times (NumPy's reduceat sums a segment of 8 or more pairwise)
+_NBR = np.array([[1, 2, 4], [0, 3, 4], [0, 1, 5], [0, 0, 2], [0, 1, 3],
+                 [0, 4, 6], [0, 7, 8], [0, 6, 8], [0, 5, 7], [0, 2, 8]])
+
+
+# k stays below 8 for c = 1: NumPy sums a contiguous axis of 8 or more
+# pairwise, so the a-branch's reshape-sum is sequential only there
+@pytest.mark.parametrize("c", [4, 1])
+def test_pair_table_vjp_matches_sequential_oracle(rng, c):
+    n, k = _NBR.shape
+    a, b = rng.uniform(-1, 1, (n, c)), rng.uniform(-1, 1, (n, c))
+    g = rng.uniform(-1, 1, (n * k, c))
+    tape = ad.Tape()
+    at, bt = leaf(tape, a), leaf(tape, b)
+    ad.backward(ad.reduce_sum(ad.mul(ad.pair_table(at, bt, _NBR), ad.constant(g))))
+    assert at.grad.tobytes() == scatter_rows_oracle(np.repeat(np.arange(n), k), g, n).tobytes()
+    assert bt.grad.tobytes() == scatter_rows_oracle(_NBR.reshape(-1), g, n).tobytes()
+    assert bt.grad[9].tobytes() == np.zeros(c).tobytes()
 
 
 def test_reshape_gradients(rng):

@@ -141,6 +141,26 @@ def test_pool_first_gradients_match_activate_first(slope):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+def test_taped_edge_conv_sorts_nothing(monkeypatch):
+    calls = []
+
+    def counted(name):
+        fn = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("argsort", "unique"):
+        monkeypatch.setattr(np, name, counted(name))
+    feats, nbr, _, w, b, _ = _pooling_inputs(0, ties=True)
+    tape = ad.Tape()
+    x, wt, bt = (tape.leaf(v, requires_grad=True) for v in (feats, w, b))
+    ad.backward(ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt)))
+    assert not calls
+
+
 def test_encode_global_needs_enough_points():
     model = model_for()
     cloud = PointCloud(Rng(4).uniform(-1, 1, (5, 3)))

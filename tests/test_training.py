@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import struct
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import geom
+from upcr import geom, training
 from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
@@ -136,6 +137,35 @@ def test_train_loss_decreases_on_tiny_problem():
     train_s, _ = tiny_dataset(n_train=8, points=32)
     res = train(cfg, SPEC, "euler", train_s, epochs=8, batch_size=4, seed=13)
     assert res.loss_curve[-1] < res.loss_curve[0]
+
+
+def test_divergence_rolls_back_parameters_and_optimizer(monkeypatch):
+    train_s, _ = tiny_dataset()  # 6 pairs at batch 4: two steps per epoch
+    loss_calls, after_step = [], []
+    loss, step = training.unsupervised_loss, training.adam_step
+
+    def nan_in_second_batch_of_epoch_2(cx, cy):
+        loss_calls.append(1)
+        li = loss(cx, cy)
+        return ad.mul(li, float("nan")) if len(loss_calls) > 10 else li
+
+    def recorded_step(params, grads, state):
+        step(params, grads, state)
+        after_step.append(copy.deepcopy((params, state)))
+
+    monkeypatch.setattr(training, "unsupervised_loss", nan_in_second_batch_of_epoch_2)
+    monkeypatch.setattr(training, "adam_step", recorded_step)
+    res = train(CFG, SPEC, "euler", train_s, epochs=3, batch_size=4, seed=11,
+                schedule="cosine")
+    assert res.diverged and len(res.loss_curve) == 1
+    assert len(after_step) == 3  # step 3 ran in the epoch that diverged
+    params, state = after_step[1]
+    optim = res.checkpoint.optim
+    assert optim.lr == 1e-3 and optim.step == state.step == 2
+    for name, arr in params.items():
+        assert res.checkpoint.params[name].tobytes() == arr.tobytes()
+        assert optim.m[name].tobytes() == state.m[name].tobytes()
+        assert optim.v[name].tobytes() == state.v[name].tobytes()
 
 
 def test_finetune_lr_zero_keeps_parameters():
