@@ -3,7 +3,8 @@
 The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
 softmax, trigonometry and the SVD rotation projection for rotation decoding,
-and the indexing ops that assemble edge features. No broadcasting beyond
+the indexing ops that assemble edge features, and ``edge_max``, the fused
+neighbor-pair max-pool of an edge convolution. No broadcasting beyond
 scalar-with-tensor, no higher-order derivatives, no views: every op produces
 a fresh array.
 
@@ -433,10 +434,13 @@ def concat(parts: Sequence) -> Tensor:
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """out[r] = sum of g[e] over idx[e] == r, for 2-d ``g``. One flat bincount (far
-    faster than np.add.at): each row adds its entries in order, starting from 0.0."""
+    """out[r] = sum of g[e] over idx[e] == r, for 2-d ``g``; an [e, c] ``idx``
+    names a row per entry instead, out[r, ch] = sum of g[e, ch] over
+    idx[e, ch] == r. One flat bincount (far faster than np.add.at): each row
+    adds its entries in order, starting from 0.0."""
     c = g.shape[1]
-    flat_idx = (idx[:, None] * c + np.arange(c)).reshape(-1)
+    rows = idx[:, None] if idx.ndim == 1 else idx
+    flat_idx = (rows * c + np.arange(c)).reshape(-1)
     return np.bincount(flat_idx, weights=g.reshape(-1), minlength=n * c).reshape(n, c)
 
 
@@ -564,6 +568,44 @@ def pair_table(a, b, neighbors) -> Tensor:
         return vjp
 
     return _emit("pair_table", out, (a, b), build)
+
+
+def edge_max(a, b, neighbors) -> Tensor:
+    """Max-pooled neighbor-pair sums: out[i] = max_j (a[i] + b[neighbors[i, j]]).
+
+    The fused ``pair_table -> reshape -> reduce_max`` of an edge convolution,
+    with the same values and the same tie rule: the lowest j wins a tie, and
+    the first NaN wins a NaN maximum. The forward still builds the [n*k, c]
+    table through :func:`pair_table`. A tape keeps only the [n, c] table of
+    winning source rows, so the backward passes ``g`` to ``a`` unchanged and
+    scatters n*c entries onto ``b``, never an [n*k, c] gradient.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    nbr = np.asarray(neighbors, dtype=np.int64)
+    edges = pair_table(a.data, b.data, nbr).data
+    n, c = a.shape
+    k = nbr.shape[1]
+    if k < 1:
+        raise ShapeError("edge_max: neighbors has no columns")
+    edges = edges.reshape(n, k, c)
+    out = np.max(edges, axis=1)
+
+    def build(ids):
+        handlers = []
+        if a.node_id is not None:
+            handlers.append((a.node_id, lambda g: g))
+        if b.node_id is not None:
+            hit = edges == out[:, None, :]  # 1-byte table; first hit = lowest j
+            if np.isnan(out).any():  # a NaN max equals nothing: the first NaN wins
+                hit |= np.isnan(edges)
+            src = nbr[np.arange(n)[:, None], np.argmax(hit, axis=1)]  # [n, c]
+            handlers.append((b.node_id, lambda g: _scatter_rows(src, g, n)))
+
+        def vjp(g):
+            return [(nid, fn(g)) for nid, fn in handlers]
+        return vjp
+
+    return _emit("edge_max", out, (a, b), build)
 
 
 # ---------------------------------------------------------------------------

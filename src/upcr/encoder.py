@@ -7,8 +7,11 @@ Max-pooling over all points turns the last layer into an m-vector.
 
 LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
 slope*x, so max_j act(x_j) == act(max_j x_j) bit for bit. Every layer
-therefore pools over the k neighbors first and applies the activation to the
-pooled [n, c] rows, never to the [n*k, c] edge table.
+therefore pools over the k neighbors first, in one ``autodiff.edge_max`` op,
+and applies the activation to the pooled [n, c] rows, never to the [n*k, c]
+edge table; on a tape only the [n, c] winning neighbors are kept, so the
+backward never builds an [n*k, c] gradient. ``EncoderConfig`` rejects a slope
+outside [0, 1) up front; a negative slope would break the exchange.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -52,6 +55,8 @@ class EncoderConfig:
     def __post_init__(self):
         if self.k < 1 or self.m < 1 or self.layers < 1:
             raise ValueError("k, m and layers must all be >= 1")
+        if not 0.0 <= self.slope < 1.0:  # NaN fails both comparisons
+            raise ValueError(f"slope must be in [0, 1), got {self.slope}")
         if self.widths is None:
             self.widths = _PRESET_WIDTHS.get((self.layers, self.m))
         if self.widths is None:
@@ -183,9 +188,11 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
 
     Pooling comes before the activation: for slope >= 0 LeakyReLU is
     monotone, so max_j act(x_j) == act(max_j x_j) exactly and the activation
-    runs on [n, c'] rows instead of the [n*k, c'] edge table.
+    runs on [n, c'] rows instead of the [n*k, c'] edge table. The pairing and
+    the max over k are one op, ``ad.edge_max``, whose backward scatters only
+    the [n, c'] pooled gradient onto the winning neighbors.
     """
-    n, k = neighbors.shape
+    n = neighbors.shape[0]
     if feats.shape[0] != n:
         raise ad.ShapeError(f"edge_conv_layer: {feats.shape[0]} feature rows for {n} points")
     w = ad.as_tensor(weight)
@@ -196,9 +203,7 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)  # [n, c']
     nbr_part = ad.matmul(feats, w_bot)                     # [n, c']
-    h = ad.pair_table(center, nbr_part, neighbors)
-    h = ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)  # [n, c']
-    return ad.leaky_relu(h, slope)
+    return ad.leaky_relu(ad.edge_max(center, nbr_part, neighbors), slope)  # [n, c']
 
 
 @dataclass

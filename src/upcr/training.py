@@ -224,7 +224,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"], step=o["step"])
     except KeyError as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: missing key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     if optim is not None:
         optim.m = {k[len("optim.m."):]: v for k, v in tensors.items()

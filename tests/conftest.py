@@ -83,12 +83,22 @@ def rotation_oracle(mode: str, vals) -> np.ndarray:
 
 def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:
     """Row scatter-add as a loop: each of the ``n`` rows starts from 0.0 and
-    adds ``g[e]`` for every ``idx[e]`` naming it, in edge order."""
+    adds ``g[e]`` for every ``idx[e]`` naming it, in edge order. An [e, c]
+    ``idx`` names the row of each entry: ``g[e, ch]`` goes to ``idx[e, ch]``."""
+    idx = np.asarray(idx)
     out = [[0.0] * g.shape[1] for _ in range(n)]
-    for e, r in enumerate(idx):
+    for e in range(g.shape[0]):
         for ch in range(g.shape[1]):
+            r = idx[e] if idx.ndim == 1 else idx[e, ch]
             out[r][ch] += float(g[e, ch])
     return np.array(out).reshape(n, g.shape[1])
+
+
+def edge_max_oracle(a, b, neighbors) -> ad.Tensor:
+    """``autodiff.edge_max`` unfused: ``pair_table -> reshape -> reduce_max``."""
+    n, k = np.shape(neighbors)
+    table = ad.pair_table(a, b, neighbors)
+    return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
 
 
 def _activate_then_pool(pre: ad.Tensor, n: int, k: int, slope: float) -> ad.Tensor:

@@ -7,7 +7,7 @@ import pytest
 from upcr import autodiff as ad
 from upcr.rng import Rng
 
-from conftest import grad_check, scatter_rows_oracle
+from conftest import edge_max_oracle, grad_check, scatter_rows_oracle
 
 
 def leaf(tape, values):
@@ -377,6 +377,80 @@ def test_pair_table_vjp_matches_sequential_oracle(rng, c):
     assert at.grad.tobytes() == scatter_rows_oracle(np.repeat(np.arange(n), k), g, n).tobytes()
     assert bt.grad.tobytes() == scatter_rows_oracle(_NBR.reshape(-1), g, n).tobytes()
     assert bt.grad[9].tobytes() == np.zeros(c).tobytes()
+
+
+def test_scatter_rows_per_entry_index_matches_sequential_oracle(rng):
+    idx = rng.integers(0, 5, (9, 4))  # row 5 is never named
+    idx[3, 1] = idx[7, 1] = idx[0, 1]  # one row named three times in a column
+    g = rng.uniform(-1, 1, (9, 4))
+    got = ad._scatter_rows(idx, g, 6)
+    assert got.tobytes() == scatter_rows_oracle(idx, g, 6).tobytes()
+    assert got[5].tobytes() == np.zeros(4).tobytes()
+
+
+def _edge_max_inputs(seed: int, k: int, case: str, n: int = 12, c: int = 4):
+    """a, b, neighbors and an upstream gradient for ``edge_max``. Point n-1 is
+    nobody's neighbour, every row lists its first neighbour again at the last
+    slot, and the upstream gradient holds one -0.0."""
+    rng = Rng(seed)
+    nbr = rng.integers(0, n - 1, (n, k))
+    nbr[:, -1] = nbr[:, 0]
+    if case == "ties":  # values from {-2, ..., 2}: distinct neighbours tie often
+        a = rng.integers(-2, 3, (n, c)).astype(np.float64)
+        b = rng.integers(-2, 3, (n, c)).astype(np.float64)
+    else:
+        a, b = rng.uniform(-1, 1, (n, c)), rng.uniform(-1, 1, (n, c))
+    if case == "nan":
+        a[1, 2] = np.nan              # every edge of row 1, channel 2
+        b[nbr[4, 1], 0] = np.nan      # the edges that list this point, channel 0
+    g = rng.uniform(-1, 1, (n, c))
+    g[0, 0] = -0.0
+    return a, b, nbr, g
+
+
+def _edge_max_and_grads(op, a, b, nbr, g):
+    tape = ad.Tape()
+    at, bt = leaf(tape, a), leaf(tape, b)
+    out = op(at, bt, nbr)
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    return out.data, at.grad, bt.grad
+
+
+# k on both sides of 8, the block size of NumPy's pairwise sums
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("case", ["random", "ties", "nan"])
+def test_edge_max_matches_unfused_composition_bit_for_bit(case, k):
+    for seed in range(4):
+        a, b, nbr, g = _edge_max_inputs(seed, k, case)
+        out, ga, gb = _edge_max_and_grads(ad.edge_max, a, b, nbr, g)
+        want_out, want_ga, want_gb = _edge_max_and_grads(edge_max_oracle, a, b, nbr, g)
+        assert out.tobytes() == want_out.tobytes()
+        assert gb.tobytes() == want_gb.tobytes()
+        # only the sign of a zero may differ: a gets the upstream -0.0 as is
+        assert (ga + 0.0).tobytes() == (want_ga + 0.0).tobytes()
+        assert ga.tobytes() == g.tobytes()
+        assert gb[-1].tobytes() == np.zeros(a.shape[1]).tobytes()
+        if case == "nan":
+            assert np.isnan(out[1, 2]) and np.isnan(out[4, 0])
+
+
+def test_edge_max_tie_goes_to_lowest_neighbor_slot():
+    # point 0 sees points 2 and 1 at equal values; slot 0 (point 2) wins
+    tape = ad.Tape()
+    a = leaf(tape, [[0.0], [0.0], [0.0]])
+    b = leaf(tape, [[5.0], [1.0], [1.0]])
+    out = ad.edge_max(a, b, np.array([[2, 1], [2, 0], [1, 2]]))
+    np.testing.assert_array_equal(out.data, [[1.0], [5.0], [1.0]])
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant([[1.0], [10.0], [100.0]]))))
+    np.testing.assert_array_equal(a.grad, [[1.0], [10.0], [100.0]])
+    np.testing.assert_array_equal(b.grad, [[10.0], [100.0], [1.0]])
+
+
+def test_edge_max_rejects_bad_shapes():
+    with pytest.raises(ad.ShapeError, match="no columns"):
+        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 0), dtype=int))
+    with pytest.raises(ad.ShapeError, match="out of range"):
+        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0], [2]]))
 
 
 def test_reshape_gradients(rng):

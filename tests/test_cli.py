@@ -252,6 +252,15 @@ def test_config_file_widths_layers_mismatch_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_file_slope_out_of_range_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[encoder]\nslope = 1.5\n")
+    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: slope must be in [0, 1), got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_config_file_width_lists_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")

@@ -33,6 +33,13 @@ def test_config_presets_and_validation():
         EncoderConfig(k=24, m=64, layers=5, head_widths=(8, 0))
 
 
+@pytest.mark.parametrize("slope", [-0.1, 1.0, 1.5, float("nan")])
+def test_config_rejects_slope_outside_unit_interval(slope):
+    with pytest.raises(ValueError, match=r"slope must be in \[0, 1\)"):
+        EncoderConfig(k=24, m=64, layers=5, slope=slope)
+    assert EncoderConfig(k=24, m=64, layers=5, slope=0.0).slope == 0.0
+
+
 def test_param_shapes_follow_config():
     model = model_for()
     assert model.tensors["global.0.w"].shape == (6, 8)
@@ -159,6 +166,32 @@ def test_taped_edge_conv_sorts_nothing(monkeypatch):
     x, wt, bt = (tape.leaf(v, requires_grad=True) for v in (feats, w, b))
     ad.backward(ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt)))
     assert not calls
+
+
+def test_taped_edge_conv_keeps_pooled_gradients():
+    feats, nbr, _, w, b, _ = _pooling_inputs(0, ties=True)
+    n, c_out = feats.shape[0], w.shape[1]
+    assert 2 * feats.shape[1] <= n  # so every parameter gradient fits in n*c'
+    tape = ad.Tape()
+    x, wt, bt = (tape.leaf(v, requires_grad=True) for v in (feats, w, b))
+    loss = ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt))
+    kinds = {node.kind for node in tape.nodes}
+    assert "edge_max" in kinds
+    assert not kinds & {"pair_table", "reshape", "reduce_max"}
+    sizes = []
+
+    def sized(vjp):
+        def wrapper(g):
+            out = vjp(g)
+            sizes.extend(gin.size for _, gin in out)
+            return out
+        return wrapper
+
+    for node in tape.nodes:
+        if node.vjp is not None:
+            node.vjp = sized(node.vjp)
+    ad.backward(loss)
+    assert sizes and max(sizes) <= n * c_out
 
 
 def test_encode_global_needs_enough_points():

@@ -249,7 +249,8 @@ def rewrite_header(path, edit):
     (lambda h: h.pop("spec"), "missing key 'spec'"),
     (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
     (lambda h: h.update(config=[5, 16]), "config and spec must be JSON objects"),
-], ids=["missing-key", "unknown-config-key", "non-dict-config"])
+    (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
+], ids=["missing-key", "unknown-config-key", "non-dict-config", "negative-slope"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 29)))
