@@ -361,6 +361,15 @@ def softmax(v) -> Tensor:
     return _emit("softmax", p, (v,), build)
 
 
+def _first_max_index(table: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """Where ``out``, the maximum of ``table`` along ``axis``, first occurs:
+    the lowest index wins a tie, and the first NaN wins a NaN maximum."""
+    hit = table == np.expand_dims(out, axis)  # 1-byte table
+    if np.isnan(out).any():  # a NaN max equals nothing
+        hit |= np.isnan(table)
+    return np.argmax(hit, axis=axis)
+
+
 def reduce_max(a, axis: int = 0) -> Tensor:
     """Maximum along one axis; ties route the gradient to the lowest index.
 
@@ -378,10 +387,7 @@ def reduce_max(a, axis: int = 0) -> Tensor:
 
     def build(ids):
         nid = a.node_id
-        hit = av == np.expand_dims(out, axis)  # 1-byte table; first hit = lowest index
-        if np.isnan(out).any():  # a NaN max equals nothing: the first NaN wins
-            hit |= np.isnan(av)
-        arg = np.argmax(hit, axis=axis)
+        arg = _first_max_index(av, out, axis)
 
         def vjp(g):
             full = np.zeros(in_shape)
@@ -538,8 +544,8 @@ def pair_table(a, b, neighbors) -> Tensor:
     """Neighbor-pair sums: out[i*k + j] = a[i] + b[neighbors[i, j]].
 
     ``a`` and ``b`` are [n, c], ``neighbors`` an [n, k] integer table. This is
-    the expansion step of an edge convolution after the per-point linear maps
-    have been applied, fused so the [n*k, c] table is built in one op.
+    the [n*k, c] edge table that :func:`edge_max` pools. Forward only: the
+    result is a constant, never a tape node, even for taped operands.
     """
     a, b = as_tensor(a), as_tensor(b)
     nbr = np.asarray(neighbors, dtype=np.int64)
@@ -551,23 +557,9 @@ def pair_table(a, b, neighbors) -> Tensor:
     if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
         raise ShapeError(f"pair_table: neighbor index out of range for {n} points")
     k = nbr.shape[1]
-    flat = nbr.reshape(-1)
-    out = b.data[flat].reshape(n, k, c)
+    out = b.data[nbr.reshape(-1)].reshape(n, k, c)
     out += a.data[:, None, :]
-    out = out.reshape(n * k, c)
-
-    def build(ids):
-        handlers = []
-        if a.node_id is not None:
-            handlers.append((a.node_id, lambda g: g.reshape(n, k, c).sum(axis=1)))
-        if b.node_id is not None:
-            handlers.append((b.node_id, lambda g: _scatter_rows(flat, g, n)))
-
-        def vjp(g):
-            return [(nid, fn(g)) for nid, fn in handlers]
-        return vjp
-
-    return _emit("pair_table", out, (a, b), build)
+    return Tensor(out.reshape(n * k, c))
 
 
 def edge_max(a, b, neighbors) -> Tensor:
@@ -595,10 +587,7 @@ def edge_max(a, b, neighbors) -> Tensor:
         if a.node_id is not None:
             handlers.append((a.node_id, lambda g: g))
         if b.node_id is not None:
-            hit = edges == out[:, None, :]  # 1-byte table; first hit = lowest j
-            if np.isnan(out).any():  # a NaN max equals nothing: the first NaN wins
-                hit |= np.isnan(edges)
-            src = nbr[np.arange(n)[:, None], np.argmax(hit, axis=1)]  # [n, c]
+            src = nbr[np.arange(n)[:, None], _first_max_index(edges, out, 1)]  # [n, c]
             handlers.append((b.node_id, lambda g: _scatter_rows(src, g, n)))
 
         def vjp(g):

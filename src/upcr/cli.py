@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen, train, finetune, register, bench, sweep-outliers, time.
+Subcommands: gen, train, finetune, register, bench, sweep-outliers.
 Configuration resolves in three layers: built-in defaults, then an optional
 ``--config`` file (flat ``key = value`` lines with ``[section]`` headers),
 then command-line flags. Every artifact-producing run writes a manifest with
@@ -14,15 +14,10 @@ import hashlib
 import os
 import sys
 
-import numpy as np
-
-from . import evalbench, geom, training
-from .datagen import (DatasetSample, Protocol, build_benchmark, load_cloud,
-                      save_cloud)
-from .encoder import EncoderConfig, init_params
+from . import evalbench, geom
+from .datagen import Protocol, build_benchmark, load_cloud, save_cloud
+from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
-from .geom import RigidTransform
-from .rng import derive_seed
 from .separation import register_pair
 from .training import (fine_tune, load_checkpoint, save_checkpoint, train,
                        write_loss_curve)
@@ -145,8 +140,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             cfg[key] = _coerce(key, val)
-    encoder_config(cfg)  # cross-key checks (widths per layer, ...) for every command
+    # cross-key and name checks for every command, before any output exists
+    encoder_config(cfg)
     feature_spec(cfg)
+    geom.rotation_mode(cfg["rotation.mode"])
+    protocol(cfg)
     return cfg
 
 
@@ -404,32 +402,6 @@ def cmd_sweep_outliers(args) -> int:
     return 0
 
 
-def cmd_time(args) -> int:
-    cfg = resolve_config(args)
-    rows = []
-    for kind in args.features.split(","):
-        kind = kind.strip()
-        if kind not in FEATURE_KINDS:
-            raise CliError(f"unknown feature kind {kind!r}")
-        spec = FeatureSpec(kind, spfh_bins=cfg["feature.spfh_bins"],
-                           pfh_bins=cfg["feature.pfh_bins"])
-        model = init_params(encoder_config(cfg), spec, cfg["rotation.mode"],
-                            derive_seed(cfg["seed"], "timing-init"))
-        report = evalbench.time_registration(model, n_points=args.points,
-                                             repetitions=args.reps,
-                                             seed=cfg["seed"])
-        rows.append({"feature": kind, "points": args.points,
-                     "mean_ms": report.mean_ms, "std_ms": report.std_ms,
-                     "reps": report.repetitions})
-    print_table(rows)
-    if args.out:
-        _ensure_dir(args.out)
-        csv_path = os.path.join(args.out, "timing.csv")
-        write_csv(csv_path, rows)
-        write_manifest(args.out, cfg, "time", outputs=[csv_path])
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -515,13 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of outlier percentages")
     p.set_defaults(fn=cmd_sweep_outliers)
 
-    p = sub.add_parser("time", help="inference timing per feature kind")
-    _add_common(p, with_data=False)
-    p.add_argument("--features", default="distance", help="comma list of kinds")
-    p.add_argument("--points", type=int, default=1024, help="cloud size")
-    p.add_argument("--reps", type=int, default=5, help="repetitions")
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(fn=cmd_time)
     return parser
 
 

@@ -299,24 +299,6 @@ def make_partial(cloud: PointCloud, keep: int, rng: Rng) -> PointCloud:
     return PointCloud(cloud.points[order], normals)
 
 
-def split_dataset(setting: str, categories: int, samples_per_category: int):
-    """(category, shape_index) keys for the train and test splits.
-
-    UC holds out the second half of the categories; UPC/ND hold out every
-    fifth shape index within each category (an 80/20 shape-disjoint split).
-    """
-    if setting == "UC" and categories < 2:
-        raise ValueError("UC split needs at least 2 categories")
-    train, test = [], []
-    for cat in range(categories):
-        for idx in range(samples_per_category):
-            if setting == "UC":
-                (train if cat < categories // 2 else test).append((cat, idx))
-            else:
-                (test if idx % 5 == 4 else train).append((cat, idx))
-    return train, test
-
-
 def make_sample(protocol: Protocol, category: int, shape_index: int,
                 n_points: int, seed: int) -> DatasetSample:
     """One reproducible source/target pair under a protocol."""

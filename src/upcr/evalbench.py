@@ -1,8 +1,7 @@
-"""Error metrics, ICP baselines, protocol sweeps, and the timing harness."""
+"""Error metrics, ICP baselines, model evaluation and protocol sweeps."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,7 @@ def feature_match_init(source: PointCloud, target: PointCloud,
 
 
 # ---------------------------------------------------------------------------
-# model evaluation, sweeps, timing
+# model evaluation and sweeps
 
 
 @dataclass
@@ -214,31 +213,3 @@ def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
                 r[f"{method}_{metric}_monotone"] = monotone
     return rows
 
-
-@dataclass
-class TimingReport:
-    mean_ms: float
-    std_ms: float
-    repetitions: int
-
-
-def timing(fn, repetitions: int = 5) -> TimingReport:
-    """Wall-clock mean/std per call, in ms, after one warm-up call."""
-    if repetitions < 3:
-        raise ValueError("timing needs at least 3 repetitions")
-    fn()  # warm-up
-    times = []
-    for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    return TimingReport(float(np.mean(times)), float(np.std(times)), repetitions)
-
-
-def time_registration(model: ModelParams, n_points: int = 1024,
-                      repetitions: int = 5, seed: int = 0) -> TimingReport:
-    from .datagen import sample_transform, synth_shape
-    rng = Rng(derive_seed(seed, "timing"))
-    x = synth_shape(0, n_points, rng.spawn("shape"))
-    y = geom.apply_transform(sample_transform("modelnet_style", rng.spawn("pose")), x)
-    return timing(lambda: register_pair(x, y, model), repetitions)

@@ -8,7 +8,6 @@ never enter this module's training functions.
 from __future__ import annotations
 
 import copy
-import io
 import json
 import struct
 from dataclasses import dataclass, field
@@ -122,18 +121,9 @@ class Checkpoint:
                    {k: v.copy() for k, v in model.tensors.items()},
                    optim=optim, metadata=dict(metadata or {}))
 
-    def require_compatible(self, config: EncoderConfig | None = None,
-                           spec: FeatureSpec | None = None,
-                           rotation_mode: str | None = None) -> None:
-        """Reject use under a pipeline configured differently."""
-        if config is not None and config.to_dict() != self.config.to_dict():
-            raise ValueError(f"checkpoint config {self.config.to_dict()} does not match "
-                             f"requested {config.to_dict()}")
-        if spec is not None and (spec.kind, spec.spfh_bins, spec.pfh_bins) != (
-                self.spec.kind, self.spec.spfh_bins, self.spec.pfh_bins):
-            raise ValueError(f"checkpoint feature spec {self.spec.kind!r} does not match "
-                             f"requested {spec.kind!r}")
-        if rotation_mode is not None and rotation_mode != self.rotation_mode:
+    def require_compatible(self, rotation_mode: str) -> None:
+        """Reject use under a pipeline with a different rotation mode."""
+        if rotation_mode != self.rotation_mode:
             raise ValueError(f"checkpoint rotation mode {self.rotation_mode!r} does not "
                              f"match requested {rotation_mode!r}")
 

@@ -94,10 +94,17 @@ def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:
     return np.array(out).reshape(n, g.shape[1])
 
 
+def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
+    """``autodiff.pair_table`` on the tape, from the general ops:
+    row i*k + j is a[i] + b[neighbors[i, j]]."""
+    k = np.shape(neighbors)[1]
+    return ad.add(ad.repeat_rows(a, k), ad.gather_rows(b, np.reshape(neighbors, -1)))
+
+
 def edge_max_oracle(a, b, neighbors) -> ad.Tensor:
-    """``autodiff.edge_max`` unfused: ``pair_table -> reshape -> reduce_max``."""
+    """``autodiff.edge_max`` unfused: ``pair table -> reshape -> reduce_max``."""
     n, k = np.shape(neighbors)
-    table = ad.pair_table(a, b, neighbors)
+    table = pair_table_oracle(a, b, neighbors)
     return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
 
 
@@ -115,7 +122,7 @@ def edge_conv_oracle(feats, neighbors, weight, bias, slope: float) -> ad.Tensor:
     w_top = ad.gather_rows(w, np.arange(c))
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)
-    table = ad.pair_table(center, ad.matmul(feats, w_bot), neighbors)
+    table = pair_table_oracle(center, ad.matmul(feats, w_bot), neighbors)
     return _activate_then_pool(table, n, k, slope)
 
 

@@ -7,7 +7,7 @@ import pytest
 from upcr import autodiff as ad
 from upcr.rng import Rng
 
-from conftest import edge_max_oracle, grad_check, scatter_rows_oracle
+from conftest import edge_max_oracle, grad_check, pair_table_oracle, scatter_rows_oracle
 
 
 def leaf(tape, values):
@@ -356,6 +356,17 @@ def test_pair_table_matches_naive(rng):
     out = ad.pair_table(ad.constant(a), ad.constant(b), nbr).data
     naive = np.repeat(a, 2, axis=0) + b[nbr.reshape(-1)]
     np.testing.assert_array_equal(out, naive)
+    assert pair_table_oracle(a, b, nbr).data.tobytes() == out.tobytes()
+
+
+def test_taped_pair_table_records_no_node(rng):
+    tape = ad.Tape()
+    a = leaf(tape, rng.uniform(-1, 1, (6, 4)))
+    b = leaf(tape, rng.uniform(-1, 1, (6, 4)))
+    before = len(tape.nodes)
+    out = ad.pair_table(a, b, np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]]))
+    assert len(tape.nodes) == before
+    assert out.tape is None and out.node_id is None and not out.requires_grad
 
 
 # row 9 is nobody's neighbour, point 3 lists point 0 twice, and point 0 is
@@ -364,6 +375,7 @@ _NBR = np.array([[1, 2, 4], [0, 3, 4], [0, 1, 5], [0, 0, 2], [0, 1, 3],
                  [0, 4, 6], [0, 7, 8], [0, 6, 8], [0, 5, 7], [0, 2, 8]])
 
 
+# The taped pair table of the test oracles, add(repeat_rows, gather_rows).
 # k stays below 8 for c = 1: NumPy sums a contiguous axis of 8 or more
 # pairwise, so the a-branch's reshape-sum is sequential only there
 @pytest.mark.parametrize("c", [4, 1])
@@ -373,7 +385,7 @@ def test_pair_table_vjp_matches_sequential_oracle(rng, c):
     g = rng.uniform(-1, 1, (n * k, c))
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)
-    ad.backward(ad.reduce_sum(ad.mul(ad.pair_table(at, bt, _NBR), ad.constant(g))))
+    ad.backward(ad.reduce_sum(ad.mul(pair_table_oracle(at, bt, _NBR), ad.constant(g))))
     assert at.grad.tobytes() == scatter_rows_oracle(np.repeat(np.arange(n), k), g, n).tobytes()
     assert bt.grad.tobytes() == scatter_rows_oracle(_NBR.reshape(-1), g, n).tobytes()
     assert bt.grad[9].tobytes() == np.zeros(c).tobytes()

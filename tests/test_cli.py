@@ -14,6 +14,8 @@ from upcr.training import Checkpoint, save_checkpoint
 
 TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4",
         "--test-pairs", "2", "--k", "5", "--m", "16", "--layers", "2"]
+# register reads no file before its configuration resolves
+REGISTER = ["register", "--source", "s.xyz", "--target", "t.xyz", "--model", "m.upcr"]
 
 
 def tiny_model_file(tmp_path, mode="euler"):
@@ -35,8 +37,11 @@ def test_help_lists_subcommands_and_defaults(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for cmd in ("gen", "train", "finetune", "register", "bench",
-                "sweep-outliers", "time"):
+                "sweep-outliers"):
         assert cmd in out
+    with pytest.raises(SystemExit) as exc:
+        main(["time"])  # timing lives in perfbench/, not in the CLI
+    assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["train", "--help"])
     out = capsys.readouterr().out
@@ -176,14 +181,6 @@ def test_sweep_outliers_csv(tmp_path):
     assert len(lines) == 5  # header + 2 ratios x 2 methods
 
 
-def test_time_command(tmp_path, capsys):
-    rc = main(["time", "--features", "distance", "--points", "48", "--reps", "3",
-               "--k", "5", "--m", "16", "--layers", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "mean_ms" in out and "distance" in out
-
-
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\n"
@@ -222,14 +219,13 @@ def test_config_file_unparsable_value_rejected(tmp_path, capsys, line, value):
 
 @pytest.mark.parametrize("line", ["head_widths = 8,x", "widths = 8,,16", "head_widths = 8,0"],
                          ids=["non-int", "empty-item", "zero"])
-@pytest.mark.parametrize("command", ["gen", "time"])
+@pytest.mark.parametrize("command", ["gen", "register"])
 def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[encoder]\n{line}\n")
-    argv = (["gen", "--out", str(tmp_path / "o")] if command == "gen" else
-            ["time", "--features", "distance", "--points", "48", "--reps", "1",
-             "--k", "5", "--m", "16", "--layers", "2", "--out", str(tmp_path / "o")])
-    rc = main(argv + ["--config", str(cfg)])
+    argv = (["gen"] if command == "gen" else
+            REGISTER + ["--k", "5", "--m", "16", "--layers", "2"])
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
     key, value = (part.strip() for part in line.split("="))
@@ -237,16 +233,14 @@ def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "time"])
+@pytest.mark.parametrize("command", ["gen", "register"])
 def test_config_file_widths_layers_mismatch_rejected(tmp_path, capsys, command):
     # a cross-key error is caught for every command, not only those that
     # build an encoder
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[encoder]\nwidths = 8,16\n")
-    argv = (["gen", "--out", str(tmp_path / "o")] if command == "gen" else
-            ["time", "--features", "distance", "--points", "48", "--reps", "1",
-             "--out", str(tmp_path / "o")])
-    rc = main(argv + ["--config", str(cfg)])
+    argv = ["gen"] if command == "gen" else REGISTER
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 1
     assert "error: widths (8, 16) must have one entry per layer (5)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -264,12 +258,12 @@ def test_config_file_slope_out_of_range_rejected(tmp_path, capsys):
 def test_config_file_width_lists_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")
-    ns = cli.build_parser().parse_args(["time", "--config", str(cfg), "--layers", "2",
-                                        "--m", "16"])
+    ns = cli.build_parser().parse_args(REGISTER + ["--config", str(cfg), "--layers", "2",
+                                                   "--m", "16"])
     enc = cli.encoder_config(cli.resolve_config(ns))
     assert enc.widths == (8, 16) and enc.head_widths == (12,)
     defaults = cli.encoder_config(cli.resolve_config(cli.build_parser().parse_args(
-        ["time"])))
+        REGISTER)))
     assert defaults.widths == (16, 16, 32, 32, 64) and defaults.head_widths == (256, 128)
 
 
@@ -286,10 +280,22 @@ def test_config_file_bool_spellings(tmp_path, text, expected):
 def test_config_file_unknown_rotation_mode_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[rotation]\nmode = spin\n")
-    rc = main(["time", "--config", str(cfg), "--features", "distance", "--points", "48",
-               "--reps", "3", "--k", "5", "--m", "16", "--layers", "2"])
+    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
-    assert "expected one of euler, quaternion, sixd, matrix" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("error: unknown rotation mode 'spin'; "
+            "expected one of euler, quaternion, sixd, matrix") in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_file_unknown_protocol_setting_rejected(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[protocol]\nsetting = XYZ\n")
+    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: setting must be one of ('UPC', 'UC', 'ND'), got 'XYZ'" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_preset_desk_and_paper():

@@ -6,7 +6,7 @@ import pytest
 from upcr import datagen, geom
 from upcr.datagen import (CloudParseError, Protocol, add_noise, build_benchmark,
                           load_cloud, make_partial, make_sample, sample_transform,
-                          save_cloud, split_dataset, synth_shape)
+                          save_cloud, synth_shape)
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
@@ -153,24 +153,7 @@ def test_partial_keep_bounds():
 
 
 # ---------------------------------------------------------------------------
-# splits and samples
-
-
-def test_split_uc_category_disjoint():
-    train, test = split_dataset("UC", 40, 3)
-    assert {c for c, _ in train} == set(range(20))
-    assert {c for c, _ in test} == set(range(20, 40))
-
-
-def test_split_upc_shape_disjoint_80_20():
-    train, test = split_dataset("UPC", 10, 10)
-    train_keys, test_keys = set(train), set(test)
-    assert not train_keys & test_keys
-    assert len(test) / (len(train) + len(test)) == pytest.approx(0.2)
-
-
-def test_split_deterministic():
-    assert split_dataset("ND", 6, 5) == split_dataset("ND", 6, 5)
+# samples and benchmark splits
 
 
 def test_protocol_nd_forces_noise():

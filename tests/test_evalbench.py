@@ -6,7 +6,7 @@ from upcr.datagen import Protocol, build_benchmark, sample_transform, synth_shap
 from upcr.encoder import EncoderConfig, init_params
 from upcr.evalbench import (MetricReport, evaluate_poses, feature_match_init, icp,
                             outlier_sweep, rotation_metrics, se3_mean_error,
-                            timing, translation_metrics)
+                            translation_metrics)
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
@@ -199,7 +199,7 @@ def test_feature_match_too_few_matches():
 
 
 # ---------------------------------------------------------------------------
-# sweeps and timing
+# sweeps
 
 
 def small_model():
@@ -240,13 +240,3 @@ def test_corrupt_replaces_expected_count():
     changed = np.any(out.points != cloud.points, axis=1).sum()
     assert changed == 30
 
-
-def test_timing_stability_and_validation():
-    model = small_model()
-    report = evalbench.time_registration(model, n_points=48, repetitions=5, seed=18)
-    report2 = evalbench.time_registration(model, n_points=48, repetitions=5, seed=18)
-    assert report.mean_ms > 0
-    assert abs(report.mean_ms - report2.mean_ms) < 0.5 * max(report.mean_ms,
-                                                             report2.mean_ms)
-    with pytest.raises(ValueError):
-        timing(lambda: None, repetitions=2)

@@ -310,12 +310,9 @@ def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
 def test_checkpoint_config_guard(tmp_path):
     model = init_params(CFG, SPEC, "euler", 25)
     ckpt = Checkpoint.from_model(model)
-    big = EncoderConfig(k=24, m=512, layers=5)
-    with pytest.raises(ValueError, match="does not match"):
-        ckpt.require_compatible(config=big)
     with pytest.raises(ValueError, match="rotation mode"):
         ckpt.require_compatible(rotation_mode="quaternion")
-    ckpt.require_compatible(config=CFG, spec=SPEC, rotation_mode="euler")
+    ckpt.require_compatible(rotation_mode="euler")
 
 
 def test_loss_curve_csv(tmp_path):
