@@ -4,7 +4,9 @@ The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
 softmax, trigonometry and the SVD rotation projection for rotation decoding,
 the indexing ops that assemble edge features, and ``edge_max``, the fused
-neighbor-pair max-pool of an edge convolution. No broadcasting beyond
+neighbor-pair max-pool of an edge convolution, whose forward builds and pools
+its [n*k, c] edge table in bounded row blocks, so the table never exists
+whole. No broadcasting beyond
 scalar-with-tensor, no higher-order derivatives, no views: every op produces
 a fresh array.
 
@@ -543,23 +545,31 @@ def affine(x, weight, bias) -> Tensor:
 def pair_table(a, b, neighbors) -> Tensor:
     """Neighbor-pair sums: out[i*k + j] = a[i] + b[neighbors[i, j]].
 
-    ``a`` and ``b`` are [n, c], ``neighbors`` an [n, k] integer table. This is
-    the [n*k, c] edge table that :func:`edge_max` pools. Forward only: the
-    result is a constant, never a tape node, even for taped operands.
+    ``a`` is an [r, c] block of centre rows, ``b`` the [n, c] rows they pair
+    with, and ``neighbors`` an [r, k] integer table of rows of ``b``. This is
+    the [r*k, c] edge table of one row block of :func:`edge_max`; the whole
+    [n*k, c] table is the case r = n. Forward only: the result is a constant,
+    never a tape node, even for taped operands.
     """
     a, b = as_tensor(a), as_tensor(b)
     nbr = np.asarray(neighbors, dtype=np.int64)
-    if a.ndim != 2 or a.shape != b.shape or nbr.ndim != 2:
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or nbr.ndim != 2:
         raise ShapeError(f"pair_table: got a {a.shape}, b {b.shape}, neighbors {nbr.shape}")
-    n, c = a.shape
-    if nbr.shape[0] != n:
-        raise ShapeError(f"pair_table: {nbr.shape[0]} neighbor rows for {n} points")
+    r, c = a.shape
+    if nbr.shape[0] != r:
+        raise ShapeError(f"pair_table: {nbr.shape[0]} neighbor rows for {r} centre rows")
+    n = b.shape[0]
     if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
         raise ShapeError(f"pair_table: neighbor index out of range for {n} points")
     k = nbr.shape[1]
-    out = b.data[nbr.reshape(-1)].reshape(n, k, c)
+    out = b.data[nbr.reshape(-1)].reshape(r, k, c)
     out += a.data[:, None, :]
-    return Tensor(out.reshape(n * k, c))
+    return Tensor(out.reshape(r * k, c))
+
+
+# bytes of the edge table one edge_max row block builds: small enough to stay
+# in cache, large enough that the per-block Python overhead is negligible
+_EDGE_BLOCK_BYTES = 1 << 20
 
 
 def edge_max(a, b, neighbors) -> Tensor:
@@ -567,27 +577,37 @@ def edge_max(a, b, neighbors) -> Tensor:
 
     The fused ``pair_table -> reshape -> reduce_max`` of an edge convolution,
     with the same values and the same tie rule: the lowest j wins a tie, and
-    the first NaN wins a NaN maximum. The forward still builds the [n*k, c]
-    table through :func:`pair_table`. A tape keeps only the [n, c] table of
-    winning source rows, so the backward passes ``g`` to ``a`` unchanged and
-    scatters n*c entries onto ``b``, never an [n*k, c] gradient.
+    the first NaN wins a NaN maximum. The forward works in row blocks of at
+    most ``_EDGE_BLOCK_BYTES`` of edge table (at least one row), each built by
+    :func:`pair_table` and pooled at once, so the [n*k, c] table never exists
+    whole. A tape keeps only the [n, c] table of winning source rows, so the
+    backward passes ``g`` to ``a`` unchanged and scatters n*c entries onto
+    ``b``, never an [n*k, c] gradient.
     """
     a, b = as_tensor(a), as_tensor(b)
     nbr = np.asarray(neighbors, dtype=np.int64)
-    edges = pair_table(a.data, b.data, nbr).data
+    if a.ndim != 2 or a.shape != b.shape or nbr.ndim != 2 or nbr.shape[0] != a.shape[0]:
+        raise ShapeError(f"edge_max: got a {a.shape}, b {b.shape}, neighbors {nbr.shape}")
     n, c = a.shape
     k = nbr.shape[1]
     if k < 1:
         raise ShapeError("edge_max: neighbors has no columns")
-    edges = edges.reshape(n, k, c)
-    out = np.max(edges, axis=1)
+    rows = max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
+    out = np.empty((n, c))
+    src = np.empty((n, c), dtype=np.int64) if b.node_id is not None else None
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        edges = pair_table(a.data[s:e], b.data, nbr[s:e]).data.reshape(e - s, k, c)
+        np.max(edges, axis=1, out=out[s:e])
+        if src is not None:  # winning source rows, [e - s, c]
+            arg = _first_max_index(edges, out[s:e], 1)
+            src[s:e] = np.take_along_axis(nbr[s:e], arg, axis=1)
 
     def build(ids):
         handlers = []
         if a.node_id is not None:
             handlers.append((a.node_id, lambda g: g))
-        if b.node_id is not None:
-            src = nbr[np.arange(n)[:, None], _first_max_index(edges, out, 1)]  # [n, c]
+        if src is not None:
             handlers.append((b.node_id, lambda g: _scatter_rows(src, g, n)))
 
         def vjp(g):

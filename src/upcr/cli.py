@@ -165,11 +165,9 @@ def protocol(cfg: dict) -> Protocol:
     noise = None
     if cfg["protocol.noise_sigma"] > 0:
         noise = (cfg["protocol.noise_sigma"], cfg["protocol.noise_clip"] or 0.05)
-    keep = cfg["protocol.partial_keep"] or None
-    pairing = cfg["protocol.pairing"] if keep else "consistent"
-    return Protocol(setting=cfg["protocol.setting"], pairing=pairing,
+    return Protocol(setting=cfg["protocol.setting"], pairing=cfg["protocol.pairing"],
                     pose_regime=cfg["protocol.regime"], noise=noise,
-                    partial_keep=keep)
+                    partial_keep=cfg["protocol.partial_keep"] or None)
 
 
 def make_splits(cfg: dict):

@@ -9,9 +9,11 @@ LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
 slope*x, so max_j act(x_j) == act(max_j x_j) bit for bit. Every layer
 therefore pools over the k neighbors first, in one ``autodiff.edge_max`` op,
 and applies the activation to the pooled [n, c] rows, never to the [n*k, c]
-edge table; on a tape only the [n, c] winning neighbors are kept, so the
-backward never builds an [n*k, c] gradient. ``EncoderConfig`` rejects a slope
-outside [0, 1) up front; a negative slope would break the exchange.
+edge table. That op builds and pools the table in bounded row blocks, so the
+table never exists whole; on a tape only the [n, c] winning neighbors are
+kept, so the backward never builds an [n*k, c] gradient. ``EncoderConfig``
+rejects a slope outside [0, 1) up front; a negative slope would break the
+exchange.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -109,11 +111,6 @@ class ModelParams:
         return ModelParams(self.config, self.spec, self.rotation_mode,
                            {k: v.copy() for k, v in self.tensors.items()})
 
-    def check_finite(self) -> None:
-        for name, arr in self.tensors.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"parameter {name!r} contains non-finite values")
-
 
 def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -189,8 +186,9 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     Pooling comes before the activation: for slope >= 0 LeakyReLU is
     monotone, so max_j act(x_j) == act(max_j x_j) exactly and the activation
     runs on [n, c'] rows instead of the [n*k, c'] edge table. The pairing and
-    the max over k are one op, ``ad.edge_max``, whose backward scatters only
-    the [n, c'] pooled gradient onto the winning neighbors.
+    the max over k are one op, ``ad.edge_max``, which pools the table a
+    bounded row block at a time, so it never exists whole, and whose backward
+    scatters only the [n, c'] pooled gradient onto the winning neighbors.
     """
     n = neighbors.shape[0]
     if feats.shape[0] != n:

@@ -359,6 +359,28 @@ def test_pair_table_matches_naive(rng):
     assert pair_table_oracle(a, b, nbr).data.tobytes() == out.tobytes()
 
 
+def test_pair_table_row_block_is_rows_of_the_whole_table(rng):
+    a = rng.uniform(-1, 1, (5, 4))
+    b = rng.uniform(-1, 1, (5, 4))
+    nbr = np.array([[1, 2, 4], [4, 0, 3], [3, 3, 1], [0, 2, 2], [1, 4, 0]])
+    whole = ad.pair_table(a, b, nbr).data
+    block = ad.pair_table(a[1:3], b, nbr[1:3]).data  # indices past the block's 2 rows
+    assert block.shape == (6, 4)
+    assert block.tobytes() == whole[3:9].tobytes()
+    assert block.tobytes() == (np.repeat(a[1:3], 3, axis=0) + b[nbr[1:3].reshape(-1)]).tobytes()
+
+
+@pytest.mark.parametrize("b_shape, nbr, match", [
+    ((5, 4), [[0, 5], [1, 2]], "out of range for 5 points"),
+    ((5, 4), [[0, -1], [1, 2]], "out of range for 5 points"),
+    ((5, 3), [[0, 1], [1, 2]], r"got a \(2, 4\), b \(5, 3\)"),
+    ((5, 4), [[0, 1]], "1 neighbor rows for 2 centre rows"),
+], ids=["past-b", "negative", "columns", "rows"])
+def test_pair_table_rejects_bad_row_blocks(b_shape, nbr, match):
+    with pytest.raises(ad.ShapeError, match=match):
+        ad.pair_table(np.zeros((2, 4)), np.zeros(b_shape), np.array(nbr))
+
+
 def test_taped_pair_table_records_no_node(rng):
     tape = ad.Tape()
     a = leaf(tape, rng.uniform(-1, 1, (6, 4)))
@@ -428,20 +450,26 @@ def _edge_max_and_grads(op, a, b, nbr, g):
     return out.data, at.grad, bt.grad
 
 
+def _edge_max_matching_oracle(a, b, nbr, g):
+    """``edge_max``'s value and gradients, checked bit for bit against
+    ``edge_max_oracle``; returns the value."""
+    out, ga, gb = _edge_max_and_grads(ad.edge_max, a, b, nbr, g)
+    want_out, want_ga, want_gb = _edge_max_and_grads(edge_max_oracle, a, b, nbr, g)
+    assert out.tobytes() == want_out.tobytes()
+    assert gb.tobytes() == want_gb.tobytes()
+    # only the sign of a zero may differ: a gets the upstream -0.0 as is
+    assert (ga + 0.0).tobytes() == (want_ga + 0.0).tobytes()
+    assert ga.tobytes() == g.tobytes()
+    assert gb[-1].tobytes() == np.zeros(a.shape[1]).tobytes()
+    return out
+
+
 # k on both sides of 8, the block size of NumPy's pairwise sums
 @pytest.mark.parametrize("k", [3, 10])
 @pytest.mark.parametrize("case", ["random", "ties", "nan"])
 def test_edge_max_matches_unfused_composition_bit_for_bit(case, k):
     for seed in range(4):
-        a, b, nbr, g = _edge_max_inputs(seed, k, case)
-        out, ga, gb = _edge_max_and_grads(ad.edge_max, a, b, nbr, g)
-        want_out, want_ga, want_gb = _edge_max_and_grads(edge_max_oracle, a, b, nbr, g)
-        assert out.tobytes() == want_out.tobytes()
-        assert gb.tobytes() == want_gb.tobytes()
-        # only the sign of a zero may differ: a gets the upstream -0.0 as is
-        assert (ga + 0.0).tobytes() == (want_ga + 0.0).tobytes()
-        assert ga.tobytes() == g.tobytes()
-        assert gb[-1].tobytes() == np.zeros(a.shape[1]).tobytes()
+        out = _edge_max_matching_oracle(*_edge_max_inputs(seed, k, case))
         if case == "nan":
             assert np.isnan(out[1, 2]) and np.isnan(out[4, 0])
 
@@ -463,6 +491,42 @@ def test_edge_max_rejects_bad_shapes():
         ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 0), dtype=int))
     with pytest.raises(ad.ShapeError, match="out of range"):
         ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0], [2]]))
+    # pair_table takes a row block of a; edge_max still needs a and b alike
+    with pytest.raises(ad.ShapeError, match="edge_max: got"):
+        ad.edge_max(np.zeros((2, 3)), np.zeros((3, 3)), np.array([[0], [2]]))
+    with pytest.raises(ad.ShapeError, match="edge_max: got"):
+        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0]]))
+
+
+# blocks of 1 row, a ragged 3 rows (14 = 4 * 3 + 2) and the whole table
+@pytest.mark.parametrize("rows", [1, 3, 14])
+@pytest.mark.parametrize("k", [3, 10])
+@pytest.mark.parametrize("case", ["random", "ties", "nan"])
+def test_blocked_edge_max_matches_unfused_composition_bit_for_bit(monkeypatch, case, k, rows):
+    n, c = 14, 4
+    monkeypatch.setattr(ad, "_EDGE_BLOCK_BYTES", rows * k * c * 8)
+    blocks = []
+    pair_table = ad.pair_table
+
+    def counted(a, b, neighbors):
+        blocks.append(len(neighbors))
+        return pair_table(a, b, neighbors)
+
+    monkeypatch.setattr(ad, "pair_table", counted)
+    for seed in range(4):
+        a, b, nbr, g = _edge_max_inputs(seed, k, case, n=n, c=c)
+        # rows 2 and 3 straddle the first 3-row boundary: each ties two
+        # distinct neighbours, points 5 and 6, in channels 0, 1 and 3; in
+        # channel 2 a NaN wins at slot 0 of row 2 and at slot 1 of row 3
+        nbr[2, :2], nbr[3, :2] = (5, 6), (6, 5)
+        nbr[:, -1] = nbr[:, 0]
+        b[6] = b[5]
+        b[5, 2] = np.nan
+        blocks.clear()
+        out = _edge_max_matching_oracle(a, b, nbr, g)
+        # the oracle builds its table from the general ops, not pair_table
+        assert blocks == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
+        assert np.isnan(out[2, 2]) and np.isnan(out[3, 2])
 
 
 def test_reshape_gradients(rng):

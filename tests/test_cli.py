@@ -126,6 +126,18 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert "seed = 3" in manifest and "sha256" in manifest
 
 
+def test_gen_partial_pairing_needs_partial_keep(tmp_path, capsys):
+    out = tmp_path / "o"
+    rc = main(["gen", "--pairing", "partial", "--out", str(out)] + TINY)
+    assert rc == 1
+    assert "error: partial pairing needs partial_keep" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["gen", "--pairing", "partial", "--partial-keep", "24", "--out", str(out)] + TINY)
+    assert rc == 0
+    manifest = Path(out, "manifest.txt").read_text()
+    assert "protocol.pairing = partial" in manifest and "protocol.partial_keep = 24" in manifest
+
+
 def test_bench_deterministic_csv(tmp_path, capsys):
     model = tiny_model_file(tmp_path)
     out1, out2 = str(tmp_path / "b1"), str(tmp_path / "b2")

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import geom
+from upcr import geom, separation
 from upcr.datagen import synth_shape
 from upcr.encoder import (CloudCache, EncoderConfig, edge_conv_layer, init_params,
                           precompute_cloud, encode_global, encode_invariant)
@@ -192,6 +194,44 @@ def test_taped_edge_conv_keeps_pooled_gradients():
             node.vjp = sized(node.vjp)
     ad.backward(loss)
     assert sizes and max(sizes) <= n * c_out
+
+
+def test_register_pair_edge_tables_stay_within_the_block_budget(monkeypatch):
+    # desk preset: the widest layer's whole [n*k, 64] table, 3 MiB, is over budget
+    config = EncoderConfig(k=24, m=64)
+    n, k = 256, config.k
+    sizes = []
+    pair_table = ad.pair_table
+
+    def sized(a, b, neighbors):
+        out = pair_table(a, b, neighbors)
+        sizes.append((out.data.nbytes, k * out.shape[1] * 8))
+        return out
+
+    monkeypatch.setattr(ad, "pair_table", sized)
+    x = synth_shape(0, n, Rng(1))
+    separation.register_pair(x, geom.apply_transform(random_transform(Rng(2)), x),
+                             model_for(config))
+    assert len(sizes) > 2 * (2 * config.layers - 1)  # some layer took several blocks
+    assert all(size <= max(ad._EDGE_BLOCK_BYTES, row) for size, row in sizes)
+    widths = config.widths
+    assert sum(size for size, _ in sizes) == 2 * 8 * n * k * (sum(widths) + sum(widths[1:]))
+
+
+def test_untaped_edge_conv_peak_memory_stays_far_below_its_edge_table():
+    # the whole [1024 * 24, 256] edge table alone would take 48 MiB
+    rng = Rng(0)
+    n, k, c = 1024, 24, 256
+    feats = ad.constant(rng.uniform(-1, 1, (n, c)))
+    nbr = rng.integers(0, n, (n, k))
+    w, b = rng.uniform(-0.1, 0.1, (2 * c, c)), np.zeros((1, c))
+    tracemalloc.start()
+    try:
+        edge_conv_layer(feats, nbr, w, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_encode_global_needs_enough_points():
