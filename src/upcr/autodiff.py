@@ -10,12 +10,21 @@ whole. No broadcasting beyond
 scalar-with-tensor, no higher-order derivatives, no views: every op produces
 a fresh array.
 
-Ops applied to constant tensors (no tape attached) skip all bookkeeping,
-so the same pipeline code serves both training and inference.
+Every op follows one contract: it computes its forward array and hands
+:func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
+operand. ``_emit`` keeps the pairs whose operand is on a tape; if any is
+left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
+operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
+A gradient map holds only what its backward reads. Forward work that only a
+gradient needs (an argmax, the winning rows of ``edge_max``, the uniqueness
+check of ``nearest_rotation``) runs only for a taped operand, so the same
+pipeline code serves both training and inference.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,17 +39,16 @@ class DomainError(ValueError):
 
 
 class Node:
-    """One tape entry: op kind, input node ids, and a VJP closure.
+    """One tape entry: op kind and a VJP closure.
 
     The closure captures whatever forward values the backward pass needs and
     returns ``[(input_node_id, grad_contribution), ...]``.
     """
 
-    __slots__ = ("kind", "inputs", "vjp")
+    __slots__ = ("kind", "vjp")
 
-    def __init__(self, kind: str, inputs: tuple[int, ...], vjp: Callable | None):
+    def __init__(self, kind: str, vjp: Callable | None):
         self.kind = kind
-        self.inputs = inputs
         self.vjp = vjp
 
 
@@ -81,37 +89,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar over the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 class Tape:
     """Append-only record of operations; nodes reference earlier nodes only.
@@ -126,54 +103,51 @@ class Tape:
 
     def leaf(self, data, requires_grad: bool = False) -> Tensor:
         """Register an input tensor. Only grad-requiring leaves get a node."""
-        arr = _as_array(data)
+        arr = np.asarray(data, dtype=np.float64)
         if not requires_grad:
             return Tensor(arr)
-        nid = self._append("leaf", (), None)
+        nid = self._append("leaf", None)
         return Tensor(arr, requires_grad=True, node_id=nid, tape=self)
 
     def zero_grad(self) -> None:
         self.grad_buffer.clear()
 
-    def _append(self, kind: str, inputs: tuple[int, ...], vjp) -> int:
-        self.nodes.append(Node(kind, inputs, vjp))
+    def _append(self, kind: str, vjp) -> int:
+        self.nodes.append(Node(kind, vjp))
         return len(self.nodes) - 1
-
-
-def _as_array(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    return arr
 
 
 def constant(data) -> Tensor:
     """Tensor that participates in forward math but never receives gradients."""
-    return Tensor(_as_array(data))
+    return Tensor(np.asarray(data, dtype=np.float64))
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _common_tape(*tensors: Tensor) -> "Tape | None":
-    tape = None
-    for t in tensors:
-        if t.tape is not None:
-            if tape is not None and tape is not t.tape:
-                raise ValueError("operands belong to different tapes")
-            tape = t.tape
-    return tape
+def _emit(kind: str, out: np.ndarray,
+          grads: Sequence[tuple[Tensor, Callable[[np.ndarray], np.ndarray]]]) -> Tensor:
+    """The op's result tensor, with a tape node only if some operand is taped.
 
-
-def _emit(kind: str, out: np.ndarray, inputs: Sequence[Tensor], vjp_builder) -> Tensor:
-    """Create the result tensor, appending a node only if a gradient can flow."""
-    tape = _common_tape(*inputs)
-    tracked = [t for t in inputs if t.tape is not None and t.node_id is not None]
-    if tape is None or not any(t.requires_grad for t in inputs):
+    ``grads`` holds one ``(operand, g -> operand gradient)`` pair per operand.
+    Pairs of constant operands are dropped with their closures; the node's VJP
+    returns the kept pairs' ``(node_id, fn(g))`` in operand order.
+    """
+    taped = tuple((t.node_id, fn) for t, fn in grads if t.node_id is not None)
+    if not taped:
         return Tensor(out)
-    ids = tuple(t.node_id for t in tracked)
-    vjp = vjp_builder([t.node_id for t in tracked])
-    nid = tape._append(kind, ids, vjp)
+    tapes = {t.tape for t, _ in grads if t.tape is not None}
+    if len(tapes) > 1:
+        raise ValueError("operands belong to different tapes")
+    (tape,) = tapes
+    nid = tape._append(kind, partial(_node_vjp, taped))
     return Tensor(out, requires_grad=True, node_id=nid, tape=tape)
+
+
+def _node_vjp(taped: tuple, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """A node's VJP, bound by ``partial``: lighter per node than a closure."""
+    return [(nid, fn(g)) for nid, fn in taped]
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -191,21 +165,10 @@ def _binary(kind: str, a, b, fwd, da, db) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
-    out = fwd(a.data, b.data)
     av, bv = a.data, b.data
-
-    def build(ids):
-        handlers = []
-        if a.node_id is not None:
-            handlers.append((a.node_id, lambda g: _reduce_to(da(g, av, bv), av.shape)))
-        if b.node_id is not None:
-            handlers.append((b.node_id, lambda g: _reduce_to(db(g, av, bv), bv.shape)))
-
-        def vjp(g):
-            return [(nid, fn(g)) for nid, fn in handlers]
-        return vjp
-
-    return _emit(kind, out, (a, b), build)
+    return _emit(kind, fwd(av, bv),
+                 [(a, lambda g: _reduce_to(da(g, av, bv), av.shape)),
+                  (b, lambda g: _reduce_to(db(g, av, bv), bv.shape))])
 
 
 def add(a, b) -> Tensor:
@@ -232,17 +195,9 @@ def div(a, b) -> Tensor:
 
 def _unary(kind: str, a, fwd, dfn) -> Tensor:
     a = as_tensor(a)
-    out = fwd(a.data)
     av = a.data
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            return [(nid, dfn(g, av, out))]
-        return vjp
-
-    return _emit(kind, out, (a,), build)
+    out = fwd(av)
+    return _emit(kind, out, [(a, lambda g: dfn(g, av, out))])
 
 
 def neg(a) -> Tensor:
@@ -292,21 +247,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: expects 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    out = a.data @ b.data
     av, bv = a.data, b.data
-
-    def build(ids):
-        handlers = []
-        if a.node_id is not None:
-            handlers.append((a.node_id, lambda g: g @ bv.T))
-        if b.node_id is not None:
-            handlers.append((b.node_id, lambda g: av.T @ g))
-
-        def vjp(g):
-            return [(nid, fn(g)) for nid, fn in handlers]
-        return vjp
-
-    return _emit("matmul", out, (a, b), build)
+    return _emit("matmul", av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
 
 
 def nearest_rotation(a) -> Tensor:
@@ -326,22 +268,20 @@ def nearest_rotation(a) -> Tensor:
     flip = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
     u = u * flip
     out = u @ vt
+    if a.node_id is None:  # a constant needs no VJP, so R need not be unique
+        return _emit("nearest_rotation", out, [])
     sp = s * flip
+    if sp[1] + sp[2] <= 1e-12 * sp[0]:
+        raise DomainError("nearest_rotation: the nearest rotation is not unique "
+                          f"(singular values {s}, det {np.linalg.det(a.data):.3g})")
+    denom = sp[:, None] + sp[None, :]
+    np.fill_diagonal(denom, 1.0)
 
-    def build(ids):
-        if sp[1] + sp[2] <= 1e-12 * sp[0]:
-            raise DomainError("nearest_rotation: the nearest rotation is not unique "
-                              f"(singular values {s}, det {np.linalg.det(a.data):.3g})")
-        denom = sp[:, None] + sp[None, :]
-        np.fill_diagonal(denom, 1.0)
-        nid = a.node_id
+    def grad(g):
+        b = u.T @ g @ vt.T
+        return u @ ((b - b.T) / denom) @ vt
 
-        def vjp(g):
-            b = u.T @ g @ vt.T
-            return [(nid, u @ ((b - b.T) / denom) @ vt)]
-        return vjp
-
-    return _emit("nearest_rotation", out, (a,), build)
+    return _emit("nearest_rotation", out, [(a, grad)])
 
 
 def softmax(v) -> Tensor:
@@ -352,15 +292,7 @@ def softmax(v) -> Tensor:
     z = v.data - np.max(v.data)
     e = np.exp(z)
     p = e / np.sum(e)
-
-    def build(ids):
-        nid = v.node_id
-
-        def vjp(g):
-            return [(nid, p * (g - np.dot(g, p)))]
-        return vjp
-
-    return _emit("softmax", p, (v,), build)
+    return _emit("softmax", p, [(v, lambda g: p * (g - np.dot(g, p)))])
 
 
 def _first_max_index(table: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
@@ -375,46 +307,32 @@ def _first_max_index(table: np.ndarray, out: np.ndarray, axis: int) -> np.ndarra
 def reduce_max(a, axis: int = 0) -> Tensor:
     """Maximum along one axis; ties route the gradient to the lowest index.
 
-    The argmax is computed only for taped inputs, when the backward node is
-    built; untaped inference takes the plain maximum.
+    The argmax is computed only for a taped input; untaped inference takes
+    the plain maximum.
     """
     a = as_tensor(a)
     if a.ndim == 0 or not 0 <= axis < a.ndim:
         raise ShapeError(f"reduce_max: axis {axis} invalid for shape {a.shape}")
     if a.shape[axis] < 1:
         raise ShapeError("reduce_max: reduced axis is empty")
-    av = a.data
-    out = np.max(av, axis=axis)
+    out = np.max(a.data, axis=axis)
     in_shape = a.shape
+    arg = _first_max_index(a.data, out, axis) if a.node_id is not None else None
 
-    def build(ids):
-        nid = a.node_id
-        arg = _first_max_index(av, out, axis)
+    def grad(g):
+        full = np.zeros(in_shape)
+        np.put_along_axis(full, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
+        return full
 
-        def vjp(g):
-            full = np.zeros(in_shape)
-            np.put_along_axis(full, np.expand_dims(arg, axis),
-                              np.expand_dims(g, axis), axis=axis)
-            return [(nid, full)]
-        return vjp
-
-    return _emit("reduce_max", out, (a,), build)
+    return _emit("reduce_max", out, [(a, grad)])
 
 
 def reduce_sum(a) -> Tensor:
     """Sum of all entries, as a rank-0 scalar."""
     a = as_tensor(a)
-    out = np.asarray(np.sum(a.data))
     in_shape = a.shape
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            return [(nid, np.full(in_shape, float(g)))]
-        return vjp
-
-    return _emit("reduce_sum", out, (a,), build)
+    return _emit("reduce_sum", np.asarray(np.sum(a.data)),
+                 [(a, lambda g: np.full(in_shape, float(g)))])
 
 
 def concat(parts: Sequence) -> Tensor:
@@ -427,22 +345,16 @@ def concat(parts: Sequence) -> Tensor:
         if t.ndim != ts[0].ndim or t.shape[:-1] != lead:
             raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]}")
     out = np.concatenate([t.data for t in ts], axis=-1)
-    widths = [t.shape[-1] for t in ts]
-    offsets = np.cumsum([0] + widths)
-
-    def build(ids):
-        handlers = [(t.node_id, int(offsets[i]), int(offsets[i + 1]))
-                    for i, t in enumerate(ts) if t.node_id is not None]
-
-        def vjp(g):
-            return [(nid, g[..., lo:hi]) for nid, lo, hi in handlers]
-        return vjp
-
-    return _emit("concat", out, ts, build)
+    grads, lo = [], 0
+    for t in ts:
+        hi = lo + t.shape[-1]
+        grads.append((t, lambda g, lo=lo, hi=hi: g[..., lo:hi]))
+        lo = hi
+    return _emit("concat", out, grads)
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
-    """out[r] = sum of g[e] over idx[e] == r, for 2-d ``g``; an [e, c] ``idx``
+    """out[r] = sum of g[e] over idx[e] == r, for [e, c] ``g``; an [e, c] ``idx``
     names a row per entry instead, out[r, ch] = sum of g[e, ch] over
     idx[e, ch] == r. One flat bincount (far faster than np.add.at): each row
     adds its entries in order, starting from 0.0."""
@@ -453,29 +365,22 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows (axis 0) by integer index; backward scatter-adds."""
+    """Select rows (axis 0) by integer index; backward scatter-adds.
+
+    The gradient of any rank is viewed as [e, prod(tail)] rows for
+    :func:`_scatter_rows`, so each row sums its entries in order from 0.0.
+    """
     a = as_tensor(a)
     idx = np.asarray(idx, dtype=np.int64).reshape(-1)
     if a.ndim < 1:
         raise ShapeError("gather_rows: input must have rank >= 1")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    out = a.data[idx]
-    n = a.shape[0]
-    tail = a.shape[1:]
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            if g.ndim == 2:
-                return [(nid, _scatter_rows(idx, g, n))]
-            acc = np.zeros((n,) + tail)
-            np.add.at(acc, idx, g)
-            return [(nid, acc)]
-        return vjp
-
-    return _emit("gather_rows", out, (a,), build)
+    shape = a.shape
+    width = prod(shape[1:])
+    return _emit("gather_rows", a.data[idx],
+                 [(a, lambda g: _scatter_rows(idx, g.reshape(idx.size, width),
+                                              shape[0]).reshape(shape))])
 
 
 def repeat_rows(a, times: int) -> Tensor:
@@ -483,32 +388,15 @@ def repeat_rows(a, times: int) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"repeat_rows: expects a rank-2 tensor, got {a.shape}")
-    out = np.repeat(a.data, times, axis=0)
     n, c = a.shape
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            return [(nid, g.reshape(n, times, c).sum(axis=1))]
-        return vjp
-
-    return _emit("repeat_rows", out, (a,), build)
+    return _emit("repeat_rows", np.repeat(a.data, times, axis=0),
+                 [(a, lambda g: g.reshape(n, times, c).sum(axis=1))])
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    out = a.data.reshape(shape)
     in_shape = a.shape
-
-    def build(ids):
-        nid = a.node_id
-
-        def vjp(g):
-            return [(nid, g.reshape(in_shape))]
-        return vjp
-
-    return _emit("reshape", out, (a,), build)
+    return _emit("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(in_shape))])
 
 
 def affine(x, weight, bias) -> Tensor:
@@ -525,21 +413,8 @@ def affine(x, weight, bias) -> Tensor:
     out = x.data @ w.data
     out += b.data
     xv, wv = x.data, w.data
-
-    def build(ids):
-        handlers = []
-        if x.node_id is not None:
-            handlers.append((x.node_id, lambda g: g @ wv.T))
-        if w.node_id is not None:
-            handlers.append((w.node_id, lambda g: xv.T @ g))
-        if b.node_id is not None:
-            handlers.append((b.node_id, lambda g: g.sum(axis=0, keepdims=True)))
-
-        def vjp(g):
-            return [(nid, fn(g)) for nid, fn in handlers]
-        return vjp
-
-    return _emit("affine", out, (x, w, b), build)
+    return _emit("affine", out, [(x, lambda g: g @ wv.T), (w, lambda g: xv.T @ g),
+                                 (b, lambda g: g.sum(axis=0, keepdims=True))])
 
 
 def pair_table(a, b, neighbors) -> Tensor:
@@ -603,18 +478,7 @@ def edge_max(a, b, neighbors) -> Tensor:
             arg = _first_max_index(edges, out[s:e], 1)
             src[s:e] = np.take_along_axis(nbr[s:e], arg, axis=1)
 
-    def build(ids):
-        handlers = []
-        if a.node_id is not None:
-            handlers.append((a.node_id, lambda g: g))
-        if src is not None:
-            handlers.append((b.node_id, lambda g: _scatter_rows(src, g, n)))
-
-        def vjp(g):
-            return [(nid, fn(g)) for nid, fn in handlers]
-        return vjp
-
-    return _emit("edge_max", out, (a, b), build)
+    return _emit("edge_max", out, [(a, lambda g: g), (b, lambda g: _scatter_rows(src, g, n))])
 
 
 # ---------------------------------------------------------------------------

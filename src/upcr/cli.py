@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 
@@ -140,12 +141,31 @@ def resolve_config(args: argparse.Namespace) -> dict:
         val = getattr(args, attr, None)
         if val is not None:
             cfg[key] = _coerce(key, val)
-    # cross-key and name checks for every command, before any output exists
+    # range, cross-key and name checks for every command, before any output exists
+    _check_ranges(cfg)
     encoder_config(cfg)
     feature_spec(cfg)
     geom.rotation_mode(cfg["rotation.mode"])
     protocol(cfg)
     return cfg
+
+
+# smallest legal value of each integer key; the library would only fail later, or not at all
+_MINIMUMS = {"train.batch": 1, "train.epochs": 0, "finetune.epochs": 0,
+             "data.categories": 1, "data.points": 16, "data.train": 0, "data.test": 0}
+
+
+def _check_ranges(cfg: dict) -> None:
+    for key, low in _MINIMUMS.items():
+        if cfg[key] < low:
+            raise CliError(f"configuration key {key!r} must be >= {low}, got {cfg[key]}")
+    if cfg["protocol.setting"] == "UC" and cfg["data.categories"] < 2:
+        raise CliError("configuration key 'data.categories' must be >= 2 under UC "
+                       f"(train and test take disjoint halves), got {cfg['data.categories']}")
+    for key in ("train.lr", "finetune.lr"):
+        if not 0.0 < cfg[key] < math.inf:  # NaN fails both comparisons
+            raise CliError(f"configuration key {key!r} must be positive and finite, "
+                           f"got {cfg[key]}")
 
 
 def encoder_config(cfg: dict) -> EncoderConfig:

@@ -3,7 +3,9 @@
 Both branches stack edge-convolution layers: per point, every neighbor
 contributes concat(center, neighbor - center) through a shared affine +
 LeakyReLU, and max-pooling over neighbors gives the new point feature.
-Max-pooling over all points turns the last layer into an m-vector.
+Between layers, and after the invariant branch's point embedding,
+``channel_norm`` rescales every channel over the cloud. Max-pooling over all
+points turns the last layer into an m-vector.
 
 LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
 slope*x, so max_j act(x_j) == act(max_j x_j) bit for bit. Every layer
@@ -51,7 +53,6 @@ class EncoderConfig:
     widths: tuple[int, ...] | None = None
     slope: float = 0.2
     dynamic_graph: bool = True
-    feature_norm: bool = True  # per-cloud channel normalization between layers
     head_widths: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
@@ -79,13 +80,16 @@ class EncoderConfig:
         return {
             "k": self.k, "m": self.m, "layers": self.layers,
             "widths": list(self.widths), "slope": self.slope,
-            "dynamic_graph": self.dynamic_graph, "feature_norm": self.feature_norm,
-            "head_widths": list(self.head_widths),
+            "dynamic_graph": self.dynamic_graph, "head_widths": list(self.head_widths),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EncoderConfig":
         d = dict(d)
+        # older headers carry the since-removed switch; only its "on" value loads
+        if d.pop("feature_norm", True) is not True:
+            raise ValueError("feature_norm must be true: channel_norm always runs "
+                             "between layers")
         d["widths"] = tuple(d["widths"])
         d["head_widths"] = tuple(d["head_widths"])
         return cls(**d)
@@ -237,7 +241,7 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
             nbr = geom.graph_knn(x.data, config.k)
         x = edge_conv_layer(x, nbr, params[f"global.{i}.w"], params[f"global.{i}.b"],
                             config.slope)
-        if config.feature_norm and i < config.layers - 1:
+        if i < config.layers - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)
 
@@ -252,11 +256,10 @@ def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig
     if cache is None:
         cache = precompute_cloud(cloud, spec, config)
     x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"], config.slope)
-    if config.feature_norm:
-        x = channel_norm(x)
+    x = channel_norm(x)
     for i in range(1, config.layers):
         x = edge_conv_layer(x, cache.spatial_graph, params[f"inv.{i}.w"],
                             params[f"inv.{i}.b"], config.slope)
-        if config.feature_norm and i < config.layers - 1:
+        if i < config.layers - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)

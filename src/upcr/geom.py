@@ -219,9 +219,9 @@ def _quaternion_tensor(q: ad.Tensor) -> ad.Tensor:
         return ad.mul(two, ad.mul(a, b))
 
     return _mat3([
-        ad.sub(one, e(y, y) + e(z, z)), ad.sub(e(x, y), e(z, w)), ad.add(e(x, z), e(y, w)),
-        ad.add(e(x, y), e(z, w)), ad.sub(one, e(x, x) + e(z, z)), ad.sub(e(y, z), e(x, w)),
-        ad.sub(e(x, z), e(y, w)), ad.add(e(y, z), e(x, w)), ad.sub(one, e(x, x) + e(y, y)),
+        ad.sub(one, ad.add(e(y, y), e(z, z))), ad.sub(e(x, y), e(z, w)), ad.add(e(x, z), e(y, w)),
+        ad.add(e(x, y), e(z, w)), ad.sub(one, ad.add(e(x, x), e(z, z))), ad.sub(e(y, z), e(x, w)),
+        ad.sub(e(x, z), e(y, w)), ad.add(e(y, z), e(x, w)), ad.sub(one, ad.add(e(x, x), e(y, y))),
     ])
 
 

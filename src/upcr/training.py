@@ -255,6 +255,9 @@ class TrainResult:
     diverged: bool = False
 
 
+SCHEDULES = ("constant", "cosine")
+
+
 def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm:
@@ -266,6 +269,12 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                 epochs: int, batch_size: int, seed: int, state: OptimState,
                 clip_norm: float | None, schedule: str = "constant") -> tuple[list[float], bool]:
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule {schedule!r}; expected one of {', '.join(SCHEDULES)}")
+    if clip_norm is not None and not clip_norm > 0:  # NaN fails the comparison
+        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     caches = [(precompute_cloud(x, model.spec, model.config),
                precompute_cloud(y, model.spec, model.config)) for x, y in pairs]
     order_rng = Rng(derive_seed(seed, "batch-order"))

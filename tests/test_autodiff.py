@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 import zlib
 
 import numpy as np
@@ -200,6 +202,106 @@ def test_nearest_rotation_reflection_gives_proper_rotation():
         ad.nearest_rotation(leaf(ad.Tape(), refl))
 
 
+def test_constant_reflection_decodes_while_a_tape_records():
+    tape = ad.Tape()
+    x = leaf(tape, np.ones((3, 3)))
+    rot = ad.nearest_rotation(ad.constant(np.diag([1.0, 1.0, -1.0])))  # does not raise
+    assert rot.node_id is None
+    assert abs(np.linalg.det(rot.data) - 1.0) < 1e-12
+    ad.backward(ad.reduce_sum(ad.mul(x, rot)))
+    assert x.grad.tobytes() == rot.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the op contract: one (operand, gradient map) pair per operand
+
+_NBR5 = np.array([[1, 2], [0, 0], [4, 1], [2, 3], [0, 4]])
+
+# name -> (op over the operands, operand shapes); the name is the node kind
+MULTI_OPERAND_OPS = {
+    "add": (ad.add, [(3, 4), (3, 4)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(3, 4), (4, 2)]),
+    "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
+    "concat": (lambda *parts: ad.concat(parts), [(3, 2), (3, 1), (3, 4)]),
+    "edge_max": (lambda a, b: ad.edge_max(a, b, _NBR5), [(5, 3), (5, 3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+def test_vjp_has_entries_only_for_the_taped_operand(rng, name):
+    op, shapes = MULTI_OPERAND_OPS[name]
+    values = [rng.uniform(-1, 1, s) for s in shapes]
+    for taped in range(len(values)):
+        tape = ad.Tape()
+        operands = [leaf(tape, v) if i == taped else ad.constant(v)
+                    for i, v in enumerate(values)]
+        out = op(*operands)
+        assert [node.kind for node in tape.nodes] == ["leaf", name]
+        entries = tape.nodes[out.node_id].vjp(np.ones(out.shape))
+        assert [nid for nid, _ in entries] == [operands[taped].node_id]
+        assert entries[0][1].shape == shapes[taped]
+
+
+@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+def test_vjp_entries_follow_operand_order(rng, name):
+    op, shapes = MULTI_OPERAND_OPS[name]
+    tape = ad.Tape()
+    operands = [leaf(tape, rng.uniform(-1, 1, s)) for s in shapes]
+    out = op(*operands)
+    entries = tape.nodes[out.node_id].vjp(np.ones(out.shape))
+    assert [nid for nid, _ in entries] == [t.node_id for t in operands]
+
+
+@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+def test_constant_operands_append_no_node(rng, name):
+    op, shapes = MULTI_OPERAND_OPS[name]
+    tape = ad.Tape()
+    leaf(tape, np.zeros(2))  # a tape is recording, but no operand is on it
+    out = op(*[ad.constant(rng.uniform(-1, 1, s)) for s in shapes])
+    assert out.node_id is None and out.tape is None and not out.requires_grad
+    assert len(tape.nodes) == 1
+
+
+def test_operand_used_twice_gets_two_entries():
+    tape = ad.Tape()
+    f = leaf(tape, [1.5, -2.0])
+    out = ad.mul(f, f)
+    entries = tape.nodes[out.node_id].vjp(np.ones(2))
+    assert [nid for nid, _ in entries] == [f.node_id, f.node_id]
+    ad.backward(ad.reduce_sum(out))
+    assert f.grad.tolist() == [3.0, -4.0]
+
+
+def test_argmax_runs_only_for_a_taped_operand(monkeypatch, rng):
+    calls = []
+    first_max = ad._first_max_index
+    monkeypatch.setattr(ad, "_first_max_index", lambda *args: calls.append(1) or first_max(*args))
+    a, b = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, 3))
+    ad.reduce_max(ad.constant(a), axis=0)
+    ad.edge_max(ad.constant(a), ad.constant(b), _NBR5)
+    tape = ad.Tape()
+    ad.edge_max(leaf(tape, a), ad.constant(b), _NBR5)  # only b's gradient needs winners
+    assert not calls
+    ad.reduce_max(leaf(tape, a), axis=0)
+    ad.edge_max(ad.constant(a), leaf(tape, b), _NBR5)
+    assert len(calls) == 2
+
+
+def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
+    tape = ad.Tape()
+    x = leaf(tape, rng.uniform(-1, 1, (5, 3)))
+    a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    refs = [weakref.ref(a.data), weakref.ref(b.data)]
+    pooled = ad.reduce_max(a, axis=0)
+    edges = ad.edge_max(a, b, _NBR5)
+    del a, b
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    ad.backward(ad.add(ad.reduce_sum(pooled), ad.reduce_sum(edges)))
+    assert x.grad.shape == (5, 3)
+
+
 # ---------------------------------------------------------------------------
 # reduce_max / reduce_sum
 
@@ -324,14 +426,41 @@ def test_gather_rows_forward_backward():
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
-def test_gather_rows_2d_gradient_matches_sequential_oracle(rng):
-    idx = np.array([3, 0, 3, 1, 3, 0])  # row 2 is never gathered
-    x, g = rng.uniform(-1, 1, (4, 5)), rng.uniform(-1, 1, (6, 5))
+def _gather_rows_gradient(x, idx, g):
     tape = ad.Tape()
     xt = leaf(tape, x)
     ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(xt, idx), ad.constant(g))))
-    assert xt.grad.tobytes() == scatter_rows_oracle(idx, g, 4).tobytes()
-    assert not xt.grad[2].any()
+    return xt.grad
+
+
+def _gather_rows_matches_sequential_oracle(rng, tail):
+    idx = np.array([3, 0, 3, 1, 3, 0])  # row 2 is never gathered
+    x, g = rng.uniform(-1, 1, (4,) + tail), rng.uniform(-1, 1, (6,) + tail)
+    grad = _gather_rows_gradient(x, idx, g)
+    width = math.prod(tail)
+    want = scatter_rows_oracle(idx, g.reshape(6, width), 4).reshape(x.shape)
+    assert grad.tobytes() == want.tobytes()
+    assert not grad[2].any()
+
+
+def test_gather_rows_2d_gradient_matches_sequential_oracle(rng):
+    _gather_rows_matches_sequential_oracle(rng, (5,))
+
+
+@pytest.mark.parametrize("tail", [(), (2, 3)], ids=["rank-1", "rank-3"])
+def test_gather_rows_any_rank_gradient_matches_sequential_oracle(rng, tail):
+    _gather_rows_matches_sequential_oracle(rng, tail)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 5), (4, 2, 3)], ids=["rank-1", "rank-2", "rank-3"])
+def test_gather_rows_empty_index_on_a_tape_gives_zero_gradient(shape):
+    tape = ad.Tape()
+    xt = leaf(tape, np.ones(shape))
+    out = ad.gather_rows(xt, [])
+    assert out.shape == (0,) + shape[1:] and out.node_id is not None
+    ((nid, grad),) = tape.nodes[out.node_id].vjp(np.zeros(out.shape))
+    assert nid == xt.node_id
+    assert grad.tobytes() == np.zeros(shape).tobytes()
 
 
 def test_gather_rows_out_of_range():

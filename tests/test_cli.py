@@ -310,6 +310,60 @@ def test_config_file_unknown_protocol_setting_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv, cfg_text, message", [
+    (["train", "--batch", "0"], "",
+     "'train.batch' must be >= 1, got 0"),
+    (["train", "--lr", "-0.001"], "",
+     "'train.lr' must be positive and finite, got -0.001"),
+    (["train", "--lr", "0"], "",
+     "'train.lr' must be positive and finite, got 0.0"),
+    (["train", "--lr", "nan"], "",
+     "'train.lr' must be positive and finite, got nan"),
+    (["train"], "[train]\nlr = inf\n",
+     "'train.lr' must be positive and finite, got inf"),
+    (["train"], "[finetune]\nlr = -1e-4\n",
+     "'finetune.lr' must be positive and finite, got -0.0001"),
+    (["train", "--epochs", "-1"], "",
+     "'train.epochs' must be >= 0, got -1"),
+    (["train"], "[finetune]\nepochs = -2\n",
+     "'finetune.epochs' must be >= 0, got -2"),
+    (["gen", "--categories", "0"], "",
+     "'data.categories' must be >= 1, got 0"),
+    (["gen", "--setting", "UC", "--categories", "1"], "",
+     "'data.categories' must be >= 2 under UC (train and test take disjoint halves), got 1"),
+    (["gen", "--points", "8"], "",
+     "'data.points' must be >= 16, got 8"),
+    (["gen", "--train-pairs", "-3"], "",
+     "'data.train' must be >= 0, got -3"),
+    (["gen", "--test-pairs", "-1"], "",
+     "'data.test' must be >= 0, got -1"),
+], ids=["batch-0", "lr-negative", "lr-zero", "lr-nan", "lr-inf", "finetune-lr",
+        "epochs", "finetune-epochs", "categories-0", "uc-categories-1", "points-8",
+        "train-pairs", "test-pairs"])
+def test_out_of_range_numbers_rejected_before_out_exists(tmp_path, capsys, argv,
+                                                         cfg_text, message):
+    out = tmp_path / "o"
+    extra = []
+    if cfg_text:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(cfg_text)
+        extra = ["--config", str(cfg)]
+    # tiny sizes first, so a missed check fails fast; the case's flags override them
+    rc = main(argv[:1] + TINY + ["--epochs", "1"] * (argv[0] == "train") + argv[1:] + extra
+              + ["--out", str(out)])
+    assert rc == 1
+    assert f"error: configuration key {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_smallest_legal_numbers_accepted():
+    ns = cli.build_parser().parse_args(
+        ["train", "--batch", "1", "--epochs", "0", "--points", "16", "--categories", "2",
+         "--setting", "UC", "--lr", "1e-9", "--out", "x"])
+    cfg = cli.resolve_config(ns)
+    assert (cfg["train.batch"], cfg["train.epochs"], cfg["data.points"]) == (1, 0, 16)
+
+
 def test_preset_desk_and_paper():
     ns = cli.build_parser().parse_args(["gen", "--preset", "paper", "--out", "x"])
     resolved = cli.resolve_config(ns)

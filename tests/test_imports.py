@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and every
+module-level private function or class is referenced by some module."""
 
 import ast
 from pathlib import Path
@@ -7,8 +8,8 @@ import pytest
 
 import upcr
 
-MODULES = sorted(p for p in Path(upcr.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = sorted(Path(upcr.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +42,38 @@ def test_guard_sees_annotations_and_attribute_bases():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` functions and classes that no module reads,
+    by plain name, as an attribute or through an import."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return [f"{mod}.{stmt.name} (line {stmt.lineno})"
+            for mod, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") and not stmt.name.startswith("__")
+            and stmt.name not in used]
+
+
+def test_guard_flags_an_unreferenced_private_def():
+    sources = {
+        "a": "def _dead():\n    pass\n\ndef _local():\n    pass\n\nclass _Gone:\n    pass\n"
+             "def public():\n    return _local()\n",
+        "b": "from . import a\nfrom .c import _imported\nx = a._attr\n",
+        "c": "def _imported():\n    pass\n\ndef _attr():\n    pass\n",
+    }
+    assert unreferenced_private_defs(sources) == ["a._dead (line 1)", "a._Gone (line 7)"]
+
+
+def test_package_has_no_unreferenced_private_defs():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_private_defs(sources) == []

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -117,6 +118,27 @@ def test_train_zero_epochs_returns_initial_params():
     for name, arr in fresh.tensors.items():
         np.testing.assert_array_equal(res.checkpoint.params[name], arr)
     assert res.loss_curve == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(schedule="cosin"), "unknown schedule 'cosin'; expected one of constant, cosine"),
+    (dict(clip_norm=0.0), "clip_norm must be positive, got 0.0"),
+    (dict(clip_norm=-1.0), "clip_norm must be positive, got -1.0"),
+    (dict(clip_norm=float("nan")), "clip_norm must be positive, got nan"),
+    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+], ids=["schedule-typo", "clip-zero", "clip-negative", "clip-nan", "batch-0"])
+@pytest.mark.parametrize("entry", ["train", "fine_tune"])
+def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, message, entry):
+    train_s, _ = tiny_dataset()
+    steps = []
+    monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        if entry == "train":
+            train(CFG, SPEC, "euler", train_s, epochs=1, seed=9, **kwargs)
+        else:
+            ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 9))
+            fine_tune(ckpt, [(s.source, s.target) for s in train_s], epochs=1, seed=9, **kwargs)
+    assert not steps
 
 
 def test_train_deterministic_curves():
@@ -250,13 +272,28 @@ def rewrite_header(path, edit):
     (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
     (lambda h: h.update(config=[5, 16]), "config and spec must be JSON objects"),
     (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
-], ids=["missing-key", "unknown-config-key", "non-dict-config", "negative-slope"])
+    (lambda h: h["config"].update(feature_norm=False),
+     "feature_norm must be true: channel_norm always runs between layers"),
+], ids=["missing-key", "unknown-config-key", "non-dict-config", "negative-slope",
+        "feature-norm-off"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 29)))
     rewrite_header(path, edit)
     with pytest.raises(ValueError, match=f"corrupt checkpoint header: .*{message}"):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_older_feature_norm_header_loads(tmp_path):
+    model = init_params(CFG, SPEC, "euler", 29)
+    assert "feature_norm" not in model.config.to_dict()
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, Checkpoint.from_model(model))
+    rewrite_header(path, lambda h: h["config"].update(feature_norm=True))
+    ckpt = load_checkpoint(path)
+    assert ckpt.config == CFG
+    for name, arr in model.tensors.items():
+        assert ckpt.params[name].tobytes() == arr.tobytes()
 
 
 def _save_with_optim(path, edit=lambda c: None):
