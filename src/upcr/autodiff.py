@@ -55,12 +55,11 @@ class Node:
 class Tensor:
     """n-dimensional float64 value, optionally attached to a tape node."""
 
-    __slots__ = ("data", "requires_grad", "node_id", "tape")
+    __slots__ = ("data", "node_id", "tape")
 
-    def __init__(self, data: np.ndarray, requires_grad: bool = False,
-                 node_id: int | None = None, tape: "Tape | None" = None):
+    def __init__(self, data: np.ndarray, node_id: int | None = None,
+                 tape: "Tape | None" = None):
         self.data = data
-        self.requires_grad = requires_grad
         self.node_id = node_id
         self.tape = tape
 
@@ -87,7 +86,7 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, node_id={self.node_id})"
 
 
 class Tape:
@@ -107,7 +106,7 @@ class Tape:
         if not requires_grad:
             return Tensor(arr)
         nid = self._append("leaf", None)
-        return Tensor(arr, requires_grad=True, node_id=nid, tape=self)
+        return Tensor(arr, node_id=nid, tape=self)
 
     def zero_grad(self) -> None:
         self.grad_buffer.clear()
@@ -142,7 +141,7 @@ def _emit(kind: str, out: np.ndarray,
         raise ValueError("operands belong to different tapes")
     (tape,) = tapes
     nid = tape._append(kind, partial(_node_vjp, taped))
-    return Tensor(out, requires_grad=True, node_id=nid, tape=tape)
+    return Tensor(out, node_id=nid, tape=tape)
 
 
 def _node_vjp(taped: tuple, g: np.ndarray) -> list[tuple[int, np.ndarray]]:

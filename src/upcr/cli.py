@@ -1,10 +1,20 @@
 """Command-line entry point.
 
 Subcommands: gen, train, finetune, register, bench, sweep-outliers.
-Configuration resolves in three layers: built-in defaults, then an optional
+``KEYS`` declares each configuration key once: its default, its flag (none
+if only a ``--config`` file sets it), its help, choices and smallest value.
+A key resolves from its default (or ``--preset``), then an optional
 ``--config`` file (flat ``key = value`` lines with ``[section]`` headers),
-then command-line flags. Every artifact-producing run writes a manifest with
-the fully resolved configuration, seeds, and artifact hashes.
+then its flag. ``COMMANDS`` gives the sections whose flags each subcommand
+offers and those its manifest records: ``train`` all; ``gen``, ``bench``
+and ``sweep-outliers`` the seed, protocol and data that build their pairs;
+``finetune`` the same, and it records the ``train`` and ``finetune`` keys it
+also reads; ``register`` none. A command that loads a checkpoint runs the
+encoder config, feature kind and rotation mode stored in it. A ``--config``
+file may hold any key, and each one it holds is checked. Every command
+checks its inputs before ``--out`` exists, exiting 1 with ``error: ...``.
+A manifest holds the command, the recorded keys and the SHA-256 of each
+input and output.
 """
 
 from __future__ import annotations
@@ -14,43 +24,75 @@ import hashlib
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import evalbench, geom
-from .datagen import Protocol, build_benchmark, load_cloud, save_cloud
+from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, load_cloud, \
+    save_cloud
 from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
 from .separation import register_pair
-from .training import (fine_tune, load_checkpoint, save_checkpoint, train,
-                       write_loss_curve)
+from .training import fine_tune, load_checkpoint, save_checkpoint, train, write_loss_curve
 
-DEFAULTS = {
-    "encoder.k": 24,
-    "encoder.m": 64,
-    "encoder.layers": 5,
-    "encoder.widths": (),          # comma list; empty = preset for (layers, m)
-    "encoder.slope": 0.2,
-    "encoder.dynamic_graph": True,
-    "encoder.head_widths": (256, 128),
-    "feature.kind": "distance",
-    "feature.spfh_bins": 11,
-    "feature.pfh_bins": 5,
-    "rotation.mode": "euler",
-    "protocol.setting": "UPC",
-    "protocol.pairing": "consistent",
-    "protocol.regime": "modelnet_style",
-    "protocol.noise_sigma": 0.0,   # 0 disables (ND forces 0.01/0.05)
-    "protocol.noise_clip": 0.0,
-    "protocol.partial_keep": 0,    # 0 = consistent clouds
-    "data.points": 256,
-    "data.categories": 40,
-    "data.train": 200,
-    "data.test": 50,
-    "train.epochs": 30,
-    "train.lr": 1e-3,
-    "train.batch": 8,
-    "finetune.epochs": 10,
-    "finetune.lr": 1e-4,
-    "seed": 7,
+
+class Key(NamedTuple):
+    default: object
+    flag: str | None = None   # None: only a --config file sets the key
+    help: str = ""
+    choices: tuple = ()
+    low: int | None = None    # smallest legal value; the library would fail later, or not at all
+
+
+KEYS = {
+    "encoder.k": Key(24, "--k", "neighbor count"),
+    "encoder.m": Key(64, "--m", "representation width"),
+    "encoder.layers": Key(5, "--layers", "encoder depth"),
+    "encoder.widths": Key(()),          # comma list; empty = preset for (layers, m)
+    "encoder.slope": Key(0.2),
+    "encoder.dynamic_graph": Key(True),
+    "encoder.head_widths": Key((256, 128)),
+    "feature.kind": Key("distance", "--feature", "pose-invariant feature kind", FEATURE_KINDS),
+    "feature.spfh_bins": Key(11),
+    "feature.pfh_bins": Key(5),
+    "rotation.mode": Key("euler", "--mode", "rotation parameterization",
+                         tuple(geom.ROTATION_MODES)),
+    "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
+    "protocol.pairing": Key("consistent", "--pairing", "pair construction", PAIRINGS),
+    "protocol.regime": Key("modelnet_style", "--regime", "pose sampling regime", REGIMES),
+    "protocol.noise_sigma": Key(0.0),   # 0 disables (ND forces 0.01/0.05)
+    "protocol.noise_clip": Key(0.0),
+    "protocol.partial_keep": Key(0, "--partial-keep",
+                                 "points kept by partial scans; 0 = consistent clouds"),
+    "data.points": Key(256, "--points", "points per cloud", low=16),
+    "data.categories": Key(40, "--categories", "shape categories", low=1),
+    "data.train": Key(200, "--train-pairs", "training pairs", low=0),
+    "data.test": Key(50, "--test-pairs", "test pairs", low=0),
+    "train.epochs": Key(30, "--epochs", "training epochs", low=0),
+    "train.lr": Key(1e-3, "--lr", "learning rate"),
+    "train.batch": Key(8, "--batch", "batch size", low=1),
+    "finetune.epochs": Key(10, low=0),
+    "finetune.lr": Key(1e-4),
+    "seed": Key(7, "--seed", "master seed"),
+}
+
+DEFAULTS = {key: k.default for key, k in KEYS.items()}
+
+
+def _section(key: str) -> str:
+    return key.split(".", 1)[0]
+
+
+SECTIONS = tuple(dict.fromkeys(map(_section, KEYS)))
+_PAIRS = ("seed", "protocol", "data")  # the sections that build a command's pairs
+
+# subcommand: (sections whose flags it offers, sections its manifest records)
+COMMANDS = {
+    "gen": (_PAIRS, _PAIRS),
+    "train": (SECTIONS, SECTIONS),
+    "finetune": (_PAIRS, _PAIRS + ("train", "finetune")),
+    "register": ((), ()),
+    "bench": (_PAIRS, _PAIRS),
+    "sweep-outliers": (_PAIRS, _PAIRS),
 }
 
 PRESETS = {
@@ -65,7 +107,8 @@ class CliError(Exception):
 
 
 def parse_config_file(path: str) -> dict:
-    """Flat ``key = value`` lines; ``[section]`` prefixes following keys."""
+    """Flat ``key = value`` lines; ``[section]`` prefixes following keys.
+    Values come back parsed to their key's type."""
     values = {}
     section = ""
     try:
@@ -86,7 +129,7 @@ def parse_config_file(path: str) -> dict:
             full = f"{section}.{key}" if section else key
             if full not in DEFAULTS:
                 raise CliError(f"{path}:{lineno}: unknown configuration key {full!r}")
-            values[full] = val
+            values[full] = _coerce(full, val)
     return values
 
 
@@ -94,18 +137,16 @@ _BOOLS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key: str, value):
+def _coerce(key: str, value: str):
     default = DEFAULTS[key]
-    if isinstance(default, bool) and isinstance(value, bool):
-        return value
     try:
         if isinstance(default, tuple):
-            items = tuple(int(w) for w in str(value).split(",")) if str(value).strip() else ()
+            items = tuple(int(w) for w in value.split(",")) if value else ()
             if any(w < 1 for w in items):
                 raise ValueError
             return items
         if isinstance(default, bool):
-            return _BOOLS[str(value).strip().lower()]
+            return _BOOLS[value.lower()]
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -116,7 +157,7 @@ def _coerce(key: str, value):
                     else f"a {type(default).__name__}")
         raise CliError(f"configuration key {key!r}: cannot parse {value!r}; "
                        f"expected {expected}") from None
-    return str(value)
+    return value
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -125,22 +166,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if preset:
         cfg.update(PRESETS[preset])
     if getattr(args, "config", None):
-        for key, val in parse_config_file(args.config).items():
-            cfg[key] = _coerce(key, val)
-    overrides = {
-        "k": "encoder.k", "m": "encoder.m", "layers": "encoder.layers",
-        "feature": "feature.kind", "mode": "rotation.mode",
-        "setting": "protocol.setting", "pairing": "protocol.pairing",
-        "regime": "protocol.regime", "partial_keep": "protocol.partial_keep",
-        "points": "data.points", "categories": "data.categories",
-        "train_pairs": "data.train", "test_pairs": "data.test",
-        "epochs": "train.epochs", "lr": "train.lr", "batch": "train.batch",
-        "seed": "seed",
-    }
-    for attr, key in overrides.items():
-        val = getattr(args, attr, None)
+        cfg.update(parse_config_file(args.config))
+    for key in KEYS:  # each flag's dest is its key, and argparse already typed it
+        val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = _coerce(key, val)
+            cfg[key] = val
     # range, cross-key and name checks for every command, before any output exists
     _check_ranges(cfg)
     encoder_config(cfg)
@@ -150,15 +180,10 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-# smallest legal value of each integer key; the library would only fail later, or not at all
-_MINIMUMS = {"train.batch": 1, "train.epochs": 0, "finetune.epochs": 0,
-             "data.categories": 1, "data.points": 16, "data.train": 0, "data.test": 0}
-
-
 def _check_ranges(cfg: dict) -> None:
-    for key, low in _MINIMUMS.items():
-        if cfg[key] < low:
-            raise CliError(f"configuration key {key!r} must be >= {low}, got {cfg[key]}")
+    for key, k in KEYS.items():
+        if k.low is not None and cfg[key] < k.low:
+            raise CliError(f"configuration key {key!r} must be >= {k.low}, got {cfg[key]}")
     if cfg["protocol.setting"] == "UC" and cfg["data.categories"] < 2:
         raise CliError("configuration key 'data.categories' must be >= 2 under UC "
                        f"(train and test take disjoint halves), got {cfg['data.categories']}")
@@ -196,6 +221,12 @@ def make_splits(cfg: dict):
                            cfg["data.points"], cfg["seed"])
 
 
+def _need_pairs(cfg: dict, command: str, *keys: str) -> None:
+    """Reject a command whose split is empty, before ``--out`` exists."""
+    if sum(cfg[key] for key in keys) < 1:
+        raise CliError(f"{command} has no pairs: " + " and ".join(f"{key} = 0" for key in keys))
+
+
 # ---------------------------------------------------------------------------
 # manifest and table helpers
 
@@ -210,10 +241,12 @@ def _sha256(path: str) -> str:
 
 def write_manifest(out_dir: str, cfg: dict, command: str,
                    inputs: list[str] = (), outputs: list[str] = ()) -> str:
+    """The command, the keys of the sections it records, and the file hashes."""
     path = os.path.join(out_dir, "manifest.txt")
+    recorded = COMMANDS[command][1]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"command = {command}\n")
-        for key in sorted(cfg):
+        for key in sorted(k for k in cfg if _section(k) in recorded):
             val = cfg[key]
             fh.write(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}\n")
         for label, paths in (("input", inputs), ("output", outputs)):
@@ -250,12 +283,29 @@ def _ensure_dir(path: str) -> str:
     return path
 
 
-def _load_model(path: str):
+def _read(load, path: str, what: str):
     try:
-        ckpt = load_checkpoint(path)
+        return load(path)
     except OSError as exc:
-        raise CliError(f"cannot read model {path}: {exc}") from None
-    return ckpt
+        raise CliError(f"cannot read {what} {path}: {exc}") from None
+
+
+def _model_and_test_split(args, cfg: dict):
+    """The checkpoint and the test split that a checkpoint command runs on."""
+    _need_pairs(cfg, args.command, "data.test")
+    ckpt = _read(load_checkpoint, args.model, "model")
+    _, test_s = make_splits(cfg)
+    return ckpt, test_s
+
+
+def _parse_ratios(text: str) -> list[float]:
+    try:
+        ratios = [float(r) for r in text.split(",")]
+        if all(0 <= r < 100 for r in ratios):  # NaN fails the comparison
+            return ratios
+    except ValueError:
+        pass
+    raise CliError(f"--ratios must be a comma list of percentages in [0, 100), got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +314,9 @@ def _load_model(path: str):
 
 def cmd_gen(args) -> int:
     cfg = resolve_config(args)
-    out = _ensure_dir(args.out)
+    _need_pairs(cfg, "gen", "data.train", "data.test")
     train_s, test_s = make_splits(cfg)
-    outputs = []
+    out = _ensure_dir(args.out)
     index_rows = []
     for split, samples in (("train", train_s), ("test", test_s)):
         _ensure_dir(os.path.join(out, split))
@@ -275,15 +325,11 @@ def cmd_gen(args) -> int:
             tgt = os.path.join(out, split, f"{i:04d}_target.xyz")
             save_cloud(s.source, src)
             save_cloud(s.target, tgt)
-            outputs += [src, tgt]
             row = {"split": split, "index": i, "category": s.category,
                    "source": os.path.relpath(src, out),
                    "target": os.path.relpath(tgt, out)}
-            for r in range(3):
-                for c in range(3):
-                    row[f"r{r}{c}"] = s.gt.rotation[r, c]
-            for c in range(3):
-                row[f"t{c}"] = s.gt.translation[c]
+            row.update({f"r{r}{c}": s.gt.rotation[r, c] for r in range(3) for c in range(3)})
+            row.update({f"t{c}": s.gt.translation[c] for c in range(3)})
             index_rows.append(row)
     index = os.path.join(out, "index.csv")
     write_csv(index, index_rows)
@@ -294,8 +340,11 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
-    out = _ensure_dir(args.out)
+    _need_pairs(cfg, "train", "data.train")
+    if args.finetune:
+        _need_pairs(cfg, "train --finetune", "data.test")
     train_s, test_s = make_splits(cfg)
+    out = _ensure_dir(args.out)
     result = train(encoder_config(cfg), feature_spec(cfg), cfg["rotation.mode"],
                    train_s, epochs=cfg["train.epochs"], lr=cfg["train.lr"],
                    batch_size=cfg["train.batch"], seed=cfg["seed"])
@@ -318,10 +367,8 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = resolve_config(args)
+    ckpt, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    ckpt = _load_model(args.model)
-    ckpt.require_compatible(rotation_mode=cfg["rotation.mode"])
-    _, test_s = make_splits(cfg)
     ft = fine_tune(ckpt, [(s.source, s.target) for s in test_s],
                    epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
                    batch_size=cfg["train.batch"], seed=cfg["seed"])
@@ -336,18 +383,10 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_register(args) -> int:
-    cfg = resolve_config(args)
-    try:
-        source = load_cloud(args.source)
-    except OSError as exc:
-        raise CliError(f"cannot read source cloud {args.source}: {exc}") from None
-    try:
-        target = load_cloud(args.target)
-    except OSError as exc:
-        raise CliError(f"cannot read target cloud {args.target}: {exc}") from None
-    ckpt = _load_model(args.model)
-    model = ckpt.to_model()
-    result = register_pair(source, target, model)
+    source = _read(load_cloud, args.source, "source cloud")
+    target = _read(load_cloud, args.target, "target cloud")
+    ckpt = _read(load_checkpoint, args.model, "model")
+    result = register_pair(source, target, ckpt.to_model())
     for row in result.transform.matrix34():
         print(" ".join(f"{v:.9g}" for v in row))
     outputs = []
@@ -357,39 +396,29 @@ def cmd_register(args) -> int:
         outputs.append(args.save_transformed)
     if args.out:
         _ensure_dir(args.out)
-        write_manifest(args.out, cfg, "register",
+        write_manifest(args.out, {}, "register",
                        inputs=[args.model], outputs=outputs)
     return 0
 
 
-def _bench_rows(cfg, model, test_s, baselines: bool):
-    rows = []
+def _bench_rows(model, test_s, baselines: bool):
     ev = evalbench.evaluate_model(model, test_s, tags={"method": "model"})
-    row = ev.report.row()
-    row["chamfer_improved"] = ev.chamfer_improved_fraction
-    rows.append(row)
+    rows = [dict(ev.report.row(), chamfer_improved=ev.chamfer_improved_fraction)]
     if baselines:
-        icp_rep = evalbench.evaluate_icp(test_s, tags={"method": "icp"})
-        r = icp_rep.row()
-        r["chamfer_improved"] = float("nan")
-        rows.append(r)
-        for kind in ("pfh", "spfh"):
-            rep = evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
-                                         tags={"method": f"icp+{kind}"},
-                                         k=cfg["encoder.k"])
-            r = rep.row()
-            r["chamfer_improved"] = float("nan")
-            rows.append(r)
+        # the feature-matched ICP takes its neighbour count from the checkpoint
+        reports = [evalbench.evaluate_icp(test_s, tags={"method": "icp"})]
+        reports += [evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
+                                           tags={"method": f"icp+{kind}"}, k=model.config.k)
+                    for kind in ("pfh", "spfh")]
+        rows += [dict(rep.row(), chamfer_improved=float("nan")) for rep in reports]
     return rows
 
 
 def cmd_bench(args) -> int:
     cfg = resolve_config(args)
+    ckpt, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    ckpt = _load_model(args.model)
-    model = ckpt.to_model()
-    _, test_s = make_splits(cfg)
-    rows = _bench_rows(cfg, model, test_s, args.baselines)
+    rows = _bench_rows(ckpt.to_model(), test_s, args.baselines)
     csv_path = os.path.join(out, "metrics.csv")
     write_csv(csv_path, rows)
     print_table(rows)
@@ -399,12 +428,10 @@ def cmd_bench(args) -> int:
 
 def cmd_sweep_outliers(args) -> int:
     cfg = resolve_config(args)
+    ratios = _parse_ratios(args.ratios)
+    ckpt, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    ckpt = _load_model(args.model)
-    model = ckpt.to_model()
-    _, test_s = make_splits(cfg)
-    ratios = [float(r) for r in args.ratios.split(",")]
-    sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])
+    sweep = evalbench.outlier_sweep(ckpt.to_model(), test_s, ratios, seed=cfg["seed"])
     rows = []
     for entry in sweep:
         for method in ("model", "icp"):
@@ -424,86 +451,58 @@ def cmd_sweep_outliers(args) -> int:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser, with_data: bool = True):
-    p.add_argument("--config", help="key = value configuration file")
-    p.add_argument("--preset", choices=sorted(PRESETS), help="size preset")
-    p.add_argument("--seed", type=int, help="master seed (default 7)")
-    p.add_argument("--mode", choices=tuple(geom.ROTATION_MODES),
-                   help="rotation parameterization (default euler)")
-    p.add_argument("--feature", choices=FEATURE_KINDS,
-                   help="pose-invariant feature kind (default distance)")
-    p.add_argument("--k", type=int, help="neighbor count (default 24)")
-    p.add_argument("--m", type=int, help="representation width (default 64)")
-    p.add_argument("--layers", type=int, help="encoder depth (default 5)")
-    if with_data:
-        p.add_argument("--setting", choices=("UPC", "UC", "ND"),
-                       help="dataset setting (default UPC)")
-        p.add_argument("--pairing", choices=("consistent", "partial"),
-                       help="pair construction (default consistent)")
-        p.add_argument("--regime", choices=("modelnet_style", "sevenscenes_style"),
-                       help="pose sampling regime (default modelnet_style)")
-        p.add_argument("--partial-keep", dest="partial_keep", type=int,
-                       help="points kept by partial scans (default off)")
-        p.add_argument("--points", type=int, help="points per cloud (default 256)")
-        p.add_argument("--categories", type=int, help="shape categories (default 40)")
-        p.add_argument("--train-pairs", dest="train_pairs", type=int,
-                       help="training pairs (default 200)")
-        p.add_argument("--test-pairs", dest="test_pairs", type=int,
-                       help="test pairs (default 50)")
+def _add_subcommand(sub, name: str, fn, help: str) -> argparse.ArgumentParser:
+    """A subparser offering the flags of the sections ``COMMANDS`` gives it."""
+    # no abbreviations: a removed --mode or --m would otherwise parse as --model
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(fn=fn)
+    sections = COMMANDS[name][0]
+    if sections:
+        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--preset", choices=sorted(PRESETS), help="size preset")
+    for key, k in KEYS.items():
+        if k.flag and _section(key) in sections:
+            p.add_argument(k.flag, dest=key, type=type(k.default), choices=k.choices or None,
+                           help=f"{k.help} (default {k.default})")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="upcr",
-        description="Correspondences-free unsupervised point cloud registration lab",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        description="Correspondences-free unsupervised point cloud registration lab")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a dataset on disk")
-    _add_common(p)
+    p = _add_subcommand(sub, "gen", cmd_gen, "generate a dataset on disk")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_gen)
 
-    p = sub.add_parser("train", help="train a model on a generated dataset")
-    _add_common(p)
+    p = _add_subcommand(sub, "train", cmd_train, "train a model on a generated dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int, help="training epochs (default 30)")
-    p.add_argument("--lr", type=float, help="learning rate (default 1e-3)")
-    p.add_argument("--batch", type=int, help="batch size (default 8)")
     p.add_argument("--finetune", action="store_true",
                    help="also fine-tune on the test split (unsupervised)")
-    p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("finetune", help="fine-tune a checkpoint on the test split")
-    _add_common(p)
+    p = _add_subcommand(sub, "finetune", cmd_finetune, "fine-tune a checkpoint on the test split")
     p.add_argument("--model", required=True, help="input checkpoint (.upcr)")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_finetune)
 
-    p = sub.add_parser("register", help="register two cloud files")
-    _add_common(p, with_data=False)
+    p = _add_subcommand(sub, "register", cmd_register, "register two cloud files")
     p.add_argument("--source", required=True, help="source cloud (xyz/off/ply)")
     p.add_argument("--target", required=True, help="target cloud (xyz/off/ply)")
     p.add_argument("--model", required=True, help="checkpoint (.upcr)")
     p.add_argument("--save-transformed", help="write the transformed source here")
     p.add_argument("--out", help="directory for the run manifest")
-    p.set_defaults(fn=cmd_register)
 
-    p = sub.add_parser("bench", help="evaluate a model under a protocol")
-    _add_common(p)
+    p = _add_subcommand(sub, "bench", cmd_bench, "evaluate a model under a protocol")
     p.add_argument("--model", required=True, help="checkpoint (.upcr)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--baselines", action="store_true",
                    help="also run ICP and feature-initialized ICP")
-    p.set_defaults(fn=cmd_bench)
 
-    p = sub.add_parser("sweep-outliers", help="outlier-robustness sweep")
-    _add_common(p)
+    p = _add_subcommand(sub, "sweep-outliers", cmd_sweep_outliers, "outlier-robustness sweep")
     p.add_argument("--model", required=True, help="checkpoint (.upcr)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--ratios", default="0,10,20,30",
-                   help="comma list of outlier percentages")
-    p.set_defaults(fn=cmd_sweep_outliers)
+                   help="comma list of outlier percentages in [0, 100) (default 0,10,20,30)")
 
     return parser
 
@@ -513,10 +512,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

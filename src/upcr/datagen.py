@@ -327,6 +327,12 @@ def build_benchmark(protocol: Protocol, categories: int, n_train: int, n_test: i
     indices strictly after the train ones (shape-disjoint); UC additionally
     restricts train and test to disjoint category halves.
     """
+    least = 2 if protocol.setting == "UC" else 1  # UC splits the categories in halves
+    if categories < least:
+        raise ValueError(f"categories must be >= {least} under {protocol.setting}, "
+                         f"got {categories}")
+    if n_train < 0 or n_test < 0:
+        raise ValueError(f"pair counts must be >= 0, got {n_train} train and {n_test} test")
     if protocol.setting == "UC":
         train_cats = list(range(categories // 2))
         test_cats = list(range(categories // 2, categories))

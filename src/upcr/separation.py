@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import autodiff as ad
 from . import geom
 from .encoder import CloudCache, EncoderConfig, ModelParams, affine, encode_global, \
@@ -25,9 +23,8 @@ EPS_FLOOR = 1e-12
 
 @dataclass
 class PosePrediction:
-    """Regressed pose: raw rotation head output plus the decoded transform."""
+    """Regressed pose: the decoded transform of one cloud."""
 
-    rotation_param: np.ndarray
     decoded: RigidTransform
 
 
@@ -88,13 +85,12 @@ def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
     q = ad.softmax(gamma_g)
     p = ad.softmax(gamma_v)
     gamma_mu = _pose_related_t(p, q)
-    rot_vals, trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
+    _, trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
     pts = ad.constant(cloud.points)
     n = len(cloud)
     t_row = ad.repeat_rows(ad.reshape(trans, (1, 3)), n)
     canonical = ad.matmul(ad.sub(pts, t_row), rot)  # rows: R^T (p - t)
-    pose = PosePrediction(rot_vals.data.copy(),
-                          RigidTransform(rot.data.copy(), trans.data.copy()))
+    pose = PosePrediction(RigidTransform(rot.data.copy(), trans.data.copy()))
     return pose, canonical
 
 

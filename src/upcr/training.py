@@ -121,12 +121,6 @@ class Checkpoint:
                    {k: v.copy() for k, v in model.tensors.items()},
                    optim=optim, metadata=dict(metadata or {}))
 
-    def require_compatible(self, rotation_mode: str) -> None:
-        """Reject use under a pipeline with a different rotation mode."""
-        if rotation_mode != self.rotation_mode:
-            raise ValueError(f"checkpoint rotation mode {self.rotation_mode!r} does not "
-                             f"match requested {rotation_mode!r}")
-
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     nb = name.encode("utf-8")
@@ -275,6 +269,10 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
         raise ValueError(f"clip_norm must be positive, got {clip_norm}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not 0.0 <= state.lr < np.inf:  # NaN fails both; lr = 0 is a legal no-op run
+        raise ValueError(f"lr must be finite and >= 0, got {state.lr}")
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     caches = [(precompute_cloud(x, model.spec, model.config),
                precompute_cloud(y, model.spec, model.config)) for x, y in pairs]
     order_rng = Rng(derive_seed(seed, "batch-order"))

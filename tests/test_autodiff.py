@@ -259,7 +259,7 @@ def test_constant_operands_append_no_node(rng, name):
     tape = ad.Tape()
     leaf(tape, np.zeros(2))  # a tape is recording, but no operand is on it
     out = op(*[ad.constant(rng.uniform(-1, 1, s)) for s in shapes])
-    assert out.node_id is None and out.tape is None and not out.requires_grad
+    assert out.node_id is None and out.tape is None
     assert len(tape.nodes) == 1
 
 
@@ -517,7 +517,7 @@ def test_taped_pair_table_records_no_node(rng):
     before = len(tape.nodes)
     out = ad.pair_table(a, b, np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]]))
     assert len(tape.nodes) == before
-    assert out.tape is None and out.node_id is None and not out.requires_grad
+    assert out.tape is None and out.node_id is None
 
 
 # row 9 is nobody's neighbour, point 3 lists point 0 twice, and point 0 is

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,12 +12,13 @@ from upcr.datagen import save_cloud, synth_shape
 from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.rng import Rng
-from upcr.training import Checkpoint, save_checkpoint
+from upcr.training import Checkpoint, load_checkpoint, save_checkpoint
 
-TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4",
-        "--test-pairs", "2", "--k", "5", "--m", "16", "--layers", "2"]
-# register reads no file before its configuration resolves
-REGISTER = ["register", "--source", "s.xyz", "--target", "t.xyz", "--model", "m.upcr"]
+TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
+# only train builds a model; every other command runs the checkpoint's
+TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
+# bench resolves its configuration before it reads the model file
+BENCH = ["bench", "--model", "m.upcr"]
 
 
 def tiny_model_file(tmp_path, mode="euler"):
@@ -149,7 +152,7 @@ def test_bench_deterministic_csv(tmp_path, capsys):
 
 def test_train_then_register_smoke(tmp_path, capsys):
     out = str(tmp_path / "run")
-    rc = main(["train", "--out", out, "--epochs", "1", "--seed", "5"] + TINY)
+    rc = main(["train", "--out", out, "--epochs", "1", "--seed", "5"] + TINY + TINY_MODEL)
     assert rc == 0
     model = os.path.join(out, "model.upcr")
     assert os.path.exists(model)
@@ -174,12 +177,14 @@ def test_finetune_roundtrip(tmp_path):
     assert os.path.exists(os.path.join(out, "model.upcr"))
 
 
-def test_finetune_mode_mismatch_rejected(tmp_path, capsys):
+def test_finetune_keeps_checkpoint_mode(tmp_path):
     model = tiny_model_file(tmp_path, mode="quaternion")
-    rc = main(["finetune", "--model", model, "--out", str(tmp_path / "x"),
-               "--mode", "euler"] + TINY)
-    assert rc == 1
-    assert "rotation mode" in capsys.readouterr().err
+    out = tmp_path / "ft"
+    rc = main(["finetune", "--model", model, "--out", str(out)] + TINY)
+    assert rc == 0
+    ckpt = load_checkpoint(str(out / "model.upcr"))
+    assert ckpt.rotation_mode == "quaternion"
+    assert ckpt.config == load_checkpoint(model).config
 
 
 def test_sweep_outliers_csv(tmp_path):
@@ -198,7 +203,7 @@ def test_config_file_and_flag_precedence(tmp_path):
     cfg.write_text("seed = 9\n"
                    "[encoder]\nk = 6\nm = 16\nlayers = 2\n"
                    "[data]\npoints = 32\ncategories = 4\ntrain = 4\ntest = 2\n")
-    ns = cli.build_parser().parse_args(["gen", "--config", str(cfg),
+    ns = cli.build_parser().parse_args(["train", "--config", str(cfg),
                                         "--out", "x", "--k", "7"])
     resolved = cli.resolve_config(ns)
     assert resolved["encoder.k"] == 7      # flag beats file
@@ -231,12 +236,11 @@ def test_config_file_unparsable_value_rejected(tmp_path, capsys, line, value):
 
 @pytest.mark.parametrize("line", ["head_widths = 8,x", "widths = 8,,16", "head_widths = 8,0"],
                          ids=["non-int", "empty-item", "zero"])
-@pytest.mark.parametrize("command", ["gen", "register"])
+@pytest.mark.parametrize("command", ["gen", "train"])
 def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[encoder]\n{line}\n")
-    argv = (["gen"] if command == "gen" else
-            REGISTER + ["--k", "5", "--m", "16", "--layers", "2"])
+    argv = ["gen"] if command == "gen" else ["train"] + TINY_MODEL
     rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 1
     err = capsys.readouterr().err
@@ -245,13 +249,13 @@ def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "register"])
+@pytest.mark.parametrize("command", ["gen", "bench"])
 def test_config_file_widths_layers_mismatch_rejected(tmp_path, capsys, command):
-    # a cross-key error is caught for every command, not only those that
-    # build an encoder
+    # a cross-key error is caught for every command that takes a config file,
+    # not only for the one that builds an encoder
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[encoder]\nwidths = 8,16\n")
-    argv = ["gen"] if command == "gen" else REGISTER
+    argv = ["gen"] if command == "gen" else BENCH
     rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 1
     assert "error: widths (8, 16) must have one entry per layer (5)" in capsys.readouterr().err
@@ -270,12 +274,12 @@ def test_config_file_slope_out_of_range_rejected(tmp_path, capsys):
 def test_config_file_width_lists_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")
-    ns = cli.build_parser().parse_args(REGISTER + ["--config", str(cfg), "--layers", "2",
-                                                   "--m", "16"])
+    ns = cli.build_parser().parse_args(["train", "--out", "x", "--config", str(cfg),
+                                        "--layers", "2", "--m", "16"])
     enc = cli.encoder_config(cli.resolve_config(ns))
     assert enc.widths == (8, 16) and enc.head_widths == (12,)
     defaults = cli.encoder_config(cli.resolve_config(cli.build_parser().parse_args(
-        REGISTER)))
+        ["train", "--out", "x"])))
     assert defaults.widths == (16, 16, 32, 32, 64) and defaults.head_widths == (256, 128)
 
 
@@ -349,8 +353,8 @@ def test_out_of_range_numbers_rejected_before_out_exists(tmp_path, capsys, argv,
         cfg.write_text(cfg_text)
         extra = ["--config", str(cfg)]
     # tiny sizes first, so a missed check fails fast; the case's flags override them
-    rc = main(argv[:1] + TINY + ["--epochs", "1"] * (argv[0] == "train") + argv[1:] + extra
-              + ["--out", str(out)])
+    rc = main(argv[:1] + TINY + (TINY_MODEL + ["--epochs", "1"]) * (argv[0] == "train")
+              + argv[1:] + extra + ["--out", str(out)])
     assert rc == 1
     assert f"error: configuration key {message}\n" in capsys.readouterr().err
     assert not out.exists()
@@ -370,3 +374,150 @@ def test_preset_desk_and_paper():
     assert resolved["encoder.m"] == 512
     assert resolved["data.points"] == 1024
     assert resolved["train.batch"] == 26
+
+
+# ---------------------------------------------------------------------------
+# which flags each command offers, and what its manifest records
+
+_PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--pairing", "--regime",
+               "--partial-keep", "--points", "--categories", "--train-pairs", "--test-pairs"}
+OFFERED = {
+    "gen": _PAIR_FLAGS | {"--out"},
+    "train": _PAIR_FLAGS | {"--k", "--m", "--layers", "--feature", "--mode",
+                            "--epochs", "--lr", "--batch", "--out", "--finetune"},
+    "finetune": _PAIR_FLAGS | {"--model", "--out"},
+    "register": {"--source", "--target", "--model", "--save-transformed", "--out"},
+    "bench": _PAIR_FLAGS | {"--model", "--out", "--baselines"},
+    "sweep-outliers": _PAIR_FLAGS | {"--model", "--out", "--ratios"},
+}
+
+
+def subparser(name):
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+@pytest.mark.parametrize("command", list(OFFERED))
+def test_each_command_offers_exactly_the_flags_it_reads(command):
+    actions = subparser(command)._actions
+    flags = {s for a in actions for s in a.option_strings} - {"-h", "--help"}
+    assert flags == OFFERED[command]
+    keyed = [a for a in actions if a.dest in cli.KEYS]
+    assert {a.option_strings[0] for a in keyed} == flags & {
+        k.flag for k in cli.KEYS.values()}
+    for a in keyed:
+        assert a.option_strings == [cli.KEYS[a.dest].flag]
+        shown = re.search(r"\(default (.*)\)$", a.help).group(1)
+        assert shown == str(cli.DEFAULTS[a.dest]), a.dest
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--model", "{model}", "--k", "7"],
+    ["bench", "--model", "{model}", "--feature", "pfh"],
+    ["sweep-outliers", "--model", "{model}", "--mode", "quaternion"],
+    ["finetune", "--model", "{model}", "--m", "16"],
+    ["finetune", "--model", "{model}", "--epochs", "1"],
+    ["gen", "--layers", "2"],
+    ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
+     "--seed", "1"],
+    ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
+     "--config", "{cloud}"],
+], ids=["bench-k", "bench-feature", "sweep-mode", "finetune-m", "finetune-epochs",
+        "gen-layers", "register-seed", "register-config"])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
+    cloud = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), cloud)
+    names = {"model": tiny_model_file(tmp_path), "cloud": cloud}
+    argv = [a.format(**names) for a in argv]
+    tiny = TINY if argv[0] != "register" else []
+    with pytest.raises(SystemExit) as exc:
+        main(argv + tiny + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def manifest_sections(out):
+    lines = Path(out, "manifest.txt").read_text().splitlines()
+    assert lines[0].startswith("command = ")
+    keys = [line.split(" = ")[0] for line in lines[1:] if " sha256 = " not in line]
+    return {key.split(".")[0] for key in keys}
+
+
+def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
+    model = tiny_model_file(tmp_path)
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    runs = {
+        "bench": ["bench", "--model", model],
+        "finetune": ["finetune", "--model", model],
+        "sweep": ["sweep-outliers", "--model", model, "--ratios", "0"],
+        "gen": ["gen"],
+        "train": ["train", "--epochs", "0"] + TINY_MODEL,
+    }
+    for name, argv in runs.items():
+        assert main(argv + TINY + ["--out", str(tmp_path / name)]) == 0, name
+    pairs = {"seed", "protocol", "data"}
+    assert manifest_sections(tmp_path / "bench") == pairs
+    assert manifest_sections(tmp_path / "sweep") == pairs
+    assert manifest_sections(tmp_path / "gen") == pairs
+    assert manifest_sections(tmp_path / "finetune") == pairs | {"train", "finetune"}
+    assert manifest_sections(tmp_path / "train") == set(cli.SECTIONS)
+    bench = Path(tmp_path, "bench", "manifest.txt").read_text()
+    assert not re.search(r"^(encoder|feature|rotation)\.", bench, re.M)
+    assert main(["register", "--source", a, "--target", a, "--model", model,
+                 "--out", str(tmp_path / "reg")]) == 0
+    lines = Path(tmp_path, "reg", "manifest.txt").read_text().splitlines()
+    assert lines[0] == "command = register"
+    assert [line.split(" sha256 = ")[0] for line in lines[1:]] == ["input model.upcr"]
+
+
+def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
+    seen = []
+    real = cli.evalbench.evaluate_icp
+
+    def spy(samples, init_spec=None, tags=None, k=24):
+        seen.append((tags["method"], k))
+        return real(samples, init_spec=init_spec, tags=tags, k=k)
+
+    monkeypatch.setattr(cli.evalbench, "evaluate_icp", spy)
+    model = tiny_model_file(tmp_path)  # a k = 5 checkpoint; the table's default is 24
+    rc = main(["bench", "--model", model, "--baselines", "--out", str(tmp_path / "b")] + TINY)
+    assert rc == 0
+    assert seen == [("icp", 24), ("icp+pfh", 5), ("icp+spfh", 5)]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--train-pairs", "0", "--test-pairs", "0"],
+     "gen has no pairs: data.train = 0 and data.test = 0"),
+    (["train", "--train-pairs", "0"], "train has no pairs: data.train = 0"),
+    (["train", "--finetune", "--test-pairs", "0"],
+     "train --finetune has no pairs: data.test = 0"),
+    (["finetune", "--model", "{model}", "--test-pairs", "0"],
+     "finetune has no pairs: data.test = 0"),
+    (["bench", "--model", "{model}", "--test-pairs", "0"], "bench has no pairs: data.test = 0"),
+    (["sweep-outliers", "--model", "{model}", "--test-pairs", "0"],
+     "sweep-outliers has no pairs: data.test = 0"),
+    (["finetune", "--model", "{nope}"], "cannot read model {nope}: "),
+    (["bench", "--model", "{nope}"], "cannot read model {nope}: "),
+    (["sweep-outliers", "--model", "{nope}"], "cannot read model {nope}: "),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "10,abc"],
+     "--ratios must be a comma list of percentages in [0, 100), got '10,abc'"),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "100"],
+     "--ratios must be a comma list of percentages in [0, 100), got '100'"),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "nan"],
+     "--ratios must be a comma list of percentages in [0, 100), got 'nan'"),
+], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
+        "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
+        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan"])
+def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
+    names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr")}
+    argv = [a.format(**names) for a in argv]
+    out = tmp_path / "o"
+    # tiny sizes first, so a missed check fails fast; the case's flags override them
+    rc = main(argv[:1] + TINY + (TINY_MODEL + ["--epochs", "1"]) * (argv[0] == "train")
+              + argv[1:] + ["--out", str(out)])
+    assert rc == 1
+    assert f"error: {message.format(**names)}" in capsys.readouterr().err
+    assert not out.exists()

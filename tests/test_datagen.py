@@ -204,6 +204,19 @@ def test_build_benchmark_uc_categories():
     assert {s.category for s in te} <= set(range(5, 10))
 
 
+
+@pytest.mark.parametrize("setting, categories, n_train, n_test, message", [
+    ("UPC", 0, 4, 2, "categories must be >= 1 under UPC, got 0"),
+    ("ND", 0, 4, 2, "categories must be >= 1 under ND, got 0"),
+    ("UC", 1, 4, 2, "categories must be >= 2 under UC, got 1"),
+    ("UPC", 4, -1, 2, "pair counts must be >= 0, got -1 train and 2 test"),
+    ("UC", 4, 4, -2, "pair counts must be >= 0, got 4 train and -2 test"),
+], ids=["upc-categories-0", "nd-categories-0", "uc-categories-1", "train-negative",
+        "test-negative"])
+def test_build_benchmark_rejects_bad_counts(setting, categories, n_train, n_test, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_benchmark(Protocol(setting=setting), categories, n_train, n_test, 32, seed=1)
+
 def test_golden_sample_regression():
     # pins the generator streams bit-for-bit; update only on a deliberate
     # generator change. Shape values are those of the three-attachment

@@ -126,7 +126,12 @@ def test_train_zero_epochs_returns_initial_params():
     (dict(clip_norm=-1.0), "clip_norm must be positive, got -1.0"),
     (dict(clip_norm=float("nan")), "clip_norm must be positive, got nan"),
     (dict(batch_size=0), "batch_size must be >= 1, got 0"),
-], ids=["schedule-typo", "clip-zero", "clip-negative", "clip-nan", "batch-0"])
+    (dict(lr=-1e-2), "lr must be finite and >= 0, got -0.01"),
+    (dict(lr=float("nan")), "lr must be finite and >= 0, got nan"),
+    (dict(lr=float("inf")), "lr must be finite and >= 0, got inf"),
+    (dict(epochs=-1), "epochs must be >= 0, got -1"),
+], ids=["schedule-typo", "clip-zero", "clip-negative", "clip-nan", "batch-0",
+        "lr-negative", "lr-nan", "lr-inf", "epochs-negative"])
 @pytest.mark.parametrize("entry", ["train", "fine_tune"])
 def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, message, entry):
     train_s, _ = tiny_dataset()
@@ -134,10 +139,11 @@ def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, 
     monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1))
     with pytest.raises(ValueError, match=re.escape(message)):
         if entry == "train":
-            train(CFG, SPEC, "euler", train_s, epochs=1, seed=9, **kwargs)
+            train(CFG, SPEC, "euler", train_s, **{"epochs": 1, "seed": 9, **kwargs})
         else:
             ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 9))
-            fine_tune(ckpt, [(s.source, s.target) for s in train_s], epochs=1, seed=9, **kwargs)
+            fine_tune(ckpt, [(s.source, s.target) for s in train_s],
+                      **{"epochs": 1, "seed": 9, **kwargs})
     assert not steps
 
 
@@ -342,14 +348,6 @@ def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
     save_checkpoint(path, ckpt)
     with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
         load_checkpoint(path)
-
-
-def test_checkpoint_config_guard(tmp_path):
-    model = init_params(CFG, SPEC, "euler", 25)
-    ckpt = Checkpoint.from_model(model)
-    with pytest.raises(ValueError, match="rotation mode"):
-        ckpt.require_compatible(rotation_mode="quaternion")
-    ckpt.require_compatible(rotation_mode="euler")
 
 
 def test_loss_curve_csv(tmp_path):
