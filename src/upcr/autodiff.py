@@ -17,8 +17,9 @@ left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
 operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
 A gradient map holds only what its backward reads. Forward work that only a
 gradient needs (an argmax, the winning rows of ``edge_max``, the uniqueness
-check of ``nearest_rotation``) runs only for a taped operand, so the same
-pipeline code serves both training and inference.
+check of ``nearest_rotation``, the float gate of ``leaky_relu``) runs only for
+a taped operand, so the same pipeline code serves both training and
+inference.
 """
 
 from __future__ import annotations
@@ -228,12 +229,25 @@ def cos(a) -> Tensor:
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    """y = x for x >= 0, slope*x below; backward uses the same mask."""
+    """y = x * gate with gate 1 for x >= 0 and ``slope`` below; the backward
+    multiplies g by the same gate.
+
+    The forward builds no [n, c] float gate, so only a taped input's backward
+    does: for a slope in (0, 1), max(slope*x, x) is x*gate bit for bit, NaN
+    payloads included, since the product's quieted NaN comes first. At slope 0
+    that would turn +inf into NaN, so the boolean mask multiplies instead.
+    """
     if not 0.0 <= slope < 1.0:
         raise ValueError(f"leaky_relu: slope must be in [0, 1), got {slope}")
-    a = as_tensor(a)
-    gate = np.where(a.data >= 0.0, 1.0, slope)
-    return _unary("leaky_relu", a, lambda x: x * gate, lambda g, x, y: g * gate)
+
+    def forward(x):
+        if slope == 0.0:
+            return x * (x >= 0.0)
+        out = np.multiply(slope, x, out=np.empty(x.shape))
+        return np.maximum(out, x, out=out)
+
+    return _unary("leaky_relu", a, forward,
+                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, slope))
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ KEYS = {
     "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
     "protocol.pairing": Key("consistent", "--pairing", "pair construction", PAIRINGS),
     "protocol.regime": Key("modelnet_style", "--regime", "pose sampling regime", REGIMES),
-    "protocol.noise_sigma": Key(0.0),   # 0 disables (ND forces 0.01/0.05)
-    "protocol.noise_clip": Key(0.0),
+    "protocol.noise_sigma": Key(0.0, low=0),   # 0 disables (ND forces 0.01/0.05)
+    "protocol.noise_clip": Key(0.0, low=0),
     "protocol.partial_keep": Key(0, "--partial-keep",
                                  "points kept by partial scans; 0 = consistent clouds"),
     "data.points": Key(256, "--points", "points per cloud", low=16),
@@ -207,9 +207,11 @@ def feature_spec(cfg: dict) -> FeatureSpec:
 
 
 def protocol(cfg: dict) -> Protocol:
-    noise = None
-    if cfg["protocol.noise_sigma"] > 0:
-        noise = (cfg["protocol.noise_sigma"], cfg["protocol.noise_clip"] or 0.05)
+    sigma, clip = cfg["protocol.noise_sigma"], cfg["protocol.noise_clip"]
+    if clip and not sigma > 0:
+        raise ValueError(f"protocol.noise_clip = {clip} is read only when "
+                         f"protocol.noise_sigma > 0, got noise_sigma = {sigma}")
+    noise = (sigma, clip or 0.05) if sigma > 0 else None
     return Protocol(setting=cfg["protocol.setting"], pairing=cfg["protocol.pairing"],
                     pose_regime=cfg["protocol.regime"], noise=noise,
                     partial_keep=cfg["protocol.partial_keep"] or None)
@@ -352,13 +354,15 @@ def cmd_train(args) -> int:
     curve_path = os.path.join(out, "loss_curve.csv")
     save_checkpoint(model_path, result.checkpoint)
     write_loss_curve(curve_path, result.loss_curve)
+    outputs = [model_path, curve_path]
     if args.finetune:
         ft = fine_tune(result.checkpoint, [(s.source, s.target) for s in test_s],
                        epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
                        batch_size=cfg["train.batch"], seed=cfg["seed"])
         save_checkpoint(model_path, ft.checkpoint)
-        write_loss_curve(os.path.join(out, "finetune_curve.csv"), ft.loss_curve)
-    write_manifest(out, cfg, "train", outputs=[model_path, curve_path])
+        outputs.append(os.path.join(out, "finetune_curve.csv"))
+        write_loss_curve(outputs[-1], ft.loss_curve)
+    write_manifest(out, cfg, "train", outputs=outputs)
     print(f"model written to {model_path}")
     if result.diverged:
         print("warning: training diverged; checkpoint is the last finite state")

@@ -48,6 +48,9 @@ class Protocol:
             self.noise = DEFAULT_NOISE
         if self.pairing == "partial" and self.partial_keep is None:
             raise ValueError("partial pairing needs partial_keep")
+        if self.pairing != "partial" and self.partial_keep is not None:
+            raise ValueError(f"partial_keep = {self.partial_keep} is read only under "
+                             f"partial pairing, got pairing {self.pairing!r}")
 
     def tags(self) -> dict:
         return {

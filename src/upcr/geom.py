@@ -4,7 +4,10 @@ nearest-neighbor search.
 One neighbor rule serves 3D clouds (:func:`knn`) and feature rows
 (:func:`graph_knn`): the k nearest distinct locations by brute-force scan,
 ascending by distance, lower index on ties, never self or an exactly
-coincident twin.
+coincident twin. The scan runs in row blocks of bounded bytes, so no [N, N]
+distance matrix exists, and flags any row whose nearest distance lies within
+the rounding bound of an exact twin; only a flagged input pays for the exact
+twin collapse.
 
 Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
@@ -115,6 +118,59 @@ def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# bytes of squared distances one row block of a neighbor scan holds: small
+# enough to stay in cache, large enough that the per-block Python overhead is
+# negligible
+_SCAN_BLOCK_BYTES = 1 << 20
+
+
+def _scan(data: np.ndarray, tie_key: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """Neighbor table [N, k] of the rows of ``data``, and whether a row may
+    have a twin.
+
+    Row blocks of at most ``_SCAN_BLOCK_BYTES`` of squared distances against
+    all rows, in :func:`sqdist_matrix`'s expanded form with the row itself
+    at inf, each selected by :func:`_select_k` into its rows of the table,
+    so no [N, N] matrix exists.
+
+    One block (N <= 360) is the same BLAS call as ``sqdist_matrix(data,
+    data)``. On OpenBLAS 0.3.31, the blocks also round every dot product as
+    the full product does whenever N is a multiple of 8 (checked for N = 368
+    to 4096 at widths 3 to 512). At other N a few dot products round one ulp
+    apart, which can swap only two neighbors whose distances agree to that
+    ulp.
+
+    Twin flag: an exact twin of row i (equal values, -0.0 == 0.0) is at true
+    distance 0. The squared norm and the dot product are each within
+    ``gamma_c |x_i|^2`` of the true sum in any summation order, and the sum
+    and difference of the two add at most 2u more, so the computed distance
+    is below ``4 c eps |x_i|^2`` plus an underflow term below ``tiny``. A row
+    whose nearest computed distance is within that bound, or NaN, raises the
+    flag. ``4 |x_i|^2`` overflowing makes the bound inf, so the flag holds at
+    any magnitude, and at any width below ~1e14 columns.
+    """
+    n, c = data.shape
+    sq = np.sum(data * data, axis=1)
+    finfo = np.finfo(np.float64)
+    bound = 4.0 * sq * (c * finfo.eps) + finfo.tiny
+    # the fewest blocks that fit, balanced, each a multiple of 8 rows: a
+    # block of a few rows would run BLAS's GEMV or edge kernels, which round
+    # the dot products differently from the full product
+    blocks = -(-n // max(8, _SCAN_BLOCK_BYTES // (64 * n) * 8))
+    rows = -(-n // (8 * blocks)) * 8
+    table = np.empty((n, k), dtype=np.int64)
+    twin = False
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        d2 = sq[s:e, None] + sq - 2.0 * (data[s:e] @ data.T)
+        np.maximum(d2, 0.0, out=d2)
+        local = np.arange(e - s)
+        d2[local, s + local] = np.inf
+        table[s:e] = _select_k(d2, tie_key, k)
+        twin = twin or not np.all(d2[local, table[s:e, 0]] > bound[s:e])
+    return table, twin
+
+
 def _neighbor_table(data: np.ndarray, k: int) -> np.ndarray:
     """The one neighbor rule behind :func:`knn` and :func:`graph_knn`.
 
@@ -125,21 +181,25 @@ def _neighbor_table(data: np.ndarray, k: int) -> np.ndarray:
     out genuine neighbors nor links to itself, and every copy of a point
     gets the same row. With fewer than k+1 distinct locations the table is
     the plain scan over rows, twins included.
+
+    One :func:`_scan` over the rows gives the table of a twin-free input.
+    Only when it flags a possible twin does ``np.unique`` run; if it finds
+    twins, the same scan runs again over the distinct rows, ties broken by
+    each location's lowest index, and every copy takes its location's row.
     """
     n = data.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be in [1, N-1] = [1, {n - 1}], got {k}")
+    table, twin = _scan(data, np.arange(n), k)
+    if not twin:
+        return table
     uniq, inverse = np.unique(data, axis=0, return_inverse=True)
     m = uniq.shape[0]
     if m == n or m - 1 < k:
-        d2 = sqdist_matrix(data, data)
-        np.fill_diagonal(d2, np.inf)
-        return _select_k(d2, np.arange(n), k)
+        return table
     reps = np.full(m, n, dtype=np.int64)
     np.minimum.at(reps, inverse, np.arange(n))
-    d2 = sqdist_matrix(uniq, uniq)
-    np.fill_diagonal(d2, np.inf)
-    nbr_uniq = _select_k(d2, reps, k)  # [m, k] in unique-row ids
+    nbr_uniq, _ = _scan(uniq, reps, k)  # [m, k] in unique-row ids
     return reps[nbr_uniq][inverse]
 
 

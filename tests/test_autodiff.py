@@ -109,6 +109,42 @@ def test_leaky_relu_gradient_gate():
     np.testing.assert_allclose(x.grad, [0.2, 1.0])
 
 
+SPECIAL = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+     1e308, -1e308, 1.0, -1.0],
+    # quiet and signaling NaNs with payloads, both signs
+    np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF0000000000001,
+              0xFFF0000000000002], dtype=np.uint64).view(np.float64),
+])
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 0.5])
+def test_leaky_relu_forward_is_the_gated_product_bit_for_bit(slope):
+    rng = np.random.default_rng(3)
+    for x in (SPECIAL, np.tile(SPECIAL, 9)[:-5], rng.normal(size=(64, 37))):
+        with np.errstate(invalid="ignore"):
+            want = x * np.where(x >= 0.0, 1.0, slope)
+            got = ad.leaky_relu(ad.constant(x), slope).data
+            taped = ad.leaky_relu(leaf(ad.Tape(), x), slope).data
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert taped.tobytes() == want.tobytes()
+
+
+def test_leaky_relu_gate_only_on_a_tape(monkeypatch):
+    calls = []
+    where = np.where
+    monkeypatch.setattr(np, "where", lambda *a: calls.append(1) or where(*a))
+    x = np.random.default_rng(4).normal(size=(8, 5))
+    ad.leaky_relu(ad.constant(x), 0.2)
+    assert calls == []
+    tape = ad.Tape()
+    t = leaf(tape, x)
+    ad.backward(ad.reduce_sum(ad.leaky_relu(t, 0.2)))
+    assert calls
+    np.testing.assert_array_equal(t.grad, np.where(x >= 0.0, 1.0, 0.2))
+
+
 def test_leaky_relu_slope_domain():
     with pytest.raises(ValueError):
         ad.leaky_relu(ad.constant([1.0]), 1.0)

@@ -141,6 +141,41 @@ def test_gen_partial_pairing_needs_partial_keep(tmp_path, capsys):
     assert "protocol.pairing = partial" in manifest and "protocol.partial_keep = 24" in manifest
 
 
+@pytest.mark.parametrize("argv, cfg_text, message", [
+    (["gen", "--partial-keep", "24"], "",
+     "partial_keep = 24 is read only under partial pairing, got pairing 'consistent'"),
+    (["gen"], "[protocol]\nnoise_clip = 0.1\n",
+     "protocol.noise_clip = 0.1 is read only when protocol.noise_sigma > 0, "
+     "got noise_sigma = 0.0"),
+], ids=["partial-keep", "noise-clip"])
+def test_protocol_keys_that_would_be_ignored_rejected(tmp_path, capsys, argv, cfg_text,
+                                                      message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(cfg_text)
+    out = tmp_path / "o"
+    rc = main(argv + TINY + ["--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_noise_clip_read_with_noise_sigma(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[protocol]\nnoise_sigma = 0.01\nnoise_clip = 0.02\n")
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")] + TINY) == 0
+    manifest = Path(tmp_path, "o", "manifest.txt").read_text()
+    assert "protocol.noise_clip = 0.02" in manifest
+
+
+def test_train_finetune_curve_in_manifest(tmp_path):
+    out = tmp_path / "t"
+    rc = main(["train", "--finetune", "--epochs", "1", "--out", str(out)] + TINY + TINY_MODEL)
+    assert rc == 0
+    manifest = Path(out, "manifest.txt").read_text()
+    for name in ("model.upcr", "loss_curve.csv", "finetune_curve.csv"):
+        assert f"output {name} sha256 = {cli._sha256(str(out / name))}" in manifest
+
+
 def test_bench_deterministic_csv(tmp_path, capsys):
     model = tiny_model_file(tmp_path)
     out1, out2 = str(tmp_path / "b1"), str(tmp_path / "b2")
@@ -341,9 +376,11 @@ def test_config_file_unknown_protocol_setting_rejected(tmp_path, capsys):
      "'data.train' must be >= 0, got -3"),
     (["gen", "--test-pairs", "-1"], "",
      "'data.test' must be >= 0, got -1"),
+    (["gen"], "[protocol]\nnoise_sigma = -0.01\n",
+     "'protocol.noise_sigma' must be >= 0, got -0.01"),
 ], ids=["batch-0", "lr-negative", "lr-zero", "lr-nan", "lr-inf", "finetune-lr",
         "epochs", "finetune-epochs", "categories-0", "uc-categories-1", "points-8",
-        "train-pairs", "test-pairs"])
+        "train-pairs", "test-pairs", "noise-sigma"])
 def test_out_of_range_numbers_rejected_before_out_exists(tmp_path, capsys, argv,
                                                          cfg_text, message):
     out = tmp_path / "o"

@@ -163,6 +163,11 @@ def test_protocol_nd_forces_noise():
         Protocol(pairing="partial")  # partial_keep missing
 
 
+def test_protocol_rejects_partial_keep_without_partial_pairing():
+    with pytest.raises(ValueError, match="read only under partial pairing"):
+        Protocol(pairing="consistent", partial_keep=24)
+
+
 def test_consistent_sample_exact_transform():
     proto = Protocol(setting="UPC")
     s = make_sample(proto, category=5, shape_index=2, n_points=128, seed=77)

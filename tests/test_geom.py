@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -8,7 +9,7 @@ from upcr import geom
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
-from conftest import random_cloud, random_rotation, random_transform
+from conftest import neighbor_table_oracle, random_cloud, random_rotation, random_transform
 
 
 def decode(mode, vals) -> np.ndarray:
@@ -118,6 +119,135 @@ def test_knn_order_independence_up_to_tie_rule():
     table_p = geom.knn(PointCloud(pts[perm]), 5)
     # new index i holds old point perm[i]; its neighbors map through inv
     np.testing.assert_array_equal(table_p, inv[table[perm]])
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked scan against the full-matrix oracle
+
+
+@pytest.fixture(params=[None, 64, 128])
+def block_rows(request, monkeypatch):
+    """Run a test at the default block size and at 64- and 128-row blocks;
+    the fixture returns a function that sets the size for N rows."""
+    def set_for(n: int) -> None:
+        if request.param is not None:
+            monkeypatch.setattr(geom, "_SCAN_BLOCK_BYTES", request.param * 8 * n)
+    return set_for
+
+
+def assert_matches_oracle(data: np.ndarray, k: int) -> None:
+    want = neighbor_table_oracle(data, k)
+    got = geom.graph_knn(data, k)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [26, 127, 128, 129, 1024])
+@pytest.mark.parametrize("c", [3, 64, 512])
+def test_scan_matches_oracle_on_random_rows(n, c, block_rows):
+    block_rows(n)
+    data = np.random.default_rng(n * 1000 + c).normal(size=(n, c))
+    assert_matches_oracle(data, min(24, n - 1))
+
+
+def test_scan_matches_oracle_on_grid_ties(block_rows):
+    g = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    block_rows(len(g))
+    for k in (1, 6, 26):
+        assert_matches_oracle(g, k)
+
+
+def test_scan_matches_oracle_on_twins_and_triplets(block_rows):
+    rng = np.random.default_rng(3)
+    base = rng.normal(size=(40, 8))
+    data = np.concatenate([base, base[:10], base[5:15]])  # twins and triplets
+    data = data[rng.permutation(len(data))]
+    block_rows(len(data))
+    for k in (1, 5, 38):
+        assert_matches_oracle(data, k)
+
+
+def test_scan_matches_oracle_on_identical_rows(block_rows):
+    same = np.ones((20, 3))
+    block_rows(len(same))
+    assert_matches_oracle(same, 5)
+    # fewer than k+1 distinct locations: the plain scan, twins included
+    few = np.concatenate([same, np.zeros((3, 3))])
+    block_rows(len(few))
+    assert_matches_oracle(few, 5)
+
+
+def test_scan_matches_oracle_on_near_twins(block_rows):
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(60, 16))
+    near = data[:20].copy()
+    near[:, 3] = np.nextafter(near[:, 3], np.inf)  # distinct rows, one ulp apart
+    data = np.concatenate([data, near])
+    _, twin = geom._scan(data, np.arange(len(data)), 5)
+    assert twin  # inside the rounding bound, so the exact collapse runs
+    block_rows(len(data))
+    assert_matches_oracle(data, 5)
+
+
+def test_scan_matches_oracle_far_from_the_origin(block_rows):
+    data = 1e6 + np.random.default_rng(5).normal(size=(150, 3))
+    block_rows(len(data))
+    assert_matches_oracle(data, 10)
+    assert_matches_oracle(np.concatenate([data, data[:7]]), 10)
+
+
+def test_scan_matches_oracle_on_signed_zeros(block_rows):
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(30, 3))
+    rows[:10, 0] = 0.0
+    flipped = rows[:10].copy()
+    flipped[:, 0] = -0.0
+    data = np.concatenate([rows, flipped])
+    block_rows(len(data))
+    assert_matches_oracle(data, 4)
+
+
+def test_scan_matches_oracle_at_k_n_minus_one(block_rows):
+    rng = np.random.default_rng(7)
+    data = rng.normal(size=(33, 5))
+    block_rows(len(data))
+    assert_matches_oracle(data, 32)
+    assert_matches_oracle(np.concatenate([data, data[:4]]), 36)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-5, 1.0, 1e6, 1e150, 1e154])
+@pytest.mark.parametrize("c", [1, 3, 64, 512])
+def test_scan_flags_exact_twins_at_any_magnitude_and_width(scale, c):
+    rng = np.random.default_rng(c)
+    data = scale * rng.normal(size=(24, c))
+    data[17] = data[4]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e154 squares overflow
+        _, twin = geom._scan(data, np.arange(24), 3)
+        assert twin
+        assert_matches_oracle(data, 3)
+
+
+def test_twin_free_scan_skips_unique_and_the_full_matrix(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("called on a twin-free input")
+
+    data = np.random.default_rng(8).normal(size=(300, 32))
+    want = neighbor_table_oracle(data, 12)
+    monkeypatch.setattr(np, "unique", boom)
+    monkeypatch.setattr(geom, "sqdist_matrix", boom)
+    assert geom.graph_knn(data, 12).tobytes() == want.tobytes()
+
+
+def test_scan_never_holds_an_n_by_n_matrix():
+    n = 2048
+    data = np.random.default_rng(9).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        geom.graph_knn(data, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (n * n * 8) // 4, f"peak {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------

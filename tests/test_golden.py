@@ -1,0 +1,55 @@
+"""Golden outputs: SHA-256 of seeded neighbor tables and of one seeded desk
+registration, pinned so that a speed change proves it left outputs unchanged.
+
+A change that moves any of these on purpose says so and re-pins them.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from upcr import geom
+from upcr.encoder import EncoderConfig, init_params
+from upcr.features import FeatureSpec
+from upcr.geom import PointCloud
+from upcr.separation import register_pair
+
+# paper-size rows at the widths the global branch scans
+GRAPH_KNN_SHA = {
+    3: "d742dc2e7d518ba0ad340cb4ce35f73a988d6465ab090dce54fb24dedec2d126",
+    64: "27cd7aaea9799c1c89689833f84d44e47683213752b045d1199439b9d1ba326b",
+    128: "bb349b2f3d97d2b66dcf6d1c5a71b419c6675d7c11ab34de772f4e03221dc692",
+    256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
+}
+REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
+
+
+def sha(*arrays: np.ndarray) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("c", sorted(GRAPH_KNN_SHA))
+def test_graph_knn_tables_pinned(c):
+    rows = np.random.default_rng(1000 + c).normal(size=(1024, c))
+    table = geom.graph_knn(rows, 24)
+    assert table.dtype == np.int64 and table.shape == (1024, 24)
+    assert sha(table) == GRAPH_KNN_SHA[c]
+
+
+def test_desk_register_pair_pinned():
+    rng = np.random.default_rng(11)
+    src = rng.normal(size=(256, 3)) * np.array([1.0, 0.6, 0.3])
+    angle = 0.4
+    rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                    [np.sin(angle), np.cos(angle), 0.0],
+                    [0.0, 0.0, 1.0]])
+    dst = src @ rot.T + np.array([0.1, -0.2, 0.05]) + 0.01 * rng.normal(size=src.shape)
+    model = init_params(EncoderConfig(k=24, m=64), FeatureSpec("distance"), "euler", 7)
+    res = register_pair(PointCloud(src), PointCloud(dst), model)
+    got = sha(res.transform.rotation, res.transform.translation,
+              res.canonical_x.points, res.canonical_y.points)
+    assert got == REGISTER_SHA
