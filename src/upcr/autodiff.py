@@ -3,23 +3,22 @@
 The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
 softmax, trigonometry and the SVD rotation projection for rotation decoding,
-the indexing ops that assemble edge features, and ``edge_max``, the fused
-neighbor-pair max-pool of an edge convolution, whose forward builds and pools
-its [n*k, c] edge table in bounded row blocks, so the table never exists
-whole. No broadcasting beyond
-scalar-with-tensor, no higher-order derivatives, no views: every op produces
-a fresh array.
+the indexing ops that assemble edge features, and ``neighbor_max``, the max
+over each point's neighbor rows in an edge convolution, whose forward gathers
+and pools its [n*k, c] table in bounded row blocks, so the table never exists
+whole. No broadcasting beyond scalar-with-tensor, no higher-order
+derivatives, no views: every op produces a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
 operand. ``_emit`` keeps the pairs whose operand is on a tape; if any is
 left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
 operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
-A gradient map holds only what its backward reads. Forward work that only a
-gradient needs (an argmax, the winning rows of ``edge_max``, the uniqueness
-check of ``nearest_rotation``, the float gate of ``leaky_relu``) runs only for
-a taped operand, so the same pipeline code serves both training and
-inference.
+A gradient map holds only what its backward reads: ``add`` and ``sub`` hold
+no operand, ``mul`` only the other one. Forward work that only a gradient
+needs (an argmax, the winning rows of ``neighbor_max``, the uniqueness check
+of ``nearest_rotation``, the float gate of ``leaky_relu``) runs only for a
+taped operand, so the same pipeline code serves both training and inference.
 """
 
 from __future__ import annotations
@@ -150,8 +149,9 @@ def _node_vjp(taped: tuple, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(nid, fn(g)) for nid, fn in taped]
 
 
-def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Collapse a gradient onto a scalar operand's shape."""
+def _reduce_to(fn, shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
+    """The gradient ``fn(g)``, collapsed onto a scalar operand's shape."""
+    grad = fn(g)
     if grad.shape == shape:
         return grad
     return np.sum(grad).reshape(shape)
@@ -161,27 +161,28 @@ def _reduce_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # pointwise ops
 
 
-def _binary(kind: str, a, b, fwd, da, db) -> Tensor:
+def _binary(kind: str, a, b, fwd, maps) -> Tensor:
+    """``maps(x, y)`` gives the gradient maps g -> dx and g -> dy; each closes
+    over only the operand arrays it reads, so a tape holds no other."""
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
         raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
-    av, bv = a.data, b.data
-    return _emit(kind, fwd(av, bv),
-                 [(a, lambda g: _reduce_to(da(g, av, bv), av.shape)),
-                  (b, lambda g: _reduce_to(db(g, av, bv), bv.shape))])
+    da, db = maps(a.data, b.data)
+    return _emit(kind, fwd(a.data, b.data),
+                 [(a, partial(_reduce_to, da, a.shape)), (b, partial(_reduce_to, db, b.shape))])
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: g, lambda g, x, y: g)
+    return _binary("add", a, b, np.add, lambda x, y: (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g)
+    return _binary("sub", a, b, np.subtract, lambda x, y: (lambda g: g, np.negative))
 
 
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda g, x, y: g * y, lambda g, x, y: g * x)
+                   lambda x, y: (lambda g: g * y, lambda g: g * x))
 
 
 def div(a, b) -> Tensor:
@@ -190,7 +191,7 @@ def div(a, b) -> Tensor:
         idx = int(np.argmin(b_arr != 0.0))
         raise DomainError(f"div: divisor is zero at flat index {idx}")
     return _binary("div", a, b, np.divide,
-                   lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
+                   lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y)))
 
 
 def _unary(kind: str, a, fwd, dfn) -> Tensor:
@@ -430,68 +431,50 @@ def affine(x, weight, bias) -> Tensor:
                                  (b, lambda g: g.sum(axis=0, keepdims=True))])
 
 
-def pair_table(a, b, neighbors) -> Tensor:
-    """Neighbor-pair sums: out[i*k + j] = a[i] + b[neighbors[i, j]].
-
-    ``a`` is an [r, c] block of centre rows, ``b`` the [n, c] rows they pair
-    with, and ``neighbors`` an [r, k] integer table of rows of ``b``. This is
-    the [r*k, c] edge table of one row block of :func:`edge_max`; the whole
-    [n*k, c] table is the case r = n. Forward only: the result is a constant,
-    never a tape node, even for taped operands.
-    """
-    a, b = as_tensor(a), as_tensor(b)
-    nbr = np.asarray(neighbors, dtype=np.int64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1] or nbr.ndim != 2:
-        raise ShapeError(f"pair_table: got a {a.shape}, b {b.shape}, neighbors {nbr.shape}")
-    r, c = a.shape
-    if nbr.shape[0] != r:
-        raise ShapeError(f"pair_table: {nbr.shape[0]} neighbor rows for {r} centre rows")
-    n = b.shape[0]
-    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
-        raise ShapeError(f"pair_table: neighbor index out of range for {n} points")
-    k = nbr.shape[1]
-    out = b.data[nbr.reshape(-1)].reshape(r, k, c)
-    out += a.data[:, None, :]
-    return Tensor(out.reshape(r * k, c))
+def pair_table(b, neighbors) -> Tensor:
+    """One row block of :func:`neighbor_max`'s edge table, the name perfbench
+    traces: row i*k + j is b[neighbors[i, j]]. No index checks (the caller
+    checks the whole table once); a constant, never a tape node."""
+    return Tensor(as_tensor(b).data[np.asarray(neighbors, dtype=np.int64).reshape(-1)])
 
 
-# bytes of the edge table one edge_max row block builds: small enough to stay
-# in cache, large enough that the per-block Python overhead is negligible
+# bytes of the edge table one neighbor_max row block gathers: small enough to
+# stay in cache, large enough that the per-block Python overhead is negligible
 _EDGE_BLOCK_BYTES = 1 << 20
 
 
-def edge_max(a, b, neighbors) -> Tensor:
-    """Max-pooled neighbor-pair sums: out[i] = max_j (a[i] + b[neighbors[i, j]]).
+def neighbor_max(b, neighbors) -> Tensor:
+    """Max over each point's neighbors: out[i] = max_j b[neighbors[i, j]].
 
-    The fused ``pair_table -> reshape -> reduce_max`` of an edge convolution,
-    with the same values and the same tie rule: the lowest j wins a tie, and
-    the first NaN wins a NaN maximum. The forward works in row blocks of at
-    most ``_EDGE_BLOCK_BYTES`` of edge table (at least one row), each built by
-    :func:`pair_table` and pooled at once, so the [n*k, c] table never exists
-    whole. A tape keeps only the [n, c] table of winning source rows, so the
-    backward passes ``g`` to ``a`` unchanged and scatters n*c entries onto
-    ``b``, never an [n*k, c] gradient.
+    The same values and tie rule as ``gather_rows -> reshape -> reduce_max``:
+    the lowest j wins a tie, and the first NaN wins a NaN maximum. The forward
+    works in row blocks of at most ``_EDGE_BLOCK_BYTES`` of gathered rows (at
+    least one row), each from :func:`pair_table` and pooled at once, so the
+    [r*k, c] table never exists whole. A tape keeps only the [r, c] table of
+    winning source rows, so the backward scatters r*c entries onto ``b``,
+    never an [r*k, c] gradient.
     """
-    a, b = as_tensor(a), as_tensor(b)
+    b = as_tensor(b)
     nbr = np.asarray(neighbors, dtype=np.int64)
-    if a.ndim != 2 or a.shape != b.shape or nbr.ndim != 2 or nbr.shape[0] != a.shape[0]:
-        raise ShapeError(f"edge_max: got a {a.shape}, b {b.shape}, neighbors {nbr.shape}")
-    n, c = a.shape
-    k = nbr.shape[1]
+    if b.ndim != 2 or nbr.ndim != 2:
+        raise ShapeError(f"neighbor_max: got b {b.shape}, neighbors {nbr.shape}")
+    (n, c), (r, k) = b.shape, nbr.shape
     if k < 1:
-        raise ShapeError("edge_max: neighbors has no columns")
+        raise ShapeError("neighbor_max: neighbors has no columns")
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
+        raise ShapeError(f"neighbor_max: neighbor index out of range for {n} points")
     rows = max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
-    out = np.empty((n, c))
-    src = np.empty((n, c), dtype=np.int64) if b.node_id is not None else None
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        edges = pair_table(a.data[s:e], b.data, nbr[s:e]).data.reshape(e - s, k, c)
-        np.max(edges, axis=1, out=out[s:e])
+    out = np.empty((r, c))
+    src = np.empty((r, c), dtype=np.int64) if b.node_id is not None else None
+    for s in range(0, r, rows):
+        e = min(s + rows, r)
+        block = pair_table(b.data, nbr[s:e]).data.reshape(e - s, k, c)
+        np.max(block, axis=1, out=out[s:e])
         if src is not None:  # winning source rows, [e - s, c]
-            arg = _first_max_index(edges, out[s:e], 1)
+            arg = _first_max_index(block, out[s:e], 1)
             src[s:e] = np.take_along_axis(nbr[s:e], arg, axis=1)
 
-    return _emit("edge_max", out, [(a, lambda g: g), (b, lambda g: _scatter_rows(src, g, n))])
+    return _emit("neighbor_max", out, [(b, lambda g: _scatter_rows(src, g, n))])
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,13 @@ def _need_pairs(cfg: dict, command: str, *keys: str) -> None:
         raise CliError(f"{command} has no pairs: " + " and ".join(f"{key} = 0" for key in keys))
 
 
+def _need_points_above_k(cfg: dict, k: int, what: str) -> None:
+    """Reject clouds too small for a k-neighbour graph, before ``--out`` exists."""
+    key = "protocol.partial_keep" if cfg["protocol.pairing"] == "partial" else "data.points"
+    if cfg[key] <= k:
+        raise CliError(f"{key} = {cfg[key]} must exceed {what} = {k}")
+
+
 # ---------------------------------------------------------------------------
 # manifest and table helpers
 
@@ -296,6 +303,7 @@ def _model_and_test_split(args, cfg: dict):
     """The checkpoint and the test split that a checkpoint command runs on."""
     _need_pairs(cfg, args.command, "data.test")
     ckpt = _read(load_checkpoint, args.model, "model")
+    _need_points_above_k(cfg, ckpt.config.k, "the checkpoint's k")
     _, test_s = make_splits(cfg)
     return ckpt, test_s
 
@@ -345,6 +353,7 @@ def cmd_train(args) -> int:
     _need_pairs(cfg, "train", "data.train")
     if args.finetune:
         _need_pairs(cfg, "train --finetune", "data.test")
+    _need_points_above_k(cfg, cfg["encoder.k"], "encoder.k")
     train_s, test_s = make_splits(cfg)
     out = _ensure_dir(args.out)
     result = train(encoder_config(cfg), feature_spec(cfg), cfg["rotation.mode"],

@@ -8,14 +8,13 @@ Between layers, and after the invariant branch's point embedding,
 points turns the last layer into an m-vector.
 
 LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
-slope*x, so max_j act(x_j) == act(max_j x_j) bit for bit. Every layer
-therefore pools over the k neighbors first, in one ``autodiff.edge_max`` op,
-and applies the activation to the pooled [n, c] rows, never to the [n*k, c]
-edge table. That op builds and pools the table in bounded row blocks, so the
-table never exists whole; on a tape only the [n, c] winning neighbors are
-kept, so the backward never builds an [n*k, c] gradient. ``EncoderConfig``
-rejects a slope outside [0, 1) up front; a negative slope would break the
-exchange.
+slope*x and of a sum, so max_j act(a_i + b_j) == act(a_i + max_j b_j) bit
+for bit wherever no sum is inf - inf. Every layer therefore pools only the
+neighbor term over k, in ``autodiff.neighbor_max``, then adds the centre term
+and applies the activation to [n, c] rows: no [n*k, c] edge table ever
+exists whole, and on a tape only the [n, c] winning neighbors are kept, so
+the backward never builds an [n*k, c] gradient. ``EncoderConfig`` rejects a
+slope outside [0, 1) up front; a negative slope would break the exchange.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -187,12 +186,10 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     maps, F_i @ (W_top - W_bot) + F_j @ W_bot, so the k-fold expansion happens
     after the matrix products (k times fewer GEMM flops, same function).
 
-    Pooling comes before the activation: for slope >= 0 LeakyReLU is
-    monotone, so max_j act(x_j) == act(max_j x_j) exactly and the activation
-    runs on [n, c'] rows instead of the [n*k, c'] edge table. The pairing and
-    the max over k are one op, ``ad.edge_max``, which pools the table a
-    bounded row block at a time, so it never exists whole, and whose backward
-    scatters only the [n, c'] pooled gradient onto the winning neighbors.
+    Pooling comes before the centre term and the activation (see the module
+    docstring): ``ad.neighbor_max`` of the neighbor term alone pools a bounded
+    row block at a time, and its backward scatters only the [n, c'] pooled
+    gradient onto the winning neighbors.
     """
     n = neighbors.shape[0]
     if feats.shape[0] != n:
@@ -205,7 +202,7 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)  # [n, c']
     nbr_part = ad.matmul(feats, w_bot)                     # [n, c']
-    return ad.leaky_relu(ad.edge_max(center, nbr_part, neighbors), slope)  # [n, c']
+    return ad.leaky_relu(ad.add(center, ad.neighbor_max(nbr_part, neighbors)), slope)
 
 
 @dataclass

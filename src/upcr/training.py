@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -132,10 +134,12 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ValueError("checkpoint truncated")
-    return buf
+    """The next ``n`` bytes; a length past the end of the file raises unread."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValueError(f"{fh.name}: checkpoint truncated: a record needs {n} bytes, "
+                         f"{left} are left")
+    return fh.read(n)
 
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
@@ -143,7 +147,7 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     name = _read_exact(fh, nlen).decode("utf-8")
     (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # a Python int: no overflow, 1 for rank 0
     data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").astype(np.float64)
     return name, data.reshape(dims)
 

@@ -1,5 +1,7 @@
+import struct
 from dataclasses import dataclass, field
 from itertools import combinations
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -27,6 +29,19 @@ def random_transform(rng: Rng, max_angle_deg: float = 180.0,
 
 def random_cloud(rng: Rng, n: int = 64) -> geom.PointCloud:
     return geom.PointCloud(rng.uniform(-1.0, 1.0, (n, 3)))
+
+
+def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
+    """Rewrite a saved checkpoint's first tensor record to claim ``dims``,
+    keeping its data bytes: the corrupt-length case of the file format."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    at = 12 + hlen + 4  # past magic, version, header length, header and count
+    (nlen,) = struct.unpack("<I", blob[at:at + 4])
+    at += 4 + nlen
+    (rank,) = struct.unpack("<I", blob[at:at + 4])
+    record = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+    Path(path).write_bytes(blob[:at] + record + blob[at + 4 + 4 * rank:])
 
 
 def distance_feature(center, point, neighbor) -> np.ndarray:
@@ -120,10 +135,10 @@ def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
     return ad.add(ad.repeat_rows(a, k), ad.gather_rows(b, np.reshape(neighbors, -1)))
 
 
-def edge_max_oracle(a, b, neighbors) -> ad.Tensor:
-    """``autodiff.edge_max`` unfused: ``pair table -> reshape -> reduce_max``."""
+def neighbor_max_oracle(b, neighbors) -> ad.Tensor:
+    """``autodiff.neighbor_max`` unfused: ``gather_rows -> reshape -> reduce_max``."""
     n, k = np.shape(neighbors)
-    table = pair_table_oracle(a, b, neighbors)
+    table = ad.gather_rows(b, np.reshape(neighbors, -1))
     return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
 
 

@@ -9,7 +9,8 @@ import pytest
 from upcr import autodiff as ad
 from upcr.rng import Rng
 
-from conftest import edge_max_oracle, grad_check, pair_table_oracle, scatter_rows_oracle
+from conftest import (grad_check, neighbor_max_oracle, pair_table_oracle,
+                      scatter_rows_oracle)
 
 
 def leaf(tape, values):
@@ -254,19 +255,20 @@ def test_constant_reflection_decodes_while_a_tape_records():
 _NBR5 = np.array([[1, 2], [0, 0], [4, 1], [2, 3], [0, 4]])
 
 # name -> (op over the operands, operand shapes); the name is the node kind
-MULTI_OPERAND_OPS = {
+CONTRACT_OPS = {
     "add": (ad.add, [(3, 4), (3, 4)]),
+    "sub": (ad.sub, [(3, 4), (3, 4)]),
     "mul": (ad.mul, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
     "concat": (lambda *parts: ad.concat(parts), [(3, 2), (3, 1), (3, 4)]),
-    "edge_max": (lambda a, b: ad.edge_max(a, b, _NBR5), [(5, 3), (5, 3)]),
+    "neighbor_max": (lambda b: ad.neighbor_max(b, _NBR5), [(5, 3)]),
 }
 
 
-@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+@pytest.mark.parametrize("name", list(CONTRACT_OPS))
 def test_vjp_has_entries_only_for_the_taped_operand(rng, name):
-    op, shapes = MULTI_OPERAND_OPS[name]
+    op, shapes = CONTRACT_OPS[name]
     values = [rng.uniform(-1, 1, s) for s in shapes]
     for taped in range(len(values)):
         tape = ad.Tape()
@@ -279,9 +281,9 @@ def test_vjp_has_entries_only_for_the_taped_operand(rng, name):
         assert entries[0][1].shape == shapes[taped]
 
 
-@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+@pytest.mark.parametrize("name", list(CONTRACT_OPS))
 def test_vjp_entries_follow_operand_order(rng, name):
-    op, shapes = MULTI_OPERAND_OPS[name]
+    op, shapes = CONTRACT_OPS[name]
     tape = ad.Tape()
     operands = [leaf(tape, rng.uniform(-1, 1, s)) for s in shapes]
     out = op(*operands)
@@ -289,9 +291,9 @@ def test_vjp_entries_follow_operand_order(rng, name):
     assert [nid for nid, _ in entries] == [t.node_id for t in operands]
 
 
-@pytest.mark.parametrize("name", list(MULTI_OPERAND_OPS))
+@pytest.mark.parametrize("name", list(CONTRACT_OPS))
 def test_constant_operands_append_no_node(rng, name):
-    op, shapes = MULTI_OPERAND_OPS[name]
+    op, shapes = CONTRACT_OPS[name]
     tape = ad.Tape()
     leaf(tape, np.zeros(2))  # a tape is recording, but no operand is on it
     out = op(*[ad.constant(rng.uniform(-1, 1, s)) for s in shapes])
@@ -313,14 +315,15 @@ def test_argmax_runs_only_for_a_taped_operand(monkeypatch, rng):
     calls = []
     first_max = ad._first_max_index
     monkeypatch.setattr(ad, "_first_max_index", lambda *args: calls.append(1) or first_max(*args))
-    a, b = rng.uniform(-1, 1, (5, 3)), rng.uniform(-1, 1, (5, 3))
+    a = rng.uniform(-1, 1, (5, 3))
     ad.reduce_max(ad.constant(a), axis=0)
-    ad.edge_max(ad.constant(a), ad.constant(b), _NBR5)
+    ad.neighbor_max(ad.constant(a), _NBR5)
     tape = ad.Tape()
-    ad.edge_max(leaf(tape, a), ad.constant(b), _NBR5)  # only b's gradient needs winners
+    leaf(tape, a)  # a tape is recording, but no operand is on it
+    ad.neighbor_max(ad.constant(a), _NBR5)
     assert not calls
     ad.reduce_max(leaf(tape, a), axis=0)
-    ad.edge_max(ad.constant(a), leaf(tape, b), _NBR5)
+    ad.neighbor_max(leaf(tape, a), _NBR5)
     assert len(calls) == 2
 
 
@@ -328,13 +331,19 @@ def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
     tape = ad.Tape()
     x = leaf(tape, rng.uniform(-1, 1, (5, 3)))
     a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
+    other = ad.constant(rng.uniform(-1, 1, (5, 3)))
     refs = [weakref.ref(a.data), weakref.ref(b.data)]
-    pooled = ad.reduce_max(a, axis=0)
-    edges = ad.edge_max(a, b, _NBR5)
-    del a, b
+    kept = weakref.ref(other.data)
+    outs = [ad.reduce_max(a, axis=0), ad.neighbor_max(b, _NBR5),
+            ad.add(a, b), ad.sub(a, b), ad.mul(a, other)]
+    del a, b, other
     gc.collect()
-    assert [r() for r in refs] == [None, None]
-    ad.backward(ad.add(ad.reduce_sum(pooled), ad.reduce_sum(edges)))
+    assert [r() for r in refs] == [None, None]  # add and sub hold neither operand
+    assert kept() is not None  # mul holds the other operand, which a's gradient reads
+    total = ad.reduce_sum(outs[0])
+    for out in outs[1:]:
+        total = ad.add(total, ad.reduce_sum(out))
+    ad.backward(total)
     assert x.grad.shape == (5, 3)
 
 
@@ -515,43 +524,27 @@ def test_repeat_rows():
 
 
 def test_pair_table_matches_naive(rng):
-    a = rng.uniform(-1, 1, (6, 4))
     b = rng.uniform(-1, 1, (6, 4))
     nbr = np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]])
-    out = ad.pair_table(ad.constant(a), ad.constant(b), nbr).data
-    naive = np.repeat(a, 2, axis=0) + b[nbr.reshape(-1)]
-    np.testing.assert_array_equal(out, naive)
-    assert pair_table_oracle(a, b, nbr).data.tobytes() == out.tobytes()
+    out = ad.pair_table(ad.constant(b), nbr).data
+    np.testing.assert_array_equal(out, np.stack([b[j] for j in nbr.reshape(-1)]))
+    assert ad.gather_rows(b, nbr.reshape(-1)).data.tobytes() == out.tobytes()
 
 
 def test_pair_table_row_block_is_rows_of_the_whole_table(rng):
-    a = rng.uniform(-1, 1, (5, 4))
     b = rng.uniform(-1, 1, (5, 4))
     nbr = np.array([[1, 2, 4], [4, 0, 3], [3, 3, 1], [0, 2, 2], [1, 4, 0]])
-    whole = ad.pair_table(a, b, nbr).data
-    block = ad.pair_table(a[1:3], b, nbr[1:3]).data  # indices past the block's 2 rows
+    whole = ad.pair_table(b, nbr).data
+    block = ad.pair_table(b, nbr[1:3]).data  # indices past the block's 2 rows
     assert block.shape == (6, 4)
     assert block.tobytes() == whole[3:9].tobytes()
-    assert block.tobytes() == (np.repeat(a[1:3], 3, axis=0) + b[nbr[1:3].reshape(-1)]).tobytes()
-
-
-@pytest.mark.parametrize("b_shape, nbr, match", [
-    ((5, 4), [[0, 5], [1, 2]], "out of range for 5 points"),
-    ((5, 4), [[0, -1], [1, 2]], "out of range for 5 points"),
-    ((5, 3), [[0, 1], [1, 2]], r"got a \(2, 4\), b \(5, 3\)"),
-    ((5, 4), [[0, 1]], "1 neighbor rows for 2 centre rows"),
-], ids=["past-b", "negative", "columns", "rows"])
-def test_pair_table_rejects_bad_row_blocks(b_shape, nbr, match):
-    with pytest.raises(ad.ShapeError, match=match):
-        ad.pair_table(np.zeros((2, 4)), np.zeros(b_shape), np.array(nbr))
 
 
 def test_taped_pair_table_records_no_node(rng):
     tape = ad.Tape()
-    a = leaf(tape, rng.uniform(-1, 1, (6, 4)))
     b = leaf(tape, rng.uniform(-1, 1, (6, 4)))
     before = len(tape.nodes)
-    out = ad.pair_table(a, b, np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]]))
+    out = ad.pair_table(b, np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]]))
     assert len(tape.nodes) == before
     assert out.tape is None and out.node_id is None
 
@@ -588,15 +581,19 @@ def test_scatter_rows_per_entry_index_matches_sequential_oracle(rng):
 
 
 def _edge_max_inputs(seed: int, k: int, case: str, n: int = 12, c: int = 4):
-    """a, b, neighbors and an upstream gradient for ``edge_max``. Point n-1 is
-    nobody's neighbour, every row lists its first neighbour again at the last
-    slot, and the upstream gradient holds one -0.0."""
+    """a, b, neighbors and an upstream gradient for the edge max of an edge
+    convolution, ``add(a, neighbor_max(b, neighbors))``. Point n-1 is nobody's
+    neighbour, every row lists its first neighbour again at the last slot, and
+    the upstream gradient holds one -0.0."""
     rng = Rng(seed)
     nbr = rng.integers(0, n - 1, (n, k))
     nbr[:, -1] = nbr[:, 0]
     if case == "ties":  # values from {-2, ..., 2}: distinct neighbours tie often
         a = rng.integers(-2, 3, (n, c)).astype(np.float64)
         b = rng.integers(-2, 3, (n, c)).astype(np.float64)
+    elif case == "zeros":  # -0.0 and +0.0 only: every neighbour ties
+        a = np.copysign(0.0, rng.integers(0, 2, (n, c)) - 0.5)
+        b = np.copysign(0.0, rng.integers(0, 2, (n, c)) - 0.5)
     else:
         a, b = rng.uniform(-1, 1, (n, c)), rng.uniform(-1, 1, (n, c))
     if case == "nan":
@@ -607,34 +604,38 @@ def _edge_max_inputs(seed: int, k: int, case: str, n: int = 12, c: int = 4):
     return a, b, nbr, g
 
 
-def _edge_max_and_grads(op, a, b, nbr, g):
+def _edge_max_and_grads(pool, a, b, nbr, g):
+    """The pooled rows ``pool(b, nbr)``, the edge max ``a + pooled``, and the
+    gradients of a and b under the upstream ``g``."""
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)
-    out = op(at, bt, nbr)
+    pooled = pool(bt, nbr)
+    out = ad.add(at, pooled)
     ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
-    return out.data, at.grad, bt.grad
+    return pooled.data, out.data, at.grad, bt.grad
 
 
 def _edge_max_matching_oracle(a, b, nbr, g):
-    """``edge_max``'s value and gradients, checked bit for bit against
-    ``edge_max_oracle``; returns the value."""
-    out, ga, gb = _edge_max_and_grads(ad.edge_max, a, b, nbr, g)
-    want_out, want_ga, want_gb = _edge_max_and_grads(edge_max_oracle, a, b, nbr, g)
-    assert out.tobytes() == want_out.tobytes()
-    assert gb.tobytes() == want_gb.tobytes()
-    # only the sign of a zero may differ: a gets the upstream -0.0 as is
-    assert (ga + 0.0).tobytes() == (want_ga + 0.0).tobytes()
-    assert ga.tobytes() == g.tobytes()
+    """The edge max over ``neighbor_max``: pooled rows, value and gradients,
+    checked bit for bit against ``neighbor_max_oracle``; returns the value."""
+    got = _edge_max_and_grads(ad.neighbor_max, a, b, nbr, g)
+    want = _edge_max_and_grads(neighbor_max_oracle, a, b, nbr, g)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+    pooled, out, ga, gb = got
+    assert ga.tobytes() == g.tobytes()  # a gets the upstream gradient, -0.0 and all
     assert gb[-1].tobytes() == np.zeros(a.shape[1]).tobytes()
     return out
 
 
 # k on both sides of 8, the block size of NumPy's pairwise sums
 @pytest.mark.parametrize("k", [3, 10])
-@pytest.mark.parametrize("case", ["random", "ties", "nan"])
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "zeros"])
 def test_edge_max_matches_unfused_composition_bit_for_bit(case, k):
     for seed in range(4):
-        out = _edge_max_matching_oracle(*_edge_max_inputs(seed, k, case))
+        a, b, nbr, g = _edge_max_inputs(seed, k, case)
+        out = _edge_max_matching_oracle(a, b, nbr, g)
+        untaped = ad.neighbor_max(b, nbr).data  # the forward without a winner table
+        assert untaped.tobytes() == neighbor_max_oracle(b, nbr).data.tobytes()
         if case == "nan":
             assert np.isnan(out[1, 2]) and np.isnan(out[4, 0])
 
@@ -644,7 +645,7 @@ def test_edge_max_tie_goes_to_lowest_neighbor_slot():
     tape = ad.Tape()
     a = leaf(tape, [[0.0], [0.0], [0.0]])
     b = leaf(tape, [[5.0], [1.0], [1.0]])
-    out = ad.edge_max(a, b, np.array([[2, 1], [2, 0], [1, 2]]))
+    out = ad.add(a, ad.neighbor_max(b, np.array([[2, 1], [2, 0], [1, 2]])))
     np.testing.assert_array_equal(out.data, [[1.0], [5.0], [1.0]])
     ad.backward(ad.reduce_sum(ad.mul(out, ad.constant([[1.0], [10.0], [100.0]]))))
     np.testing.assert_array_equal(a.grad, [[1.0], [10.0], [100.0]])
@@ -652,30 +653,35 @@ def test_edge_max_tie_goes_to_lowest_neighbor_slot():
 
 
 def test_edge_max_rejects_bad_shapes():
+    def edge_max(a, b, nbr):
+        return ad.add(a, ad.neighbor_max(b, nbr))
+
     with pytest.raises(ad.ShapeError, match="no columns"):
-        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 0), dtype=int))
-    with pytest.raises(ad.ShapeError, match="out of range"):
-        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0], [2]]))
-    # pair_table takes a row block of a; edge_max still needs a and b alike
-    with pytest.raises(ad.ShapeError, match="edge_max: got"):
-        ad.edge_max(np.zeros((2, 3)), np.zeros((3, 3)), np.array([[0], [2]]))
-    with pytest.raises(ad.ShapeError, match="edge_max: got"):
-        ad.edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0]]))
+        edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 0), dtype=int))
+    for nbr in ([[0], [2]], [[0], [-1]]):
+        with pytest.raises(ad.ShapeError, match="out of range for 2 points"):
+            edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array(nbr))
+    with pytest.raises(ad.ShapeError, match=r"neighbor_max: got b \(6,\)"):
+        edge_max(np.zeros((2, 3)), np.zeros(6), np.array([[0], [1]]))
+    # one pooled row per neighbors row: a must match neighbors, b may differ
+    with pytest.raises(ad.ShapeError, match="add: shapes"):
+        edge_max(np.zeros((2, 3)), np.zeros((2, 3)), np.array([[0]]))
+    assert edge_max(np.zeros((2, 3)), np.zeros((3, 3)), np.array([[0], [2]])).shape == (2, 3)
 
 
 # blocks of 1 row, a ragged 3 rows (14 = 4 * 3 + 2) and the whole table
 @pytest.mark.parametrize("rows", [1, 3, 14])
 @pytest.mark.parametrize("k", [3, 10])
-@pytest.mark.parametrize("case", ["random", "ties", "nan"])
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "zeros"])
 def test_blocked_edge_max_matches_unfused_composition_bit_for_bit(monkeypatch, case, k, rows):
     n, c = 14, 4
     monkeypatch.setattr(ad, "_EDGE_BLOCK_BYTES", rows * k * c * 8)
     blocks = []
     pair_table = ad.pair_table
 
-    def counted(a, b, neighbors):
+    def counted(b, neighbors):
         blocks.append(len(neighbors))
-        return pair_table(a, b, neighbors)
+        return pair_table(b, neighbors)
 
     monkeypatch.setattr(ad, "pair_table", counted)
     for seed in range(4):
@@ -689,9 +695,53 @@ def test_blocked_edge_max_matches_unfused_composition_bit_for_bit(monkeypatch, c
         b[5, 2] = np.nan
         blocks.clear()
         out = _edge_max_matching_oracle(a, b, nbr, g)
-        # the oracle builds its table from the general ops, not pair_table
+        # the oracle gathers its table with gather_rows, not pair_table
         assert blocks == [rows] * (n // rows) + [n % rows] * (n % rows > 0)
         assert np.isnan(out[2, 2]) and np.isnan(out[3, 2])
+
+
+def _pair_max_and_b_grad(hoisted: bool, a, b, nbr):
+    """The edge max and b's gradient, hoisted (today's ``a + neighbor_max(b)``)
+    or as before the hoist, the max over k of the [n*k, c] table of sums."""
+    tape = ad.Tape()
+    at, bt = leaf(tape, a), leaf(tape, b)
+    if hoisted:
+        out = ad.add(at, ad.neighbor_max(bt, nbr))
+    else:
+        n, k = nbr.shape
+        table = pair_table_oracle(at, bt, nbr)
+        out = ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
+    ad.backward(ad.reduce_sum(out))
+    return out.data, bt.grad
+
+
+def test_hoisted_edge_max_changes_only_merged_sums_and_nan_sums(rng):
+    """The argmax is taken on b, no longer on the sums fl(a + b). Values and
+    gradients agree except where rounding merges two sums, where a is NaN,
+    and where a = +inf meets a losing b = -inf (the value was NaN)."""
+    for case in ("random", "ties", "zeros"):
+        for seed in range(4):
+            a, b, nbr, _ = _edge_max_inputs(seed, 10, case)
+            old, new = (_pair_max_and_b_grad(h, a, b, nbr) for h in (False, True))
+            assert [x.tobytes() for x in old] == [x.tobytes() for x in new]
+    nbr = np.array([[0, 1], [0, 1]])
+    cases = {  # a, b -> value, b's gradient before the hoist; then after it
+        "merged": ([[1.0], [0.0]], [[0.0], [2.0 ** -53]],
+                   ([[1.0], [2.0 ** -53]], [[1.0], [1.0]]),
+                   ([[1.0], [2.0 ** -53]], [[0.0], [2.0]])),
+        "nan a": ([[np.nan], [0.0]], [[1.0], [2.0]],
+                  ([[np.nan], [2.0]], [[1.0], [1.0]]),
+                  ([[np.nan], [2.0]], [[0.0], [2.0]])),
+        "inf a": ([[np.inf], [0.0]], [[1.0], [-np.inf]],
+                  ([[np.nan], [1.0]], [[1.0], [1.0]]),
+                  ([[np.inf], [1.0]], [[2.0], [0.0]])),
+    }
+    for name, (a, b, before, after) in cases.items():
+        for hoisted, want in ((False, before), (True, after)):
+            with np.errstate(invalid="ignore"):  # inf + -inf in the old table
+                got = _pair_max_and_b_grad(hoisted, np.array(a), np.array(b), nbr)
+            for x, y in zip(got, want):
+                np.testing.assert_array_equal(x, y, err_msg=f"{name}, hoisted={hoisted}")
 
 
 def test_reshape_gradients(rng):

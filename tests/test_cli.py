@@ -14,6 +14,8 @@ from upcr.features import FeatureSpec
 from upcr.rng import Rng
 from upcr.training import Checkpoint, load_checkpoint, save_checkpoint
 
+from conftest import claim_tensor_dims
+
 TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
 # only train builds a model; every other command runs the checkpoint's
 TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
@@ -21,10 +23,10 @@ TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
 BENCH = ["bench", "--model", "m.upcr"]
 
 
-def tiny_model_file(tmp_path, mode="euler"):
-    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+def tiny_model_file(tmp_path, mode="euler", k=5, name="model.upcr"):
+    cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
     model = init_params(cfg, FeatureSpec("distance"), mode, 3)
-    path = str(tmp_path / "model.upcr")
+    path = str(tmp_path / name)
     save_checkpoint(path, Checkpoint.from_model(model))
     return path
 
@@ -76,6 +78,18 @@ def test_corrupt_checkpoint_header_is_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "corrupt checkpoint header" in err
+
+
+@pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
+                         ids=["16GiB", "int64-overflow"])
+def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, dims):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    model = tiny_model_file(tmp_path)
+    claim_tensor_dims(model, dims)
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    assert f"error: {model}: checkpoint truncated: " in capsys.readouterr().err
 
 
 def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
@@ -545,11 +559,18 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "--ratios must be a comma list of percentages in [0, 100), got '100'"),
     (["sweep-outliers", "--model", "{model}", "--ratios", "nan"],
      "--ratios must be a comma list of percentages in [0, 100), got 'nan'"),
+    (["train", "--k", "40"], "data.points = 32 must exceed encoder.k = 40"),
+    (["train", "--pairing", "partial", "--partial-keep", "16", "--k", "20"],
+     "protocol.partial_keep = 16 must exceed encoder.k = 20"),
+    (["bench", "--model", "{model_k24}", "--points", "20"],
+     "data.points = 20 must exceed the checkpoint's k = 24"),
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
-        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan"])
+        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan",
+        "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
-    names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr")}
+    names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
+             "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr")}
     argv = [a.format(**names) for a in argv]
     out = tmp_path / "o"
     # tiny sizes first, so a missed check fails fast; the case's flags override them

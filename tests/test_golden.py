@@ -1,10 +1,12 @@
-"""Golden outputs: SHA-256 of seeded neighbor tables and of one seeded desk
-registration, pinned so that a speed change proves it left outputs unchanged.
+"""Golden outputs: SHA-256 of seeded neighbor tables, of one seeded desk
+registration and of one seeded desk training run (with its loss curve), pinned
+so that a speed change proves it left outputs unchanged.
 
 A change that moves any of these on purpose says so and re-pins them.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.separation import register_pair
+from upcr.training import train
 
 # paper-size rows at the widths the global branch scans
 GRAPH_KNN_SHA = {
@@ -23,6 +26,8 @@ GRAPH_KNN_SHA = {
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
+TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
+TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
 
 
 def sha(*arrays: np.ndarray) -> str:
@@ -53,3 +58,22 @@ def test_desk_register_pair_pinned():
     got = sha(res.transform.rotation, res.transform.translation,
               res.canonical_x.points, res.canonical_y.points)
     assert got == REGISTER_SHA
+
+
+def test_desk_training_pinned():
+    rng = np.random.default_rng(12)
+    pairs = []
+    for _ in range(8):
+        src = rng.normal(size=(256, 3)) * np.array([1.0, 0.6, 0.3])
+        angle = rng.uniform(-0.5, 0.5)
+        rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
+                        [np.sin(angle), np.cos(angle), 0.0],
+                        [0.0, 0.0, 1.0]])
+        dst = src @ rot.T + rng.uniform(-0.2, 0.2, 3) + 0.01 * rng.normal(size=src.shape)
+        # training reads only the clouds
+        pairs.append(SimpleNamespace(source=PointCloud(src), target=PointCloud(dst)))
+    res = train(EncoderConfig(k=24, m=64), FeatureSpec("distance"), "euler", pairs,
+                epochs=2, lr=1e-3, batch_size=4, seed=0)
+    assert [float(v).hex() for v in res.loss_curve] == TRAIN_LOSS_HEX
+    params = res.checkpoint.params
+    assert sha(*(params[name] for name in sorted(params))) == TRAIN_PARAMS_SHA

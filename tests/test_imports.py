@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and every
-module-level private function or class is referenced by some module."""
+module-level private function or class, and every public one of ``autodiff``,
+is referenced by some module."""
 
 import ast
 from pathlib import Path
@@ -44,9 +45,10 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
-    """Module-level ``_name`` functions and classes that no module reads,
-    by plain name, as an attribute or through an import."""
+def unreferenced_defs(sources: dict[str, str], public_in: tuple[str, ...] = ()) -> list[str]:
+    """Module-level functions and classes that no module reads, by plain name,
+    as an attribute or through an import: every ``_name`` one, and the public
+    ones of the modules in ``public_in``."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used = set()
     for tree in trees.values():
@@ -60,8 +62,8 @@ def unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
     return [f"{mod}.{stmt.name} (line {stmt.lineno})"
             for mod, tree in trees.items() for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and stmt.name.startswith("_") and not stmt.name.startswith("__")
-            and stmt.name not in used]
+            and (mod in public_in or stmt.name.startswith("_"))
+            and not stmt.name.startswith("__") and stmt.name not in used]
 
 
 def test_guard_flags_an_unreferenced_private_def():
@@ -71,9 +73,24 @@ def test_guard_flags_an_unreferenced_private_def():
         "b": "from . import a\nfrom .c import _imported\nx = a._attr\n",
         "c": "def _imported():\n    pass\n\ndef _attr():\n    pass\n",
     }
-    assert unreferenced_private_defs(sources) == ["a._dead (line 1)", "a._Gone (line 7)"]
+    assert unreferenced_defs(sources) == ["a._dead (line 1)", "a._Gone (line 7)"]
+
+
+def test_guard_flags_an_unreferenced_public_op_only_where_asked():
+    sources = {
+        "ops": "def add(a, b):\n    return a\n\ndef old_max(a, b):\n    return add(a, b)\n",
+        "user": "from . import ops\ndef public():\n    return ops.add(1, 2)\n",
+    }
+    assert unreferenced_defs(sources) == []
+    assert unreferenced_defs(sources, public_in=("ops",)) == ["ops.old_max (line 4)"]
 
 
 def test_package_has_no_unreferenced_private_defs():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
-    assert unreferenced_private_defs(sources) == []
+    assert unreferenced_defs(sources) == []
+
+
+def test_autodiff_has_no_unreferenced_public_ops():
+    """A removed op leaves no shim behind: the pipeline reads every public op."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    assert unreferenced_defs(sources, public_in=("autodiff",)) == []

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import re
 import struct
 from pathlib import Path
@@ -18,6 +19,8 @@ from upcr.rng import Rng
 from upcr.training import (Checkpoint, OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
+
+from conftest import claim_tensor_dims
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -260,6 +263,19 @@ def test_checkpoint_truncated_rejected(tmp_path):
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[:len(blob) - 20])
     with pytest.raises(ValueError, match="truncated"):
+        load_checkpoint(path)
+
+
+# 2**31 doubles would ask for 16 GiB; the product of two 2**32 - 1 dims
+# overflows an int64 np.prod
+@pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
+                         ids=["16GiB", "int64-overflow"])
+def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 23)))
+    claim_tensor_dims(path, dims)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint truncated: "
+                                         f"a record needs {8 * math.prod(dims)} bytes"):
         load_checkpoint(path)
 
 
