@@ -286,7 +286,7 @@ def add_noise(cloud: PointCloud, sigma: float, clip: float, rng: Rng) -> PointCl
     if sigma <= 0 or clip <= 0:
         raise ValueError("sigma and clip must be positive")
     noise = np.clip(sigma * rng.normal(cloud.points.shape), -clip, clip)
-    return PointCloud(cloud.points + noise, cloud.normals)
+    return PointCloud(cloud.points + noise)
 
 
 def make_partial(cloud: PointCloud, keep: int, rng: Rng) -> PointCloud:
@@ -298,8 +298,7 @@ def make_partial(cloud: PointCloud, keep: int, rng: Rng) -> PointCloud:
     d2 = np.sum((cloud.points - anchor) ** 2, axis=1)
     order = np.lexsort((np.arange(n), d2))[:keep]
     order = np.sort(order)  # preserve original point order
-    normals = cloud.normals[order] if cloud.normals is not None else None
-    return PointCloud(cloud.points[order], normals)
+    return PointCloud(cloud.points[order])
 
 
 def make_sample(protocol: Protocol, category: int, shape_index: int,

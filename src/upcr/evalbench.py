@@ -123,8 +123,8 @@ def icp(source: PointCloud, target: PointCloud,
 def feature_match_init(source: PointCloud, target: PointCloud,
                        spec: FeatureSpec, k: int = 24) -> RigidTransform:
     """Closed-form pose from mutual nearest neighbors in feature space."""
-    fs = point_descriptor_table(source, spec, k).values
-    ft = point_descriptor_table(target, spec, k).values
+    fs = point_descriptor_table(source, spec, k)
+    ft = point_descriptor_table(target, spec, k)
     d2 = geom.sqdist_matrix(fs, ft)
     fwd = np.argmin(d2, axis=1)
     bwd = np.argmin(d2, axis=0)
@@ -142,7 +142,6 @@ def feature_match_init(source: PointCloud, target: PointCloud,
 @dataclass
 class EvalResult:
     report: MetricReport
-    predictions: list[RigidTransform]
     chamfer_improved_fraction: float
 
 
@@ -158,7 +157,7 @@ def evaluate_model(model: ModelParams, samples: list[DatasetSample],
         improved += after < before
     gts = [s.gt for s in samples]
     report = evaluate_poses(preds, gts, tags)
-    return EvalResult(report, preds, improved / len(samples))
+    return EvalResult(report, improved / len(samples))
 
 
 def evaluate_icp(samples: list[DatasetSample], init_spec: FeatureSpec | None = None,

@@ -2,9 +2,10 @@
 
 Feature kinds: plain distances to the cloud center and neighborhood, point
 pair features (PPF), and the SPFH / PFH Darboux-angle histograms, plus the
-concatenated combinations. All of them are unchanged by a joint rigid motion
-of points (and normals, where used), which is what makes the downstream
-invariant representation possible.
+concatenated combinations. All of them are unchanged by a rigid motion of
+the points: the normals that PPF, SPFH and PFH read are estimated from the
+points' own neighbor table, so they turn with the cloud. That invariance is
+what makes the downstream invariant representation possible.
 """
 
 from __future__ import annotations
@@ -64,38 +65,21 @@ class FeatureSpec:
         return sum(sizes[p] for p in self.parts)
 
 
-@dataclass
-class PointFeatureTable:
-    """Per-point feature vectors [N, d] under one FeatureSpec."""
-
-    values: np.ndarray
-    spec: FeatureSpec
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("feature table must be [N, d]")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("feature table contains non-finite entries")
-
-
 # ---------------------------------------------------------------------------
 # individual features
 
 
-def estimate_normals(cloud: PointCloud, nbr: np.ndarray) -> tuple[PointCloud, list[int]]:
-    """Per-point normals from neighborhood covariance.
+def estimate_normals(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """Unit normals [N, 3] of the points ``pts`` from neighborhood covariance.
 
     The normal is the eigenvector of the smallest eigenvalue of the
     covariance of {point} + its k neighbors in the [N, k] table ``nbr``,
     oriented away from the cloud centroid (ties resolve toward +z, then +y,
-    then +x). Returns the cloud with normals plus the indices of degenerate
-    (rank < 2) neighborhoods, whose normal defaults to (0, 0, 1).
+    then +x). A degenerate (rank < 2) neighborhood gets (0, 0, 1).
     """
     n, k = nbr.shape
     if k < 3:
         raise ValueError(f"normal estimation needs k >= 3, got {k}")
-    pts = cloud.points
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     p = pts[nbh]  # [n, k+1, 3]
     p = p - p.mean(axis=1, keepdims=True)
@@ -104,7 +88,6 @@ def estimate_normals(cloud: PointCloud, nbr: np.ndarray) -> tuple[PointCloud, li
     normals = eigvecs[:, :, 0].copy()
 
     degenerate = eigvals[:, 1] <= 1e-10 * np.maximum(eigvals[:, 2], 1e-300)
-    warnings = np.nonzero(degenerate)[0].tolist()
     normals[degenerate] = (0.0, 0.0, 1.0)
 
     outward = pts - pts.mean(axis=0)
@@ -119,7 +102,7 @@ def estimate_normals(cloud: PointCloud, nbr: np.ndarray) -> tuple[PointCloud, li
                     normals[i] = -v
                 break
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(pts, normals), warnings
+    return normals
 
 
 def _darboux(ps, ns, pt, nt):
@@ -160,15 +143,13 @@ def _theta_bin(theta: np.ndarray, bins: int) -> np.ndarray:
     return np.mod(idx, bins)
 
 
-def spfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 11) -> PointFeatureTable:
+def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 11) -> np.ndarray:
     """SPFH histograms for every point over its neighbors in ``nbr``, [N, 3*bins].
 
-    Alpha and phi are binned over [-1, 1]; theta is binned periodically over
-    [-pi, pi), so the antiparallel-normal seam (theta = +-pi) lands in one bin.
+    ``nrm`` holds the unit normals of the points ``pts``. Alpha and phi are
+    binned over [-1, 1]; theta is binned periodically over [-pi, pi), so the
+    antiparallel-normal seam (theta = +-pi) lands in one bin.
     """
-    if cloud.normals is None:
-        raise ValueError("spfh needs normals; call estimate_normals first")
-    pts, nrm = cloud.points, cloud.normals
     n, k = nbr.shape
     ps = np.repeat(pts, k, axis=0)
     ns = np.repeat(nrm, k, axis=0)
@@ -186,11 +167,11 @@ def spfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 11) -> PointFeatu
         counts = acc.sum(axis=1, keepdims=True)
         np.divide(acc, counts, out=acc, where=counts > 0)
         hist[:, sub * bins:(sub + 1) * bins] = acc
-    return PointFeatureTable(hist, FeatureSpec("spfh", spfh_bins=bins))
+    return hist
 
 
-def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeatureTable:
-    """PFH histograms for every point, [N, bins**3].
+def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
+    """PFH histograms for every point, [N, bins**3], from unit normals ``nrm``.
 
     Every unordered pair inside {i} + its neighbors in ``nbr`` contributes one
     Darboux triplet; the frame origin is the endpoint whose normal makes the
@@ -201,9 +182,6 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
     Ordered: on an exact angle tie the first endpoint stays the origin, so
     (a, b) and (b, a) can land in different bins.
     """
-    if cloud.normals is None:
-        raise ValueError("pfh needs normals; call estimate_normals first")
-    pts, nrm = cloud.points, cloud.normals
     n, k = nbr.shape
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     pair_local = np.array(list(combinations(range(k + 1), 2)))  # [m, 2]
@@ -237,7 +215,7 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
     hist = np.bincount(flat, minlength=n * cells).reshape(n, cells).astype(np.float64)
     counts = hist.sum(axis=1, keepdims=True)
     np.divide(hist, counts, out=hist, where=counts > 0)
-    return PointFeatureTable(hist, FeatureSpec("pfh", pfh_bins=bins))
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +225,11 @@ def pfh_table(cloud: PointCloud, nbr: np.ndarray, bins: int = 5) -> PointFeature
 def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
     """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
 
-    Missing normals and the SPFH/PFH tables come from the same table ``nbr``.
+    The normals and the SPFH/PFH tables come from the same table ``nbr``.
     """
     n, k = nbr.shape
-    if spec.needs_normals and cloud.normals is None:
-        cloud, _ = estimate_normals(cloud, nbr)
     pts = cloud.points
+    nrm = estimate_normals(pts, nbr) if spec.needs_normals else None
     center = pts.mean(axis=0)
     blocks = []
     for part in spec.parts:
@@ -263,7 +240,6 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             d_op = np.repeat(np.linalg.norm(pts - center, axis=1)[:, None], k, axis=1)
             blocks.append(np.stack([d_oc, d_pc, d_op], axis=2))
         elif part == "ppf":
-            nrm = cloud.normals
             p1 = np.repeat(pts, k, axis=0)
             n1 = np.repeat(nrm, k, axis=0)
             p2 = pts[nbr.ravel()]
@@ -277,19 +253,22 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
             blocks.append(np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4))
         elif part == "spfh":
-            blocks.append(spfh_table(cloud, nbr, spec.spfh_bins).values[nbr])
+            blocks.append(spfh_table(pts, nrm, nbr, spec.spfh_bins)[nbr])
         elif part == "pfh":
-            blocks.append(pfh_table(cloud, nbr, spec.pfh_bins).values[nbr])
+            blocks.append(pfh_table(pts, nrm, nbr, spec.pfh_bins)[nbr])
     return np.concatenate(blocks, axis=2)
 
 
-def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> PointFeatureTable:
-    """Per-point descriptors for feature matching: max over neighbor features.
+def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.ndarray:
+    """Per-point descriptors [N, d] for feature matching: max over neighbor features.
 
     One neighbor table per cloud feeds the normals, histograms and features.
+    Raises ValueError on a non-finite descriptor.
     """
-    arr = neighbor_feature_array(cloud, spec, geom.knn(cloud, k))
-    return PointFeatureTable(arr.max(axis=1), spec)
+    table = neighbor_feature_array(cloud, spec, geom.knn(cloud, k)).max(axis=1)
+    if not np.all(np.isfinite(table)):
+        raise ValueError("feature table contains non-finite entries")
+    return table
 
 
 def embed_from_features(phi: np.ndarray, weight, bias, slope: float = 0.2) -> ad.Tensor:

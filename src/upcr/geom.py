@@ -33,10 +33,9 @@ ORTHO_TOL = 1e-8
 
 @dataclass
 class PointCloud:
-    """Ordered 3D points with optional unit normals."""
+    """Ordered 3D points."""
 
     points: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
@@ -44,13 +43,6 @@ class PointCloud:
             raise ValueError(f"points must be [N,3] with N >= 1, got {self.points.shape}")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("points contain non-finite coordinates")
-        if self.normals is not None:
-            self.normals = np.asarray(self.normals, dtype=np.float64)
-            if self.normals.shape != self.points.shape:
-                raise ValueError("normals must match points in shape")
-            norms = np.linalg.norm(self.normals, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-6):
-                raise ValueError("normals must be unit length within 1e-6")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -352,21 +344,13 @@ def rotation_mode(name) -> RotationMode:
 
 
 def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """p -> R p + t for every point; normals rotate without translating."""
-    pts = cloud.points @ transform.rotation.T + transform.translation
-    normals = None
-    if cloud.normals is not None:
-        normals = cloud.normals @ transform.rotation.T
-    return PointCloud(pts, normals)
+    """p -> R p + t for every point."""
+    return PointCloud(cloud.points @ transform.rotation.T + transform.translation)
 
 
 def canonicalize(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     """p -> R^T (p - t); inverse of :func:`apply_transform`."""
-    pts = (cloud.points - transform.translation) @ transform.rotation
-    normals = None
-    if cloud.normals is not None:
-        normals = cloud.normals @ transform.rotation
-    return PointCloud(pts, normals)
+    return PointCloud((cloud.points - transform.translation) @ transform.rotation)
 
 
 def compose_relative(t_x: RigidTransform, t_y: RigidTransform) -> RigidTransform:

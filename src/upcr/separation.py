@@ -40,8 +40,7 @@ def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
 
 def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
                   mode: str):
-    """Shared MLP head: returns (rotation param tensor, translation tensor,
-    rotation matrix tensor).
+    """Shared MLP head: returns (translation tensor, rotation matrix tensor).
 
     The head output parameterizes the rotation as a residual from the
     identity (zero output decodes to the identity pose in every mode).
@@ -57,7 +56,7 @@ def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
     out = ad.reshape(x, (rd + 3,))
     rot_vals = ad.add(ad.gather_rows(out, list(range(rd))), ad.constant(rot_mode.identity))
     trans = ad.gather_rows(out, list(range(rd, rd + 3)))
-    return rot_vals, trans, rot_mode.decode(rot_vals)
+    return trans, rot_mode.decode(rot_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +84,7 @@ def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
     q = ad.softmax(gamma_g)
     p = ad.softmax(gamma_v)
     gamma_mu = _pose_related_t(p, q)
-    _, trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
+    trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
     pts = ad.constant(cloud.points)
     n = len(cloud)
     t_row = ad.repeat_rows(ad.reshape(trans, (1, 3)), n)

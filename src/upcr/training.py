@@ -144,7 +144,10 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
     (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, nlen).decode("utf-8")
+    try:
+        name = _read_exact(fh, nlen).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{fh.name}: corrupt checkpoint tensor name: {exc}") from None
     (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     count = math.prod(dims)  # a Python int: no overflow, 1 for rank 0

@@ -168,10 +168,9 @@ def embed_oracle(phi: np.ndarray, weight, bias, slope: float) -> ad.Tensor:
     return _activate_then_pool(pre, n, k, slope)
 
 
-def pfh_oracle(cloud: geom.PointCloud, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
-    """``features.pfh_table`` values with one Darboux triplet per pair of every
+def pfh_oracle(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
+    """``features.pfh_table`` with one Darboux triplet per pair of every
     (k+1)-neighborhood (the library evaluates each distinct ordered pair once)."""
-    pts, nrm = cloud.points, cloud.normals
     n, k = nbr.shape
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     pair_local = np.array(list(combinations(range(k + 1), 2)))  # [m, 2]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from upcr import evalbench, geom
-from upcr.datagen import Protocol, build_benchmark, sample_transform, synth_shape
+from upcr import evalbench, features, geom
+from upcr.datagen import DatasetSample, Protocol, build_benchmark, sample_transform, synth_shape
 from upcr.encoder import EncoderConfig, init_params
 from upcr.evalbench import (MetricReport, evaluate_poses, feature_match_init, icp,
                             outlier_sweep, rotation_metrics, se3_mean_error,
@@ -196,6 +196,21 @@ def test_feature_match_too_few_matches():
         feature_match_init(PointCloud(np.zeros((4, 3)) + np.eye(4, 3)),
                            PointCloud(100.0 + np.zeros((4, 3)) + np.eye(4, 3) * -1),
                            FeatureSpec("distance"), k=2)
+
+
+def test_non_finite_descriptor_falls_back_to_plain_icp(monkeypatch):
+    a = synth_shape(3, 48, Rng(14))
+    gt = random_transform(Rng(15), 30.0, 0.5)
+    sample = DatasetSample(a, geom.apply_transform(gt, a), gt, 3)
+
+    def nan_features(cloud, spec, nbr):
+        return np.full((len(cloud), nbr.shape[1], spec.dim), np.nan)
+
+    monkeypatch.setattr(features, "neighbor_feature_array", nan_features)
+    with pytest.raises(ValueError, match="non-finite"):
+        features.point_descriptor_table(a, FeatureSpec("pfh"), 8)
+    fallback = evalbench.evaluate_icp([sample], init_spec=FeatureSpec("pfh"), k=8)
+    assert fallback.row() == evalbench.evaluate_icp([sample]).row()
 
 
 # ---------------------------------------------------------------------------

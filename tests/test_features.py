@@ -13,10 +13,6 @@ from conftest import (distance_feature, pfh_oracle, ppf_feature, random_cloud,
                       random_transform)
 
 
-def transformed(cloud: PointCloud, rng: Rng, max_angle=180.0, max_trans=10.0):
-    return geom.apply_transform(random_transform(rng, max_angle, max_trans), cloud)
-
-
 # ---------------------------------------------------------------------------
 # FeatureSpec
 
@@ -74,19 +70,16 @@ def test_normals_on_plane():
     rng = Rng(32)
     pts = np.zeros((60, 3))
     pts[:, :2] = rng.uniform(-1, 1, (60, 2))
-    cloud = PointCloud(pts)
-    cloud, warn = features.estimate_normals(cloud, geom.knn(cloud, 8))
-    assert not warn
-    np.testing.assert_allclose(np.abs(cloud.normals[:, 2]), 1.0, atol=1e-9)
+    nrm = features.estimate_normals(pts, geom.knn(PointCloud(pts), 8))
+    np.testing.assert_allclose(np.abs(nrm[:, 2]), 1.0, atol=1e-9)
 
 
 def test_normals_on_sphere_close_to_radial():
     rng = Rng(33)
     dirs = rng.normal((500, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    cloud = PointCloud(dirs)
-    cloud, _ = features.estimate_normals(cloud, geom.knn(cloud, 8))
-    cos = np.abs(np.einsum("ij,ij->i", cloud.normals, dirs))
+    nrm = features.estimate_normals(dirs, geom.knn(PointCloud(dirs), 8))
+    cos = np.abs(np.einsum("ij,ij->i", nrm, dirs))
     angles = np.rad2deg(np.arccos(np.clip(cos, -1, 1)))
     assert np.max(angles) < 15.0
 
@@ -94,17 +87,30 @@ def test_normals_on_sphere_close_to_radial():
 def test_normals_flag_collinear_points():
     pts = np.zeros((10, 3))
     pts[:, 0] = np.arange(10.0)
-    cloud = PointCloud(pts)
-    cloud, warn = features.estimate_normals(cloud, geom.knn(cloud, 4))
-    assert warn  # every neighborhood is rank deficient
-    for i in warn:
-        np.testing.assert_array_equal(cloud.normals[i], [0.0, 0.0, 1.0])
+    nrm = features.estimate_normals(pts, geom.knn(PointCloud(pts), 4))
+    # every neighborhood is rank deficient, so every normal takes the +z default
+    np.testing.assert_array_equal(nrm, np.tile([0.0, 0.0, 1.0], (10, 1)))
 
 
 def test_normals_need_k_at_least_3():
     cloud = random_cloud(Rng(1), 10)
     with pytest.raises(ValueError):
-        features.estimate_normals(cloud, geom.knn(cloud, 2))
+        features.estimate_normals(cloud.points, geom.knn(cloud, 2))
+
+
+def test_normals_unit_length_and_follow_rigid_motion():
+    cloud = PointCloud(np.random.default_rng(30).normal(size=(128, 3)))
+    nbr = geom.knn(cloud, 8)
+    nrm = features.estimate_normals(cloud.points, nbr)
+    np.testing.assert_allclose(np.linalg.norm(nrm, axis=1), 1.0, rtol=0, atol=1e-12)
+    rng = Rng(31)
+    for _ in range(5):
+        t = random_transform(rng, 180.0, 10.0)
+        moved = geom.apply_transform(t, cloud)
+        moved_nbr = geom.knn(moved, 8)
+        np.testing.assert_array_equal(moved_nbr, nbr)
+        moved_nrm = features.estimate_normals(moved.points, moved_nbr)
+        np.testing.assert_allclose(moved_nrm, nrm @ t.rotation.T, rtol=0, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -145,13 +151,12 @@ def test_ppf_rigid_invariance():
 
 def _shape_with_normals(seed=35, n=64, k=8):
     cloud = synth_shape(3, n, Rng(seed))
-    with_normals, _ = features.estimate_normals(cloud, geom.knn(cloud, k))
-    return with_normals
+    return cloud, features.estimate_normals(cloud.points, geom.knn(cloud, k))
 
 
 def test_spfh_histograms_normalized():
-    cloud = _shape_with_normals()
-    hist = features.spfh_table(cloud, geom.knn(cloud, 8)).values[0]
+    cloud, nrm = _shape_with_normals()
+    hist = features.spfh_table(cloud.points, nrm, geom.knn(cloud, 8))[0]
     assert hist.shape == (33,)
     assert np.all(hist >= 0)
     for sub in range(3):
@@ -164,42 +169,42 @@ def test_spfh_parallel_normals_concentrate_alpha():
     pts = np.zeros((30, 3))
     pts[:, :2] = rng.uniform(-1, 1, (30, 2))
     normals = np.tile([0.0, 0.0, 1.0], (30, 1))
-    cloud = PointCloud(pts, normals)
-    hist = features.spfh_table(cloud, geom.knn(cloud, 6)).values[0]
+    hist = features.spfh_table(pts, normals, geom.knn(PointCloud(pts), 6))[0]
     alpha_hist = hist[:11]
     # alpha = 0 falls in the central bin of [-1, 1]
     assert alpha_hist[5] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spfh_rigid_invariance():
-    cloud = _shape_with_normals()
-    base = features.spfh_table(cloud, geom.knn(cloud, 8)).values
+    cloud, nrm = _shape_with_normals()
+    base = features.spfh_table(cloud.points, nrm, geom.knn(cloud, 8))
     rng = Rng(37)
     for _ in range(5):
         t = random_transform(rng, 180.0, 10.0)
         moved_cloud = geom.apply_transform(t, cloud)
-        moved = features.spfh_table(moved_cloud, geom.knn(moved_cloud, 8)).values
+        moved = features.spfh_table(moved_cloud.points, nrm @ t.rotation.T,
+                                    geom.knn(moved_cloud, 8))
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
 
 def test_pfh_two_point_neighborhood_single_bin():
     pts = np.array([[0.0, 0, 0], [1.0, 0, 0]])
     normals = np.tile([0.0, 0.0, 1.0], (2, 1))
-    cloud = PointCloud(pts, normals)
-    hist = features.pfh_table(cloud, geom.knn(cloud, 1)).values[0]
+    hist = features.pfh_table(pts, normals, geom.knn(PointCloud(pts), 1))[0]
     assert hist.shape == (125,)
     assert np.count_nonzero(hist) == 1
     assert hist.max() == pytest.approx(1.0)
 
 
 def test_pfh_normalized_and_invariant():
-    cloud = _shape_with_normals(38)
-    table = features.pfh_table(cloud, geom.knn(cloud, 8)).values
+    cloud, nrm = _shape_with_normals(38)
+    table = features.pfh_table(cloud.points, nrm, geom.knn(cloud, 8))
     np.testing.assert_allclose(table.sum(axis=1), 1.0, atol=1e-9)
     rng = Rng(39)
     t = random_transform(rng, 180.0, 10.0)
     moved_cloud = geom.apply_transform(t, cloud)
-    moved = features.pfh_table(moved_cloud, geom.knn(moved_cloud, 8)).values
+    moved = features.pfh_table(moved_cloud.points, nrm @ t.rotation.T,
+                               geom.knn(moved_cloud, 8))
     np.testing.assert_allclose(moved, table, atol=1e-9)
 
 
@@ -211,24 +216,24 @@ def test_pfh_spfh_antiparallel_seam_invariant():
     normals = np.zeros((48, 3))
     normals[:24, 2] = 1.0
     normals[24:, 2] = -1.0
-    cloud = PointCloud(pts, normals)
+    cloud = PointCloud(pts)
     for table in (features.pfh_table, features.spfh_table):
-        base = table(cloud, geom.knn(cloud, 8)).values
+        base = table(pts, normals, geom.knn(cloud, 8))
         rng = Rng(42)
         for _ in range(20):
             t = random_transform(rng, 180.0, 10.0)
             moved_cloud = geom.apply_transform(t, cloud)
-            moved = table(moved_cloud, geom.knn(moved_cloud, 8)).values
+            moved = table(moved_cloud.points, normals @ t.rotation.T, geom.knn(moved_cloud, 8))
             np.testing.assert_array_equal(moved, base)
 
 
 def test_pfh_permutation_invariance():
-    cloud = _shape_with_normals(40, n=32, k=6)
-    base = features.pfh_table(cloud, geom.knn(cloud, 6)).values[0]
+    cloud, nrm = _shape_with_normals(40, n=32, k=6)
+    base = features.pfh_table(cloud.points, nrm, geom.knn(cloud, 6))[0]
     # permute every point except index 0, re-estimate nothing (reuse normals)
     perm = np.concatenate([[0], 1 + np.argsort(Rng(3).uniform(size=31))])
-    permuted = PointCloud(cloud.points[perm], cloud.normals[perm])
-    out = features.pfh_table(permuted, geom.knn(permuted, 6)).values[0]
+    permuted = PointCloud(cloud.points[perm])
+    out = features.pfh_table(permuted.points, nrm[perm], geom.knn(permuted, 6))[0]
     np.testing.assert_allclose(out, base, atol=1e-12)
 
 
@@ -245,8 +250,7 @@ def _tie_pairs(count=16):
     nb = np.column_stack([-c, s * np.cos(f2), s * np.sin(f2)])
     x = np.repeat(100.0 * np.arange(count), 2) + np.tile([0.0, 1.0], count)
     pts = np.column_stack([x, np.zeros(2 * count), np.zeros(2 * count)])
-    cloud = PointCloud(pts, np.stack([na, nb], axis=1).reshape(-1, 3))
-    return cloud, geom.knn(cloud, 1)
+    return pts, np.stack([na, nb], axis=1).reshape(-1, 3), geom.knn(PointCloud(pts), 1)
 
 
 def test_pfh_tie_pairs_split_by_order():
@@ -257,37 +261,38 @@ def test_pfh_tie_pairs_split_by_order():
 
 
 def _pfh_clouds():
-    """(cloud with normals, neighbor table) cases for the PFH oracle tests."""
+    """(points, normals, neighbor table) cases for the PFH oracle tests."""
     cases = []
     for seed, n in ((43, 256), (44, 96)):
         cloud = PointCloud(np.random.default_rng(seed).normal(size=(n, 3)))
         for k in (8, 24):
             nbr = geom.knn(cloud, k)
-            cases.append((features.estimate_normals(cloud, nbr)[0], nbr))
+            cases.append((cloud.points, features.estimate_normals(cloud.points, nbr), nbr))
     shape = synth_shape(5, 200, Rng(45))
     nbr = geom.knn(shape, 24)
-    cases.append((features.estimate_normals(shape, nbr)[0], nbr))
+    cases.append((shape.points, features.estimate_normals(shape.points, nbr), nbr))
     # planar grid with one normal: every pair has cos_a == cos_b == 0, so the
     # first endpoint is the origin, in both orders of each pair
     g = np.arange(12.0)
     grid = np.column_stack([np.repeat(g, 12), np.tile(g, 12), np.zeros(144)])
-    grid_cloud = PointCloud(grid, np.tile([0.0, 0.0, 1.0], (144, 1)))
-    nbr = geom.knn(grid_cloud, 8)
-    cases.append((grid_cloud, nbr))
-    cases.append((grid_cloud, nbr[:, ::-1]))
+    grid_normals = np.tile([0.0, 0.0, 1.0], (144, 1))
+    nbr = geom.knn(PointCloud(grid), 8)
+    cases.append((grid, grid_normals, nbr))
+    cases.append((grid, grid_normals, nbr[:, ::-1]))
     # doubled cloud with twins as neighbors: zero-length pairs, masked by ok
-    base = _shape_with_normals(46, n=40, k=6)
-    doubled = PointCloud(np.concatenate([base.points] * 2), np.concatenate([base.normals] * 2))
-    d2 = geom.sqdist_matrix(doubled.points, doubled.points)
+    base, base_normals = _shape_with_normals(46, n=40, k=6)
+    doubled = np.concatenate([base.points] * 2)
+    d2 = geom.sqdist_matrix(doubled, doubled)
     np.fill_diagonal(d2, np.inf)
-    cases.append((doubled, np.argsort(d2, axis=1, kind="stable")[:, :7]))
+    cases.append((doubled, np.concatenate([base_normals] * 2),
+                  np.argsort(d2, axis=1, kind="stable")[:, :7]))
     cases.append(_tie_pairs())
     # +-z slabs: antiparallel normals at the theta seam
     xy = Rng(41).uniform(-1.0, 1.0, (48, 2))
     slab_normals = np.zeros((48, 3))
     slab_normals[:, 2] = np.repeat([1.0, -1.0], 24)
-    slabs = PointCloud(np.column_stack([xy, np.repeat([0.05, -0.05], 24)]), slab_normals)
-    cases.append((slabs, geom.knn(slabs, 8)))
+    slabs = np.column_stack([xy, np.repeat([0.05, -0.05], 24)])
+    cases.append((slabs, slab_normals, geom.knn(PointCloud(slabs), 8)))
     return cases
 
 
@@ -295,10 +300,10 @@ def _pfh_clouds():
     "random-k8", "random-k24", "random96-k8", "random96-k24", "shape-k24",
     "grid", "grid-reversed", "doubled", "tie-pairs", "slabs"])
 def test_pfh_table_matches_per_neighborhood_oracle(case):
-    cloud, nbr = _pfh_clouds()[case]
+    pts, nrm, nbr = _pfh_clouds()[case]
     for bins in (5, 3):
-        got = features.pfh_table(cloud, nbr, bins).values
-        assert got.tobytes() == pfh_oracle(cloud, nbr, bins).tobytes()
+        got = features.pfh_table(pts, nrm, nbr, bins)
+        assert got.tobytes() == pfh_oracle(pts, nrm, nbr, bins).tobytes()
 
 
 def test_pfh_evaluates_each_distinct_ordered_pair_once(monkeypatch):
@@ -312,8 +317,7 @@ def test_pfh_evaluates_each_distinct_ordered_pair_once(monkeypatch):
     monkeypatch.setattr(features, "_darboux", counted)
     cloud = PointCloud(np.random.default_rng(47).normal(size=(256, 3)))
     nbr = geom.knn(cloud, 24)
-    cloud, _ = features.estimate_normals(cloud, nbr)
-    features.pfh_table(cloud, nbr)
+    features.pfh_table(cloud.points, features.estimate_normals(cloud.points, nbr), nbr)
     nbh = np.concatenate([np.arange(256)[:, None], nbr], axis=1)
     first, second = np.triu_indices(25, k=1)
     distinct = np.unique(nbh[:, first] * 256 + nbh[:, second]).size
@@ -333,7 +337,7 @@ def test_neighbor_feature_blocks_match_scalar_oracles():
         nbr = geom.knn(cloud, 8)
         phi = features.neighbor_feature_array(cloud, FeatureSpec("distance+ppf"), nbr)
         pts = cloud.points
-        nrm = features.estimate_normals(cloud, nbr)[0].normals
+        nrm = features.estimate_normals(pts, nbr)
         center = pts.mean(axis=0)
         dist = np.array([[distance_feature(center, pts[i], pts[j]) for j in row]
                          for i, row in enumerate(nbr)])

@@ -25,8 +25,6 @@ def test_point_cloud_validation():
         PointCloud(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         PointCloud(np.array([[np.inf, 0, 0]]))
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 3)), normals=np.array([[1, 0, 0], [2, 0, 0]], dtype=float))
 
 
 def test_rigid_transform_validation():

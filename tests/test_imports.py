@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
+"""Every module-level import in the package is used by its module; every
 module-level private function or class, and every public one of ``autodiff``,
-is referenced by some module."""
+is referenced by some module; and every annotated class field is read."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,9 @@ import upcr
 
 PACKAGE = sorted(Path(upcr.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parent.parent
+# every source that may read a package field; the guard only parses them
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -94,3 +97,29 @@ def test_autodiff_has_no_unreferenced_public_ops():
     """A removed op leaves no shim behind: the pipeline reads every public op."""
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     assert unreferenced_defs(sources, public_in=("autodiff",)) == []
+
+
+def unread_fields(package: dict[str, str], readers: list[str]) -> list[str]:
+    """Annotated class fields of the ``package`` modules whose name no source
+    in ``readers`` loads as an attribute (``obj.name``); a store alone is no read."""
+    read = {node.attr for src in readers for node in ast.walk(ast.parse(src))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{mod}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+            for mod, src in package.items() for cls in ast.walk(ast.parse(src))
+            if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_guard_flags_an_unread_field():
+    package = {"a": "class Result:\n    report: dict\n    dead: list\n    kept: int = 0\n"
+                    "    def __init__(self):\n        self.dead = []\n"}
+    readers = [package["a"], "def f(r):\n    return r.report, r.kept\n"]
+    assert unread_fields(package, readers) == ["a.Result.dead (line 3)"]
+
+
+def test_every_annotated_field_is_read():
+    package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
+    readers = [p.read_text(encoding="utf-8") for p in READERS]
+    assert unread_fields(package, readers) == []

@@ -105,7 +105,7 @@ def test_regress_pose_zero_final_layer_gives_identity():
         model = small_model(mode)
         model.tensors["head.1.w"][:] = 0.0
         model.tensors["head.1.b"][:] = 0.0
-        _, trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
+        trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
         np.testing.assert_allclose(rot.data, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
 
@@ -114,12 +114,20 @@ def test_regress_pose_zero_final_layer_gives_identity():
                                           ("sixd", 6), ("matrix", 9)])
 def test_regress_pose_output_dims(mode, rot_dim):
     model = small_model(mode)
-    assert model.tensors["head.1.w"].shape[1] == rot_dim + 3
-    rot_vals, trans, rot = head(model, Rng(5).uniform(-1, 1, CFG.m))
-    assert rot_vals.shape == (rot_dim,)
+    t = model.tensors
+    assert t["head.1.w"].shape[1] == rot_dim + 3
+    for name in ("head.0.b", "head.1.b"):  # zero at init; give the biases weight
+        t[name][:] = Rng(6).uniform(-0.1, 0.1, t[name].shape)
+    gamma = Rng(5).uniform(-1, 1, CFG.m)
+    trans, rot = head(model, gamma)
     assert trans.shape == (3,)
+    # the raw head output, recomputed by hand, splits into rotation and translation
+    hidden = gamma @ t["head.0.w"] + t["head.0.b"][0]
+    out = np.maximum(hidden, CFG.slope * hidden) @ t["head.1.w"] + t["head.1.b"][0]
+    rot_vals = out[:rot_dim] + geom.rotation_mode(mode).identity
+    np.testing.assert_allclose(trans.data, out[rot_dim:], atol=1e-12)
     # decoded rotation matches an independent decode of the raw parameter
-    np.testing.assert_allclose(rot.data, rotation_oracle(mode, rot_vals.data), atol=1e-10)
+    np.testing.assert_allclose(rot.data, rotation_oracle(mode, rot_vals), atol=1e-10)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -132,7 +140,7 @@ def test_pose_head_gradient_through_rotation(mode):
     def fn(t):
         params = {k: (t if k == name else ad.constant(v))
                   for k, v in model.tensors.items()}
-        _, _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
+        _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
         return ad.reduce_sum(ad.mul(rot, ad.constant(probe)))
 
     rep = grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)

@@ -266,6 +266,18 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_non_utf8_tensor_name_names_the_file(tmp_path):
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 23)))
+    blob = bytearray(Path(path).read_bytes())
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    # magic, version, header length, header, tensor count, name length
+    blob[12 + hlen + 8] = 0xFF
+    Path(path).write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint tensor name: "):
+        load_checkpoint(path)
+
+
 # 2**31 doubles would ask for 16 GiB; the product of two 2**32 - 1 dims
 # overflows an int64 np.prod
 @pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
