@@ -19,6 +19,11 @@ no operand, ``mul`` only the other one. Forward work that only a gradient
 needs (an argmax, the winning rows of ``neighbor_max``, the uniqueness check
 of ``nearest_rotation``, the float gate of ``leaky_relu``) runs only for a
 taped operand, so the same pipeline code serves both training and inference.
+
+One :func:`backward` uses up a tape, as PyTorch's default
+``retain_graph=False`` does: each node's VJP, and the forward arrays it holds,
+is released once it has run, and each intermediate gradient once it has been
+passed on. Only leaf gradients are kept, for :attr:`Tensor.grad`.
 """
 
 from __future__ import annotations
@@ -39,10 +44,11 @@ class DomainError(ValueError):
 
 
 class Node:
-    """One tape entry: op kind and a VJP closure.
+    """One tape entry: op kind and a VJP closure (None for a leaf).
 
     The closure captures whatever forward values the backward pass needs and
-    returns ``[(input_node_id, grad_contribution), ...]``.
+    returns ``[(input_node_id, grad_contribution), ...]``; :func:`backward`
+    sets it to None as it passes the node.
     """
 
     __slots__ = ("kind", "vjp")
@@ -77,10 +83,11 @@ class Tensor:
 
     @property
     def grad(self) -> np.ndarray | None:
-        """Accumulated gradient for this tensor's node, if any."""
-        if self.tape is None or self.node_id is None:
+        """The loss gradient of a leaf after :func:`backward`; None before it,
+        for a non-leaf and for a leaf the loss does not reach."""
+        if self.tape is None or self.tape.grads is None:
             return None
-        return self.tape.grad_buffer.get(self.node_id)
+        return self.tape.grads.get(self.node_id)
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
@@ -92,13 +99,14 @@ class Tensor:
 class Tape:
     """Append-only record of operations; nodes reference earlier nodes only.
 
-    ``grad_buffer`` maps node id -> accumulated gradient. Repeated
-    ``backward`` calls accumulate until :meth:`zero_grad`.
+    One :func:`backward` uses it up: afterwards every node keeps its kind but
+    no VJP, and ``grads`` maps each reached leaf's node id to its gradient.
+    ``grads`` is None until then.
     """
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.grad_buffer: dict[int, np.ndarray] = {}
+        self.grads: dict[int, np.ndarray] | None = None
 
     def leaf(self, data, requires_grad: bool = False) -> Tensor:
         """Register an input tensor. Only grad-requiring leaves get a node."""
@@ -107,9 +115,6 @@ class Tape:
             return Tensor(arr)
         nid = self._append("leaf", None)
         return Tensor(arr, node_id=nid, tape=self)
-
-    def zero_grad(self) -> None:
-        self.grad_buffer.clear()
 
     def _append(self, kind: str, vjp) -> int:
         self.nodes.append(Node(kind, vjp))
@@ -481,33 +486,35 @@ def neighbor_max(b, neighbors) -> Tensor:
 # backward pass
 
 
-def backward(loss: Tensor) -> dict[int, np.ndarray]:
-    """Accumulate dLoss/dNode for every node reachable from ``loss``.
+def backward(loss: Tensor) -> None:
+    """Fill ``tape.grads`` with dLoss/dLeaf for every leaf ``loss`` reaches.
 
-    ``loss`` must be a single-element tensor on a tape. Gradients add into
-    the tape's persistent buffer, so repeated calls accumulate until
-    ``tape.zero_grad()``. Returns the buffer (node id -> gradient).
+    ``loss`` must be a single-element tensor on a tape that no backward has
+    used. The pass walks the tape newest first and releases each VJP as it
+    passes it; a node's gradient lives only until its VJP has run, so after
+    the pass only leaves hold gradients and a second backward raises.
     """
     if loss.tape is None or loss.node_id is None:
-        return {}
+        return
     if loss.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     tape = loss.tape
-    local: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
-    for nid in range(loss.node_id, -1, -1):
-        g = local.get(nid)
+    if tape.grads is not None:
+        raise RuntimeError("backward: this tape was used up by an earlier backward; "
+                           "record the forward again on a new tape")
+    tape.grads = {}
+    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    for nid in range(len(tape.nodes) - 1, -1, -1):
+        node = tape.nodes[nid]
+        vjp, node.vjp = node.vjp, None
+        g = pending.pop(nid, None)
         if g is None:
             continue
-        node = tape.nodes[nid]
-        if node.vjp is not None:
-            for in_id, gin in node.vjp(g):
-                if in_id in local:
-                    local[in_id] = local[in_id] + gin
-                else:
-                    local[in_id] = gin
-    for nid, g in local.items():
-        if nid in tape.grad_buffer:
-            tape.grad_buffer[nid] = tape.grad_buffer[nid] + g
-        else:
-            tape.grad_buffer[nid] = g
-    return tape.grad_buffer
+        if vjp is None:  # a leaf
+            tape.grads[nid] = g
+            continue
+        for in_id, gin in vjp(g):
+            if in_id in pending:
+                pending[in_id] = pending[in_id] + gin
+            else:
+                pending[in_id] = gin

@@ -70,9 +70,6 @@ class RigidTransform:
     def identity(cls) -> "RigidTransform":
         return cls(np.eye(3), np.zeros(3))
 
-    def inverse(self) -> "RigidTransform":
-        return RigidTransform(self.rotation.T, -self.rotation.T @ self.translation)
-
     def matrix34(self) -> np.ndarray:
         return np.hstack([self.rotation, self.translation.reshape(3, 1)])
 
@@ -92,10 +89,6 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
     """Per row, indices of the k smallest entries; ties broken by tie_key."""
-    n, m = d2.shape
-    if k + 1 >= m:
-        order = np.lexsort((np.broadcast_to(tie_key, (n, m)), d2), axis=1)
-        return order[:, :k].astype(np.int64)
     cand = np.argpartition(d2, k, axis=1)[:, : k + 1]
     cd = np.take_along_axis(d2, cand, axis=1)
     order = np.lexsort((tie_key[cand], cd), axis=1)
@@ -348,16 +341,11 @@ def apply_transform(transform: RigidTransform, cloud: PointCloud) -> PointCloud:
     return PointCloud(cloud.points @ transform.rotation.T + transform.translation)
 
 
-def canonicalize(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
-    """p -> R^T (p - t); inverse of :func:`apply_transform`."""
-    return PointCloud((cloud.points - transform.translation) @ transform.rotation)
-
-
 def compose_relative(t_x: RigidTransform, t_y: RigidTransform) -> RigidTransform:
     """Relative motion R = R_Y R_X^T, t = t_Y - R t_X.
 
     Aligns X onto Y whenever both share the same canonical shape, i.e.
-    canonicalize(X, T_X) == canonicalize(Y, T_Y).
+    R_X^T (X - t_X) == R_Y^T (Y - t_Y).
     """
     rot = t_y.rotation @ t_x.rotation.T
     trans = t_y.translation - rot @ t_x.translation

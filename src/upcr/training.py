@@ -7,7 +7,6 @@ never enter this module's training functions.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -25,7 +24,7 @@ from .rng import Rng, derive_seed
 from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tensor:
@@ -104,24 +103,24 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 @dataclass
 class Checkpoint:
+    """A model and its run metadata. It keeps no optimizer state:
+    :func:`fine_tune` always starts a fresh one."""
+
     config: EncoderConfig
     spec: FeatureSpec
     rotation_mode: str
     params: dict[str, np.ndarray]
-    optim: OptimState | None = None
     metadata: dict = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
 
     def to_model(self) -> ModelParams:
         return ModelParams(self.config, self.spec, self.rotation_mode,
                            {k: v.copy() for k, v in self.params.items()})
 
     @classmethod
-    def from_model(cls, model: ModelParams, optim: OptimState | None = None,
-                   metadata: dict | None = None) -> "Checkpoint":
+    def from_model(cls, model: ModelParams, metadata: dict | None = None) -> "Checkpoint":
         return cls(model.config, model.spec, model.rotation_mode,
                    {k: v.copy() for k, v in model.tensors.items()},
-                   optim=optim, metadata=dict(metadata or {}))
+                   metadata=dict(metadata or {}))
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
@@ -162,27 +161,16 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
                  "pfh_bins": ckpt.spec.pfh_bins},
         "rotation_mode": ckpt.rotation_mode,
         "metadata": ckpt.metadata,
-        "optim": None if ckpt.optim is None else {
-            "lr": ckpt.optim.lr, "beta1": ckpt.optim.beta1,
-            "beta2": ckpt.optim.beta2, "eps": ckpt.optim.eps,
-            "step": ckpt.optim.step,
-        },
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    tensors = dict(ckpt.params)
-    if ckpt.optim is not None:
-        for k, a in ckpt.optim.m.items():
-            tensors[f"optim.m.{k}"] = a
-        for k, a in ckpt.optim.v.items():
-            tensors[f"optim.v.{k}"] = a
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name in tensors:
-            _write_tensor(fh, name, tensors[name])
+        fh.write(struct.pack("<I", len(ckpt.params)))
+        for name, arr in ckpt.params.items():
+            _write_tensor(fh, name, arr)
 
 
 def load_checkpoint(path: str) -> Checkpoint:
@@ -203,29 +191,19 @@ def load_checkpoint(path: str) -> Checkpoint:
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
 
-    params = {k: v for k, v in tensors.items() if not k.startswith("optim.")}
     try:
-        if not isinstance(header["config"], dict) or not isinstance(header["spec"], dict):
-            raise TypeError("config and spec must be JSON objects")
+        metadata = header.get("metadata", {})
+        if not all(isinstance(v, dict) for v in (header["config"], header["spec"], metadata)):
+            raise TypeError("config, spec and metadata must be JSON objects")
         config = EncoderConfig.from_dict(header["config"])
         spec = FeatureSpec(**header["spec"])
         mode = header["rotation_mode"]
-        o = header.get("optim")
-        optim = None if o is None else OptimState(
-            lr=o["lr"], beta1=o["beta1"], beta2=o["beta2"], eps=o["eps"], step=o["step"])
+        geom.rotation_mode(mode)  # an unknown mode raises ValueError here
     except KeyError as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
-    if optim is not None:
-        optim.m = {k[len("optim.m."):]: v for k, v in tensors.items()
-                   if k.startswith("optim.m.")}
-        optim.v = {k[len("optim.v."):]: v for k, v in tensors.items()
-                   if k.startswith("optim.v.")}
-    geom.rotation_mode(mode)  # an unknown mode raises ValueError here
-    # Adam moments mirror the parameters; nothing else may ride along
-    prefixes = ("",) if optim is None else ("", "optim.m.", "optim.v.")
-    want = {p + k: s for p in prefixes for k, s in param_shapes(config, spec, mode).items()}
+    want = param_shapes(config, spec, mode)
     got = {k: a.shape for k, a in tensors.items()}
     problems = ([f"missing {k}" for k in want if k not in got]
                 + [f"unexpected {k}" for k in got if k not in want]
@@ -234,15 +212,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     if problems:
         raise ValueError(f"{path}: checkpoint tensors do not match header: "
                          + "; ".join(problems))
-    return Checkpoint(
-        config=config,
-        spec=spec,
-        rotation_mode=mode,
-        params=params,
-        optim=optim,
-        metadata=header.get("metadata", {}),
-        version=version,
-    )
+    return Checkpoint(config=config, spec=spec, rotation_mode=mode, params=tensors,
+                      metadata=metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +239,7 @@ def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
 
 
 def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
-                epochs: int, batch_size: int, seed: int, state: OptimState,
+                epochs: int, lr: float, batch_size: int, seed: int,
                 clip_norm: float | None, schedule: str = "constant") -> tuple[list[float], bool]:
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule {schedule!r}; expected one of {', '.join(SCHEDULES)}")
@@ -276,16 +247,16 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
         raise ValueError(f"clip_norm must be positive, got {clip_norm}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not 0.0 <= state.lr < np.inf:  # NaN fails both; lr = 0 is a legal no-op run
-        raise ValueError(f"lr must be finite and >= 0, got {state.lr}")
+    if not 0.0 <= lr < np.inf:  # NaN fails both; lr = 0 is a legal no-op run
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     caches = [(precompute_cloud(x, model.spec, model.config),
                precompute_cloud(y, model.spec, model.config)) for x, y in pairs]
     order_rng = Rng(derive_seed(seed, "batch-order"))
+    state = OptimState.for_params(model.tensors, lr=lr)
     curve: list[float] = []
-    last_good = model.copy(), copy.deepcopy(state)
-    lr0 = state.lr
+    last_good = model.copy()
     steps_per_epoch = (len(pairs) + batch_size - 1) // batch_size
     total_steps = max(1, epochs * steps_per_epoch)
     step = 0
@@ -306,20 +277,18 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                 total = li if total is None else ad.add(total, li)
             loss = ad.div(total, float(len(batch)))
             if not np.isfinite(loss.item()):
-                model.tensors, good = last_good[0].tensors, last_good[1]
-                state.m, state.v, state.step, state.lr = good.m, good.v, good.step, lr0
+                model.tensors = last_good.tensors
                 return curve, True
             ad.backward(loss)
             grads = {name: bound[name].grad for name in model.tensors}
             if clip_norm is not None:
                 _clip_gradients({k: g for k, g in grads.items() if g is not None}, clip_norm)
             if schedule == "cosine":
-                state.lr = lr0 * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
+                state.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
             adam_step(model.tensors, grads, state)
             step += 1
         curve.append(float(np.mean(sample_losses)))
-        last_good = model.copy(), copy.deepcopy(state)
-    state.lr = lr0
+        last_good = model.copy()
     return curve, False
 
 
@@ -336,13 +305,11 @@ def train(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
         raise ValueError("train: dataset is empty")
     pairs = [(s.source, s.target) for s in samples]
     model = init_params(config, spec, rotation_mode, derive_seed(seed, "init"))
-    state = OptimState.for_params(model.tensors, lr=lr)
-    curve, diverged = _run_epochs(model, pairs, epochs, batch_size, seed, state,
+    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
                                   clip_norm, schedule)
     meta = {"epochs": len(curve), "seed": seed, "lr": lr,
             "batch_size": batch_size, "loss_history": curve, "diverged": diverged}
-    return TrainResult(Checkpoint.from_model(model, optim=state, metadata=meta),
-                       curve, diverged)
+    return TrainResult(Checkpoint.from_model(model, metadata=meta), curve, diverged)
 
 
 def fine_tune(checkpoint: Checkpoint, pairs: list[tuple[PointCloud, PointCloud]],
@@ -356,15 +323,13 @@ def fine_tune(checkpoint: Checkpoint, pairs: list[tuple[PointCloud, PointCloud]]
     if not pairs:
         raise ValueError("fine_tune: no pairs given")
     model = checkpoint.to_model()
-    state = OptimState.for_params(model.tensors, lr=lr)
-    curve, diverged = _run_epochs(model, pairs, epochs, batch_size, seed, state,
+    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
                                   clip_norm, schedule)
     meta = dict(checkpoint.metadata)
     meta.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
                  "fine_tune_seed": seed, "fine_tune_loss_history": curve,
                  "diverged": diverged})
-    return TrainResult(Checkpoint.from_model(model, optim=state, metadata=meta),
-                       curve, diverged)
+    return TrainResult(Checkpoint.from_model(model, metadata=meta), curve, diverged)
 
 
 def write_loss_curve(path: str, curve: list[float]) -> None:

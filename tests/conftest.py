@@ -1,3 +1,4 @@
+import json
 import struct
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -31,6 +32,16 @@ def random_cloud(rng: Rng, n: int = 64) -> geom.PointCloud:
     return geom.PointCloud(rng.uniform(-1.0, 1.0, (n, 3)))
 
 
+def inverse_transform(t: geom.RigidTransform) -> geom.RigidTransform:
+    """The motion that undoes ``t``: R^T, -R^T t."""
+    return geom.RigidTransform(t.rotation.T, -t.rotation.T @ t.translation)
+
+
+def canonicalize(cloud: geom.PointCloud, t: geom.RigidTransform) -> geom.PointCloud:
+    """p -> R^T (p - t); the inverse of ``geom.apply_transform``."""
+    return geom.PointCloud((cloud.points - t.translation) @ t.rotation)
+
+
 def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
     """Rewrite a saved checkpoint's first tensor record to claim ``dims``,
     keeping its data bytes: the corrupt-length case of the file format."""
@@ -42,6 +53,16 @@ def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
     (rank,) = struct.unpack("<I", blob[at:at + 4])
     record = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
     Path(path).write_bytes(blob[:at] + record + blob[at + 4 + 4 * rank:])
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to a saved checkpoint's JSON header in place."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
 
 
 def distance_feature(center, point, neighbor) -> np.ndarray:

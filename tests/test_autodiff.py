@@ -345,6 +345,9 @@ def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
         total = ad.add(total, ad.reduce_sum(out))
     ad.backward(total)
     assert x.grad.shape == (5, 3)
+    gc.collect()
+    assert kept() is None  # backward released mul's VJP and the operand it held
+    assert all(node.vjp is None for node in tape.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -784,15 +787,19 @@ def test_backward_quadratic():
     np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
 
-def test_backward_accumulates_until_reset():
+def test_second_backward_raises():
     tape = ad.Tape()
     x = leaf(tape, [1.0, -2.0])
-    loss = ad.reduce_sum(ad.mul(x, x))
-    ad.backward(loss)
-    ad.backward(loss)
-    np.testing.assert_array_equal(x.grad, [4.0, -8.0])
-    tape.zero_grad()
+    sq = ad.mul(x, x)
+    loss = ad.reduce_sum(sq)
     assert x.grad is None
+    ad.backward(loss)
+    nodes = len(tape.nodes)
+    assert sq.grad is None and loss.grad is None  # only leaves keep a gradient
+    with pytest.raises(RuntimeError, match="used up"):
+        ad.backward(loss)
+    assert len(tape.nodes) == nodes
+    np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
 
 def test_backward_rejects_non_scalar():

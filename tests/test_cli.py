@@ -14,7 +14,7 @@ from upcr.features import FeatureSpec
 from upcr.rng import Rng
 from upcr.training import Checkpoint, load_checkpoint, save_checkpoint
 
-from conftest import claim_tensor_dims
+from conftest import claim_tensor_dims, rewrite_header
 
 TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
 # only train builds a model; every other command runs the checkpoint's
@@ -234,6 +234,17 @@ def test_finetune_keeps_checkpoint_mode(tmp_path):
     ckpt = load_checkpoint(str(out / "model.upcr"))
     assert ckpt.rotation_mode == "quaternion"
     assert ckpt.config == load_checkpoint(model).config
+
+
+def test_finetune_rejects_non_object_metadata_before_out(tmp_path, capsys):
+    model = tiny_model_file(tmp_path)
+    rewrite_header(model, lambda h: h.update(metadata=[1, 2]))
+    out = tmp_path / "ft"
+    rc = main(["finetune", "--model", model, "--out", str(out)] + TINY)
+    assert rc == 1
+    assert (f"error: {model}: corrupt checkpoint header: config, spec and metadata "
+            "must be JSON objects") in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_outliers_csv(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from upcr import autodiff as ad
 from upcr import geom, training
 from upcr.datagen import Protocol, build_benchmark
-from upcr.encoder import EncoderConfig, init_params
+from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
@@ -20,7 +20,7 @@ from upcr.training import (Checkpoint, OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import claim_tensor_dims
+from conftest import claim_tensor_dims, rewrite_header
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -170,7 +170,7 @@ def test_train_loss_decreases_on_tiny_problem():
     assert res.loss_curve[-1] < res.loss_curve[0]
 
 
-def test_divergence_rolls_back_parameters_and_optimizer(monkeypatch):
+def test_divergence_rolls_back_parameters(monkeypatch):
     train_s, _ = tiny_dataset()  # 6 pairs at batch 4: two steps per epoch
     loss_calls, after_step = [], []
     loss, step = training.unsupervised_loss, training.adam_step
@@ -182,7 +182,7 @@ def test_divergence_rolls_back_parameters_and_optimizer(monkeypatch):
 
     def recorded_step(params, grads, state):
         step(params, grads, state)
-        after_step.append(copy.deepcopy((params, state)))
+        after_step.append(copy.deepcopy(params))
 
     monkeypatch.setattr(training, "unsupervised_loss", nan_in_second_batch_of_epoch_2)
     monkeypatch.setattr(training, "adam_step", recorded_step)
@@ -190,13 +190,8 @@ def test_divergence_rolls_back_parameters_and_optimizer(monkeypatch):
                 schedule="cosine")
     assert res.diverged and len(res.loss_curve) == 1
     assert len(after_step) == 3  # step 3 ran in the epoch that diverged
-    params, state = after_step[1]
-    optim = res.checkpoint.optim
-    assert optim.lr == 1e-3 and optim.step == state.step == 2
-    for name, arr in params.items():
+    for name, arr in after_step[1].items():
         assert res.checkpoint.params[name].tobytes() == arr.tobytes()
-        assert optim.m[name].tobytes() == state.m[name].tobytes()
-        assert optim.v[name].tobytes() == state.v[name].tobytes()
 
 
 def test_finetune_lr_zero_keeps_parameters():
@@ -229,20 +224,37 @@ def test_finetune_touches_only_clouds():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = init_params(CFG, SPEC, "euler", 19)
-    state = OptimState.for_params(model.tensors, lr=1e-3)
-    state.step = 3
-    ckpt = Checkpoint.from_model(model, optim=state, metadata={"epochs": 1})
+    ckpt = Checkpoint.from_model(model, metadata={"epochs": 1})
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, ckpt)
     loaded = load_checkpoint(path)
     assert loaded.rotation_mode == "euler"
     assert loaded.config.to_dict() == CFG.to_dict()
     assert loaded.metadata["epochs"] == 1
+    assert loaded.params.keys() == ckpt.params.keys()
     for name, arr in ckpt.params.items():
-        assert np.array_equal(loaded.params[name], arr)
-    assert loaded.optim is not None and loaded.optim.step == 3
-    for name in state.m:
-        assert np.array_equal(loaded.optim.m[name], state.m[name])
+        assert loaded.params[name].tobytes() == arr.tobytes()
+
+
+def test_trained_checkpoint_holds_only_the_model(tmp_path):
+    train_s, _ = tiny_dataset()
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, train(CFG, SPEC, "euler", train_s, epochs=1, seed=19).checkpoint)
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    assert sorted(json.loads(blob[12:12 + hlen])) == ["config", "metadata",
+                                                      "rotation_mode", "spec"]
+    assert b"optim" not in blob
+    assert sorted(load_checkpoint(path).params) == sorted(param_shapes(CFG, SPEC, "euler"))
+
+
+def test_version_1_checkpoint_names_path_and_version(tmp_path):
+    path = str(tmp_path / "model.upcr")
+    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 19)))
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: unsupported checkpoint version 1$"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_corrupt_header_rejected(tmp_path):
@@ -291,30 +303,21 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
         load_checkpoint(path)
 
 
-def rewrite_header(path, edit):
-    """Apply ``edit`` to a saved checkpoint's JSON header in place."""
-    blob = Path(path).read_bytes()
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen])
-    edit(header)
-    new = json.dumps(header).encode("utf-8")
-    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
-
-
 @pytest.mark.parametrize("edit,message", [
     (lambda h: h.pop("spec"), "missing key 'spec'"),
     (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
-    (lambda h: h.update(config=[5, 16]), "config and spec must be JSON objects"),
+    (lambda h: h.update(config=[5, 16]), "config, spec and metadata must be JSON objects"),
+    (lambda h: h.update(metadata=[1, 2]), "config, spec and metadata must be JSON objects"),
     (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
     (lambda h: h["config"].update(feature_norm=False),
      "feature_norm must be true: channel_norm always runs between layers"),
-], ids=["missing-key", "unknown-config-key", "non-dict-config", "negative-slope",
-        "feature-norm-off"])
+], ids=["missing-key", "unknown-config-key", "non-dict-config", "non-dict-metadata",
+        "negative-slope", "feature-norm-off"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 29)))
     rewrite_header(path, edit)
-    with pytest.raises(ValueError, match=f"corrupt checkpoint header: .*{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: .*{message}"):
         load_checkpoint(path)
 
 
@@ -330,9 +333,8 @@ def test_checkpoint_with_older_feature_norm_header_loads(tmp_path):
         assert ckpt.params[name].tobytes() == arr.tobytes()
 
 
-def _save_with_optim(path, edit=lambda c: None):
-    model = init_params(CFG, SPEC, "euler", 31)
-    ckpt = Checkpoint.from_model(model, optim=OptimState.for_params(model.tensors, lr=1e-3))
+def _save(path, edit=lambda c: None):
+    ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 31))
     edit(ckpt)
     save_checkpoint(path, ckpt)
 
@@ -342,14 +344,13 @@ def _save_with_optim(path, edit=lambda c: None):
     (lambda c: c.params.update(extra=np.zeros((1, 1))), "unexpected extra"),
     (lambda c: c.params.update({"alpha.b": np.zeros((1, 3))}),
      r"alpha.b has shape \(1, 3\), expected \(1, 8\)"),
-    (lambda c: c.optim.m.pop("alpha.w"), "missing optim.m.alpha.w"),
-    (lambda c: c.optim.v.update(bogus=np.zeros((1, 1))), "unexpected optim.v.bogus"),
-    (lambda c: c.optim.v.update({"head.1.b": np.zeros((1, 7))}),
-     r"optim.v.head.1.b has shape \(1, 7\), expected \(1, 6\)"),
-], ids=["missing", "extra", "wrong-shape", "optim-missing", "optim-extra", "optim-wrong-shape"])
+    # a v1 Adam moment is no longer stripped on load
+    (lambda c: c.params.update({"optim.m.alpha.w": np.zeros((3, 8))}),
+     "unexpected optim.m.alpha.w"),
+], ids=["missing", "extra", "wrong-shape", "optim-extra"])
 def test_checkpoint_tensors_must_match_header(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
-    _save_with_optim(path, edit)
+    _save(path, edit)
     with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
         load_checkpoint(path)
 
@@ -359,11 +360,10 @@ def test_checkpoint_tensors_must_match_header(tmp_path, edit, message):
     (lambda h: h.update(rotation_mode="quaternion"),
      r"head.1.w has shape \(8, 6\), expected \(8, 7\)"),
     (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]), "missing global.2.w"),
-    (lambda h: h.update(optim=None), "unexpected optim.m.global.0.w"),
-], ids=["spec", "rotation-mode", "layers", "optim-dropped"])
+], ids=["spec", "rotation-mode", "layers"])
 def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
-    _save_with_optim(path)
+    _save(path)
     rewrite_header(path, edit)
     with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
         load_checkpoint(path)
@@ -374,7 +374,9 @@ def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
     ckpt.rotation_mode = "spin"
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, ckpt)
-    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: unknown "
+                                         "rotation mode 'spin'; expected one of euler, quaternion, "
+                                         "sixd, matrix$"):
         load_checkpoint(path)
 
 
