@@ -6,11 +6,11 @@ from .features import FeatureSpec
 from .geom import PointCloud, RigidTransform
 from .encoder import EncoderConfig, ModelParams, init_params
 from .separation import RegistrationResult, register_pair
-from .training import Checkpoint, load_checkpoint, save_checkpoint
+from .training import load_checkpoint, save_checkpoint
 
 __all__ = [
     "FeatureSpec", "PointCloud", "RigidTransform",
     "EncoderConfig", "ModelParams", "init_params",
     "RegistrationResult", "register_pair",
-    "Checkpoint", "load_checkpoint", "save_checkpoint",
+    "load_checkpoint", "save_checkpoint",
 ]

@@ -302,10 +302,10 @@ def _read(load, path: str, what: str):
 def _model_and_test_split(args, cfg: dict):
     """The checkpoint and the test split that a checkpoint command runs on."""
     _need_pairs(cfg, args.command, "data.test")
-    ckpt = _read(load_checkpoint, args.model, "model")
-    _need_points_above_k(cfg, ckpt.config.k, "the checkpoint's k")
+    model = _read(load_checkpoint, args.model, "model")
+    _need_points_above_k(cfg, model.config.k, "the checkpoint's k")
     _, test_s = make_splits(cfg)
-    return ckpt, test_s
+    return model, test_s
 
 
 def _parse_ratios(text: str) -> list[float]:
@@ -380,9 +380,9 @@ def cmd_train(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = resolve_config(args)
-    ckpt, test_s = _model_and_test_split(args, cfg)
+    model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    ft = fine_tune(ckpt, [(s.source, s.target) for s in test_s],
+    ft = fine_tune(model, [(s.source, s.target) for s in test_s],
                    epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
                    batch_size=cfg["train.batch"], seed=cfg["seed"])
     model_path = os.path.join(out, "model.upcr")
@@ -398,8 +398,8 @@ def cmd_finetune(args) -> int:
 def cmd_register(args) -> int:
     source = _read(load_cloud, args.source, "source cloud")
     target = _read(load_cloud, args.target, "target cloud")
-    ckpt = _read(load_checkpoint, args.model, "model")
-    result = register_pair(source, target, ckpt.to_model())
+    model = _read(load_checkpoint, args.model, "model")
+    result = register_pair(source, target, model)
     for row in result.transform.matrix34():
         print(" ".join(f"{v:.9g}" for v in row))
     outputs = []
@@ -429,9 +429,9 @@ def _bench_rows(model, test_s, baselines: bool):
 
 def cmd_bench(args) -> int:
     cfg = resolve_config(args)
-    ckpt, test_s = _model_and_test_split(args, cfg)
+    model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    rows = _bench_rows(ckpt.to_model(), test_s, args.baselines)
+    rows = _bench_rows(model, test_s, args.baselines)
     csv_path = os.path.join(out, "metrics.csv")
     write_csv(csv_path, rows)
     print_table(rows)
@@ -442,9 +442,9 @@ def cmd_bench(args) -> int:
 def cmd_sweep_outliers(args) -> int:
     cfg = resolve_config(args)
     ratios = _parse_ratios(args.ratios)
-    ckpt, test_s = _model_and_test_split(args, cfg)
+    model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    sweep = evalbench.outlier_sweep(ckpt.to_model(), test_s, ratios, seed=cfg["seed"])
+    sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])
     rows = []
     for entry in sweep:
         for method in ("model", "icp"):

@@ -75,44 +75,25 @@ class EncoderConfig:
         if any(w < 1 for w in self.widths + self.head_widths):
             raise ValueError("layer and head widths must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "k": self.k, "m": self.m, "layers": self.layers,
-            "widths": list(self.widths), "slope": self.slope,
-            "dynamic_graph": self.dynamic_graph, "head_widths": list(self.head_widths),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderConfig":
-        d = dict(d)
-        # older headers carry the since-removed switch; only its "on" value loads
-        if d.pop("feature_norm", True) is not True:
-            raise ValueError("feature_norm must be true: channel_norm always runs "
-                             "between layers")
-        d["widths"] = tuple(d["widths"])
-        d["head_widths"] = tuple(d["head_widths"])
-        return cls(**d)
-
 
 @dataclass
 class ModelParams:
-    """Named parameter tensors for both encoders and the pose head."""
+    """The model: named parameter arrays for both encoders and the pose head, and
+    the run metadata training records. Checkpoints store exactly this."""
 
     config: EncoderConfig
     spec: FeatureSpec
     rotation_mode: str
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    params: dict[str, np.ndarray] = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
 
     def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
         """Register every parameter as a grad-requiring leaf on ``tape``."""
-        return {name: tape.leaf(arr, requires_grad=True) for name, arr in self.tensors.items()}
-
-    def constants(self) -> dict[str, ad.Tensor]:
-        return {name: ad.constant(arr) for name, arr in self.tensors.items()}
+        return {name: tape.leaf(arr, requires_grad=True) for name, arr in self.params.items()}
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.spec, self.rotation_mode,
-                           {k: v.copy() for k, v in self.tensors.items()})
+                           {k: v.copy() for k, v in self.params.items()}, dict(self.metadata))
 
 
 def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:

@@ -104,7 +104,7 @@ def register_pair(x: PointCloud, y: PointCloud, model: ModelParams,
     computation for training; the canonical-coordinate tensors then ride
     along in the result.
     """
-    params = bound if bound is not None else model.constants()
+    params = bound if bound is not None else model.params
     cache_x = caches[0] if caches else None
     cache_y = caches[1] if caches else None
     pose_x, canon_x = _forward_cloud(x, model, params, cache_x)

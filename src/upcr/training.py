@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
 CHECKPOINT_VERSION = 2
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tensor:
@@ -59,19 +62,14 @@ class OptimState:
     """Adam accumulators; moment shapes mirror the parameter shapes."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, tensors: dict[str, np.ndarray], lr: float, **kw) -> "OptimState":
-        state = cls(lr=lr, **kw)
-        state.m = {k: np.zeros_like(a) for k, a in tensors.items()}
-        state.v = {k: np.zeros_like(a) for k, a in tensors.items()}
-        return state
+    def for_params(cls, params: dict[str, np.ndarray], lr: float) -> "OptimState":
+        return cls(lr=lr, m={k: np.zeros_like(a) for k, a in params.items()},
+                   v={k: np.zeros_like(a) for k, a in params.items()})
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -82,45 +80,23 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         if g is not None and not np.all(np.isfinite(g)):
             raise ValueError(f"adam_step: non-finite gradient for parameter {name!r}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
             g = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
-
-
-@dataclass
-class Checkpoint:
-    """A model and its run metadata. It keeps no optimizer state:
-    :func:`fine_tune` always starts a fresh one."""
-
-    config: EncoderConfig
-    spec: FeatureSpec
-    rotation_mode: str
-    params: dict[str, np.ndarray]
-    metadata: dict = field(default_factory=dict)
-
-    def to_model(self) -> ModelParams:
-        return ModelParams(self.config, self.spec, self.rotation_mode,
-                           {k: v.copy() for k, v in self.params.items()})
-
-    @classmethod
-    def from_model(cls, model: ModelParams, metadata: dict | None = None) -> "Checkpoint":
-        return cls(model.config, model.spec, model.rotation_mode,
-                   {k: v.copy() for k, v in model.tensors.items()},
-                   metadata=dict(metadata or {}))
 
 
 def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
@@ -154,26 +130,32 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
     return name, data.reshape(dims)
 
 
-def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    header = {
-        "config": ckpt.config.to_dict(),
-        "spec": {"kind": ckpt.spec.kind, "spfh_bins": ckpt.spec.spfh_bins,
-                 "pfh_bins": ckpt.spec.pfh_bins},
-        "rotation_mode": ckpt.rotation_mode,
-        "metadata": ckpt.metadata,
-    }
+def save_checkpoint(path: str, model: ModelParams) -> None:
+    """Write ``model``; no optimizer state is kept, as fine-tuning starts afresh."""
+    header = {"config": asdict(model.config), "spec": asdict(model.spec),
+              "rotation_mode": model.rotation_mode, "metadata": model.metadata}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(struct.pack("<I", len(ckpt.params)))
-        for name, arr in ckpt.params.items():
+        fh.write(struct.pack("<I", len(model.params)))
+        for name, arr in model.params.items():
             _write_tensor(fh, name, arr)
 
 
-def load_checkpoint(path: str) -> Checkpoint:
+def _from_fields(cls, d: dict, section: str):
+    """``cls(**d)``, once ``d`` names exactly the dataclass's fields."""
+    names = {f.name for f in fields(cls)}
+    wrong = ([f"missing {section}.{k}" for k in sorted(names - d.keys())]
+             + [f"unexpected {section}.{k}" for k in sorted(d.keys() - names)])
+    if wrong:
+        raise ValueError("; ".join(wrong))
+    return cls(**d)
+
+
+def load_checkpoint(path: str) -> ModelParams:
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
@@ -192,11 +174,13 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
 
     try:
+        if not isinstance(header, dict):
+            raise TypeError("the header must be a JSON object")
         metadata = header.get("metadata", {})
         if not all(isinstance(v, dict) for v in (header["config"], header["spec"], metadata)):
             raise TypeError("config, spec and metadata must be JSON objects")
-        config = EncoderConfig.from_dict(header["config"])
-        spec = FeatureSpec(**header["spec"])
+        config = _from_fields(EncoderConfig, header["config"], "config")
+        spec = _from_fields(FeatureSpec, header["spec"], "spec")
         mode = header["rotation_mode"]
         geom.rotation_mode(mode)  # an unknown mode raises ValueError here
     except KeyError as exc:
@@ -212,8 +196,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     if problems:
         raise ValueError(f"{path}: checkpoint tensors do not match header: "
                          + "; ".join(problems))
-    return Checkpoint(config=config, spec=spec, rotation_mode=mode, params=tensors,
-                      metadata=metadata)
+    return ModelParams(config, spec, mode, tensors, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +205,7 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 @dataclass
 class TrainResult:
-    checkpoint: Checkpoint
+    checkpoint: ModelParams
     loss_curve: list[float]
     diverged: bool = False
 
@@ -254,7 +237,7 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
     caches = [(precompute_cloud(x, model.spec, model.config),
                precompute_cloud(y, model.spec, model.config)) for x, y in pairs]
     order_rng = Rng(derive_seed(seed, "batch-order"))
-    state = OptimState.for_params(model.tensors, lr=lr)
+    state = OptimState.for_params(model.params, lr=lr)
     curve: list[float] = []
     last_good = model.copy()
     steps_per_epoch = (len(pairs) + batch_size - 1) // batch_size
@@ -277,15 +260,15 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                 total = li if total is None else ad.add(total, li)
             loss = ad.div(total, float(len(batch)))
             if not np.isfinite(loss.item()):
-                model.tensors = last_good.tensors
+                model.params = last_good.params
                 return curve, True
             ad.backward(loss)
-            grads = {name: bound[name].grad for name in model.tensors}
+            grads = {name: bound[name].grad for name in model.params}
             if clip_norm is not None:
                 _clip_gradients({k: g for k, g in grads.items() if g is not None}, clip_norm)
             if schedule == "cosine":
                 state.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
-            adam_step(model.tensors, grads, state)
+            adam_step(model.params, grads, state)
             step += 1
         curve.append(float(np.mean(sample_losses)))
         last_good = model.copy()
@@ -307,29 +290,29 @@ def train(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
     model = init_params(config, spec, rotation_mode, derive_seed(seed, "init"))
     curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
                                   clip_norm, schedule)
-    meta = {"epochs": len(curve), "seed": seed, "lr": lr,
-            "batch_size": batch_size, "loss_history": curve, "diverged": diverged}
-    return TrainResult(Checkpoint.from_model(model, metadata=meta), curve, diverged)
+    model.metadata = {"epochs": len(curve), "seed": seed, "lr": lr,
+                      "batch_size": batch_size, "loss_history": curve, "diverged": diverged}
+    return TrainResult(model, curve, diverged)
 
 
-def fine_tune(checkpoint: Checkpoint, pairs: list[tuple[PointCloud, PointCloud]],
+def fine_tune(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
               epochs: int, lr: float = 1e-4, batch_size: int = 8,
               seed: int = 0, clip_norm: float | None = None,
               schedule: str = "constant") -> TrainResult:
-    """Continue training from a checkpoint with a fresh optimizer state.
+    """Train a copy of ``model`` further, with a fresh optimizer state;
+    ``model`` itself is left as it was.
 
     Takes bare cloud pairs: there is no ground truth anywhere in this path.
     """
     if not pairs:
         raise ValueError("fine_tune: no pairs given")
-    model = checkpoint.to_model()
+    model = model.copy()
     curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
                                   clip_norm, schedule)
-    meta = dict(checkpoint.metadata)
-    meta.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
-                 "fine_tune_seed": seed, "fine_tune_loss_history": curve,
-                 "diverged": diverged})
-    return TrainResult(Checkpoint.from_model(model, metadata=meta), curve, diverged)
+    model.metadata.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
+                           "fine_tune_seed": seed, "fine_tune_loss_history": curve,
+                           "diverged": diverged})
+    return TrainResult(model, curve, diverged)
 
 
 def write_loss_curve(path: str, curve: list[float]) -> None:

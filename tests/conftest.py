@@ -55,14 +55,21 @@ def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
     Path(path).write_bytes(blob[:at] + record + blob[at + 4 + 4 * rank:])
 
 
+def replace_header(path, header):
+    """Swap a saved checkpoint's JSON header for ``header``, any JSON value."""
+    blob = Path(path).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    new = json.dumps(header).encode("utf-8")
+    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+
+
 def rewrite_header(path, edit):
     """Apply ``edit`` to a saved checkpoint's JSON header in place."""
     blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen])
     edit(header)
-    new = json.dumps(header).encode("utf-8")
-    Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
+    replace_header(path, header)
 
 
 def distance_feature(center, point, neighbor) -> np.ndarray:

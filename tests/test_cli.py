@@ -12,9 +12,9 @@ from upcr.datagen import save_cloud, synth_shape
 from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.rng import Rng
-from upcr.training import Checkpoint, load_checkpoint, save_checkpoint
+from upcr.training import load_checkpoint, save_checkpoint
 
-from conftest import claim_tensor_dims, rewrite_header
+from conftest import claim_tensor_dims, replace_header, rewrite_header
 
 TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
 # only train builds a model; every other command runs the checkpoint's
@@ -27,7 +27,7 @@ def tiny_model_file(tmp_path, mode="euler", k=5, name="model.upcr"):
     cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
     model = init_params(cfg, FeatureSpec("distance"), mode, 3)
     path = str(tmp_path / name)
-    save_checkpoint(path, Checkpoint.from_model(model))
+    save_checkpoint(path, model)
     return path
 
 
@@ -80,6 +80,19 @@ def test_corrupt_checkpoint_header_is_error(tmp_path, capsys):
     assert "error:" in err and "corrupt checkpoint header" in err
 
 
+@pytest.mark.parametrize("header", [[1, 2], None], ids=["list", "null"])
+def test_non_object_checkpoint_header_is_error(tmp_path, capsys, header):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    model = tiny_model_file(tmp_path)
+    replace_header(model, header)
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {model}: corrupt checkpoint header: "
+                   "the header must be a JSON object\n")
+
+
 @pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
                          ids=["16GiB", "int64-overflow"])
 def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, dims):
@@ -96,7 +109,7 @@ def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
     cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
-    ckpt = Checkpoint.from_model(init_params(cfg, FeatureSpec("distance"), "euler", 3))
+    ckpt = init_params(cfg, FeatureSpec("distance"), "euler", 3)
     del ckpt.params["head.0.w"]
     model = str(tmp_path / "model.upcr")
     save_checkpoint(model, ckpt)

@@ -44,13 +44,13 @@ def test_config_rejects_slope_outside_unit_interval(slope):
 
 def test_param_shapes_follow_config():
     model = model_for()
-    assert model.tensors["global.0.w"].shape == (6, 8)
-    assert model.tensors["global.1.w"].shape == (16, 16)
-    assert model.tensors["alpha.w"].shape == (3, 8)
-    assert model.tensors["inv.1.w"].shape == (16, 16)
-    assert model.tensors["head.0.w"].shape == (32, 16)
-    assert model.tensors["head.1.w"].shape == (16, 6)  # euler: 3 + 3
-    for arr in model.tensors.values():
+    assert model.params["global.0.w"].shape == (6, 8)
+    assert model.params["global.1.w"].shape == (16, 16)
+    assert model.params["alpha.w"].shape == (3, 8)
+    assert model.params["inv.1.w"].shape == (16, 16)
+    assert model.params["head.0.w"].shape == (32, 16)
+    assert model.params["head.1.w"].shape == (16, 6)  # euler: 3 + 3
+    for arr in model.params.values():
         assert np.all(np.isfinite(arr))
 
 
@@ -238,15 +238,15 @@ def test_encode_global_needs_enough_points():
     model = model_for()
     cloud = PointCloud(Rng(4).uniform(-1, 1, (5, 3)))
     with pytest.raises(ValueError):
-        encode_global(cloud, DESK, model.constants())
+        encode_global(cloud, DESK, model.params)
 
 
 def test_encode_global_duplication_invariance():
     model = model_for()
     cloud = synth_shape(2, 40, Rng(5))
-    base = encode_global(cloud, DESK, model.constants()).data
+    base = encode_global(cloud, DESK, model.params).data
     doubled = PointCloud(np.concatenate([cloud.points, cloud.points]))
-    out = encode_global(doubled, DESK, model.constants()).data
+    out = encode_global(doubled, DESK, model.params).data
     np.testing.assert_allclose(out, base, atol=1e-9)
 
 
@@ -255,18 +255,18 @@ def test_encode_invariant_duplication_invariance(kind):
     spec = FeatureSpec(kind)
     model = init_params(DESK, spec, "euler", 1)
     cloud = synth_shape(2, 40, Rng(5))
-    base = encode_invariant(cloud, spec, DESK, model.constants()).data
+    base = encode_invariant(cloud, spec, DESK, model.params).data
     doubled = PointCloud(np.concatenate([cloud.points, cloud.points]))
-    out = encode_invariant(doubled, spec, DESK, model.constants()).data
+    out = encode_invariant(doubled, spec, DESK, model.params).data
     np.testing.assert_allclose(out, base, atol=1e-9)
 
 
 def test_encode_global_permutation_invariance():
     model = model_for()
     cloud = synth_shape(3, 48, Rng(6))
-    base = encode_global(cloud, DESK, model.constants()).data
+    base = encode_global(cloud, DESK, model.params).data
     perm = np.argsort(Rng(7).uniform(size=48))
-    out = encode_global(PointCloud(cloud.points[perm]), DESK, model.constants()).data
+    out = encode_global(PointCloud(cloud.points[perm]), DESK, model.params).data
     np.testing.assert_allclose(out, base, atol=1e-9)
 
 
@@ -274,8 +274,8 @@ def test_encode_global_distinguishes_shapes():
     model = model_for()
     a = synth_shape(0, 40, Rng(8))
     b = synth_shape(21, 40, Rng(9))
-    ga = encode_global(a, DESK, model.constants()).data
-    gb = encode_global(b, DESK, model.constants()).data
+    ga = encode_global(a, DESK, model.params).data
+    gb = encode_global(b, DESK, model.params).data
     assert np.max(np.abs(ga - gb)) > 1e-6
 
 
@@ -287,8 +287,8 @@ def test_encode_global_is_pose_sensitive():
         cloud = synth_shape(i, 40, Rng(100 + i))
         rot = geom.euler_to_matrix(np.deg2rad([0.0, 0.0, 45.0]))
         moved = geom.apply_transform(geom.RigidTransform(rot, np.zeros(3)), cloud)
-        ga = encode_global(cloud, DESK, model.constants()).data
-        gb = encode_global(moved, DESK, model.constants()).data
+        ga = encode_global(cloud, DESK, model.params).data
+        gb = encode_global(moved, DESK, model.params).data
         changed += np.max(np.abs(ga - gb)) > 1e-6
     assert changed >= 19  # 95 percent of shapes
 
@@ -296,30 +296,30 @@ def test_encode_global_is_pose_sensitive():
 def test_encode_invariant_rigid_motion_invariance():
     model = model_for()
     cloud = synth_shape(5, 48, Rng(10))
-    base = encode_invariant(cloud, SPEC, DESK, model.constants()).data
+    base = encode_invariant(cloud, SPEC, DESK, model.params).data
     rng = Rng(11)
     for _ in range(5):
         t = random_transform(rng, 180.0, 10.0)
         moved = geom.apply_transform(t, cloud)
-        out = encode_invariant(moved, SPEC, DESK, model.constants()).data
+        out = encode_invariant(moved, SPEC, DESK, model.params).data
         np.testing.assert_allclose(out, base, atol=1e-6)
 
 
 def test_encode_invariant_width_matches_global():
     model = model_for()
     cloud = synth_shape(6, 40, Rng(12))
-    gi = encode_invariant(cloud, SPEC, DESK, model.constants())
-    gg = encode_global(cloud, DESK, model.constants())
+    gi = encode_invariant(cloud, SPEC, DESK, model.params)
+    gg = encode_global(cloud, DESK, model.params)
     assert gi.shape == gg.shape == (DESK.m,)
 
 
 def test_encode_invariant_permutation_invariance():
     model = model_for()
     cloud = synth_shape(7, 40, Rng(13))
-    base = encode_invariant(cloud, SPEC, DESK, model.constants()).data
+    base = encode_invariant(cloud, SPEC, DESK, model.params).data
     perm = np.argsort(Rng(14).uniform(size=40))
     out = encode_invariant(PointCloud(cloud.points[perm]), SPEC, DESK,
-                           model.constants()).data
+                           model.params).data
     np.testing.assert_allclose(out, base, atol=1e-9)
 
 
@@ -334,7 +334,7 @@ def test_all_parameters_receive_gradients():
     bound = model.bind(tape)
     res = register_pair(x, y, model, bound=bound)
     ad.backward(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
-    for name in model.tensors:
+    for name in model.params:
         g = bound[name].grad
         assert g is not None and np.any(g != 0), name
 
@@ -343,9 +343,9 @@ def test_precompute_cache_matches_direct():
     model = model_for()
     cloud = synth_shape(9, 40, Rng(16))
     cache = precompute_cloud(cloud, SPEC, DESK)
-    direct = encode_invariant(cloud, SPEC, DESK, model.constants()).data
-    cached = encode_invariant(cloud, SPEC, DESK, model.constants(), cache).data
+    direct = encode_invariant(cloud, SPEC, DESK, model.params).data
+    cached = encode_invariant(cloud, SPEC, DESK, model.params, cache).data
     np.testing.assert_array_equal(direct, cached)
-    direct_g = encode_global(cloud, DESK, model.constants()).data
-    cached_g = encode_global(cloud, DESK, model.constants(), cache).data
+    direct_g = encode_global(cloud, DESK, model.params).data
+    cached_g = encode_global(cloud, DESK, model.params, cache).data
     np.testing.assert_array_equal(direct_g, cached_g)

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 of seeded neighbor tables, of one seeded desk
-registration and of one seeded desk training run (with its loss curve), pinned
-so that a speed change proves it left outputs unchanged.
+registration, of one seeded desk training run (with its loss curve) and of the
+checkpoint files a seeded train and fine-tune write, pinned so that a speed or
+format change proves it left outputs unchanged.
 
 A change that moves any of these on purpose says so and re-pins them.
 """
@@ -16,7 +17,7 @@ from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.separation import register_pair
-from upcr.training import train
+from upcr.training import fine_tune, save_checkpoint, train
 
 # paper-size rows at the widths the global branch scans
 GRAPH_KNN_SHA = {
@@ -28,6 +29,10 @@ GRAPH_KNN_SHA = {
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
 TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
+CHECKPOINT_FILE_SHA = {
+    "train": "15850bb2024a43d9e93d55565db41dc8c137ba923878969c5f6a8e1ed85cc1a0",
+    "fine_tune": "ed084114e85e947e2891a5daa7828353e62dc77ded063be97b51e5aee12f3869",
+}
 
 
 def sha(*arrays: np.ndarray) -> str:
@@ -60,11 +65,11 @@ def test_desk_register_pair_pinned():
     assert got == REGISTER_SHA
 
 
-def test_desk_training_pinned():
-    rng = np.random.default_rng(12)
+def rotated_pairs(seed: int, count: int, points: int) -> list[SimpleNamespace]:
+    rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(8):
-        src = rng.normal(size=(256, 3)) * np.array([1.0, 0.6, 0.3])
+    for _ in range(count):
+        src = rng.normal(size=(points, 3)) * np.array([1.0, 0.6, 0.3])
         angle = rng.uniform(-0.5, 0.5)
         rot = np.array([[np.cos(angle), -np.sin(angle), 0.0],
                         [np.sin(angle), np.cos(angle), 0.0],
@@ -72,8 +77,31 @@ def test_desk_training_pinned():
         dst = src @ rot.T + rng.uniform(-0.2, 0.2, 3) + 0.01 * rng.normal(size=src.shape)
         # training reads only the clouds
         pairs.append(SimpleNamespace(source=PointCloud(src), target=PointCloud(dst)))
+    return pairs
+
+
+def test_desk_training_pinned():
+    pairs = rotated_pairs(12, 8, 256)
     res = train(EncoderConfig(k=24, m=64), FeatureSpec("distance"), "euler", pairs,
                 epochs=2, lr=1e-3, batch_size=4, seed=0)
     assert [float(v).hex() for v in res.loss_curve] == TRAIN_LOSS_HEX
     params = res.checkpoint.params
     assert sha(*(params[name] for name in sorted(params))) == TRAIN_PARAMS_SHA
+
+
+def test_checkpoint_files_pinned(tmp_path):
+    """The bytes on disk, with slope, graph, spfh_bins and rotation mode off their defaults."""
+    cfg = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16), head_widths=(8,), slope=0.1,
+                        dynamic_graph=False)
+    spec = FeatureSpec("distance+ppf+spfh", spfh_bins=7)
+    pairs = rotated_pairs(13, 4, 48)
+    res = train(cfg, spec, "sixd", pairs, epochs=2, lr=1e-3, batch_size=2, seed=3)
+    ft = fine_tune(res.checkpoint, [(p.source, p.target) for p in pairs], epochs=1,
+                   lr=1e-4, batch_size=2, seed=4)
+    assert not res.diverged and not ft.diverged
+    got = {}
+    for name, result in (("train", res), ("fine_tune", ft)):
+        path = tmp_path / f"{name}.upcr"
+        save_checkpoint(str(path), result.checkpoint)
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == CHECKPOINT_FILE_SHA

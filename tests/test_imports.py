@@ -1,7 +1,7 @@
 """Every module-level import in the package is used by its module; every
-module-level function or class is referenced by some package module, so code
-that only tests read lives in the tests; and every annotated class field is
-read."""
+module-level function or class, and every method and property of one, is
+referenced by some package module, so code that only tests read lives in the
+tests; and every annotated class field is read."""
 
 import ast
 from pathlib import Path
@@ -49,10 +49,23 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each module-level function and class, and of
+    each method and property of those classes."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{stmt.name}.{member.name}", member
+
+
 def unreferenced_defs(sources: dict[str, str], public_in: tuple[str, ...] = ()) -> list[str]:
-    """Module-level functions and classes that no module reads, by plain name,
-    as an attribute or through an import: every ``_name`` one, and the public
-    ones of the modules in ``public_in``."""
+    """Module-level functions and classes, and their classes' methods and
+    properties, that no module reads, by plain name, as an attribute or
+    through an import: every ``_name`` one, and the public ones of the modules
+    in ``public_in``. Dunder names are exempt."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     used = set()
     for tree in trees.values():
@@ -63,11 +76,10 @@ def unreferenced_defs(sources: dict[str, str], public_in: tuple[str, ...] = ()) 
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
-    return [f"{mod}.{stmt.name} (line {stmt.lineno})"
-            for mod, tree in trees.items() for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and (mod in public_in or stmt.name.startswith("_"))
-            and not stmt.name.startswith("__") and stmt.name not in used]
+    return [f"{mod}.{qualname} (line {node.lineno})"
+            for mod, tree in trees.items() for qualname, node in definitions(tree)
+            if (mod in public_in or node.name.startswith("_"))
+            and not node.name.startswith("__") and node.name not in used]
 
 
 def test_guard_flags_an_unreferenced_private_def():
@@ -87,6 +99,21 @@ def test_guard_flags_an_unreferenced_public_op_only_where_asked():
     }
     assert unreferenced_defs(sources) == []
     assert unreferenced_defs(sources, public_in=("ops",)) == ["ops.old_max (line 4)"]
+
+
+def test_guard_flags_an_unreferenced_method_or_property():
+    sources = {
+        "a": "class Model:\n    def __post_init__(self):\n        pass\n\n"
+             "    def copy(self):\n        return self\n\n"
+             "    def constants(self):\n        return {}\n\n"
+             "    @property\n    def dim(self):\n        return 3\n\n"
+             "    @property\n    def parts(self):\n        return ()\n\n"
+             "    def _helper(self):\n        return 1\n",
+        "b": "from .a import Model\n\ndef run(m: Model):\n    return m.copy().dim\n",
+    }
+    assert unreferenced_defs(sources) == ["a.Model._helper (line 19)"]
+    assert unreferenced_defs(sources, public_in=("a",)) == [
+        "a.Model.constants (line 8)", "a.Model.parts (line 16)", "a.Model._helper (line 19)"]
 
 
 def test_package_has_no_unreferenced_private_defs():

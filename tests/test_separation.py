@@ -96,15 +96,15 @@ def test_pose_related_width_mismatch():
 
 
 def head(model, gamma):
-    return separation._head_forward(ad.constant(gamma), model.constants(), CFG,
+    return separation._head_forward(ad.constant(gamma), model.params, CFG,
                                     model.rotation_mode)
 
 
 def test_regress_pose_zero_final_layer_gives_identity():
     for mode in MODES:
         model = small_model(mode)
-        model.tensors["head.1.w"][:] = 0.0
-        model.tensors["head.1.b"][:] = 0.0
+        model.params["head.1.w"][:] = 0.0
+        model.params["head.1.b"][:] = 0.0
         trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
         np.testing.assert_allclose(rot.data, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
@@ -114,7 +114,7 @@ def test_regress_pose_zero_final_layer_gives_identity():
                                           ("sixd", 6), ("matrix", 9)])
 def test_regress_pose_output_dims(mode, rot_dim):
     model = small_model(mode)
-    t = model.tensors
+    t = model.params
     assert t["head.1.w"].shape[1] == rot_dim + 3
     for name in ("head.0.b", "head.1.b"):  # zero at init; give the biases weight
         t[name][:] = Rng(6).uniform(-0.1, 0.1, t[name].shape)
@@ -139,11 +139,11 @@ def test_pose_head_gradient_through_rotation(mode):
 
     def fn(t):
         params = {k: (t if k == name else ad.constant(v))
-                  for k, v in model.tensors.items()}
+                  for k, v in model.params.items()}
         _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
         return ad.reduce_sum(ad.mul(rot, ad.constant(probe)))
 
-    rep = grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
+    rep = grad_check(fn, model.params[name], h=1e-6, tol=1e-3)
     assert rep.passed, (mode, rep.max_rel_error)
 
 
@@ -202,8 +202,8 @@ def _reflecting_matrix_model():
     # raw matrix head output diag(1, 2, -3) for every input: det < 0 with
     # distinct singular values
     model = small_model("matrix", seed=14)
-    model.tensors["head.1.w"][:] = 0.0
-    model.tensors["head.1.b"][0, :9] = (np.diag([1.0, 2.0, -3.0]) - np.eye(3)).reshape(-1)
+    model.params["head.1.w"][:] = 0.0
+    model.params["head.1.b"][0, :9] = (np.diag([1.0, 2.0, -3.0]) - np.eye(3)).reshape(-1)
     return model
 
 
@@ -231,13 +231,13 @@ def test_full_pipeline_grad_check_all_parameters():
     y = geom.apply_transform(random_transform(Rng(18), 30.0, 0.3), x)
     from upcr.training import unsupervised_loss
 
-    for name in model.tensors:
+    for name in model.params:
         def fn(t, name=name):
             params = {k: (t if k == name else ad.constant(v))
-                      for k, v in model.tensors.items()}
+                      for k, v in model.params.items()}
             res = register_pair(x, y, model, bound=params)
             return unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
-        rep = grad_check(fn, model.tensors[name], h=1e-6, tol=1e-3)
+        rep = grad_check(fn, model.params[name], h=1e-6, tol=1e-3)
         assert rep.passed, (name, rep.max_rel_error)
 
 

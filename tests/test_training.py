@@ -16,11 +16,11 @@ from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
-from upcr.training import (Checkpoint, OptimState, adam_step, fine_tune,
+from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import claim_tensor_dims, rewrite_header
+from conftest import claim_tensor_dims, replace_header, rewrite_header
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -118,7 +118,7 @@ def test_train_zero_epochs_returns_initial_params():
     train_s, _ = tiny_dataset()
     res = train(CFG, SPEC, "euler", train_s, epochs=0, seed=9)
     fresh = init_params(CFG, SPEC, "euler", __import__("upcr.rng", fromlist=["derive_seed"]).derive_seed(9, "init"))
-    for name, arr in fresh.tensors.items():
+    for name, arr in fresh.params.items():
         np.testing.assert_array_equal(res.checkpoint.params[name], arr)
     assert res.loss_curve == []
 
@@ -144,8 +144,7 @@ def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, 
         if entry == "train":
             train(CFG, SPEC, "euler", train_s, **{"epochs": 1, "seed": 9, **kwargs})
         else:
-            ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 9))
-            fine_tune(ckpt, [(s.source, s.target) for s in train_s],
+            fine_tune(init_params(CFG, SPEC, "euler", 9), [(s.source, s.target) for s in train_s],
                       **{"epochs": 1, "seed": 9, **kwargs})
     assert not steps
 
@@ -224,15 +223,15 @@ def test_finetune_touches_only_clouds():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = init_params(CFG, SPEC, "euler", 19)
-    ckpt = Checkpoint.from_model(model, metadata={"epochs": 1})
+    model.metadata["epochs"] = 1
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, ckpt)
+    save_checkpoint(path, model)
     loaded = load_checkpoint(path)
     assert loaded.rotation_mode == "euler"
-    assert loaded.config.to_dict() == CFG.to_dict()
+    assert loaded.config == CFG and loaded.spec == SPEC
     assert loaded.metadata["epochs"] == 1
-    assert loaded.params.keys() == ckpt.params.keys()
-    for name, arr in ckpt.params.items():
+    assert loaded.params.keys() == model.params.keys()
+    for name, arr in model.params.items():
         assert loaded.params[name].tobytes() == arr.tobytes()
 
 
@@ -250,7 +249,7 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path):
 
 def test_version_1_checkpoint_names_path_and_version(tmp_path):
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 19)))
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 19))
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: unsupported checkpoint version 1$"):
@@ -260,7 +259,7 @@ def test_version_1_checkpoint_names_path_and_version(tmp_path):
 def test_checkpoint_corrupt_header_rejected(tmp_path):
     model = init_params(CFG, SPEC, "euler", 21)
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(model))
+    save_checkpoint(path, model)
     blob = bytearray(Path(path).read_bytes())
     blob[2] ^= 0xFF  # flip a magic byte
     Path(path).write_bytes(bytes(blob))
@@ -271,7 +270,7 @@ def test_checkpoint_corrupt_header_rejected(tmp_path):
 def test_checkpoint_truncated_rejected(tmp_path):
     model = init_params(CFG, SPEC, "euler", 23)
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(model))
+    save_checkpoint(path, model)
     blob = Path(path).read_bytes()
     Path(path).write_bytes(blob[:len(blob) - 20])
     with pytest.raises(ValueError, match="truncated"):
@@ -280,7 +279,7 @@ def test_checkpoint_truncated_rejected(tmp_path):
 
 def test_checkpoint_non_utf8_tensor_name_names_the_file(tmp_path):
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 23)))
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 23))
     blob = bytearray(Path(path).read_bytes())
     (hlen,) = struct.unpack("<I", blob[8:12])
     # magic, version, header length, header, tensor count, name length
@@ -296,7 +295,7 @@ def test_checkpoint_non_utf8_tensor_name_names_the_file(tmp_path):
                          ids=["16GiB", "int64-overflow"])
 def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 23)))
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 23))
     claim_tensor_dims(path, dims)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint truncated: "
                                          f"a record needs {8 * math.prod(dims)} bytes"):
@@ -305,38 +304,36 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
 
 @pytest.mark.parametrize("edit,message", [
     (lambda h: h.pop("spec"), "missing key 'spec'"),
-    (lambda h: h["config"].update(bogus=1), "unexpected keyword argument 'bogus'"),
+    (lambda h: h["config"].update(bogus=1), "unexpected config.bogus$"),
+    (lambda h: h["config"].pop("slope"), "missing config.slope$"),
+    (lambda h: h["spec"].pop("spfh_bins"), "missing spec.spfh_bins$"),
     (lambda h: h.update(config=[5, 16]), "config, spec and metadata must be JSON objects"),
     (lambda h: h.update(metadata=[1, 2]), "config, spec and metadata must be JSON objects"),
     (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
-    (lambda h: h["config"].update(feature_norm=False),
-     "feature_norm must be true: channel_norm always runs between layers"),
-], ids=["missing-key", "unknown-config-key", "non-dict-config", "non-dict-metadata",
-        "negative-slope", "feature-norm-off"])
+], ids=["missing-key", "unknown-config-key", "missing-config-field", "missing-spec-field",
+        "non-dict-config", "non-dict-metadata", "negative-slope"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(init_params(CFG, SPEC, "euler", 29)))
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
     rewrite_header(path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: .*{message}"):
         load_checkpoint(path)
 
 
-def test_checkpoint_with_older_feature_norm_header_loads(tmp_path):
-    model = init_params(CFG, SPEC, "euler", 29)
-    assert "feature_norm" not in model.config.to_dict()
+@pytest.mark.parametrize("header", [[1, 2], None], ids=["list", "null"])
+def test_checkpoint_non_object_header_rejected(tmp_path, header):
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, Checkpoint.from_model(model))
-    rewrite_header(path, lambda h: h["config"].update(feature_norm=True))
-    ckpt = load_checkpoint(path)
-    assert ckpt.config == CFG
-    for name, arr in model.tensors.items():
-        assert ckpt.params[name].tobytes() == arr.tobytes()
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
+    replace_header(path, header)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: "
+                                         "the header must be a JSON object$"):
+        load_checkpoint(path)
 
 
-def _save(path, edit=lambda c: None):
-    ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 31))
-    edit(ckpt)
-    save_checkpoint(path, ckpt)
+def _save(path, edit=lambda m: None):
+    model = init_params(CFG, SPEC, "euler", 31)
+    edit(model)
+    save_checkpoint(path, model)
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -370,10 +367,10 @@ def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
 
 
 def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
-    ckpt = Checkpoint.from_model(init_params(CFG, SPEC, "euler", 27))
-    ckpt.rotation_mode = "spin"
+    model = init_params(CFG, SPEC, "euler", 27)
+    model.rotation_mode = "spin"
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, ckpt)
+    save_checkpoint(path, model)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: unknown "
                                          "rotation mode 'spin'; expected one of euler, quaternion, "
                                          "sixd, matrix$"):
