@@ -108,13 +108,10 @@ class Tape:
         self.nodes: list[Node] = []
         self.grads: dict[int, np.ndarray] | None = None
 
-    def leaf(self, data, requires_grad: bool = False) -> Tensor:
-        """Register an input tensor. Only grad-requiring leaves get a node."""
-        arr = np.asarray(data, dtype=np.float64)
-        if not requires_grad:
-            return Tensor(arr)
+    def leaf(self, data) -> Tensor:
+        """Register an input that receives a gradient; a :func:`constant` gets none."""
         nid = self._append("leaf", None)
-        return Tensor(arr, node_id=nid, tape=self)
+        return Tensor(np.asarray(data, dtype=np.float64), node_id=nid, tape=self)
 
     def _append(self, kind: str, vjp) -> int:
         self.nodes.append(Node(kind, vjp))

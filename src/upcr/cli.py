@@ -24,6 +24,7 @@ import hashlib
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import NamedTuple
 
 from . import evalbench, geom
@@ -415,15 +416,17 @@ def cmd_register(args) -> int:
 
 
 def _bench_rows(model, test_s, baselines: bool):
-    ev = evalbench.evaluate_model(model, test_s, tags={"method": "model"})
-    rows = [dict(ev.report.row(), chamfer_improved=ev.chamfer_improved_fraction)]
+    ev = evalbench.evaluate_model(model, test_s)
+    rows = [dict(asdict(ev.report), method="model",
+                 chamfer_improved=ev.chamfer_improved_fraction)]
     if baselines:
         # the feature-matched ICP takes its neighbour count from the checkpoint
-        reports = [evalbench.evaluate_icp(test_s, tags={"method": "icp"})]
-        reports += [evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
-                                           tags={"method": f"icp+{kind}"}, k=model.config.k)
+        reports = [("icp", evalbench.evaluate_icp(test_s))]
+        reports += [(f"icp+{kind}", evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
+                                                          k=model.config.k))
                     for kind in ("pfh", "spfh")]
-        rows += [dict(rep.row(), chamfer_improved=float("nan")) for rep in reports]
+        rows += [dict(asdict(rep), method=method, chamfer_improved=float("nan"))
+                 for method, rep in reports]
     return rows
 
 
@@ -448,11 +451,8 @@ def cmd_sweep_outliers(args) -> int:
     rows = []
     for entry in sweep:
         for method in ("model", "icp"):
-            rep = entry[method]
-            row = {"ratio": entry["ratio"], "method": method}
-            row.update({k: v for k, v in rep.row().items() if k != "method"})
-            row["mae_rot_monotone"] = entry[f"{method}_mae_rot_deg_monotone"]
-            rows.append(row)
+            rows.append({"ratio": entry["ratio"], "method": method, **asdict(entry[method]),
+                         "mae_rot_monotone": entry[f"{method}_mae_rot_monotone"]})
     csv_path = os.path.join(out, "outlier_sweep.csv")
     write_csv(csv_path, rows)
     print_table(rows)

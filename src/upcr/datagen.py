@@ -12,7 +12,7 @@ alone. Clouds are normalized to zero centroid and unit maximum radius.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ DEFAULT_NOISE = (0.01, 0.05)  # (sigma, clip)
 
 @dataclass
 class Protocol:
-    """Experiment protocol tags controlling pair construction."""
+    """Experiment protocol settings controlling pair construction."""
 
     setting: str = "UPC"
     pairing: str = "consistent"
@@ -52,13 +52,6 @@ class Protocol:
             raise ValueError(f"partial_keep = {self.partial_keep} is read only under "
                              f"partial pairing, got pairing {self.pairing!r}")
 
-    def tags(self) -> dict:
-        return {
-            "setting": self.setting, "pairing": self.pairing,
-            "pose_regime": self.pose_regime, "noise": self.noise,
-            "partial_keep": self.partial_keep,
-        }
-
 
 @dataclass
 class DatasetSample:
@@ -66,7 +59,6 @@ class DatasetSample:
     target: PointCloud
     gt: RigidTransform
     category: int
-    tags: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +308,7 @@ def make_sample(protocol: Protocol, category: int, shape_index: int,
         sigma, clip = protocol.noise
         source = add_noise(source, sigma, clip, rng.spawn("noise_src"))
         target = add_noise(target, sigma, clip, rng.spawn("noise_tgt"))
-    tags = protocol.tags()
-    tags["shape_index"] = shape_index
-    return DatasetSample(source, target, gt, category, tags)
+    return DatasetSample(source, target, gt, category)
 
 
 def build_benchmark(protocol: Protocol, categories: int, n_train: int, n_test: int,

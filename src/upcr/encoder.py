@@ -89,7 +89,7 @@ class ModelParams:
 
     def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
         """Register every parameter as a grad-requiring leaf on ``tape``."""
-        return {name: tape.leaf(arr, requires_grad=True) for name, arr in self.params.items()}
+        return {name: tape.leaf(arr) for name, arr in self.params.items()}
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.spec, self.rotation_mode,
@@ -142,7 +142,7 @@ def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
 affine = ad.affine
 
 
-def channel_norm(feats: ad.Tensor, eps: float = 1e-8) -> ad.Tensor:
+def channel_norm(feats: ad.Tensor) -> ad.Tensor:
     """Rescale each channel by its root-mean-square over the cloud's points.
 
     Deterministic per-sample statistics (this is not batch normalization):
@@ -154,7 +154,7 @@ def channel_norm(feats: ad.Tensor, eps: float = 1e-8) -> ad.Tensor:
     n = feats.shape[0]
     ms_row = ad.matmul(ad.constant(np.full((1, n), 1.0 / n)),
                        ad.mul(feats, feats))                             # [1, c]
-    scale = ad.sqrt(ad.add(ms_row, eps))
+    scale = ad.sqrt(ad.add(ms_row, 1e-8))  # finite on an all-zero channel
     return ad.div(feats, ad.repeat_rows(scale, n))
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import geom
 from .datagen import DatasetSample
 from .encoder import ModelParams
@@ -13,6 +14,7 @@ from .features import FeatureSpec, point_descriptor_table
 from .geom import PointCloud, RigidTransform
 from .rng import Rng, derive_seed
 from .separation import register_pair
+from .training import unsupervised_loss
 
 
 @dataclass
@@ -25,12 +27,6 @@ class MetricReport:
     mae_trans: float
     me_t: float
     count: int
-    tags: dict = field(default_factory=dict)
-
-    def row(self) -> dict:
-        return {"rmse_rot_deg": self.rmse_rot_deg, "mae_rot_deg": self.mae_rot_deg,
-                "rmse_trans": self.rmse_trans, "mae_trans": self.mae_trans,
-                "me_t": self.me_t, "count": self.count, **self.tags}
 
 
 def _check_paired(predictions, ground_truths):
@@ -75,11 +71,11 @@ def se3_mean_error(predictions, ground_truths) -> float:
     return total / len(predictions)
 
 
-def evaluate_poses(predictions, ground_truths, tags: dict | None = None) -> MetricReport:
+def evaluate_poses(predictions, ground_truths) -> MetricReport:
     rr, mr = rotation_metrics(predictions, ground_truths)
     rt, mt = translation_metrics(predictions, ground_truths)
     return MetricReport(rr, mr, rt, mt, se3_mean_error(predictions, ground_truths),
-                        len(predictions), dict(tags or {}))
+                        len(predictions))
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +92,11 @@ def _correspondence_stats(src_pts: np.ndarray, dst_pts: np.ndarray,
 
 
 def icp(source: PointCloud, target: PointCloud,
-        init: RigidTransform | None = None, max_iters: int = 50,
-        tol: float = 1e-7) -> RigidTransform:
+        init: RigidTransform | None = None) -> RigidTransform:
     """Point-to-point ICP with SVD pose fits; returns the best pose seen.
+
+    Stops after 50 fits, or once the mean correspondence distance changes
+    by less than 1e-7.
 
     The best pose (by mean correspondence distance) is tracked from the
     initial guess onward, so the result never degrades the initialization.
@@ -109,12 +107,12 @@ def icp(source: PointCloud, target: PointCloud,
     nn, mean_d = _correspondence_stats(src, dst, pose)
     best_pose, best_d = pose, mean_d
     prev_d = mean_d
-    for _ in range(max_iters):
+    for _ in range(50):
         pose = geom.fit_rigid(src, dst[nn])
         nn, mean_d = _correspondence_stats(src, dst, pose)
         if mean_d < best_d:
             best_pose, best_d = pose, mean_d
-        if abs(prev_d - mean_d) < tol:
+        if abs(prev_d - mean_d) < 1e-7:
             break
         prev_d = mean_d
     return best_pose
@@ -145,23 +143,23 @@ class EvalResult:
     chamfer_improved_fraction: float
 
 
-def evaluate_model(model: ModelParams, samples: list[DatasetSample],
-                   tags: dict | None = None) -> EvalResult:
+def evaluate_model(model: ModelParams, samples: list[DatasetSample]) -> EvalResult:
+    """Pose errors, and the share of pairs whose Chamfer distance (the
+    training loss, off tape) the predicted transform lowers."""
     preds = []
     improved = 0
     for s in samples:
         out = register_pair(s.source, s.target, model)
         preds.append(out.transform)
-        before = geom.chamfer(s.source, s.target)
-        after = geom.chamfer(geom.apply_transform(out.transform, s.source), s.target)
-        improved += after < before
-    gts = [s.gt for s in samples]
-    report = evaluate_poses(preds, gts, tags)
+        x, y = ad.constant(s.source.points), ad.constant(s.target.points)
+        moved = ad.constant(geom.apply_transform(out.transform, s.source).points)
+        improved += unsupervised_loss(moved, y).item() < unsupervised_loss(x, y).item()
+    report = evaluate_poses(preds, [s.gt for s in samples])
     return EvalResult(report, improved / len(samples))
 
 
 def evaluate_icp(samples: list[DatasetSample], init_spec: FeatureSpec | None = None,
-                 tags: dict | None = None, k: int = 24) -> MetricReport:
+                 k: int = 24) -> MetricReport:
     preds = []
     for s in samples:
         init = None
@@ -171,7 +169,7 @@ def evaluate_icp(samples: list[DatasetSample], init_spec: FeatureSpec | None = N
             except ValueError:
                 init = None
         preds.append(icp(s.source, s.target, init=init))
-    return evaluate_poses(preds, [s.gt for s in samples], tags)
+    return evaluate_poses(preds, [s.gt for s in samples])
 
 
 def corrupt_with_outliers(cloud: PointCloud, ratio_percent: float, rng: Rng) -> PointCloud:
@@ -189,7 +187,8 @@ def corrupt_with_outliers(cloud: PointCloud, ratio_percent: float, rng: Rng) -> 
 
 def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
                   ratios: list[float], seed: int = 0) -> list[dict]:
-    """Model-vs-ICP metric rows per outlier ratio, with monotonicity tags."""
+    """Model-vs-ICP reports per outlier ratio, each flagged with whether
+    that method's rotation MAE never falls as the ratio grows."""
     if any(not 0 <= r < 100 for r in ratios):
         raise ValueError("ratios must lie in [0, 100)")
     rows = []
@@ -198,17 +197,15 @@ def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
         corrupted = [
             DatasetSample(corrupt_with_outliers(s.source, ratio, rng.spawn("src", i)),
                           corrupt_with_outliers(s.target, ratio, rng.spawn("tgt", i)),
-                          s.gt, s.category, dict(s.tags, outlier_ratio=ratio))
+                          s.gt, s.category)
             for i, s in enumerate(samples)
         ]
-        model_eval = evaluate_model(model, corrupted, tags={"method": "model"})
-        icp_eval = evaluate_icp(corrupted, tags={"method": "icp"})
-        rows.append({"ratio": ratio, "model": model_eval.report, "icp": icp_eval})
-    for metric in ("mae_rot_deg", "mae_trans"):
-        for method in ("model", "icp"):
-            vals = [getattr(r[method], metric) for r in rows]
-            monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-            for r in rows:
-                r[f"{method}_{metric}_monotone"] = monotone
+        rows.append({"ratio": ratio, "model": evaluate_model(model, corrupted).report,
+                     "icp": evaluate_icp(corrupted)})
+    for method in ("model", "icp"):
+        vals = [r[method].mae_rot_deg for r in rows]
+        monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        for r in rows:
+            r[f"{method}_mae_rot_monotone"] = monotone
     return rows
 

@@ -60,6 +60,8 @@ class RigidTransform:
         self.translation = np.asarray(self.translation, dtype=np.float64).reshape(3)
         if self.rotation.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {self.rotation.shape}")
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ValueError("rotation and translation must be finite")  # NaN passes the rest
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         if err > ORTHO_TOL:
             raise ValueError(f"rotation is not orthonormal (deviation {err:.2e})")
@@ -367,13 +369,3 @@ def fit_rigid(src: np.ndarray, dst: np.ndarray) -> RigidTransform:
     trans = dc - rot @ sc
     return RigidTransform(rot, trans)
 
-
-def chamfer(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric mean of squared nearest-neighbor distances.
-
-    Computed from explicit coordinate differences so that the value is
-    exactly symmetric in its arguments and exactly zero for identical sets.
-    """
-    diff = a.points[:, None, :] - b.points[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())

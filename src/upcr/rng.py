@@ -52,10 +52,6 @@ class Rng:
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = np.uint64(0)
 
-    @property
-    def seed(self) -> int:
-        return int(self._seed)
-
     def spawn(self, *labels: int | str) -> "Rng":
         """Independent child stream; does not advance this stream."""
         return Rng(derive_seed(int(self._seed), *labels))

@@ -28,6 +28,7 @@ CHECKPOINT_VERSION = 2
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+HEADER_KEYS = frozenset({"config", "spec", "rotation_mode", "metadata"})
 
 
 def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tensor:
@@ -145,13 +146,17 @@ def save_checkpoint(path: str, model: ModelParams) -> None:
             _write_tensor(fh, name, arr)
 
 
-def _from_fields(cls, d: dict, section: str):
-    """``cls(**d)``, once ``d`` names exactly the dataclass's fields."""
-    names = {f.name for f in fields(cls)}
-    wrong = ([f"missing {section}.{k}" for k in sorted(names - d.keys())]
-             + [f"unexpected {section}.{k}" for k in sorted(d.keys() - names)])
+def _check_keys(d: dict, names, label) -> None:
+    """Raise unless ``d`` has exactly the keys ``names``, naming each wrong one."""
+    wrong = ([f"missing {label(k)}" for k in sorted(names - d.keys())]
+             + [f"unexpected {label(k)}" for k in sorted(d.keys() - names)])
     if wrong:
         raise ValueError("; ".join(wrong))
+
+
+def _from_fields(cls, d: dict, section: str):
+    """``cls(**d)``, once ``d`` names exactly the dataclass's fields."""
+    _check_keys(d, {f.name for f in fields(cls)}, lambda k: f"{section}.{k}")
     return cls(**d)
 
 
@@ -176,15 +181,14 @@ def load_checkpoint(path: str) -> ModelParams:
     try:
         if not isinstance(header, dict):
             raise TypeError("the header must be a JSON object")
-        metadata = header.get("metadata", {})
+        _check_keys(header, HEADER_KEYS, lambda k: f"key {k!r}")
+        metadata = header["metadata"]
         if not all(isinstance(v, dict) for v in (header["config"], header["spec"], metadata)):
             raise TypeError("config, spec and metadata must be JSON objects")
         config = _from_fields(EncoderConfig, header["config"], "config")
         spec = _from_fields(FeatureSpec, header["spec"], "spec")
         mode = header["rotation_mode"]
         geom.rotation_mode(mode)  # an unknown mode raises ValueError here
-    except KeyError as exc:
-        raise ValueError(f"{path}: corrupt checkpoint header: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     want = param_shapes(config, spec, mode)
@@ -196,6 +200,9 @@ def load_checkpoint(path: str) -> ModelParams:
     if problems:
         raise ValueError(f"{path}: checkpoint tensors do not match header: "
                          + "; ".join(problems))
+    bad = [k for k, a in tensors.items() if not np.all(np.isfinite(a))]
+    if bad:
+        raise ValueError(f"{path}: non-finite values in checkpoint tensor " + ", ".join(bad))
     return ModelParams(config, spec, mode, tensors, metadata)
 
 

@@ -10,7 +10,13 @@ import pytest
 
 from upcr import autodiff as ad
 from upcr import features, geom
+from upcr.encoder import EncoderConfig, init_params
+from upcr.features import FeatureSpec
 from upcr.rng import Rng
+from upcr.training import save_checkpoint, unsupervised_loss
+
+# the CLI's tiny data: every command that builds a dataset takes these flags
+TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
 
 
 def random_rotation(rng: Rng, max_angle_deg: float = 180.0) -> np.ndarray:
@@ -40,6 +46,28 @@ def inverse_transform(t: geom.RigidTransform) -> geom.RigidTransform:
 def canonicalize(cloud: geom.PointCloud, t: geom.RigidTransform) -> geom.PointCloud:
     """p -> R^T (p - t); the inverse of ``geom.apply_transform``."""
     return geom.PointCloud((cloud.points - t.translation) @ t.rotation)
+
+
+def tiny_model_file(tmp_path, mode="euler", k=5, name="model.upcr"):
+    """A seeded, untrained two-layer checkpoint for the CLI to load."""
+    cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    model = init_params(cfg, FeatureSpec("distance"), mode, 3)
+    path = str(tmp_path / name)
+    save_checkpoint(path, model)
+    return path
+
+
+def chamfer(a: geom.PointCloud, b: geom.PointCloud) -> float:
+    """The training loss between two clouds, off tape."""
+    return unsupervised_loss(ad.constant(a.points), ad.constant(b.points)).item()
+
+
+def chamfer_oracle(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric mean of squared nearest-neighbor distances, from the whole
+    [N, M, 3] table of coordinate differences."""
+    diff = a[:, None, :] - b[None, :, :]
+    d2 = np.einsum("ijk,ijk->ij", diff, diff)
+    return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 
 def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
@@ -261,7 +289,7 @@ def grad_check(f: Callable[[ad.Tensor], ad.Tensor], x, h: float = 1e-6,
     x_arr = np.array(x.data if isinstance(x, ad.Tensor) else x, dtype=np.float64)
 
     tape = ad.Tape()
-    leaf = tape.leaf(x_arr, requires_grad=True)
+    leaf = tape.leaf(x_arr)
     out = f(leaf)
     if out.size != 1:
         raise ad.ShapeError(f"grad_check: f must be scalar-valued, got shape {out.shape}")

@@ -14,7 +14,7 @@ from conftest import (grad_check, neighbor_max_oracle, pair_table_oracle,
 
 
 def leaf(tape, values):
-    return tape.leaf(np.asarray(values, dtype=np.float64), requires_grad=True)
+    return tape.leaf(np.asarray(values, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def test_scalar_broadcast_and_gradient():
     out = ad.mul(x, ad.constant(2.0))
     np.testing.assert_array_equal(out.data, [2.0, 4.0, 6.0])
     tape2 = ad.Tape()
-    s = tape2.leaf(np.asarray(3.0), requires_grad=True)
+    s = tape2.leaf(np.asarray(3.0))
     ad.backward(ad.reduce_sum(ad.mul(ad.constant([1.0, 2.0]), s)))
     np.testing.assert_allclose(s.grad, 3.0)
 
@@ -826,8 +826,8 @@ def test_backward_mlp_matches_finite_differences():
 
 def test_mixed_tapes_rejected():
     t1, t2 = ad.Tape(), ad.Tape()
-    a = t1.leaf(np.ones(2), requires_grad=True)
-    b = t2.leaf(np.ones(2), requires_grad=True)
+    a = t1.leaf(np.ones(2))
+    b = t2.leaf(np.ones(2))
     with pytest.raises(ValueError, match="tapes"):
         ad.add(a, b)
 

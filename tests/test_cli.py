@@ -14,21 +14,12 @@ from upcr.features import FeatureSpec
 from upcr.rng import Rng
 from upcr.training import load_checkpoint, save_checkpoint
 
-from conftest import claim_tensor_dims, replace_header, rewrite_header
+from conftest import TINY, claim_tensor_dims, replace_header, rewrite_header, tiny_model_file
 
-TINY = ["--points", "32", "--categories", "4", "--train-pairs", "4", "--test-pairs", "2"]
 # only train builds a model; every other command runs the checkpoint's
 TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
 # bench resolves its configuration before it reads the model file
 BENCH = ["bench", "--model", "m.upcr"]
-
-
-def tiny_model_file(tmp_path, mode="euler", k=5, name="model.upcr"):
-    cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
-    model = init_params(cfg, FeatureSpec("distance"), mode, 3)
-    path = str(tmp_path / name)
-    save_checkpoint(path, model)
-    return path
 
 
 def read(path):
@@ -117,6 +108,21 @@ def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "checkpoint tensors do not match header: missing head.0.w" in err
+
+
+def test_checkpoint_non_finite_tensor_is_error(tmp_path, capsys):
+    """The checkpoint is named, not the finite input clouds."""
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    ckpt = init_params(cfg, FeatureSpec("distance"), "euler", 3)
+    ckpt.params["head.1.b"][0, 0] = np.nan
+    model = str(tmp_path / "model.upcr")
+    save_checkpoint(model, ckpt)
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {model}: non-finite values in checkpoint tensor head.1.b\n")
 
 
 @pytest.mark.parametrize("text", ["OFF\n\n", "ply\nformat\nelement vertex 3\nend_header\n"],
@@ -552,15 +558,15 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     seen = []
     real = cli.evalbench.evaluate_icp
 
-    def spy(samples, init_spec=None, tags=None, k=24):
-        seen.append((tags["method"], k))
-        return real(samples, init_spec=init_spec, tags=tags, k=k)
+    def spy(samples, init_spec=None, k=24):
+        seen.append((init_spec and init_spec.kind, k))
+        return real(samples, init_spec=init_spec, k=k)
 
     monkeypatch.setattr(cli.evalbench, "evaluate_icp", spy)
     model = tiny_model_file(tmp_path)  # a k = 5 checkpoint; the table's default is 24
     rc = main(["bench", "--model", model, "--baselines", "--out", str(tmp_path / "b")] + TINY)
     assert rc == 0
-    assert seen == [("icp", 24), ("icp+pfh", 5), ("icp+spfh", 5)]
+    assert seen == [(None, 24), ("pfh", 5), ("spfh", 5)]
 
 
 @pytest.mark.parametrize("argv, message", [

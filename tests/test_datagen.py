@@ -10,6 +10,8 @@ from upcr.datagen import (CloudParseError, Protocol, add_noise, build_benchmark,
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
+from conftest import chamfer
+
 
 # ---------------------------------------------------------------------------
 # synth_shape
@@ -31,7 +33,7 @@ def test_synth_shape_normalization():
 def test_synth_shape_categories_distinct():
     a = synth_shape(0, 256, Rng(1))
     b = synth_shape(20, 256, Rng(1))
-    assert geom.chamfer(a, b) > 0.01
+    assert chamfer(a, b) > 0.01
 
 
 def test_synth_shape_minimum_points():
@@ -173,7 +175,7 @@ def test_consistent_sample_exact_transform():
     s = make_sample(proto, category=5, shape_index=2, n_points=128, seed=77)
     expected = geom.apply_transform(s.gt, s.source)
     assert np.array_equal(expected.points, s.target.points)
-    assert geom.chamfer(expected, s.target) == 0.0
+    assert chamfer(expected, s.target) == 0.0
 
 
 def test_partial_sample_counts():
@@ -197,9 +199,11 @@ def test_build_benchmark_shape_disjoint_and_deterministic():
     for a, b in zip(tr1 + te1, tr2 + te2):
         assert np.array_equal(a.source.points, b.source.points)
         assert np.array_equal(a.gt.rotation, b.gt.rotation)
-    train_ids = {s.tags["shape_index"] for s in tr1}
-    test_ids = {s.tags["shape_index"] for s in te1}
-    assert not train_ids & test_ids
+    # a shape's source cloud is its clean samples, the same bytes wherever it is drawn
+    train_shapes = {s.source.points.tobytes() for s in tr1}
+    test_shapes = {s.source.points.tobytes() for s in te1}
+    assert len(train_shapes) == 16 and len(test_shapes) == 4
+    assert not train_shapes & test_shapes
 
 
 def test_build_benchmark_uc_categories():

@@ -140,7 +140,7 @@ def test_pool_first_gradients_match_activate_first(slope):
         for conv, embed in ((edge_conv_layer, embed_from_features),
                             (edge_conv_oracle, embed_oracle)):
             tape = ad.Tape()
-            x, wt, bt, at = (tape.leaf(v, requires_grad=True) for v in (feats, w, b, alpha))
+            x, wt, bt, at = (tape.leaf(v) for v in (feats, w, b, alpha))
             loss = ad.add(ad.reduce_sum(ad.mul(conv(x, nbr, wt, bt, slope), probe)),
                           ad.reduce_sum(ad.mul(embed(phi, at, bt, slope), probe)))
             ad.backward(loss)
@@ -165,7 +165,7 @@ def test_taped_edge_conv_sorts_nothing(monkeypatch):
         monkeypatch.setattr(np, name, counted(name))
     feats, nbr, _, w, b, _ = _pooling_inputs(0, ties=True)
     tape = ad.Tape()
-    x, wt, bt = (tape.leaf(v, requires_grad=True) for v in (feats, w, b))
+    x, wt, bt = (tape.leaf(v) for v in (feats, w, b))
     ad.backward(ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt)))
     assert not calls
 
@@ -175,7 +175,7 @@ def test_taped_edge_conv_keeps_pooled_gradients():
     n, c_out = feats.shape[0], w.shape[1]
     assert 2 * feats.shape[1] <= n  # so every parameter gradient fits in n*c'
     tape = ad.Tape()
-    x, wt, bt = (tape.leaf(v, requires_grad=True) for v in (feats, w, b))
+    x, wt, bt = (tape.leaf(v) for v in (feats, w, b))
     loss = ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt))
     kinds = {node.kind for node in tape.nodes}
     assert "neighbor_max" in kinds

@@ -430,8 +430,8 @@ def test_embed_runs_on_tape():
     cloud = random_cloud(Rng(47), 12)
     spec = FeatureSpec("distance")
     tape = ad.Tape()
-    w = tape.leaf(Rng(48).uniform(-1, 1, (3, 4)), requires_grad=True)
-    b = tape.leaf(np.zeros((1, 4)), requires_grad=True)
+    w = tape.leaf(Rng(48).uniform(-1, 1, (3, 4)))
+    b = tape.leaf(np.zeros((1, 4)))
     phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 3))
     out = features.embed_from_features(phi, w, b)
     ad.backward(ad.reduce_sum(out))

@@ -9,8 +9,8 @@ from upcr import geom
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
-from conftest import (canonicalize, inverse_transform, neighbor_table_oracle, random_cloud,
-                      random_rotation, random_transform)
+from conftest import (canonicalize, chamfer, inverse_transform, neighbor_table_oracle,
+                      random_cloud, random_rotation, random_transform)
 
 
 def decode(mode, vals) -> np.ndarray:
@@ -33,6 +33,11 @@ def test_rigid_transform_validation():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
     with pytest.raises(ValueError):
         RigidTransform(2 * np.eye(3), np.zeros(3))
+    # NaN fails no comparison, so the orthonormality and determinant checks pass it
+    with pytest.raises(ValueError, match="rotation and translation must be finite"):
+        RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
+    with pytest.raises(ValueError, match="rotation and translation must be finite"):
+        RigidTransform(np.eye(3), [0.0, np.nan, 0.0])
 
 
 def test_rotation_param_lengths():
@@ -399,37 +404,37 @@ def test_compose_relative_alignment_guarantee():
 
 
 # ---------------------------------------------------------------------------
-# chamfer
+# chamfer, the training loss
 
 
 def test_chamfer_identical_is_zero():
     cloud = random_cloud(Rng(16), 50)
-    assert geom.chamfer(cloud, cloud) == 0.0
+    assert chamfer(cloud, cloud) == 0.0
 
 
 def test_chamfer_hand_values():
     a = PointCloud([[0.0, 0, 0]])
     b = PointCloud([[1.0, 0, 0]])
-    assert geom.chamfer(a, b) == pytest.approx(2.0)
+    assert chamfer(a, b) == pytest.approx(2.0)
     a = PointCloud([[0.0, 0, 0], [2.0, 0, 0]])
-    assert geom.chamfer(a, b) == pytest.approx(2.0)
+    assert chamfer(a, b) == pytest.approx(2.0)
 
 
 def test_chamfer_symmetry_exact():
     rng = Rng(17)
     a = random_cloud(rng, 33)
     b = random_cloud(rng, 21)
-    assert geom.chamfer(a, b) == geom.chamfer(b, a)
+    assert chamfer(a, b) == chamfer(b, a)
 
 
 def test_chamfer_rigid_invariance():
     rng = Rng(18)
     a = random_cloud(rng, 30)
     b = random_cloud(rng, 28)
-    base = geom.chamfer(a, b)
+    base = chamfer(a, b)
     for _ in range(20):
         t = random_transform(rng)
-        moved = geom.chamfer(geom.apply_transform(t, a), geom.apply_transform(t, b))
+        moved = chamfer(geom.apply_transform(t, a), geom.apply_transform(t, b))
         assert moved == pytest.approx(base, abs=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Golden outputs: SHA-256 of seeded neighbor tables, of one seeded desk
-registration, of one seeded desk training run (with its loss curve) and of the
-checkpoint files a seeded train and fine-tune write, pinned so that a speed or
+registration, of one seeded desk training run (with its loss curve), of the
+checkpoint files a seeded train and fine-tune write and of the CSVs that
+``upcr bench`` and ``upcr sweep-outliers`` write, pinned so that a speed or
 format change proves it left outputs unchanged.
 
 A change that moves any of these on purpose says so and re-pins them.
@@ -13,11 +14,14 @@ import numpy as np
 import pytest
 
 from upcr import geom
+from upcr.cli import main
 from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.separation import register_pair
 from upcr.training import fine_tune, save_checkpoint, train
+
+from conftest import TINY, tiny_model_file
 
 # paper-size rows at the widths the global branch scans
 GRAPH_KNN_SHA = {
@@ -32,6 +36,10 @@ TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402
 CHECKPOINT_FILE_SHA = {
     "train": "15850bb2024a43d9e93d55565db41dc8c137ba923878969c5f6a8e1ed85cc1a0",
     "fine_tune": "ed084114e85e947e2891a5daa7828353e62dc77ded063be97b51e5aee12f3869",
+}
+CSV_SHA = {
+    "metrics.csv": "ce7d940e11c373505546b5b6139538b49761160ad3c1bc6288f47ae5448e4e12",
+    "outlier_sweep.csv": "5630ace14e8721ae37c64b3122db90957fa142273823025547cfd60f348267ff",
 }
 
 
@@ -105,3 +113,13 @@ def test_checkpoint_files_pinned(tmp_path):
         save_checkpoint(str(path), result.checkpoint)
         got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == CHECKPOINT_FILE_SHA
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["bench", "--baselines", "--seed", "7"], "metrics.csv"),
+    (["sweep-outliers", "--ratios", "0,10,20"], "outlier_sweep.csv"),
+], ids=["bench", "sweep-outliers"])
+def test_cli_csv_files_pinned(tmp_path, argv, name):
+    out = tmp_path / "out"
+    assert main(argv + ["--model", tiny_model_file(tmp_path), "--out", str(out)] + TINY) == 0
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == CSV_SHA[name]

@@ -1,7 +1,8 @@
 """Every module-level import in the package is used by its module; every
-module-level function or class, and every method and property of one, is
-referenced by some package module, so code that only tests read lives in the
-tests; and every annotated class field is read."""
+module-level function or class is referenced by some package module, and every
+method and property of one is read as an attribute by some package module, so
+code that only tests read lives in the tests; and every annotated class field
+is read."""
 
 import ast
 from pathlib import Path
@@ -62,24 +63,25 @@ def definitions(tree: ast.Module):
 
 
 def unreferenced_defs(sources: dict[str, str], public_in: tuple[str, ...] = ()) -> list[str]:
-    """Module-level functions and classes, and their classes' methods and
-    properties, that no module reads, by plain name, as an attribute or
-    through an import: every ``_name`` one, and the public ones of the modules
-    in ``public_in``. Dunder names are exempt."""
+    """Module-level functions and classes that no module reads, by plain name,
+    as an attribute or through an import, and methods and properties that no
+    module reads as an attribute (``obj.name``): every ``_name`` one, and the
+    public ones of the modules in ``public_in``. Dunder names are exempt."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
-    used = set()
+    attrs, names = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attrs.add(node.attr)
             elif isinstance(node, ast.alias):
-                used.add(node.name)
+                names.add(node.name)
     return [f"{mod}.{qualname} (line {node.lineno})"
             for mod, tree in trees.items() for qualname, node in definitions(tree)
             if (mod in public_in or node.name.startswith("_"))
-            and not node.name.startswith("__") and node.name not in used]
+            and not node.name.startswith("__")
+            and node.name not in (attrs if "." in qualname else attrs | names)]
 
 
 def test_guard_flags_an_unreferenced_private_def():
@@ -114,6 +116,16 @@ def test_guard_flags_an_unreferenced_method_or_property():
     assert unreferenced_defs(sources) == ["a.Model._helper (line 19)"]
     assert unreferenced_defs(sources, public_in=("a",)) == [
         "a.Model.constants (line 8)", "a.Model.parts (line 16)", "a.Model._helper (line 19)"]
+
+
+def test_guard_needs_an_attribute_read_for_a_member():
+    """A parameter or variable that shares a member's name is no reference to it."""
+    sources = {
+        "a": "class Rng:\n    @property\n    def seed(self):\n        return 0\n\n"
+             "    def spawn(self):\n        return self\n",
+        "b": "from .a import Rng\n\ndef make(seed):\n    return Rng().spawn(), seed\n",
+    }
+    assert unreferenced_defs(sources, public_in=("a",)) == ["a.Rng.seed (line 3)"]
 
 
 def test_package_has_no_unreferenced_private_defs():

@@ -10,17 +10,16 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import geom, training
+from upcr import training
 from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
-from upcr.geom import PointCloud
 from upcr.rng import Rng
 from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import claim_tensor_dims, replace_header, rewrite_header
+from conftest import chamfer_oracle, claim_tensor_dims, replace_header, rewrite_header
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -45,13 +44,13 @@ def test_loss_matches_offline_chamfer():
     a = rng.uniform(-1, 1, (15, 3))
     b = rng.uniform(-1, 1, (11, 3))
     loss = unsupervised_loss(ad.constant(a), ad.constant(b)).item()
-    ref = geom.chamfer(PointCloud(a), PointCloud(b))
+    ref = chamfer_oracle(a, b)
     assert abs(loss - ref) <= 1e-12
 
 
 def test_loss_gradient_single_point():
     tape = ad.Tape()
-    x = tape.leaf(np.array([[0.0, 0.0, 0.0]]), requires_grad=True)
+    x = tape.leaf(np.array([[0.0, 0.0, 0.0]]))
     loss = unsupervised_loss(x, ad.constant(np.array([[1.0, 0.0, 0.0]])))
     ad.backward(loss)
     # both chamfer directions pull the single point toward (1,0,0)
@@ -310,8 +309,12 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
     (lambda h: h.update(config=[5, 16]), "config, spec and metadata must be JSON objects"),
     (lambda h: h.update(metadata=[1, 2]), "config, spec and metadata must be JSON objects"),
     (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
+    (lambda h: h.update(metadat=h.pop("metadata")),
+     "missing key 'metadata'; unexpected key 'metadat'$"),
+    (lambda h: h.update(junk=1), "unexpected key 'junk'$"),
 ], ids=["missing-key", "unknown-config-key", "missing-config-field", "missing-spec-field",
-        "non-dict-config", "non-dict-metadata", "negative-slope"])
+        "non-dict-config", "non-dict-metadata", "negative-slope", "misspelled-metadata",
+        "unknown-top-level-key"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
@@ -349,6 +352,15 @@ def test_checkpoint_tensors_must_match_header(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     _save(path, edit)
     with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_checkpoint_non_finite_tensor_rejected(tmp_path, value):
+    path = str(tmp_path / "model.upcr")
+    _save(path, lambda c: c.params["head.1.b"].fill(value))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: non-finite values in "
+                                         "checkpoint tensor head.1.b$"):
         load_checkpoint(path)
 
 
