@@ -28,8 +28,8 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from . import evalbench, geom
-from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, load_cloud, \
-    save_cloud
+from .datagen import DEFAULT_NOISE, PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, \
+    load_cloud, save_cloud
 from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
 from .separation import register_pair
@@ -212,7 +212,7 @@ def protocol(cfg: dict) -> Protocol:
     if clip and not sigma > 0:
         raise ValueError(f"protocol.noise_clip = {clip} is read only when "
                          f"protocol.noise_sigma > 0, got noise_sigma = {sigma}")
-    noise = (sigma, clip or 0.05) if sigma > 0 else None
+    noise = (sigma, clip or DEFAULT_NOISE[1]) if sigma > 0 else None
     return Protocol(setting=cfg["protocol.setting"], pairing=cfg["protocol.pairing"],
                     pose_regime=cfg["protocol.regime"], noise=noise,
                     partial_keep=cfg["protocol.partial_keep"] or None)
@@ -323,6 +323,18 @@ def _parse_ratios(text: str) -> list[float]:
 # subcommands
 
 
+def _write_fine_tuned(out: str, model, test_s, cfg: dict) -> str:
+    """Fine-tune ``model`` on the test pairs into ``out``/model.upcr; returns
+    the path of the loss curve written beside it."""
+    ft = fine_tune(model, [(s.source, s.target) for s in test_s],
+                   epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
+                   batch_size=cfg["train.batch"], seed=cfg["seed"])
+    save_checkpoint(os.path.join(out, "model.upcr"), ft.checkpoint)
+    curve_path = os.path.join(out, "finetune_curve.csv")
+    write_loss_curve(curve_path, ft.loss_curve)
+    return curve_path
+
+
 def cmd_gen(args) -> int:
     cfg = resolve_config(args)
     _need_pairs(cfg, "gen", "data.train", "data.test")
@@ -366,12 +378,7 @@ def cmd_train(args) -> int:
     write_loss_curve(curve_path, result.loss_curve)
     outputs = [model_path, curve_path]
     if args.finetune:
-        ft = fine_tune(result.checkpoint, [(s.source, s.target) for s in test_s],
-                       epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
-                       batch_size=cfg["train.batch"], seed=cfg["seed"])
-        save_checkpoint(model_path, ft.checkpoint)
-        outputs.append(os.path.join(out, "finetune_curve.csv"))
-        write_loss_curve(outputs[-1], ft.loss_curve)
+        outputs.append(_write_fine_tuned(out, result.checkpoint, test_s, cfg))
     write_manifest(out, cfg, "train", outputs=outputs)
     print(f"model written to {model_path}")
     if result.diverged:
@@ -383,16 +390,9 @@ def cmd_finetune(args) -> int:
     cfg = resolve_config(args)
     model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
-    ft = fine_tune(model, [(s.source, s.target) for s in test_s],
-                   epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
-                   batch_size=cfg["train.batch"], seed=cfg["seed"])
-    model_path = os.path.join(out, "model.upcr")
-    curve_path = os.path.join(out, "finetune_curve.csv")
-    save_checkpoint(model_path, ft.checkpoint)
-    write_loss_curve(curve_path, ft.loss_curve)
-    write_manifest(out, cfg, "finetune", inputs=[args.model],
-                   outputs=[model_path, curve_path])
-    print(f"model written to {model_path}")
+    outputs = [os.path.join(out, "model.upcr"), _write_fine_tuned(out, model, test_s, cfg)]
+    write_manifest(out, cfg, "finetune", inputs=[args.model], outputs=outputs)
+    print(f"model written to {outputs[0]}")
     return 0
 
 
@@ -433,6 +433,9 @@ def _bench_rows(model, test_s, baselines: bool):
 def cmd_bench(args) -> int:
     cfg = resolve_config(args)
     model, test_s = _model_and_test_split(args, cfg)
+    if args.baselines and model.config.k < 3:
+        raise CliError(f"--baselines estimates normals over the checkpoint's k = "
+                       f"{model.config.k} neighbours, which needs k >= 3")
     out = _ensure_dir(args.out)
     rows = _bench_rows(model, test_s, args.baselines)
     csv_path = os.path.join(out, "metrics.csv")

@@ -354,72 +354,38 @@ def _parse_floats(tokens: list[str], count: int, path: str, lineno: int) -> list
         raise CloudParseError(f"{path}:{lineno}: {exc}") from None
 
 
-def _load_xyz(path: str) -> PointCloud:
-    pts = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            pts.append(_parse_floats(body.split(), 3, path, lineno))
-    if not pts:
-        raise CloudParseError(f"{path}: no points found")
-    return PointCloud(np.array(pts))
+def _vertex_count(tokens: list[str], path: str, lineno: int) -> int:
+    """The first of ``tokens`` as a vertex count: an int >= 0."""
+    try:
+        if (count := int(tokens[0])) >= 0:
+            return count
+    except (IndexError, ValueError):
+        pass
+    raise CloudParseError(f"{path}:{lineno}: malformed vertex count")
 
 
-def _load_off(path: str) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    idx = 0
-    if idx >= len(lines) or lines[idx].strip() != "OFF":
+def _off_header(lines: list[str], path: str):
+    if not lines or lines[0].strip() != "OFF":
         raise CloudParseError(f"{path}:1: missing OFF header")
-    idx += 1
-    while idx < len(lines) and not lines[idx].strip():
-        idx += 1
+    idx = next((i for i in range(1, len(lines)) if lines[i].strip()), len(lines))
     counts = lines[idx].split() if idx < len(lines) else []
     if len(counts) < 2:
         raise CloudParseError(f"{path}:{idx + 1}: malformed OFF count line")
-    try:
-        nv = int(counts[0])
-    except ValueError:
-        raise CloudParseError(f"{path}:{idx + 1}: malformed vertex count") from None
-    pts = []
-    lineno = idx + 1
-    while len(pts) < nv:
-        lineno += 1
-        if lineno > len(lines):
-            raise CloudParseError(f"{path}:{lineno}: truncated OFF file "
-                                  f"({len(pts)}/{nv} vertices)")
-        body = lines[lineno - 1].strip()
-        if not body:
-            continue
-        pts.append(_parse_floats(body.split(), 3, path, lineno))
-    return PointCloud(np.array(pts))
+    return idx + 1, _vertex_count(counts, path, idx + 1), 3, (0, 1, 2)
 
 
-def _load_ply(path: str) -> PointCloud:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+def _ply_header(lines: list[str], path: str):
     if not lines or lines[0].strip() != "ply":
         raise CloudParseError(f"{path}:1: missing ply magic")
-    n_vertex = None
-    props = []
-    idx = 1
-    in_vertex = False
-    while idx < len(lines):
-        tok = lines[idx].split()
-        idx += 1
-        if not tok:
-            continue
-        if tok[0] == "format":
-            if tok[1:2] != ["ascii"]:
-                raise CloudParseError(f"{path}:{idx}: only ascii PLY is supported")
-        elif tok[0] == "element":
+    n_vertex, props, in_vertex = None, [], False
+    for idx, line in enumerate(lines[1:], start=2):
+        tok = line.split() or [""]
+        if tok[0] == "format" and tok[1:2] != ["ascii"]:
+            raise CloudParseError(f"{path}:{idx}: only ascii PLY is supported")
+        if tok[0] == "element":
             in_vertex = tok[1:2] == ["vertex"]
             if in_vertex:
-                if len(tok) < 3 or not tok[2].isdecimal():
-                    raise CloudParseError(f"{path}:{idx}: malformed vertex count")
-                n_vertex = int(tok[2])
+                n_vertex = _vertex_count(tok[2:], path, idx)
         elif tok[0] == "property" and in_vertex:
             props.append(tok[-1])
         elif tok[0] == "end_header":
@@ -429,17 +395,16 @@ def _load_ply(path: str) -> PointCloud:
     if n_vertex is None:
         raise CloudParseError(f"{path}: no vertex element")
     try:
-        cols = [props.index(axis) for axis in ("x", "y", "z")]
+        cols = tuple(props.index(axis) for axis in ("x", "y", "z"))
     except ValueError:
         raise CloudParseError(f"{path}: vertex element lacks x/y/z properties") from None
-    pts = []
-    for off in range(n_vertex):
-        lineno = idx + off + 1
-        if idx + off >= len(lines):
-            raise CloudParseError(f"{path}:{lineno}: truncated vertex list")
-        vals = _parse_floats(lines[idx + off].split(), len(props), path, lineno)
-        pts.append([vals[c] for c in cols])
-    return PointCloud(np.array(pts))
+    return idx, n_vertex, len(props), cols
+
+
+# per format: (lines, path) -> (header line count, vertex count or None for all,
+# numbers per vertex line, x/y/z columns)
+_HEADERS = {"xyz": lambda lines, path: (0, None, 3, (0, 1, 2)),
+            "off": _off_header, "ply": _ply_header}
 
 
 def _cloud_format(path: str) -> str:
@@ -450,9 +415,29 @@ def _cloud_format(path: str) -> str:
 
 
 def load_cloud(path: str) -> PointCloud:
-    """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix)."""
-    loaders = {"xyz": _load_xyz, "off": _load_off, "ply": _load_ply}
-    return loaders[_cloud_format(path)](path)
+    """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix).
+
+    After the header, a line that is blank once a ``#`` comment is cut is
+    skipped; every other line is one vertex, read up to the header's count.
+    """
+    header = _HEADERS[_cloud_format(path)]
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
+    skip, count, width, cols = header(lines, path)
+    pts = []
+    for lineno, line in enumerate(lines[skip:], start=skip + 1):
+        if len(pts) == count:
+            break
+        body = line.split("#", 1)[0].split()
+        if body:
+            vals = _parse_floats(body, width, path, lineno)
+            pts.append([vals[c] for c in cols])
+    if count is not None and len(pts) < count:
+        raise CloudParseError(f"{path}:{len(lines) + 1}: truncated vertex list "
+                              f"({len(pts)}/{count} vertices)")
+    if not pts:
+        raise CloudParseError(f"{path}: no points found")
+    return PointCloud(np.array(pts))
 
 
 def save_cloud(cloud: PointCloud, path: str) -> None:

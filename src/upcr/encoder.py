@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geom
-from .features import FeatureSpec, embed_from_features, neighbor_feature_array
+from .features import FeatureSpec, check_counts, embed_from_features, neighbor_feature_array
 from .geom import PointCloud
 from .rng import Rng
 
@@ -55,8 +55,7 @@ class EncoderConfig:
     head_widths: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
-        if self.k < 1 or self.m < 1 or self.layers < 1:
-            raise ValueError("k, m and layers must all be >= 1")
+        check_counts("k, m and layers", self.k, self.m, self.layers)
         if not 0.0 <= self.slope < 1.0:  # NaN fails both comparisons
             raise ValueError(f"slope must be in [0, 1), got {self.slope}")
         if self.widths is None:
@@ -66,14 +65,12 @@ class EncoderConfig:
             self.widths = tuple(
                 max(4, self.m >> (self.layers - 1 - i)) for i in range(self.layers - 1)
             ) + (self.m,)
-        self.widths = tuple(int(w) for w in self.widths)
+        self.widths, self.head_widths = tuple(self.widths), tuple(self.head_widths)
+        check_counts("layer and head widths", *self.widths, *self.head_widths)
         if len(self.widths) != self.layers:
             raise ValueError(f"widths {self.widths} must have one entry per layer ({self.layers})")
         if self.widths[-1] != self.m:
             raise ValueError(f"last width {self.widths[-1]} must equal m={self.m}")
-        self.head_widths = tuple(int(w) for w in self.head_widths)
-        if any(w < 1 for w in self.widths + self.head_widths):
-            raise ValueError("layer and head widths must be positive")
 
 
 @dataclass

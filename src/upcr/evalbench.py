@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import geom
 from .datagen import DatasetSample
 from .encoder import ModelParams
-from .features import FeatureSpec, point_descriptor_table
+from .features import FeatureSpec, MatchError, point_descriptor_table
 from .geom import PointCloud, RigidTransform
 from .rng import Rng, derive_seed
 from .separation import register_pair
@@ -29,53 +29,26 @@ class MetricReport:
     count: int
 
 
-def _check_paired(predictions, ground_truths):
+def evaluate_poses(predictions, ground_truths) -> MetricReport:
+    """Errors of paired poses, from each pair's relative rotation R_gt^T R_pred
+    and offset t_pred - t_gt: RMSE and MAE over all 3n Euler angles (degrees)
+    and over all 3n offset components, and ``me_t``, the mean geodesic angle
+    (degrees) plus translation norm of the relative pose gt^-1 * pred."""
     if len(predictions) != len(ground_truths) or not predictions:
         raise ValueError(f"need equal nonempty lists, got {len(predictions)} "
                          f"vs {len(ground_truths)}")
-
-
-def rotation_metrics(predictions, ground_truths):
-    """(RMSE, MAE) in degrees over all 3n Euler error components.
-
-    The error angles are the Euler decomposition of the relative rotation
-    R_gt^T R_pred.
-    """
-    _check_paired(predictions, ground_truths)
-    comps = []
-    for pred, gt in zip(predictions, ground_truths):
-        comps.extend(np.rad2deg(geom.euler_from_matrix(gt.rotation.T @ pred.rotation)))
-    comps = np.array(comps)
-    return float(np.sqrt(np.mean(comps ** 2))), float(np.mean(np.abs(comps)))
-
-
-def translation_metrics(predictions, ground_truths):
-    """(RMSE, MAE) over all 3n translation error components."""
-    _check_paired(predictions, ground_truths)
-    comps = np.concatenate([pred.translation - gt.translation
-                            for pred, gt in zip(predictions, ground_truths)])
-    return float(np.sqrt(np.mean(comps ** 2))), float(np.mean(np.abs(comps)))
-
-
-def se3_mean_error(predictions, ground_truths) -> float:
-    """Mean pose error: geodesic rotation angle (degrees) plus translation
-    norm of the relative pose gt^-1 * pred, averaged over samples."""
-    _check_paired(predictions, ground_truths)
-    total = 0.0
+    rot, trans, total = [], [], 0.0
     for pred, gt in zip(predictions, ground_truths):
         rel_rot = gt.rotation.T @ pred.rotation
+        offset = pred.translation - gt.translation
+        rot.extend(np.rad2deg(geom.euler_from_matrix(rel_rot)))
+        trans.append(offset)
         cos = np.clip((np.trace(rel_rot) - 1.0) / 2.0, -1.0, 1.0)
-        angle = np.rad2deg(np.arccos(cos))
-        rel_t = gt.rotation.T @ (pred.translation - gt.translation)
-        total += angle + float(np.linalg.norm(rel_t))
-    return total / len(predictions)
-
-
-def evaluate_poses(predictions, ground_truths) -> MetricReport:
-    rr, mr = rotation_metrics(predictions, ground_truths)
-    rt, mt = translation_metrics(predictions, ground_truths)
-    return MetricReport(rr, mr, rt, mt, se3_mean_error(predictions, ground_truths),
-                        len(predictions))
+        total += np.rad2deg(np.arccos(cos)) + float(np.linalg.norm(gt.rotation.T @ offset))
+    rot, trans = np.array(rot), np.concatenate(trans)
+    return MetricReport(float(np.sqrt(np.mean(rot ** 2))), float(np.mean(np.abs(rot))),
+                        float(np.sqrt(np.mean(trans ** 2))), float(np.mean(np.abs(trans))),
+                        total / len(predictions), len(predictions))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +93,8 @@ def icp(source: PointCloud, target: PointCloud,
 
 def feature_match_init(source: PointCloud, target: PointCloud,
                        spec: FeatureSpec, k: int = 24) -> RigidTransform:
-    """Closed-form pose from mutual nearest neighbors in feature space."""
+    """Closed-form pose from mutual nearest neighbors in feature space; a
+    MatchError if fewer than 3 points match mutually."""
     fs = point_descriptor_table(source, spec, k)
     ft = point_descriptor_table(target, spec, k)
     d2 = geom.sqdist_matrix(fs, ft)
@@ -128,7 +102,7 @@ def feature_match_init(source: PointCloud, target: PointCloud,
     bwd = np.argmin(d2, axis=0)
     mutual = np.nonzero(bwd[fwd] == np.arange(len(fs)))[0]
     if mutual.size < 3:
-        raise ValueError(f"feature_match_init: only {mutual.size} mutual matches "
+        raise MatchError(f"feature_match_init: only {mutual.size} mutual matches "
                          "(need >= 3)")
     return geom.fit_rigid(source.points[mutual], target.points[fwd[mutual]])
 
@@ -160,13 +134,15 @@ def evaluate_model(model: ModelParams, samples: list[DatasetSample]) -> EvalResu
 
 def evaluate_icp(samples: list[DatasetSample], init_spec: FeatureSpec | None = None,
                  k: int = 24) -> MetricReport:
+    """ICP from feature matching if ``init_spec`` is given. A pair whose matching
+    finds no pose (a MatchError) starts from the identity; other errors propagate."""
     preds = []
     for s in samples:
         init = None
         if init_spec is not None:
             try:
                 init = feature_match_init(s.source, s.target, init_spec, k)
-            except ValueError:
+            except MatchError:
                 init = None
         preds.append(icp(s.source, s.target, init=init))
     return evaluate_poses(preds, [s.gt for s in samples])

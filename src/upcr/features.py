@@ -30,6 +30,17 @@ FEATURE_KINDS = (
 )
 
 
+class MatchError(ValueError):
+    """Descriptor matching can give no pose: a descriptor is not finite, or
+    too few points match mutually."""
+
+
+def check_counts(label: str, *values) -> None:
+    """Raise ValueError unless every value is a plain int (not a bool) >= 1."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+        raise ValueError(f"{label} must be positive ints, got {values}")
+
+
 @dataclass
 class FeatureSpec:
     """Which pose-invariant feature feeds the invariant branch.
@@ -45,6 +56,7 @@ class FeatureSpec:
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}; choose from {FEATURE_KINDS}")
+        check_counts("spfh_bins and pfh_bins", self.spfh_bins, self.pfh_bins)
 
     @property
     def parts(self) -> tuple[str, ...]:
@@ -132,6 +144,23 @@ def _darboux(ps, ns, pt, nt):
     return alpha, phi, theta, ok
 
 
+def _edge_rows(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray):
+    """Owner point, owner normal, neighbor point and neighbor normal rows
+    [N*k, 3] of every edge in ``nbr``."""
+    k = nbr.shape[1]
+    return (np.repeat(pts, k, axis=0), np.repeat(nrm, k, axis=0),
+            pts[nbr.ravel()], nrm[nbr.ravel()])
+
+
+def _frequencies(flat: np.ndarray, n: int, cells: int) -> np.ndarray:
+    """Per-row relative frequencies [n, cells] of the cell ids ``flat`` (row *
+    cells + cell); a row with no ids stays zero."""
+    hist = np.bincount(flat, minlength=n * cells).reshape(n, cells).astype(np.float64)
+    counts = hist.sum(axis=1, keepdims=True)
+    np.divide(hist, counts, out=hist, where=counts > 0)
+    return hist
+
+
 def _bin_index(val: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
     idx = np.floor((val - lo) / (hi - lo) * bins).astype(np.int64)
     return np.clip(idx, 0, bins - 1)
@@ -151,23 +180,11 @@ def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 11
     antiparallel-normal seam (theta = +-pi) lands in one bin.
     """
     n, k = nbr.shape
-    ps = np.repeat(pts, k, axis=0)
-    ns = np.repeat(nrm, k, axis=0)
-    pt = pts[nbr.ravel()]
-    nt = nrm[nbr.ravel()]
-    alpha, phi, theta, ok = _darboux(ps, ns, pt, nt)
-    owner = np.repeat(np.arange(n), k)
-
-    hist = np.zeros((n, 3 * bins))
+    alpha, phi, theta, ok = _darboux(*_edge_rows(pts, nrm, nbr))
+    owner = np.repeat(np.arange(n), k)[ok] * bins
     sub_bins = (_bin_index(alpha, -1.0, 1.0, bins), _bin_index(phi, -1.0, 1.0, bins),
                 _theta_bin(theta, bins))
-    for sub, b in enumerate(sub_bins):
-        flat = owner[ok] * bins + b[ok]
-        acc = np.bincount(flat, minlength=n * bins).reshape(n, bins).astype(np.float64)
-        counts = acc.sum(axis=1, keepdims=True)
-        np.divide(acc, counts, out=acc, where=counts > 0)
-        hist[:, sub * bins:(sub + 1) * bins] = acc
-    return hist
+    return np.concatenate([_frequencies(owner + b[ok], n, bins) for b in sub_bins], axis=1)
 
 
 def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
@@ -211,11 +228,7 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) 
     cells = bins ** 3
     joint = (ba * bins + bp) * bins + bt
     rows = np.cumsum(seen)[key] - 1  # [n, m] slot of each pair among the distinct ones
-    flat = (np.arange(n)[:, None] * cells + joint[rows])[ok[rows]]
-    hist = np.bincount(flat, minlength=n * cells).reshape(n, cells).astype(np.float64)
-    counts = hist.sum(axis=1, keepdims=True)
-    np.divide(hist, counts, out=hist, where=counts > 0)
-    return hist
+    return _frequencies((np.arange(n)[:, None] * cells + joint[rows])[ok[rows]], n, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +253,7 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             d_op = np.repeat(np.linalg.norm(pts - center, axis=1)[:, None], k, axis=1)
             blocks.append(np.stack([d_oc, d_pc, d_op], axis=2))
         elif part == "ppf":
-            p1 = np.repeat(pts, k, axis=0)
-            n1 = np.repeat(nrm, k, axis=0)
-            p2 = pts[nbr.ravel()]
-            n2 = nrm[nbr.ravel()]
+            p1, n1, p2, n2 = _edge_rows(pts, nrm, nbr)
             d = p2 - p1
             dist = np.linalg.norm(d, axis=1)
             safe = np.where(dist[:, None] == 0.0, 1.0, dist[:, None])
@@ -263,11 +273,11 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.n
     """Per-point descriptors [N, d] for feature matching: max over neighbor features.
 
     One neighbor table per cloud feeds the normals, histograms and features.
-    Raises ValueError on a non-finite descriptor.
+    Raises MatchError on a non-finite descriptor.
     """
     table = neighbor_feature_array(cloud, spec, geom.knn(cloud, k)).max(axis=1)
     if not np.all(np.isfinite(table)):
-        raise ValueError("feature table contains non-finite entries")
+        raise MatchError("feature table contains non-finite entries")
     return table
 
 

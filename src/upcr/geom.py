@@ -234,10 +234,6 @@ def euler_from_matrix(rot: np.ndarray) -> np.ndarray:
 # rotation decoders: one tape decoder per mode, for training and inference
 
 
-def _slice(v: ad.Tensor, idx) -> ad.Tensor:
-    return ad.gather_rows(v, idx)
-
-
 def _mat3(entries: list[ad.Tensor]) -> ad.Tensor:
     return ad.reshape(ad.concat(entries), (3, 3))
 
@@ -245,8 +241,8 @@ def _mat3(entries: list[ad.Tensor]) -> ad.Tensor:
 def _euler_tensor(angles: ad.Tensor) -> ad.Tensor:
     one, zero = ad.constant([1.0]), ad.constant([0.0])
     s, c = ad.sin(angles), ad.cos(angles)
-    sa, sb, sg = _slice(s, [0]), _slice(s, [1]), _slice(s, [2])
-    ca, cb, cg = _slice(c, [0]), _slice(c, [1]), _slice(c, [2])
+    sa, sb, sg = (ad.gather_rows(s, [i]) for i in range(3))
+    ca, cb, cg = (ad.gather_rows(c, [i]) for i in range(3))
     rx = _mat3([one, zero, zero, zero, ca, ad.neg(sa), zero, sa, ca])
     ry = _mat3([cb, zero, sb, zero, one, zero, ad.neg(sb), zero, cb])
     rz = _mat3([cg, ad.neg(sg), zero, sg, cg, zero, zero, zero, one])
@@ -258,7 +254,7 @@ def _quaternion_tensor(q: ad.Tensor) -> ad.Tensor:
     if float(nrm2.data) < 1e-24:
         raise ValueError("degenerate quaternion (all zero)")
     qn = ad.div(q, ad.sqrt(nrm2))
-    w, x, y, z = (_slice(qn, [i]) for i in range(4))
+    w, x, y, z = (ad.gather_rows(qn, [i]) for i in range(4))
     two = ad.constant(2.0)
     one = ad.constant([1.0])
 
@@ -281,8 +277,8 @@ def _cross_t(a: tuple, b: tuple) -> tuple:
 
 
 def _sixd_tensor(v: ad.Tensor) -> ad.Tensor:
-    a = _slice(v, [0, 1, 2])
-    b = _slice(v, [3, 4, 5])
+    a = ad.gather_rows(v, [0, 1, 2])
+    b = ad.gather_rows(v, [3, 4, 5])
     na2 = ad.reduce_sum(ad.mul(a, a))
     if float(na2.data) < 1e-18:
         raise ValueError("degenerate sixd parameter: first column is zero")
@@ -293,8 +289,8 @@ def _sixd_tensor(v: ad.Tensor) -> ad.Tensor:
     if float(nb2.data) < 1e-18:
         raise ValueError("degenerate sixd parameter: columns are parallel")
     c2 = ad.div(bp, ad.sqrt(nb2))
-    c1s = tuple(_slice(c1, [i]) for i in range(3))
-    c2s = tuple(_slice(c2, [i]) for i in range(3))
+    c1s = tuple(ad.gather_rows(c1, [i]) for i in range(3))
+    c2s = tuple(ad.gather_rows(c2, [i]) for i in range(3))
     c3s = _cross_t(c1s, c2s)
     return _mat3([c1s[0], c2s[0], c3s[0],
                   c1s[1], c2s[1], c3s[1],

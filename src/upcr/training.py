@@ -174,7 +174,7 @@ def load_checkpoint(path: str) -> ModelParams:
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
         (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        tensors = dict(_read_tensor(fh) for _ in range(count))
+        records = [_read_tensor(fh) for _ in range(count)]
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
 
@@ -192,8 +192,11 @@ def load_checkpoint(path: str) -> ModelParams:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
     want = param_shapes(config, spec, mode)
+    tensors = dict(records)
     got = {k: a.shape for k, a in tensors.items()}
-    problems = ([f"missing {k}" for k in want if k not in got]
+    names = [k for k, _ in records]
+    problems = ([f"duplicate {k}" for k in got if names.count(k) > 1]
+                + [f"missing {k}" for k in want if k not in got]
                 + [f"unexpected {k}" for k in got if k not in want]
                 + [f"{k} has shape {got[k]}, expected {s}"
                    for k, s in want.items() if k in got and got[k] != s])

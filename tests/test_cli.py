@@ -96,6 +96,21 @@ def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, dims):
     assert f"error: {model}: checkpoint truncated: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["config"].update(k=5.5), "k, m and layers must be positive ints, got (5.5, 16, 2)"),
+    (lambda h: h["spec"].update(pfh_bins=-1),
+     "spfh_bins and pfh_bins must be positive ints, got (11, -1)"),
+], ids=["float-k", "negative-pfh-bins"])
+def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, edit, message):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(0, 32, Rng(1)), a)
+    model = tiny_model_file(tmp_path)
+    rewrite_header(model, edit)
+    rc = main(["register", "--source", a, "--target", a, "--model", model])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {model}: corrupt checkpoint header: {message}\n"
+
+
 def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
@@ -594,18 +609,30 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "protocol.partial_keep = 16 must exceed encoder.k = 20"),
     (["bench", "--model", "{model_k24}", "--points", "20"],
      "data.points = 20 must exceed the checkpoint's k = 24"),
+    (["train", "--config", "{spfh_bins_0}"],
+     "spfh_bins and pfh_bins must be positive ints, got (0, 5)"),
+    (["train", "--config", "{spfh_bins_-1}"],
+     "spfh_bins and pfh_bins must be positive ints, got (-1, 5)"),
+    (["bench", "--model", "{model_k2}", "--baselines"],
+     "--baselines estimates normals over the checkpoint's k = 2 neighbours, which needs k >= 3"),
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan",
-        "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points"])
+        "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
+        "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
-             "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr")}
+             "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr"),
+             "model_k2": tiny_model_file(tmp_path, k=2, name="model_k2.upcr")}
+    for bins in (0, -1):
+        names[f"spfh_bins_{bins}"] = str(tmp_path / f"spfh_bins_{bins}.cfg")
+        Path(names[f"spfh_bins_{bins}"]).write_text(f"[feature]\nspfh_bins = {bins}\n")
     argv = [a.format(**names) for a in argv]
     out = tmp_path / "o"
     # tiny sizes first, so a missed check fails fast; the case's flags override them
     rc = main(argv[:1] + TINY + (TINY_MODEL + ["--epochs", "1"]) * (argv[0] == "train")
               + argv[1:] + ["--out", str(out)])
     assert rc == 1
-    assert f"error: {message.format(**names)}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message.format(**names)}") and err.count("\n") == 1
     assert not out.exists()

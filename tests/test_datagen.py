@@ -343,6 +343,41 @@ def test_corrupt_header_rejected_with_line(tmp_path, name, text, line):
         load_cloud(str(path))
 
 
+PLY_XYZ = "ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n" \
+    "property float z\nend_header\n"
+
+
+@pytest.mark.parametrize("name, text", [
+    ("empty.off", "OFF\n0 0 0\n"),
+    ("empty.ply", PLY_XYZ.format(n=0)),
+    ("negative.off", "OFF\n-3 0 0\n0 0 0\n"),
+], ids=["off-zero-vertices", "ply-zero-vertices", "off-negative-count"])
+def test_no_vertices_named_by_path(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(CloudParseError, match=f"^{re.escape(str(path))}:"):
+        load_cloud(str(path))
+
+
+def test_vertex_lists_skip_blank_and_comment_lines(tmp_path):
+    path = tmp_path / "gaps.ply"
+    path.write_text(PLY_XYZ.format(n=2) + "0 0 0\n\n# a comment\n1 2 3 # trailing\n")
+    np.testing.assert_array_equal(load_cloud(str(path)).points, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
+
+
+def test_one_cloud_loads_alike_from_every_format(tmp_path):
+    rows = ["0.5 -1 2e-3", "1.25 0 -7", "3 4.5 -0.125"]
+    texts = {"c.xyz": "# three points\n" + "\n".join(rows) + "\n",
+             "c.off": "OFF\n3 1 0\n" + "\n".join(rows) + "\n3 0 1 2\n",
+             "c.ply": PLY_XYZ.format(n=3) + "\n".join(rows) + "\n"}
+    loaded = []
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+        loaded.append(load_cloud(str(tmp_path / name)).points)
+    assert loaded[0].shape == (3, 3)
+    assert all(p.tobytes() == loaded[0].tobytes() for p in loaded)
+
+
 def test_unsupported_format_rejected(tmp_path):
     path = tmp_path / "c.obj"
     path.write_text("v 0 0 0\n")

@@ -35,6 +35,14 @@ def test_config_presets_and_validation():
         EncoderConfig(k=24, m=64, layers=5, head_widths=(8, 0))
 
 
+@pytest.mark.parametrize("fields", [dict(k=5.5), dict(k=True), dict(m=np.int64(16)),
+                                    dict(widths=(8.7, 16)), dict(head_widths=(8, True))],
+                         ids=["float-k", "bool-k", "numpy-m", "float-width", "bool-head-width"])
+def test_config_rejects_counts_that_are_not_plain_ints(fields):
+    with pytest.raises(ValueError, match="must be positive ints, got"):
+        EncoderConfig(**{**dict(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,)), **fields})
+
+
 @pytest.mark.parametrize("slope", [-0.1, 1.0, 1.5, float("nan")])
 def test_config_rejects_slope_outside_unit_interval(slope):
     with pytest.raises(ValueError, match=r"slope must be in \[0, 1\)"):

@@ -4,9 +4,7 @@ import pytest
 from upcr import evalbench, features, geom
 from upcr.datagen import DatasetSample, Protocol, build_benchmark, sample_transform, synth_shape
 from upcr.encoder import EncoderConfig, init_params
-from upcr.evalbench import (MetricReport, evaluate_poses, feature_match_init, icp,
-                            outlier_sweep, rotation_metrics, se3_mean_error,
-                            translation_metrics)
+from upcr.evalbench import MetricReport, evaluate_poses, feature_match_init, icp, outlier_sweep
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
@@ -25,35 +23,35 @@ def rot_z(deg):
 def test_rotation_metrics_exact_predictions():
     rng = Rng(1)
     poses = [random_transform(rng) for _ in range(5)]
-    rmse, mae = rotation_metrics(poses, poses)
-    assert rmse == pytest.approx(0.0, abs=1e-9)
-    assert mae == pytest.approx(0.0, abs=1e-9)
+    report = evaluate_poses(poses, poses)
+    assert report.rmse_rot_deg == pytest.approx(0.0, abs=1e-9)
+    assert report.mae_rot_deg == pytest.approx(0.0, abs=1e-9)
 
 
 def test_rotation_metrics_hand_value():
     gt = [RigidTransform.identity()]
     pred = [RigidTransform(geom.euler_to_matrix(np.deg2rad([3.0, 4.0, 0.0])),
                            np.zeros(3))]
-    rmse, mae = rotation_metrics(pred, gt)
-    assert mae == pytest.approx(7.0 / 3.0, abs=1e-6)
-    assert rmse == pytest.approx(np.sqrt(25.0 / 3.0), abs=1e-6)
+    report = evaluate_poses(pred, gt)
+    assert report.mae_rot_deg == pytest.approx(7.0 / 3.0, abs=1e-6)
+    assert report.rmse_rot_deg == pytest.approx(np.sqrt(25.0 / 3.0), abs=1e-6)
 
 
 def test_rotation_metrics_order_invariant():
     rng = Rng(2)
     gts = [random_transform(rng) for _ in range(6)]
     preds = [random_transform(rng) for _ in range(6)]
-    a = rotation_metrics(preds, gts)
-    b = rotation_metrics(list(reversed(preds)), list(reversed(gts)))
-    assert a == pytest.approx(b)
+    a = evaluate_poses(preds, gts)
+    b = evaluate_poses(list(reversed(preds)), list(reversed(gts)))
+    assert (a.rmse_rot_deg, a.mae_rot_deg) == pytest.approx((b.rmse_rot_deg, b.mae_rot_deg))
 
 
 def test_translation_metrics_hand_value():
     gt = [RigidTransform.identity()]
     pred = [RigidTransform(np.eye(3), [0.3, 0.4, 0.0])]
-    rmse, mae = translation_metrics(pred, gt)
-    assert mae == pytest.approx(0.7 / 3.0)
-    assert rmse == pytest.approx(np.sqrt(0.25 / 3.0))
+    report = evaluate_poses(pred, gt)
+    assert report.mae_trans == pytest.approx(0.7 / 3.0)
+    assert report.rmse_trans == pytest.approx(np.sqrt(0.25 / 3.0))
 
 
 def test_translation_metrics_homogeneous():
@@ -61,38 +59,40 @@ def test_translation_metrics_homogeneous():
     gts = [random_transform(rng) for _ in range(4)]
     preds = [RigidTransform(g.rotation, g.translation + rng.uniform(-0.1, 0.1, 3))
              for g in gts]
-    r1, m1 = translation_metrics(preds, gts)
+    r1 = evaluate_poses(preds, gts)
     scaled = [RigidTransform(g.rotation, g.translation + 3.0 * (p.translation - g.translation))
               for p, g in zip(preds, gts)]
-    r2, m2 = translation_metrics(scaled, gts)
-    assert r2 == pytest.approx(3.0 * r1)
-    assert m2 == pytest.approx(3.0 * m1)
+    r2 = evaluate_poses(scaled, gts)
+    assert r2.rmse_trans == pytest.approx(3.0 * r1.rmse_trans)
+    assert r2.mae_trans == pytest.approx(3.0 * r1.mae_trans)
 
 
 def test_metrics_length_mismatch():
-    with pytest.raises(ValueError):
-        rotation_metrics([RigidTransform.identity()], [])
+    with pytest.raises(ValueError, match="need equal nonempty lists"):
+        evaluate_poses([RigidTransform.identity()], [])
+    with pytest.raises(ValueError, match="need equal nonempty lists"):
+        evaluate_poses([], [])
 
 
 def test_se3_mean_error_cases():
     ident = [RigidTransform.identity()]
-    assert se3_mean_error(ident, ident) == 0.0
+    assert evaluate_poses(ident, ident).me_t == 0.0
     pred = [RigidTransform(rot_z(90.0), np.zeros(3))]
-    assert se3_mean_error(pred, ident) == pytest.approx(90.0)
+    assert evaluate_poses(pred, ident).me_t == pytest.approx(90.0)
 
 
 def test_se3_left_invariance():
     rng = Rng(4)
     gts = [random_transform(rng) for _ in range(8)]
     preds = [random_transform(rng) for _ in range(8)]
-    base = se3_mean_error(preds, gts)
+    base = evaluate_poses(preds, gts).me_t
     common = random_transform(rng)
 
     def left(t):
         return RigidTransform(common.rotation @ t.rotation,
                               common.rotation @ t.translation + common.translation)
 
-    moved = se3_mean_error([left(p) for p in preds], [left(g) for g in gts])
+    moved = evaluate_poses([left(p) for p in preds], [left(g) for g in gts]).me_t
     assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -103,7 +103,11 @@ def test_rmse_at_least_mae_on_reports():
     report = evaluate_poses(preds, gts)
     assert report.rmse_rot_deg >= report.mae_rot_deg >= 0
     assert report.rmse_trans >= report.mae_trans >= 0
-    assert report.me_t == se3_mean_error(preds, gts)
+    geodesic = [np.rad2deg(np.arccos(np.clip((np.trace(g.rotation.T @ p.rotation) - 1) / 2,
+                                             -1, 1)))
+                + np.linalg.norm(g.rotation.T @ (p.translation - g.translation))
+                for p, g in zip(preds, gts)]
+    assert report.me_t == pytest.approx(np.mean(geodesic))
     assert report.count == 10
 
 
@@ -213,6 +217,17 @@ def test_non_finite_descriptor_falls_back_to_plain_icp(monkeypatch):
         features.point_descriptor_table(a, FeatureSpec("pfh"), 8)
     fallback = evalbench.evaluate_icp([sample], init_spec=FeatureSpec("pfh"), k=8)
     assert fallback == evalbench.evaluate_icp([sample])
+
+
+@pytest.mark.parametrize("k, message", [(2, "normal estimation needs k >= 3"),
+                                        (40, r"k must be in \[1, N-1\] = \[1, 31\], got 40")],
+                         ids=["k-below-3", "k-above-cloud"])
+def test_evaluate_icp_propagates_errors_other_than_a_failed_match(k, message):
+    a = synth_shape(3, 32, Rng(16))
+    gt = random_transform(Rng(17), 30.0, 0.5)
+    sample = DatasetSample(a, geom.apply_transform(gt, a), gt, 3)
+    with pytest.raises(ValueError, match=message):
+        evalbench.evaluate_icp([sample], init_spec=FeatureSpec("pfh"), k=k)
 
 
 # ---------------------------------------------------------------------------

@@ -437,3 +437,11 @@ def test_embed_runs_on_tape():
     ad.backward(ad.reduce_sum(out))
     assert w.grad is not None and np.any(w.grad != 0)
     assert b.grad is not None
+
+
+@pytest.mark.parametrize("bins", [dict(spfh_bins=0), dict(pfh_bins=-1), dict(spfh_bins=2.5),
+                                  dict(pfh_bins=True)],
+                         ids=["zero", "negative", "float", "bool"])
+def test_feature_spec_rejects_bin_counts_below_one(bins):
+    with pytest.raises(ValueError, match="spfh_bins and pfh_bins must be positive ints, got"):
+        FeatureSpec("distance+spfh", **bins)

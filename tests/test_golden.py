@@ -1,5 +1,5 @@
-"""Golden outputs: SHA-256 of seeded neighbor tables, of one seeded desk
-registration, of one seeded desk training run (with its loss curve), of the
+"""Golden outputs: SHA-256 of seeded neighbor tables, of pose-error reports
+and descriptor tables on seeded inputs, of one seeded desk registration, of one seeded desk training run (with its loss curve), of the
 checkpoint files a seeded train and fine-tune write and of the CSVs that
 ``upcr bench`` and ``upcr sweep-outliers`` write, pinned so that a speed or
 format change proves it left outputs unchanged.
@@ -8,6 +8,7 @@ A change that moves any of these on purpose says so and re-pins them.
 """
 
 import hashlib
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +17,9 @@ import pytest
 from upcr import geom
 from upcr.cli import main
 from upcr.encoder import EncoderConfig, init_params
-from upcr.features import FeatureSpec
-from upcr.geom import PointCloud
+from upcr.evalbench import evaluate_poses
+from upcr.features import FeatureSpec, neighbor_feature_array, point_descriptor_table
+from upcr.geom import PointCloud, RigidTransform
 from upcr.separation import register_pair
 from upcr.training import fine_tune, save_checkpoint, train
 
@@ -30,6 +32,8 @@ GRAPH_KNN_SHA = {
     128: "bb349b2f3d97d2b66dcf6d1c5a71b419c6675d7c11ab34de772f4e03221dc692",
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
+POSE_REPORT_SHA = "a2b89ae8da95a1276e3759da8ff56c189875fa3fae54cc271bdd7b5812db88e9"
+FEATURE_TABLE_SHA = "18e9f67a483a3623c6fd269aa96809762da417e3adc127697852631d03f59a36"
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
 TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
@@ -56,6 +60,42 @@ def test_graph_knn_tables_pinned(c):
     table = geom.graph_knn(rows, 24)
     assert table.dtype == np.int64 and table.shape == (1024, 24)
     assert sha(table) == GRAPH_KNN_SHA[c]
+
+
+def test_pose_reports_pinned():
+    """Reports on random poses, on exact predictions and at the Euler gimbal lock."""
+    rng = np.random.default_rng(21)
+
+    def pose(angles):
+        return RigidTransform(geom.euler_to_matrix(angles), rng.normal(size=3))
+
+    h = hashlib.sha256()
+    for n in [1, 2, 3, 5, 8, 13] * 4:
+        gts = [pose(rng.uniform(-np.pi, np.pi, 3)) for _ in range(n)]
+        preds = [pose(rng.uniform(-np.pi, np.pi, 3)) for _ in range(n)]
+        preds[0] = gts[0]
+        preds[-1] = RigidTransform(gts[-1].rotation @ geom.euler_to_matrix([0.3, np.pi / 2, -0.2]),
+                                   gts[-1].translation)
+        h.update(np.array(astuple(evaluate_poses(preds, gts)), dtype=np.float64).tobytes())
+    assert h.hexdigest() == POSE_REPORT_SHA
+
+
+def test_feature_tables_pinned():
+    """Neighbor features and descriptors of every histogram and PPF kind, on an
+    anisotropic cloud and on a plane grid with duplicated points."""
+    rng = np.random.default_rng(22)
+    grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0), [0.0]), axis=-1).reshape(-1, 3)
+    clouds = [PointCloud(rng.normal(size=(96, 3)) * np.array([1.0, 0.6, 0.3])),
+              PointCloud(np.concatenate([grid, grid[:6]]))]
+    specs = [FeatureSpec("distance+ppf+spfh", spfh_bins=7), FeatureSpec("ppf"),
+             FeatureSpec("pfh", pfh_bins=4), FeatureSpec("spfh")]
+    tables = []
+    for cloud in clouds:
+        nbr = geom.knn(cloud, 10)
+        for spec in specs:
+            tables += [neighbor_feature_array(cloud, spec, nbr),
+                       point_descriptor_table(cloud, spec, 10)]
+    assert sha(*tables) == FEATURE_TABLE_SHA
 
 
 def test_desk_register_pair_pinned():

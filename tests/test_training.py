@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import io
 import json
 import math
 import re
@@ -312,14 +313,42 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
     (lambda h: h.update(metadat=h.pop("metadata")),
      "missing key 'metadata'; unexpected key 'metadat'$"),
     (lambda h: h.update(junk=1), "unexpected key 'junk'$"),
+    (lambda h: h["config"].update(k=5.5),
+     r"k, m and layers must be positive ints, got \(5\.5, 16, 2\)$"),
+    (lambda h: h["config"].update(k=True),
+     r"k, m and layers must be positive ints, got \(True, 16, 2\)$"),
+    (lambda h: h["config"].update(widths=[8.7, 16]),
+     r"layer and head widths must be positive ints, got \(8\.7, 16, 8\)$"),
+    (lambda h: h["config"].update(head_widths=[False]),
+     r"layer and head widths must be positive ints, got \(8, 16, False\)$"),
+    (lambda h: h["spec"].update(spfh_bins=0),
+     r"spfh_bins and pfh_bins must be positive ints, got \(0, 5\)$"),
 ], ids=["missing-key", "unknown-config-key", "missing-config-field", "missing-spec-field",
         "non-dict-config", "non-dict-metadata", "negative-slope", "misspelled-metadata",
-        "unknown-top-level-key"])
+        "unknown-top-level-key", "float-k", "bool-k", "float-width", "bool-head-width",
+        "zero-spfh-bins"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
     rewrite_header(path, edit)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: .*{message}"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_tensor_rejected(tmp_path):
+    """A second record under one name, with the record count raised to match."""
+    path = str(tmp_path / "model.upcr")
+    model = init_params(CFG, SPEC, "euler", 29)
+    save_checkpoint(path, model)
+    blob = bytearray(Path(path).read_bytes())
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    (count,) = struct.unpack("<I", blob[12 + hlen:16 + hlen])
+    blob[12 + hlen:16 + hlen] = struct.pack("<I", count + 1)
+    extra = io.BytesIO()
+    training._write_tensor(extra, "head.1.b", model.params["head.1.b"] + 1.0)
+    Path(path).write_bytes(bytes(blob) + extra.getvalue())
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint tensors do not match "
+                                         "header: duplicate head.1.b$"):
         load_checkpoint(path)
 
 
