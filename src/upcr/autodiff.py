@@ -34,6 +34,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# the LeakyReLU negative slope, as in DGCNN (Wang et al., 2019)
+SLOPE = 0.2
+
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes; message reports both."""
@@ -231,26 +234,20 @@ def cos(a) -> Tensor:
     return _unary("cos", a, np.cos, lambda g, x, y: -g * np.sin(x))
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    """y = x * gate with gate 1 for x >= 0 and ``slope`` below; the backward
+def leaky_relu(a) -> Tensor:
+    """y = x * gate with gate 1 for x >= 0 and ``SLOPE`` below; the backward
     multiplies g by the same gate.
 
     The forward builds no [n, c] float gate, so only a taped input's backward
-    does: for a slope in (0, 1), max(slope*x, x) is x*gate bit for bit, NaN
-    payloads included, since the product's quieted NaN comes first. At slope 0
-    that would turn +inf into NaN, so the boolean mask multiplies instead.
+    does: as SLOPE is in (0, 1), max(SLOPE*x, x) is x*gate bit for bit, NaN
+    payloads included, since the product's quieted NaN comes first.
     """
-    if not 0.0 <= slope < 1.0:
-        raise ValueError(f"leaky_relu: slope must be in [0, 1), got {slope}")
-
     def forward(x):
-        if slope == 0.0:
-            return x * (x >= 0.0)
-        out = np.multiply(slope, x, out=np.empty(x.shape))
+        out = np.multiply(SLOPE, x, out=np.empty(x.shape))
         return np.maximum(out, x, out=out)
 
     return _unary("leaky_relu", a, forward,
-                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, slope))
+                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, SLOPE))
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +432,9 @@ def affine(x, weight, bias) -> Tensor:
 
 def pair_table(b, neighbors) -> Tensor:
     """One row block of :func:`neighbor_max`'s edge table, the name perfbench
-    traces: row i*k + j is b[neighbors[i, j]]. No index checks (the caller
-    checks the whole table once); a constant, never a tape node."""
+    traces: b's rows in the order of the flattened ``neighbors``. Given a
+    block's [k, r] transpose, row j*r + i is b[nbr[i, j]]. No index checks (the
+    caller checks the whole table once); a constant, never a tape node."""
     return Tensor(as_tensor(b).data[np.asarray(neighbors, dtype=np.int64).reshape(-1)])
 
 
@@ -451,8 +449,9 @@ def neighbor_max(b, neighbors) -> Tensor:
     The same values and tie rule as ``gather_rows -> reshape -> reduce_max``:
     the lowest j wins a tie, and the first NaN wins a NaN maximum. The forward
     works in row blocks of at most ``_EDGE_BLOCK_BYTES`` of gathered rows (at
-    least one row), each from :func:`pair_table` and pooled at once, so the
-    [r*k, c] table never exists whole. A tape keeps only the [r, c] table of
+    least one row), each gathered neighbor-major by :func:`pair_table` as a
+    [k, rows, c] block and pooled over its first axis, so the [r*k, c] table
+    never exists whole. A tape keeps only the [r, c] table of
     winning source rows, so the backward scatters r*c entries onto ``b``,
     never an [r*k, c] gradient.
     """
@@ -470,10 +469,10 @@ def neighbor_max(b, neighbors) -> Tensor:
     src = np.empty((r, c), dtype=np.int64) if b.node_id is not None else None
     for s in range(0, r, rows):
         e = min(s + rows, r)
-        block = pair_table(b.data, nbr[s:e]).data.reshape(e - s, k, c)
-        np.max(block, axis=1, out=out[s:e])
+        block = pair_table(b.data, nbr[s:e].T).data.reshape(k, e - s, c)
+        np.max(block, axis=0, out=out[s:e])
         if src is not None:  # winning source rows, [e - s, c]
-            arg = _first_max_index(block, out[s:e], 1)
+            arg = _first_max_index(block, out[s:e], 0)
             src[s:e] = np.take_along_axis(nbr[s:e], arg, axis=1)
 
     return _emit("neighbor_max", out, [(b, lambda g: _scatter_rows(src, g, n))])

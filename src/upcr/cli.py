@@ -28,8 +28,8 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from . import evalbench, geom
-from .datagen import DEFAULT_NOISE, PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, \
-    load_cloud, save_cloud
+from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, load_cloud, \
+    save_cloud
 from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
 from .separation import register_pair
@@ -49,19 +49,14 @@ KEYS = {
     "encoder.m": Key(64, "--m", "representation width"),
     "encoder.layers": Key(5, "--layers", "encoder depth"),
     "encoder.widths": Key(()),          # comma list; empty = preset for (layers, m)
-    "encoder.slope": Key(0.2),
     "encoder.dynamic_graph": Key(True),
     "encoder.head_widths": Key((256, 128)),
     "feature.kind": Key("distance", "--feature", "pose-invariant feature kind", FEATURE_KINDS),
-    "feature.spfh_bins": Key(11),
-    "feature.pfh_bins": Key(5),
     "rotation.mode": Key("euler", "--mode", "rotation parameterization",
                          tuple(geom.ROTATION_MODES)),
     "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
     "protocol.pairing": Key("consistent", "--pairing", "pair construction", PAIRINGS),
     "protocol.regime": Key("modelnet_style", "--regime", "pose sampling regime", REGIMES),
-    "protocol.noise_sigma": Key(0.0, low=0),   # 0 disables (ND forces 0.01/0.05)
-    "protocol.noise_clip": Key(0.0, low=0),
     "protocol.partial_keep": Key(0, "--partial-keep",
                                  "points kept by partial scans; 0 = consistent clouds"),
     "data.points": Key(256, "--points", "points per cloud", low=16),
@@ -197,24 +192,17 @@ def _check_ranges(cfg: dict) -> None:
 def encoder_config(cfg: dict) -> EncoderConfig:
     return EncoderConfig(k=cfg["encoder.k"], m=cfg["encoder.m"],
                          layers=cfg["encoder.layers"], widths=cfg["encoder.widths"] or None,
-                         slope=cfg["encoder.slope"],
                          dynamic_graph=cfg["encoder.dynamic_graph"],
                          head_widths=cfg["encoder.head_widths"])
 
 
 def feature_spec(cfg: dict) -> FeatureSpec:
-    return FeatureSpec(cfg["feature.kind"], spfh_bins=cfg["feature.spfh_bins"],
-                       pfh_bins=cfg["feature.pfh_bins"])
+    return FeatureSpec(cfg["feature.kind"])
 
 
 def protocol(cfg: dict) -> Protocol:
-    sigma, clip = cfg["protocol.noise_sigma"], cfg["protocol.noise_clip"]
-    if clip and not sigma > 0:
-        raise ValueError(f"protocol.noise_clip = {clip} is read only when "
-                         f"protocol.noise_sigma > 0, got noise_sigma = {sigma}")
-    noise = (sigma, clip or DEFAULT_NOISE[1]) if sigma > 0 else None
     return Protocol(setting=cfg["protocol.setting"], pairing=cfg["protocol.pairing"],
-                    pose_regime=cfg["protocol.regime"], noise=noise,
+                    pose_regime=cfg["protocol.regime"],
                     partial_keep=cfg["protocol.partial_keep"] or None)
 
 

@@ -7,6 +7,10 @@ wireframe or a small ellipsoid, whose kinds, directions and size ranges are
 fixed per category. The attachments deliberately break the symmetries of
 the bare primitives so that a pose is identifiable from the sampled surface
 alone. Clouds are normalized to zero centroid and unit maximum radius.
+
+Settings: UPC (unseen shapes of seen categories), UC (unseen categories) and
+ND, which is UPC with every coordinate of both clouds jittered by Gaussian
+noise of sigma 0.01 clipped to [-0.05, 0.05] (``ND_NOISE``).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ SETTINGS = ("UPC", "UC", "ND")
 PAIRINGS = ("consistent", "partial")
 REGIMES = ("modelnet_style", "sevenscenes_style")
 
-DEFAULT_NOISE = (0.01, 0.05)  # (sigma, clip)
+ND_NOISE = (0.01, 0.05)  # (sigma, clip)
 
 
 @dataclass
@@ -34,7 +38,6 @@ class Protocol:
     setting: str = "UPC"
     pairing: str = "consistent"
     pose_regime: str = "modelnet_style"
-    noise: tuple[float, float] | None = None
     partial_keep: int | None = None
 
     def __post_init__(self):
@@ -44,8 +47,6 @@ class Protocol:
             raise ValueError(f"pairing must be one of {PAIRINGS}, got {self.pairing!r}")
         if self.pose_regime not in REGIMES:
             raise ValueError(f"pose_regime must be one of {REGIMES}, got {self.pose_regime!r}")
-        if self.setting == "ND" and self.noise is None:
-            self.noise = DEFAULT_NOISE
         if self.pairing == "partial" and self.partial_keep is None:
             raise ValueError("partial pairing needs partial_keep")
         if self.pairing != "partial" and self.partial_keep is not None:
@@ -304,10 +305,9 @@ def make_sample(protocol: Protocol, category: int, shape_index: int,
     if protocol.pairing == "partial":
         source = make_partial(source, protocol.partial_keep, rng.spawn("partial_src"))
         target = make_partial(target, protocol.partial_keep, rng.spawn("partial_tgt"))
-    if protocol.noise is not None:
-        sigma, clip = protocol.noise
-        source = add_noise(source, sigma, clip, rng.spawn("noise_src"))
-        target = add_noise(target, sigma, clip, rng.spawn("noise_tgt"))
+    if protocol.setting == "ND":
+        source = add_noise(source, *ND_NOISE, rng.spawn("noise_src"))
+        target = add_noise(target, *ND_NOISE, rng.spawn("noise_tgt"))
     return DatasetSample(source, target, gt, category)
 
 

@@ -7,14 +7,13 @@ Between layers, and after the invariant branch's point embedding,
 ``channel_norm`` rescales every channel over the cloud. Max-pooling over all
 points turns the last layer into an m-vector.
 
-LeakyReLU with slope >= 0 is monotone, and so is the float rounding of
-slope*x and of a sum, so max_j act(a_i + b_j) == act(a_i + max_j b_j) bit
-for bit wherever no sum is inf - inf. Every layer therefore pools only the
-neighbor term over k, in ``autodiff.neighbor_max``, then adds the centre term
-and applies the activation to [n, c] rows: no [n*k, c] edge table ever
-exists whole, and on a tape only the [n, c] winning neighbors are kept, so
-the backward never builds an [n*k, c] gradient. ``EncoderConfig`` rejects a
-slope outside [0, 1) up front; a negative slope would break the exchange.
+LeakyReLU with slope ``autodiff.SLOPE`` >= 0 is monotone, and so is the
+float rounding of SLOPE*x and of a sum, so max_j act(a_i + b_j) ==
+act(a_i + max_j b_j) bit for bit wherever no sum is inf - inf. Every layer
+therefore pools only the neighbor term over k, in ``autodiff.neighbor_max``,
+then adds the centre term and applies the activation to [n, c] rows: no
+[n*k, c] edge table ever exists whole, and on a tape only the [n, c] winning
+neighbors are kept, so the backward never builds an [n*k, c] gradient.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geom
-from .features import FeatureSpec, check_counts, embed_from_features, neighbor_feature_array
+from .features import FeatureSpec, embed_from_features, neighbor_feature_array
 from .geom import PointCloud
 from .rng import Rng
 
@@ -44,20 +43,25 @@ _PRESET_WIDTHS = {
 }
 
 
+def check_counts(label: str, *values) -> None:
+    """Raise ValueError unless every value is a plain int (not a bool) >= 1."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+        raise ValueError(f"{label} must be positive ints, got {values}")
+
+
 @dataclass
 class EncoderConfig:
     k: int = 24
     m: int = 512
     layers: int = 5
     widths: tuple[int, ...] | None = None
-    slope: float = 0.2
     dynamic_graph: bool = True
     head_widths: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
         check_counts("k, m and layers", self.k, self.m, self.layers)
-        if not 0.0 <= self.slope < 1.0:  # NaN fails both comparisons
-            raise ValueError(f"slope must be in [0, 1), got {self.slope}")
+        if not isinstance(self.dynamic_graph, bool):
+            raise ValueError(f"dynamic_graph must be a bool, got {self.dynamic_graph!r}")
         if self.widths is None:
             self.widths = _PRESET_WIDTHS.get((self.layers, self.m))
         if self.widths is None:
@@ -155,8 +159,7 @@ def channel_norm(feats: ad.Tensor) -> ad.Tensor:
     return ad.div(feats, ad.repeat_rows(scale, n))
 
 
-def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
-                    slope: float = 0.2) -> ad.Tensor:
+def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad.Tensor:
     """One edge convolution: shared MLP over (center, neighbor - center) edge
     pairs, max-pooled over each point's k neighbors.
 
@@ -180,7 +183,7 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias,
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)  # [n, c']
     nbr_part = ad.matmul(feats, w_bot)                     # [n, c']
-    return ad.leaky_relu(ad.add(center, ad.neighbor_max(nbr_part, neighbors)), slope)
+    return ad.leaky_relu(ad.add(center, ad.neighbor_max(nbr_part, neighbors)))
 
 
 @dataclass
@@ -214,8 +217,7 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
                 cloud.points, config.k)
         elif config.dynamic_graph:
             nbr = geom.graph_knn(x.data, config.k)
-        x = edge_conv_layer(x, nbr, params[f"global.{i}.w"], params[f"global.{i}.b"],
-                            config.slope)
+        x = edge_conv_layer(x, nbr, params[f"global.{i}.w"], params[f"global.{i}.b"])
         if i < config.layers - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)
@@ -230,11 +232,10 @@ def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig
         raise ValueError(f"encode_invariant needs N > k, got N={n}, k={config.k}")
     if cache is None:
         cache = precompute_cloud(cloud, spec, config)
-    x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"], config.slope)
+    x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"])
     x = channel_norm(x)
     for i in range(1, config.layers):
-        x = edge_conv_layer(x, cache.spatial_graph, params[f"inv.{i}.w"],
-                            params[f"inv.{i}.b"], config.slope)
+        x = edge_conv_layer(x, cache.spatial_graph, params[f"inv.{i}.w"], params[f"inv.{i}.b"])
         if i < config.layers - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)

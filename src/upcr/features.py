@@ -30,15 +30,15 @@ FEATURE_KINDS = (
 )
 
 
+# histogram bins per Darboux angle, the PCL defaults (Rusu et al., ICRA 2009):
+# SPFH concatenates three 11-bin histograms, PFH bins the triplet into 5**3 cells
+SPFH_BINS = 11
+PFH_BINS = 5
+
+
 class MatchError(ValueError):
     """Descriptor matching can give no pose: a descriptor is not finite, or
     too few points match mutually."""
-
-
-def check_counts(label: str, *values) -> None:
-    """Raise ValueError unless every value is a plain int (not a bool) >= 1."""
-    if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
-        raise ValueError(f"{label} must be positive ints, got {values}")
 
 
 @dataclass
@@ -50,13 +50,10 @@ class FeatureSpec:
     """
 
     kind: str = "distance"
-    spfh_bins: int = 11
-    pfh_bins: int = 5
 
     def __post_init__(self):
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"unknown feature kind {self.kind!r}; choose from {FEATURE_KINDS}")
-        check_counts("spfh_bins and pfh_bins", self.spfh_bins, self.pfh_bins)
 
     @property
     def parts(self) -> tuple[str, ...]:
@@ -71,8 +68,8 @@ class FeatureSpec:
         sizes = {
             "distance": 3,
             "ppf": 4,
-            "spfh": 3 * self.spfh_bins,
-            "pfh": self.pfh_bins ** 3,
+            "spfh": 3 * SPFH_BINS,
+            "pfh": PFH_BINS ** 3,
         }
         return sum(sizes[p] for p in self.parts)
 
@@ -172,8 +169,8 @@ def _theta_bin(theta: np.ndarray, bins: int) -> np.ndarray:
     return np.mod(idx, bins)
 
 
-def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 11) -> np.ndarray:
-    """SPFH histograms for every point over its neighbors in ``nbr``, [N, 3*bins].
+def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """SPFH histograms for every point over its neighbors in ``nbr``, [N, 3*SPFH_BINS].
 
     ``nrm`` holds the unit normals of the points ``pts``. Alpha and phi are
     binned over [-1, 1]; theta is binned periodically over [-pi, pi), so the
@@ -181,14 +178,14 @@ def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 11
     """
     n, k = nbr.shape
     alpha, phi, theta, ok = _darboux(*_edge_rows(pts, nrm, nbr))
-    owner = np.repeat(np.arange(n), k)[ok] * bins
-    sub_bins = (_bin_index(alpha, -1.0, 1.0, bins), _bin_index(phi, -1.0, 1.0, bins),
-                _theta_bin(theta, bins))
-    return np.concatenate([_frequencies(owner + b[ok], n, bins) for b in sub_bins], axis=1)
+    owner = np.repeat(np.arange(n), k)[ok] * SPFH_BINS
+    sub_bins = (_bin_index(alpha, -1.0, 1.0, SPFH_BINS), _bin_index(phi, -1.0, 1.0, SPFH_BINS),
+                _theta_bin(theta, SPFH_BINS))
+    return np.concatenate([_frequencies(owner + b[ok], n, SPFH_BINS) for b in sub_bins], axis=1)
 
 
-def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
-    """PFH histograms for every point, [N, bins**3], from unit normals ``nrm``.
+def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """PFH histograms for every point, [N, PFH_BINS**3], from unit normals ``nrm``.
 
     Every unordered pair inside {i} + its neighbors in ``nbr`` contributes one
     Darboux triplet; the frame origin is the endpoint whose normal makes the
@@ -222,11 +219,11 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) 
     nt = np.where(swap[:, None], na, nb)
 
     alpha, phi, theta, ok = _darboux(ps, ns, pt, nt)
-    ba = _bin_index(alpha, -1.0, 1.0, bins)
-    bp = _bin_index(phi, -1.0, 1.0, bins)
-    bt = _theta_bin(theta, bins)
-    cells = bins ** 3
-    joint = (ba * bins + bp) * bins + bt
+    ba = _bin_index(alpha, -1.0, 1.0, PFH_BINS)
+    bp = _bin_index(phi, -1.0, 1.0, PFH_BINS)
+    bt = _theta_bin(theta, PFH_BINS)
+    cells = PFH_BINS ** 3
+    joint = (ba * PFH_BINS + bp) * PFH_BINS + bt
     rows = np.cumsum(seen)[key] - 1  # [n, m] slot of each pair among the distinct ones
     return _frequencies((np.arange(n)[:, None] * cells + joint[rows])[ok[rows]], n, cells)
 
@@ -263,9 +260,9 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
             blocks.append(np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4))
         elif part == "spfh":
-            blocks.append(spfh_table(pts, nrm, nbr, spec.spfh_bins)[nbr])
+            blocks.append(spfh_table(pts, nrm, nbr)[nbr])
         elif part == "pfh":
-            blocks.append(pfh_table(pts, nrm, nbr, spec.pfh_bins)[nbr])
+            blocks.append(pfh_table(pts, nrm, nbr)[nbr])
     return np.concatenate(blocks, axis=2)
 
 
@@ -281,7 +278,7 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.n
     return table
 
 
-def embed_from_features(phi: np.ndarray, weight, bias, slope: float = 0.2) -> ad.Tensor:
+def embed_from_features(phi: np.ndarray, weight, bias) -> ad.Tensor:
     """h_alpha + neighbor max-pool on a precomputed [N, k, d] feature array.
 
     The max over k comes before the LeakyReLU, which is monotone, so the
@@ -291,4 +288,4 @@ def embed_from_features(phi: np.ndarray, weight, bias, slope: float = 0.2) -> ad
     w = ad.as_tensor(weight)
     flat = ad.constant(phi.reshape(n * k, d))
     h = ad.reshape(ad.affine(flat, w, bias), (n, k, w.shape[1]))
-    return ad.leaky_relu(ad.reduce_max(h, axis=1), slope)
+    return ad.leaky_relu(ad.reduce_max(h, axis=1))

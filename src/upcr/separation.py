@@ -52,7 +52,7 @@ def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
     for i in range(n_layers):
         x = affine(x, params[f"head.{i}.w"], params[f"head.{i}.b"])
         if i < n_layers - 1:
-            x = ad.leaky_relu(x, config.slope)
+            x = ad.leaky_relu(x)
     out = ad.reshape(x, (rd + 3,))
     rot_vals = ad.add(ad.gather_rows(out, list(range(rd))), ad.constant(rot_mode.identity))
     trans = ad.gather_rows(out, list(range(rd, rd + 3)))

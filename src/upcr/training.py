@@ -24,7 +24,7 @@ from .rng import Rng, derive_seed
 from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8

@@ -91,6 +91,12 @@ def replace_header(path, header):
     Path(path).write_bytes(blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + hlen:])
 
 
+def set_version(path, version):
+    """Overwrite a saved checkpoint's format version word."""
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+
+
 def rewrite_header(path, edit):
     """Apply ``edit`` to a saved checkpoint's JSON header in place."""
     blob = Path(path).read_bytes()
@@ -198,12 +204,12 @@ def neighbor_max_oracle(b, neighbors) -> ad.Tensor:
     return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
 
 
-def _activate_then_pool(pre: ad.Tensor, n: int, k: int, slope: float) -> ad.Tensor:
-    h = ad.leaky_relu(pre, slope)
+def _activate_then_pool(pre: ad.Tensor, n: int, k: int) -> ad.Tensor:
+    h = ad.leaky_relu(pre)
     return ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)
 
 
-def edge_conv_oracle(feats, neighbors, weight, bias, slope: float) -> ad.Tensor:
+def edge_conv_oracle(feats, neighbors, weight, bias) -> ad.Tensor:
     """``encoder.edge_conv_layer`` with LeakyReLU on the [n*k, c'] edge table
     before the max over k (the library pools first)."""
     n, k = neighbors.shape
@@ -213,18 +219,18 @@ def edge_conv_oracle(feats, neighbors, weight, bias, slope: float) -> ad.Tensor:
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, ad.sub(w_top, w_bot), bias)
     table = pair_table_oracle(center, ad.matmul(feats, w_bot), neighbors)
-    return _activate_then_pool(table, n, k, slope)
+    return _activate_then_pool(table, n, k)
 
 
-def embed_oracle(phi: np.ndarray, weight, bias, slope: float) -> ad.Tensor:
+def embed_oracle(phi: np.ndarray, weight, bias) -> ad.Tensor:
     """``features.embed_from_features`` with LeakyReLU on the [N*k, c] table
     before the max over k (the library pools first)."""
     n, k, d = phi.shape
     pre = ad.affine(ad.constant(phi.reshape(n * k, d)), weight, bias)
-    return _activate_then_pool(pre, n, k, slope)
+    return _activate_then_pool(pre, n, k)
 
 
-def pfh_oracle(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5) -> np.ndarray:
+def pfh_oracle(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """``features.pfh_table`` with one Darboux triplet per pair of every
     (k+1)-neighborhood (the library evaluates each distinct ordered pair once)."""
     n, k = nbr.shape
@@ -249,6 +255,7 @@ def pfh_oracle(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray, bins: int = 5)
     nt = np.where(swap[:, None], na, nb)
 
     alpha, phi, theta, ok = features._darboux(ps, ns, pt, nt)
+    bins = features.PFH_BINS
     ba = features._bin_index(alpha, -1.0, 1.0, bins)
     bp = features._bin_index(phi, -1.0, 1.0, bins)
     bt = features._theta_bin(theta, bins)

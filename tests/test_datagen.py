@@ -159,8 +159,12 @@ def test_partial_keep_bounds():
 
 
 def test_protocol_nd_forces_noise():
-    proto = Protocol(setting="ND")
-    assert proto.noise == (0.01, 0.05)
+    assert datagen.ND_NOISE == (0.01, 0.05)
+    clean = make_sample(Protocol(setting="UPC"), category=3, shape_index=1, n_points=128, seed=5)
+    noisy = make_sample(Protocol(setting="ND"), category=3, shape_index=1, n_points=128, seed=5)
+    for a, b in ((clean.source, noisy.source), (clean.target, noisy.target)):
+        jitter = np.abs(b.points - a.points)
+        assert jitter.max() <= 0.05 and np.all(jitter.mean(axis=0) > 0.005)
     with pytest.raises(ValueError):
         Protocol(pairing="partial")  # partial_keep missing
 

@@ -301,9 +301,8 @@ def _pfh_clouds():
     "grid", "grid-reversed", "doubled", "tie-pairs", "slabs"])
 def test_pfh_table_matches_per_neighborhood_oracle(case):
     pts, nrm, nbr = _pfh_clouds()[case]
-    for bins in (5, 3):
-        got = features.pfh_table(pts, nrm, nbr, bins)
-        assert got.tobytes() == pfh_oracle(pts, nrm, nbr, bins).tobytes()
+    got = features.pfh_table(pts, nrm, nbr)
+    assert got.tobytes() == pfh_oracle(pts, nrm, nbr).tobytes()
 
 
 def test_pfh_evaluates_each_distinct_ordered_pair_once(monkeypatch):
@@ -437,11 +436,3 @@ def test_embed_runs_on_tape():
     ad.backward(ad.reduce_sum(out))
     assert w.grad is not None and np.any(w.grad != 0)
     assert b.grad is not None
-
-
-@pytest.mark.parametrize("bins", [dict(spfh_bins=0), dict(pfh_bins=-1), dict(spfh_bins=2.5),
-                                  dict(pfh_bins=True)],
-                         ids=["zero", "negative", "float", "bool"])
-def test_feature_spec_rejects_bin_counts_below_one(bins):
-    with pytest.raises(ValueError, match="spfh_bins and pfh_bins must be positive ints, got"):
-        FeatureSpec("distance+spfh", **bins)

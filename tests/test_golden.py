@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 of seeded neighbor tables, of pose-error reports
-and descriptor tables on seeded inputs, of one seeded desk registration, of one seeded desk training run (with its loss curve), of the
-checkpoint files a seeded train and fine-tune write and of the CSVs that
-``upcr bench`` and ``upcr sweep-outliers`` write, pinned so that a speed or
-format change proves it left outputs unchanged.
+and descriptor tables on seeded inputs, of seeded ND benchmark splits, of one
+seeded desk registration, of one seeded desk training run (with its loss
+curve), of the parameters and checkpoint files a seeded train and fine-tune
+write and of the CSVs that ``upcr bench`` and ``upcr sweep-outliers`` write,
+pinned so that a speed or format change proves it left outputs unchanged.
 
 A change that moves any of these on purpose says so and re-pins them.
 """
@@ -16,6 +17,7 @@ import pytest
 
 from upcr import geom
 from upcr.cli import main
+from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params
 from upcr.evalbench import evaluate_poses
 from upcr.features import FeatureSpec, neighbor_feature_array, point_descriptor_table
@@ -33,13 +35,22 @@ GRAPH_KNN_SHA = {
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
 POSE_REPORT_SHA = "a2b89ae8da95a1276e3759da8ff56c189875fa3fae54cc271bdd7b5812db88e9"
-FEATURE_TABLE_SHA = "18e9f67a483a3623c6fd269aa96809762da417e3adc127697852631d03f59a36"
+FEATURE_TABLE_SHA = "e10e080a415023db0f10881c3ae8eca14e826909a335176829745735774643d5"
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
 TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
+# source and target bytes of every pair of both splits
+ND_SPLIT_SHA = {
+    "consistent": "8f652cb500724a092cac1c632f7c7a4c1e3337a265feb9f7a4d9e49ef549401f",
+    "partial": "aa8fe68242394e783c1bcd41a97881eed9e35c073ac8827ae31f2fde60096f98",
+}
+CHECKPOINT_PARAMS_SHA = {
+    "train": "45b22b6219d7316df123159bae3d10d09365f31a0a934d169e8a853789d10388",
+    "fine_tune": "caba2f42c1f685474a06a1226c5458f5ed5ea28fa5477ad7c86ad24366881525",
+}
 CHECKPOINT_FILE_SHA = {
-    "train": "15850bb2024a43d9e93d55565db41dc8c137ba923878969c5f6a8e1ed85cc1a0",
-    "fine_tune": "ed084114e85e947e2891a5daa7828353e62dc77ded063be97b51e5aee12f3869",
+    "train": "0a1eb90dd58e9be683b050be7c51b243360b250067e4ef4a9509dd6ed476e2ba",
+    "fine_tune": "35eb49ece2362c9603482edff05306a42bfe474bb2b3e724995b526176aacc56",
 }
 CSV_SHA = {
     "metrics.csv": "ce7d940e11c373505546b5b6139538b49761160ad3c1bc6288f47ae5448e4e12",
@@ -87,8 +98,8 @@ def test_feature_tables_pinned():
     grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0), [0.0]), axis=-1).reshape(-1, 3)
     clouds = [PointCloud(rng.normal(size=(96, 3)) * np.array([1.0, 0.6, 0.3])),
               PointCloud(np.concatenate([grid, grid[:6]]))]
-    specs = [FeatureSpec("distance+ppf+spfh", spfh_bins=7), FeatureSpec("ppf"),
-             FeatureSpec("pfh", pfh_bins=4), FeatureSpec("spfh")]
+    specs = [FeatureSpec("distance+ppf+spfh"), FeatureSpec("ppf"), FeatureSpec("pfh"),
+             FeatureSpec("spfh")]
     tables = []
     for cloud in clouds:
         nbr = geom.knn(cloud, 10)
@@ -96,6 +107,16 @@ def test_feature_tables_pinned():
             tables += [neighbor_feature_array(cloud, spec, nbr),
                        point_descriptor_table(cloud, spec, 10)]
     assert sha(*tables) == FEATURE_TABLE_SHA
+
+
+@pytest.mark.parametrize("pairing", sorted(ND_SPLIT_SHA))
+def test_nd_splits_pinned(pairing):
+    """The noisy protocol's clouds, whole and cropped to partial scans."""
+    proto = Protocol(setting="ND", pairing=pairing,
+                     partial_keep=48 if pairing == "partial" else None)
+    train_s, test_s = build_benchmark(proto, 4, 3, 2, 64, seed=5)
+    clouds = [c.points for s in train_s + test_s for c in (s.source, s.target)]
+    assert sha(*clouds) == ND_SPLIT_SHA[pairing]
 
 
 def test_desk_register_pair_pinned():
@@ -138,21 +159,25 @@ def test_desk_training_pinned():
 
 
 def test_checkpoint_files_pinned(tmp_path):
-    """The bytes on disk, with slope, graph, spfh_bins and rotation mode off their defaults."""
-    cfg = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16), head_widths=(8,), slope=0.1,
+    """The parameters and the bytes on disk, with the graph, a histogram feature
+    and the rotation mode off their defaults."""
+    cfg = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16), head_widths=(8,),
                         dynamic_graph=False)
-    spec = FeatureSpec("distance+ppf+spfh", spfh_bins=7)
+    spec = FeatureSpec("distance+ppf+spfh")
     pairs = rotated_pairs(13, 4, 48)
     res = train(cfg, spec, "sixd", pairs, epochs=2, lr=1e-3, batch_size=2, seed=3)
     ft = fine_tune(res.checkpoint, [(p.source, p.target) for p in pairs], epochs=1,
                    lr=1e-4, batch_size=2, seed=4)
     assert not res.diverged and not ft.diverged
-    got = {}
+    params, files = {}, {}
     for name, result in (("train", res), ("fine_tune", ft)):
+        p = result.checkpoint.params
+        params[name] = sha(*(p[k] for k in sorted(p)))
         path = tmp_path / f"{name}.upcr"
         save_checkpoint(str(path), result.checkpoint)
-        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == CHECKPOINT_FILE_SHA
+        files[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert params == CHECKPOINT_PARAMS_SHA
+    assert files == CHECKPOINT_FILE_SHA
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -123,7 +123,7 @@ def test_regress_pose_output_dims(mode, rot_dim):
     assert trans.shape == (3,)
     # the raw head output, recomputed by hand, splits into rotation and translation
     hidden = gamma @ t["head.0.w"] + t["head.0.b"][0]
-    out = np.maximum(hidden, CFG.slope * hidden) @ t["head.1.w"] + t["head.1.b"][0]
+    out = np.maximum(hidden, ad.SLOPE * hidden) @ t["head.1.w"] + t["head.1.b"][0]
     rot_vals = out[:rot_dim] + geom.rotation_mode(mode).identity
     np.testing.assert_allclose(trans.data, out[rot_dim:], atol=1e-12)
     # decoded rotation matches an independent decode of the raw parameter

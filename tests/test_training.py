@@ -20,7 +20,8 @@ from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import chamfer_oracle, claim_tensor_dims, replace_header, rewrite_header
+from conftest import chamfer_oracle, claim_tensor_dims, replace_header, rewrite_header, \
+    set_version
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -248,12 +249,14 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path):
 
 
 def test_version_1_checkpoint_names_path_and_version(tmp_path):
+    """Versions 1 and 2 predate the current header; neither loads."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 19))
-    blob = Path(path).read_bytes()
-    Path(path).write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}: unsupported checkpoint version 1$"):
-        load_checkpoint(path)
+    for version in (1, 2):
+        set_version(path, version)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(path)}: unsupported checkpoint version {version}$"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_corrupt_header_rejected(tmp_path):
@@ -305,11 +308,11 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
 @pytest.mark.parametrize("edit,message", [
     (lambda h: h.pop("spec"), "missing key 'spec'"),
     (lambda h: h["config"].update(bogus=1), "unexpected config.bogus$"),
-    (lambda h: h["config"].pop("slope"), "missing config.slope$"),
-    (lambda h: h["spec"].pop("spfh_bins"), "missing spec.spfh_bins$"),
+    (lambda h: h["config"].pop("dynamic_graph"), "missing config.dynamic_graph$"),
+    (lambda h: h["spec"].pop("kind"), "missing spec.kind$"),
     (lambda h: h.update(config=[5, 16]), "config, spec and metadata must be JSON objects"),
     (lambda h: h.update(metadata=[1, 2]), "config, spec and metadata must be JSON objects"),
-    (lambda h: h["config"].update(slope=-0.1), r"slope must be in \[0, 1\), got -0.1"),
+    (lambda h: h["config"].update(slope=-0.1), "unexpected config.slope$"),
     (lambda h: h.update(metadat=h.pop("metadata")),
      "missing key 'metadata'; unexpected key 'metadat'$"),
     (lambda h: h.update(junk=1), "unexpected key 'junk'$"),
@@ -321,12 +324,14 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
      r"layer and head widths must be positive ints, got \(8\.7, 16, 8\)$"),
     (lambda h: h["config"].update(head_widths=[False]),
      r"layer and head widths must be positive ints, got \(8, 16, False\)$"),
-    (lambda h: h["spec"].update(spfh_bins=0),
-     r"spfh_bins and pfh_bins must be positive ints, got \(0, 5\)$"),
+    (lambda h: h["spec"].update(spfh_bins=0), "unexpected spec.spfh_bins$"),
+    (lambda h: h["config"].update(dynamic_graph="false"),
+     "dynamic_graph must be a bool, got 'false'$"),
+    (lambda h: h["config"].update(dynamic_graph=0), "dynamic_graph must be a bool, got 0$"),
 ], ids=["missing-key", "unknown-config-key", "missing-config-field", "missing-spec-field",
         "non-dict-config", "non-dict-metadata", "negative-slope", "misspelled-metadata",
         "unknown-top-level-key", "float-k", "bool-k", "float-width", "bool-head-width",
-        "zero-spfh-bins"])
+        "zero-spfh-bins", "string-dynamic-graph", "int-dynamic-graph"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
