@@ -16,9 +16,10 @@ left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
 operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
 A gradient map holds only what its backward reads: ``add`` and ``sub`` hold
 no operand, ``mul`` only the other one. Forward work that only a gradient
-needs (an argmax, the winning rows of ``neighbor_max``, the uniqueness check
-of ``nearest_rotation``, the float gate of ``leaky_relu``) runs only for a
-taped operand, so the same pipeline code serves both training and inference.
+needs (the winner search of ``reduce_max`` and ``neighbor_max``, one integer
+max over a table of hits, the uniqueness check of ``nearest_rotation``, the
+float gate of ``leaky_relu``) runs only for a taped operand, so the same
+pipeline code serves both training and inference.
 
 One :func:`backward` uses up a tape, as PyTorch's default
 ``retain_graph=False`` does: each node's VJP, and the forward arrays it holds,
@@ -310,18 +311,28 @@ def softmax(v) -> Tensor:
 
 def _first_max_index(table: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
     """Where ``out``, the maximum of ``table`` along ``axis``, first occurs:
-    the lowest index wins a tie, and the first NaN wins a NaN maximum."""
+    the lowest index wins a tie, and the first NaN wins a NaN maximum.
+
+    Over the k entries of the axis, a hit at index j scores k - j and a miss
+    0, in the smallest unsigned type that holds k; the largest score is the
+    lowest hit, so the index is k minus the max score. One integer max
+    reduction, contiguous over a leading axis, where ``np.argmax`` would copy
+    a transposed table.
+    """
     hit = table == np.expand_dims(out, axis)  # 1-byte table
     if np.isnan(out).any():  # a NaN max equals nothing
         hit |= np.isnan(table)
-    return np.argmax(hit, axis=axis)
+    k = table.shape[axis]
+    w = np.arange(k, 0, -1, dtype=np.min_scalar_type(k))
+    score = hit * w.reshape((k,) + (1,) * (table.ndim - 1 - axis))
+    return k - score.max(axis)
 
 
 def reduce_max(a, axis: int = 0) -> Tensor:
     """Maximum along one axis; ties route the gradient to the lowest index.
 
-    The argmax is computed only for a taped input; untaped inference takes
-    the plain maximum.
+    The winner of each maximum (:func:`_first_max_index`) is found only for
+    a taped input; untaped inference takes the plain maximum.
     """
     a = as_tensor(a)
     if a.ndim == 0 or not 0 <= axis < a.ndim:
@@ -435,7 +446,8 @@ def pair_table(b, neighbors) -> Tensor:
     traces: b's rows in the order of the flattened ``neighbors``. Given a
     block's [k, r] transpose, row j*r + i is b[nbr[i, j]]. No index checks (the
     caller checks the whole table once); a constant, never a tape node."""
-    return Tensor(as_tensor(b).data[np.asarray(neighbors, dtype=np.int64).reshape(-1)])
+    idx = np.asarray(neighbors, dtype=np.int64).reshape(-1)
+    return Tensor(np.take(as_tensor(b).data, idx, axis=0))
 
 
 # bytes of the edge table one neighbor_max row block gathers: small enough to
@@ -471,9 +483,9 @@ def neighbor_max(b, neighbors) -> Tensor:
         e = min(s + rows, r)
         block = pair_table(b.data, nbr[s:e].T).data.reshape(k, e - s, c)
         np.max(block, axis=0, out=out[s:e])
-        if src is not None:  # winning source rows, [e - s, c]
+        if src is not None:  # winning source rows, [e - s, c], by flat index
             arg = _first_max_index(block, out[s:e], 0)
-            src[s:e] = np.take_along_axis(nbr[s:e], arg, axis=1)
+            src[s:e] = np.take(nbr[s:e], arg + k * np.arange(e - s)[:, None])
 
     return _emit("neighbor_max", out, [(b, lambda g: _scatter_rows(src, g, n))])
 

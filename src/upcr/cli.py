@@ -436,6 +436,7 @@ def cmd_bench(args) -> int:
 def cmd_sweep_outliers(args) -> int:
     cfg = resolve_config(args)
     ratios = _parse_ratios(args.ratios)
+    evalbench.outlier_streams(ratios)  # two ratios on one stream fail before --out exists
     model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
     sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])

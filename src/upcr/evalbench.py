@@ -161,15 +161,29 @@ def corrupt_with_outliers(cloud: PointCloud, ratio_percent: float, rng: Rng) -> 
     return PointCloud(pts)
 
 
+def outlier_streams(ratios: list[float]) -> list[int]:
+    """The corruption stream of each outlier ratio (a percentage),
+    ``round(ratio * 100)``. Raises ValueError for a ratio outside [0, 100)
+    and for two ratios that round to one stream, which would corrupt the
+    same clouds."""
+    if any(not 0 <= r < 100 for r in ratios):
+        raise ValueError("ratios must lie in [0, 100)")
+    first: dict[int, float] = {}
+    for ratio in ratios:
+        other = first.setdefault(round(ratio * 100), ratio)
+        if other != ratio:
+            raise ValueError(f"ratios {other} and {ratio} round to one corruption stream")
+    return [round(r * 100) for r in ratios]
+
+
 def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
                   ratios: list[float], seed: int = 0) -> list[dict]:
     """Model-vs-ICP reports per outlier ratio, each flagged with whether
-    that method's rotation MAE never falls as the ratio grows."""
-    if any(not 0 <= r < 100 for r in ratios):
-        raise ValueError("ratios must lie in [0, 100)")
+    that method's rotation MAE never falls as the ratio grows. Each ratio
+    corrupts its clouds from its own :func:`outlier_streams` stream."""
     rows = []
-    for ratio in ratios:
-        rng = Rng(derive_seed(seed, "outliers", int(ratio * 100)))
+    for ratio, stream in zip(ratios, outlier_streams(ratios)):
+        rng = Rng(derive_seed(seed, "outliers", stream))
         corrupted = [
             DatasetSample(corrupt_with_outliers(s.source, ratio, rng.spawn("src", i)),
                           corrupt_with_outliers(s.target, ratio, rng.spawn("tgt", i)),

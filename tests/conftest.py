@@ -171,23 +171,30 @@ def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:
     return np.array(out).reshape(n, g.shape[1])
 
 
+def _select_k_oracle(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the k smallest entries by one full lexsort: distance first,
+    then ``tie_key``."""
+    return np.array([np.lexsort((tie_key, row))[:k] for row in d2], dtype=np.int64)
+
+
 def neighbor_table_oracle(data: np.ndarray, k: int) -> np.ndarray:
     """``geom._neighbor_table`` over one full [N, N] matrix: ``np.unique``
-    collapses twins up front, then :func:`geom.sqdist_matrix` and
-    ``geom._select_k`` select over the distinct rows (the library scans row
-    blocks and collapses only when a twin may exist)."""
+    collapses twins up front, then :func:`geom.sqdist_matrix` and a full-row
+    lexsort per row select over the distinct rows (the library scans row
+    blocks, partitions before it sorts and collapses only when a twin may
+    exist)."""
     n = data.shape[0]
     uniq, inverse = np.unique(data, axis=0, return_inverse=True)
     m = uniq.shape[0]
     if m == n or m - 1 < k:
         d2 = geom.sqdist_matrix(data, data)
         np.fill_diagonal(d2, np.inf)
-        return geom._select_k(d2, np.arange(n), k)
+        return _select_k_oracle(d2, np.arange(n), k)
     reps = np.full(m, n, dtype=np.int64)
     np.minimum.at(reps, inverse, np.arange(n))
     d2 = geom.sqdist_matrix(uniq, uniq)
     np.fill_diagonal(d2, np.inf)
-    return reps[geom._select_k(d2, reps, k)][inverse]
+    return reps[_select_k_oracle(d2, reps, k)][inverse]
 
 
 def pair_table_oracle(a, b, neighbors) -> ad.Tensor:

@@ -387,23 +387,41 @@ def test_reduce_max_3d_axis_tie_goes_to_lowest_index():
                                            [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]]])
 
 
-def _argmax_cases():
+def _long_argmax_cases(axis: int, k: int = 300):
+    """Tables whose reduced ``axis`` has k > 255 entries, so the winner
+    scores are uint16. Columns [:, 2, 0] and [:, 2, 1] are won past index
+    255: a tie at 260 and 290, and -0.0 at 270 before +0.0 at 280."""
+    rng = np.random.default_rng(12)
+    ties = rng.integers(0, 3, (k, 3, 2)).astype(np.float64)
+    zeros = rng.choice([-0.0, 0.0, -1.0], (k, 3, 2))
+    nan_row = rng.normal(size=(k, 3, 2))
+    nan_row[[257, 299], 1, 0] = np.nan  # the first NaN is past 255
+    nan_row[:, 1, 1] = np.nan
+    for x in (ties, zeros, nan_row):
+        x[:, 2] = -1.0
+        x[[260, 290], 2, 0] = 2.0
+        x[270, 2, 1], x[280, 2, 1] = -0.0, 0.0
+    return [np.moveaxis(x, 0, axis) for x in (ties, zeros, nan_row)]
+
+
+def _argmax_cases(axis: int):
     rng = np.random.default_rng(11)
     ties = rng.integers(0, 3, (4, 5, 6)).astype(np.float64)
     zeros = rng.choice([-0.0, 0.0, -1.0], (4, 5, 6))
     nan_row = rng.normal(size=(4, 5, 6))
     nan_row[1, 2:4, 3] = np.nan
     nan_row[2, :, 0] = np.nan
-    return [rng.normal(size=(4, 5, 6)), ties, zeros, nan_row]
+    return [rng.normal(size=(4, 5, 6)), ties, zeros, nan_row, *_long_argmax_cases(axis)]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["random", "ties", "signed-zero", "nan"])
+@pytest.mark.parametrize("case", range(7), ids=["random", "ties", "signed-zero", "nan",
+                                                "long-ties", "long-signed-zero", "long-nan"])
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_reduce_max_gradient_lands_on_np_argmax(case, axis):
     # the taped argmax is found without np.argmax on the values; it must
     # still pick what np.argmax picks: lowest index on ties, -0.0 == +0.0,
     # and the first NaN of a row whose maximum is NaN
-    x_arr = _argmax_cases()[case]
+    x_arr = _argmax_cases(axis)[case]
     tape = ad.Tape()
     x = leaf(tape, x_arr)
     out = ad.reduce_max(x, axis=axis)
@@ -413,6 +431,21 @@ def test_reduce_max_gradient_lands_on_np_argmax(case, axis):
     np.put_along_axis(expected, np.expand_dims(np.argmax(x_arr, axis=axis), axis),
                       np.expand_dims(weights, axis), axis=axis)
     np.testing.assert_array_equal(x.grad, expected)
+
+
+@pytest.mark.parametrize("k", [1, 255, 256, 65535, 65536])
+def test_first_max_index_at_every_score_width(k):
+    # k - j scores fit uint8 up to k = 255, uint16 up to 65535, then uint32;
+    # column 0 ties at the first and last index, column 1 at the last two,
+    # column 2 is all NaN and column 3 has a NaN only at its last index
+    table = np.full((k, 4), -1.0)
+    table[[0, -1], 0] = 1.0
+    table[-2:, 1] = 1.0
+    table[:, 2] = np.nan
+    table[-1, 3] = np.nan
+    got = ad._first_max_index(table, np.max(table, axis=0), 0)
+    assert got.tolist() == [0, max(0, k - 2), 0, k - 1]
+    assert got.tolist() == np.argmax(table, axis=0).tolist()
 
 
 def test_reduce_max_empty_axis_rejected():
@@ -632,6 +665,24 @@ def test_edge_max_matches_unfused_composition_bit_for_bit(case, k):
         assert untaped.tobytes() == neighbor_max_oracle(b, nbr).data.tobytes()
         if case == "nan":
             assert np.isnan(out[1, 2]) and np.isnan(out[4, 0])
+
+
+@pytest.mark.parametrize("case", ["random", "ties", "nan", "zeros"])
+def test_edge_max_past_255_neighbors_matches_unfused_composition_bit_for_bit(case):
+    """k = 300 neighbours give uint16 winner scores. Row 5 lists points 0 and
+    1, equal in value, only at slots 260 and 290, among copies of point 10,
+    which loses every channel; the winners also match np.argmax."""
+    for seed in range(2):
+        a, b, nbr, g = _edge_max_inputs(seed, 300, case)
+        nbr[5] = 10
+        nbr[5, 260], nbr[5, 290] = 0, 1
+        b[1], b[10] = b[0], -3.0
+        _edge_max_matching_oracle(a, b, nbr, g)
+        slot = np.argmax(b[nbr], axis=1)  # [n, c] winning slots
+        assert slot[5].tolist() == [260] * b.shape[1]
+        gb = _edge_max_and_grads(ad.neighbor_max, a, b, nbr, g)[3]
+        src = np.take_along_axis(nbr, slot, axis=1)
+        assert gb.tobytes() == scatter_rows_oracle(src, g, len(b)).tobytes()
 
 
 def test_edge_max_tie_goes_to_lowest_neighbor_slot():

@@ -608,6 +608,8 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "--ratios must be a comma list of percentages in [0, 100), got '100'"),
     (["sweep-outliers", "--model", "{model}", "--ratios", "nan"],
      "--ratios must be a comma list of percentages in [0, 100), got 'nan'"),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "0.561,0.559"],
+     "ratios 0.561 and 0.559 round to one corruption stream"),
     (["train", "--k", "40"], "data.points = 32 must exceed encoder.k = 40"),
     (["train", "--pairing", "partial", "--partial-keep", "16", "--k", "20"],
      "protocol.partial_keep = 16 must exceed encoder.k = 20"),
@@ -621,7 +623,7 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "--baselines estimates normals over the checkpoint's k = 2 neighbours, which needs k >= 3"),
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
-        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan",
+        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -263,6 +265,31 @@ def test_outlier_sweep_ratio_bounds():
     _, test_s = build_benchmark(Protocol(setting="UPC"), 4, 4, 2, 32, seed=16)
     with pytest.raises(ValueError):
         outlier_sweep(model, test_s, [0.0, 100.0], seed=16)
+
+
+def test_outlier_sweep_ratios_a_hundredth_apart_corrupt_differently(monkeypatch):
+    # 0.56 * 100 and 0.57 * 100 both truncate to 56, so int() gave them one
+    # stream; at 256 points each ratio replaces one point
+    seen = []
+    report = SimpleNamespace(mae_rot_deg=0.0)
+    monkeypatch.setattr(evalbench, "evaluate_model",
+                        lambda model, s: seen.append(s) or SimpleNamespace(report=report))
+    monkeypatch.setattr(evalbench, "evaluate_icp", lambda s: report)
+    _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 256, seed=18)
+    outlier_sweep(small_model(), test_s, [0.56, 0.57], seed=18)
+    assert evalbench.outlier_streams([0.56, 0.57]) == [56, 57]
+    for lo, hi, base in zip(*seen, test_s):
+        for cloud in ("source", "target"):
+            a, b, clean = (getattr(s, cloud).points for s in (lo, hi, base))
+            assert np.any(a != clean, axis=1).sum() == np.any(b != clean, axis=1).sum() == 1
+            assert a.tobytes() != b.tobytes()
+
+
+def test_outlier_sweep_rejects_ratios_on_one_stream():
+    _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=19)
+    with pytest.raises(ValueError, match=r"ratios 0\.561 and 0\.559 round to one"):
+        outlier_sweep(small_model(), test_s, [0.0, 0.561, 0.559], seed=19)
+    assert evalbench.outlier_streams([0.0, 10.0, 20.0, 10.0]) == [0, 1000, 2000, 1000]
 
 
 def test_corrupt_replaces_expected_count():

@@ -262,15 +262,10 @@ def test_activation_never_runs_on_edge_tables(monkeypatch):
     assert rows and max(rows) <= len(x)
 
 
-def test_argmax_only_on_a_tape(monkeypatch):
+def test_winner_search_only_on_a_tape(monkeypatch):
     calls = []
-    argmax = np.argmax
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return argmax(*args, **kwargs)
-
-    monkeypatch.setattr(np, "argmax", counted)
+    first_max = ad._first_max_index
+    monkeypatch.setattr(ad, "_first_max_index", lambda *args: calls.append(1) or first_max(*args))
     x, y, model = _desk_pair()
     register_pair(x, y, model)
     assert not calls
