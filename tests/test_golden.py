@@ -35,7 +35,7 @@ GRAPH_KNN_SHA = {
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
 POSE_REPORT_SHA = "a2b89ae8da95a1276e3759da8ff56c189875fa3fae54cc271bdd7b5812db88e9"
-FEATURE_TABLE_SHA = "e10e080a415023db0f10881c3ae8eca14e826909a335176829745735774643d5"
+FEATURE_TABLE_SHA = "0d65d9b1e8f4c7fc3d3bb405e80fc1901ce2cde537ff2e9e2d268672e6b1a996"
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
 TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
@@ -45,15 +45,15 @@ ND_SPLIT_SHA = {
     "partial": "aa8fe68242394e783c1bcd41a97881eed9e35c073ac8827ae31f2fde60096f98",
 }
 CHECKPOINT_PARAMS_SHA = {
-    "train": "45b22b6219d7316df123159bae3d10d09365f31a0a934d169e8a853789d10388",
-    "fine_tune": "caba2f42c1f685474a06a1226c5458f5ed5ea28fa5477ad7c86ad24366881525",
+    "train": "fd79d185af3bbb5e37b53b46b9e6dd0f19e5d43c11c87727df88f5b790be8318",
+    "fine_tune": "54519a72cf234be918814f1b6a40bf294ba91568d721d6f7fecb4fc44b0dcc5d",
 }
 CHECKPOINT_FILE_SHA = {
-    "train": "0a1eb90dd58e9be683b050be7c51b243360b250067e4ef4a9509dd6ed476e2ba",
-    "fine_tune": "35eb49ece2362c9603482edff05306a42bfe474bb2b3e724995b526176aacc56",
+    "train": "2b93e827c9ebf7e9d460b40a2741b62d66bcb78b7a1d666eb2ac4cdca5cfeee3",
+    "fine_tune": "7db34e2f5e8b1754c8d1dccc6b42ba2ee76d57d08d39a87288b698040654483b",
 }
 CSV_SHA = {
-    "metrics.csv": "ce7d940e11c373505546b5b6139538b49761160ad3c1bc6288f47ae5448e4e12",
+    "metrics.csv": "06657621c6583e5e53224ea1723d34b91303cdd4058a3da0ba321faec7a4c3bb",
     "outlier_sweep.csv": "5630ace14e8721ae37c64b3122db90957fa142273823025547cfd60f348267ff",
 }
 
@@ -92,14 +92,14 @@ def test_pose_reports_pinned():
 
 
 def test_feature_tables_pinned():
-    """Neighbor features and descriptors of every histogram and PPF kind, on an
-    anisotropic cloud and on a plane grid with duplicated points."""
+    """Neighbor features and descriptors of each histogram kind and of the
+    combined kind that holds every part, PPF among them, on an anisotropic
+    cloud and on a plane grid with duplicated points."""
     rng = np.random.default_rng(22)
     grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0), [0.0]), axis=-1).reshape(-1, 3)
     clouds = [PointCloud(rng.normal(size=(96, 3)) * np.array([1.0, 0.6, 0.3])),
               PointCloud(np.concatenate([grid, grid[:6]]))]
-    specs = [FeatureSpec("distance+ppf+spfh"), FeatureSpec("ppf"), FeatureSpec("pfh"),
-             FeatureSpec("spfh")]
+    specs = [FeatureSpec("distance+ppf+spfh"), FeatureSpec("pfh"), FeatureSpec("spfh")]
     tables = []
     for cloud in clouds:
         nbr = geom.knn(cloud, 10)
@@ -159,13 +159,13 @@ def test_desk_training_pinned():
 
 
 def test_checkpoint_files_pinned(tmp_path):
-    """The parameters and the bytes on disk, with the graph, a histogram feature
-    and the rotation mode off their defaults."""
+    """The parameters and the bytes on disk, with the graph and the feature
+    kind off their defaults: a fixed graph and a combined histogram kind."""
     cfg = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16), head_widths=(8,),
                         dynamic_graph=False)
     spec = FeatureSpec("distance+ppf+spfh")
     pairs = rotated_pairs(13, 4, 48)
-    res = train(cfg, spec, "sixd", pairs, epochs=2, lr=1e-3, batch_size=2, seed=3)
+    res = train(cfg, spec, "euler", pairs, epochs=2, lr=1e-3, batch_size=2, seed=3)
     ft = fine_tune(res.checkpoint, [(p.source, p.target) for p in pairs], epochs=1,
                    lr=1e-4, batch_size=2, seed=4)
     assert not res.diverged and not ft.diverged

@@ -16,7 +16,7 @@ from conftest import canonicalize, grad_check, random_transform, rotation_oracle
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
-MODES = ("euler", "quaternion", "sixd", "matrix")
+MODES = tuple(geom.ROTATION_MODES)
 
 
 def small_model(mode="euler", seed=2):
@@ -110,8 +110,7 @@ def test_regress_pose_zero_final_layer_gives_identity():
         np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode,rot_dim", [("euler", 3), ("quaternion", 4),
-                                          ("sixd", 6), ("matrix", 9)])
+@pytest.mark.parametrize("mode,rot_dim", [(m, e.length) for m, e in geom.ROTATION_MODES.items()])
 def test_regress_pose_output_dims(mode, rot_dim):
     model = small_model(mode)
     t = model.params
@@ -149,11 +148,9 @@ def test_pose_head_gradient_through_rotation(mode):
 
 def test_tape_rotation_decoders_match_geom():
     rng = Rng(9)
-    for mode, dim in (("euler", 3), ("quaternion", 4), ("sixd", 6), ("matrix", 9)):
-        for i in range(20):
-            vals = rng.uniform(-1.0, 1.0, dim)
-            if mode == "matrix" and i % 2 == 0:
-                vals = (np.eye(3) + 0.3 * rng.uniform(-1, 1, (3, 3))).reshape(-1)
+    for mode, entry in geom.ROTATION_MODES.items():
+        for _ in range(20):
+            vals = rng.uniform(-1.0, 1.0, entry.length)
             got = geom.rotation_mode(mode).decode(ad.constant(vals)).data
             np.testing.assert_allclose(got, rotation_oracle(mode, vals), atol=1e-10,
                                        err_msg=mode)
@@ -198,18 +195,9 @@ def test_register_invariant_to_point_order():
                                atol=1e-9)
 
 
-def _reflecting_matrix_model():
-    # raw matrix head output diag(1, 2, -3) for every input: det < 0 with
-    # distinct singular values
-    model = small_model("matrix", seed=14)
-    model.params["head.1.w"][:] = 0.0
-    model.params["head.1.b"][0, :9] = (np.diag([1.0, 2.0, -3.0]) - np.eye(3)).reshape(-1)
-    return model
-
-
-@pytest.mark.parametrize("case", MODES + ("matrix-reflected",))
-def test_register_returns_canonical_shapes(case):
-    model = _reflecting_matrix_model() if case == "matrix-reflected" else small_model(case, seed=14)
+@pytest.mark.parametrize("mode", MODES)
+def test_register_returns_canonical_shapes(mode):
+    model = small_model(mode, seed=14)
     rng = Rng(15)
     x = synth_shape(4, 24, rng.spawn("x"))
     y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)
@@ -218,9 +206,6 @@ def test_register_returns_canonical_shapes(case):
     np.testing.assert_allclose(res.canonical_x.points, expected_xc.points, rtol=0, atol=1e-12)
     expected_yc = canonicalize(y, res.pose_y.decoded)
     np.testing.assert_allclose(res.canonical_y.points, expected_yc.points, rtol=0, atol=1e-12)
-    if case == "matrix-reflected":
-        np.testing.assert_allclose(res.pose_x.decoded.rotation, np.diag([-1.0, 1.0, -1.0]),
-                                   atol=1e-15)
 
 
 def test_full_pipeline_grad_check_all_parameters():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import training
+from upcr import geom, training
 from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
@@ -399,11 +399,9 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, value):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda h: h["spec"].update(kind="ppf"), r"alpha.w has shape \(3, 8\), expected \(4, 8\)"),
-    (lambda h: h.update(rotation_mode="quaternion"),
-     r"head.1.w has shape \(8, 6\), expected \(8, 7\)"),
+    (lambda h: h["spec"].update(kind="pfh"), r"alpha.w has shape \(3, 8\), expected \(125, 8\)"),
     (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]), "missing global.2.w"),
-], ids=["spec", "rotation-mode", "layers"])
+], ids=["spec", "layers"])
 def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     _save(path)
@@ -418,8 +416,8 @@ def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, model)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: unknown "
-                                         "rotation mode 'spin'; expected one of euler, quaternion, "
-                                         "sixd, matrix$"):
+                                         "rotation mode 'spin'; expected one of "
+                                         f"{', '.join(geom.ROTATION_MODES)}$"):
         load_checkpoint(path)
 
 
