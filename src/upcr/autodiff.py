@@ -2,10 +2,11 @@
 
 The operator set is exactly what the registration pipeline needs: affine
 layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
-softmax, trigonometry for rotation decoding, the indexing ops that assemble
-edge features, and ``neighbor_max``, the max over each point's neighbor rows
-in an edge convolution, whose forward gathers and pools its [n*k, c] table in
-bounded row blocks, so the table never exists whole. No broadcasting beyond
+softmax, the indexing ops that assemble edge features, and ``neighbor_max``,
+the max over each point's neighbor rows in an edge convolution, whose forward
+gathers and pools its [n*k, c] table in bounded row blocks, so the table never
+exists whole. The pose head's rotation decoder is one more op, kept in
+``geom`` beside the rotation algebra it shares. No broadcasting beyond
 scalar-with-tensor, no higher-order derivatives, no views: every op produces
 a fresh array.
 
@@ -207,10 +208,6 @@ def _unary(kind: str, a, fwd, dfn) -> Tensor:
     return _emit(kind, out, [(a, lambda g: dfn(g, av, out))])
 
 
-def neg(a) -> Tensor:
-    return _unary("neg", a, np.negative, lambda g, x, y: -g)
-
-
 def log(a) -> Tensor:
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
@@ -225,14 +222,6 @@ def sqrt(a) -> Tensor:
         idx = int(np.argmin(a.data > 0.0))
         raise DomainError(f"sqrt: non-positive entry at flat index {idx}")
     return _unary("sqrt", a, np.sqrt, lambda g, x, y: 0.5 * g / y)
-
-
-def sin(a) -> Tensor:
-    return _unary("sin", a, np.sin, lambda g, x, y: g * np.cos(x))
-
-
-def cos(a) -> Tensor:
-    return _unary("cos", a, np.cos, lambda g, x, y: -g * np.sin(x))
 
 
 def leaky_relu(a) -> Tensor:
@@ -324,24 +313,6 @@ def reduce_sum(a) -> Tensor:
     in_shape = a.shape
     return _emit("reduce_sum", np.asarray(np.sum(a.data)),
                  [(a, lambda g: np.full(in_shape, float(g)))])
-
-
-def concat(parts: Sequence) -> Tensor:
-    """Concatenate along the last axis; all other dims must agree."""
-    ts = [as_tensor(p) for p in parts]
-    if not ts:
-        raise ShapeError("concat: needs at least one part")
-    lead = ts[0].shape[:-1]
-    for t in ts[1:]:
-        if t.ndim != ts[0].ndim or t.shape[:-1] != lead:
-            raise ShapeError(f"concat: incompatible shapes {[t.shape for t in ts]}")
-    out = np.concatenate([t.data for t in ts], axis=-1)
-    grads, lo = [], 0
-    for t in ts:
-        hi = lo + t.shape[-1]
-        grads.append((t, lambda g, lo=lo, hi=hi: g[..., lo:hi]))
-        lo = hi
-    return _emit("concat", out, grads)
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:

@@ -171,7 +171,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     # range, cross-key and name checks for every command, before any output exists
     _check_ranges(cfg)
     encoder_config(cfg)
-    feature_spec(cfg)
+    if feature_spec(cfg).needs_normals and cfg["encoder.k"] < 3:
+        raise CliError(f"feature.kind = {cfg['feature.kind']} estimates normals over "
+                       f"encoder.k = {cfg['encoder.k']} neighbours, which needs k >= 3")
     geom.rotation_mode(cfg["rotation.mode"])
     protocol(cfg)
     return cfg

@@ -165,11 +165,13 @@ def corrupt_with_outliers(cloud: PointCloud, ratio_percent: float, rng: Rng) -> 
     return PointCloud(pts)
 
 
-def outlier_streams(ratios: list[float]) -> list[int]:
+def check_outlier_ratios(ratios: list[float], n: int) -> list[int]:
     """The corruption stream of each outlier ratio (a percentage),
-    ``round(ratio * 100)``. Raises ValueError for a ratio outside [0, 100)
-    and for two ratios that round to one stream, which would corrupt the
-    same clouds."""
+    ``round(ratio * 100)``, for clouds of at least ``n`` points. Raises
+    ValueError for a ratio outside [0, 100), for two ratios that round to
+    one stream, which would corrupt the same clouds, and then for a non-zero
+    ratio that replaces no point of an ``n``-point cloud, whose row would
+    measure the clean clouds."""
     if any(not 0 <= r < 100 for r in ratios):
         raise ValueError("ratios must lie in [0, 100)")
     first: dict[int, float] = {}
@@ -177,28 +179,19 @@ def outlier_streams(ratios: list[float]) -> list[int]:
         other = first.setdefault(round(ratio * 100), ratio)
         if other != ratio:
             raise ValueError(f"ratios {other} and {ratio} round to one corruption stream")
-    return [round(r * 100) for r in ratios]
-
-
-def check_outlier_ratios(ratios: list[float], n: int) -> list[int]:
-    """:func:`outlier_streams` of ``ratios`` for clouds of at least ``n``
-    points. Raises ValueError, after that function's own checks, for a
-    non-zero ratio that replaces no point of an ``n``-point cloud, whose
-    row would measure the clean clouds."""
-    streams = outlier_streams(ratios)
     for ratio in ratios:
         if ratio > 0 and _outlier_count(ratio, n) == 0:
             raise ValueError(f"outlier ratio {ratio} replaces no point of a {n}-point cloud; "
                              f"use 0 or at least {100 / n:.6g}")
-    return streams
+    return [round(r * 100) for r in ratios]
 
 
 def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
                   ratios: list[float], seed: int = 0) -> list[dict]:
     """Model-vs-ICP reports per outlier ratio, each flagged with whether
     that method's rotation MAE never falls as the ratio grows. Each ratio
-    corrupts its clouds from its own :func:`outlier_streams` stream, and
-    must replace a point of the smallest cloud (:func:`check_outlier_ratios`)."""
+    corrupts its clouds from its own stream, and must replace a point of the
+    smallest cloud (:func:`check_outlier_ratios`)."""
     smallest = min(len(c) for s in samples for c in (s.source, s.target))
     rows = []
     for ratio, stream in zip(ratios, check_outlier_ratios(ratios, smallest)):

@@ -203,15 +203,18 @@ def knn(cloud: PointCloud, k: int) -> np.ndarray:
 # rotations
 
 
+def _euler_factors(angles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rx(alpha), Ry(beta) and Rz(gamma) for angles (alpha, beta, gamma)."""
+    (sa, sb, sg), (ca, cb, cg) = np.sin(angles), np.cos(angles)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, ca, -sa], [0.0, sa, ca]])
+    ry = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rz = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    return rx, ry, rz
+
+
 def euler_to_matrix(angles: np.ndarray) -> np.ndarray:
     """R = Rz(gamma) @ Ry(beta) @ Rx(alpha) for angles (alpha, beta, gamma)."""
-    a, b, g = float(angles[0]), float(angles[1]), float(angles[2])
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cg, sg = np.cos(g), np.sin(g)
-    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
+    rx, ry, rz = _euler_factors(np.asarray(angles, dtype=np.float64))
     return rz @ ry @ rx
 
 
@@ -230,39 +233,47 @@ def euler_from_matrix(rot: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rotation decoders: one tape decoder per mode, for training and inference
+# rotation decoders: one tape op per mode, for training and inference
 
 
-def _mat3(entries: list[ad.Tensor]) -> ad.Tensor:
-    return ad.reshape(ad.concat(entries), (3, 3))
+def _euler_rotation(angles: ad.Tensor) -> ad.Tensor:
+    """Rz(gamma) @ (Ry(beta) @ Rx(alpha)) of [3] angles as one tape op.
 
+    The VJP takes the product rule through both matrix products; each sine
+    and cosine then sums the two factor entries that hold it, so the order
+    of that sum cannot change a bit.
+    """
+    theta = angles.data
+    rx, ry, rz = _euler_factors(theta)
+    m = ry @ rx
 
-def _euler_tensor(angles: ad.Tensor) -> ad.Tensor:
-    one, zero = ad.constant([1.0]), ad.constant([0.0])
-    s, c = ad.sin(angles), ad.cos(angles)
-    sa, sb, sg = (ad.gather_rows(s, [i]) for i in range(3))
-    ca, cb, cg = (ad.gather_rows(c, [i]) for i in range(3))
-    rx = _mat3([one, zero, zero, zero, ca, ad.neg(sa), zero, sa, ca])
-    ry = _mat3([cb, zero, sb, zero, one, zero, ad.neg(sb), zero, cb])
-    rz = _mat3([cg, ad.neg(sg), zero, sg, cg, zero, zero, zero, one])
-    return ad.matmul(rz, ad.matmul(ry, rx))
+    def grad(g):
+        d_rz = g @ m.T
+        d_m = rz.T @ g
+        d_ry = d_m @ rx.T
+        d_rx = ry.T @ d_m
+        ds = np.array([d_rx[2, 1] - d_rx[1, 2], d_ry[0, 2] - d_ry[2, 0],
+                       d_rz[1, 0] - d_rz[0, 1]])
+        dc = np.array([d_rx[1, 1] + d_rx[2, 2], d_ry[0, 0] + d_ry[2, 2],
+                       d_rz[0, 0] + d_rz[1, 1]])
+        return ds * np.cos(theta) + -dc * np.sin(theta)
+
+    return ad._emit("euler_rotation", rz @ m, [(angles, grad)])
 
 
 class RotationMode(NamedTuple):
     """One rotation parameterization of the pose head.
 
-    ``length`` head outputs plus the ``identity`` offset (so a zero head
-    output decodes to the identity) go through ``decode``, a tape op chain
-    that returns a proper 3x3 rotation.
+    ``length`` head outputs go through ``decode``, one tape op that returns
+    a proper 3x3 rotation; zero outputs decode to the identity.
     """
 
     length: int
-    identity: np.ndarray
     decode: Callable[[ad.Tensor], ad.Tensor]
 
 
 ROTATION_MODES = {
-    "euler": RotationMode(3, np.zeros(3), _euler_tensor),
+    "euler": RotationMode(3, _euler_rotation),
 }
 
 

@@ -42,8 +42,7 @@ def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
                   mode: str):
     """Shared MLP head: returns (translation tensor, rotation matrix tensor).
 
-    The head output parameterizes the rotation as a residual from the
-    identity (zero output decodes to the identity pose in every mode).
+    A zero head output decodes to the identity pose.
     """
     rot_mode = geom.rotation_mode(mode)
     rd = rot_mode.length
@@ -54,9 +53,9 @@ def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
         if i < n_layers - 1:
             x = ad.leaky_relu(x)
     out = ad.reshape(x, (rd + 3,))
-    rot_vals = ad.add(ad.gather_rows(out, list(range(rd))), ad.constant(rot_mode.identity))
+    rot = rot_mode.decode(ad.gather_rows(out, list(range(rd))))
     trans = ad.gather_rows(out, list(range(rd, rd + 3)))
-    return trans, rot_mode.decode(rot_vals)
+    return trans, rot
 
 
 # ---------------------------------------------------------------------------

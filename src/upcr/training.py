@@ -321,7 +321,7 @@ def fine_tune(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                                   clip_norm, schedule)
     model.metadata.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
                            "fine_tune_seed": seed, "fine_tune_loss_history": curve,
-                           "diverged": diverged})
+                           "fine_tune_diverged": diverged})
     return TrainResult(model, curve, diverged)
 
 

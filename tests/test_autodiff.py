@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
+from upcr import geom
 from upcr.rng import Rng
 
 from conftest import (grad_check, neighbor_max_oracle, pair_table_oracle,
@@ -196,7 +197,7 @@ CONTRACT_OPS = {
     "mul": (ad.mul, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
-    "concat": (lambda *parts: ad.concat(parts), [(3, 2), (3, 1), (3, 4)]),
+    "euler_rotation": (geom.rotation_mode("euler").decode, [(3,)]),
     "neighbor_max": (lambda b: ad.neighbor_max(b, _NBR5), [(5, 3)]),
 }
 
@@ -405,32 +406,7 @@ def test_reduce_sum_gradient_is_ones():
 
 
 # ---------------------------------------------------------------------------
-# concat / structure ops
-
-
-def test_concat_columns():
-    out = ad.concat([ad.constant([[1.0], [2.0]]), ad.constant([[3.0], [4.0]])])
-    np.testing.assert_array_equal(out.data, [[1.0, 3.0], [2.0, 4.0]])
-
-
-def test_concat_single_part_identity():
-    x = np.array([[1.0, 2.0]])
-    np.testing.assert_array_equal(ad.concat([ad.constant(x)]).data, x)
-
-
-def test_concat_split_round_trip():
-    tape = ad.Tape()
-    a = leaf(tape, [[1.0, 2.0]])
-    b = leaf(tape, [[3.0]])
-    out = ad.concat([a, b])
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant([[10.0, 20.0, 30.0]]))))
-    np.testing.assert_array_equal(a.grad, [[10.0, 20.0]])
-    np.testing.assert_array_equal(b.grad, [[30.0]])
-
-
-def test_concat_incompatible_shapes():
-    with pytest.raises(ad.ShapeError):
-        ad.concat([ad.constant(np.zeros((2, 1))), ad.constant(np.zeros((3, 1)))])
+# structure ops
 
 
 def test_gather_rows_forward_backward():
@@ -855,9 +831,6 @@ _OP_CASES = [
     ("sub", lambda t, c: ad.sub(t, c), True),
     ("mul", lambda t, c: ad.mul(t, c), True),
     ("div", lambda t, c: ad.div(t, c), True),
-    ("neg", lambda t, c: ad.neg(t), False),
-    ("sin", lambda t, c: ad.sin(t), False),
-    ("cos", lambda t, c: ad.cos(t), False),
     ("leaky", lambda t, c: ad.leaky_relu(t), False),
 ]
 

@@ -665,12 +665,16 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "{spfh_bins_-1}:2: unknown configuration key 'feature.spfh_bins'"),
     (["bench", "--model", "{model_k2}", "--baselines"],
      "--baselines estimates normals over the checkpoint's k = 2 neighbours, which needs k >= 3"),
+    (["train", "--k", "2"],
+     "feature.kind = distance+spfh estimates normals over encoder.k = 2 neighbours, "
+     "which needs k >= 3"),
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
-        "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3"])
+        "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3",
+        "train-normals-k-below-3"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
              "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr"),

@@ -6,8 +6,8 @@ import pytest
 from upcr import autodiff as ad
 from upcr import geom, separation
 from upcr.datagen import synth_shape
-from upcr.encoder import (CloudCache, EncoderConfig, edge_conv_layer, init_params,
-                          precompute_cloud, encode_global, encode_invariant)
+from upcr.encoder import (EncoderConfig, edge_conv_layer, init_params, precompute_cloud,
+                          encode_global, encode_invariant)
 from upcr.features import FEATURE_KINDS, FeatureSpec, embed_from_features
 from upcr.geom import PointCloud
 from upcr.rng import Rng

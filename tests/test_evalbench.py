@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from upcr import evalbench, features, geom
-from upcr.datagen import DatasetSample, Protocol, build_benchmark, sample_transform, synth_shape
+from upcr.datagen import DatasetSample, Protocol, build_benchmark, synth_shape
 from upcr.encoder import EncoderConfig, init_params
-from upcr.evalbench import MetricReport, evaluate_poses, feature_match_init, icp, outlier_sweep
+from upcr.evalbench import evaluate_poses, feature_match_init, icp, outlier_sweep
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
@@ -277,7 +277,7 @@ def test_outlier_sweep_ratios_a_hundredth_apart_corrupt_differently(monkeypatch)
     monkeypatch.setattr(evalbench, "evaluate_icp", lambda s: report)
     _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 256, seed=18)
     outlier_sweep(small_model(), test_s, [0.56, 0.57], seed=18)
-    assert evalbench.outlier_streams([0.56, 0.57]) == [56, 57]
+    assert evalbench.check_outlier_ratios([0.56, 0.57], 256) == [56, 57]
     for lo, hi, base in zip(*seen, test_s):
         for cloud in ("source", "target"):
             a, b, clean = (getattr(s, cloud).points for s in (lo, hi, base))
@@ -289,7 +289,7 @@ def test_outlier_sweep_rejects_ratios_on_one_stream():
     _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=19)
     with pytest.raises(ValueError, match=r"ratios 0\.561 and 0\.559 round to one"):
         outlier_sweep(small_model(), test_s, [0.0, 0.561, 0.559], seed=19)
-    assert evalbench.outlier_streams([0.0, 10.0, 20.0, 10.0]) == [0, 1000, 2000, 1000]
+    assert evalbench.check_outlier_ratios([0.0, 10.0, 20.0, 10.0], 32) == [0, 1000, 2000, 1000]
 
 
 def test_outlier_sweep_rejects_a_ratio_that_replaces_no_point():

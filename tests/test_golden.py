@@ -50,7 +50,7 @@ CHECKPOINT_PARAMS_SHA = {
 }
 CHECKPOINT_FILE_SHA = {
     "train": "2b93e827c9ebf7e9d460b40a2741b62d66bcb78b7a1d666eb2ac4cdca5cfeee3",
-    "fine_tune": "7db34e2f5e8b1754c8d1dccc6b42ba2ee76d57d08d39a87288b698040654483b",
+    "fine_tune": "44df1c6d2bb43c74ce5a9cf547c3c7c9e9c362577b21309dc7c3492de5846a21",
 }
 CSV_SHA = {
     "metrics.csv": "06657621c6583e5e53224ea1723d34b91303cdd4058a3da0ba321faec7a4c3bb",

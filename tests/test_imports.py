@@ -1,8 +1,8 @@
-"""Every module-level import in the package is used by its module; every
-module-level function or class is referenced by some package module, and every
-method and property of one is read as an attribute by some package module, so
-code that only tests read lives in the tests; and every annotated class field
-is read."""
+"""Every module-level import in the package and in the tests is used by its
+module; every module-level function or class is referenced by some package
+module, and every method and property of one is read as an attribute by some
+package module, so code that only tests read lives in the tests; and every
+annotated class field is read."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,7 @@ import upcr
 PACKAGE = sorted(Path(upcr.__file__).parent.glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parent.parent
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 # every source that may read a package field; the guard only parses them
 READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
@@ -45,7 +46,7 @@ def test_guard_sees_annotations_and_attribute_bases():
     assert unused_imports(src) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -123,15 +123,19 @@ def test_regress_pose_output_dims(mode, rot_dim):
     # the raw head output, recomputed by hand, splits into rotation and translation
     hidden = gamma @ t["head.0.w"] + t["head.0.b"][0]
     out = np.maximum(hidden, ad.SLOPE * hidden) @ t["head.1.w"] + t["head.1.b"][0]
-    rot_vals = out[:rot_dim] + geom.rotation_mode(mode).identity
     np.testing.assert_allclose(trans.data, out[rot_dim:], atol=1e-12)
     # decoded rotation matches an independent decode of the raw parameter
-    np.testing.assert_allclose(rot.data, rotation_oracle(mode, rot_vals), atol=1e-10)
+    np.testing.assert_allclose(rot.data, rotation_oracle(mode, out[:rot_dim]), atol=1e-10)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_pose_head_gradient_through_rotation(mode):
+@pytest.mark.parametrize("mode,beta", [*((m, 0.0) for m in MODES),
+                                       ("euler", np.pi / 2), ("euler", -np.pi / 2)],
+                         ids=[*MODES, "euler-beta-near-+pi/2", "euler-beta-near--pi/2"])
+def test_pose_head_gradient_through_rotation(mode, beta):
+    """``beta`` is the bias of the head's second output, the Euler pitch,
+    whose gimbal lock lies at +-pi/2."""
     model = small_model(mode, seed=6)
+    model.params["head.1.b"][0, 1] = beta
     gamma = Rng(7).uniform(-0.5, 0.5, CFG.m)
     probe = Rng(8).uniform(-1, 1, (3, 3))
     name = "head.1.w"

@@ -204,6 +204,15 @@ def test_finetune_lr_zero_keeps_parameters():
                                       res.checkpoint.params[name])
 
 
+def test_finetune_keeps_the_training_divergence_record():
+    train_s, _ = tiny_dataset()
+    model = init_params(CFG, SPEC, "euler", 9)
+    model.metadata = {"diverged": True}
+    ft = fine_tune(model, [(s.source, s.target) for s in train_s], epochs=0)
+    assert ft.checkpoint.metadata["diverged"] is True
+    assert ft.checkpoint.metadata["fine_tune_diverged"] is False
+
+
 def test_finetune_improves_or_holds_loss():
     train_s, _ = tiny_dataset(n_train=6, points=32)
     res = train(CFG, SPEC, "euler", train_s, epochs=4, batch_size=4, seed=17)
