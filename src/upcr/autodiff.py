@@ -1,14 +1,15 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The operator set is exactly what the registration pipeline needs: affine
-layers, the pointwise zoo, max-pooling with deterministic tie-breaking,
-softmax, the indexing ops that assemble edge features, and ``neighbor_max``,
-the max over each point's neighbor rows in an edge convolution, whose forward
-gathers and pools its [n*k, c] table in bounded row blocks, so the table never
-exists whole. The pose head's rotation decoder is one more op, kept in
-``geom`` beside the rotation algebra it shares. No broadcasting beyond
-scalar-with-tensor, no higher-order derivatives, no views: every op produces
-a fresh array.
+layers, ``add``, ``sub``, ``mul``, ``div`` and ``leaky_relu``, max-pooling
+with deterministic tie-breaking, softmax, the indexing ops that assemble edge
+features, and ``neighbor_max``, the max over each point's neighbor rows in an
+edge convolution, whose forward gathers and pools its [n*k, c] table in
+bounded row blocks, so the table never exists whole. Fused ops live beside
+the code they serve: the rotation decoder in ``geom``, ``channel_norm`` in
+``encoder``, the pose-related term and canonical coordinates in
+``separation``. No broadcasting beyond scalar-with-tensor, no higher-order
+derivatives, no views: every op produces a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
@@ -45,7 +46,7 @@ class ShapeError(ValueError):
 
 
 class DomainError(ValueError):
-    """An input lies outside an op's domain (log of <=0, division by zero)."""
+    """An input lies outside an op's domain (division by zero)."""
 
 
 class Node:
@@ -201,29 +202,6 @@ def div(a, b) -> Tensor:
                    lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y)))
 
 
-def _unary(kind: str, a, fwd, dfn) -> Tensor:
-    a = as_tensor(a)
-    av = a.data
-    out = fwd(av)
-    return _emit(kind, out, [(a, lambda g: dfn(g, av, out))])
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        idx = int(np.argmin(a.data > 0.0))
-        raise DomainError(f"log: non-positive entry at flat index {idx}")
-    return _unary("log", a, np.log, lambda g, x, y: g / x)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        idx = int(np.argmin(a.data > 0.0))
-        raise DomainError(f"sqrt: non-positive entry at flat index {idx}")
-    return _unary("sqrt", a, np.sqrt, lambda g, x, y: 0.5 * g / y)
-
-
 def leaky_relu(a) -> Tensor:
     """y = x * gate with gate 1 for x >= 0 and ``SLOPE`` below; the backward
     multiplies g by the same gate.
@@ -232,12 +210,11 @@ def leaky_relu(a) -> Tensor:
     does: as SLOPE is in (0, 1), max(SLOPE*x, x) is x*gate bit for bit, NaN
     payloads included, since the product's quieted NaN comes first.
     """
-    def forward(x):
-        out = np.multiply(SLOPE, x, out=np.empty(x.shape))
-        return np.maximum(out, x, out=out)
-
-    return _unary("leaky_relu", a, forward,
-                  lambda g, x, y: g * np.where(x >= 0.0, 1.0, SLOPE))
+    a = as_tensor(a)
+    x = a.data
+    out = np.multiply(SLOPE, x, out=np.empty(x.shape))
+    np.maximum(out, x, out=out)
+    return _emit("leaky_relu", out, [(a, lambda g: g * np.where(x >= 0.0, 1.0, SLOPE))])
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +320,6 @@ def gather_rows(a, idx) -> Tensor:
     return _emit("gather_rows", a.data[idx],
                  [(a, lambda g: _scatter_rows(idx, g.reshape(idx.size, width),
                                               shape[0]).reshape(shape))])
-
-
-def repeat_rows(a, times: int) -> Tensor:
-    """Repeat each row ``times`` times consecutively (rank-2 input)."""
-    a = as_tensor(a)
-    if a.ndim != 2:
-        raise ShapeError(f"repeat_rows: expects a rank-2 tensor, got {a.shape}")
-    n, c = a.shape
-    return _emit("repeat_rows", np.repeat(a.data, times, axis=0),
-                 [(a, lambda g: g.reshape(n, times, c).sum(axis=1))])
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:

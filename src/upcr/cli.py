@@ -412,7 +412,7 @@ def cmd_register(args) -> int:
     if args.out:
         _ensure_dir(args.out)
         write_manifest(args.out, {}, "register",
-                       inputs=[args.model], outputs=outputs)
+                       inputs=[args.source, args.target, args.model], outputs=outputs)
     return 0
 
 

@@ -431,7 +431,10 @@ def load_cloud(path: str) -> PointCloud:
         body = line.split("#", 1)[0].split()
         if body:
             vals = _parse_floats(body, width, path, lineno)
-            pts.append([vals[c] for c in cols])
+            xyz = [vals[c] for c in cols]
+            if not np.isfinite(xyz).all():
+                raise CloudParseError(f"{path}:{lineno}: non-finite coordinate in {xyz}")
+            pts.append(xyz)
     if count is not None and len(pts) < count:
         raise CloudParseError(f"{path}:{len(lines) + 1}: truncated vertex list "
                               f"({len(pts)}/{count} vertices)")

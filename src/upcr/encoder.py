@@ -151,12 +151,20 @@ def channel_norm(feats: ad.Tensor) -> ad.Tensor:
     features stay invariant. No centering, so per-channel offsets (which
     carry the cloud's absolute position in the global branch) pass through.
     Keeps deep stacks well-scaled so the desk-size training budget converges.
+
+    One tape op. Dividing by the [1, c] scale row is bit for bit dividing by
+    its [n, c] repeat. The VJP adds the quotient's term, then f*f's two
+    operand terms, in the order of a backward over the unfused chain.
     """
-    n = feats.shape[0]
-    ms_row = ad.matmul(ad.constant(np.full((1, n), 1.0 / n)),
-                       ad.mul(feats, feats))                             # [1, c]
-    scale = ad.sqrt(ad.add(ms_row, 1e-8))  # finite on an all-zero channel
-    return ad.div(feats, ad.repeat_rows(scale, n))
+    f = feats.data
+    row = np.full((1, f.shape[0]), 1.0 / f.shape[0])
+    scale = np.sqrt(row @ (f * f) + 1e-8)  # [1, c]; finite on an all-zero channel
+
+    def grad(g):
+        d_sq = row.T @ (0.5 * (-g * f / (scale * scale)).sum(axis=0, keepdims=True) / scale)
+        return g / scale + d_sq * f + d_sq * f
+
+    return ad._emit("channel_norm", f / scale, [(feats, grad)])
 
 
 def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad.Tensor:
@@ -207,9 +215,6 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
                   cache: CloudCache | None = None) -> ad.Tensor:
     """Global representation: stacked edge convolutions on raw coordinates,
     max-pooled over all points into an m-vector. Pose sensitive by design."""
-    n = len(cloud)
-    if n <= config.k:
-        raise ValueError(f"encode_global needs N > k, got N={n}, k={config.k}")
     x = ad.constant(cloud.points)
     for i in range(config.layers):
         if i == 0:
@@ -227,9 +232,6 @@ def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig
                      params: dict, cache: CloudCache | None = None) -> ad.Tensor:
     """Pose-invariant representation: invariant point embedding followed by
     edge convolutions over the (pose-invariant) spatial neighbor graph."""
-    n = len(cloud)
-    if n <= config.k:
-        raise ValueError(f"encode_invariant needs N > k, got N={n}, k={config.k}")
     if cache is None:
         cache = precompute_cloud(cloud, spec, config)
     x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"])

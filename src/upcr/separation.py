@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from . import geom
 from .encoder import CloudCache, EncoderConfig, ModelParams, affine, encode_global, \
@@ -29,9 +31,26 @@ class PosePrediction:
 
 
 def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
-    """Entrywise p_i * log(p_i / q_i); entries sum to KL(p || q) >= 0."""
-    ratio = ad.div(ad.add(p, EPS_FLOOR), ad.add(q, EPS_FLOOR))
-    return ad.mul(p, ad.log(ratio))
+    """Entrywise p_i * log(p_i / q_i), ``EPS_FLOOR`` added to both inside the
+    log; entries sum to KL(p || q) >= 0. One tape op, whose gradients add their
+    terms in the order of a backward over the add, div, log and mul chain."""
+    pv = p.data
+    pa, qa = pv + EPS_FLOOR, q.data + EPS_FLOOR
+    ratio = pa / qa
+    log_ratio = np.log(ratio)
+    return ad._emit("pose_related", pv * log_ratio,
+                    [(p, lambda g: g * log_ratio + g * pv / ratio / qa),
+                     (q, lambda g: -(g * pv / ratio) * pa / (qa * qa))])
+
+
+def _canonical_t(points: np.ndarray, trans: ad.Tensor, rot: ad.Tensor) -> ad.Tensor:
+    """Rows R^T (x - t) of the [n, 3] ``points`` under the [3] translation and
+    [3, 3] rotation, as one tape op."""
+    rv = rot.data
+    diff = points - trans.data
+    return ad._emit("canonical", diff @ rv,
+                    [(trans, lambda g: -(g @ rv.T).sum(axis=0)),
+                     (rot, lambda g: diff.T @ g)])
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +103,7 @@ def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
     p = ad.softmax(gamma_v)
     gamma_mu = _pose_related_t(p, q)
     trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
-    pts = ad.constant(cloud.points)
-    n = len(cloud)
-    t_row = ad.repeat_rows(ad.reshape(trans, (1, 3)), n)
-    canonical = ad.matmul(ad.sub(pts, t_row), rot)  # rows: R^T (p - t)
+    canonical = _canonical_t(cloud.points, trans, rot)
     pose = PosePrediction(RigidTransform(rot.data.copy(), trans.data.copy()))
     return pose, canonical
 

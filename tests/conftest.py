@@ -186,8 +186,9 @@ def neighbor_table_oracle(data: np.ndarray, k: int) -> np.ndarray:
 def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
     """``autodiff.pair_table`` on the tape, from the general ops:
     row i*k + j is a[i] + b[neighbors[i, j]]."""
-    k = np.shape(neighbors)[1]
-    return ad.add(ad.repeat_rows(a, k), ad.gather_rows(b, np.reshape(neighbors, -1)))
+    n, k = np.shape(neighbors)
+    return ad.add(ad.gather_rows(a, np.repeat(np.arange(n), k)),
+                  ad.gather_rows(b, np.reshape(neighbors, -1)))
 
 
 def neighbor_max_oracle(b, neighbors) -> ad.Tensor:

@@ -605,11 +605,14 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     assert manifest_sections(tmp_path / "train") == set(cli.SECTIONS)
     bench = Path(tmp_path, "bench", "manifest.txt").read_text()
     assert not re.search(r"^(encoder|feature|rotation)\.", bench, re.M)
-    assert main(["register", "--source", a, "--target", a, "--model", model,
+    b = str(tmp_path / "b.xyz")
+    save_cloud(synth_shape(1, 32, Rng(2)), b)
+    assert main(["register", "--source", a, "--target", b, "--model", model,
                  "--out", str(tmp_path / "reg")]) == 0
     lines = Path(tmp_path, "reg", "manifest.txt").read_text().splitlines()
     assert lines[0] == "command = register"
-    assert [line.split(" sha256 = ")[0] for line in lines[1:]] == ["input model.upcr"]
+    assert [line.split(" sha256 = ")[0] for line in lines[1:]] == [
+        "input a.xyz", "input b.xyz", "input model.upcr"]
 
 
 def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):

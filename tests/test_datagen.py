@@ -363,6 +363,27 @@ def test_no_vertices_named_by_path(tmp_path, name, text):
         load_cloud(str(path))
 
 
+@pytest.mark.parametrize("name, text, line", [
+    ("nan.xyz", "0 0 0\n1 nan 0\n", 2),
+    ("inf.off", "OFF\n2 0 0\n0 0 0\n-inf 1 2\n", 4),
+    ("nan.ply", PLY_XYZ.format(n=2) + "0 0 0\n0 0 NaN\n", 9),
+], ids=["xyz-nan", "off-minus-inf", "ply-nan"])
+def test_non_finite_coordinate_rejected_with_line(tmp_path, name, text, line):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(CloudParseError,
+                       match=f"^{re.escape(str(path))}:{line}: non-finite coordinate"):
+        load_cloud(str(path))
+
+
+def test_non_finite_value_of_another_ply_property_loads(tmp_path):
+    path = tmp_path / "extra.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                    "property float intensity\nproperty float y\nproperty float z\n"
+                    "end_header\n0 nan 1 2\n3 inf 4 5\n")
+    np.testing.assert_array_equal(load_cloud(str(path)).points, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+
+
 def test_vertex_lists_skip_blank_and_comment_lines(tmp_path):
     path = tmp_path / "gaps.ply"
     path.write_text(PLY_XYZ.format(n=2) + "0 0 0\n\n# a comment\n1 2 3 # trailing\n")

@@ -6,13 +6,13 @@ import pytest
 from upcr import autodiff as ad
 from upcr import geom, separation
 from upcr.datagen import synth_shape
-from upcr.encoder import (EncoderConfig, edge_conv_layer, init_params, precompute_cloud,
-                          encode_global, encode_invariant)
+from upcr.encoder import (EncoderConfig, channel_norm, edge_conv_layer, init_params,
+                          precompute_cloud, encode_global, encode_invariant)
 from upcr.features import FEATURE_KINDS, FeatureSpec, embed_from_features
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import edge_conv_oracle, embed_oracle, random_transform
+from conftest import edge_conv_oracle, embed_oracle, grad_check, random_transform
 
 DESK = EncoderConfig(k=6, m=32, layers=3, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -238,6 +238,29 @@ def test_untaped_edge_conv_peak_memory_stays_far_below_its_edge_table():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# channel_norm
+
+
+def test_channel_norm_divides_by_the_repeated_scale_bit_for_bit():
+    f = Rng(18).uniform(-1, 1, (7, 5))
+    scale = np.sqrt(np.full((1, 7), 1.0 / 7) @ (f * f) + 1e-8)
+    want = f / np.repeat(scale, 7, axis=0)
+    assert channel_norm(ad.constant(f)).data.tobytes() == want.tobytes()
+
+
+def test_channel_norm_gradient_with_an_all_zero_channel():
+    rng = Rng(19)
+    f = rng.uniform(-1, 1, (6, 4))
+    f[:, 2] = 0.0  # its scale is sqrt(1e-8): the output is 0 and the gradient finite
+    probe = ad.constant(rng.uniform(-1, 1, (6, 4)))
+    assert np.all(channel_norm(ad.constant(f)).data[:, 2] == 0.0)
+    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(channel_norm(t), probe)), f,
+                     h=1e-6, tol=1e-4)
+    assert rep.passed, rep.max_rel_error
+    assert np.all(np.isfinite(rep.analytic)) and np.abs(rep.analytic[:, 2]).max() > 1e3
 
 
 def test_encode_global_needs_enough_points():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 from upcr.separation import register_pair
+from upcr.training import unsupervised_loss
 
 from conftest import canonicalize, grad_check, random_transform, rotation_oracle
 
@@ -89,6 +91,45 @@ def test_pose_related_sum_is_kl_and_nonnegative():
 def test_pose_related_width_mismatch():
     with pytest.raises(ValueError):
         pose_related(dist(np.ones(4)), dist(np.ones(5)))
+
+
+@pytest.mark.parametrize("small", ["p", "q"])
+def test_pose_related_gradient_with_entries_below_the_floor(small):
+    """Two logits 30 below the rest give softmax entries near 1e-14, under
+    ``EPS_FLOOR``; the finite differences perturb the logits, not the entries."""
+    rng = Rng(21)
+    logits = rng.uniform(-1, 1, 8)
+    logits[[1, 5]] -= 30.0
+    other = ad.constant(dist(rng.uniform(0.1, 1.0, 8)))
+    probe = ad.constant(rng.uniform(-1, 1, 8))
+
+    def fn(z):
+        s = ad.softmax(z)
+        p, q = (s, other) if small == "p" else (other, s)
+        return ad.reduce_sum(ad.mul(separation._pose_related_t(p, q), probe))
+
+    assert ad.softmax(ad.constant(logits)).data[[1, 5]].max() < separation.EPS_FLOOR
+    rep = grad_check(fn, logits, h=1e-6, tol=1e-4)
+    assert rep.passed, rep.max_rel_error
+
+
+# ---------------------------------------------------------------------------
+# canonical coordinates
+
+
+@pytest.mark.parametrize("wrt", ["translation", "rotation"])
+def test_canonical_gradient_matches_finite_differences(wrt):
+    rng = Rng(22)
+    pts = rng.uniform(-1, 1, (7, 3))
+    trans, rot = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
+    probe = ad.constant(rng.uniform(-1, 1, (7, 3)))
+
+    def fn(v):
+        args = (v, ad.constant(rot)) if wrt == "translation" else (ad.constant(trans), v)
+        return ad.reduce_sum(ad.mul(separation._canonical_t(pts, *args), probe))
+
+    rep = grad_check(fn, trans if wrt == "translation" else rot, h=1e-6, tol=1e-6)
+    assert rep.passed, rep.max_rel_error
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +253,42 @@ def test_register_returns_canonical_shapes(mode):
     np.testing.assert_allclose(res.canonical_y.points, expected_yc.points, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("small", ["source", "target"])
+def test_register_rejects_a_cloud_of_k_points(small):
+    clouds = {"source": PointCloud(Rng(23).uniform(-1, 1, (CFG.k, 3))),
+              "target": synth_shape(1, 24, Rng(24))}
+    if small == "target":
+        clouds = {"source": clouds["target"], "target": clouds["source"]}
+    with pytest.raises(ValueError, match=r"k must be in \[1, N-1\]"):
+        register_pair(clouds["source"], clouds["target"], small_model())
+
+
+def test_taped_pair_records_one_node_per_fused_step():
+    """The node kinds of one taped pair plus its loss. Channel norm, the
+    pose-related term and the canonical coordinates are one node each, so a
+    chain that grows back (a sqrt, log or row-repeat node) fails here."""
+    x = synth_shape(1, 24, Rng(25))
+    y = geom.apply_transform(random_transform(Rng(26), 45.0, 0.5), x)
+    model = small_model()
+    tape = ad.Tape()
+    res = register_pair(x, y, model, bound=model.bind(tape))
+    unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
+    kinds = Counter(node.kind for node in tape.nodes)
+    assert kinds == {
+        "leaf": 16, "affine": 16, "gather_rows": 26, "sub": 12, "matmul": 10,
+        "neighbor_max": 10, "add": 11, "leaky_relu": 14, "channel_norm": 8,
+        "reduce_max": 6, "softmax": 4, "pose_related": 2, "reshape": 6,
+        "euler_rotation": 2, "canonical": 2, "mul": 2, "reduce_sum": 2, "div": 2,
+    }
+    assert sum(kinds.values()) == 151
+
+
 def test_full_pipeline_grad_check_all_parameters():
     # 8-point clouds keep the finite-difference sweep cheap
     cfg = EncoderConfig(k=3, m=16, layers=2, widths=(8, 16), head_widths=(8,))
     model = init_params(cfg, SPEC, "euler", 16)
     x = PointCloud(Rng(17).uniform(-1, 1, (8, 3)))
     y = geom.apply_transform(random_transform(Rng(18), 30.0, 0.3), x)
-    from upcr.training import unsupervised_loss
 
     for name in model.params:
         def fn(t, name=name):
