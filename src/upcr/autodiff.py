@@ -1,23 +1,23 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The operator set is exactly what the registration pipeline needs: affine
-layers, ``add``, ``sub``, ``mul``, ``div`` and ``leaky_relu``, max-pooling
-with deterministic tie-breaking, softmax, the indexing ops that assemble edge
-features, and ``neighbor_max``, the max over each point's neighbor rows in an
-edge convolution, whose forward gathers and pools its [n*k, c] table in
-bounded row blocks, so the table never exists whole. Fused ops live beside
-the code they serve: the rotation decoder in ``geom``, ``channel_norm`` in
-``encoder``, the pose-related term and canonical coordinates in
-``separation``. No broadcasting beyond scalar-with-tensor, no higher-order
-derivatives, no views: every op produces a fresh array.
+layers, ``add``, ``sub`` and ``leaky_relu``, max-pooling with deterministic
+tie-breaking, softmax, the indexing ops that assemble edge features, and
+``neighbor_max``, the max over each point's neighbor rows in an edge
+convolution, whose forward gathers and pools its [n*k, c] table in bounded
+row blocks, so the table never exists whole. Fused ops live beside the code
+they serve: the rotation decoder in ``geom``, ``channel_norm`` in ``encoder``,
+the pose-related term and canonical coordinates in ``separation``, the
+Chamfer loss and the batch mean in ``training``. No broadcasting, no
+higher-order derivatives, no views: every op produces a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
 operand. ``_emit`` keeps the pairs whose operand is on a tape; if any is
 left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
-operand order (an operand used twice, as in ``mul(f, f)``, gets two entries).
+operand order (an operand used twice, as in ``add(f, f)``, gets two entries).
 A gradient map holds only what its backward reads: ``add`` and ``sub`` hold
-no operand, ``mul`` only the other one. Forward work that only a gradient
+no operand, ``matmul`` only the other one. Forward work that only a gradient
 needs (the winner search of ``reduce_max`` and ``neighbor_max``, one integer
 max over a table of hits, and the float gate of ``leaky_relu``) runs only for
 a taped operand, so the same pipeline code serves both training and
@@ -43,10 +43,6 @@ SLOPE = 0.2
 
 class ShapeError(ValueError):
     """Operands have incompatible shapes; message reports both."""
-
-
-class DomainError(ValueError):
-    """An input lies outside an op's domain (division by zero)."""
 
 
 class Node:
@@ -157,49 +153,25 @@ def _node_vjp(taped: tuple, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(nid, fn(g)) for nid, fn in taped]
 
 
-def _reduce_to(fn, shape: tuple[int, ...], g: np.ndarray) -> np.ndarray:
-    """The gradient ``fn(g)``, collapsed onto a scalar operand's shape."""
-    grad = fn(g)
-    if grad.shape == shape:
-        return grad
-    return np.sum(grad).reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # pointwise ops
 
 
-def _binary(kind: str, a, b, fwd, maps) -> Tensor:
-    """``maps(x, y)`` gives the gradient maps g -> dx and g -> dy; each closes
-    over only the operand arrays it reads, so a tape holds no other."""
+def _binary(kind: str, a, b, fwd, db) -> Tensor:
+    """An elementwise op over two operands of one shape, whose gradient is g
+    for ``a`` and ``db(g)`` for ``b``; neither map holds an operand."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape and a.ndim != 0 and b.ndim != 0:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ and neither is a scalar")
-    da, db = maps(a.data, b.data)
-    return _emit(kind, fwd(a.data, b.data),
-                 [(a, partial(_reduce_to, da, a.shape)), (b, partial(_reduce_to, db, b.shape))])
+    if a.shape != b.shape:
+        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ")
+    return _emit(kind, fwd(a.data, b.data), [(a, lambda g: g), (b, db)])
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda x, y: (lambda g: g, lambda g: g))
+    return _binary("add", a, b, np.add, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda x, y: (lambda g: g, np.negative))
-
-
-def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply,
-                   lambda x, y: (lambda g: g * y, lambda g: g * x))
-
-
-def div(a, b) -> Tensor:
-    b_arr = as_tensor(b).data
-    if np.any(b_arr == 0.0):
-        idx = int(np.argmin(b_arr != 0.0))
-        raise DomainError(f"div: divisor is zero at flat index {idx}")
-    return _binary("div", a, b, np.divide,
-                   lambda x, y: (lambda g: g / y, lambda g: -g * x / (y * y)))
+    return _binary("sub", a, b, np.subtract, np.negative)
 
 
 def leaky_relu(a) -> Tensor:
@@ -282,14 +254,6 @@ def reduce_max(a, axis: int = 0) -> Tensor:
         return full
 
     return _emit("reduce_max", out, [(a, grad)])
-
-
-def reduce_sum(a) -> Tensor:
-    """Sum of all entries, as a rank-0 scalar."""
-    a = as_tensor(a)
-    in_shape = a.shape
-    return _emit("reduce_sum", np.asarray(np.sum(a.data)),
-                 [(a, lambda g: np.full(in_shape, float(g)))])
 
 
 def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:

@@ -401,6 +401,11 @@ def cmd_register(args) -> int:
     source = _read(load_cloud, args.source, "source cloud")
     target = _read(load_cloud, args.target, "target cloud")
     model = _read(load_checkpoint, args.model, "model")
+    k = model.config.k
+    for flag, path, cloud in (("--source", args.source, source), ("--target", args.target, target)):
+        if len(cloud) <= k:
+            raise CliError(f"{flag} {path} has {len(cloud)} points; the checkpoint's "
+                           f"k = {k} needs at least {k + 1}")
     result = register_pair(source, target, model)
     for row in result.transform.matrix34():
         print(" ".join(f"{v:.9g}" for v in row))

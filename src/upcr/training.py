@@ -12,6 +12,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -32,26 +33,51 @@ HEADER_KEYS = frozenset({"config", "spec", "rotation_mode", "metadata"})
 
 
 def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tensor:
-    """Differentiable symmetric Chamfer value between canonical clouds.
+    """Symmetric Chamfer value between canonical clouds, as one tape node.
 
-    Nearest neighbors are chosen off-tape; the loss is the mean of the
-    selected squared distances, so the gradient flows to the argmin pairs
-    and identical clouds give exactly zero.
+    Nearest neighbors are chosen off-tape, the lowest index winning a tie;
+    the loss is the mean of the selected squared distances in each
+    direction, summed, so the gradient flows to the argmin pairs and
+    identical clouds give exactly zero. Forward and gradients round as the
+    unfused chain of gathers, ``x - y[j*]``, squares, sums, divisions and
+    one add would, bit for bit.
     """
     x, y = canonical_x.data, canonical_y.data
     if x.ndim != 2 or y.ndim != 2 or x.shape[1] != 3 or y.shape[1] != 3:
         raise ad.ShapeError("unsupervised_loss expects [N,3] canonical clouds")
-    if x.shape[0] < 1 or y.shape[0] < 1:
+    nx, ny = len(x), len(y)
+    if nx < 1 or ny < 1:
         raise ValueError("unsupervised_loss: empty cloud")
     d2 = sqdist_matrix(x, y)
     j_star = np.argmin(d2, axis=1)
     i_star = np.argmin(d2, axis=0)
+    dx = x - y[j_star]
+    dy = x[i_star] - y
+    out = np.add(np.divide(np.sum(dx * dx), float(nx)), np.divide(np.sum(dy * dy), float(ny)))
 
-    dx = ad.sub(canonical_x, ad.gather_rows(canonical_y, j_star))
-    dy = ad.sub(ad.gather_rows(canonical_x, i_star), canonical_y)
-    term_x = ad.div(ad.reduce_sum(ad.mul(dx, dx)), float(x.shape[0]))
-    term_y = ad.div(ad.reduce_sum(ad.mul(dy, dy)), float(y.shape[0]))
-    return ad.add(term_x, term_y)
+    def terms(g):  # d loss / d dx and d loss / d dy, each the sum of a square's two factors
+        gx = np.full(dx.shape, float(g / nx))
+        gy = np.full(dy.shape, float(g / ny))
+        return gx * dx + gx * dx, gy * dy + gy * dy
+
+    def grad_x(g):
+        tx, ty = terms(g)
+        return tx + ad._scatter_rows(i_star, ty, nx)
+
+    def grad_y(g):
+        tx, ty = terms(g)
+        return -ty + ad._scatter_rows(j_star, -tx, ny)
+
+    return ad._emit("chamfer", out, [(canonical_x, grad_x), (canonical_y, grad_y)])
+
+
+def _mean(losses: list[ad.Tensor]) -> ad.Tensor:
+    """A batch's loss as one tape node: the pair losses summed left to
+    right, divided by their count B; each pair's gradient is g / B."""
+    total = reduce(np.add, [li.data for li in losses])
+    count = np.asarray(float(len(losses)))
+    return ad._emit("mean", np.divide(total, count),
+                    [(li, lambda g: g / count) for li in losses])
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +287,13 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
             batch = idx[lo:lo + batch_size]
             tape = ad.Tape()
             bound = model.bind(tape)
-            total = None
+            losses = []
             for i in batch:
                 x, y = pairs[i]
                 res = register_pair(x, y, model, caches=caches[i], bound=bound)
-                li = unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
-                sample_losses.append(li.item())
-                total = li if total is None else ad.add(total, li)
-            loss = ad.div(total, float(len(batch)))
+                losses.append(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
+                sample_losses.append(losses[-1].item())
+            loss = _mean(losses)
             if not np.isfinite(loss.item()):
                 model.params = last_good.params
                 return curve, True
@@ -307,8 +332,7 @@ def train(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
 
 def fine_tune(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
               epochs: int, lr: float = 1e-4, batch_size: int = 8,
-              seed: int = 0, clip_norm: float | None = None,
-              schedule: str = "constant") -> TrainResult:
+              seed: int = 0) -> TrainResult:
     """Train a copy of ``model`` further, with a fresh optimizer state;
     ``model`` itself is left as it was.
 
@@ -317,8 +341,7 @@ def fine_tune(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
     if not pairs:
         raise ValueError("fine_tune: no pairs given")
     model = model.copy()
-    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
-                                  clip_norm, schedule)
+    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed, None, "constant")
     model.metadata.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
                            "fine_tune_seed": seed, "fine_tune_loss_history": curve,
                            "fine_tune_diverged": diverged})

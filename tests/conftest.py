@@ -57,6 +57,24 @@ def tiny_model_file(tmp_path, kind="distance", k=5, name="model.upcr"):
     return path
 
 
+def weighted_sum(t, w=None) -> ad.Tensor:
+    """sum(t * w), or sum(t) with no ``w``, as one tape node: how a test
+    scalarises a tensor for ``backward`` or ``grad_check``. ``w`` has t's
+    shape; a taped ``w`` gets the gradient g * t."""
+    t = ad.as_tensor(t)
+    tv, shape = t.data, t.shape
+    if w is None:
+        return ad._emit("weighted_sum", np.asarray(np.sum(tv)),
+                        [(t, lambda g: np.full(shape, float(g)))])
+    w = ad.as_tensor(w)
+    wv = w.data
+    if w.shape != shape:
+        raise ad.ShapeError(f"weighted_sum: shapes {shape} and {w.shape} differ")
+    return ad._emit("weighted_sum", np.asarray(np.sum(tv * wv)),
+                    [(t, lambda g: np.full(shape, float(g)) * wv),
+                     (w, lambda g: np.full(shape, float(g)) * tv)])
+
+
 def chamfer(a: geom.PointCloud, b: geom.PointCloud) -> float:
     """The training loss between two clouds, off tape."""
     return unsupervised_loss(ad.constant(a.points), ad.constant(b.points)).item()

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import encoder, geom, separation
+from upcr import encoder, geom, separation, training
 from upcr.rng import Rng
 
 from conftest import (grad_check, neighbor_max_oracle, pair_table_oracle,
-                      scatter_rows_oracle)
+                      scatter_rows_oracle, weighted_sum)
 
 
 def leaf(tape, values):
@@ -41,7 +41,7 @@ def test_matmul_gradient_matches_finite_differences():
     rng = Rng(11)
     a = rng.uniform(-1, 1, (3, 4))
     b = ad.constant(rng.uniform(-1, 1, (4, 2)))
-    rep = grad_check(lambda t: ad.reduce_sum(ad.matmul(t, b)), a, h=1e-6, tol=1e-6)
+    rep = grad_check(lambda t: weighted_sum(ad.matmul(t, b)), a, h=1e-6, tol=1e-6)
     assert rep.passed, rep.max_rel_error
 
 
@@ -49,30 +49,17 @@ def test_matmul_gradient_matches_finite_differences():
 # elementwise
 
 
-def test_mul_values():
-    np.testing.assert_array_equal(
-        ad.mul(ad.constant([2.0, 3.0]), ad.constant([4.0, 5.0])).data, [8.0, 15.0])
-
-
-def test_div_by_zero_rejected():
-    with pytest.raises(ad.DomainError, match="zero"):
-        ad.div(ad.constant([1.0]), ad.constant([0.0]))
-
-
 def test_binary_shape_mismatch():
     with pytest.raises(ad.ShapeError):
         ad.add(ad.constant([1.0, 2.0]), ad.constant([1.0, 2.0, 3.0]))
 
 
-def test_scalar_broadcast_and_gradient():
-    tape = ad.Tape()
-    x = leaf(tape, [1.0, 2.0, 3.0])
-    out = ad.mul(x, ad.constant(2.0))
-    np.testing.assert_array_equal(out.data, [2.0, 4.0, 6.0])
-    tape2 = ad.Tape()
-    s = tape2.leaf(np.asarray(3.0))
-    ad.backward(ad.reduce_sum(ad.mul(ad.constant([1.0, 2.0]), s)))
-    np.testing.assert_allclose(s.grad, 3.0)
+@pytest.mark.parametrize("op", [ad.add, ad.sub], ids=["add", "sub"])
+def test_binary_rejects_a_rank_0_operand(op):
+    # no broadcasting: a scalar against a tensor is a shape mismatch, either way round
+    for a, b in ((2.0, [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], 2.0)):
+        with pytest.raises(ad.ShapeError, match=r"shapes .* differ"):
+            op(ad.constant(a), ad.constant(b))
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +75,7 @@ def test_leaky_relu_values():
 def test_leaky_relu_gradient_gate():
     tape = ad.Tape()
     x = leaf(tape, [-1.0, 2.0])
-    ad.backward(ad.reduce_sum(ad.leaky_relu(x)))
+    ad.backward(weighted_sum(ad.leaky_relu(x)))
     np.testing.assert_allclose(x.grad, [0.2, 1.0])
 
 
@@ -122,7 +109,7 @@ def test_leaky_relu_gate_only_on_a_tape(monkeypatch):
     assert calls == []
     tape = ad.Tape()
     t = leaf(tape, x)
-    ad.backward(ad.reduce_sum(ad.leaky_relu(t)))
+    ad.backward(weighted_sum(ad.leaky_relu(t)))
     assert calls
     np.testing.assert_array_equal(t.grad, np.where(x >= 0.0, 1.0, 0.2))
 
@@ -164,7 +151,7 @@ def test_softmax_gradient():
     rng = Rng(5)
     v = rng.uniform(-2, 2, 6)
     w = ad.constant(rng.uniform(-1, 1, 6))
-    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(ad.softmax(t), w)), v,
+    rep = grad_check(lambda t: weighted_sum(ad.softmax(t), w), v,
                      h=1e-6, tol=1e-5)
     assert rep.passed, rep.max_rel_error
 
@@ -179,7 +166,6 @@ _PTS4 = np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5], [-2.0, 1.5, 0.25], [0.0, 3
 CONTRACT_OPS = {
     "add": (ad.add, [(3, 4), (3, 4)]),
     "sub": (ad.sub, [(3, 4), (3, 4)]),
-    "mul": (ad.mul, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
     "euler_rotation": (geom.rotation_mode("euler").decode, [(3,)]),
@@ -187,6 +173,8 @@ CONTRACT_OPS = {
     "channel_norm": (encoder.channel_norm, [(5, 3)]),
     "pose_related": (separation._pose_related_t, [(4,), (4,)]),
     "canonical": (lambda t, rot: separation._canonical_t(_PTS4, t, rot), [(3,), (3, 3)]),
+    "chamfer": (training.unsupervised_loss, [(5, 3), (4, 3)]),
+    "mean": (lambda *losses: training._mean(list(losses)), [(), (), ()]),
 }
 
 
@@ -231,10 +219,10 @@ def test_constant_operands_append_no_node(rng, name):
 def test_operand_used_twice_gets_two_entries():
     tape = ad.Tape()
     f = leaf(tape, [1.5, -2.0])
-    out = ad.mul(f, f)
+    out = ad.add(f, f)
     entries = tape.nodes[out.node_id].vjp(np.ones(2))
     assert [nid for nid, _ in entries] == [f.node_id, f.node_id]
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(weighted_sum(out, [1.5, -2.0]))
     assert f.grad.tolist() == [3.0, -4.0]
 
 
@@ -257,23 +245,23 @@ def test_argmax_runs_only_for_a_taped_operand(monkeypatch, rng):
 def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
     tape = ad.Tape()
     x = leaf(tape, rng.uniform(-1, 1, (5, 3)))
-    a, b = ad.mul(x, 2.0), ad.mul(x, 3.0)
-    other = ad.constant(rng.uniform(-1, 1, (5, 3)))
+    a, b = ad.add(x, x), ad.sub(x, x)
+    other = ad.constant(rng.uniform(-1, 1, (3, 2)))
     refs = [weakref.ref(a.data), weakref.ref(b.data)]
     kept = weakref.ref(other.data)
     outs = [ad.reduce_max(a, axis=0), ad.neighbor_max(b, _NBR5),
-            ad.add(a, b), ad.sub(a, b), ad.mul(a, other)]
+            ad.add(a, b), ad.sub(a, b), ad.matmul(a, other)]
     del a, b, other
     gc.collect()
     assert [r() for r in refs] == [None, None]  # add and sub hold neither operand
-    assert kept() is not None  # mul holds the other operand, which a's gradient reads
-    total = ad.reduce_sum(outs[0])
+    assert kept() is not None  # matmul holds the other operand, which a's gradient reads
+    total = weighted_sum(outs[0])
     for out in outs[1:]:
-        total = ad.add(total, ad.reduce_sum(out))
+        total = ad.add(total, weighted_sum(out))
     ad.backward(total)
     assert x.grad.shape == (5, 3)
     gc.collect()
-    assert kept() is None  # backward released mul's VJP and the operand it held
+    assert kept() is None  # backward released matmul's VJP and the operand it held
     assert all(node.vjp is None for node in tape.nodes)
 
 
@@ -287,7 +275,7 @@ def test_fused_gradient_maps_close_over_arrays_not_tensors(rng, name):
 
 
 # ---------------------------------------------------------------------------
-# reduce_max / reduce_sum
+# reduce_max
 
 
 def test_reduce_max_columns():
@@ -303,14 +291,14 @@ def test_reduce_max_single_row():
 def test_reduce_max_gradient_routing():
     tape = ad.Tape()
     x = leaf(tape, [[1.0, 5.0], [3.0, 2.0]])
-    ad.backward(ad.reduce_sum(ad.reduce_max(x)))
+    ad.backward(weighted_sum(ad.reduce_max(x)))
     np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_reduce_max_tie_goes_to_lowest_index():
     tape = ad.Tape()
     x = leaf(tape, [[2.0, 1.0], [2.0, 1.0], [2.0, 1.0]])
-    ad.backward(ad.reduce_sum(ad.reduce_max(x)))
+    ad.backward(weighted_sum(ad.reduce_max(x)))
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     assert np.count_nonzero(x.grad, axis=0).max() == 1
 
@@ -327,7 +315,7 @@ def test_reduce_max_3d_axis_tie_goes_to_lowest_index():
                     [[2.0, 2.0], [2.0, 2.0], [2.0, 2.0]]])
     out = ad.reduce_max(x, axis=1)
     np.testing.assert_array_equal(out.data, [[3.0, 4.0], [2.0, 2.0]])
-    ad.backward(ad.reduce_sum(ad.mul(out, np.array([[5.0, 6.0], [7.0, 8.0]]))))
+    ad.backward(weighted_sum(out, np.array([[5.0, 6.0], [7.0, 8.0]])))
     np.testing.assert_array_equal(x.grad, [[[0.0, 6.0], [5.0, 0.0], [0.0, 0.0]],
                                            [[7.0, 8.0], [0.0, 0.0], [0.0, 0.0]]])
 
@@ -371,7 +359,7 @@ def test_reduce_max_gradient_lands_on_np_argmax(case, axis):
     x = leaf(tape, x_arr)
     out = ad.reduce_max(x, axis=axis)
     weights = 1.0 + np.arange(out.size, dtype=np.float64).reshape(out.shape)
-    ad.backward(ad.reduce_sum(ad.mul(out, weights)))
+    ad.backward(weighted_sum(out, weights))
     expected = np.zeros_like(x_arr)
     np.put_along_axis(expected, np.expand_dims(np.argmax(x_arr, axis=axis), axis),
                       np.expand_dims(weights, axis), axis=axis)
@@ -398,13 +386,6 @@ def test_reduce_max_empty_axis_rejected():
         ad.reduce_max(ad.constant(np.zeros((0, 3))))
 
 
-def test_reduce_sum_gradient_is_ones():
-    tape = ad.Tape()
-    x = leaf(tape, np.arange(6.0).reshape(2, 3))
-    ad.backward(ad.reduce_sum(x))
-    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-
 # ---------------------------------------------------------------------------
 # structure ops
 
@@ -414,14 +395,14 @@ def test_gather_rows_forward_backward():
     x = leaf(tape, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     out = ad.gather_rows(x, [2, 0, 2])
     np.testing.assert_array_equal(out.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(weighted_sum(out))
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
 
 
 def _gather_rows_gradient(x, idx, g):
     tape = ad.Tape()
     xt = leaf(tape, x)
-    ad.backward(ad.reduce_sum(ad.mul(ad.gather_rows(xt, idx), ad.constant(g))))
+    ad.backward(weighted_sum(ad.gather_rows(xt, idx), ad.constant(g)))
     return xt.grad
 
 
@@ -502,7 +483,7 @@ def test_pair_table_vjp_matches_sequential_oracle(rng, c):
     g = rng.uniform(-1, 1, (n * k, c))
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)
-    ad.backward(ad.reduce_sum(ad.mul(pair_table_oracle(at, bt, _NBR), ad.constant(g))))
+    ad.backward(weighted_sum(pair_table_oracle(at, bt, _NBR), ad.constant(g)))
     assert at.grad.tobytes() == scatter_rows_oracle(np.repeat(np.arange(n), k), g, n).tobytes()
     assert bt.grad.tobytes() == scatter_rows_oracle(_NBR.reshape(-1), g, n).tobytes()
     assert bt.grad[9].tobytes() == np.zeros(c).tobytes()
@@ -548,7 +529,7 @@ def _edge_max_and_grads(pool, a, b, nbr, g):
     at, bt = leaf(tape, a), leaf(tape, b)
     pooled = pool(bt, nbr)
     out = ad.add(at, pooled)
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+    ad.backward(weighted_sum(out, ad.constant(g)))
     return pooled.data, out.data, at.grad, bt.grad
 
 
@@ -602,7 +583,7 @@ def test_edge_max_tie_goes_to_lowest_neighbor_slot():
     b = leaf(tape, [[5.0], [1.0], [1.0]])
     out = ad.add(a, ad.neighbor_max(b, np.array([[2, 1], [2, 0], [1, 2]])))
     np.testing.assert_array_equal(out.data, [[1.0], [5.0], [1.0]])
-    ad.backward(ad.reduce_sum(ad.mul(out, ad.constant([[1.0], [10.0], [100.0]]))))
+    ad.backward(weighted_sum(out, ad.constant([[1.0], [10.0], [100.0]])))
     np.testing.assert_array_equal(a.grad, [[1.0], [10.0], [100.0]])
     np.testing.assert_array_equal(b.grad, [[10.0], [100.0], [1.0]])
 
@@ -666,7 +647,7 @@ def _pair_max_and_b_grad(hoisted: bool, a, b, nbr):
         n, k = nbr.shape
         table = pair_table_oracle(at, bt, nbr)
         out = ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(weighted_sum(out))
     return out.data, bt.grad
 
 
@@ -701,7 +682,7 @@ def test_hoisted_edge_max_changes_only_merged_sums_and_nan_sums(rng):
 
 def test_reshape_gradients(rng):
     x = rng.uniform(-1, 1, (3, 4))
-    rep = grad_check(lambda t: ad.reduce_sum(ad.reshape(t, (12,))), x,
+    rep = grad_check(lambda t: weighted_sum(ad.reshape(t, (12,))), x,
                      h=1e-6, tol=1e-6)
     assert rep.passed
 
@@ -716,7 +697,7 @@ def test_affine_matches_parts(rng):
         def fn(t):
             parts = {"x": ad.constant(x), "w": ad.constant(w), "b": ad.constant(b)}
             parts[pick] = t
-            return ad.reduce_sum(ad.affine(parts["x"], parts["w"], parts["b"]))
+            return weighted_sum(ad.affine(parts["x"], parts["w"], parts["b"]))
         rep = grad_check(fn, arr, h=1e-6, tol=1e-6)
         assert rep.passed, (pick, rep.max_rel_error)
 
@@ -728,22 +709,22 @@ def test_affine_matches_parts(rng):
 def test_backward_sum_gives_ones():
     tape = ad.Tape()
     x = leaf(tape, np.arange(12.0).reshape(3, 4))
-    ad.backward(ad.reduce_sum(x))
+    ad.backward(weighted_sum(x))
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic():
     tape = ad.Tape()
     x = leaf(tape, [1.0, -2.0])
-    ad.backward(ad.reduce_sum(ad.mul(x, x)))
+    ad.backward(weighted_sum(x, x))
     np.testing.assert_array_equal(x.grad, [2.0, -4.0])
 
 
 def test_second_backward_raises():
     tape = ad.Tape()
     x = leaf(tape, [1.0, -2.0])
-    sq = ad.mul(x, x)
-    loss = ad.reduce_sum(sq)
+    sq = ad.add(x, x)
+    loss = weighted_sum(sq, [1.0, -2.0])
     assert x.grad is None
     ad.backward(loss)
     nodes = len(tape.nodes)
@@ -758,7 +739,7 @@ def test_backward_rejects_non_scalar():
     tape = ad.Tape()
     x = leaf(tape, [1.0, 2.0])
     with pytest.raises(ad.ShapeError):
-        ad.backward(ad.mul(x, x))
+        ad.backward(ad.add(x, x))
 
 
 def test_backward_mlp_matches_finite_differences():
@@ -770,7 +751,7 @@ def test_backward_mlp_matches_finite_differences():
 
     def fn(t):
         h = ad.leaky_relu(ad.affine(ad.constant(x), t, ad.constant(b1)))
-        return ad.reduce_sum(ad.matmul(h, ad.constant(w2)))
+        return weighted_sum(ad.matmul(h, ad.constant(w2)))
 
     rep = grad_check(fn, w1, h=1e-5, tol=1e-4)
     assert rep.passed, rep.max_rel_error
@@ -797,14 +778,14 @@ def test_forward_is_deterministic(rng):
 
 
 def test_grad_check_exact_for_sum():
-    rep = grad_check(ad.reduce_sum, np.array([1.0, 2.0, 3.0]))
+    rep = grad_check(weighted_sum, np.array([1.0, 2.0, 3.0]))
     assert rep.passed
     assert rep.max_rel_error < 1e-9
 
 
 def test_grad_check_softmax_sum_uses_absolute_fallback():
     # softmax sums to one, so the analytic gradient is ~0 everywhere
-    rep = grad_check(lambda t: ad.reduce_sum(ad.softmax(t)),
+    rep = grad_check(lambda t: weighted_sum(ad.softmax(t)),
                      np.array([0.3, -0.2, 1.4]))
     assert rep.passed
     np.testing.assert_allclose(rep.analytic, 0.0, atol=1e-15)
@@ -812,15 +793,13 @@ def test_grad_check_softmax_sum_uses_absolute_fallback():
 
 def test_grad_check_rejects_vector_valued():
     with pytest.raises(ad.ShapeError):
-        grad_check(lambda t: ad.mul(t, t), np.array([1.0, 2.0]))
+        grad_check(lambda t: ad.add(t, t), np.array([1.0, 2.0]))
 
 
 # every differentiable op against central differences on random shapes
 _OP_CASES = [
     ("add", lambda t, c: ad.add(t, c), True),
     ("sub", lambda t, c: ad.sub(t, c), True),
-    ("mul", lambda t, c: ad.mul(t, c), True),
-    ("div", lambda t, c: ad.div(t, c), True),
     ("leaky", lambda t, c: ad.leaky_relu(t), False),
 ]
 
@@ -829,7 +808,7 @@ _OP_CASES = [
 @pytest.mark.parametrize("shape", [(3,), (2, 4), (12,)])
 def test_op_gradients_random_shapes(name, op, binary, shape):
     rng = Rng(zlib.crc32(repr((name, shape)).encode()))
-    x = rng.uniform(0.5, 2.0, shape)  # positive keeps div happy
+    x = rng.uniform(0.5, 2.0, shape)
     c = ad.constant(rng.uniform(0.5, 2.0, shape))
-    rep = grad_check(lambda t: ad.reduce_sum(op(t, c)), x, h=1e-6, tol=1e-4)
+    rep = grad_check(lambda t: weighted_sum(op(t, c)), x, h=1e-6, tol=1e-4)
     assert rep.passed, (name, shape, rep.max_rel_error)

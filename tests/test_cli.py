@@ -180,6 +180,24 @@ def test_corrupt_cloud_file_is_error(tmp_path, capsys, text):
     assert "error:" in err and f"{src}:" in err
 
 
+@pytest.mark.parametrize("small", ["source", "target"])
+def test_register_names_the_cloud_with_too_few_points(tmp_path, capsys, small):
+    """A 6-point cloud under a k = 8 checkpoint fails naming its flag and
+    file, before --save-transformed or --out is written."""
+    few, many = str(tmp_path / "few.xyz"), str(tmp_path / "many.xyz")
+    save_cloud(geom.PointCloud(Rng(3).uniform(-1, 1, (6, 3))), few)
+    save_cloud(synth_shape(1, 32, Rng(4)), many)
+    source, target = (few, many) if small == "source" else (many, few)
+    moved, out = tmp_path / "moved.xyz", tmp_path / "out"
+    rc = main(["register", "--source", source, "--target", target,
+               "--model", tiny_model_file(tmp_path, k=8),
+               "--save-transformed", str(moved), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"error: --{small} {few} has 6 points; "
+                                       "the checkpoint's k = 8 needs at least 9\n")
+    assert not moved.exists() and not out.exists()
+
+
 def test_register_self_prints_identity(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(1, 48, Rng(2)), a)

@@ -12,7 +12,7 @@ from upcr.features import FEATURE_KINDS, FeatureSpec, embed_from_features
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import edge_conv_oracle, embed_oracle, grad_check, random_transform
+from conftest import edge_conv_oracle, embed_oracle, grad_check, random_transform, weighted_sum
 
 DESK = EncoderConfig(k=6, m=32, layers=3, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -147,8 +147,8 @@ def test_pool_first_gradients_match_activate_first():
                             (edge_conv_oracle, embed_oracle)):
             tape = ad.Tape()
             x, wt, bt, at = (tape.leaf(v) for v in (feats, w, b, alpha))
-            loss = ad.add(ad.reduce_sum(ad.mul(conv(x, nbr, wt, bt), probe)),
-                          ad.reduce_sum(ad.mul(embed(phi, at, bt), probe)))
+            loss = ad.add(weighted_sum(conv(x, nbr, wt, bt), probe),
+                          weighted_sum(embed(phi, at, bt), probe))
             ad.backward(loss)
             grads.append([t.grad for t in (x, wt, bt, at)])
         for got, want in zip(*grads):
@@ -172,7 +172,7 @@ def test_taped_edge_conv_sorts_nothing(monkeypatch):
     feats, nbr, _, w, b, _ = _pooling_inputs(0, ties=True)
     tape = ad.Tape()
     x, wt, bt = (tape.leaf(v) for v in (feats, w, b))
-    ad.backward(ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt)))
+    ad.backward(weighted_sum(edge_conv_layer(x, nbr, wt, bt)))
     assert not calls
 
 
@@ -182,7 +182,7 @@ def test_taped_edge_conv_keeps_pooled_gradients():
     assert 2 * feats.shape[1] <= n  # so every parameter gradient fits in n*c'
     tape = ad.Tape()
     x, wt, bt = (tape.leaf(v) for v in (feats, w, b))
-    loss = ad.reduce_sum(edge_conv_layer(x, nbr, wt, bt))
+    loss = weighted_sum(edge_conv_layer(x, nbr, wt, bt))
     kinds = {node.kind for node in tape.nodes}
     assert "neighbor_max" in kinds
     assert not kinds & {"pair_table", "reshape", "reduce_max"}
@@ -257,7 +257,7 @@ def test_channel_norm_gradient_with_an_all_zero_channel():
     f[:, 2] = 0.0  # its scale is sqrt(1e-8): the output is 0 and the gradient finite
     probe = ad.constant(rng.uniform(-1, 1, (6, 4)))
     assert np.all(channel_norm(ad.constant(f)).data[:, 2] == 0.0)
-    rep = grad_check(lambda t: ad.reduce_sum(ad.mul(channel_norm(t), probe)), f,
+    rep = grad_check(lambda t: weighted_sum(channel_norm(t), probe), f,
                      h=1e-6, tol=1e-4)
     assert rep.passed, rep.max_rel_error
     assert np.all(np.isfinite(rep.analytic)) and np.abs(rep.analytic[:, 2]).max() > 1e3

@@ -10,7 +10,7 @@ from upcr.geom import PointCloud
 from upcr.rng import Rng
 
 from conftest import (distance_feature, pfh_oracle, ppf_feature, random_cloud,
-                      random_transform)
+                      random_transform, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +439,6 @@ def test_embed_runs_on_tape():
     b = tape.leaf(np.zeros((1, 4)))
     phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 3))
     out = features.embed_from_features(phi, w, b)
-    ad.backward(ad.reduce_sum(out))
+    ad.backward(weighted_sum(out))
     assert w.grad is not None and np.any(w.grad != 0)
     assert b.grad is not None

@@ -14,7 +14,8 @@ from upcr.rng import Rng
 from upcr.separation import register_pair
 from upcr.training import unsupervised_loss
 
-from conftest import canonicalize, grad_check, random_transform, rotation_oracle
+from conftest import (canonicalize, grad_check, random_transform, rotation_oracle,
+                      weighted_sum)
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -106,7 +107,7 @@ def test_pose_related_gradient_with_entries_below_the_floor(small):
     def fn(z):
         s = ad.softmax(z)
         p, q = (s, other) if small == "p" else (other, s)
-        return ad.reduce_sum(ad.mul(separation._pose_related_t(p, q), probe))
+        return weighted_sum(separation._pose_related_t(p, q), probe)
 
     assert ad.softmax(ad.constant(logits)).data[[1, 5]].max() < separation.EPS_FLOOR
     rep = grad_check(fn, logits, h=1e-6, tol=1e-4)
@@ -126,7 +127,7 @@ def test_canonical_gradient_matches_finite_differences(wrt):
 
     def fn(v):
         args = (v, ad.constant(rot)) if wrt == "translation" else (ad.constant(trans), v)
-        return ad.reduce_sum(ad.mul(separation._canonical_t(pts, *args), probe))
+        return weighted_sum(separation._canonical_t(pts, *args), probe)
 
     rep = grad_check(fn, trans if wrt == "translation" else rot, h=1e-6, tol=1e-6)
     assert rep.passed, rep.max_rel_error
@@ -185,7 +186,7 @@ def test_pose_head_gradient_through_rotation(mode, beta):
         params = {k: (t if k == name else ad.constant(v))
                   for k, v in model.params.items()}
         _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
-        return ad.reduce_sum(ad.mul(rot, ad.constant(probe)))
+        return weighted_sum(rot, ad.constant(probe))
 
     rep = grad_check(fn, model.params[name], h=1e-6, tol=1e-3)
     assert rep.passed, (mode, rep.max_rel_error)
@@ -265,8 +266,9 @@ def test_register_rejects_a_cloud_of_k_points(small):
 
 def test_taped_pair_records_one_node_per_fused_step():
     """The node kinds of one taped pair plus its loss. Channel norm, the
-    pose-related term and the canonical coordinates are one node each, so a
-    chain that grows back (a sqrt, log or row-repeat node) fails here."""
+    pose-related term, the canonical coordinates and the Chamfer loss are one
+    node each, so a chain that grows back (a sqrt, log, row-repeat, mul or
+    reduce_sum node) fails here."""
     x = synth_shape(1, 24, Rng(25))
     y = geom.apply_transform(random_transform(Rng(26), 45.0, 0.5), x)
     model = small_model()
@@ -275,12 +277,12 @@ def test_taped_pair_records_one_node_per_fused_step():
     unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
     kinds = Counter(node.kind for node in tape.nodes)
     assert kinds == {
-        "leaf": 16, "affine": 16, "gather_rows": 26, "sub": 12, "matmul": 10,
-        "neighbor_max": 10, "add": 11, "leaky_relu": 14, "channel_norm": 8,
+        "leaf": 16, "affine": 16, "gather_rows": 24, "sub": 10, "matmul": 10,
+        "neighbor_max": 10, "add": 10, "leaky_relu": 14, "channel_norm": 8,
         "reduce_max": 6, "softmax": 4, "pose_related": 2, "reshape": 6,
-        "euler_rotation": 2, "canonical": 2, "mul": 2, "reduce_sum": 2, "div": 2,
+        "euler_rotation": 2, "canonical": 2, "chamfer": 1,
     }
-    assert sum(kinds.values()) == 151
+    assert sum(kinds.values()) == 141
 
 
 def test_full_pipeline_grad_check_all_parameters():

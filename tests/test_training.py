@@ -5,6 +5,7 @@ import json
 import math
 import re
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,13 @@ from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
 from upcr.rng import Rng
+from upcr.separation import register_pair
 from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import chamfer_oracle, claim_tensor_dims, replace_header, rewrite_header, \
-    set_version
+from conftest import chamfer_oracle, claim_tensor_dims, grad_check, replace_header, \
+    rewrite_header, set_version
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -57,6 +59,72 @@ def test_loss_gradient_single_point():
     ad.backward(loss)
     # both chamfer directions pull the single point toward (1,0,0)
     np.testing.assert_allclose(x.grad, [[-4.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("wrt", ["x", "y"])
+def test_loss_gradient_matches_finite_differences(wrt):
+    rng = Rng(3)
+    x, y = rng.uniform(-1, 1, (7, 3)), rng.uniform(-1, 1, (5, 3))
+
+    def fn(t):
+        return unsupervised_loss(t, ad.constant(y)) if wrt == "x" else \
+            unsupervised_loss(ad.constant(x), t)
+
+    rep = grad_check(fn, x if wrt == "x" else y, h=1e-6, tol=1e-6)
+    assert rep.passed, rep.max_rel_error
+
+
+def test_loss_gradient_at_an_argmin_tie_goes_to_the_lowest_index():
+    # x[0] is 1 from both y[0] and y[1]: y[0] is its match, so y[1] gets
+    # only the pull of its own match x[0]
+    x = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+    y = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    tape = ad.Tape()
+    xt, yt = tape.leaf(x), tape.leaf(y)
+    loss = unsupervised_loss(xt, yt)
+    assert loss.item() == 2.0
+    ad.backward(loss)
+    e = np.array([1.0, 0.0, 0.0])
+    np.testing.assert_allclose(xt.grad, [-e, 5 / 3 * e], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(yt.grad, [5 / 3 * e, -2 / 3 * e, -5 / 3 * e], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("values", [[0.375], [1.0, 1e16, -1e16]], ids=["one", "three"])
+def test_batch_mean_is_the_left_to_right_sum_over_b(values):
+    # 1.0 + 1e16 rounds to 1e16, so left to right gives 0 where right to left gives 1/3
+    tape = ad.Tape()
+    losses = [tape.leaf(np.asarray(v)) for v in values]
+    mean = training._mean(losses)
+    total = np.asarray(values[0])
+    for v in values[1:]:
+        total = np.add(total, np.asarray(v))
+    b = np.asarray(float(len(values)))
+    assert mean.data.tobytes() == np.divide(total, b).tobytes()
+    ad.backward(mean)
+    for li in losses:
+        assert li.grad.tobytes() == np.divide(np.ones(()), b).tobytes()
+
+
+def test_one_step_records_one_chamfer_node_per_pair_and_one_mean(monkeypatch):
+    """A batch of 3 pairs: each pair's tape nodes, its Chamfer loss as one
+    node, then one mean node; no add or div of the loss is left."""
+    train_s, _ = tiny_dataset(n_train=3)
+    tapes = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda loss: tapes.append(loss.tape) or backward(loss))
+    train(CFG, SPEC, "euler", train_s, epochs=1, batch_size=3, seed=9)
+    (tape,) = tapes
+    kinds = Counter(node.kind for node in tape.nodes)
+    model = init_params(CFG, SPEC, "euler", 9)
+    pair = ad.Tape()
+    bound = model.bind(pair)
+    res = register_pair(train_s[0].source, train_s[0].target, model, bound=bound)
+    unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
+    per_pair = Counter(node.kind for node in pair.nodes[len(bound):])
+    assert per_pair["chamfer"] == 1 and "div" not in per_pair
+    leaves = Counter(leaf=len(bound))
+    assert kinds == leaves + per_pair + per_pair + per_pair + Counter(mean=1)
+    assert tape.nodes[-1].kind == "mean"
 
 
 def test_loss_rejects_empty_cloud():
@@ -124,19 +192,25 @@ def test_train_zero_epochs_returns_initial_params():
     assert res.loss_curve == []
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    (dict(schedule="cosin"), "unknown schedule 'cosin'; expected one of constant, cosine"),
-    (dict(clip_norm=0.0), "clip_norm must be positive, got 0.0"),
-    (dict(clip_norm=-1.0), "clip_norm must be positive, got -1.0"),
-    (dict(clip_norm=float("nan")), "clip_norm must be positive, got nan"),
-    (dict(batch_size=0), "batch_size must be >= 1, got 0"),
-    (dict(lr=-1e-2), "lr must be finite and >= 0, got -0.01"),
-    (dict(lr=float("nan")), "lr must be finite and >= 0, got nan"),
-    (dict(lr=float("inf")), "lr must be finite and >= 0, got inf"),
-    (dict(epochs=-1), "epochs must be >= 0, got -1"),
-], ids=["schedule-typo", "clip-zero", "clip-negative", "clip-nan", "batch-0",
-        "lr-negative", "lr-nan", "lr-inf", "epochs-negative"])
-@pytest.mark.parametrize("entry", ["train", "fine_tune"])
+_LOOP_CASES = [
+    ("schedule-typo", dict(schedule="cosin"),
+     "unknown schedule 'cosin'; expected one of constant, cosine"),
+    ("clip-zero", dict(clip_norm=0.0), "clip_norm must be positive, got 0.0"),
+    ("clip-negative", dict(clip_norm=-1.0), "clip_norm must be positive, got -1.0"),
+    ("clip-nan", dict(clip_norm=float("nan")), "clip_norm must be positive, got nan"),
+    ("batch-0", dict(batch_size=0), "batch_size must be >= 1, got 0"),
+    ("lr-negative", dict(lr=-1e-2), "lr must be finite and >= 0, got -0.01"),
+    ("lr-nan", dict(lr=float("nan")), "lr must be finite and >= 0, got nan"),
+    ("lr-inf", dict(lr=float("inf")), "lr must be finite and >= 0, got inf"),
+    ("epochs-negative", dict(epochs=-1), "epochs must be >= 0, got -1"),
+]
+
+
+# fine_tune takes neither clip_norm nor schedule
+@pytest.mark.parametrize("entry, kwargs, message", [
+    pytest.param(entry, kwargs, message, id=f"{entry}-{name}")
+    for entry in ("train", "fine_tune") for name, kwargs, message in _LOOP_CASES
+    if entry == "train" or not {"clip_norm", "schedule"} & kwargs.keys()])
 def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, message, entry):
     train_s, _ = tiny_dataset()
     steps = []
@@ -178,7 +252,7 @@ def test_divergence_rolls_back_parameters(monkeypatch):
     def nan_in_second_batch_of_epoch_2(cx, cy):
         loss_calls.append(1)
         li = loss(cx, cy)
-        return ad.mul(li, float("nan")) if len(loss_calls) > 10 else li
+        return ad.add(li, ad.constant(np.nan)) if len(loss_calls) > 10 else li
 
     def recorded_step(params, grads, state):
         step(params, grads, state)
@@ -225,6 +299,7 @@ def test_finetune_touches_only_clouds():
     import inspect
     sig = inspect.signature(fine_tune)
     assert "pairs" in sig.parameters  # API takes bare cloud pairs, no samples
+    assert not {"clip_norm", "schedule"} & sig.parameters.keys()
 
 
 # ---------------------------------------------------------------------------
