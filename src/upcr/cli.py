@@ -10,9 +10,10 @@ offers and those its manifest records: ``train`` all; ``gen``, ``bench``
 and ``sweep-outliers`` the seed, protocol and data that build their pairs;
 ``finetune`` the same, and it records the ``train`` and ``finetune`` keys it
 also reads; ``register`` none. A command that loads a checkpoint runs the
-encoder config, feature kind and rotation mode stored in it. A ``--config``
-file may hold any key, and each one it holds is checked. Every command
-checks its inputs before ``--out`` exists, exiting 1 with ``error: ...``.
+encoder config and feature kind stored in it. A ``--config`` file may hold
+any key, and each one it holds is checked. Every command checks its inputs
+before ``--out`` exists, exiting 1 with ``error: ...``; ``register`` checks
+its output paths before it reads an input.
 A manifest holds the command, the recorded keys and the SHA-256 of each
 input and output.
 """
@@ -28,8 +29,8 @@ from dataclasses import asdict
 from typing import NamedTuple
 
 from . import evalbench, geom
-from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, load_cloud, \
-    save_cloud
+from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, cloud_format, \
+    load_cloud, save_cloud
 from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
 from .separation import register_pair
@@ -53,8 +54,6 @@ KEYS = {
     "encoder.head_widths": Key((256, 128)),
     "feature.kind": Key("distance+spfh", "--feature", "pose-invariant feature kind",
                         FEATURE_KINDS),
-    "rotation.mode": Key("euler", "--mode", "rotation parameterization",
-                         tuple(geom.ROTATION_MODES)),
     "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
     "protocol.pairing": Key("consistent", "--pairing", "pair construction", PAIRINGS),
     "protocol.regime": Key("modelnet_style", "--regime", "pose sampling regime", REGIMES),
@@ -174,7 +173,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if feature_spec(cfg).needs_normals and cfg["encoder.k"] < 3:
         raise CliError(f"feature.kind = {cfg['feature.kind']} estimates normals over "
                        f"encoder.k = {cfg['encoder.k']} neighbours, which needs k >= 3")
-    geom.rotation_mode(cfg["rotation.mode"])
     protocol(cfg)
     return cfg
 
@@ -183,6 +181,11 @@ def _check_ranges(cfg: dict) -> None:
     for key, k in KEYS.items():
         if k.low is not None and cfg[key] < k.low:
             raise CliError(f"configuration key {key!r} must be >= {k.low}, got {cfg[key]}")
+    keep, points = cfg["protocol.partial_keep"], cfg["data.points"]
+    if cfg["protocol.pairing"] == "partial" and not 1 <= keep < points:
+        raise CliError("configuration key 'protocol.partial_keep' must be in "
+                       f"[1, data.points - 1] = [1, {points - 1}] under partial pairing, "
+                       f"got {keep}")
     if cfg["protocol.setting"] == "UC" and cfg["data.categories"] < 2:
         raise CliError("configuration key 'data.categories' must be >= 2 under UC "
                        f"(train and test take disjoint halves), got {cfg['data.categories']}")
@@ -371,8 +374,8 @@ def cmd_train(args) -> int:
     _need_points_above_k(cfg, cfg["encoder.k"], "encoder.k")
     train_s, test_s = make_splits(cfg)
     out = _ensure_dir(args.out)
-    result = train(encoder_config(cfg), feature_spec(cfg), cfg["rotation.mode"],
-                   train_s, epochs=cfg["train.epochs"], lr=cfg["train.lr"],
+    result = train(encoder_config(cfg), feature_spec(cfg), "euler", train_s,
+                   epochs=cfg["train.epochs"], lr=cfg["train.lr"],
                    batch_size=cfg["train.batch"], seed=cfg["seed"])
     model_path = os.path.join(out, "model.upcr")
     curve_path = os.path.join(out, "loss_curve.csv")
@@ -398,6 +401,14 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_register(args) -> int:
+    # a bad output path fails here, before anything is printed or written
+    if args.save_transformed:
+        try:
+            cloud_format(args.save_transformed)
+        except ValueError as exc:
+            raise CliError(f"--save-transformed {args.save_transformed}: {exc}") from None
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise CliError(f"--out {args.out} exists and is not a directory")
     source = _read(load_cloud, args.source, "source cloud")
     target = _read(load_cloud, args.target, "target cloud")
     model = _read(load_checkpoint, args.model, "model")

@@ -407,7 +407,7 @@ _HEADERS = {"xyz": lambda lines, path: (0, None, 3, (0, 1, 2)),
             "off": _off_header, "ply": _ply_header}
 
 
-def _cloud_format(path: str) -> str:
+def cloud_format(path: str) -> str:
     fmt = os.path.splitext(path)[1].lstrip(".").lower()
     if fmt not in ("xyz", "off", "ply"):
         raise ValueError(f"unsupported cloud format {fmt!r} (use xyz, off or ply)")
@@ -420,7 +420,7 @@ def load_cloud(path: str) -> PointCloud:
     After the header, a line that is blank once a ``#`` comment is cut is
     skipped; every other line is one vertex, read up to the header's count.
     """
-    header = _HEADERS[_cloud_format(path)]
+    header = _HEADERS[cloud_format(path)]
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     skip, count, width, cols = header(lines, path)
@@ -445,7 +445,7 @@ def load_cloud(path: str) -> PointCloud:
 
 def save_cloud(cloud: PointCloud, path: str) -> None:
     """Write a cloud with 9 significant digits per coordinate."""
-    fmt = _cloud_format(path)
+    fmt = cloud_format(path)
     n = len(cloud)
     with open(path, "w", encoding="utf-8") as fh:
         if fmt == "off":

@@ -84,7 +84,6 @@ class ModelParams:
 
     config: EncoderConfig
     spec: FeatureSpec
-    rotation_mode: str
     params: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
@@ -93,7 +92,7 @@ class ModelParams:
         return {name: tape.leaf(arr) for name, arr in self.params.items()}
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.config, self.spec, self.rotation_mode,
+        return ModelParams(self.config, self.spec,
                            {k: v.copy() for k, v in self.params.items()}, dict(self.metadata))
 
 
@@ -102,10 +101,8 @@ def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-limit, limit, (fan_in, fan_out))
 
 
-def param_shapes(config: EncoderConfig, spec: FeatureSpec,
-                 rotation_mode: str) -> dict[str, tuple[int, int]]:
+def param_shapes(config: EncoderConfig, spec: FeatureSpec) -> dict[str, tuple[int, int]]:
     """Name and shape of every parameter, in :func:`init_params` order."""
-    rot_len = geom.rotation_mode(rotation_mode).length
     shapes: dict[str, tuple[int, int]] = {}
     c_in = 3
     for i, c_out in enumerate(config.widths):
@@ -120,7 +117,7 @@ def param_shapes(config: EncoderConfig, spec: FeatureSpec,
         shapes[f"inv.{i}.w"] = (2 * c_in, c_out)
         shapes[f"inv.{i}.b"] = (1, c_out)
         c_in = c_out
-    dims = (config.m,) + config.head_widths + (rot_len + 3,)
+    dims = (config.m,) + config.head_widths + (6,)  # 3 Euler angles, 3 translation
     for i in range(len(dims) - 1):
         shapes[f"head.{i}.w"] = (dims[i], dims[i + 1])
         shapes[f"head.{i}.b"] = (1, dims[i + 1])
@@ -129,11 +126,18 @@ def param_shapes(config: EncoderConfig, spec: FeatureSpec,
 
 def init_params(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
                 seed: int) -> ModelParams:
-    """Glorot-uniform weights, zero biases, in a deterministic name order."""
+    """Glorot-uniform weights, zero biases, in a deterministic name order.
+
+    ``rotation_mode`` must be ``"euler"``, the head's one decoder. The
+    parameter stays only because the benchmark passes it, and goes with the
+    benchmark change of ROADMAP item B.
+    """
+    if rotation_mode != "euler":
+        raise ValueError(f"rotation_mode must be 'euler', got {rotation_mode!r}")
     rng = Rng(seed)
     t = {name: _glorot(rng, *shape) if name.endswith(".w") else np.zeros(shape)
-         for name, shape in param_shapes(config, spec, rotation_mode).items()}
-    return ModelParams(config, spec, rotation_mode, t)
+         for name, shape in param_shapes(config, spec).items()}
+    return ModelParams(config, spec, t)
 
 
 # ---------------------------------------------------------------------------

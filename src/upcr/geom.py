@@ -1,5 +1,5 @@
-"""Point-cloud containers, rigid-motion algebra, rotation decoders, and
-nearest-neighbor search.
+"""Point-cloud containers, rigid-motion algebra, the pose head's rotation
+decoder, and nearest-neighbor search.
 
 One neighbor rule serves 3D clouds (:func:`knn`) and feature rows
 (:func:`graph_knn`): the k nearest distinct locations by brute-force scan,
@@ -13,15 +13,15 @@ Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
     i.e. ``points @ R.T + t`` on row storage
   * Euler angles (alpha, beta, gamma) are radians and decode as
-    R = Rz(gamma) @ Ry(beta) @ Rx(alpha); they are the pose head's one
-    rotation mode, since quaternion, 6D and SVD-projected 3x3 heads did not
-    beat them after test-split fine-tuning (README, reproduction findings)
+    R = Rz(gamma) @ Ry(beta) @ Rx(alpha); the pose head decodes its first 3
+    outputs this way, in :func:`_euler_rotation`, since quaternion, 6D and
+    SVD-projected 3x3 heads did not beat it after test-split fine-tuning
+    (README, reproduction findings)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -233,14 +233,14 @@ def euler_from_matrix(rot: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# rotation decoders: one tape op per mode, for training and inference
+# the pose head's rotation decoder: one tape op, for training and inference
 
 
 def _euler_rotation(angles: ad.Tensor) -> ad.Tensor:
     """Rz(gamma) @ (Ry(beta) @ Rx(alpha)) of [3] angles as one tape op.
 
-    The VJP takes the product rule through both matrix products; each sine
-    and cosine then sums the two factor entries that hold it, so the order
+    The VJP takes the product rule through both matrix products; each sin
+    and cos value then sums the two factor entries that hold it, so the order
     of that sum cannot change a bit.
     """
     theta = angles.data
@@ -259,30 +259,6 @@ def _euler_rotation(angles: ad.Tensor) -> ad.Tensor:
         return ds * np.cos(theta) + -dc * np.sin(theta)
 
     return ad._emit("euler_rotation", rz @ m, [(angles, grad)])
-
-
-class RotationMode(NamedTuple):
-    """One rotation parameterization of the pose head.
-
-    ``length`` head outputs go through ``decode``, one tape op that returns
-    a proper 3x3 rotation; zero outputs decode to the identity.
-    """
-
-    length: int
-    decode: Callable[[ad.Tensor], ad.Tensor]
-
-
-ROTATION_MODES = {
-    "euler": RotationMode(3, _euler_rotation),
-}
-
-
-def rotation_mode(name) -> RotationMode:
-    """The table entry for ``name``; ValueError naming the modes otherwise."""
-    if not isinstance(name, str) or name not in ROTATION_MODES:
-        raise ValueError(f"unknown rotation mode {name!r}; expected one of "
-                         f"{', '.join(ROTATION_MODES)}")
-    return ROTATION_MODES[name]
 
 
 # ---------------------------------------------------------------------------

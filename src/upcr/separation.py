@@ -57,23 +57,21 @@ def _canonical_t(points: np.ndarray, trans: ad.Tensor, rot: ad.Tensor) -> ad.Ten
 # pose head
 
 
-def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig,
-                  mode: str):
+def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig):
     """Shared MLP head: returns (translation tensor, rotation matrix tensor).
 
-    A zero head output decodes to the identity pose.
+    The first 3 of its 6 outputs are Euler angles, the last 3 the
+    translation; a zero head output decodes to the identity pose.
     """
-    rot_mode = geom.rotation_mode(mode)
-    rd = rot_mode.length
     x = ad.reshape(gamma_mu, (1, gamma_mu.shape[0]))
     n_layers = len(config.head_widths) + 1
     for i in range(n_layers):
         x = affine(x, params[f"head.{i}.w"], params[f"head.{i}.b"])
         if i < n_layers - 1:
             x = ad.leaky_relu(x)
-    out = ad.reshape(x, (rd + 3,))
-    rot = rot_mode.decode(ad.gather_rows(out, list(range(rd))))
-    trans = ad.gather_rows(out, list(range(rd, rd + 3)))
+    out = ad.reshape(x, (6,))
+    rot = geom._euler_rotation(ad.gather_rows(out, [0, 1, 2]))
+    trans = ad.gather_rows(out, [3, 4, 5])
     return trans, rot
 
 
@@ -102,7 +100,7 @@ def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
     q = ad.softmax(gamma_g)
     p = ad.softmax(gamma_v)
     gamma_mu = _pose_related_t(p, q)
-    trans, rot = _head_forward(gamma_mu, params, model.config, model.rotation_mode)
+    trans, rot = _head_forward(gamma_mu, params, model.config)
     canonical = _canonical_t(cloud.points, trans, rot)
     pose = PosePrediction(RigidTransform(rot.data.copy(), trans.data.copy()))
     return pose, canonical

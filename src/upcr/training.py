@@ -17,7 +17,6 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from . import geom
 from .encoder import EncoderConfig, ModelParams, init_params, param_shapes, precompute_cloud
 from .features import FeatureSpec
 from .geom import PointCloud, sqdist_matrix
@@ -25,11 +24,11 @@ from .rng import Rng, derive_seed
 from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-HEADER_KEYS = frozenset({"config", "spec", "rotation_mode", "metadata"})
+HEADER_KEYS = frozenset({"config", "spec", "metadata"})
 
 
 def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tensor:
@@ -160,7 +159,7 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
 def save_checkpoint(path: str, model: ModelParams) -> None:
     """Write ``model``; no optimizer state is kept, as fine-tuning starts afresh."""
     header = {"config": asdict(model.config), "spec": asdict(model.spec),
-              "rotation_mode": model.rotation_mode, "metadata": model.metadata}
+              "metadata": model.metadata}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -213,11 +212,9 @@ def load_checkpoint(path: str) -> ModelParams:
             raise TypeError("config, spec and metadata must be JSON objects")
         config = _from_fields(EncoderConfig, header["config"], "config")
         spec = _from_fields(FeatureSpec, header["spec"], "spec")
-        mode = header["rotation_mode"]
-        geom.rotation_mode(mode)  # an unknown mode raises ValueError here
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
-    want = param_shapes(config, spec, mode)
+    want = param_shapes(config, spec)
     tensors = dict(records)
     got = {k: a.shape for k, a in tensors.items()}
     names = [k for k, _ in records]
@@ -232,7 +229,7 @@ def load_checkpoint(path: str) -> ModelParams:
     bad = [k for k, a in tensors.items() if not np.all(np.isfinite(a))]
     if bad:
         raise ValueError(f"{path}: non-finite values in checkpoint tensor " + ", ".join(bad))
-    return ModelParams(config, spec, mode, tensors, metadata)
+    return ModelParams(config, spec, tensors, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -246,24 +243,8 @@ class TrainResult:
     diverged: bool = False
 
 
-SCHEDULES = ("constant", "cosine")
-
-
-def _clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> None:
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if total > max_norm:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-
-
 def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
-                epochs: int, lr: float, batch_size: int, seed: int,
-                clip_norm: float | None, schedule: str = "constant") -> tuple[list[float], bool]:
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule {schedule!r}; expected one of {', '.join(SCHEDULES)}")
-    if clip_norm is not None and not clip_norm > 0:  # NaN fails the comparison
-        raise ValueError(f"clip_norm must be positive, got {clip_norm}")
+                epochs: int, lr: float, batch_size: int, seed: int) -> tuple[list[float], bool]:
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not 0.0 <= lr < np.inf:  # NaN fails both; lr = 0 is a legal no-op run
@@ -276,9 +257,6 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
     state = OptimState.for_params(model.params, lr=lr)
     curve: list[float] = []
     last_good = model.copy()
-    steps_per_epoch = (len(pairs) + batch_size - 1) // batch_size
-    total_steps = max(1, epochs * steps_per_epoch)
-    step = 0
     for _ in range(epochs):
         idx = list(range(len(pairs)))
         order_rng.shuffle(idx)
@@ -299,12 +277,7 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
                 return curve, True
             ad.backward(loss)
             grads = {name: bound[name].grad for name in model.params}
-            if clip_norm is not None:
-                _clip_gradients({k: g for k, g in grads.items() if g is not None}, clip_norm)
-            if schedule == "cosine":
-                state.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / total_steps))
             adam_step(model.params, grads, state)
-            step += 1
         curve.append(float(np.mean(sample_losses)))
         last_good = model.copy()
     return curve, False
@@ -312,19 +285,23 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
 
 def train(config: EncoderConfig, spec: FeatureSpec, rotation_mode: str,
           samples, epochs: int, lr: float = 1e-3, batch_size: int = 8,
-          seed: int = 0, clip_norm: float | None = None,
-          schedule: str = "constant") -> TrainResult:
-    """Train a fresh model on dataset samples (only their clouds are read).
+          seed: int = 0, clip_norm: None = None, schedule: str = "constant") -> TrainResult:
+    """Train a fresh model on dataset samples (only their clouds are read),
+    with Adam at the constant learning rate ``lr``.
 
-    ``lr`` is the initial learning rate; ``schedule="cosine"`` decays it to
-    zero over the run, the default holds it constant.
+    ``rotation_mode``, ``clip_norm`` and ``schedule`` accept only ``"euler"``,
+    ``None`` and ``"constant"``. They stay only because the benchmark passes
+    them, and go with the benchmark change of ROADMAP item B.
     """
+    if clip_norm is not None:
+        raise ValueError(f"clip_norm must be None, got {clip_norm!r}")
+    if schedule != "constant":
+        raise ValueError(f"schedule must be 'constant', got {schedule!r}")
     if not samples:
         raise ValueError("train: dataset is empty")
     pairs = [(s.source, s.target) for s in samples]
     model = init_params(config, spec, rotation_mode, derive_seed(seed, "init"))
-    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed,
-                                  clip_norm, schedule)
+    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed)
     model.metadata = {"epochs": len(curve), "seed": seed, "lr": lr,
                       "batch_size": batch_size, "loss_history": curve, "diverged": diverged}
     return TrainResult(model, curve, diverged)
@@ -341,7 +318,7 @@ def fine_tune(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
     if not pairs:
         raise ValueError("fine_tune: no pairs given")
     model = model.copy()
-    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed, None, "constant")
+    curve, diverged = _run_epochs(model, pairs, epochs, lr, batch_size, seed)
     model.metadata.update({"fine_tune_epochs": len(curve), "fine_tune_lr": lr,
                            "fine_tune_seed": seed, "fine_tune_loss_history": curve,
                            "fine_tune_diverged": diverged})

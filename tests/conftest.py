@@ -154,12 +154,10 @@ def rng():
     return Rng(0xC0FFEE)
 
 
-def rotation_oracle(mode: str, vals) -> np.ndarray:
-    """Plain NumPy reference for the tape decoder of each ``geom.ROTATION_MODES``
-    row; a row without one fails here."""
-    oracles = {"euler": geom.euler_to_matrix}
-    assert oracles.keys() == geom.ROTATION_MODES.keys(), "one oracle per rotation mode"
-    return oracles[mode](np.asarray(vals, dtype=np.float64))
+def rotation_oracle(vals) -> np.ndarray:
+    """Plain NumPy reference for the pose head's tape decoder,
+    ``geom._euler_rotation``."""
+    return geom.euler_to_matrix(np.asarray(vals, dtype=np.float64))
 
 
 def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:

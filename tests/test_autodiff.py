@@ -168,7 +168,7 @@ CONTRACT_OPS = {
     "sub": (ad.sub, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
-    "euler_rotation": (geom.rotation_mode("euler").decode, [(3,)]),
+    "euler_rotation": (geom._euler_rotation, [(3,)]),
     "neighbor_max": (lambda b: ad.neighbor_max(b, _NBR5), [(5, 3)]),
     "channel_norm": (encoder.channel_norm, [(5, 3)]),
     "pose_related": (separation._pose_related_t, [(4,), (4,)]),

@@ -118,17 +118,17 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p: rewrite_header(p, lambda h: h["config"].update(dynamic_graph="false")),
      "corrupt checkpoint header: dynamic_graph must be a bool, got 'false'"),
     (lambda p: set_version(p, 2), "unsupported checkpoint version 2"),
+    (lambda p: set_version(p, 3), "unsupported checkpoint version 3"),
     # a feature kind and rotation modes deleted for losing to distance and
-    # euler after fine-tuning
+    # euler after fine-tuning; since version 4 the header names no mode at all
     (lambda p: rewrite_header(p, lambda h: h["spec"].update(kind="ppf")),
      f"corrupt checkpoint header: unknown feature kind 'ppf'; choose from {FEATURE_KINDS}"),
 ] + [
     (lambda p, mode=mode: rewrite_header(p, lambda h: h.update(rotation_mode=mode)),
-     f"corrupt checkpoint header: unknown rotation mode '{mode}'; "
-     f"expected one of {', '.join(geom.ROTATION_MODES)}")
+     "corrupt checkpoint header: unexpected key 'rotation_mode'")
     for mode in ("quaternion", "sixd", "matrix")
-], ids=["string-dynamic-graph", "version-2", "deleted-kind-ppf", "deleted-mode-quaternion",
-        "deleted-mode-sixd", "deleted-mode-matrix"])
+], ids=["string-dynamic-graph", "version-2", "version-3", "deleted-kind-ppf",
+        "deleted-mode-quaternion", "deleted-mode-sixd", "deleted-mode-matrix"])
 def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit, message):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
@@ -212,6 +212,25 @@ def test_register_self_prints_identity(tmp_path, capsys):
     np.testing.assert_allclose(mat[:, 3], 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--save-transformed", "{moved_txt}"],
+     "--save-transformed {moved_txt}: unsupported cloud format 'txt' (use xyz, off or ply)"),
+    (["--save-transformed", "{moved}", "--out", "{a}"], "--out {a} exists and is not a directory"),
+], ids=["save-transformed-txt", "out-is-a-file"])
+def test_register_checks_output_paths_before_reading_inputs(tmp_path, capsys, flags, message):
+    names = {"a": str(tmp_path / "a.xyz"), "moved": str(tmp_path / "moved.xyz"),
+             "moved_txt": str(tmp_path / "moved.txt")}
+    save_cloud(synth_shape(1, 48, Rng(2)), names["a"])
+    model = tiny_model_file(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    rc = main(["register", "--source", names["a"], "--target", names["a"], "--model", model]
+              + [f.format(**names) for f in flags])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message.format(**names)}\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
 def test_gen_writes_dataset_and_manifest(tmp_path):
     out = str(tmp_path / "data")
     rc = main(["gen", "--out", out, "--seed", "3"] + TINY)
@@ -227,7 +246,9 @@ def test_gen_partial_pairing_needs_partial_keep(tmp_path, capsys):
     out = tmp_path / "o"
     rc = main(["gen", "--pairing", "partial", "--out", str(out)] + TINY)
     assert rc == 1
-    assert "error: partial pairing needs partial_keep" in capsys.readouterr().err
+    assert ("error: configuration key 'protocol.partial_keep' must be in "
+            "[1, data.points - 1] = [1, 31] under partial pairing, got 0\n"
+            ) == capsys.readouterr().err
     assert not out.exists()
     rc = main(["gen", "--pairing", "partial", "--partial-keep", "24", "--out", str(out)] + TINY)
     assert rc == 0
@@ -444,13 +465,13 @@ def test_config_file_bool_spellings(tmp_path, text, expected):
 
 
 def test_config_file_unknown_rotation_mode_rejected(tmp_path, capsys):
+    """The head has one rotation decoder, so no key chooses one, not even euler."""
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("[rotation]\nmode = spin\n")
+    cfg.write_text("[rotation]\nmode = euler\n")
     rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert ("error: unknown rotation mode 'spin'; "
-            f"expected one of {', '.join(geom.ROTATION_MODES)}\n") in err
+    assert err == f"error: {cfg}:2: unknown configuration key 'rotation.mode'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -533,7 +554,7 @@ _PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--pairing", "--re
                "--partial-keep", "--points", "--categories", "--train-pairs", "--test-pairs"}
 OFFERED = {
     "gen": _PAIR_FLAGS | {"--out"},
-    "train": _PAIR_FLAGS | {"--k", "--m", "--layers", "--feature", "--mode",
+    "train": _PAIR_FLAGS | {"--k", "--m", "--layers", "--feature",
                             "--epochs", "--lr", "--batch", "--out", "--finetune"},
     "finetune": _PAIR_FLAGS | {"--model", "--out"},
     "register": {"--source", "--target", "--model", "--save-transformed", "--out"},
@@ -555,6 +576,12 @@ def test_model_keys_are_exactly_the_config_and_spec_fields():
         assert keys == {f.name for f in fields(cls)}, section
 
 
+def test_keys_with_choices_offer_at_least_two():
+    """A key whose only legal value is its default is a knob nothing varies."""
+    for key, k in cli.KEYS.items():
+        assert not k.choices or len(k.choices) >= 2, key
+
+
 @pytest.mark.parametrize("command", list(OFFERED))
 def test_each_command_offers_exactly_the_flags_it_reads(command):
     actions = subparser(command)._actions
@@ -573,6 +600,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
     ["bench", "--model", "{model}", "--k", "7"],
     ["bench", "--model", "{model}", "--feature", "pfh"],
     ["sweep-outliers", "--model", "{model}", "--mode", "euler"],
+    ["train", "--mode", "euler"],
     ["finetune", "--model", "{model}", "--m", "16"],
     ["finetune", "--model", "{model}", "--epochs", "1"],
     ["gen", "--layers", "2"],
@@ -580,7 +608,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
      "--seed", "1"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--config", "{cloud}"],
-], ids=["bench-k", "bench-feature", "sweep-mode", "finetune-m", "finetune-epochs",
+], ids=["bench-k", "bench-feature", "sweep-mode", "train-mode", "finetune-m", "finetune-epochs",
         "gen-layers", "register-seed", "register-config"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     cloud = str(tmp_path / "a.xyz")
@@ -622,7 +650,7 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     assert manifest_sections(tmp_path / "finetune") == pairs | {"train", "finetune"}
     assert manifest_sections(tmp_path / "train") == set(cli.SECTIONS)
     bench = Path(tmp_path, "bench", "manifest.txt").read_text()
-    assert not re.search(r"^(encoder|feature|rotation)\.", bench, re.M)
+    assert not re.search(r"^(encoder|feature)\.", bench, re.M)
     b = str(tmp_path / "b.xyz")
     save_cloud(synth_shape(1, 32, Rng(2)), b)
     assert main(["register", "--source", a, "--target", b, "--model", model,
@@ -689,13 +717,19 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["train", "--k", "2"],
      "feature.kind = distance+spfh estimates normals over encoder.k = 2 neighbours, "
      "which needs k >= 3"),
+    (["gen", "--pairing", "partial"],
+     "configuration key 'protocol.partial_keep' must be in [1, data.points - 1] = [1, 31] "
+     "under partial pairing, got 0"),
+    (["gen", "--pairing", "partial", "--partial-keep", "64", "--points", "64"],
+     "configuration key 'protocol.partial_keep' must be in [1, data.points - 1] = [1, 63] "
+     "under partial pairing, got 64"),
 ], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3",
-        "train-normals-k-below-3"])
+        "train-normals-k-below-3", "gen-partial-keep-missing", "gen-partial-keep-not-below-points"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
              "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr"),

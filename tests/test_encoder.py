@@ -62,9 +62,10 @@ def test_param_shapes_follow_config():
 
 
 def test_init_params_rejects_unknown_rotation_mode():
-    expected = ", ".join(geom.ROTATION_MODES)
-    with pytest.raises(ValueError, match=f"'spin'; expected one of {expected}$"):
-        init_params(EncoderConfig(k=4, m=16, layers=2, widths=(8, 16)), SPEC, "spin", 0)
+    """The head has one decoder; a former mode name fails instead of being ignored."""
+    for mode in ("quaternion", "spin", None):
+        with pytest.raises(ValueError, match=f"^rotation_mode must be 'euler', got {mode!r}$"):
+            init_params(EncoderConfig(k=4, m=16, layers=2, widths=(8, 16)), SPEC, mode, 0)
 
 
 def test_edge_conv_shape_contract():

@@ -1,5 +1,4 @@
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -13,8 +12,8 @@ from conftest import (canonicalize, chamfer, inverse_transform, neighbor_table_o
                       random_cloud, random_transform)
 
 
-def decode(mode, vals) -> np.ndarray:
-    return geom.rotation_mode(mode).decode(ad.constant(vals)).data
+def decode(vals) -> np.ndarray:
+    return geom._euler_rotation(ad.constant(vals)).data
 
 
 # ---------------------------------------------------------------------------
@@ -38,15 +37,6 @@ def test_rigid_transform_validation():
         RigidTransform(np.full((3, 3), np.nan), np.zeros(3))
     with pytest.raises(ValueError, match="rotation and translation must be finite"):
         RigidTransform(np.eye(3), [0.0, np.nan, 0.0])
-
-
-def test_rotation_param_lengths():
-    # a row's zero head outputs decode to I
-    for mode, entry in geom.ROTATION_MODES.items():
-        np.testing.assert_allclose(decode(mode, np.zeros(entry.length)), np.eye(3), atol=1e-15)
-    expected = ", ".join(geom.ROTATION_MODES)
-    with pytest.raises(ValueError, match=f"'spin'; expected one of {expected}$"):
-        geom.rotation_mode("spin")
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +251,11 @@ def test_scan_never_holds_an_n_by_n_matrix():
 
 
 def test_decode_euler_identity():
-    np.testing.assert_allclose(
-        decode("euler", np.zeros(3)), np.eye(3))
+    np.testing.assert_allclose(decode(np.zeros(3)), np.eye(3))
 
 
 def test_decode_euler_quarter_turn():
-    rot = decode("euler", [0.0, 0.0, np.pi / 2])
+    rot = decode([0.0, 0.0, np.pi / 2])
     np.testing.assert_allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
 
@@ -276,7 +265,7 @@ def test_decode_euler_against_axis_composition_oracle():
     rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
     ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
     rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-    rot = decode("euler", [a, b, g])
+    rot = decode([a, b, g])
     np.testing.assert_allclose(rot, rz @ ry @ rx, atol=1e-12)
 
 
@@ -288,11 +277,10 @@ def test_euler_round_trip():
         np.testing.assert_allclose(geom.euler_from_matrix(rot), angles, atol=1e-10)
 
 
-@pytest.mark.parametrize("mode,dim", [(m, e.length) for m, e in geom.ROTATION_MODES.items()])
-def test_decode_rotation_always_in_so3(mode, dim):
-    rng = Rng(zlib.crc32(repr(mode).encode()))
+def test_decode_rotation_always_in_so3():
+    rng = Rng(31)
     for _ in range(1000):
-        rot = decode(mode, rng.uniform(-2.0, 2.0, dim))
+        rot = decode(rng.uniform(-2.0, 2.0, 3))
         assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-8
         assert abs(np.linalg.det(rot) - 1.0) < 1e-8
 

@@ -49,8 +49,8 @@ CHECKPOINT_PARAMS_SHA = {
     "fine_tune": "54519a72cf234be918814f1b6a40bf294ba91568d721d6f7fecb4fc44b0dcc5d",
 }
 CHECKPOINT_FILE_SHA = {
-    "train": "2b93e827c9ebf7e9d460b40a2741b62d66bcb78b7a1d666eb2ac4cdca5cfeee3",
-    "fine_tune": "44df1c6d2bb43c74ce5a9cf547c3c7c9e9c362577b21309dc7c3492de5846a21",
+    "train": "1b76d499dd3b1661b93b498e16631bd3b2d24f943d34afc5bbe864bfd934e33b",
+    "fine_tune": "e875a7d8913020262e452be872273ed3f2711373299fdf4a33159bba52baaa23",
 }
 CSV_SHA = {
     "metrics.csv": "06657621c6583e5e53224ea1723d34b91303cdd4058a3da0ba321faec7a4c3bb",

@@ -19,11 +19,10 @@ from conftest import (canonicalize, grad_check, random_transform, rotation_oracl
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
-MODES = tuple(geom.ROTATION_MODES)
 
 
-def small_model(mode="euler", seed=2):
-    return init_params(CFG, SPEC, mode, seed)
+def small_model(seed=2):
+    return init_params(CFG, SPEC, "euler", seed)
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +137,22 @@ def test_canonical_gradient_matches_finite_differences(wrt):
 
 
 def head(model, gamma):
-    return separation._head_forward(ad.constant(gamma), model.params, CFG,
-                                    model.rotation_mode)
+    return separation._head_forward(ad.constant(gamma), model.params, CFG)
 
 
 def test_regress_pose_zero_final_layer_gives_identity():
-    for mode in MODES:
-        model = small_model(mode)
-        model.params["head.1.w"][:] = 0.0
-        model.params["head.1.b"][:] = 0.0
-        trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
-        np.testing.assert_allclose(rot.data, np.eye(3), atol=1e-12)
-        np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
+    model = small_model()
+    model.params["head.1.w"][:] = 0.0
+    model.params["head.1.b"][:] = 0.0
+    trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
+    np.testing.assert_allclose(rot.data, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode,rot_dim", [(m, e.length) for m, e in geom.ROTATION_MODES.items()])
-def test_regress_pose_output_dims(mode, rot_dim):
-    model = small_model(mode)
+def test_regress_pose_output_dims():
+    model = small_model()
     t = model.params
-    assert t["head.1.w"].shape[1] == rot_dim + 3
+    assert t["head.1.w"].shape[1] == 6
     for name in ("head.0.b", "head.1.b"):  # zero at init; give the biases weight
         t[name][:] = Rng(6).uniform(-0.1, 0.1, t[name].shape)
     gamma = Rng(5).uniform(-1, 1, CFG.m)
@@ -165,18 +161,17 @@ def test_regress_pose_output_dims(mode, rot_dim):
     # the raw head output, recomputed by hand, splits into rotation and translation
     hidden = gamma @ t["head.0.w"] + t["head.0.b"][0]
     out = np.maximum(hidden, ad.SLOPE * hidden) @ t["head.1.w"] + t["head.1.b"][0]
-    np.testing.assert_allclose(trans.data, out[rot_dim:], atol=1e-12)
+    np.testing.assert_allclose(trans.data, out[3:], atol=1e-12)
     # decoded rotation matches an independent decode of the raw parameter
-    np.testing.assert_allclose(rot.data, rotation_oracle(mode, out[:rot_dim]), atol=1e-10)
+    np.testing.assert_allclose(rot.data, rotation_oracle(out[:3]), atol=1e-10)
 
 
-@pytest.mark.parametrize("mode,beta", [*((m, 0.0) for m in MODES),
-                                       ("euler", np.pi / 2), ("euler", -np.pi / 2)],
-                         ids=[*MODES, "euler-beta-near-+pi/2", "euler-beta-near--pi/2"])
-def test_pose_head_gradient_through_rotation(mode, beta):
+@pytest.mark.parametrize("beta", [0.0, np.pi / 2, -np.pi / 2],
+                         ids=["euler", "euler-beta-near-+pi/2", "euler-beta-near--pi/2"])
+def test_pose_head_gradient_through_rotation(beta):
     """``beta`` is the bias of the head's second output, the Euler pitch,
     whose gimbal lock lies at +-pi/2."""
-    model = small_model(mode, seed=6)
+    model = small_model(seed=6)
     model.params["head.1.b"][0, 1] = beta
     gamma = Rng(7).uniform(-0.5, 0.5, CFG.m)
     probe = Rng(8).uniform(-1, 1, (3, 3))
@@ -185,21 +180,19 @@ def test_pose_head_gradient_through_rotation(mode, beta):
     def fn(t):
         params = {k: (t if k == name else ad.constant(v))
                   for k, v in model.params.items()}
-        _, rot = separation._head_forward(ad.constant(gamma), params, CFG, mode)
+        _, rot = separation._head_forward(ad.constant(gamma), params, CFG)
         return weighted_sum(rot, ad.constant(probe))
 
     rep = grad_check(fn, model.params[name], h=1e-6, tol=1e-3)
-    assert rep.passed, (mode, rep.max_rel_error)
+    assert rep.passed, rep.max_rel_error
 
 
 def test_tape_rotation_decoders_match_geom():
     rng = Rng(9)
-    for mode, entry in geom.ROTATION_MODES.items():
-        for _ in range(20):
-            vals = rng.uniform(-1.0, 1.0, entry.length)
-            got = geom.rotation_mode(mode).decode(ad.constant(vals)).data
-            np.testing.assert_allclose(got, rotation_oracle(mode, vals), atol=1e-10,
-                                       err_msg=mode)
+    for _ in range(20):
+        vals = rng.uniform(-1.0, 1.0, 3)
+        got = geom._euler_rotation(ad.constant(vals)).data
+        np.testing.assert_allclose(got, rotation_oracle(vals), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +234,8 @@ def test_register_invariant_to_point_order():
                                atol=1e-9)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_register_returns_canonical_shapes(mode):
-    model = small_model(mode, seed=14)
+def test_register_returns_canonical_shapes():
+    model = small_model(seed=14)
     rng = Rng(15)
     x = synth_shape(4, 24, rng.spawn("x"))
     y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import geom, training
+from upcr import training
 from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
@@ -192,12 +192,17 @@ def test_train_zero_epochs_returns_initial_params():
     assert res.loss_curve == []
 
 
+# train's rotation_mode, clip_norm and schedule accept only the one value
+# the benchmark passes; fine_tune takes none of them
+_TRAIN_ONLY = {"rotation_mode", "clip_norm", "schedule"}
 _LOOP_CASES = [
-    ("schedule-typo", dict(schedule="cosin"),
-     "unknown schedule 'cosin'; expected one of constant, cosine"),
-    ("clip-zero", dict(clip_norm=0.0), "clip_norm must be positive, got 0.0"),
-    ("clip-negative", dict(clip_norm=-1.0), "clip_norm must be positive, got -1.0"),
-    ("clip-nan", dict(clip_norm=float("nan")), "clip_norm must be positive, got nan"),
+    ("mode-quaternion", dict(rotation_mode="quaternion"),
+     "rotation_mode must be 'euler', got 'quaternion'"),
+    ("schedule-typo", dict(schedule="cosin"), "schedule must be 'constant', got 'cosin'"),
+    ("schedule-cosine", dict(schedule="cosine"), "schedule must be 'constant', got 'cosine'"),
+    ("clip-zero", dict(clip_norm=0.0), "clip_norm must be None, got 0.0"),
+    ("clip-negative", dict(clip_norm=-1.0), "clip_norm must be None, got -1.0"),
+    ("clip-nan", dict(clip_norm=float("nan")), "clip_norm must be None, got nan"),
     ("batch-0", dict(batch_size=0), "batch_size must be >= 1, got 0"),
     ("lr-negative", dict(lr=-1e-2), "lr must be finite and >= 0, got -0.01"),
     ("lr-nan", dict(lr=float("nan")), "lr must be finite and >= 0, got nan"),
@@ -206,18 +211,18 @@ _LOOP_CASES = [
 ]
 
 
-# fine_tune takes neither clip_norm nor schedule
 @pytest.mark.parametrize("entry, kwargs, message", [
     pytest.param(entry, kwargs, message, id=f"{entry}-{name}")
     for entry in ("train", "fine_tune") for name, kwargs, message in _LOOP_CASES
-    if entry == "train" or not {"clip_norm", "schedule"} & kwargs.keys()])
+    if entry == "train" or not _TRAIN_ONLY & kwargs.keys()])
 def test_bad_loop_arguments_rejected_before_the_first_step(monkeypatch, kwargs, message, entry):
     train_s, _ = tiny_dataset()
     steps = []
     monkeypatch.setattr(training, "adam_step", lambda *args: steps.append(1))
     with pytest.raises(ValueError, match=re.escape(message)):
         if entry == "train":
-            train(CFG, SPEC, "euler", train_s, **{"epochs": 1, "seed": 9, **kwargs})
+            train(**{"config": CFG, "spec": SPEC, "rotation_mode": "euler", "samples": train_s,
+                     "epochs": 1, "seed": 9, **kwargs})
         else:
             fine_tune(init_params(CFG, SPEC, "euler", 9), [(s.source, s.target) for s in train_s],
                       **{"epochs": 1, "seed": 9, **kwargs})
@@ -260,8 +265,7 @@ def test_divergence_rolls_back_parameters(monkeypatch):
 
     monkeypatch.setattr(training, "unsupervised_loss", nan_in_second_batch_of_epoch_2)
     monkeypatch.setattr(training, "adam_step", recorded_step)
-    res = train(CFG, SPEC, "euler", train_s, epochs=3, batch_size=4, seed=11,
-                schedule="cosine")
+    res = train(CFG, SPEC, "euler", train_s, epochs=3, batch_size=4, seed=11)
     assert res.diverged and len(res.loss_curve) == 1
     assert len(after_step) == 3  # step 3 ran in the epoch that diverged
     for name, arr in after_step[1].items():
@@ -299,7 +303,7 @@ def test_finetune_touches_only_clouds():
     import inspect
     sig = inspect.signature(fine_tune)
     assert "pairs" in sig.parameters  # API takes bare cloud pairs, no samples
-    assert not {"clip_norm", "schedule"} & sig.parameters.keys()
+    assert not _TRAIN_ONLY & sig.parameters.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,6 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, model)
     loaded = load_checkpoint(path)
-    assert loaded.rotation_mode == "euler"
     assert loaded.config == CFG and loaded.spec == SPEC
     assert loaded.metadata["epochs"] == 1
     assert loaded.params.keys() == model.params.keys()
@@ -326,17 +329,16 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path):
     save_checkpoint(path, train(CFG, SPEC, "euler", train_s, epochs=1, seed=19).checkpoint)
     blob = Path(path).read_bytes()
     (hlen,) = struct.unpack("<I", blob[8:12])
-    assert sorted(json.loads(blob[12:12 + hlen])) == ["config", "metadata",
-                                                      "rotation_mode", "spec"]
+    assert sorted(json.loads(blob[12:12 + hlen])) == ["config", "metadata", "spec"]
     assert b"optim" not in blob
-    assert sorted(load_checkpoint(path).params) == sorted(param_shapes(CFG, SPEC, "euler"))
+    assert sorted(load_checkpoint(path).params) == sorted(param_shapes(CFG, SPEC))
 
 
 def test_version_1_checkpoint_names_path_and_version(tmp_path):
-    """Versions 1 and 2 predate the current header; neither loads."""
+    """Versions 1 to 3 predate the current header; none loads."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 19))
-    for version in (1, 2):
+    for version in (1, 2, 3):
         set_version(path, version)
         with pytest.raises(ValueError,
                            match=f"^{re.escape(path)}: unsupported checkpoint version {version}$"):
@@ -495,13 +497,13 @@ def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
 
 
 def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
-    model = init_params(CFG, SPEC, "euler", 27)
-    model.rotation_mode = "spin"
+    """A version-4 header that still names a rotation mode, even the one the
+    head decodes, is a header with an extra key."""
     path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, model)
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: unknown "
-                                         "rotation mode 'spin'; expected one of "
-                                         f"{', '.join(geom.ROTATION_MODES)}$"):
+    save_checkpoint(path, init_params(CFG, SPEC, "euler", 27))
+    rewrite_header(path, lambda h: h.update(rotation_mode="euler"))
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint header: "
+                                         "unexpected key 'rotation_mode'$"):
         load_checkpoint(path)
 
 
