@@ -4,18 +4,20 @@ Subcommands: gen, train, finetune, register, bench, sweep-outliers.
 ``KEYS`` declares each configuration key once: its default, its flag (none
 if only a ``--config`` file sets it), its help, choices and smallest value.
 A key resolves from its default (or ``--preset``), then an optional
-``--config`` file (flat ``key = value`` lines with ``[section]`` headers),
-then its flag. ``COMMANDS`` gives the sections whose flags each subcommand
-offers and those its manifest records: ``train`` all; ``gen``, ``bench``
-and ``sweep-outliers`` the seed, protocol and data that build their pairs;
-``finetune`` the same, and it records the ``train`` and ``finetune`` keys it
-also reads; ``register`` none. A command that loads a checkpoint runs the
-encoder config and feature kind stored in it. A ``--config`` file may hold
-any key, and each one it holds is checked. Every command checks its inputs
-before ``--out`` exists, exiting 1 with ``error: ...``; ``register`` checks
-its output paths before it reads an input.
-A manifest holds the command, the recorded keys and the SHA-256 of each
-input and output.
+``--config`` file (flat ``key = value`` lines with ``[section]`` headers;
+a key set twice is an error), then its flag. ``COMMANDS`` names the keys or
+sections whose flags each subcommand offers and those its manifest records:
+``gen``, ``bench`` and ``sweep-outliers`` the seed, protocol and data that
+build their pairs; ``train`` the model and training keys and those that
+build its training pairs; ``finetune`` the pair keys, and it records the
+``train.batch`` and ``finetune`` keys it also reads; ``register`` none. A
+command that loads a checkpoint runs the encoder config and feature kind
+stored in it. A ``--config`` file may hold any key, and each one it holds is
+checked. ``main`` rejects an ``--out`` that is not a directory; a command
+then checks its inputs, and that no output replaces one, before it writes
+anything, exiting 1 with ``error: ...``. Each command writes its files, and
+a manifest of the recorded keys and the SHA-256 of each input and output,
+through one call to ``_write_run``.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 from typing import NamedTuple
 
 from . import evalbench, geom
@@ -78,14 +81,21 @@ def _section(key: str) -> str:
     return key.split(".", 1)[0]
 
 
-SECTIONS = tuple(dict.fromkeys(map(_section, KEYS)))
-_PAIRS = ("seed", "protocol", "data")  # the sections that build a command's pairs
+def _selects(names: tuple, key: str) -> bool:
+    """Whether a ``COMMANDS`` entry names ``key`` or its section."""
+    return key in names or _section(key) in names
 
-# subcommand: (sections whose flags it offers, sections its manifest records)
+
+_PAIRS = ("seed", "protocol", "data")  # the sections that build a command's pairs
+# train builds no test pairs and reads no finetune key
+_TRAIN = ("seed", "encoder", "feature", "protocol", "data.points", "data.categories",
+          "data.train", "train")
+
+# subcommand: (keys or sections whose flags it offers, those its manifest records)
 COMMANDS = {
     "gen": (_PAIRS, _PAIRS),
-    "train": (SECTIONS, SECTIONS),
-    "finetune": (_PAIRS, _PAIRS + ("train", "finetune")),
+    "train": (_TRAIN, _TRAIN),
+    "finetune": (_PAIRS, _PAIRS + ("train.batch", "finetune")),
     "register": ((), ()),
     "bench": (_PAIRS, _PAIRS),
     "sweep-outliers": (_PAIRS, _PAIRS),
@@ -105,7 +115,7 @@ class CliError(Exception):
 def parse_config_file(path: str) -> dict:
     """Flat ``key = value`` lines; ``[section]`` prefixes following keys.
     Values come back parsed to their key's type."""
-    values = {}
+    values, lines = {}, {}
     section = ""
     try:
         fh = open(path, "r", encoding="utf-8")
@@ -125,6 +135,10 @@ def parse_config_file(path: str) -> dict:
             full = f"{section}.{key}" if section else key
             if full not in DEFAULTS:
                 raise CliError(f"{path}:{lineno}: unknown configuration key {full!r}")
+            if full in lines:
+                raise CliError(f"{path}:{lineno}: configuration key {full!r} already set "
+                               f"on line {lines[full]}")
+            lines[full] = lineno
             values[full] = _coerce(full, val)
     return values
 
@@ -248,20 +262,27 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: str, cfg: dict, command: str,
-                   inputs: list[str] = (), outputs: list[str] = ()) -> str:
-    """The command, the keys of the sections it records, and the file hashes."""
-    path = os.path.join(out_dir, "manifest.txt")
-    recorded = COMMANDS[command][1]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"command = {command}\n")
-        for key in sorted(k for k in cfg if _section(k) in recorded):
-            val = cfg[key]
-            fh.write(f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}\n")
-        for label, paths in (("input", inputs), ("output", outputs)):
-            for p in paths:
-                fh.write(f"{label} {os.path.basename(p)} sha256 = {_sha256(p)}\n")
-    return path
+def _write_run(args, cfg: dict, writers: dict, inputs: list[str] = ()) -> None:
+    """A command's one output stage. ``writers`` maps each output path to a
+    function that writes that file. The inputs are hashed first, then each
+    output is written, its directory created, then, if ``--out`` is given,
+    ``manifest.txt``: the command, the keys ``COMMANDS`` records for it, and
+    the SHA-256 of each input, by file name, and of each output, by its path
+    under ``--out``."""
+    hashes = [f"input {os.path.basename(p)} sha256 = {_sha256(p)}" for p in inputs]
+    for path, write in writers.items():
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        write(path)
+    if not args.out:
+        return
+    recorded = COMMANDS[args.command][1]
+    lines = [f"command = {args.command}"] + [
+        f"{key} = {','.join(map(str, val)) if isinstance(val, tuple) else val}"
+        for key, val in sorted(cfg.items()) if _selects(recorded, key)] + hashes
+    lines += [f"output {os.path.relpath(p, args.out)} sha256 = {_sha256(p)}" for p in writers]
+    os.makedirs(args.out, exist_ok=True)
+    with open(os.path.join(args.out, "manifest.txt"), "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def _fmt(x) -> str:
@@ -287,11 +308,6 @@ def print_table(rows: list[dict]) -> None:
         print("  ".join(v.ljust(w) for v, w in zip(c, widths)))
 
 
-def _ensure_dir(path: str) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _read(load, path: str, what: str):
     try:
         return load(path)
@@ -308,6 +324,14 @@ def _model_and_test_split(args, cfg: dict):
     return model, test_s
 
 
+def _check_not_an_input(args, flag: str, value: str, path: str) -> None:
+    """Reject an output ``path``, set by ``flag value``, that names an input file."""
+    for dest in ("source", "target", "model"):
+        given = getattr(args, dest, None)
+        if given and os.path.realpath(given) == os.path.realpath(path):
+            raise CliError(f"{flag} {value} would replace --{dest} {given}")
+
+
 def _parse_ratios(text: str) -> list[float]:
     try:
         ratios = [float(r) for r in text.split(",")]
@@ -322,81 +346,61 @@ def _parse_ratios(text: str) -> list[float]:
 # subcommands
 
 
-def _write_fine_tuned(out: str, model, test_s, cfg: dict) -> str:
-    """Fine-tune ``model`` on the test pairs into ``out``/model.upcr; returns
-    the path of the loss curve written beside it."""
-    ft = fine_tune(model, [(s.source, s.target) for s in test_s],
-                   epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
-                   batch_size=cfg["train.batch"], seed=cfg["seed"])
-    save_checkpoint(os.path.join(out, "model.upcr"), ft.checkpoint)
-    curve_path = os.path.join(out, "finetune_curve.csv")
-    write_loss_curve(curve_path, ft.loss_curve)
-    _warn_if_diverged(ft, "fine-tuning")
-    return curve_path
-
-
-def _warn_if_diverged(result, what: str) -> None:
-    if result.diverged:
-        print(f"warning: {what} diverged; checkpoint is the last finite state")
-
-
 def cmd_gen(args) -> int:
     cfg = resolve_config(args)
     _need_pairs(cfg, "gen", "data.train", "data.test")
     train_s, test_s = make_splits(cfg)
-    out = _ensure_dir(args.out)
-    index_rows = []
+    writers, index_rows = {}, []
     for split, samples in (("train", train_s), ("test", test_s)):
-        _ensure_dir(os.path.join(out, split))
         for i, s in enumerate(samples):
-            src = os.path.join(out, split, f"{i:04d}_source.xyz")
-            tgt = os.path.join(out, split, f"{i:04d}_target.xyz")
-            save_cloud(s.source, src)
-            save_cloud(s.target, tgt)
-            row = {"split": split, "index": i, "category": s.category,
-                   "source": os.path.relpath(src, out),
-                   "target": os.path.relpath(tgt, out)}
+            row = {"split": split, "index": i, "category": s.category}
+            for end, cloud in (("source", s.source), ("target", s.target)):
+                row[end] = f"{split}/{i:04d}_{end}.xyz"
+                writers[os.path.join(args.out, row[end])] = partial(save_cloud, cloud)
             row.update({f"r{r}{c}": s.gt.rotation[r, c] for r in range(3) for c in range(3)})
             row.update({f"t{c}": s.gt.translation[c] for c in range(3)})
             index_rows.append(row)
-    index = os.path.join(out, "index.csv")
-    write_csv(index, index_rows)
-    write_manifest(out, cfg, "gen", outputs=[index])
-    print(f"wrote {len(index_rows)} pairs under {out}")
+    writers[os.path.join(args.out, "index.csv")] = lambda p: write_csv(p, index_rows)
+    _write_run(args, cfg, writers)
+    print(f"wrote {len(index_rows)} pairs under {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args)
     _need_pairs(cfg, "train", "data.train")
-    if args.finetune:
-        _need_pairs(cfg, "train --finetune", "data.test")
     _need_points_above_k(cfg, cfg["encoder.k"], "encoder.k")
-    train_s, test_s = make_splits(cfg)
-    out = _ensure_dir(args.out)
+    # test shapes follow the training ones, so no test pairs leaves these unchanged
+    train_s, _ = make_splits({**cfg, "data.test": 0})
     result = train(encoder_config(cfg), feature_spec(cfg), "euler", train_s,
                    epochs=cfg["train.epochs"], lr=cfg["train.lr"],
                    batch_size=cfg["train.batch"], seed=cfg["seed"])
-    model_path = os.path.join(out, "model.upcr")
-    curve_path = os.path.join(out, "loss_curve.csv")
-    save_checkpoint(model_path, result.checkpoint)
-    write_loss_curve(curve_path, result.loss_curve)
-    outputs = [model_path, curve_path]
-    if args.finetune:
-        outputs.append(_write_fine_tuned(out, result.checkpoint, test_s, cfg))
-    write_manifest(out, cfg, "train", outputs=outputs)
+    model_path = os.path.join(args.out, "model.upcr")
+    _write_run(args, cfg, {
+        model_path: lambda p: save_checkpoint(p, result.checkpoint),
+        os.path.join(args.out, "loss_curve.csv"): lambda p: write_loss_curve(p, result.loss_curve),
+    })
     print(f"model written to {model_path}")
-    _warn_if_diverged(result, "training")
+    if result.diverged:
+        print("warning: training diverged; checkpoint is the last finite state")
     return 0
 
 
 def cmd_finetune(args) -> int:
     cfg = resolve_config(args)
+    model_path = os.path.join(args.out, "model.upcr")
+    _check_not_an_input(args, "--out", args.out, model_path)
     model, test_s = _model_and_test_split(args, cfg)
-    out = _ensure_dir(args.out)
-    outputs = [os.path.join(out, "model.upcr"), _write_fine_tuned(out, model, test_s, cfg)]
-    write_manifest(out, cfg, "finetune", inputs=[args.model], outputs=outputs)
-    print(f"model written to {outputs[0]}")
+    ft = fine_tune(model, [(s.source, s.target) for s in test_s],
+                   epochs=cfg["finetune.epochs"], lr=cfg["finetune.lr"],
+                   batch_size=cfg["train.batch"], seed=cfg["seed"])
+    _write_run(args, cfg, {
+        model_path: lambda p: save_checkpoint(p, ft.checkpoint),
+        os.path.join(args.out, "finetune_curve.csv"): lambda p: write_loss_curve(p, ft.loss_curve),
+    }, inputs=[args.model])
+    print(f"model written to {model_path}")
+    if ft.diverged:
+        print("warning: fine-tuning diverged; checkpoint is the last finite state")
     return 0
 
 
@@ -407,8 +411,8 @@ def cmd_register(args) -> int:
             cloud_format(args.save_transformed)
         except ValueError as exc:
             raise CliError(f"--save-transformed {args.save_transformed}: {exc}") from None
-    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise CliError(f"--out {args.out} exists and is not a directory")
+        _check_not_an_input(args, "--save-transformed", args.save_transformed,
+                            args.save_transformed)
     source = _read(load_cloud, args.source, "source cloud")
     target = _read(load_cloud, args.target, "target cloud")
     model = _read(load_checkpoint, args.model, "model")
@@ -420,15 +424,9 @@ def cmd_register(args) -> int:
     result = register_pair(source, target, model)
     for row in result.transform.matrix34():
         print(" ".join(f"{v:.9g}" for v in row))
-    outputs = []
-    if args.save_transformed:
-        moved = geom.apply_transform(result.transform, source)
-        save_cloud(moved, args.save_transformed)
-        outputs.append(args.save_transformed)
-    if args.out:
-        _ensure_dir(args.out)
-        write_manifest(args.out, {}, "register",
-                       inputs=[args.source, args.target, args.model], outputs=outputs)
+    moved = geom.apply_transform(result.transform, source)
+    writers = {args.save_transformed: partial(save_cloud, moved)} if args.save_transformed else {}
+    _write_run(args, {}, writers, inputs=[args.source, args.target, args.model])
     return 0
 
 
@@ -456,12 +454,10 @@ def cmd_bench(args) -> int:
     if args.baselines and model.config.k < 3:
         raise CliError(f"--baselines estimates normals over the checkpoint's k = "
                        f"{model.config.k} neighbours, which needs k >= 3")
-    out = _ensure_dir(args.out)
     rows = _bench_rows(model, test_s, args.baselines)
-    csv_path = os.path.join(out, "metrics.csv")
-    write_csv(csv_path, rows)
     print_table(rows)
-    write_manifest(out, cfg, "bench", inputs=[args.model], outputs=[csv_path])
+    _write_run(args, cfg, {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
+               inputs=[args.model])
     return 0
 
 
@@ -471,17 +467,15 @@ def cmd_sweep_outliers(args) -> int:
     # two ratios on one stream, or one that corrupts no point, fail before --out exists
     evalbench.check_outlier_ratios(ratios, cfg[_points_key(cfg)])
     model, test_s = _model_and_test_split(args, cfg)
-    out = _ensure_dir(args.out)
     sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])
     rows = []
     for entry in sweep:
         for method in ("model", "icp"):
             rows.append({"ratio": entry["ratio"], "method": method, **asdict(entry[method]),
                          "mae_rot_monotone": entry[f"{method}_mae_rot_monotone"]})
-    csv_path = os.path.join(out, "outlier_sweep.csv")
-    write_csv(csv_path, rows)
     print_table(rows)
-    write_manifest(out, cfg, "sweep-outliers", inputs=[args.model], outputs=[csv_path])
+    _write_run(args, cfg, {os.path.join(args.out, "outlier_sweep.csv"):
+                           lambda p: write_csv(p, rows)}, inputs=[args.model])
     return 0
 
 
@@ -490,16 +484,16 @@ def cmd_sweep_outliers(args) -> int:
 
 
 def _add_subcommand(sub, name: str, fn, help: str) -> argparse.ArgumentParser:
-    """A subparser offering the flags of the sections ``COMMANDS`` gives it."""
+    """A subparser offering the flags of the keys ``COMMANDS`` gives it."""
     # no abbreviations: a removed --mode or --m would otherwise parse as --model
     p = sub.add_parser(name, help=help, allow_abbrev=False)
     p.set_defaults(fn=fn)
-    sections = COMMANDS[name][0]
-    if sections:
+    offered = COMMANDS[name][0]
+    if offered:
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--preset", choices=sorted(PRESETS), help="size preset")
     for key, k in KEYS.items():
-        if k.flag and _section(key) in sections:
+        if k.flag and _selects(offered, key):
             p.add_argument(k.flag, dest=key, type=type(k.default), choices=k.choices or None,
                            help=f"{k.help} (default {k.default})")
     return p
@@ -516,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _add_subcommand(sub, "train", cmd_train, "train a model on a generated dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--finetune", action="store_true",
-                   help="also fine-tune on the test split (unsupervised)")
 
     p = _add_subcommand(sub, "finetune", cmd_finetune, "fine-tune a checkpoint on the test split")
     p.add_argument("--model", required=True, help="input checkpoint (.upcr)")
@@ -546,9 +538,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise CliError(f"--out {args.out} exists and is not a directory")
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,8 @@ from conftest import TINY, claim_tensor_dims, replace_header, rewrite_header, se
 
 # only train builds a model; every other command runs the checkpoint's
 TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
+# train builds no test pairs, so it takes no --test-pairs
+TINY_TRAIN = TINY[:TINY.index("--test-pairs")]
 # bench resolves its configuration before it reads the model file
 BENCH = ["bench", "--model", "m.upcr"]
 
@@ -216,19 +218,68 @@ def test_register_self_prints_identity(tmp_path, capsys):
     (["--save-transformed", "{moved_txt}"],
      "--save-transformed {moved_txt}: unsupported cloud format 'txt' (use xyz, off or ply)"),
     (["--save-transformed", "{moved}", "--out", "{a}"], "--out {a} exists and is not a directory"),
-], ids=["save-transformed-txt", "out-is-a-file"])
+    # a later --target or --model overrides the one every case passes
+    (["--save-transformed", "{a}"], "--save-transformed {a} would replace --source {a}"),
+    (["--target", "{b}", "--save-transformed", "{dir}/./b.xyz"],
+     "--save-transformed {dir}/./b.xyz would replace --target {b}"),
+    (["--model", "{model_xyz}", "--save-transformed", "{model_xyz}"],
+     "--save-transformed {model_xyz} would replace --model {model_xyz}"),
+], ids=["save-transformed-txt", "out-is-a-file", "save-transformed-is-source",
+        "save-transformed-is-target", "save-transformed-is-model"])
 def test_register_checks_output_paths_before_reading_inputs(tmp_path, capsys, flags, message):
-    names = {"a": str(tmp_path / "a.xyz"), "moved": str(tmp_path / "moved.xyz"),
-             "moved_txt": str(tmp_path / "moved.txt")}
+    names = {"a": str(tmp_path / "a.xyz"), "b": str(tmp_path / "b.xyz"),
+             "dir": str(tmp_path), "moved": str(tmp_path / "moved.xyz"),
+             "moved_txt": str(tmp_path / "moved.txt"),
+             "model_xyz": tiny_model_file(tmp_path, name="model.xyz")}
     save_cloud(synth_shape(1, 48, Rng(2)), names["a"])
+    save_cloud(synth_shape(2, 48, Rng(3)), names["b"])
     model = tiny_model_file(tmp_path)
-    before = sorted(os.listdir(tmp_path))
+    before = {name: read(tmp_path / name) for name in os.listdir(tmp_path)}
     rc = main(["register", "--source", names["a"], "--target", names["a"], "--model", model]
               + [f.format(**names) for f in flags])
     assert rc == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: {message.format(**names)}\n"
-    assert sorted(os.listdir(tmp_path)) == before
+    assert {name: read(tmp_path / name) for name in os.listdir(tmp_path)} == before
+
+
+def test_register_save_transformed_creates_its_directory(tmp_path, capsys):
+    a = str(tmp_path / "a.xyz")
+    save_cloud(synth_shape(1, 48, Rng(2)), a)
+    moved = tmp_path / "new" / "moved.xyz"
+    rc = main(["register", "--source", a, "--target", a, "--model", tiny_model_file(tmp_path),
+               "--save-transformed", str(moved)])
+    assert rc == 0 and capsys.readouterr().err == ""
+    assert len(moved.read_text().splitlines()) == 48
+
+
+@pytest.mark.parametrize("argv", [
+    # each run would fail another way if it started, so the --out check must come first
+    ["gen", "--train-pairs", "0", "--test-pairs", "0"],
+    ["train", "--train-pairs", "0"],
+    ["finetune", "--model", "{nope}"],
+    ["register", "--source", "{nope}", "--target", "{nope}", "--model", "{nope}"],
+    ["bench", "--model", "{nope}"],
+    ["sweep-outliers", "--model", "{nope}"],
+], ids=lambda argv: argv[0])
+def test_out_that_is_a_file_rejected_before_the_command_runs(tmp_path, capsys, argv):
+    out = tmp_path / "outfile"
+    out.write_text("kept\n")
+    argv = [a.format(nope=tmp_path / "nope") for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: --out {out} exists and is not a directory\n")
+    assert out.read_text() == "kept\n" and os.listdir(tmp_path) == ["outfile"]
+
+
+def test_finetune_into_its_model_file_rejected_before_pairs_are_built(tmp_path, capsys,
+                                                                     monkeypatch):
+    model = tiny_model_file(tmp_path)
+    before = read(model)
+    monkeypatch.setattr(cli, "make_splits", lambda cfg: pytest.fail("pairs were built"))
+    rc = main(["finetune", "--model", model, "--out", str(tmp_path)] + TINY)
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: --out {tmp_path} would replace --model {model}\n")
+    assert os.listdir(tmp_path) == ["model.upcr"] and read(model) == before
 
 
 def test_gen_writes_dataset_and_manifest(tmp_path):
@@ -261,7 +312,9 @@ def test_gen_partial_pairing_needs_partial_keep(tmp_path, capsys):
      "partial_keep = 24 is read only under partial pairing, got pairing 'consistent'"),
     (["gen"], "[protocol]\nnoise_clip = 0.1\n",
      "{cfg}:2: unknown configuration key 'protocol.noise_clip'"),
-], ids=["partial-keep", "noise-clip"])
+    (["gen"], "[data]\npoints = 64\npoints = 32\n",
+     "{cfg}:3: configuration key 'data.points' already set on line 2"),
+], ids=["partial-keep", "noise-clip", "key-set-twice"])
 def test_protocol_keys_that_would_be_ignored_rejected(tmp_path, capsys, argv, cfg_text,
                                                       message):
     cfg = tmp_path / "run.cfg"
@@ -273,18 +326,7 @@ def test_protocol_keys_that_would_be_ignored_rejected(tmp_path, capsys, argv, cf
     assert not out.exists()
 
 
-def test_train_finetune_curve_in_manifest(tmp_path):
-    out = tmp_path / "t"
-    rc = main(["train", "--finetune", "--epochs", "1", "--out", str(out)] + TINY + TINY_MODEL)
-    assert rc == 0
-    manifest = Path(out, "manifest.txt").read_text()
-    for name in ("model.upcr", "loss_curve.csv", "finetune_curve.csv"):
-        assert f"output {name} sha256 = {cli._sha256(str(out / name))}" in manifest
-
-
-@pytest.mark.parametrize("argv", [["train", "--finetune", "--epochs", "1"] + TINY_MODEL,
-                                  ["finetune", "--model", "{model}"]],
-                         ids=["train-finetune", "finetune"])
+@pytest.mark.parametrize("argv", [["finetune", "--model", "{model}"]], ids=["finetune"])
 def test_diverged_fine_tune_warns(tmp_path, capsys, monkeypatch, argv):
     real = cli.fine_tune
     monkeypatch.setattr(cli, "fine_tune",
@@ -320,7 +362,7 @@ def test_bench_deterministic_csv(tmp_path, capsys):
 
 def test_train_then_register_smoke(tmp_path, capsys):
     out = str(tmp_path / "run")
-    rc = main(["train", "--out", out, "--epochs", "1", "--seed", "5"] + TINY + TINY_MODEL)
+    rc = main(["train", "--out", out, "--epochs", "1", "--seed", "5"] + TINY_TRAIN + TINY_MODEL)
     assert rc == 0
     model = os.path.join(out, "model.upcr")
     assert os.path.exists(model)
@@ -524,8 +566,8 @@ def test_out_of_range_numbers_rejected_before_out_exists(tmp_path, capsys, argv,
         cfg.write_text(cfg_text)
         extra = ["--config", str(cfg)]
     # tiny sizes first, so a missed check fails fast; the case's flags override them
-    rc = main(argv[:1] + TINY + (TINY_MODEL + ["--epochs", "1"]) * (argv[0] == "train")
-              + argv[1:] + extra + ["--out", str(out)])
+    rc = main(argv[:1] + (TINY_TRAIN + TINY_MODEL + ["--epochs", "1"] if argv[0] == "train"
+                          else TINY) + argv[1:] + extra + ["--out", str(out)])
     assert rc == 1
     assert f"error: configuration key {message}\n" in capsys.readouterr().err
     assert not out.exists()
@@ -554,8 +596,8 @@ _PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--pairing", "--re
                "--partial-keep", "--points", "--categories", "--train-pairs", "--test-pairs"}
 OFFERED = {
     "gen": _PAIR_FLAGS | {"--out"},
-    "train": _PAIR_FLAGS | {"--k", "--m", "--layers", "--feature",
-                            "--epochs", "--lr", "--batch", "--out", "--finetune"},
+    "train": _PAIR_FLAGS - {"--test-pairs"} | {"--k", "--m", "--layers", "--feature",
+                                               "--epochs", "--lr", "--batch", "--out"},
     "finetune": _PAIR_FLAGS | {"--model", "--out"},
     "register": {"--source", "--target", "--model", "--save-transformed", "--out"},
     "bench": _PAIR_FLAGS | {"--model", "--out", "--baselines"},
@@ -601,6 +643,8 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
     ["bench", "--model", "{model}", "--feature", "pfh"],
     ["sweep-outliers", "--model", "{model}", "--mode", "euler"],
     ["train", "--mode", "euler"],
+    ["train", "--test-pairs", "2"],
+    ["train", "--finetune"],
     ["finetune", "--model", "{model}", "--m", "16"],
     ["finetune", "--model", "{model}", "--epochs", "1"],
     ["gen", "--layers", "2"],
@@ -608,14 +652,15 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
      "--seed", "1"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--config", "{cloud}"],
-], ids=["bench-k", "bench-feature", "sweep-mode", "train-mode", "finetune-m", "finetune-epochs",
-        "gen-layers", "register-seed", "register-config"])
+], ids=["bench-k", "bench-feature", "sweep-mode", "train-mode", "train-test-pairs",
+        "train-finetune", "finetune-m", "finetune-epochs", "gen-layers", "register-seed",
+        "register-config"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     cloud = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), cloud)
     names = {"model": tiny_model_file(tmp_path), "cloud": cloud}
     argv = [a.format(**names) for a in argv]
-    tiny = TINY if argv[0] != "register" else []
+    tiny = {"register": [], "train": TINY_TRAIN}.get(argv[0], TINY)
     with pytest.raises(SystemExit) as exc:
         main(argv + tiny + ["--out", str(tmp_path / "o")])
     assert exc.value.code == 2
@@ -623,11 +668,10 @@ def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
-def manifest_sections(out):
+def manifest_keys(out):
     lines = Path(out, "manifest.txt").read_text().splitlines()
     assert lines[0].startswith("command = ")
-    keys = [line.split(" = ")[0] for line in lines[1:] if " sha256 = " not in line]
-    return {key.split(".")[0] for key in keys}
+    return {line.split(" = ")[0] for line in lines[1:] if " sha256 = " not in line}
 
 
 def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
@@ -642,13 +686,15 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
         "train": ["train", "--epochs", "0"] + TINY_MODEL,
     }
     for name, argv in runs.items():
-        assert main(argv + TINY + ["--out", str(tmp_path / name)]) == 0, name
-    pairs = {"seed", "protocol", "data"}
-    assert manifest_sections(tmp_path / "bench") == pairs
-    assert manifest_sections(tmp_path / "sweep") == pairs
-    assert manifest_sections(tmp_path / "gen") == pairs
-    assert manifest_sections(tmp_path / "finetune") == pairs | {"train", "finetune"}
-    assert manifest_sections(tmp_path / "train") == set(cli.SECTIONS)
+        tiny = TINY_TRAIN if name == "train" else TINY
+        assert main(argv + tiny + ["--out", str(tmp_path / name)]) == 0, name
+    pairs = {key for key in cli.KEYS if cli._section(key) in ("seed", "protocol", "data")}
+    assert manifest_keys(tmp_path / "bench") == pairs
+    assert manifest_keys(tmp_path / "sweep") == pairs
+    assert manifest_keys(tmp_path / "gen") == pairs
+    finetune = {"finetune.epochs", "finetune.lr"}
+    assert manifest_keys(tmp_path / "finetune") == pairs | finetune | {"train.batch"}
+    assert manifest_keys(tmp_path / "train") == set(cli.KEYS) - finetune - {"data.test"}
     bench = Path(tmp_path, "bench", "manifest.txt").read_text()
     assert not re.search(r"^(encoder|feature)\.", bench, re.M)
     b = str(tmp_path / "b.xyz")
@@ -659,6 +705,53 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     assert lines[0] == "command = register"
     assert [line.split(" sha256 = ")[0] for line in lines[1:]] == [
         "input a.xyz", "input b.xyz", "input model.upcr"]
+
+
+def manifest_hashes(out):
+    """The (label, path) -> SHA-256 lines of a manifest, each kept once."""
+    hashes = {}
+    for line in Path(out, "manifest.txt").read_text().splitlines():
+        if " sha256 = " in line:
+            name, digest = line.split(" sha256 = ")
+            assert name not in hashes, name
+            hashes[name] = digest
+    return hashes
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen"] + TINY,
+    ["train", "--epochs", "1"] + TINY_TRAIN + TINY_MODEL,
+    ["finetune", "--model", "{model}"] + TINY,
+    ["finetune", "--model", "{out}/trained.upcr"] + TINY,
+    ["register", "--source", "{a}", "--target", "{b}", "--model", "{model}",
+     "--save-transformed", "{out}/moved.xyz"],
+    ["bench", "--model", "{model}"] + TINY,
+    ["sweep-outliers", "--model", "{model}", "--ratios", "0"] + TINY,
+], ids=["gen", "train", "finetune", "finetune-into-its-model-dir", "register", "bench",
+        "sweep-outliers"])
+def test_manifest_hashes_every_file_the_run_read_and_wrote(tmp_path, argv):
+    out = tmp_path / "out"
+    names = {"out": out, "model": tiny_model_file(tmp_path), "a": tmp_path / "a.xyz",
+             "b": tmp_path / "b.xyz"}
+    if "{out}/trained.upcr" in argv:  # --out already holds the input model
+        out.mkdir()
+        tiny_model_file(out, name="trained.upcr")
+    save_cloud(synth_shape(0, 32, Rng(1)), str(names["a"]))
+    save_cloud(synth_shape(1, 32, Rng(2)), str(names["b"]))
+    argv = [a.format(**names) for a in argv]
+    inputs = [argv[i + 1] for i, a in enumerate(argv) if a in ("--source", "--target", "--model")]
+    before = {f"input {os.path.basename(p)}": cli._sha256(p) for p in inputs}
+    assert main(argv + ["--out", str(out)]) == 0
+    inputs_under_out = {os.path.relpath(p, out) for p in inputs if p.startswith(str(out))}
+    written = sorted(os.path.relpath(os.path.join(root, f), out)
+                     for root, _, files in os.walk(out) for f in files)
+    written = [p for p in written if p != "manifest.txt" and p not in inputs_under_out]
+    hashes = manifest_hashes(out)
+    assert {k: v for k, v in hashes.items() if k.startswith("input ")} == before
+    outputs = {k.split(" ", 1)[1]: v for k, v in hashes.items() if k.startswith("output ")}
+    assert sorted(outputs) == written
+    for path, digest in outputs.items():
+        assert cli._sha256(str(out / path)) == digest, path
 
 
 def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
@@ -680,8 +773,6 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["gen", "--train-pairs", "0", "--test-pairs", "0"],
      "gen has no pairs: data.train = 0 and data.test = 0"),
     (["train", "--train-pairs", "0"], "train has no pairs: data.train = 0"),
-    (["train", "--finetune", "--test-pairs", "0"],
-     "train --finetune has no pairs: data.test = 0"),
     (["finetune", "--model", "{model}", "--test-pairs", "0"],
      "finetune has no pairs: data.test = 0"),
     (["bench", "--model", "{model}", "--test-pairs", "0"], "bench has no pairs: data.test = 0"),
@@ -723,7 +814,7 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["gen", "--pairing", "partial", "--partial-keep", "64", "--points", "64"],
      "configuration key 'protocol.partial_keep' must be in [1, data.points - 1] = [1, 63] "
      "under partial pairing, got 64"),
-], ids=["gen-no-pairs", "train-no-pairs", "train-finetune-no-pairs", "finetune-no-pairs",
+], ids=["gen-no-pairs", "train-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
@@ -740,8 +831,8 @@ def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     argv = [a.format(**names) for a in argv]
     out = tmp_path / "o"
     # tiny sizes first, so a missed check fails fast; the case's flags override them
-    rc = main(argv[:1] + TINY + (TINY_MODEL + ["--epochs", "1"]) * (argv[0] == "train")
-              + argv[1:] + ["--out", str(out)])
+    rc = main(argv[:1] + (TINY_TRAIN + TINY_MODEL + ["--epochs", "1"] if argv[0] == "train"
+                          else TINY) + argv[1:] + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message.format(**names)}") and err.count("\n") == 1
