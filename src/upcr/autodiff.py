@@ -1,27 +1,28 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The operator set is exactly what the registration pipeline needs: affine
-layers, ``add``, ``sub`` and ``leaky_relu``, max-pooling with deterministic
-tie-breaking, softmax, the indexing ops that assemble edge features, and
-``neighbor_max``, the max over each point's neighbor rows in an edge
-convolution, whose forward gathers and pools its [n*k, c] table in bounded
-row blocks, so the table never exists whole. Fused ops live beside the code
-they serve: the rotation decoder in ``geom``, ``channel_norm`` in ``encoder``,
-the pose-related term and canonical coordinates in ``separation``, the
-Chamfer loss and the batch mean in ``training``. No broadcasting, no
-higher-order derivatives, no views: every op produces a fresh array.
+layers, ``matmul`` and ``leaky_relu``, max-pooling with deterministic
+tie-breaking, softmax, and the indexing ops of the pose head. Fused ops live
+beside the code they serve: the edge convolution and ``channel_norm`` in
+``encoder``, the point embedding in ``features``, the rotation decoder in
+``geom``, the pose-related term and canonical coordinates in ``separation``,
+the Chamfer loss and the batch mean in ``training``. The edge convolution's
+max over each point's neighbor rows is :func:`_edge_max`, which gathers and
+pools its [n*k, c] table in bounded row blocks, so the table never exists
+whole. No broadcasting, no higher-order derivatives, no views: every op
+produces a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per
 operand. ``_emit`` keeps the pairs whose operand is on a tape; if any is
 left, it appends one node whose VJP returns ``[(node_id, fn(g)), ...]`` in
-operand order (an operand used twice, as in ``add(f, f)``, gets two entries).
-A gradient map holds only what its backward reads: ``add`` and ``sub`` hold
-no operand, ``matmul`` only the other one. Forward work that only a gradient
-needs (the winner search of ``reduce_max`` and ``neighbor_max``, one integer
-max over a table of hits, and the float gate of ``leaky_relu``) runs only for
-a taped operand, so the same pipeline code serves both training and
-inference.
+operand order (an operand used twice gets two entries). A gradient map holds
+only what its backward reads: ``matmul`` only the other operand. The maps of
+one fused op share the work that depends only on g through :func:`_per_g`.
+Forward work that only a gradient needs (the winner search of ``reduce_max``
+and of the pooled ops, one integer max over a table of hits, and the gate of
+``leaky_relu``) runs only for a taped operand, so the same pipeline code
+serves both training and inference.
 
 One :func:`backward` uses up a tape, as PyTorch's default
 ``retain_graph=False`` does: each node's VJP, and the forward arrays it holds,
@@ -157,23 +158,6 @@ def _node_vjp(taped: tuple, g: np.ndarray) -> list[tuple[int, np.ndarray]]:
 # pointwise ops
 
 
-def _binary(kind: str, a, b, fwd, db) -> Tensor:
-    """An elementwise op over two operands of one shape, whose gradient is g
-    for ``a`` and ``db(g)`` for ``b``; neither map holds an operand."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ")
-    return _emit(kind, fwd(a.data, b.data), [(a, lambda g: g), (b, db)])
-
-
-def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g: g)
-
-
-def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, np.negative)
-
-
 def leaky_relu(a) -> Tensor:
     """y = x * gate with gate 1 for x >= 0 and ``SLOPE`` below; the backward
     multiplies g by the same gate.
@@ -186,7 +170,21 @@ def leaky_relu(a) -> Tensor:
     x = a.data
     out = np.multiply(SLOPE, x, out=np.empty(x.shape))
     np.maximum(out, x, out=out)
-    return _emit("leaky_relu", out, [(a, lambda g: g * np.where(x >= 0.0, 1.0, SLOPE))])
+    return _emit("leaky_relu", out, [(a, lambda g: _gated(g, x >= 0.0))])
+
+
+def _activate(x: np.ndarray, gate: np.ndarray | None) -> None:
+    """:func:`leaky_relu`'s forward in place on ``x``. A taped op passes a
+    bool ``gate`` of x's shape, which first records x >= 0: one byte per
+    entry is all its backward reads, through :func:`_gated`."""
+    if gate is not None:
+        np.greater_equal(x, 0.0, out=gate)
+    np.maximum(np.multiply(SLOPE, x), x, out=x)
+
+
+def _gated(g: np.ndarray, gate: np.ndarray) -> np.ndarray:
+    """The LeakyReLU backward: g times 1 where ``gate`` (x >= 0) holds, else SLOPE."""
+    return g * np.where(gate, 1.0, SLOPE)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +309,7 @@ def affine(x, weight, bias) -> Tensor:
 
 
 def pair_table(b, neighbors) -> Tensor:
-    """One row block of :func:`neighbor_max`'s edge table, the name perfbench
+    """One row block of :func:`_edge_max`'s edge table, the name perfbench
     traces: b's rows in the order of the flattened ``neighbors``. Given a
     block's [k, r] transpose, row j*r + i is b[nbr[i, j]]. No index checks (the
     caller checks the whole table once); a constant, never a tape node."""
@@ -319,44 +317,72 @@ def pair_table(b, neighbors) -> Tensor:
     return Tensor(np.take(as_tensor(b).data, idx, axis=0))
 
 
-# bytes of the edge table one neighbor_max row block gathers: small enough to
-# stay in cache, large enough that the per-block Python overhead is negligible
+# bytes of the edge table one row block gathers: small enough to stay in
+# cache, large enough that the per-block Python overhead is negligible
 _EDGE_BLOCK_BYTES = 1 << 20
 
 
-def neighbor_max(b, neighbors) -> Tensor:
-    """Max over each point's neighbors: out[i] = max_j b[neighbors[i, j]].
+def _block_rows(k: int, c: int) -> int:
+    """Rows per block, so that a block's [rows*k, c] table of float64 stays
+    within ``_EDGE_BLOCK_BYTES``; at least one row."""
+    return max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
 
-    The same values and tie rule as ``gather_rows -> reshape -> reduce_max``:
-    the lowest j wins a tie, and the first NaN wins a NaN maximum. The forward
-    works in row blocks of at most ``_EDGE_BLOCK_BYTES`` of gathered rows (at
-    least one row), each gathered neighbor-major by :func:`pair_table` as a
-    [k, rows, c] block and pooled over its first axis, so the [r*k, c] table
-    never exists whole. A tape keeps only the [r, c] table of
-    winning source rows, so the backward scatters r*c entries onto ``b``,
-    never an [r*k, c] gradient.
+
+def _per_g(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """``fn`` that remembers its last result: the gradient maps of one fused
+    op call it with the same upstream g, which their node's VJP passes to each
+    map in turn, so the work they share runs once."""
+    last: list = []
+
+    def call(g):
+        if not last or last[0] is not g:
+            last[:] = [g, fn(g)]
+        return last[1]
+
+    return call
+
+
+def _edge_max(out: np.ndarray, b: np.ndarray, neighbors: np.ndarray, taped: bool):
+    """out[i] <- LeakyReLU(out[i] + max_j b[neighbors[i, j]]), in place: the
+    pooling and activation of an edge convolution, whose [r, c] ``out`` holds
+    the centre term and [n, c] ``b`` the neighbor term.
+
+    The values and the tie rule of ``leaky_relu(out + reduce_max(reshape(
+    gather_rows(b, neighbors))))``: the lowest j wins a tie, and the first NaN
+    wins a NaN maximum. Row blocks of at most ``_EDGE_BLOCK_BYTES`` of
+    gathered rows (at least one row) are gathered neighbor-major by
+    :func:`pair_table` as [k, rows, c] blocks and pooled over their first
+    axis, so the [r*k, c] table never exists whole. No index checks.
+
+    Untaped, returns None. Taped, it keeps the [r, c] winning source rows and
+    the 1-byte gate, and returns the map g -> (gradient of the centre term,
+    gradient of b), which scatters r*c entries onto b, never an [r*k, c]
+    gradient.
     """
-    b = as_tensor(b)
-    nbr = np.asarray(neighbors, dtype=np.int64)
-    if b.ndim != 2 or nbr.ndim != 2:
-        raise ShapeError(f"neighbor_max: got b {b.shape}, neighbors {nbr.shape}")
-    (n, c), (r, k) = b.shape, nbr.shape
-    if k < 1:
-        raise ShapeError("neighbor_max: neighbors has no columns")
-    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
-        raise ShapeError(f"neighbor_max: neighbor index out of range for {n} points")
-    rows = max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
-    out = np.empty((r, c))
-    src = np.empty((r, c), dtype=np.int64) if b.node_id is not None else None
-    for s in range(0, r, rows):
-        e = min(s + rows, r)
-        block = pair_table(b.data, nbr[s:e].T).data.reshape(k, e - s, c)
-        np.max(block, axis=0, out=out[s:e])
-        if src is not None:  # winning source rows, [e - s, c], by flat index
-            arg = _first_max_index(block, out[s:e], 0)
-            src[s:e] = np.take(nbr[s:e], arg + k * np.arange(e - s)[:, None])
+    (r, k), (n, c) = neighbors.shape, b.shape
+    step = _block_rows(k, c)
+    gate = np.empty((r, c), dtype=bool) if taped else None
+    src = np.empty((r, c), dtype=np.int64) if taped else None
+    for s in range(0, r, step):
+        e = min(s + step, r)
+        block = pair_table(b, neighbors[s:e].T).data.reshape(k, e - s, c)
+        pooled = np.max(block, axis=0)
+        if taped:  # winning source rows, [e - s, c], by flat index
+            arg = _first_max_index(block, pooled, 0)
+            src[s:e] = np.take(neighbors[s:e], arg + k * np.arange(e - s)[:, None])
+        del block  # so that the next block is not gathered beside this one
+        rows = out[s:e]
+        rows += pooled
+        _activate(rows, None if gate is None else gate[s:e])
+    if not taped:
+        return None
 
-    return _emit("neighbor_max", out, [(b, lambda g: _scatter_rows(src, g, n))])
+    @_per_g
+    def grads(g):
+        g_out = _gated(g, gate)
+        return g_out, _scatter_rows(src, g_out, n)
+
+    return grads
 
 
 # ---------------------------------------------------------------------------

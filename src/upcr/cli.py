@@ -13,11 +13,12 @@ build its training pairs; ``finetune`` the pair keys, and it records the
 ``train.batch`` and ``finetune`` keys it also reads; ``register`` none. A
 command that loads a checkpoint runs the encoder config and feature kind
 stored in it. A ``--config`` file may hold any key, and each one it holds is
-checked. ``main`` rejects an ``--out`` that is not a directory; a command
-then checks its inputs, and that no output replaces one, before it writes
-anything, exiting 1 with ``error: ...``. Each command writes its files, and
-a manifest of the recorded keys and the SHA-256 of each input and output,
-through one call to ``_write_run``.
+checked. ``main`` rejects an ``--out`` that is, or lies under, a path
+that is not a directory; a command then checks its inputs, and that no
+output replaces one, before it writes anything, exiting 1 with
+``error: ...``. Each command writes its files, and a manifest of the
+recorded keys and the SHA-256 of each input, by flag and path, and of each
+output, through one call to ``_write_run``.
 """
 
 from __future__ import annotations
@@ -262,14 +263,17 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_run(args, cfg: dict, writers: dict, inputs: list[str] = ()) -> None:
+def _write_run(args, cfg: dict, writers: dict, inputs: tuple[str, ...] = ()) -> None:
     """A command's one output stage. ``writers`` maps each output path to a
-    function that writes that file. The inputs are hashed first, then each
-    output is written, its directory created, then, if ``--out`` is given,
+    function that writes that file; ``inputs`` names the flags of the files
+    the command read. The inputs are hashed first, then each output is
+    written, its directory created, then, if ``--out`` is given,
     ``manifest.txt``: the command, the keys ``COMMANDS`` records for it, and
-    the SHA-256 of each input, by file name, and of each output, by its path
-    under ``--out``."""
-    hashes = [f"input {os.path.basename(p)} sha256 = {_sha256(p)}" for p in inputs]
+    the SHA-256 of each input, by its flag and path as given
+    (``input --source a/x.xyz``), and of each output, by its path under
+    ``--out``."""
+    hashes = [f"input --{dest} {getattr(args, dest)} sha256 = {_sha256(getattr(args, dest))}"
+              for dest in inputs]
     for path, write in writers.items():
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         write(path)
@@ -397,7 +401,7 @@ def cmd_finetune(args) -> int:
     _write_run(args, cfg, {
         model_path: lambda p: save_checkpoint(p, ft.checkpoint),
         os.path.join(args.out, "finetune_curve.csv"): lambda p: write_loss_curve(p, ft.loss_curve),
-    }, inputs=[args.model])
+    }, inputs=("model",))
     print(f"model written to {model_path}")
     if ft.diverged:
         print("warning: fine-tuning diverged; checkpoint is the last finite state")
@@ -426,7 +430,7 @@ def cmd_register(args) -> int:
         print(" ".join(f"{v:.9g}" for v in row))
     moved = geom.apply_transform(result.transform, source)
     writers = {args.save_transformed: partial(save_cloud, moved)} if args.save_transformed else {}
-    _write_run(args, {}, writers, inputs=[args.source, args.target, args.model])
+    _write_run(args, {}, writers, inputs=("source", "target", "model"))
     return 0
 
 
@@ -457,7 +461,7 @@ def cmd_bench(args) -> int:
     rows = _bench_rows(model, test_s, args.baselines)
     print_table(rows)
     _write_run(args, cfg, {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
-               inputs=[args.model])
+               inputs=("model",))
     return 0
 
 
@@ -475,7 +479,7 @@ def cmd_sweep_outliers(args) -> int:
                          "mae_rot_monotone": entry[f"{method}_mae_rot_monotone"]})
     print_table(rows)
     _write_run(args, cfg, {os.path.join(args.out, "outlier_sweep.csv"):
-                           lambda p: write_csv(p, rows)}, inputs=[args.model])
+                           lambda p: write_csv(p, rows)}, inputs=("model",))
     return 0
 
 
@@ -537,11 +541,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Reject an ``--out`` that is, or would be created under, an existing
+    path that is not a directory, naming the flag."""
+    path = out
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        where = "" if path == out else f": {path}"
+        raise CliError(f"--out {out}{where} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise CliError(f"--out {args.out} exists and is not a directory")
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

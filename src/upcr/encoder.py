@@ -10,10 +10,12 @@ points turns the last layer into an m-vector.
 LeakyReLU with slope ``autodiff.SLOPE`` >= 0 is monotone, and so is the
 float rounding of SLOPE*x and of a sum, so max_j act(a_i + b_j) ==
 act(a_i + max_j b_j) bit for bit wherever no sum is inf - inf. Every layer
-therefore pools only the neighbor term over k, in ``autodiff.neighbor_max``,
-then adds the centre term and applies the activation to [n, c] rows: no
+therefore pools only the neighbor term over k, then adds the centre term and
+applies the activation to [n, c] rows, all in ``autodiff._edge_max``: no
 [n*k, c] edge table ever exists whole, and on a tape only the [n, c] winning
-neighbors are kept, so the backward never builds an [n*k, c] gradient.
+neighbors and a 1-byte activation gate are kept, so the backward never
+builds an [n*k, c] gradient. Each layer is one tape op, as ``channel_norm``
+is.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -179,23 +181,55 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad
     maps, F_i @ (W_top - W_bot) + F_j @ W_bot, so the k-fold expansion happens
     after the matrix products (k times fewer GEMM flops, same function).
 
-    Pooling comes before the centre term and the activation (see the module
-    docstring): ``ad.neighbor_max`` of the neighbor term alone pools a bounded
-    row block at a time, and its backward scatters only the [n, c'] pooled
-    gradient onto the winning neighbors.
+    One tape op: the centre GEMM plus bias is written into the output array,
+    which ``ad._edge_max`` then pools the neighbor term into and activates,
+    a row block at a time (see the module docstring). Values and gradients
+    are those of the unfused chain gather_rows, sub, affine, matmul, the
+    neighbor max, add and leaky_relu, bit for bit: each gradient adds its
+    terms in that chain's backward order, and the weight rows of W_top and
+    W_bot start from 0.0 as a row scatter's do. The two terms of the feats
+    gradient are summed before they reach the tape, which is that order
+    wherever the layer is the one reader of ``feats``, as in both encoders.
     """
-    n = neighbors.shape[0]
-    if feats.shape[0] != n:
-        raise ad.ShapeError(f"edge_conv_layer: {feats.shape[0]} feature rows for {n} points")
-    w = ad.as_tensor(weight)
-    c = feats.shape[1]
+    w, b = ad.as_tensor(weight), ad.as_tensor(bias)
+    nbr = np.asarray(neighbors, dtype=np.int64)
+    if feats.ndim != 2 or w.ndim != 2 or nbr.ndim != 2:
+        raise ad.ShapeError(f"edge_conv_layer: got feats {feats.shape}, weight {w.shape}, "
+                            f"neighbors {nbr.shape}")
+    (n, c), (r, k) = feats.shape, nbr.shape
+    if r != n:
+        raise ad.ShapeError(f"edge_conv_layer: {n} feature rows for {r} points")
     if w.shape[0] != 2 * c:
         raise ad.ShapeError(f"edge_conv_layer: weight rows {w.shape[0]} != 2*c = {2 * c}")
-    w_top = ad.gather_rows(w, np.arange(c))
-    w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
-    center = ad.affine(feats, ad.sub(w_top, w_bot), bias)  # [n, c']
-    nbr_part = ad.matmul(feats, w_bot)                     # [n, c']
-    return ad.leaky_relu(ad.add(center, ad.neighbor_max(nbr_part, neighbors)))
+    if b.shape != (1, w.shape[1]):
+        raise ad.ShapeError(f"edge_conv_layer: bias {b.shape} for weight {w.shape}")
+    if k < 1:
+        raise ad.ShapeError("edge_conv_layer: neighbors has no columns")
+    if nbr.size and (nbr.min() < 0 or nbr.max() >= n):
+        raise ad.ShapeError(f"edge_conv_layer: neighbor index out of range for {n} points")
+    fv, wv = feats.data, w.data
+    w_bot = wv[c:]
+    out = fv @ (wv[:c] - w_bot)  # the [c, c'] difference is rebuilt, not kept, for a VJP
+    out += b.data
+    taped = any(t.node_id is not None for t in (feats, w, b))
+    parts = ad._edge_max(out, fv @ w_bot, nbr, taped)
+
+    def grad_feats(g):
+        g_centre, g_nbr = parts(g)
+        return g_nbr @ w_bot.T + g_centre @ (wv[:c] - w_bot).T
+
+    def grad_weight(g):
+        g_centre, g_nbr = parts(g)
+        g_top = fv.T @ g_centre
+        gw = np.empty(wv.shape)
+        gw[:c] = g_top
+        gw[c:] = fv.T @ g_nbr + np.negative(g_top)  # matmul's term, then sub's
+        gw += 0.0  # a row scatter adds to 0.0, which turns -0.0 into +0.0
+        return gw
+
+    return ad._emit("edge_conv", out, [
+        (feats, grad_feats), (w, grad_weight),
+        (b, lambda g: parts(g)[0].sum(axis=0, keepdims=True))])
 
 
 @dataclass

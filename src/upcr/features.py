@@ -8,7 +8,9 @@ combination did (README, reproduction findings). All of them are unchanged
 by a rigid motion of the points: the normals that PPF, SPFH and PFH read are
 estimated from the points' own neighbor table, so they turn with the cloud.
 That invariance is what makes the downstream invariant representation
-possible.
+possible. The invariant point embedding, ``embed_from_features``, is one
+tape op whose forward runs its affine map and max over k in bounded row
+blocks, so its [N*k, c] table never exists whole.
 """
 
 from __future__ import annotations
@@ -285,9 +287,45 @@ def embed_from_features(phi: np.ndarray, weight, bias) -> ad.Tensor:
 
     The max over k comes before the LeakyReLU, which is monotone, so the
     result equals pooling the activated [N*k, c] table, at N rows of cost.
+
+    One tape op with the values and gradients of the chain affine, reshape,
+    reduce_max and leaky_relu, bit for bit. The forward runs the affine map
+    and the max in row blocks within ``autodiff._EDGE_BLOCK_BYTES``, so the
+    [N*k, c] table never exists whole; a tape keeps the winning k index and
+    the 1-byte activation gate per [N, c] entry. The backward still builds
+    the [N*k, c] gradient, so the weight gradient is the chain's one GEMM.
+    Row-blocked products can round one ulp from the whole product at some
+    shapes (OpenBLAS picks its kernel by shape, see ``geom._scan``); at the
+    paper and desk presets they agree bit for bit.
     """
-    n, k, d = phi.shape
-    w = ad.as_tensor(weight)
-    flat = ad.constant(phi.reshape(n * k, d))
-    h = ad.reshape(ad.affine(flat, w, bias), (n, k, w.shape[1]))
-    return ad.leaky_relu(ad.reduce_max(h, axis=1))
+    w, b = ad.as_tensor(weight), ad.as_tensor(bias)
+    if phi.ndim != 3 or w.ndim != 2 or w.shape[0] != phi.shape[2] or b.shape != (1, w.shape[1]):
+        raise ad.ShapeError(f"embed_from_features: got phi {phi.shape}, weight {w.shape}, "
+                            f"bias {b.shape}")
+    (n, k, d), c = phi.shape, w.shape[1]
+    wv, bv = w.data, b.data
+    taped = w.node_id is not None or b.node_id is not None
+    out = np.empty((n, c))
+    arg = np.empty((n, c), dtype=np.min_scalar_type(k)) if taped else None
+    gate = np.empty((n, c), dtype=bool) if taped else None
+    step = ad._block_rows(k, c)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        h = phi[s:e].reshape((e - s) * k, d) @ wv
+        h += bv
+        h = h.reshape(e - s, k, c)
+        np.max(h, axis=1, out=out[s:e])
+        if taped:
+            arg[s:e] = ad._first_max_index(h, out[s:e], 1)
+        del h  # so that the next block is not computed beside this one
+    ad._activate(out, gate)
+    flat = phi.reshape(n * k, d)
+
+    @ad._per_g
+    def table(g):  # the [N*k, c] gradient of the affine rows
+        full = np.zeros((n, k, c))
+        np.put_along_axis(full, arg[:, None, :], ad._gated(g, gate)[:, None, :], axis=1)
+        return full.reshape(n * k, c)
+
+    return ad._emit("embed", out, [(w, lambda g: flat.T @ table(g)),
+                                   (b, lambda g: table(g).sum(axis=0, keepdims=True))])

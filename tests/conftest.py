@@ -199,19 +199,60 @@ def neighbor_table_oracle(data: np.ndarray, k: int) -> np.ndarray:
     return reps[_select_k_oracle(d2, reps, k)][inverse]
 
 
+def _binary(kind: str, a, b, fwd, db) -> ad.Tensor:
+    """An elementwise op over two operands of one shape, whose gradient is g
+    for ``a`` and ``db(g)`` for ``b``; neither map holds an operand."""
+    a, b = ad.as_tensor(a), ad.as_tensor(b)
+    if a.shape != b.shape:
+        raise ad.ShapeError(f"{kind}: shapes {a.shape} and {b.shape} differ")
+    return ad._emit(kind, fwd(a.data, b.data), [(a, lambda g: g), (b, db)])
+
+
+def add(a, b) -> ad.Tensor:
+    """a + b on the tape, for the oracles: the library fuses every sum into
+    the op that needs it."""
+    return _binary("add", a, b, np.add, lambda g: g)
+
+
+def sub(a, b) -> ad.Tensor:
+    """a - b on the tape, for the oracles."""
+    return _binary("sub", a, b, np.subtract, np.negative)
+
+
 def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
     """``autodiff.pair_table`` on the tape, from the general ops:
     row i*k + j is a[i] + b[neighbors[i, j]]."""
     n, k = np.shape(neighbors)
-    return ad.add(ad.gather_rows(a, np.repeat(np.arange(n), k)),
-                  ad.gather_rows(b, np.reshape(neighbors, -1)))
+    return add(ad.gather_rows(a, np.repeat(np.arange(n), k)),
+               ad.gather_rows(b, np.reshape(neighbors, -1)))
 
 
 def neighbor_max_oracle(b, neighbors) -> ad.Tensor:
-    """``autodiff.neighbor_max`` unfused: ``gather_rows -> reshape -> reduce_max``."""
+    """The max over each point's neighbor rows of ``b``, unfused:
+    ``gather_rows -> reshape -> reduce_max``."""
     n, k = np.shape(neighbors)
     table = ad.gather_rows(b, np.reshape(neighbors, -1))
     return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
+
+
+def edge_conv_chain(feats, neighbors, weight, bias) -> ad.Tensor:
+    """``encoder.edge_conv_layer`` as the chain of eight tape ops it fuses:
+    pool the neighbor term, add the centre term, then activate."""
+    c = feats.shape[1]
+    w = ad.as_tensor(weight)
+    w_top = ad.gather_rows(w, np.arange(c))
+    w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
+    center = ad.affine(feats, sub(w_top, w_bot), bias)
+    return ad.leaky_relu(add(center, neighbor_max_oracle(ad.matmul(feats, w_bot), neighbors)))
+
+
+def embed_chain(phi: np.ndarray, weight, bias) -> ad.Tensor:
+    """``features.embed_from_features`` as the chain of four tape ops it
+    fuses, over the whole [N*k, c] table."""
+    n, k, d = phi.shape
+    w = ad.as_tensor(weight)
+    h = ad.reshape(ad.affine(ad.constant(phi.reshape(n * k, d)), w, bias), (n, k, w.shape[1]))
+    return ad.leaky_relu(ad.reduce_max(h, axis=1))
 
 
 def _activate_then_pool(pre: ad.Tensor, n: int, k: int) -> ad.Tensor:
@@ -227,7 +268,7 @@ def edge_conv_oracle(feats, neighbors, weight, bias) -> ad.Tensor:
     w = ad.as_tensor(weight)
     w_top = ad.gather_rows(w, np.arange(c))
     w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
-    center = ad.affine(feats, ad.sub(w_top, w_bot), bias)
+    center = ad.affine(feats, sub(w_top, w_bot), bias)
     table = pair_table_oracle(center, ad.matmul(feats, w_bot), neighbors)
     return _activate_then_pool(table, n, k)
 

@@ -271,6 +271,46 @@ def test_out_that_is_a_file_rejected_before_the_command_runs(tmp_path, capsys, a
     assert out.read_text() == "kept\n" and os.listdir(tmp_path) == ["outfile"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen"] + TINY,
+    ["train", "--epochs", "1"] + TINY_TRAIN + TINY_MODEL,
+], ids=lambda argv: argv[0])
+def test_out_under_a_file_rejected_before_the_command_runs(tmp_path, capsys, monkeypatch, argv):
+    """``--out file/sub`` cannot be created when ``file`` is a regular file;
+    the command must fail naming the flag before it builds a pair or trains."""
+    parent = tmp_path / "file"
+    parent.write_text("kept\n")
+    monkeypatch.setattr(cli, "make_splits", lambda cfg: pytest.fail("pairs were built"))
+    for out in (parent / "sub", parent / "sub" / "deeper"):
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: --out {out}: {parent} exists and is not a directory\n")
+    assert parent.read_text() == "kept\n" and os.listdir(tmp_path) == ["file"]
+
+
+def test_out_under_missing_directories_is_created(tmp_path):
+    out = tmp_path / "new" / "deeper"
+    assert main(["gen"] + TINY + ["--out", str(out)]) == 0
+    assert (out / "manifest.txt").is_file()
+
+
+def test_manifest_tells_inputs_with_one_file_name_apart(tmp_path):
+    """Two inputs named x.xyz in different directories: each manifest line
+    names its flag and path, so the source and target hashes are told apart."""
+    a, b = tmp_path / "a" / "x.xyz", tmp_path / "b" / "x.xyz"
+    for i, path in enumerate((a, b)):
+        path.parent.mkdir()
+        save_cloud(synth_shape(i, 32, Rng(i + 1)), str(path))
+    model = tiny_model_file(tmp_path)
+    out = tmp_path / "reg"
+    assert main(["register", "--source", str(a), "--target", str(b), "--model", model,
+                 "--out", str(out)]) == 0
+    assert manifest_hashes(out) == {f"input --source {a}": cli._sha256(str(a)),
+                                    f"input --target {b}": cli._sha256(str(b)),
+                                    f"input --model {model}": cli._sha256(model)}
+    assert cli._sha256(str(a)) != cli._sha256(str(b))
+
+
 def test_finetune_into_its_model_file_rejected_before_pairs_are_built(tmp_path, capsys,
                                                                      monkeypatch):
     model = tiny_model_file(tmp_path)
@@ -704,7 +744,7 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     lines = Path(tmp_path, "reg", "manifest.txt").read_text().splitlines()
     assert lines[0] == "command = register"
     assert [line.split(" sha256 = ")[0] for line in lines[1:]] == [
-        "input a.xyz", "input b.xyz", "input model.upcr"]
+        f"input --source {a}", f"input --target {b}", f"input --model {model}"]
 
 
 def manifest_hashes(out):
@@ -739,8 +779,9 @@ def test_manifest_hashes_every_file_the_run_read_and_wrote(tmp_path, argv):
     save_cloud(synth_shape(0, 32, Rng(1)), str(names["a"]))
     save_cloud(synth_shape(1, 32, Rng(2)), str(names["b"]))
     argv = [a.format(**names) for a in argv]
-    inputs = [argv[i + 1] for i, a in enumerate(argv) if a in ("--source", "--target", "--model")]
-    before = {f"input {os.path.basename(p)}": cli._sha256(p) for p in inputs}
+    flags = [(a, argv[i + 1]) for i, a in enumerate(argv) if a in ("--source", "--target", "--model")]
+    inputs = [p for _, p in flags]
+    before = {f"input {flag} {p}": cli._sha256(p) for flag, p in flags}
     assert main(argv + ["--out", str(out)]) == 0
     inputs_under_out = {os.path.relpath(p, out) for p in inputs if p.startswith(str(out))}
     written = sorted(os.path.relpath(os.path.join(root, f), out)

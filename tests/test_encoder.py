@@ -12,7 +12,8 @@ from upcr.features import FEATURE_KINDS, FeatureSpec, embed_from_features
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import edge_conv_oracle, embed_oracle, grad_check, random_transform, weighted_sum
+from conftest import (add, edge_conv_chain, edge_conv_oracle, embed_chain, embed_oracle,
+                      grad_check, random_transform, weighted_sum)
 
 DESK = EncoderConfig(k=6, m=32, layers=3, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -148,7 +149,7 @@ def test_pool_first_gradients_match_activate_first():
                             (edge_conv_oracle, embed_oracle)):
             tape = ad.Tape()
             x, wt, bt, at = (tape.leaf(v) for v in (feats, w, b, alpha))
-            loss = ad.add(weighted_sum(conv(x, nbr, wt, bt), probe),
+            loss = add(weighted_sum(conv(x, nbr, wt, bt), probe),
                           weighted_sum(embed(phi, at, bt), probe))
             ad.backward(loss)
             grads.append([t.grad for t in (x, wt, bt, at)])
@@ -185,8 +186,7 @@ def test_taped_edge_conv_keeps_pooled_gradients():
     x, wt, bt = (tape.leaf(v) for v in (feats, w, b))
     loss = weighted_sum(edge_conv_layer(x, nbr, wt, bt))
     kinds = {node.kind for node in tape.nodes}
-    assert "neighbor_max" in kinds
-    assert not kinds & {"pair_table", "reshape", "reduce_max"}
+    assert kinds == {"leaf", "edge_conv", "weighted_sum"}
     sizes = []
 
     def sized(vjp):
@@ -226,7 +226,9 @@ def test_register_pair_edge_tables_stay_within_the_block_budget(monkeypatch):
 
 
 def test_untaped_edge_conv_peak_memory_stays_far_below_its_edge_table():
-    # the whole [1024 * 24, 256] edge table alone would take 48 MiB
+    # the whole [1024 * 24, 256] edge table alone would take 48 MiB; the fused
+    # op holds its output and the neighbor term, 2 MiB each, and one gathered
+    # block of at most 1 MiB (the unfused chain peaked at ~9 MiB)
     rng = Rng(0)
     n, k, c = 1024, 24, 256
     feats = ad.constant(rng.uniform(-1, 1, (n, c)))
@@ -238,7 +240,88 @@ def test_untaped_edge_conv_peak_memory_stays_far_below_its_edge_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 2 * n * c * 8 + ad._EDGE_BLOCK_BYTES + 2**18
+
+
+def _chain_inputs(case: str, seed: int, n: int = 12, k: int = 5, c: int = 3, c_out: int = 4):
+    """Features, neighbors, weight, bias and an upstream gradient with one
+    -0.0. "ties" draws small integers, so sums are exact and neighbors tie
+    often; "zeros" draws features and bias from -0.0 and +0.0 only, so every
+    neighbor ties; "nan" puts a NaN and an inf into the features."""
+    rng = Rng(seed)
+    nbr = rng.integers(0, n, (n, k))
+    nbr[:, -1] = nbr[:, 0]
+    feats, w, b = rng.uniform(-1, 1, (n, c)), rng.uniform(-1, 1, (2 * c, c_out)), \
+        rng.uniform(-1, 1, (1, c_out))
+    if case == "ties":
+        feats = rng.integers(-2, 3, (n, c)).astype(np.float64)
+        w = rng.integers(-1, 2, (2 * c, c_out)).astype(np.float64)
+        b = rng.integers(-1, 2, (1, c_out)).astype(np.float64)
+    elif case == "zeros":
+        feats = np.copysign(0.0, rng.integers(0, 2, (n, c)) - 0.5)
+        b = np.copysign(0.0, rng.integers(0, 2, (1, c_out)) - 0.5)
+    elif case == "nan":
+        feats[2, 1], feats[5, 0] = np.nan, np.inf
+    g = rng.uniform(-1, 1, (n, c_out))
+    g[0, 0] = -0.0
+    return feats, nbr, w, b, g
+
+
+def _values_and_grads(op, first, second, w, b, g) -> list[bytes]:
+    """op(first, w, b) untaped, then ``op`` twice on one tape with shared
+    leaves w and b, as two clouds share the parameters; ``first`` is a leaf
+    and ``second`` a constant, as after and before the first layer. The bytes
+    of the untaped value, the taped value and the three gradients."""
+    with np.errstate(invalid="ignore"):  # the inf case meets inf - inf
+        untaped = op(first, w, b).data
+        tape = ad.Tape()
+        x, wt, bt = (tape.leaf(v) for v in (first, w, b))
+        out = op(x, wt, bt)
+        ad.backward(add(weighted_sum(out, g), weighted_sum(op(second, wt, bt), g)))
+    return [a.tobytes() for a in (untaped, out.data, x.grad, wt.grad, bt.grad)]
+
+
+# blocks of 1 row, a ragged 5 rows (12 = 2 * 5 + 2) and all 12 rows at once
+@pytest.mark.parametrize("rows", [1, 5, 12])
+@pytest.mark.parametrize("case", ["random", "ties", "zeros", "nan"])
+def test_fused_edge_conv_matches_the_unfused_chain_bit_for_bit(monkeypatch, case, rows):
+    """Values and every gradient of the one-op layer against the eight-op
+    chain it replaced, taped and untaped."""
+    for seed in range(3):
+        feats, nbr, w, b, g = _chain_inputs(case, seed)
+        monkeypatch.setattr(ad, "_EDGE_BLOCK_BYTES", rows * nbr.shape[1] * w.shape[1] * 8)
+        got, want = (_values_and_grads(lambda f, wt, bt: conv(ad.as_tensor(f), nbr, wt, bt),
+                                       feats, feats[::-1].copy(), w, b, g)
+                     for conv in (edge_conv_layer, edge_conv_chain))
+        assert got == want
+
+
+def _embed_values_and_grads(embed, phi, w, b, g) -> list[bytes]:
+    """embed(phi, w, b) untaped, then twice on one tape with shared leaves w
+    and b, the second time on phi reversed: the bytes of the untaped value,
+    the taped value and both gradients."""
+    with np.errstate(invalid="ignore"):  # the inf case meets inf - inf
+        untaped = embed(phi, w, b).data
+        tape = ad.Tape()
+        wt, bt = tape.leaf(w), tape.leaf(b)
+        out = embed(phi, wt, bt)
+        ad.backward(add(weighted_sum(out, g), weighted_sum(embed(phi[::-1].copy(), wt, bt), g)))
+    return [a.tobytes() for a in (untaped, out.data, wt.grad, bt.grad)]
+
+
+@pytest.mark.parametrize("rows", [1, 5, 12])
+@pytest.mark.parametrize("case", ["random", "ties", "zeros", "nan"])
+def test_fused_embed_matches_the_unfused_chain_bit_for_bit(monkeypatch, case, rows):
+    """Values and both gradients of the one-op point embedding, in row
+    blocks, against the four-op chain over the whole table, taped and
+    untaped."""
+    for seed in range(3):
+        feats, nbr, w, b, g = _chain_inputs(case, seed)
+        phi = feats[nbr]  # [n, k, 3] neighbor features with the case's ties and NaNs
+        monkeypatch.setattr(ad, "_EDGE_BLOCK_BYTES", rows * nbr.shape[1] * w.shape[1] * 8)
+        got, want = (_embed_values_and_grads(embed, phi, w[:3], b, g)
+                     for embed in (embed_from_features, embed_chain))
+        assert got == want
 
 
 # ---------------------------------------------------------------------------

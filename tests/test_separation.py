@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -257,10 +258,10 @@ def test_register_rejects_a_cloud_of_k_points(small):
 
 
 def test_taped_pair_records_one_node_per_fused_step():
-    """The node kinds of one taped pair plus its loss. Channel norm, the
-    pose-related term, the canonical coordinates and the Chamfer loss are one
-    node each, so a chain that grows back (a sqrt, log, row-repeat, mul or
-    reduce_sum node) fails here."""
+    """The node kinds of one taped pair plus its loss. Each edge convolution,
+    point embedding, channel norm, pose-related term, canonical-coordinate
+    map and Chamfer loss is one node, so a chain that grows back (a sub, add,
+    matmul, sqrt, log, row-repeat, mul or reduce_sum node) fails here."""
     x = synth_shape(1, 24, Rng(25))
     y = geom.apply_transform(random_transform(Rng(26), 45.0, 0.5), x)
     model = small_model()
@@ -269,12 +270,11 @@ def test_taped_pair_records_one_node_per_fused_step():
     unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
     kinds = Counter(node.kind for node in tape.nodes)
     assert kinds == {
-        "leaf": 16, "affine": 16, "gather_rows": 24, "sub": 10, "matmul": 10,
-        "neighbor_max": 10, "add": 10, "leaky_relu": 14, "channel_norm": 8,
-        "reduce_max": 6, "softmax": 4, "pose_related": 2, "reshape": 6,
-        "euler_rotation": 2, "canonical": 2, "chamfer": 1,
+        "leaf": 16, "edge_conv": 10, "embed": 2, "channel_norm": 8, "reduce_max": 4,
+        "softmax": 4, "pose_related": 2, "reshape": 4, "affine": 4, "leaky_relu": 2,
+        "gather_rows": 4, "euler_rotation": 2, "canonical": 2, "chamfer": 1,
     }
-    assert sum(kinds.values()) == 141
+    assert sum(kinds.values()) == 65
 
 
 def test_full_pipeline_grad_check_all_parameters():
@@ -304,15 +304,41 @@ def _desk_pair():
 def test_activation_never_runs_on_edge_tables(monkeypatch):
     x, y, model = _desk_pair()
     rows = []
-    relu = ad.leaky_relu
+    relu, activate = ad.leaky_relu, ad._activate
 
     def counted(a, *args, **kwargs):
         rows.append(ad.as_tensor(a).shape[0])
         return relu(a, *args, **kwargs)
 
+    def counted_in_place(a, gate):
+        rows.append(a.shape[0])
+        return activate(a, gate)
+
     monkeypatch.setattr(ad, "leaky_relu", counted)
+    monkeypatch.setattr(ad, "_activate", counted_in_place)
     register_pair(x, y, model)
-    assert rows and max(rows) <= len(x)
+    assert 1 in rows  # the pose head
+    assert len(x) in rows  # the point embedding, and the last block of a layer
+    assert max(rows) <= len(x)
+
+
+def test_untaped_paper_pair_transients_stay_small():
+    """register_pair at the paper preset (1024 points, k = 24, m = 512). The
+    256 -> 512 layer holds its [n, 512] output and neighbor term, 4 MiB each,
+    its [n, 256] input and one gathered block; the unfused layer and the whole
+    [n*k, 64] embedding table took 20.8 MiB."""
+    rng = Rng(27)
+    x = synth_shape(3, 1024, rng.spawn("x"))
+    y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)
+    model = init_params(EncoderConfig(k=24, m=512), SPEC, "euler", 7)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        register_pair(x, y, model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20
 
 
 def test_winner_search_only_on_a_tape(monkeypatch):

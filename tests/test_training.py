@@ -22,7 +22,7 @@ from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import chamfer_oracle, claim_tensor_dims, grad_check, replace_header, \
+from conftest import add, chamfer_oracle, claim_tensor_dims, grad_check, replace_header, \
     rewrite_header, set_version
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
@@ -257,7 +257,7 @@ def test_divergence_rolls_back_parameters(monkeypatch):
     def nan_in_second_batch_of_epoch_2(cx, cy):
         loss_calls.append(1)
         li = loss(cx, cy)
-        return ad.add(li, ad.constant(np.nan)) if len(loss_calls) > 10 else li
+        return add(li, ad.constant(np.nan)) if len(loss_calls) > 10 else li
 
     def recorded_step(params, grads, state):
         step(params, grads, state)
