@@ -3,12 +3,13 @@
 The operator set is exactly what the registration pipeline needs: affine
 layers, ``matmul`` and ``leaky_relu``, max-pooling with deterministic
 tie-breaking, softmax, and the indexing ops of the pose head. Fused ops live
-beside the code they serve: the edge convolution and ``channel_norm`` in
-``encoder``, the point embedding in ``features``, the rotation decoder in
-``geom``, the pose-related term and canonical coordinates in ``separation``,
-the Chamfer loss and the batch mean in ``training``. The edge convolution's
-max over each point's neighbor rows is :func:`_edge_max`, which gathers and
-pools its [n*k, c] table in bounded row blocks, so the table never exists
+beside the code they serve: the point embedding, the edge convolution and
+``channel_norm`` in ``encoder``, the rotation decoder in ``geom``, the
+pose-related term and canonical coordinates in ``separation``, the Chamfer
+loss and the batch mean in ``training``. The point embedding and the edge
+convolution share one pooling step, :func:`_max_pool`: it adds each row's max
+over its k candidates to the row and activates it, building and pooling the
+[n*k, c] candidate table in bounded row blocks, so the table never exists
 whole. No broadcasting, no higher-order derivatives, no views: every op
 produces a fresh array.
 
@@ -309,23 +310,19 @@ def affine(x, weight, bias) -> Tensor:
 
 
 def pair_table(b, neighbors) -> Tensor:
-    """One row block of :func:`_edge_max`'s edge table, the name perfbench
-    traces: b's rows in the order of the flattened ``neighbors``. Given a
-    block's [k, r] transpose, row j*r + i is b[nbr[i, j]]. No index checks (the
-    caller checks the whole table once); a constant, never a tape node."""
+    """One row block of an edge convolution's table for :func:`_max_pool`,
+    the name perfbench traces: b's rows in the order of the flattened
+    ``neighbors``. Given a block's [k, r] transpose, row j*r + i is
+    b[nbr[i, j]]. No index checks (the caller checks the whole table once); a
+    constant, never a tape node."""
     idx = np.asarray(neighbors, dtype=np.int64).reshape(-1)
     return Tensor(np.take(as_tensor(b).data, idx, axis=0))
 
 
-# bytes of the edge table one row block gathers: small enough to stay in
-# cache, large enough that the per-block Python overhead is negligible
+# bytes of the [rows*k, c] table one row block of :func:`_max_pool` holds:
+# small enough to stay in cache, large enough that the per-block Python
+# overhead is negligible
 _EDGE_BLOCK_BYTES = 1 << 20
-
-
-def _block_rows(k: int, c: int) -> int:
-    """Rows per block, so that a block's [rows*k, c] table of float64 stays
-    within ``_EDGE_BLOCK_BYTES``; at least one row."""
-    return max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
 
 
 def _per_g(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
@@ -342,47 +339,37 @@ def _per_g(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]
     return call
 
 
-def _edge_max(out: np.ndarray, b: np.ndarray, neighbors: np.ndarray, taped: bool):
-    """out[i] <- LeakyReLU(out[i] + max_j b[neighbors[i, j]]), in place: the
-    pooling and activation of an edge convolution, whose [r, c] ``out`` holds
-    the centre term and [n, c] ``b`` the neighbor term.
+def _max_pool(out: np.ndarray, k: int, block: Callable[[int, int], np.ndarray], axis: int,
+              taped: bool):
+    """out[i] <- LeakyReLU(out[i] + max over k of row i's candidates), in
+    place, for the [r, c] ``out``: the pooling and activation of the point
+    embedding and of every edge convolution.
 
-    The values and the tie rule of ``leaky_relu(out + reduce_max(reshape(
-    gather_rows(b, neighbors))))``: the lowest j wins a tie, and the first NaN
-    wins a NaN maximum. Row blocks of at most ``_EDGE_BLOCK_BYTES`` of
-    gathered rows (at least one row) are gathered neighbor-major by
-    :func:`pair_table` as [k, rows, c] blocks and pooled over their first
-    axis, so the [r*k, c] table never exists whole. No index checks.
+    ``block(s, e)`` builds the k candidates of rows s..e-1, pooled over
+    ``axis``: [k, e - s, c] for axis 0, [e - s, k, c] for axis 1. A block
+    holds at most ``_EDGE_BLOCK_BYTES`` of float64 (at least one row), so the
+    [r*k, c] table never exists whole. The values and the tie rule of
+    ``leaky_relu(out + reduce_max(table))``: the lowest index wins a tie, and
+    the first NaN wins a NaN maximum.
 
-    Untaped, returns None. Taped, it keeps the [r, c] winning source rows and
-    the 1-byte gate, and returns the map g -> (gradient of the centre term,
-    gradient of b), which scatters r*c entries onto b, never an [r*k, c]
-    gradient.
+    Untaped, returns None. Taped, returns what a backward reads: the 1-byte
+    gate (the sum >= 0) and the winning k index, each [r, c].
     """
-    (r, k), (n, c) = neighbors.shape, b.shape
-    step = _block_rows(k, c)
+    r, c = out.shape
+    step = max(1, _EDGE_BLOCK_BYTES // max(1, k * c * 8))
     gate = np.empty((r, c), dtype=bool) if taped else None
-    src = np.empty((r, c), dtype=np.int64) if taped else None
+    arg = np.empty((r, c), dtype=np.min_scalar_type(k)) if taped else None
     for s in range(0, r, step):
         e = min(s + step, r)
-        block = pair_table(b, neighbors[s:e].T).data.reshape(k, e - s, c)
-        pooled = np.max(block, axis=0)
-        if taped:  # winning source rows, [e - s, c], by flat index
-            arg = _first_max_index(block, pooled, 0)
-            src[s:e] = np.take(neighbors[s:e], arg + k * np.arange(e - s)[:, None])
-        del block  # so that the next block is not gathered beside this one
+        table = block(s, e)
+        pooled = np.max(table, axis=axis)
+        if taped:
+            arg[s:e] = _first_max_index(table, pooled, axis)
+        del table  # so that the next block is not built beside this one
         rows = out[s:e]
         rows += pooled
         _activate(rows, None if gate is None else gate[s:e])
-    if not taped:
-        return None
-
-    @_per_g
-    def grads(g):
-        g_out = _gated(g, gate)
-        return g_out, _scatter_rows(src, g_out, n)
-
-    return grads
+    return (gate, arg) if taped else None
 
 
 # ---------------------------------------------------------------------------

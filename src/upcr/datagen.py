@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -354,30 +355,35 @@ def _parse_floats(tokens: list[str], count: int, path: str, lineno: int) -> list
         raise CloudParseError(f"{path}:{lineno}: {exc}") from None
 
 
-def _vertex_count(tokens: list[str], path: str, lineno: int) -> int:
-    """The first of ``tokens`` as a vertex count: an int >= 0."""
+def _body(line: str) -> list[str]:
+    """The tokens of ``line`` before any ``#`` comment."""
+    return line.split("#", 1)[0].split()
+
+
+def _row_count(tokens: list[str], path: str, lineno: int, element: str = "vertex") -> int:
+    """The first of ``tokens`` as the row count of ``element``: an int >= 0."""
     try:
         if (count := int(tokens[0])) >= 0:
             return count
     except (IndexError, ValueError):
         pass
-    raise CloudParseError(f"{path}:{lineno}: malformed vertex count")
+    raise CloudParseError(f"{path}:{lineno}: malformed {element} count")
 
 
 def _off_header(lines: list[str], path: str):
     if not lines or lines[0].strip() != "OFF":
         raise CloudParseError(f"{path}:1: missing OFF header")
-    idx = next((i for i in range(1, len(lines)) if lines[i].strip()), len(lines))
-    counts = lines[idx].split() if idx < len(lines) else []
+    idx = next((i for i in range(1, len(lines)) if _body(lines[i])), len(lines))
+    counts = _body(lines[idx]) if idx < len(lines) else []
     if len(counts) < 2:
         raise CloudParseError(f"{path}:{idx + 1}: malformed OFF count line")
-    return idx + 1, _vertex_count(counts, path, idx + 1), 3, (0, 1, 2)
+    return idx + 1, _row_count(counts, path, idx + 1), 3, (0, 1, 2)
 
 
 def _ply_header(lines: list[str], path: str):
     if not lines or lines[0].strip() != "ply":
         raise CloudParseError(f"{path}:1: missing ply magic")
-    n_vertex, props, in_vertex = None, [], False
+    n_vertex, props, in_vertex, before = None, [], False, 0
     for idx, line in enumerate(lines[1:], start=2):
         tok = line.split() or [""]
         if tok[0] == "format" and tok[1:2] != ["ascii"]:
@@ -385,8 +391,12 @@ def _ply_header(lines: list[str], path: str):
         if tok[0] == "element":
             in_vertex = tok[1:2] == ["vertex"]
             if in_vertex:
-                n_vertex = _vertex_count(tok[2:], path, idx)
+                n_vertex = _row_count(tok[2:], path, idx)
+            elif n_vertex is None:  # its rows come before the vertex rows
+                before += _row_count(tok[2:], path, idx, "element")
         elif tok[0] == "property" and in_vertex:
+            if tok[1:2] == ["list"]:
+                raise CloudParseError(f"{path}:{idx}: a vertex list property is not supported")
             props.append(tok[-1])
         elif tok[0] == "end_header":
             break
@@ -398,11 +408,12 @@ def _ply_header(lines: list[str], path: str):
         cols = tuple(props.index(axis) for axis in ("x", "y", "z"))
     except ValueError:
         raise CloudParseError(f"{path}: vertex element lacks x/y/z properties") from None
-    return idx, n_vertex, len(props), cols
+    rows = (i for i in range(idx, len(lines)) if _body(lines[i]))  # one row per line
+    return next(islice(rows, before, None), len(lines)), n_vertex, len(props), cols
 
 
-# per format: (lines, path) -> (header line count, vertex count or None for all,
-# numbers per vertex line, x/y/z columns)
+# per format: (lines, path) -> (lines before the vertex rows, vertex count or
+# None for all, numbers per vertex line, x/y/z columns)
 _HEADERS = {"xyz": lambda lines, path: (0, None, 3, (0, 1, 2)),
             "off": _off_header, "ply": _ply_header}
 
@@ -417,8 +428,10 @@ def cloud_format(path: str) -> str:
 def load_cloud(path: str) -> PointCloud:
     """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix).
 
-    After the header, a line that is blank once a ``#`` comment is cut is
-    skipped; every other line is one vertex, read up to the header's count.
+    A line that is blank once a ``#`` comment is cut is skipped, in an OFF
+    header and after every header. A PLY's rows of the elements declared
+    before ``vertex``, one per line, are skipped, and a vertex list property
+    is rejected. Every other line is one vertex, up to the header's count.
     """
     header = _HEADERS[cloud_format(path)]
     with open(path, "r", encoding="utf-8") as fh:
@@ -428,7 +441,7 @@ def load_cloud(path: str) -> PointCloud:
     for lineno, line in enumerate(lines[skip:], start=skip + 1):
         if len(pts) == count:
             break
-        body = line.split("#", 1)[0].split()
+        body = _body(line)
         if body:
             vals = _parse_floats(body, width, path, lineno)
             xyz = [vals[c] for c in cols]

@@ -9,13 +9,12 @@ points turns the last layer into an m-vector.
 
 LeakyReLU with slope ``autodiff.SLOPE`` >= 0 is monotone, and so is the
 float rounding of SLOPE*x and of a sum, so max_j act(a_i + b_j) ==
-act(a_i + max_j b_j) bit for bit wherever no sum is inf - inf. Every layer
-therefore pools only the neighbor term over k, then adds the centre term and
-applies the activation to [n, c] rows, all in ``autodiff._edge_max``: no
-[n*k, c] edge table ever exists whole, and on a tape only the [n, c] winning
-neighbors and a 1-byte activation gate are kept, so the backward never
-builds an [n*k, c] gradient. Each layer is one tape op, as ``channel_norm``
-is.
+act(a_i + max_j b_j) bit for bit wherever no sum is inf - inf. So the point
+embedding and every edge-convolution layer pool only their k-fold term, then
+add the rest and activate [n, c] rows, all in ``autodiff._max_pool``: no
+[n*k, c] table ever exists whole, and a tape keeps only the [n, c] winning k
+index and a 1-byte activation gate. Each is one tape op, as ``channel_norm``
+is, with its own backward.
 
 The global branch runs on raw coordinates and rebuilds its graph from the
 current feature values each layer (configurable); the invariant branch runs
@@ -34,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geom
-from .features import FeatureSpec, embed_from_features, neighbor_feature_array
+from .features import FeatureSpec, neighbor_feature_array
 from .geom import PointCloud
 from .rng import Rng
 
@@ -182,14 +181,16 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad
     after the matrix products (k times fewer GEMM flops, same function).
 
     One tape op: the centre GEMM plus bias is written into the output array,
-    which ``ad._edge_max`` then pools the neighbor term into and activates,
-    a row block at a time (see the module docstring). Values and gradients
-    are those of the unfused chain gather_rows, sub, affine, matmul, the
-    neighbor max, add and leaky_relu, bit for bit: each gradient adds its
-    terms in that chain's backward order, and the weight rows of W_top and
-    W_bot start from 0.0 as a row scatter's do. The two terms of the feats
-    gradient are summed before they reach the tape, which is that order
-    wherever the layer is the one reader of ``feats``, as in both encoders.
+    which ``ad._max_pool`` then pools the neighbor term into and activates,
+    a neighbor-major [k, rows, c'] block at a time gathered by
+    ``ad.pair_table``; the VJP maps each winning k index to the source row
+    its gradient scatters onto. Values and gradients are those of the
+    unfused chain gather_rows, sub, affine, matmul, the neighbor max, add and
+    leaky_relu, bit for bit: each gradient adds its terms in that chain's
+    backward order, and the weight rows of W_top and W_bot start from 0.0 as
+    a row scatter's do. The two terms of the feats gradient are summed before
+    they reach the tape, which is that order wherever the layer is the one
+    reader of ``feats``, as in both encoders.
     """
     w, b = ad.as_tensor(weight), ad.as_tensor(bias)
     nbr = np.asarray(neighbors, dtype=np.int64)
@@ -211,8 +212,16 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad
     w_bot = wv[c:]
     out = fv @ (wv[:c] - w_bot)  # the [c, c'] difference is rebuilt, not kept, for a VJP
     out += b.data
+    nb = fv @ w_bot  # the neighbor term, gathered per block
     taped = any(t.node_id is not None for t in (feats, w, b))
-    parts = ad._edge_max(out, fv @ w_bot, nbr, taped)
+    won = ad._max_pool(out, k, lambda s, e: ad.pair_table(nb, nbr[s:e].T).data.reshape(
+        k, e - s, -1), 0, taped)
+
+    @ad._per_g
+    def parts(g):  # the centre term's gradient, then the neighbor term's
+        gate, arg = won
+        g_centre = ad._gated(g, gate)
+        return g_centre, ad._scatter_rows(np.take_along_axis(nbr, arg, axis=1), g_centre, n)
 
     def grad_feats(g):
         g_centre, g_nbr = parts(g)
@@ -230,6 +239,46 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad
     return ad._emit("edge_conv", out, [
         (feats, grad_feats), (w, grad_weight),
         (b, lambda g: parts(g)[0].sum(axis=0, keepdims=True))])
+
+
+def embed_from_features(phi: np.ndarray, weight, bias) -> ad.Tensor:
+    """The invariant point embedding: LeakyReLU of the max over k of h_alpha
+    on a precomputed [N, k, d] feature array.
+
+    One tape op with the values and gradients of the chain affine, reshape,
+    reduce_max and leaky_relu, bit for bit. ``ad._max_pool`` runs the affine
+    map and the max a [rows, k, c] block at a time into an output of -0.0,
+    the additive identity, so ±0 and NaN maxima pass unchanged. The backward
+    builds the [N*k, c] gradient, so the weight gradient is the chain's one
+    GEMM. Row-blocked products can round one ulp from the whole product at
+    some shapes (OpenBLAS picks its kernel by shape, see ``geom._scan``); at
+    the paper and desk presets they agree bit for bit.
+    """
+    w, b = ad.as_tensor(weight), ad.as_tensor(bias)
+    if phi.ndim != 3 or w.ndim != 2 or w.shape[0] != phi.shape[2] or b.shape != (1, w.shape[1]):
+        raise ad.ShapeError(f"embed_from_features: got phi {phi.shape}, weight {w.shape}, "
+                            f"bias {b.shape}")
+    (n, k, d), c = phi.shape, w.shape[1]
+    wv, bv = w.data, b.data
+
+    def block(s, e):
+        h = phi[s:e].reshape((e - s) * k, d) @ wv
+        h += bv
+        return h.reshape(e - s, k, c)
+
+    out = np.full((n, c), -0.0)
+    won = ad._max_pool(out, k, block, 1, w.node_id is not None or b.node_id is not None)
+    flat = phi.reshape(n * k, d)
+
+    @ad._per_g
+    def table(g):  # the [N*k, c] gradient of the affine rows
+        gate, arg = won
+        full = np.zeros((n, k, c))
+        np.put_along_axis(full, arg[:, None, :], ad._gated(g, gate)[:, None, :], axis=1)
+        return full.reshape(n * k, c)
+
+    return ad._emit("embed", out, [(w, lambda g: flat.T @ table(g)),
+                                   (b, lambda g: table(g).sum(axis=0, keepdims=True))])
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Pose-invariant point features and the invariant point embedding.
+"""Pose-invariant point features, in plain NumPy.
 
 Feature kinds: plain distances to the cloud center and neighborhood, the
 SPFH / PFH Darboux-angle histograms, and the concatenated combinations of
@@ -8,9 +8,8 @@ combination did (README, reproduction findings). All of them are unchanged
 by a rigid motion of the points: the normals that PPF, SPFH and PFH read are
 estimated from the points' own neighbor table, so they turn with the cloud.
 That invariance is what makes the downstream invariant representation
-possible. The invariant point embedding, ``embed_from_features``, is one
-tape op whose forward runs its affine map and max over k in bounded row
-blocks, so its [N*k, c] table never exists whole.
+possible: ``encoder`` embeds these [N, k, d] tables on the tape. Nothing
+here records a tape.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from itertools import combinations
 
 import numpy as np
 
-from . import autodiff as ad
 from . import geom
 from .geom import PointCloud
 
@@ -118,6 +116,13 @@ def estimate_normals(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     return normals
 
 
+def _unit_rows(d: np.ndarray):
+    """The rows of [m, 3] ``d`` over their lengths, and the lengths; a zero
+    row is divided by 1, so it stays zero."""
+    dist = np.linalg.norm(d, axis=1)
+    return d / np.where(dist[:, None] == 0.0, 1.0, dist[:, None]), dist
+
+
 def _darboux(ps, ns, pt, nt):
     """Darboux angles (alpha, phi, theta) for source->target rows [m, 3].
 
@@ -128,14 +133,13 @@ def _darboux(ps, ns, pt, nt):
     give theta = +pi in every pose instead of +pi or -pi by rounding.
     """
     d = pt - ps
-    dist = np.linalg.norm(d, axis=1)
+    dn, dist = _unit_rows(d)
     ok = dist > 1e-12
-    dn = np.where(ok[:, None], d / np.where(dist[:, None] == 0.0, 1.0, dist[:, None]), 0.0)
+    dn = np.where(ok[:, None], dn, 0.0)
     u = ns
-    v = np.cross(d, u)
-    vn = np.linalg.norm(v, axis=1)
+    v, vn = _unit_rows(np.cross(d, u))
     ok &= vn > 1e-12
-    v = np.where(ok[:, None], v / np.where(vn[:, None] == 0.0, 1.0, vn[:, None]), 0.0)
+    v = np.where(ok[:, None], v, 0.0)
     w = np.cross(u, v)
     alpha = np.einsum("ij,ij->i", v, nt)
     phi = np.einsum("ij,ij->i", u, dn)
@@ -210,10 +214,7 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 
     pa, na = pts[ia], nrm[ia]
     pb, nb = pts[ib], nrm[ib]
-    d = pb - pa
-    dist = np.linalg.norm(d, axis=1)
-    safe = np.where(dist[:, None] == 0.0, 1.0, dist[:, None])
-    dn = d / safe
+    dn, _ = _unit_rows(pb - pa)
     cos_a = np.einsum("ij,ij->i", na, dn)
     cos_b = np.einsum("ij,ij->i", nb, -dn)
     swap = cos_a < cos_b  # origin gets the smaller angle; ties keep the first
@@ -233,7 +234,7 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# assembled neighbor features and the invariant embedding
+# assembled neighbor features
 
 
 def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
@@ -255,10 +256,7 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
             blocks.append(np.stack([d_oc, d_pc, d_op], axis=2))
         elif part == "ppf":
             p1, n1, p2, n2 = _edge_rows(pts, nrm, nbr)
-            d = p2 - p1
-            dist = np.linalg.norm(d, axis=1)
-            safe = np.where(dist[:, None] == 0.0, 1.0, dist[:, None])
-            dn = d / safe
+            dn, dist = _unit_rows(p2 - p1)
             a1 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, dn), -1.0, 1.0))
             a2 = np.arccos(np.clip(np.einsum("ij,ij->i", n2, dn), -1.0, 1.0))
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
@@ -280,52 +278,3 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.n
     if not np.all(np.isfinite(table)):
         raise MatchError("feature table contains non-finite entries")
     return table
-
-
-def embed_from_features(phi: np.ndarray, weight, bias) -> ad.Tensor:
-    """h_alpha + neighbor max-pool on a precomputed [N, k, d] feature array.
-
-    The max over k comes before the LeakyReLU, which is monotone, so the
-    result equals pooling the activated [N*k, c] table, at N rows of cost.
-
-    One tape op with the values and gradients of the chain affine, reshape,
-    reduce_max and leaky_relu, bit for bit. The forward runs the affine map
-    and the max in row blocks within ``autodiff._EDGE_BLOCK_BYTES``, so the
-    [N*k, c] table never exists whole; a tape keeps the winning k index and
-    the 1-byte activation gate per [N, c] entry. The backward still builds
-    the [N*k, c] gradient, so the weight gradient is the chain's one GEMM.
-    Row-blocked products can round one ulp from the whole product at some
-    shapes (OpenBLAS picks its kernel by shape, see ``geom._scan``); at the
-    paper and desk presets they agree bit for bit.
-    """
-    w, b = ad.as_tensor(weight), ad.as_tensor(bias)
-    if phi.ndim != 3 or w.ndim != 2 or w.shape[0] != phi.shape[2] or b.shape != (1, w.shape[1]):
-        raise ad.ShapeError(f"embed_from_features: got phi {phi.shape}, weight {w.shape}, "
-                            f"bias {b.shape}")
-    (n, k, d), c = phi.shape, w.shape[1]
-    wv, bv = w.data, b.data
-    taped = w.node_id is not None or b.node_id is not None
-    out = np.empty((n, c))
-    arg = np.empty((n, c), dtype=np.min_scalar_type(k)) if taped else None
-    gate = np.empty((n, c), dtype=bool) if taped else None
-    step = ad._block_rows(k, c)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        h = phi[s:e].reshape((e - s) * k, d) @ wv
-        h += bv
-        h = h.reshape(e - s, k, c)
-        np.max(h, axis=1, out=out[s:e])
-        if taped:
-            arg[s:e] = ad._first_max_index(h, out[s:e], 1)
-        del h  # so that the next block is not computed beside this one
-    ad._activate(out, gate)
-    flat = phi.reshape(n * k, d)
-
-    @ad._per_g
-    def table(g):  # the [N*k, c] gradient of the affine rows
-        full = np.zeros((n, k, c))
-        np.put_along_axis(full, arg[:, None, :], ad._gated(g, gate)[:, None, :], axis=1)
-        return full.reshape(n * k, c)
-
-    return ad._emit("embed", out, [(w, lambda g: flat.T @ table(g)),
-                                   (b, lambda g: table(g).sum(axis=0, keepdims=True))])

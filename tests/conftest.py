@@ -235,6 +235,25 @@ def neighbor_max_oracle(b, neighbors) -> ad.Tensor:
     return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
 
 
+def edge_max(out: np.ndarray, b: np.ndarray, neighbors: np.ndarray, taped: bool):
+    """The pool step of ``encoder.edge_conv_layer`` alone: out[i] <-
+    LeakyReLU(out[i] + max_j b[neighbors[i, j]]) in place, through
+    ``autodiff._max_pool`` with the layer's neighbor-major blocks. Untaped,
+    None; taped, the layer's map g -> (gradient of out, gradient of b)."""
+    (n, c), k = b.shape, neighbors.shape[1]
+    won = ad._max_pool(out, k, lambda s, e: ad.pair_table(b, neighbors[s:e].T).data.reshape(
+        k, e - s, c), 0, taped)
+    if not taped:
+        return None
+
+    def grads(g):
+        gate, arg = won
+        g_out = ad._gated(g, gate)
+        return g_out, ad._scatter_rows(np.take_along_axis(neighbors, arg, axis=1), g_out, n)
+
+    return grads
+
+
 def edge_conv_chain(feats, neighbors, weight, bias) -> ad.Tensor:
     """``encoder.edge_conv_layer`` as the chain of eight tape ops it fuses:
     pool the neighbor term, add the centre term, then activate."""
@@ -247,7 +266,7 @@ def edge_conv_chain(feats, neighbors, weight, bias) -> ad.Tensor:
 
 
 def embed_chain(phi: np.ndarray, weight, bias) -> ad.Tensor:
-    """``features.embed_from_features`` as the chain of four tape ops it
+    """``encoder.embed_from_features`` as the chain of four tape ops it
     fuses, over the whole [N*k, c] table."""
     n, k, d = phi.shape
     w = ad.as_tensor(weight)
@@ -274,7 +293,7 @@ def edge_conv_oracle(feats, neighbors, weight, bias) -> ad.Tensor:
 
 
 def embed_oracle(phi: np.ndarray, weight, bias) -> ad.Tensor:
-    """``features.embed_from_features`` with LeakyReLU on the [N*k, c] table
+    """``encoder.embed_from_features`` with LeakyReLU on the [N*k, c] table
     before the max over k (the library pools first)."""
     n, k, d = phi.shape
     pre = ad.affine(ad.constant(phi.reshape(n * k, d)), weight, bias)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import encoder, features, geom, separation, training
+from upcr import encoder, geom, separation, training
 from upcr.rng import Rng
 
-from conftest import (add, grad_check, neighbor_max_oracle, pair_table_oracle,
+from conftest import (add, edge_max, grad_check, neighbor_max_oracle, pair_table_oracle,
                       scatter_rows_oracle, sub, weighted_sum)
 
 
@@ -173,7 +173,7 @@ CONTRACT_OPS = {
     "euler_rotation": (geom._euler_rotation, [(3,)]),
     "edge_conv": (lambda f, w, b: encoder.edge_conv_layer(f, _NBR5, w, b),
                   [(5, 3), (6, 2), (1, 2)]),
-    "embed": (lambda w, b: features.embed_from_features(_PHI5, w, b), [(3, 4), (1, 4)]),
+    "embed": (lambda w, b: encoder.embed_from_features(_PHI5, w, b), [(3, 4), (1, 4)]),
     "channel_norm": (encoder.channel_norm, [(5, 3)]),
     "pose_related": (separation._pose_related_t, [(4,), (4,)]),
     "canonical": (lambda t, rot: separation._canonical_t(_PTS4, t, rot), [(3,), (3, 3)]),
@@ -240,7 +240,7 @@ def test_argmax_runs_only_for_a_taped_operand(monkeypatch, rng):
     def ops(t):
         ad.reduce_max(t, axis=0)
         encoder.edge_conv_layer(t, _NBR5, w, b)
-        features.embed_from_features(_PHI5.reshape(3, 2, 5), t, np.zeros((1, 3)))
+        encoder.embed_from_features(_PHI5.reshape(3, 2, 5), t, np.zeros((1, 3)))
 
     ops(ad.constant(a))
     tape = ad.Tape()
@@ -533,11 +533,11 @@ def _edge_max_inputs(seed: int, k: int, case: str, n: int = 12, c: int = 4):
 
 def _edge_max_and_grads(fused: bool, a, b, nbr, g):
     """The edge max and the gradients of a and b under the upstream ``g``:
-    from the edge convolution's pool step ``ad._edge_max`` (``fused``), or
+    from the edge convolution's pool step (``fused``, conftest's ``edge_max``), or
     from the chain ``leaky_relu(add(a, gather_rows -> reshape -> reduce_max))``."""
     if fused:
         out = a.copy()
-        return (out, *ad._edge_max(out, b, nbr, taped=True)(g))
+        return (out, *edge_max(out, b, nbr, taped=True)(g))
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)
     out = ad.leaky_relu(add(at, neighbor_max_oracle(bt, nbr)))
@@ -552,7 +552,7 @@ def _edge_max_matching_oracle(a, b, nbr, g):
     want = _edge_max_and_grads(False, a, b, nbr, g)
     assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
     untaped = a.copy()  # the forward without a winner table or gate
-    assert ad._edge_max(untaped, b, nbr, taped=False) is None
+    assert edge_max(untaped, b, nbr, taped=False) is None
     assert untaped.tobytes() == want[0].tobytes()
     out, ga, gb = got
     assert ga[0, 0] == 0.0 and np.signbit(ga[0, 0])  # the upstream -0.0 passes through
@@ -592,7 +592,7 @@ def test_edge_max_past_255_neighbors_matches_unfused_composition_bit_for_bit(cas
 def test_edge_max_tie_goes_to_lowest_neighbor_slot():
     # point 0 sees points 2 and 1 at equal values; slot 0 (point 2) wins
     out = np.zeros((3, 1))
-    grads = ad._edge_max(out, np.array([[5.0], [1.0], [1.0]]), np.array([[2, 1], [2, 0], [1, 2]]),
+    grads = edge_max(out, np.array([[5.0], [1.0], [1.0]]), np.array([[2, 1], [2, 0], [1, 2]]),
                          taped=True)
     np.testing.assert_array_equal(out, [[1.0], [5.0], [1.0]])
     ga, gb = grads(np.array([[1.0], [10.0], [100.0]]))
@@ -654,12 +654,12 @@ def test_blocked_edge_max_matches_unfused_composition_bit_for_bit(monkeypatch, c
 
 
 def _pair_max_and_b_grad(hoisted: bool, a, b, nbr):
-    """The edge max and b's gradient, hoisted (the fused ``ad._edge_max``)
+    """The edge max and b's gradient, hoisted (the fused pool step, ``edge_max``)
     or as before the hoist: LeakyReLU over the [n*k, c] table of sums, then
     the max over k."""
     if hoisted:
         out = a.copy()
-        return out, ad._edge_max(out, b, nbr, taped=True)(np.ones(a.shape))[1]
+        return out, edge_max(out, b, nbr, taped=True)(np.ones(a.shape))[1]
     n, k = nbr.shape
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)

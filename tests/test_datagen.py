@@ -339,7 +339,10 @@ def test_ply_missing_header_rejected(tmp_path):
     ("no_count.ply", "ply\nformat ascii 1.0\nelement vertex\nend_header\n", 3),
     ("bad_count.ply", "ply\nformat ascii 1.0\nelement vertex abc\nend_header\n", 3),
     ("no_type.ply", "ply\nformat\nelement vertex 0\nend_header\n", 2),
-], ids=["off-no-count", "ply-no-count", "ply-bad-count", "ply-no-format-type"])
+    ("list.ply", "ply\nformat ascii 1.0\nelement vertex 1\nproperty list uchar int ids\n"
+     "property float x\nproperty float y\nproperty float z\nend_header\n2 7 8 0 0 0\n", 4),
+], ids=["off-no-count", "ply-no-count", "ply-bad-count", "ply-no-format-type",
+        "ply-vertex-list-property"])
 def test_corrupt_header_rejected_with_line(tmp_path, name, text, line):
     path = tmp_path / name
     path.write_text(text)
@@ -349,6 +352,10 @@ def test_corrupt_header_rejected_with_line(tmp_path, name, text, line):
 
 PLY_XYZ = "ply\nformat ascii 1.0\nelement vertex {n}\nproperty float x\nproperty float y\n" \
     "property float z\nend_header\n"
+# one face, declared and listed before the vertices
+PLY_FACES_FIRST = "ply\nformat ascii 1.0\nelement face 1\nproperty list uchar int vertex_index\n" \
+    "element vertex {n}\nproperty float x\nproperty float y\nproperty float z\nend_header\n" \
+    "3 0 1 2\n"
 
 
 @pytest.mark.parametrize("name, text", [
@@ -367,7 +374,10 @@ def test_no_vertices_named_by_path(tmp_path, name, text):
     ("nan.xyz", "0 0 0\n1 nan 0\n", 2),
     ("inf.off", "OFF\n2 0 0\n0 0 0\n-inf 1 2\n", 4),
     ("nan.ply", PLY_XYZ.format(n=2) + "0 0 0\n0 0 NaN\n", 9),
-], ids=["xyz-nan", "off-minus-inf", "ply-nan"])
+    ("comment.off", "OFF\n# made by hand\n2 0 0\n0 0 0\n-inf 1 2\n", 5),
+    ("faces_first.ply", PLY_FACES_FIRST.format(n=2) + "0 0 0\n0 0 NaN\n", 12),
+], ids=["xyz-nan", "off-minus-inf", "ply-nan", "off-comment-before-counts",
+        "ply-faces-before-vertices"])
 def test_non_finite_coordinate_rejected_with_line(tmp_path, name, text, line):
     path = tmp_path / name
     path.write_text(text)
@@ -394,7 +404,8 @@ def test_one_cloud_loads_alike_from_every_format(tmp_path):
     rows = ["0.5 -1 2e-3", "1.25 0 -7", "3 4.5 -0.125"]
     texts = {"c.xyz": "# three points\n" + "\n".join(rows) + "\n",
              "c.off": "OFF\n3 1 0\n" + "\n".join(rows) + "\n3 0 1 2\n",
-             "c.ply": PLY_XYZ.format(n=3) + "\n".join(rows) + "\n"}
+             "c.ply": PLY_XYZ.format(n=3) + "\n".join(rows) + "\n",
+             "faces_first.ply": PLY_FACES_FIRST.format(n=3) + "\n".join(rows) + "\n"}
     loaded = []
     for name, text in texts.items():
         (tmp_path / name).write_text(text)

@@ -4,7 +4,7 @@ import pytest
 from upcr import features, geom
 from upcr import autodiff as ad
 from upcr.datagen import synth_shape
-from upcr.encoder import EncoderConfig, precompute_cloud
+from upcr.encoder import EncoderConfig, embed_from_features, precompute_cloud
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
@@ -385,7 +385,7 @@ def test_embed_k1_equals_h_alpha_of_single_neighbor():
     b = rng.uniform(-1, 1, (1, 5))
     nbr = geom.knn(cloud, 1)
     phi = features.neighbor_feature_array(cloud, spec, nbr)
-    out = features.embed_from_features(phi, w, b).data
+    out = embed_from_features(phi, w, b).data
     expect = phi[:, 0, :] @ w + b
     expect = np.maximum(expect, 0.2 * expect)
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -396,7 +396,7 @@ def test_embed_identity_halpha_symmetric_points():
     pts = np.array([[float(i), 0.0, 0.0] for i in range(5)])
     cloud = PointCloud(pts)
     phi = features.neighbor_feature_array(cloud, FeatureSpec("distance"), geom.knn(cloud, 2))
-    out = features.embed_from_features(phi, np.eye(3), np.zeros((1, 3))).data
+    out = embed_from_features(phi, np.eye(3), np.zeros((1, 3))).data
     np.testing.assert_allclose(out[1], out[3], atol=1e-12)
 
 
@@ -408,12 +408,12 @@ def test_embed_rigid_invariance_all_specs():
         spec = FeatureSpec(kind)
         w = w_cache.setdefault(spec.dim, Rng(spec.dim).uniform(-1, 1, (spec.dim, 6)))
         phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 8))
-        base = features.embed_from_features(phi, w, np.zeros((1, 6))).data
+        base = embed_from_features(phi, w, np.zeros((1, 6))).data
         for _ in range(3):
             t = random_transform(rng, 180.0, 10.0)
             moved_cloud = geom.apply_transform(t, PointCloud(cloud.points))
             phi = features.neighbor_feature_array(moved_cloud, spec, geom.knn(moved_cloud, 8))
-            moved = features.embed_from_features(phi, w, np.zeros((1, 6))).data
+            moved = embed_from_features(phi, w, np.zeros((1, 6))).data
             np.testing.assert_allclose(moved, base, atol=1e-6)
 
 
@@ -423,11 +423,11 @@ def test_embed_permutation_equivariance():
     w = Rng(45).uniform(-1, 1, (3, 4))
     b = np.zeros((1, 4))
     phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 5))
-    base = features.embed_from_features(phi, w, b).data
+    base = embed_from_features(phi, w, b).data
     perm = np.argsort(Rng(46).uniform(size=40))
     permuted = PointCloud(cloud.points[perm])
     phi = features.neighbor_feature_array(permuted, spec, geom.knn(permuted, 5))
-    out = features.embed_from_features(phi, w, b).data
+    out = embed_from_features(phi, w, b).data
     np.testing.assert_allclose(out, base[perm], atol=1e-12)
 
 
@@ -438,7 +438,7 @@ def test_embed_runs_on_tape():
     w = tape.leaf(Rng(48).uniform(-1, 1, (3, 4)))
     b = tape.leaf(np.zeros((1, 4)))
     phi = features.neighbor_feature_array(cloud, spec, geom.knn(cloud, 3))
-    out = features.embed_from_features(phi, w, b)
+    out = embed_from_features(phi, w, b)
     ad.backward(weighted_sum(out))
     assert w.grad is not None and np.any(w.grad != 0)
     assert b.grad is not None

@@ -51,6 +51,25 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_names(source: str) -> set[str]:
+    """Every module and name that some import statement of ``source`` names."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_features_imports_nothing_from_autodiff():
+    """Features are plain NumPy tables: how they are pooled on a tape is
+    decided in ``autodiff`` and ``encoder`` alone."""
+    names = imported_names(Path(upcr.__file__).with_name("features.py").read_text(encoding="utf-8"))
+    assert "geom" in names
+    assert [n for n in names if "autodiff" in n.split(".")] == []
+
+
 def definitions(tree: ast.Module):
     """(qualified name, node) of each module-level function and class, and of
     each method and property of those classes."""
