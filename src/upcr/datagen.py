@@ -371,10 +371,12 @@ def _row_count(tokens: list[str], path: str, lineno: int, element: str = "vertex
 
 
 def _off_header(lines: list[str], path: str):
-    if not lines or lines[0].strip() != "OFF":
+    head = " ".join(_body(lines[0])) if lines else ""
+    if not head.startswith("OFF"):
         raise CloudParseError(f"{path}:1: missing OFF header")
-    idx = next((i for i in range(1, len(lines)) if _body(lines[i])), len(lines))
-    counts = _body(lines[idx]) if idx < len(lines) else []
+    rest = [head[3:]] + lines[1:]  # counts may share the header's line: "OFF490 518 0"
+    idx = next((i for i in range(len(rest)) if _body(rest[i])), len(rest))
+    counts = _body(rest[idx]) if idx < len(rest) else []
     if len(counts) < 2:
         raise CloudParseError(f"{path}:{idx + 1}: malformed OFF count line")
     return idx + 1, _row_count(counts, path, idx + 1), 3, (0, 1, 2)
@@ -429,7 +431,8 @@ def load_cloud(path: str) -> PointCloud:
     """Load a cloud from an XYZ / OFF / ascii-PLY file (format from suffix).
 
     A line that is blank once a ``#`` comment is cut is skipped, in an OFF
-    header and after every header. A PLY's rows of the elements declared
+    header and after every header; OFF counts may share the ``OFF`` line, as
+    ModelNet40's ``OFF490 518 0``. A PLY's rows of the elements declared
     before ``vertex``, one per line, are skipped, and a vertex list property
     is rejected. Every other line is one vertex, up to the header's count.
     """

@@ -5,9 +5,9 @@ One neighbor rule serves 3D clouds (:func:`knn`) and feature rows
 (:func:`graph_knn`): the k nearest distinct locations by brute-force scan,
 ascending by distance, lower index on ties, never self or an exactly
 coincident twin. The scan runs in row blocks of bounded bytes, so no [N, N]
-distance matrix exists, and flags any row whose nearest distance lies within
-the rounding bound of an exact twin; only a flagged input pays for the exact
-twin collapse.
+distance matrix exists, selects by one partition of packed (distance, tie)
+keys, and flags any row whose nearest distance lies within the rounding
+bound of an exact twin; only a flagged input pays for the twin collapse.
 
 Conventions used throughout the package:
   * points are stored as rows, shape [N, 3]; a transform acts as p' = R p + t,
@@ -89,17 +89,27 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
-    """Per row, indices of the k smallest entries; ties broken by tie_key."""
-    cand = np.argpartition(d2, k, axis=1)[:, : k + 1]
-    cd = np.take_along_axis(d2, cand, axis=1)
-    order = np.lexsort((tie_key[cand], cd), axis=1)
-    cand = np.take_along_axis(cand, order, axis=1)
-    cd = np.take_along_axis(cd, order, axis=1)
-    out = cand[:, :k].astype(np.int64)
-    # a tie at the selection boundary means the partition may have kept the
-    # wrong representatives; those rows get an exact full sort
-    unsafe = np.nonzero(cd[:, k - 1] >= cd[:, k])[0]
-    for i in unsafe:
+    """Per row, indices of the k smallest entries, ascending; ties broken by
+    the distinct ints ``tie_key``.
+
+    A d2 >= +0 viewed as int64 orders like d2. Its low ceil(log2 n) bits are
+    overwritten by the column's rank in ``tie_key``, one in-place partition
+    finds the k+1 smallest such keys, and the first k, sorted, are re-ordered
+    stably by exact distance. A row whose k-th and (k+1)-th keys agree above
+    the rank bits, or which holds a negative key (-NaN, -0.0) or selects a
+    NaN, gets the exact full sort instead.
+    """
+    bits = max(1, (d2.shape[1] - 1).bit_length())
+    by_rank = np.argsort(tie_key)
+    keys = d2.view(np.int64) & -(1 << bits)
+    keys |= np.argsort(by_rank)
+    keys.partition(k, axis=1)
+    first = np.sort(keys[:, :k], axis=1)
+    cols = by_rank[first & ((1 << bits) - 1)]
+    cd = np.take_along_axis(d2, cols, axis=1)
+    out = np.take_along_axis(cols, np.argsort(cd, axis=1, kind="stable"), axis=1)
+    unsafe = (first[:, -1] >> bits == keys[:, k] >> bits) | (first[:, 0] < 0)
+    for i in np.nonzero(unsafe | np.isnan(cd).any(axis=1))[0]:
         out[i] = np.lexsort((tie_key, d2[i]))[:k]
     return out
 
@@ -117,7 +127,8 @@ def _scan(data: np.ndarray, tie_key: np.ndarray, k: int) -> tuple[np.ndarray, bo
     Row blocks of at most ``_SCAN_BLOCK_BYTES`` of squared distances against
     all rows, in :func:`sqdist_matrix`'s expanded form with the row itself
     at inf, each selected by :func:`_select_k` into its rows of the table,
-    so no [N, N] matrix exists.
+    so no [N, N] matrix exists. Ties go by ``tie_key``: the row, or a twin
+    location's lowest row.
 
     One block (N <= 360) is the same BLAS call as ``sqdist_matrix(data,
     data)``. On OpenBLAS 0.3.31, the blocks also round every dot product as

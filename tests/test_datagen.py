@@ -295,11 +295,13 @@ def test_xyz_malformed_reports_line(tmp_path):
         load_cloud(str(path))
 
 
-def test_off_header_and_faces_ignored(tmp_path):
+@pytest.mark.parametrize("head", ["OFF\n3 1 0", "OFF3 1 0", "OFF 3 1 0"],
+                         ids=["own-line", "fused", "shared-line"])
+def test_off_header_and_faces_ignored(tmp_path, head):
     path = tmp_path / "tri.off"
-    path.write_text("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
+    path.write_text(head + "\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n")
     cloud = load_cloud(str(path))
-    assert len(cloud) == 3
+    np.testing.assert_array_equal(cloud.points, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 def test_off_round_trip(tmp_path):

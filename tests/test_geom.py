@@ -8,8 +8,8 @@ from upcr import geom
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
-from conftest import (canonicalize, chamfer, inverse_transform, neighbor_table_oracle,
-                      random_cloud, random_transform)
+from conftest import (_select_k_oracle, canonicalize, chamfer, inverse_transform,
+                      neighbor_table_oracle, random_cloud, random_transform)
 
 
 def decode(vals) -> np.ndarray:
@@ -221,6 +221,66 @@ def test_scan_flags_exact_twins_at_any_magnitude_and_width(scale, c):
         _, twin = geom._scan(data, np.arange(24), 3)
         assert twin
         assert_matches_oracle(data, 3)
+
+
+def test_scan_matches_oracle_on_nan_distances(block_rows):
+    # rows at +inf in one column meet at inf - inf = NaN, and at inf with others
+    data = np.random.default_rng(0).normal(size=(40, 4))
+    data[:30, 0] = np.inf
+    block_rows(len(data))
+    with np.errstate(all="ignore"):
+        assert_matches_oracle(data, 8)
+
+
+def _distance_row(at: dict) -> np.ndarray:
+    """40 distinct distances above 1, in descending column order, with the
+    columns of ``at`` overwritten."""
+    row = 2.0 + np.arange(40.0)[::-1]
+    row[list(at)] = list(at.values())
+    return row
+
+
+ONE_ULP = np.nextafter(1.0, 2.0)
+MINUS_NAN = np.copysign(np.nan, -1.0)
+PAYLOAD_NAN = np.array([0x7FF8000000100000]).view(np.float64)[0]  # above the rank bits
+# each way a packed key can order apart from (distance, tie key)
+SELECT_CASES = {
+    # one ulp apart, below the rank bits, the larger at the lower column
+    "below-rank-bits": [_distance_row({9: 1.0, 2: ONE_ULP, 0: np.nextafter(ONE_ULP, 2.0),
+                                       12: 0.5}),
+                        _distance_row({**dict.fromkeys(range(4), ONE_ULP),
+                                       **dict.fromkeys(range(4, 34), 1.0)})],
+    "exact-ties": [_distance_row({3: 1.0, 7: 1.0, 8: 1.0, 14: 1.0, 10: 0.5}),
+                   np.full(40, 0.25), 0.5 * np.random.default_rng(2).integers(0, 3, 40)],
+    "minus-zero": [_distance_row({6: -0.0, 2: 0.0, 9: 0.0, 13: -0.0})],
+    "minus-nan": [_distance_row({4: MINUS_NAN, 11: 1.0, 1: 1.0}),
+                  _distance_row({0: MINUS_NAN, 5: MINUS_NAN})],
+    "nan": [_distance_row({6: np.nan, 1: np.nan, 13: 0.5}), np.full(40, np.nan),
+            _distance_row({1: PAYLOAD_NAN, 6: np.nan, 20: np.nan})],
+    "inf": [_distance_row({0: np.inf, 5: np.inf, 15: np.inf, 9: 0.5}), np.full(40, np.inf)],
+}
+TIE_KEYS = {"identity": np.arange(40),
+            # distinct, unsorted and sparse, like the twin path's lowest rows
+            "twin-reps": np.random.default_rng(1).permutation(100)[:40]}
+
+
+@pytest.mark.parametrize("tie", TIE_KEYS)
+@pytest.mark.parametrize("case", SELECT_CASES)
+def test_select_k_matches_oracle_where_packed_keys_mislead(case, tie):
+    d2, tie_key = np.stack(SELECT_CASES[case]), TIE_KEYS[tie]
+    for k in range(1, 40):
+        want = _select_k_oracle(d2, tie_key, k)
+        assert geom._select_k(d2, tie_key, k).tobytes() == want.tobytes(), f"k={k}"
+
+
+@pytest.mark.parametrize("n, c", [(1024, 64), (256, 16)])
+def test_random_rows_take_no_exact_sort(n, c, monkeypatch):
+    data = np.random.default_rng(n + c).normal(size=(n, c))
+    want = neighbor_table_oracle(data, 24)
+    sorts, lexsort = [], np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *a, **kw: sorts.append(a) or lexsort(*a, **kw))
+    assert geom.graph_knn(data, 24).tobytes() == want.tobytes()
+    assert not sorts, f"{len(sorts)} rows took the exact sort"
 
 
 def test_twin_free_scan_skips_unique_and_the_full_matrix(monkeypatch):
