@@ -2,11 +2,10 @@
 
 The operator set is exactly what the registration pipeline needs: affine
 layers, ``matmul`` and ``leaky_relu``, max-pooling with deterministic
-tie-breaking, softmax, and the indexing ops of the pose head. Fused ops live
-beside the code they serve: the point embedding, the edge convolution and
-``channel_norm`` in ``encoder``, the rotation decoder in ``geom``, the
-pose-related term and canonical coordinates in ``separation``, the Chamfer
-loss and the batch mean in ``training``. The point embedding and the edge
+tie-breaking, and softmax. Fused ops live beside the code they serve: the
+point embedding, the edge convolution and ``channel_norm`` in ``encoder``,
+the pose-related term and the pose decode with its canonical coordinates in
+``separation``, the Chamfer loss and the batch mean in ``training``. The point embedding and the edge
 convolution share one pooling step, :func:`_max_pool`: it adds each row's max
 over its k candidates to the row and activates it, building and pooling the
 [n*k, c] candidate table in bounded row blocks, so the table never exists
@@ -34,7 +33,6 @@ passed on. Only leaf gradients are kept, for :attr:`Tensor.grad`.
 from __future__ import annotations
 
 from functools import partial
-from math import prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,31 +262,6 @@ def _scatter_rows(idx: np.ndarray, g: np.ndarray, n: int) -> np.ndarray:
     rows = idx[:, None] if idx.ndim == 1 else idx
     flat_idx = (rows * c + np.arange(c)).reshape(-1)
     return np.bincount(flat_idx, weights=g.reshape(-1), minlength=n * c).reshape(n, c)
-
-
-def gather_rows(a, idx) -> Tensor:
-    """Select rows (axis 0) by integer index; backward scatter-adds.
-
-    The gradient of any rank is viewed as [e, prod(tail)] rows for
-    :func:`_scatter_rows`, so each row sums its entries in order from 0.0.
-    """
-    a = as_tensor(a)
-    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
-    if a.ndim < 1:
-        raise ShapeError("gather_rows: input must have rank >= 1")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    shape = a.shape
-    width = prod(shape[1:])
-    return _emit("gather_rows", a.data[idx],
-                 [(a, lambda g: _scatter_rows(idx, g.reshape(idx.size, width),
-                                              shape[0]).reshape(shape))])
-
-
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
-    in_shape = a.shape
-    return _emit("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(in_shape))])
 
 
 def affine(x, weight, bias) -> Tensor:

@@ -33,8 +33,8 @@ from functools import partial
 from typing import NamedTuple
 
 from . import evalbench, geom
-from .datagen import PAIRINGS, REGIMES, SETTINGS, Protocol, build_benchmark, cloud_format, \
-    load_cloud, save_cloud
+from .datagen import REGIMES, SETTINGS, Protocol, build_benchmark, cloud_format, \
+    load_cloud, save_cloud, undecodable
 from .encoder import EncoderConfig
 from .features import FEATURE_KINDS, FeatureSpec
 from .separation import register_pair
@@ -59,10 +59,9 @@ KEYS = {
     "feature.kind": Key("distance+spfh", "--feature", "pose-invariant feature kind",
                         FEATURE_KINDS),
     "protocol.setting": Key("UPC", "--setting", "dataset setting", SETTINGS),
-    "protocol.pairing": Key("consistent", "--pairing", "pair construction", PAIRINGS),
     "protocol.regime": Key("modelnet_style", "--regime", "pose sampling regime", REGIMES),
     "protocol.partial_keep": Key(0, "--partial-keep",
-                                 "points kept by partial scans; 0 = consistent clouds"),
+                                 "points kept by partial scans; 0 = full clouds", low=0),
     "data.points": Key(256, "--points", "points per cloud", low=16),
     "data.categories": Key(40, "--categories", "shape categories", low=1),
     "data.train": Key(200, "--train-pairs", "training pairs", low=0),
@@ -119,11 +118,13 @@ def parse_config_file(path: str) -> dict:
     values, lines = {}, {}
     section = ""
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc}") from None
     with fh:
         for lineno, raw in enumerate(fh, start=1):
+            if undecodable(raw):
+                raise CliError(f"{path}:{lineno}: not UTF-8 text")
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -197,10 +198,9 @@ def _check_ranges(cfg: dict) -> None:
         if k.low is not None and cfg[key] < k.low:
             raise CliError(f"configuration key {key!r} must be >= {k.low}, got {cfg[key]}")
     keep, points = cfg["protocol.partial_keep"], cfg["data.points"]
-    if cfg["protocol.pairing"] == "partial" and not 1 <= keep < points:
-        raise CliError("configuration key 'protocol.partial_keep' must be in "
-                       f"[1, data.points - 1] = [1, {points - 1}] under partial pairing, "
-                       f"got {keep}")
+    if keep >= points:
+        raise CliError(f"configuration key 'protocol.partial_keep' must be below "
+                       f"data.points = {points} (0 = full clouds), got {keep}")
     if cfg["protocol.setting"] == "UC" and cfg["data.categories"] < 2:
         raise CliError("configuration key 'data.categories' must be >= 2 under UC "
                        f"(train and test take disjoint halves), got {cfg['data.categories']}")
@@ -222,9 +222,8 @@ def feature_spec(cfg: dict) -> FeatureSpec:
 
 
 def protocol(cfg: dict) -> Protocol:
-    return Protocol(setting=cfg["protocol.setting"], pairing=cfg["protocol.pairing"],
-                    pose_regime=cfg["protocol.regime"],
-                    partial_keep=cfg["protocol.partial_keep"] or None)
+    return Protocol(setting=cfg["protocol.setting"], pose_regime=cfg["protocol.regime"],
+                    partial_keep=cfg["protocol.partial_keep"])
 
 
 def make_splits(cfg: dict):
@@ -241,7 +240,7 @@ def _need_pairs(cfg: dict, command: str, *keys: str) -> None:
 
 def _points_key(cfg: dict) -> str:
     """The key that sets the point count of each cloud of a command's pairs."""
-    return "protocol.partial_keep" if cfg["protocol.pairing"] == "partial" else "data.points"
+    return "protocol.partial_keep" if cfg["protocol.partial_keep"] else "data.points"
 
 
 def _need_points_above_k(cfg: dict, k: int, what: str) -> None:
@@ -410,13 +409,15 @@ def cmd_finetune(args) -> int:
 
 def cmd_register(args) -> int:
     # a bad output path fails here, before anything is printed or written
-    if args.save_transformed:
+    if args.save_transformed is not None:
         try:
             cloud_format(args.save_transformed)
         except ValueError as exc:
             raise CliError(f"--save-transformed {args.save_transformed}: {exc}") from None
         _check_not_an_input(args, "--save-transformed", args.save_transformed,
                             args.save_transformed)
+        _check_dir("--save-transformed", args.save_transformed,
+                   os.path.dirname(args.save_transformed))
     source = _read(load_cloud, args.source, "source cloud")
     target = _read(load_cloud, args.target, "target cloud")
     model = _read(load_checkpoint, args.model, "model")
@@ -541,22 +542,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_out(out: str) -> None:
-    """Reject an ``--out`` that is, or would be created under, an existing
-    path that is not a directory, naming the flag."""
-    path = out
+def _check_dir(flag: str, given: str, directory: str) -> None:
+    """Reject a ``directory`` that is, or would be created under, an existing
+    path that is not a directory, naming ``flag`` and the path ``given`` to it."""
+    path = directory
     while path and not os.path.exists(path):
         path = os.path.dirname(path)
     if path and not os.path.isdir(path):
-        where = "" if path == out else f": {path}"
-        raise CliError(f"--out {out}{where} exists and is not a directory")
+        where = "" if path == given else f": {path}"
+        raise CliError(f"{flag} {given}{where} exists and is not a directory")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.out:
-            _check_out(args.out)
+        if args.out == "":
+            raise CliError("--out must name a directory, got ''")
+        if args.out is not None:
+            _check_dir("--out", args.out, args.out)
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

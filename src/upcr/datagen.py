@@ -26,7 +26,6 @@ from .geom import PointCloud, RigidTransform
 from .rng import Rng, derive_seed
 
 SETTINGS = ("UPC", "UC", "ND")
-PAIRINGS = ("consistent", "partial")
 REGIMES = ("modelnet_style", "sevenscenes_style")
 
 ND_NOISE = (0.01, 0.05)  # (sigma, clip)
@@ -37,22 +36,17 @@ class Protocol:
     """Experiment protocol settings controlling pair construction."""
 
     setting: str = "UPC"
-    pairing: str = "consistent"
     pose_regime: str = "modelnet_style"
-    partial_keep: int | None = None
+    partial_keep: int = 0  # points kept by each partial scan; 0 = full clouds
 
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ValueError(f"setting must be one of {SETTINGS}, got {self.setting!r}")
-        if self.pairing not in PAIRINGS:
-            raise ValueError(f"pairing must be one of {PAIRINGS}, got {self.pairing!r}")
         if self.pose_regime not in REGIMES:
             raise ValueError(f"pose_regime must be one of {REGIMES}, got {self.pose_regime!r}")
-        if self.pairing == "partial" and self.partial_keep is None:
-            raise ValueError("partial pairing needs partial_keep")
-        if self.pairing != "partial" and self.partial_keep is not None:
-            raise ValueError(f"partial_keep = {self.partial_keep} is read only under "
-                             f"partial pairing, got pairing {self.pairing!r}")
+        if self.partial_keep < 0:
+            raise ValueError(f"partial_keep must be >= 0 (0 = full clouds), "
+                             f"got {self.partial_keep}")
 
 
 @dataclass
@@ -303,7 +297,7 @@ def make_sample(protocol: Protocol, category: int, shape_index: int,
     gt = sample_transform(protocol.pose_regime, rng.spawn("pose"))
     source = shape
     target = geom.apply_transform(gt, shape)
-    if protocol.pairing == "partial":
+    if protocol.partial_keep:
         source = make_partial(source, protocol.partial_keep, rng.spawn("partial_src"))
         target = make_partial(target, protocol.partial_keep, rng.spawn("partial_tgt"))
     if protocol.setting == "ND":
@@ -346,13 +340,20 @@ class CloudParseError(ValueError):
     """Malformed cloud file; message carries path and line number."""
 
 
+def undecodable(text: str) -> bool:
+    """Whether ``text``, read with ``errors="surrogateescape"``, held a byte
+    that is not UTF-8: each such byte reads as a code point U+DC80-U+DCFF."""
+    return any("\udc80" <= ch <= "\udcff" for ch in text)
+
+
 def _parse_floats(tokens: list[str], count: int, path: str, lineno: int) -> list[float]:
     if len(tokens) < count:
         raise CloudParseError(f"{path}:{lineno}: expected {count} numbers, got {len(tokens)}")
     try:
         return [float(t) for t in tokens[:count]]
     except ValueError as exc:
-        raise CloudParseError(f"{path}:{lineno}: {exc}") from None
+        reason = "not UTF-8 text" if undecodable("".join(tokens)) else exc
+        raise CloudParseError(f"{path}:{lineno}: {reason}") from None
 
 
 def _body(line: str) -> list[str]:
@@ -434,10 +435,12 @@ def load_cloud(path: str) -> PointCloud:
     header and after every header; OFF counts may share the ``OFF`` line, as
     ModelNet40's ``OFF490 518 0``. A PLY's rows of the elements declared
     before ``vertex``, one per line, are skipped, and a vertex list property
-    is rejected. Every other line is one vertex, up to the header's count.
+    is rejected. Every other line is one vertex, up to the header's count; a
+    vertex line that is not UTF-8 text fails naming the file and line.
     """
     header = _HEADERS[cloud_format(path)]
-    with open(path, "r", encoding="utf-8") as fh:
+    # a binary PLY's ascii header still parses and names its format
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         lines = fh.readlines()
     skip, count, width, cols = header(lines, path)
     pts = []

@@ -1,5 +1,5 @@
-"""Point-cloud containers, rigid-motion algebra, the pose head's rotation
-decoder, and nearest-neighbor search.
+"""Point-cloud containers, rigid-motion algebra, Euler-angle rotations, and
+nearest-neighbor search.
 
 One neighbor rule serves 3D clouds (:func:`knn`) and feature rows
 (:func:`graph_knn`): the k nearest distinct locations by brute-force scan,
@@ -14,9 +14,10 @@ Conventions used throughout the package:
     i.e. ``points @ R.T + t`` on row storage
   * Euler angles (alpha, beta, gamma) are radians and decode as
     R = Rz(gamma) @ Ry(beta) @ Rx(alpha); the pose head decodes its first 3
-    outputs this way, in :func:`_euler_rotation`, since quaternion, 6D and
-    SVD-projected 3x3 heads did not beat it after test-split fine-tuning
-    (README, reproduction findings)
+    outputs this way, from :func:`_euler_factors`, in
+    ``separation._canonical_t``, since quaternion, 6D and SVD-projected 3x3
+    heads did not beat it after test-split fine-tuning (README, reproduction
+    findings)
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
 
 ORTHO_TOL = 1e-8
 
@@ -241,35 +240,6 @@ def euler_from_matrix(rot: np.ndarray) -> np.ndarray:
         alpha = np.arctan2(s * rot[0, 1], s * rot[0, 2])
         gamma = 0.0
     return np.array([alpha, beta, gamma])
-
-
-# ---------------------------------------------------------------------------
-# the pose head's rotation decoder: one tape op, for training and inference
-
-
-def _euler_rotation(angles: ad.Tensor) -> ad.Tensor:
-    """Rz(gamma) @ (Ry(beta) @ Rx(alpha)) of [3] angles as one tape op.
-
-    The VJP takes the product rule through both matrix products; each sin
-    and cos value then sums the two factor entries that hold it, so the order
-    of that sum cannot change a bit.
-    """
-    theta = angles.data
-    rx, ry, rz = _euler_factors(theta)
-    m = ry @ rx
-
-    def grad(g):
-        d_rz = g @ m.T
-        d_m = rz.T @ g
-        d_ry = d_m @ rx.T
-        d_rx = ry.T @ d_m
-        ds = np.array([d_rx[2, 1] - d_rx[1, 2], d_ry[0, 2] - d_ry[2, 0],
-                       d_rz[1, 0] - d_rz[0, 1]])
-        dc = np.array([d_rx[1, 1] + d_rx[2, 2], d_ry[0, 0] + d_ry[2, 2],
-                       d_rz[0, 0] + d_rz[1, 1]])
-        return ds * np.cos(theta) + -dc * np.sin(theta)
-
-    return ad._emit("euler_rotation", rz @ m, [(angles, grad)])
 
 
 # ---------------------------------------------------------------------------

@@ -32,47 +32,58 @@ class PosePrediction:
 
 def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
     """Entrywise p_i * log(p_i / q_i), ``EPS_FLOOR`` added to both inside the
-    log; entries sum to KL(p || q) >= 0. One tape op, whose gradients add their
-    terms in the order of a backward over the add, div, log and mul chain."""
+    log, as the [1, m] row the pose head reads; entries sum to KL(p || q) >= 0.
+    One tape op, whose gradients add their terms in the order of a backward
+    over the add, div, log and mul chain."""
     pv = p.data
     pa, qa = pv + EPS_FLOOR, q.data + EPS_FLOOR
     ratio = pa / qa
     log_ratio = np.log(ratio)
-    return ad._emit("pose_related", pv * log_ratio,
-                    [(p, lambda g: g * log_ratio + g * pv / ratio / qa),
-                     (q, lambda g: -(g * pv / ratio) * pa / (qa * qa))])
+    return ad._emit("pose_related", (pv * log_ratio).reshape(1, -1),
+                    [(p, lambda g: g[0] * log_ratio + g[0] * pv / ratio / qa),
+                     (q, lambda g: -(g[0] * pv / ratio) * pa / (qa * qa))])
 
 
-def _canonical_t(points: np.ndarray, trans: ad.Tensor, rot: ad.Tensor) -> ad.Tensor:
-    """Rows R^T (x - t) of the [n, 3] ``points`` under the [3] translation and
-    [3, 3] rotation, as one tape op."""
-    rv = rot.data
-    diff = points - trans.data
-    return ad._emit("canonical", diff @ rv,
-                    [(trans, lambda g: -(g @ rv.T).sum(axis=0)),
-                     (rot, lambda g: diff.T @ g)])
-
-
-# ---------------------------------------------------------------------------
-# pose head
-
-
-def _head_forward(gamma_mu: ad.Tensor, params: dict, config: EncoderConfig):
-    """Shared MLP head: returns (translation tensor, rotation matrix tensor).
-
-    The first 3 of its 6 outputs are Euler angles, the last 3 the
-    translation; a zero head output decodes to the identity pose.
-    """
-    x = ad.reshape(gamma_mu, (1, gamma_mu.shape[0]))
+def _head_forward(x: ad.Tensor, params: dict, config: EncoderConfig) -> ad.Tensor:
+    """Shared MLP head over the [1, m] pose-related row ``x``: its [1, 6]
+    output, 3 Euler angles then the translation (see :func:`_canonical_t`)."""
     n_layers = len(config.head_widths) + 1
     for i in range(n_layers):
         x = affine(x, params[f"head.{i}.w"], params[f"head.{i}.b"])
         if i < n_layers - 1:
             x = ad.leaky_relu(x)
-    out = ad.reshape(x, (6,))
-    rot = geom._euler_rotation(ad.gather_rows(out, [0, 1, 2]))
-    trans = ad.gather_rows(out, [3, 4, 5])
-    return trans, rot
+    return x
+
+
+def _canonical_t(points: np.ndarray, head: ad.Tensor) -> tuple[ad.Tensor, RigidTransform]:
+    """Rows R^T (x - t) of the [n, 3] ``points`` as one tape op, and the pose
+    (R, t) decoded from the [1, 6] ``head`` output: R = Rz(gamma) @ (Ry(beta)
+    @ Rx(alpha)) from outputs 0-2 and t from 3-5, so a zero output is the
+    identity pose.
+
+    The angles' gradient takes the product rule through both matrix
+    products; each sin and cos value then sums the two factor entries that
+    hold it, so the order of that sum cannot change a bit. The [1, 6]
+    gradient adds 0.0 to it and the translation's: each entry sums from
+    +0.0, as a scatter-add into the head's row would, so -0.0 becomes +0.0.
+    """
+    angles, trans = head.data[0, :3], head.data[0, 3:]
+    rx, ry, rz = geom._euler_factors(angles)
+    m = ry @ rx
+    rot = rz @ m
+    diff = points - trans
+
+    def grad(g):
+        d_rot = diff.T @ g
+        d_rz, d_m = d_rot @ m.T, rz.T @ d_rot
+        d_ry, d_rx = d_m @ rx.T, ry.T @ d_m
+        ds = np.array([d_rx[2, 1] - d_rx[1, 2], d_ry[0, 2] - d_ry[2, 0], d_rz[1, 0] - d_rz[0, 1]])
+        dc = np.array([d_rx[1, 1] + d_rx[2, 2], d_ry[0, 0] + d_ry[2, 2], d_rz[0, 0] + d_rz[1, 1]])
+        d_angles = ds * np.cos(angles) + -dc * np.sin(angles)
+        return np.concatenate([d_angles, -(g @ rot.T).sum(axis=0)]).reshape(1, 6) + 0.0
+
+    canonical = ad._emit("canonical", diff @ rot, [(head, grad)])
+    return canonical, RigidTransform(rot.copy(), trans.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +105,14 @@ class RegistrationResult:
 def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
                    cache: CloudCache | None):
     """The cloud's pose and its canonical coordinates R^T (p - t), both from
-    the one tape rotation that the loss trains on."""
+    the one decoded rotation that the loss trains on."""
     gamma_g = encode_global(cloud, model.config, params, cache)
     gamma_v = encode_invariant(cloud, model.spec, model.config, params, cache)
     q = ad.softmax(gamma_g)
     p = ad.softmax(gamma_v)
-    gamma_mu = _pose_related_t(p, q)
-    trans, rot = _head_forward(gamma_mu, params, model.config)
-    canonical = _canonical_t(cloud.points, trans, rot)
-    pose = PosePrediction(RigidTransform(rot.data.copy(), trans.data.copy()))
-    return pose, canonical
+    head = _head_forward(_pose_related_t(p, q), params, model.config)
+    canonical, decoded = _canonical_t(cloud.points, head)
+    return PosePrediction(decoded), canonical
 
 
 def register_pair(x: PointCloud, y: PointCloud, model: ModelParams,
@@ -118,8 +127,7 @@ def register_pair(x: PointCloud, y: PointCloud, model: ModelParams,
     along in the result.
     """
     params = bound if bound is not None else model.params
-    cache_x = caches[0] if caches else None
-    cache_y = caches[1] if caches else None
+    cache_x, cache_y = caches or (None, None)
     pose_x, canon_x = _forward_cloud(x, model, params, cache_x)
     pose_y, canon_y = _forward_cloud(y, model, params, cache_y)
     on_tape = bound is not None

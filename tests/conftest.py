@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import features, geom
+from upcr import features, geom, separation
 from upcr.encoder import EncoderConfig, init_params
 from upcr.features import FeatureSpec
 from upcr.rng import Rng
@@ -155,9 +156,16 @@ def rng():
 
 
 def rotation_oracle(vals) -> np.ndarray:
-    """Plain NumPy reference for the pose head's tape decoder,
-    ``geom._euler_rotation``."""
+    """Plain NumPy reference for the pose head's rotation decoder,
+    :func:`decode_rotation`."""
     return geom.euler_to_matrix(np.asarray(vals, dtype=np.float64))
+
+
+def decode_rotation(vals) -> np.ndarray:
+    """The rotation that ``separation._canonical_t`` decodes from a head
+    output of Euler angles ``vals`` and a zero translation."""
+    head = ad.constant(np.concatenate([vals, np.zeros(3)]).reshape(1, 6))
+    return separation._canonical_t(np.zeros((1, 3)), head)[1].rotation
 
 
 def scatter_rows_oracle(idx, g: np.ndarray, n: int) -> np.ndarray:
@@ -219,20 +227,44 @@ def sub(a, b) -> ad.Tensor:
     return _binary("sub", a, b, np.subtract, np.negative)
 
 
+def gather_rows(a, idx) -> ad.Tensor:
+    """Rows (axis 0) of ``a`` by integer index on the tape, for the oracles;
+    the backward scatter-adds through ``autodiff._scatter_rows``, a gradient
+    of any rank viewed as [e, prod(tail)] rows, each summed in order from 0.0."""
+    a = ad.as_tensor(a)
+    idx = np.asarray(idx, dtype=np.int64).reshape(-1)
+    if a.ndim < 1:
+        raise ad.ShapeError("gather_rows: input must have rank >= 1")
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise ad.ShapeError(f"gather_rows: index out of range for {a.shape[0]} rows")
+    shape = a.shape
+    width = math.prod(shape[1:])
+    return ad._emit("gather_rows", a.data[idx],
+                    [(a, lambda g: ad._scatter_rows(idx, g.reshape(idx.size, width),
+                                                    shape[0]).reshape(shape))])
+
+
+def reshape(a, shape: tuple[int, ...]) -> ad.Tensor:
+    """``a`` in a new shape on the tape, for the oracles."""
+    a = ad.as_tensor(a)
+    in_shape = a.shape
+    return ad._emit("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(in_shape))])
+
+
 def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
     """``autodiff.pair_table`` on the tape, from the general ops:
     row i*k + j is a[i] + b[neighbors[i, j]]."""
     n, k = np.shape(neighbors)
-    return add(ad.gather_rows(a, np.repeat(np.arange(n), k)),
-               ad.gather_rows(b, np.reshape(neighbors, -1)))
+    return add(gather_rows(a, np.repeat(np.arange(n), k)),
+               gather_rows(b, np.reshape(neighbors, -1)))
 
 
 def neighbor_max_oracle(b, neighbors) -> ad.Tensor:
     """The max over each point's neighbor rows of ``b``, unfused:
     ``gather_rows -> reshape -> reduce_max``."""
     n, k = np.shape(neighbors)
-    table = ad.gather_rows(b, np.reshape(neighbors, -1))
-    return ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
+    table = gather_rows(b, np.reshape(neighbors, -1))
+    return ad.reduce_max(reshape(table, (n, k, table.shape[1])), axis=1)
 
 
 def edge_max(out: np.ndarray, b: np.ndarray, neighbors: np.ndarray, taped: bool):
@@ -259,8 +291,8 @@ def edge_conv_chain(feats, neighbors, weight, bias) -> ad.Tensor:
     pool the neighbor term, add the centre term, then activate."""
     c = feats.shape[1]
     w = ad.as_tensor(weight)
-    w_top = ad.gather_rows(w, np.arange(c))
-    w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
+    w_top = gather_rows(w, np.arange(c))
+    w_bot = gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, sub(w_top, w_bot), bias)
     return ad.leaky_relu(add(center, neighbor_max_oracle(ad.matmul(feats, w_bot), neighbors)))
 
@@ -270,13 +302,13 @@ def embed_chain(phi: np.ndarray, weight, bias) -> ad.Tensor:
     fuses, over the whole [N*k, c] table."""
     n, k, d = phi.shape
     w = ad.as_tensor(weight)
-    h = ad.reshape(ad.affine(ad.constant(phi.reshape(n * k, d)), w, bias), (n, k, w.shape[1]))
+    h = reshape(ad.affine(ad.constant(phi.reshape(n * k, d)), w, bias), (n, k, w.shape[1]))
     return ad.leaky_relu(ad.reduce_max(h, axis=1))
 
 
 def _activate_then_pool(pre: ad.Tensor, n: int, k: int) -> ad.Tensor:
     h = ad.leaky_relu(pre)
-    return ad.reduce_max(ad.reshape(h, (n, k, h.shape[1])), axis=1)
+    return ad.reduce_max(reshape(h, (n, k, h.shape[1])), axis=1)
 
 
 def edge_conv_oracle(feats, neighbors, weight, bias) -> ad.Tensor:
@@ -285,8 +317,8 @@ def edge_conv_oracle(feats, neighbors, weight, bias) -> ad.Tensor:
     n, k = neighbors.shape
     c = feats.shape[1]
     w = ad.as_tensor(weight)
-    w_top = ad.gather_rows(w, np.arange(c))
-    w_bot = ad.gather_rows(w, np.arange(c, 2 * c))
+    w_top = gather_rows(w, np.arange(c))
+    w_bot = gather_rows(w, np.arange(c, 2 * c))
     center = ad.affine(feats, sub(w_top, w_bot), bias)
     table = pair_table_oracle(center, ad.matmul(feats, w_bot), neighbors)
     return _activate_then_pool(table, n, k)

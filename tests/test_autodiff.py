@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from upcr import autodiff as ad
-from upcr import encoder, geom, separation, training
+from upcr import encoder, separation, training
 from upcr.rng import Rng
 
-from conftest import (add, edge_max, grad_check, neighbor_max_oracle, pair_table_oracle,
-                      scatter_rows_oracle, sub, weighted_sum)
+from conftest import (add, edge_max, gather_rows, grad_check, neighbor_max_oracle,
+                      pair_table_oracle, reshape, scatter_rows_oracle, sub, weighted_sum)
 
 
 def leaf(tape, values):
@@ -170,13 +170,12 @@ CONTRACT_OPS = {
     "sub": (sub, [(3, 4), (3, 4)]),
     "matmul": (ad.matmul, [(3, 4), (4, 2)]),
     "affine": (ad.affine, [(3, 4), (4, 2), (1, 2)]),
-    "euler_rotation": (geom._euler_rotation, [(3,)]),
     "edge_conv": (lambda f, w, b: encoder.edge_conv_layer(f, _NBR5, w, b),
                   [(5, 3), (6, 2), (1, 2)]),
     "embed": (lambda w, b: encoder.embed_from_features(_PHI5, w, b), [(3, 4), (1, 4)]),
     "channel_norm": (encoder.channel_norm, [(5, 3)]),
     "pose_related": (separation._pose_related_t, [(4,), (4,)]),
-    "canonical": (lambda t, rot: separation._canonical_t(_PTS4, t, rot), [(3,), (3, 3)]),
+    "canonical": (lambda head: separation._canonical_t(_PTS4, head)[0], [(1, 6)]),
     "chamfer": (training.unsupervised_loss, [(5, 3), (4, 3)]),
     "mean": (lambda *losses: training._mean(list(losses)), [(), (), ()]),
 }
@@ -258,7 +257,7 @@ def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
     other = ad.constant(rng.uniform(-1, 1, (3, 2)))
     refs = [weakref.ref(a.data), weakref.ref(b.data)]
     kept = weakref.ref(other.data)
-    outs = [ad.reduce_max(a, axis=0), ad.gather_rows(b, [4, 0, 4]),
+    outs = [ad.reduce_max(a, axis=0), gather_rows(b, [4, 0, 4]),
             add(a, b), sub(a, b), ad.matmul(a, other)]
     del a, b, other
     gc.collect()
@@ -274,7 +273,7 @@ def test_vjp_keeps_no_forward_array_it_does_not_read(rng):
     assert all(node.vjp is None for node in tape.nodes)
 
 
-@pytest.mark.parametrize("name", ["euler_rotation", "channel_norm", "pose_related", "canonical"])
+@pytest.mark.parametrize("name", ["channel_norm", "pose_related", "canonical"])
 def test_fused_gradient_maps_close_over_arrays_not_tensors(rng, name):
     tape = ad.Tape()
     out = CONTRACT_OPS[name][0](*[leaf(tape, v) for v in _contract_values(rng, name)])
@@ -396,13 +395,13 @@ def test_reduce_max_empty_axis_rejected():
 
 
 # ---------------------------------------------------------------------------
-# structure ops
+# the oracles' gather_rows, scattering through autodiff._scatter_rows
 
 
 def test_gather_rows_forward_backward():
     tape = ad.Tape()
     x = leaf(tape, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    out = ad.gather_rows(x, [2, 0, 2])
+    out = gather_rows(x, [2, 0, 2])
     np.testing.assert_array_equal(out.data, [[5.0, 6.0], [1.0, 2.0], [5.0, 6.0]])
     ad.backward(weighted_sum(out))
     np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [2.0, 2.0]])
@@ -411,7 +410,7 @@ def test_gather_rows_forward_backward():
 def _gather_rows_gradient(x, idx, g):
     tape = ad.Tape()
     xt = leaf(tape, x)
-    ad.backward(weighted_sum(ad.gather_rows(xt, idx), ad.constant(g)))
+    ad.backward(weighted_sum(gather_rows(xt, idx), ad.constant(g)))
     return xt.grad
 
 
@@ -438,7 +437,7 @@ def test_gather_rows_any_rank_gradient_matches_sequential_oracle(rng, tail):
 def test_gather_rows_empty_index_on_a_tape_gives_zero_gradient(shape):
     tape = ad.Tape()
     xt = leaf(tape, np.ones(shape))
-    out = ad.gather_rows(xt, [])
+    out = gather_rows(xt, [])
     assert out.shape == (0,) + shape[1:] and out.node_id is not None
     ((nid, grad),) = tape.nodes[out.node_id].vjp(np.zeros(out.shape))
     assert nid == xt.node_id
@@ -447,7 +446,7 @@ def test_gather_rows_empty_index_on_a_tape_gives_zero_gradient(shape):
 
 def test_gather_rows_out_of_range():
     with pytest.raises(ad.ShapeError):
-        ad.gather_rows(ad.constant(np.zeros((2, 2))), [2])
+        gather_rows(ad.constant(np.zeros((2, 2))), [2])
 
 
 def test_pair_table_matches_naive(rng):
@@ -455,7 +454,7 @@ def test_pair_table_matches_naive(rng):
     nbr = np.array([[1, 2], [0, 3], [4, 5], [0, 0], [2, 1], [3, 3]])
     out = ad.pair_table(ad.constant(b), nbr).data
     np.testing.assert_array_equal(out, np.stack([b[j] for j in nbr.reshape(-1)]))
-    assert ad.gather_rows(b, nbr.reshape(-1)).data.tobytes() == out.tobytes()
+    assert gather_rows(b, nbr.reshape(-1)).data.tobytes() == out.tobytes()
 
 
 def test_pair_table_row_block_is_rows_of_the_whole_table(rng):
@@ -664,7 +663,7 @@ def _pair_max_and_b_grad(hoisted: bool, a, b, nbr):
     tape = ad.Tape()
     at, bt = leaf(tape, a), leaf(tape, b)
     table = ad.leaky_relu(pair_table_oracle(at, bt, nbr))
-    out = ad.reduce_max(ad.reshape(table, (n, k, table.shape[1])), axis=1)
+    out = ad.reduce_max(reshape(table, (n, k, table.shape[1])), axis=1)
     ad.backward(weighted_sum(out))
     return out.data, bt.grad
 
@@ -700,7 +699,7 @@ def test_hoisted_edge_max_changes_only_merged_sums_and_nan_sums(rng):
 
 def test_reshape_gradients(rng):
     x = rng.uniform(-1, 1, (3, 4))
-    rep = grad_check(lambda t: weighted_sum(ad.reshape(t, (12,))), x,
+    rep = grad_check(lambda t: weighted_sum(reshape(t, (12,))), x,
                      h=1e-6, tol=1e-6)
     assert rep.passed
 

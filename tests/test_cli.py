@@ -9,7 +9,7 @@ import pytest
 
 from upcr import cli, geom
 from upcr.cli import main
-from upcr.datagen import Protocol, build_benchmark, save_cloud, synth_shape
+from upcr.datagen import Protocol, build_benchmark, load_cloud, save_cloud, synth_shape
 from upcr.encoder import EncoderConfig, init_params
 from upcr.evalbench import evaluate_poses
 from upcr.features import FEATURE_KINDS, FeatureSpec
@@ -200,6 +200,18 @@ def test_register_names_the_cloud_with_too_few_points(tmp_path, capsys, small):
     assert not moved.exists() and not out.exists()
 
 
+def test_register_binary_ply_names_its_format(tmp_path, capsys):
+    """The header is ascii, the vertex rows are not UTF-8 text."""
+    src = tmp_path / "scan.ply"
+    src.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+                    b"property float x\nproperty float y\nproperty float z\nend_header\n"
+                    + np.array([[0.5, -1.0, 2.0], [1.0, 0.0, -0.5]], dtype="<f4").tobytes())
+    rc = main(["register", "--source", str(src), "--target", str(src),
+               "--model", tiny_model_file(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"error: {src}:2: only ascii PLY is supported\n")
+
+
 def test_register_self_prints_identity(tmp_path, capsys):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(1, 48, Rng(2)), a)
@@ -224,8 +236,11 @@ def test_register_self_prints_identity(tmp_path, capsys):
      "--save-transformed {dir}/./b.xyz would replace --target {b}"),
     (["--model", "{model_xyz}", "--save-transformed", "{model_xyz}"],
      "--save-transformed {model_xyz} would replace --model {model_xyz}"),
+    (["--save-transformed", "{a}/moved.xyz"],
+     "--save-transformed {a}/moved.xyz: {a} exists and is not a directory"),
 ], ids=["save-transformed-txt", "out-is-a-file", "save-transformed-is-source",
-        "save-transformed-is-target", "save-transformed-is-model"])
+        "save-transformed-is-target", "save-transformed-is-model",
+        "save-transformed-under-a-file"])
 def test_register_checks_output_paths_before_reading_inputs(tmp_path, capsys, flags, message):
     names = {"a": str(tmp_path / "a.xyz"), "b": str(tmp_path / "b.xyz"),
              "dir": str(tmp_path), "moved": str(tmp_path / "moved.xyz"),
@@ -333,28 +348,23 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert "seed = 3" in manifest and "sha256" in manifest
 
 
-def test_gen_partial_pairing_needs_partial_keep(tmp_path, capsys):
+def test_gen_partial_keep_alone_writes_partial_clouds(tmp_path):
     out = tmp_path / "o"
-    rc = main(["gen", "--pairing", "partial", "--out", str(out)] + TINY)
-    assert rc == 1
-    assert ("error: configuration key 'protocol.partial_keep' must be in "
-            "[1, data.points - 1] = [1, 31] under partial pairing, got 0\n"
-            ) == capsys.readouterr().err
-    assert not out.exists()
-    rc = main(["gen", "--pairing", "partial", "--partial-keep", "24", "--out", str(out)] + TINY)
-    assert rc == 0
+    assert main(["gen", "--partial-keep", "24", "--out", str(out)] + TINY) == 0
     manifest = Path(out, "manifest.txt").read_text()
-    assert "protocol.pairing = partial" in manifest and "protocol.partial_keep = 24" in manifest
+    assert "protocol.partial_keep = 24" in manifest and "pairing" not in manifest
+    for side in ("source", "target"):
+        assert len(load_cloud(str(out / "train" / f"0000_{side}.xyz"))) == 24
 
 
 @pytest.mark.parametrize("argv, cfg_text, message", [
-    (["gen", "--partial-keep", "24"], "",
-     "partial_keep = 24 is read only under partial pairing, got pairing 'consistent'"),
+    (["gen"], "[protocol]\npairing = partial\n",
+     "{cfg}:2: unknown configuration key 'protocol.pairing'"),
     (["gen"], "[protocol]\nnoise_clip = 0.1\n",
      "{cfg}:2: unknown configuration key 'protocol.noise_clip'"),
     (["gen"], "[data]\npoints = 64\npoints = 32\n",
      "{cfg}:3: configuration key 'data.points' already set on line 2"),
-], ids=["partial-keep", "noise-clip", "key-set-twice"])
+], ids=["pairing", "noise-clip", "key-set-twice"])
 def test_protocol_keys_that_would_be_ignored_rejected(tmp_path, capsys, argv, cfg_text,
                                                       message):
     cfg = tmp_path / "run.cfg"
@@ -479,6 +489,15 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "unknown configuration key" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = 3\n[data]\npoints = 3\xff2\n")
+    rc = main(["gen", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {cfg}:3: not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("section, line, value", [
@@ -632,7 +651,7 @@ def test_preset_desk_and_paper():
 # ---------------------------------------------------------------------------
 # which flags each command offers, and what its manifest records
 
-_PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--pairing", "--regime",
+_PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--regime",
                "--partial-keep", "--points", "--categories", "--train-pairs", "--test-pairs"}
 OFFERED = {
     "gen": _PAIR_FLAGS | {"--out"},
@@ -656,6 +675,23 @@ def test_model_keys_are_exactly_the_config_and_spec_fields():
     for section, cls in (("encoder", EncoderConfig), ("feature", FeatureSpec)):
         keys = {key.split(".", 1)[1] for key in cli.KEYS if cli._section(key) == section}
         assert keys == {f.name for f in fields(cls)}, section
+
+
+def test_empty_out_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "--out", ""] + TINY) == 1
+    assert capsys.readouterr() == ("", "error: --out must name a directory, got ''\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_readme_cli_section_names_exactly_the_offered_flags():
+    readme = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    offered = {s for name in OFFERED for a in subparser(name)._actions
+               for s in a.option_strings}
+    assert documented - {"--help"} == offered - {"-h", "--help"}
 
 
 def test_keys_with_choices_offer_at_least_two():
@@ -688,12 +724,13 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
     ["finetune", "--model", "{model}", "--m", "16"],
     ["finetune", "--model", "{model}", "--epochs", "1"],
     ["gen", "--layers", "2"],
+    ["gen", "--pairing", "partial"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--seed", "1"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--config", "{cloud}"],
 ], ids=["bench-k", "bench-feature", "sweep-mode", "train-mode", "train-test-pairs",
-        "train-finetune", "finetune-m", "finetune-epochs", "gen-layers", "register-seed",
+        "train-finetune", "finetune-m", "finetune-epochs", "gen-layers", "gen-pairing", "register-seed",
         "register-config"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     cloud = str(tmp_path / "a.xyz")
@@ -832,11 +869,10 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
      "ratios 0.561 and 0.559 round to one corruption stream"),
     (["sweep-outliers", "--model", "{model}", "--ratios", "0,3"],
      "outlier ratio 3.0 replaces no point of a 32-point cloud; use 0 or at least 3.125"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "4", "--pairing", "partial",
-      "--partial-keep", "20"],
+    (["sweep-outliers", "--model", "{model}", "--ratios", "4", "--partial-keep", "20"],
      "outlier ratio 4.0 replaces no point of a 20-point cloud; use 0 or at least 5"),
     (["train", "--k", "40"], "data.points = 32 must exceed encoder.k = 40"),
-    (["train", "--pairing", "partial", "--partial-keep", "16", "--k", "20"],
+    (["train", "--partial-keep", "16", "--k", "20"],
      "protocol.partial_keep = 16 must exceed encoder.k = 20"),
     (["bench", "--model", "{model_k24}", "--points", "20"],
      "data.points = 20 must exceed the checkpoint's k = 24"),
@@ -849,19 +885,18 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["train", "--k", "2"],
      "feature.kind = distance+spfh estimates normals over encoder.k = 2 neighbours, "
      "which needs k >= 3"),
-    (["gen", "--pairing", "partial"],
-     "configuration key 'protocol.partial_keep' must be in [1, data.points - 1] = [1, 31] "
-     "under partial pairing, got 0"),
-    (["gen", "--pairing", "partial", "--partial-keep", "64", "--points", "64"],
-     "configuration key 'protocol.partial_keep' must be in [1, data.points - 1] = [1, 63] "
-     "under partial pairing, got 64"),
+    (["gen", "--partial-keep", "-1"],
+     "configuration key 'protocol.partial_keep' must be >= 0, got -1"),
+    (["gen", "--partial-keep", "64", "--points", "64"],
+     "configuration key 'protocol.partial_keep' must be below data.points = 64 "
+     "(0 = full clouds), got 64"),
 ], ids=["gen-no-pairs", "train-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3",
-        "train-normals-k-below-3", "gen-partial-keep-missing", "gen-partial-keep-not-below-points"])
+        "train-normals-k-below-3", "gen-partial-keep-negative", "gen-partial-keep-not-below-points"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
              "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr"),

@@ -165,13 +165,11 @@ def test_protocol_nd_forces_noise():
     for a, b in ((clean.source, noisy.source), (clean.target, noisy.target)):
         jitter = np.abs(b.points - a.points)
         assert jitter.max() <= 0.05 and np.all(jitter.mean(axis=0) > 0.005)
-    with pytest.raises(ValueError):
-        Protocol(pairing="partial")  # partial_keep missing
 
 
-def test_protocol_rejects_partial_keep_without_partial_pairing():
-    with pytest.raises(ValueError, match="read only under partial pairing"):
-        Protocol(pairing="consistent", partial_keep=24)
+def test_protocol_rejects_negative_partial_keep():
+    with pytest.raises(ValueError, match=r"^partial_keep must be >= 0 \(0 = full clouds\), got -1$"):
+        Protocol(partial_keep=-1)
 
 
 def test_consistent_sample_exact_transform():
@@ -183,7 +181,7 @@ def test_consistent_sample_exact_transform():
 
 
 def test_partial_sample_counts():
-    proto = Protocol(setting="UPC", pairing="partial", partial_keep=768)
+    proto = Protocol(setting="UPC", partial_keep=768)
     s = make_sample(proto, 1, 0, 1024, seed=3)
     assert len(s.source) == 768 and len(s.target) == 768
 
@@ -292,6 +290,17 @@ def test_xyz_malformed_reports_line(tmp_path):
     path = tmp_path / "bad.xyz"
     path.write_text("0 0 0\n1 oops 0\n")
     with pytest.raises(CloudParseError, match=":2"):
+        load_cloud(str(path))
+
+
+@pytest.mark.parametrize("name, data, line", [
+    ("latin1.xyz", b"0 0 0\n1 \xe9 0\n", 2),
+    ("binary.off", b"OFF\n2 0 0\n0 0 0\n\xff\xfe 1 2\n", 4),
+], ids=["xyz", "off"])
+def test_cloud_that_is_not_utf8_names_file_and_line(tmp_path, name, data, line):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(CloudParseError, match=f"^{re.escape(str(path))}:{line}: not UTF-8 text$"):
         load_cloud(str(path))
 
 

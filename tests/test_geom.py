@@ -3,17 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from upcr import autodiff as ad
 from upcr import geom
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
-from conftest import (_select_k_oracle, canonicalize, chamfer, inverse_transform,
-                      neighbor_table_oracle, random_cloud, random_transform)
-
-
-def decode(vals) -> np.ndarray:
-    return geom._euler_rotation(ad.constant(vals)).data
+from conftest import (_select_k_oracle, canonicalize, chamfer, decode_rotation,
+                      inverse_transform, neighbor_table_oracle, random_cloud, random_transform)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +306,11 @@ def test_scan_never_holds_an_n_by_n_matrix():
 
 
 def test_decode_euler_identity():
-    np.testing.assert_allclose(decode(np.zeros(3)), np.eye(3))
+    np.testing.assert_allclose(decode_rotation(np.zeros(3)), np.eye(3))
 
 
 def test_decode_euler_quarter_turn():
-    rot = decode([0.0, 0.0, np.pi / 2])
+    rot = decode_rotation([0.0, 0.0, np.pi / 2])
     np.testing.assert_allclose(rot, [[0, -1, 0], [1, 0, 0], [0, 0, 1]], atol=1e-15)
 
 
@@ -325,7 +320,7 @@ def test_decode_euler_against_axis_composition_oracle():
     rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
     ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
     rz = np.array([[cg, -sg, 0], [sg, cg, 0], [0, 0, 1]])
-    rot = decode([a, b, g])
+    rot = decode_rotation([a, b, g])
     np.testing.assert_allclose(rot, rz @ ry @ rx, atol=1e-12)
 
 
@@ -340,7 +335,7 @@ def test_euler_round_trip():
 def test_decode_rotation_always_in_so3():
     rng = Rng(31)
     for _ in range(1000):
-        rot = decode(rng.uniform(-2.0, 2.0, 3))
+        rot = decode_rotation(rng.uniform(-2.0, 2.0, 3))
         assert np.abs(rot.T @ rot - np.eye(3)).max() < 1e-8
         assert abs(np.linalg.det(rot) - 1.0) < 1e-8
 

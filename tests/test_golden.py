@@ -112,8 +112,7 @@ def test_feature_tables_pinned():
 @pytest.mark.parametrize("pairing", sorted(ND_SPLIT_SHA))
 def test_nd_splits_pinned(pairing):
     """The noisy protocol's clouds, whole and cropped to partial scans."""
-    proto = Protocol(setting="ND", pairing=pairing,
-                     partial_keep=48 if pairing == "partial" else None)
+    proto = Protocol(setting="ND", partial_keep=48 if pairing == "partial" else 0)
     train_s, test_s = build_benchmark(proto, 4, 3, 2, 64, seed=5)
     clouds = [c.points for s in train_s + test_s for c in (s.source, s.target)]
     assert sha(*clouds) == ND_SPLIT_SHA[pairing]

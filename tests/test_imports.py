@@ -63,11 +63,14 @@ def imported_names(source: str) -> set[str]:
 
 
 def test_features_imports_nothing_from_autodiff():
-    """Features are plain NumPy tables: how they are pooled on a tape is
-    decided in ``autodiff`` and ``encoder`` alone."""
-    names = imported_names(Path(upcr.__file__).with_name("features.py").read_text(encoding="utf-8"))
-    assert "geom" in names
-    assert [n for n in names if "autodiff" in n.split(".")] == []
+    """Features and geometry are plain NumPy: how a feature table is pooled
+    on a tape is decided in ``autodiff`` and ``encoder``, and how the head's
+    Euler decode enters it in ``separation``."""
+    imports = {name: imported_names(Path(upcr.__file__).with_name(name).read_text(
+        encoding="utf-8")) for name in ("features.py", "geom.py")}
+    assert "geom" in imports["features.py"]
+    for name, names in imports.items():
+        assert [n for n in names if "autodiff" in n.split(".")] == [], name
 
 
 def definitions(tree: ast.Module):

@@ -15,8 +15,8 @@ from upcr.rng import Rng
 from upcr.separation import register_pair
 from upcr.training import unsupervised_loss
 
-from conftest import (canonicalize, grad_check, random_transform, rotation_oracle,
-                      weighted_sum)
+from conftest import (canonicalize, decode_rotation, grad_check, random_transform,
+                      rotation_oracle, weighted_sum)
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -60,7 +60,10 @@ def dist(values) -> np.ndarray:
 
 
 def pose_related(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return separation._pose_related_t(ad.constant(p), ad.constant(q)).data
+    """The term's entries; the op emits them as the [1, m] row the head reads."""
+    out = separation._pose_related_t(ad.constant(p), ad.constant(q)).data
+    assert out.shape == (1, len(p))
+    return out[0]
 
 
 def test_pose_related_identical_is_exact_zero():
@@ -102,7 +105,7 @@ def test_pose_related_gradient_with_entries_below_the_floor(small):
     logits = rng.uniform(-1, 1, 8)
     logits[[1, 5]] -= 30.0
     other = ad.constant(dist(rng.uniform(0.1, 1.0, 8)))
-    probe = ad.constant(rng.uniform(-1, 1, 8))
+    probe = ad.constant(rng.uniform(-1, 1, (1, 8)))
 
     def fn(z):
         s = ad.softmax(z)
@@ -120,17 +123,26 @@ def test_pose_related_gradient_with_entries_below_the_floor(small):
 
 @pytest.mark.parametrize("wrt", ["translation", "rotation"])
 def test_canonical_gradient_matches_finite_differences(wrt):
+    """The head output's Euler angles are its columns 0-2, the translation 3-5."""
     rng = Rng(22)
     pts = rng.uniform(-1, 1, (7, 3))
-    trans, rot = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 3))
+    out = rng.uniform(-1, 1, (1, 6))
     probe = ad.constant(rng.uniform(-1, 1, (7, 3)))
+    rep = grad_check(lambda v: weighted_sum(separation._canonical_t(pts, v)[0], probe), out,
+                     h=1e-6, tol=1e-6)
+    cols = slice(3, 6) if wrt == "translation" else slice(0, 3)
+    assert rep.rel_errors[0, cols].max() <= rep.tol, rep.rel_errors
 
-    def fn(v):
-        args = (v, ad.constant(rot)) if wrt == "translation" else (ad.constant(trans), v)
-        return weighted_sum(separation._canonical_t(pts, *args), probe)
 
-    rep = grad_check(fn, trans if wrt == "translation" else rot, h=1e-6, tol=1e-6)
-    assert rep.passed, rep.max_rel_error
+def test_canonical_gradient_turns_minus_zero_into_plus_zero():
+    """Each of the six entries sums from +0.0, as a scatter into the head's
+    row would: a zero upstream gradient gives +0.0 everywhere, never -0.0."""
+    tape = ad.Tape()
+    out = tape.leaf(Rng(23).uniform(-1, 1, (1, 6)))
+    canonical, _ = separation._canonical_t(Rng(24).uniform(-1, 1, (5, 3)), out)
+    ((nid, grad),) = tape.nodes[canonical.node_id].vjp(np.zeros(canonical.shape))
+    assert nid == out.node_id
+    assert grad.tobytes() == np.zeros((1, 6)).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -138,16 +150,19 @@ def test_canonical_gradient_matches_finite_differences(wrt):
 
 
 def head(model, gamma):
-    return separation._head_forward(ad.constant(gamma), model.params, CFG)
+    """The pose that the head decodes from the pose-related row ``gamma``."""
+    out = separation._head_forward(ad.constant(np.reshape(gamma, (1, -1))), model.params, CFG)
+    assert out.shape == (1, 6)
+    return separation._canonical_t(np.zeros((1, 3)), out)[1]
 
 
 def test_regress_pose_zero_final_layer_gives_identity():
     model = small_model()
     model.params["head.1.w"][:] = 0.0
     model.params["head.1.b"][:] = 0.0
-    trans, rot = head(model, Rng(4).uniform(-1, 1, CFG.m))
-    np.testing.assert_allclose(rot.data, np.eye(3), atol=1e-12)
-    np.testing.assert_allclose(trans.data, 0.0, atol=1e-12)
+    pose = head(model, Rng(4).uniform(-1, 1, CFG.m))
+    np.testing.assert_allclose(pose.rotation, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(pose.translation, 0.0, atol=1e-12)
 
 
 def test_regress_pose_output_dims():
@@ -157,14 +172,14 @@ def test_regress_pose_output_dims():
     for name in ("head.0.b", "head.1.b"):  # zero at init; give the biases weight
         t[name][:] = Rng(6).uniform(-0.1, 0.1, t[name].shape)
     gamma = Rng(5).uniform(-1, 1, CFG.m)
-    trans, rot = head(model, gamma)
-    assert trans.shape == (3,)
+    pose = head(model, gamma)
+    assert pose.translation.shape == (3,)
     # the raw head output, recomputed by hand, splits into rotation and translation
     hidden = gamma @ t["head.0.w"] + t["head.0.b"][0]
     out = np.maximum(hidden, ad.SLOPE * hidden) @ t["head.1.w"] + t["head.1.b"][0]
-    np.testing.assert_allclose(trans.data, out[3:], atol=1e-12)
+    np.testing.assert_allclose(pose.translation, out[3:], atol=1e-12)
     # decoded rotation matches an independent decode of the raw parameter
-    np.testing.assert_allclose(rot.data, rotation_oracle(out[:3]), atol=1e-10)
+    np.testing.assert_allclose(pose.rotation, rotation_oracle(out[:3]), atol=1e-10)
 
 
 @pytest.mark.parametrize("beta", [0.0, np.pi / 2, -np.pi / 2],
@@ -174,15 +189,16 @@ def test_pose_head_gradient_through_rotation(beta):
     whose gimbal lock lies at +-pi/2."""
     model = small_model(seed=6)
     model.params["head.1.b"][0, 1] = beta
-    gamma = Rng(7).uniform(-0.5, 0.5, CFG.m)
-    probe = Rng(8).uniform(-1, 1, (3, 3))
+    gamma = Rng(7).uniform(-0.5, 0.5, (1, CFG.m))
+    pts = Rng(8).uniform(-1, 1, (6, 3))
+    probe = Rng(9).uniform(-1, 1, (6, 3))
     name = "head.1.w"
 
     def fn(t):
         params = {k: (t if k == name else ad.constant(v))
                   for k, v in model.params.items()}
-        _, rot = separation._head_forward(ad.constant(gamma), params, CFG)
-        return weighted_sum(rot, ad.constant(probe))
+        out = separation._head_forward(ad.constant(gamma), params, CFG)
+        return weighted_sum(separation._canonical_t(pts, out)[0], ad.constant(probe))
 
     rep = grad_check(fn, model.params[name], h=1e-6, tol=1e-3)
     assert rep.passed, rep.max_rel_error
@@ -192,7 +208,7 @@ def test_tape_rotation_decoders_match_geom():
     rng = Rng(9)
     for _ in range(20):
         vals = rng.uniform(-1.0, 1.0, 3)
-        got = geom._euler_rotation(ad.constant(vals)).data
+        got = decode_rotation(vals)
         np.testing.assert_allclose(got, rotation_oracle(vals), atol=1e-10)
 
 
@@ -259,9 +275,10 @@ def test_register_rejects_a_cloud_of_k_points(small):
 
 def test_taped_pair_records_one_node_per_fused_step():
     """The node kinds of one taped pair plus its loss. Each edge convolution,
-    point embedding, channel norm, pose-related term, canonical-coordinate
-    map and Chamfer loss is one node, so a chain that grows back (a sub, add,
-    matmul, sqrt, log, row-repeat, mul or reduce_sum node) fails here."""
+    point embedding, channel norm, pose-related term, pose decode with its
+    canonical-coordinate map and Chamfer loss is one node, so a chain that
+    grows back (a sub, add, matmul, sqrt, log, row-repeat, mul, reduce_sum,
+    reshape, row gather or Euler node) fails here."""
     x = synth_shape(1, 24, Rng(25))
     y = geom.apply_transform(random_transform(Rng(26), 45.0, 0.5), x)
     model = small_model()
@@ -271,10 +288,11 @@ def test_taped_pair_records_one_node_per_fused_step():
     kinds = Counter(node.kind for node in tape.nodes)
     assert kinds == {
         "leaf": 16, "edge_conv": 10, "embed": 2, "channel_norm": 8, "reduce_max": 4,
-        "softmax": 4, "pose_related": 2, "reshape": 4, "affine": 4, "leaky_relu": 2,
-        "gather_rows": 4, "euler_rotation": 2, "canonical": 2, "chamfer": 1,
+        "softmax": 4, "pose_related": 2, "affine": 4, "leaky_relu": 2, "canonical": 2,
+        "chamfer": 1,
     }
-    assert sum(kinds.values()) == 65
+    assert not {"reshape", "gather_rows", "euler_rotation"} & set(kinds)
+    assert sum(kinds.values()) == 55
 
 
 def test_full_pipeline_grad_check_all_parameters():
