@@ -5,12 +5,12 @@ layers, ``matmul`` and ``leaky_relu``, max-pooling with deterministic
 tie-breaking, and softmax. Fused ops live beside the code they serve: the
 point embedding, the edge convolution and ``channel_norm`` in ``encoder``,
 the pose-related term and the pose decode with its canonical coordinates in
-``separation``, the Chamfer loss and the batch mean in ``training``. The point embedding and the edge
-convolution share one pooling step, :func:`_max_pool`: it adds each row's max
-over its k candidates to the row and activates it, building and pooling the
-[n*k, c] candidate table in bounded row blocks, so the table never exists
-whole. No broadcasting, no higher-order derivatives, no views: every op
-produces a fresh array.
+``separation``, the Chamfer loss and the batch mean in ``training``. The
+point embedding and the edge convolution share one pooling step,
+:func:`_max_pool`: it adds each row's max over its k candidates to the row
+and activates it, building and pooling the [n*k, c] candidate table in
+bounded row blocks, so the table never exists whole. No broadcasting, no
+higher-order derivatives, no views: every op produces a fresh array.
 
 Every op follows one contract: it computes its forward array and hands
 :func:`_emit` one ``(operand, g -> that operand's gradient)`` pair per

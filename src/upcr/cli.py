@@ -416,6 +416,8 @@ def cmd_register(args) -> int:
             raise CliError(f"--save-transformed {args.save_transformed}: {exc}") from None
         _check_not_an_input(args, "--save-transformed", args.save_transformed,
                             args.save_transformed)
+        if os.path.isdir(args.save_transformed):
+            raise CliError(f"--save-transformed {args.save_transformed} is a directory")
         _check_dir("--save-transformed", args.save_transformed,
                    os.path.dirname(args.save_transformed))
     source = _read(load_cloud, args.source, "source cloud")
@@ -558,7 +560,7 @@ def main(argv=None) -> int:
     try:
         if args.out == "":
             raise CliError("--out must name a directory, got ''")
-        if args.out is not None:
+        if args.out:
             _check_dir("--out", args.out, args.out)
         return args.fn(args)
     except (CliError, OSError, ValueError) as exc:

@@ -29,6 +29,9 @@ BENCH = ["bench", "--model", "m.upcr"]
 
 
 def read(path):
+    """A file's bytes, or a directory's sorted entries."""
+    if os.path.isdir(path):
+        return sorted(os.listdir(path))
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -238,14 +241,17 @@ def test_register_self_prints_identity(tmp_path, capsys):
      "--save-transformed {model_xyz} would replace --model {model_xyz}"),
     (["--save-transformed", "{a}/moved.xyz"],
      "--save-transformed {a}/moved.xyz: {a} exists and is not a directory"),
+    (["--save-transformed", "{dir_xyz}"], "--save-transformed {dir_xyz} is a directory"),
 ], ids=["save-transformed-txt", "out-is-a-file", "save-transformed-is-source",
         "save-transformed-is-target", "save-transformed-is-model",
-        "save-transformed-under-a-file"])
+        "save-transformed-under-a-file", "save-transformed-is-a-directory"])
 def test_register_checks_output_paths_before_reading_inputs(tmp_path, capsys, flags, message):
     names = {"a": str(tmp_path / "a.xyz"), "b": str(tmp_path / "b.xyz"),
              "dir": str(tmp_path), "moved": str(tmp_path / "moved.xyz"),
              "moved_txt": str(tmp_path / "moved.txt"),
-             "model_xyz": tiny_model_file(tmp_path, name="model.xyz")}
+             "model_xyz": tiny_model_file(tmp_path, name="model.xyz"),
+             "dir_xyz": str(tmp_path / "clouds.xyz")}
+    os.mkdir(names["dir_xyz"])
     save_cloud(synth_shape(1, 48, Rng(2)), names["a"])
     save_cloud(synth_shape(2, 48, Rng(3)), names["b"])
     model = tiny_model_file(tmp_path)
