@@ -177,8 +177,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     preset = getattr(args, "preset", None)
     if preset:
         cfg.update(PRESETS[preset])
-    if getattr(args, "config", None):
-        cfg.update(parse_config_file(args.config))
+    config = getattr(args, "config", None)
+    if config == "":
+        raise CliError("--config must name a file, got ''")
+    if config is not None:
+        cfg.update(parse_config_file(config))
     for key in KEYS:  # each flag's dest is its key, and argparse already typed it
         val = getattr(args, key, None)
         if val is not None:
@@ -408,12 +411,17 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_register(args) -> int:
-    # a bad output path fails here, before anything is printed or written
-    if args.save_transformed is not None:
+    # a bad cloud path fails here, before any input is read or anything is
+    # printed or written
+    for flag, path in (("--source", args.source), ("--target", args.target),
+                       ("--save-transformed", args.save_transformed)):
+        if path is None:
+            continue
         try:
-            cloud_format(args.save_transformed)
+            cloud_format(path)
         except ValueError as exc:
-            raise CliError(f"--save-transformed {args.save_transformed}: {exc}") from None
+            raise CliError(f"{flag} {path or repr(path)}: {exc}") from None
+    if args.save_transformed is not None:
         _check_not_an_input(args, "--save-transformed", args.save_transformed,
                             args.save_transformed)
         if os.path.isdir(args.save_transformed):

@@ -10,6 +10,12 @@ estimated from the points' own neighbor table, so they turn with the cloud.
 That invariance is what makes the downstream invariant representation
 possible: ``encoder`` embeds these [N, k, d] tables on the tape. Nothing
 here records a tape.
+
+Each part is built once per cloud, either per point ([N, d]: SPFH, PFH) or
+per edge ([N, k, d]: distance, PPF). ``neighbor_feature_array`` gathers the
+per-point tables at each edge's neighbor for the encoder;
+``point_descriptor_table`` pools them over the k neighbors in place, so a
+matching descriptor never builds the [N, k, d] array.
 """
 
 from __future__ import annotations
@@ -237,8 +243,10 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 # assembled neighbor features
 
 
-def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
-    """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
+def _part_features(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray):
+    """Each part of ``spec`` in order: a per-point [N, d] table (SPFH, PFH),
+    which an edge reads at its neighbor, or a per-edge [N, k, d] array
+    (distance, PPF).
 
     The normals and the SPFH/PFH tables come from the same table ``nbr``.
     """
@@ -246,35 +254,57 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
     pts = cloud.points
     nrm = estimate_normals(pts, nbr) if spec.needs_normals else None
     center = pts.mean(axis=0)
-    blocks = []
     for part in spec.parts:
         if part == "distance":
             pn = pts[nbr]  # [n, k, 3]
             d_oc = np.linalg.norm(pn - center, axis=2)
             d_pc = np.linalg.norm(pn - pts[:, None, :], axis=2)
             d_op = np.repeat(np.linalg.norm(pts - center, axis=1)[:, None], k, axis=1)
-            blocks.append(np.stack([d_oc, d_pc, d_op], axis=2))
+            yield np.stack([d_oc, d_pc, d_op], axis=2)
         elif part == "ppf":
             p1, n1, p2, n2 = _edge_rows(pts, nrm, nbr)
             dn, dist = _unit_rows(p2 - p1)
             a1 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, dn), -1.0, 1.0))
             a2 = np.arccos(np.clip(np.einsum("ij,ij->i", n2, dn), -1.0, 1.0))
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
-            blocks.append(np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4))
+            yield np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4)
         elif part == "spfh":
-            blocks.append(spfh_table(pts, nrm, nbr)[nbr])
+            yield spfh_table(pts, nrm, nbr)
         elif part == "pfh":
-            blocks.append(pfh_table(pts, nrm, nbr)[nbr])
-    return np.concatenate(blocks, axis=2)
+            yield pfh_table(pts, nrm, nbr)
+
+
+def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
+    """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
+
+    A per-point part is gathered at each edge's neighbor; parts are
+    concatenated only when there are two or more.
+    """
+    blocks = [f[nbr] if f.ndim == 2 else f for f in _part_features(cloud, spec, nbr)]
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
 
 
 def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.ndarray:
-    """Per-point descriptors [N, d] for feature matching: max over neighbor features.
+    """Per-point descriptors [N, d] for feature matching: the max over each
+    point's k neighbor features, the same values as
+    ``neighbor_feature_array(...).max(axis=1)``.
 
     One neighbor table per cloud feeds the normals, histograms and features.
-    Raises MatchError on a non-finite descriptor.
+    A per-point part is pooled in place, one neighbor column at a time, so no
+    [N, k, d] array of it exists; a per-edge part is reduced over k. Raises
+    MatchError on a non-finite descriptor.
     """
-    table = neighbor_feature_array(cloud, spec, geom.knn(cloud, k)).max(axis=1)
+    nbr = geom.knn(cloud, k)
+    pooled = []
+    for f in _part_features(cloud, spec, nbr):
+        if f.ndim == 3:
+            pooled.append(f.max(axis=1))
+        else:
+            out = f[nbr[:, 0]]
+            for col in nbr.T[1:]:
+                np.maximum(out, f[col], out=out)
+            pooled.append(out)
+    table = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=1)
     if not np.all(np.isfinite(table)):
         raise MatchError("feature table contains non-finite entries")
     return table

@@ -79,10 +79,18 @@ class RigidTransform:
 
 
 def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances via the expanded form (fast, may be -eps)."""
+    """Pairwise squared distances [len(a), len(b)] by the expanded form
+    |a|^2 + |b|^2 - 2 a.b, clamped at +0. The rounding error scales with
+    |a|^2 + |b|^2, so a coincident pair may read a small positive number,
+    never a negative one. Doubling the product in place is exact: every
+    entry rounds as ``a2[:, None] + b2 - 2.0 * (a @ b.T)`` does.
+    """
     a2 = np.sum(a * a, axis=1)
     b2 = np.sum(b * b, axis=1)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (a @ b.T)
+    d2 = a2[:, None] + b2
+    g = a @ b.T
+    g *= 2.0
+    d2 -= g
     np.maximum(d2, 0.0, out=d2)
     return d2
 

@@ -332,6 +332,20 @@ def embed_oracle(phi: np.ndarray, weight, bias) -> ad.Tensor:
     return _activate_then_pool(pre, n, k)
 
 
+def descriptor_table_oracle(cloud: geom.PointCloud, spec: FeatureSpec, k: int) -> np.ndarray:
+    """``features.point_descriptor_table`` as the max over k of the full
+    [N, k, d] ``neighbor_feature_array`` (the library pools each per-point
+    histogram table in place instead)."""
+    return features.neighbor_feature_array(cloud, spec, geom.knn(cloud, k)).max(axis=1)
+
+
+def sqdist_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``geom.sqdist_matrix`` as one unfused expression, clamped at 0 (the
+    library builds it in one output buffer)."""
+    a2, b2 = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    return np.maximum(a2[:, None] + b2[None, :] - 2.0 * (a @ b.T), 0.0)
+
+
 def pfh_oracle(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     """``features.pfh_table`` with one Darboux triplet per pair of every
     (k+1)-neighborhood (the library evaluates each distinct ordered pair once)."""

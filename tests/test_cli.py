@@ -242,17 +242,23 @@ def test_register_self_prints_identity(tmp_path, capsys):
     (["--save-transformed", "{a}/moved.xyz"],
      "--save-transformed {a}/moved.xyz: {a} exists and is not a directory"),
     (["--save-transformed", "{dir_xyz}"], "--save-transformed {dir_xyz} is a directory"),
+    (["--source", ""], "--source '': unsupported cloud format '' (use xyz, off or ply)"),
+    (["--target", ""], "--target '': unsupported cloud format '' (use xyz, off or ply)"),
+    (["--source", "{a_txt}"], "--source {a_txt}: unsupported cloud format 'txt' (use xyz, off or ply)"),
+    (["--target", "{a_txt}"], "--target {a_txt}: unsupported cloud format 'txt' (use xyz, off or ply)"),
 ], ids=["save-transformed-txt", "out-is-a-file", "save-transformed-is-source",
         "save-transformed-is-target", "save-transformed-is-model",
-        "save-transformed-under-a-file", "save-transformed-is-a-directory"])
+        "save-transformed-under-a-file", "save-transformed-is-a-directory",
+        "source-empty", "target-empty", "source-txt", "target-txt"])
 def test_register_checks_output_paths_before_reading_inputs(tmp_path, capsys, flags, message):
     names = {"a": str(tmp_path / "a.xyz"), "b": str(tmp_path / "b.xyz"),
              "dir": str(tmp_path), "moved": str(tmp_path / "moved.xyz"),
              "moved_txt": str(tmp_path / "moved.txt"),
              "model_xyz": tiny_model_file(tmp_path, name="model.xyz"),
-             "dir_xyz": str(tmp_path / "clouds.xyz")}
+             "dir_xyz": str(tmp_path / "clouds.xyz"), "a_txt": str(tmp_path / "a.txt")}
     os.mkdir(names["dir_xyz"])
     save_cloud(synth_shape(1, 48, Rng(2)), names["a"])
+    Path(names["a_txt"]).write_text(Path(names["a"]).read_text())  # a cloud in a .txt file
     save_cloud(synth_shape(2, 48, Rng(3)), names["b"])
     model = tiny_model_file(tmp_path)
     before = {name: read(tmp_path / name) for name in os.listdir(tmp_path)}
@@ -896,13 +902,16 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["gen", "--partial-keep", "64", "--points", "64"],
      "configuration key 'protocol.partial_keep' must be below data.points = 64 "
      "(0 = full clouds), got 64"),
+    (["gen", "--config", ""], "--config must name a file, got ''"),
+    (["train", "--config", ""], "--config must name a file, got ''"),
 ], ids=["gen-no-pairs", "train-no-pairs", "finetune-no-pairs",
         "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
         "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3",
-        "train-normals-k-below-3", "gen-partial-keep-negative", "gen-partial-keep-not-below-points"])
+        "train-normals-k-below-3", "gen-partial-keep-negative", "gen-partial-keep-not-below-points",
+        "gen-config-empty", "train-config-empty"])
 def test_inputs_checked_before_out_exists(tmp_path, capsys, argv, message):
     names = {"model": tiny_model_file(tmp_path), "nope": str(tmp_path / "nope.upcr"),
              "model_k24": tiny_model_file(tmp_path, k=24, name="model_k24.upcr"),

@@ -211,10 +211,10 @@ def test_non_finite_descriptor_falls_back_to_plain_icp(monkeypatch):
     gt = random_transform(Rng(15), 30.0, 0.5)
     sample = DatasetSample(a, geom.apply_transform(gt, a), gt, 3)
 
-    def nan_features(cloud, spec, nbr):
-        return np.full((len(cloud), nbr.shape[1], spec.dim), np.nan)
+    def nan_histograms(pts, nrm, nbr):
+        return np.full((len(pts), features.PFH_BINS ** 3), np.nan)
 
-    monkeypatch.setattr(features, "neighbor_feature_array", nan_features)
+    monkeypatch.setattr(features, "pfh_table", nan_histograms)
     with pytest.raises(ValueError, match="non-finite"):
         features.point_descriptor_table(a, FeatureSpec("pfh"), 8)
     fallback = evalbench.evaluate_icp([sample], init_spec=FeatureSpec("pfh"), k=8)

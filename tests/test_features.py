@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import (distance_feature, pfh_oracle, ppf_feature, random_cloud,
-                      random_transform, weighted_sum)
+from conftest import (descriptor_table_oracle, distance_feature, pfh_oracle, ppf_feature,
+                      random_cloud, random_transform, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +373,41 @@ def test_one_neighbor_search_per_cloud(monkeypatch):
         calls.update(knn=0, graph_knn=0)
         precompute_cloud(cloud, spec, config)
         assert calls == {"knn": 0, "graph_knn": 1}, kind
+
+
+def _descriptor_clouds() -> dict:
+    """The feature golden's clouds: an anisotropic Gaussian cloud, and a plane
+    grid with six points duplicated."""
+    grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0), [0.0]), axis=-1).reshape(-1, 3)
+    return {"anisotropic": np.random.default_rng(22).normal(size=(96, 3)) * [1.0, 0.6, 0.3],
+            "grid-with-duplicates": np.concatenate([grid, grid[:6]])}
+
+
+@pytest.mark.parametrize("k", [3, 10, 24])
+@pytest.mark.parametrize("name", sorted(_descriptor_clouds()))
+@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+def test_descriptor_table_equals_pooled_neighbor_features(kind, name, k):
+    cloud = PointCloud(_descriptor_clouds()[name])
+    spec = FeatureSpec(kind)
+    got = features.point_descriptor_table(cloud, spec, k)
+    want = descriptor_table_oracle(cloud, spec, k)
+    assert got.shape == want.shape == (len(cloud), spec.dim)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_pfh_descriptor_table_never_builds_the_neighbor_array():
+    # the [256, 24, 125] float64 gather alone is 5.9 MiB; pooling in place
+    # leaves the PFH table's own build as the peak
+    cloud = synth_shape(3, 256, Rng(1))
+    spec = FeatureSpec("pfh")
+    features.point_descriptor_table(cloud, spec, 24)
+    tracemalloc.start()
+    try:
+        features.point_descriptor_table(cloud, spec, 24)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
 
 from conftest import (_select_k_oracle, canonicalize, chamfer, decode_rotation,
-                      inverse_transform, neighbor_table_oracle, random_cloud, random_transform)
+                      inverse_transform, neighbor_table_oracle, random_cloud, random_transform,
+                      sqdist_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +277,28 @@ def test_random_rows_take_no_exact_sort(n, c, monkeypatch):
     monkeypatch.setattr(np, "lexsort", lambda *a, **kw: sorts.append(a) or lexsort(*a, **kw))
     assert geom.graph_knn(data, 24).tobytes() == want.tobytes()
     assert not sorts, f"{len(sorts)} rows took the exact sort"
+
+
+def _sqdist_cases() -> dict:
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(40, 3))
+    wide = rng.normal(size=(33, 125))
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0), [0.0]), axis=-1).reshape(-1, 3)
+    return {
+        "random": (a, rng.normal(size=(25, 3)) * 3.0),
+        "random-wide": (wide, rng.normal(size=(17, 125))),
+        "tied": (grid, grid[::-1] + 0.5),
+        "duplicated": (np.concatenate([a, a[:7], a[:3]]), np.concatenate([a[5:], a[:9]])),
+        "far-from-origin": (a + 1e4, a[::-1] + 1e4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_sqdist_cases()))
+def test_sqdist_matrix_equals_the_unfused_expression(case):
+    a, b = _sqdist_cases()[case]
+    got = geom.sqdist_matrix(a, b)
+    assert got.tobytes() == sqdist_oracle(a, b).tobytes()
+    assert got.shape == (len(a), len(b)) and not np.signbit(got).any()
 
 
 def test_twin_free_scan_skips_unique_and_the_full_matrix(monkeypatch):
