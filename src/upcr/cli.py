@@ -1,24 +1,25 @@
 """Command-line entry point.
 
-Subcommands: gen, train, finetune, register, bench, sweep-outliers.
+Subcommands: gen, train, finetune, register, bench.
 ``KEYS`` declares each configuration key once: its default, its flag (none
 if only a ``--config`` file sets it), its help, choices and smallest value.
 A key resolves from its default (or ``--preset``), then an optional
 ``--config`` file (flat ``key = value`` lines with ``[section]`` headers;
 a key set twice is an error), then its flag. ``COMMANDS`` names the keys or
 sections whose flags each subcommand offers and those its manifest records:
-``gen``, ``bench`` and ``sweep-outliers`` the seed, protocol and data that
-build their pairs; ``train`` the model and training keys and those that
-build its training pairs; ``finetune`` the pair keys, and it records the
-``train.batch`` and ``finetune`` keys it also reads; ``register`` none. A
-command that loads a checkpoint runs the encoder config and feature kind
-stored in it. A ``--config`` file may hold any key, and each one it holds is
-checked. ``main`` rejects an ``--out`` that is, or lies under, a path
-that is not a directory; a command then checks its inputs, and that no
-output replaces one, before it writes anything, exiting 1 with
-``error: ...``. Each command writes its files, and a manifest of the
-recorded keys and the SHA-256 of each input, by flag and path, and of each
-output, through one call to ``_write_run``.
+``gen`` and ``bench`` the seed, protocol and data that build their pairs;
+``train`` the model and training keys and those that build its training
+pairs; ``finetune`` the pair keys, and it records the ``train.batch`` and
+``finetune`` keys it also reads; ``register`` none. A command that loads a
+checkpoint runs the encoder config and feature kind stored in it. ``bench``
+writes ``evalbench.bench_rows``, the model beside its baselines at each
+``--ratios`` outlier percentage, as ``metrics.csv``. A ``--config`` file
+may hold any key, and each one it holds is checked. ``main`` rejects an
+``--out`` that is, or lies under, a path that is not a directory; a command
+then checks its inputs, and that no output replaces one, before it writes
+anything, exiting 1 with ``error: ...``. Each command writes its files, and
+a manifest of the recorded keys and the SHA-256 of each input, by flag and
+path, and of each output, through one call to ``_write_run``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import asdict
 from functools import partial
 from typing import NamedTuple
 
@@ -98,7 +98,6 @@ COMMANDS = {
     "finetune": (_PAIRS, _PAIRS + ("train.batch", "finetune")),
     "register": ((), ()),
     "bench": (_PAIRS, _PAIRS),
-    "sweep-outliers": (_PAIRS, _PAIRS),
 }
 
 PRESETS = {
@@ -363,8 +362,10 @@ def cmd_gen(args) -> int:
             for end, cloud in (("source", s.source), ("target", s.target)):
                 row[end] = f"{split}/{i:04d}_{end}.xyz"
                 writers[os.path.join(args.out, row[end])] = partial(save_cloud, cloud)
-            row.update({f"r{r}{c}": s.gt.rotation[r, c] for r in range(3) for c in range(3)})
-            row.update({f"t{c}": s.gt.translation[c] for c in range(3)})
+            # repr round-trips each entry, so a read-back pose is still a rotation
+            row.update({f"r{r}{c}": repr(float(s.gt.rotation[r, c]))
+                        for r in range(3) for c in range(3)})
+            row.update({f"t{c}": repr(float(s.gt.translation[c])) for c in range(3)})
             index_rows.append(row)
     writers[os.path.join(args.out, "index.csv")] = lambda p: write_csv(p, index_rows)
     _write_run(args, cfg, writers)
@@ -445,52 +446,19 @@ def cmd_register(args) -> int:
     return 0
 
 
-def _bench_rows(model, test_s, baselines: bool):
-    ev = evalbench.evaluate_model(model, test_s)
-    rows = [dict(asdict(ev.report), method="model",
-                 chamfer_improved=ev.chamfer_improved_fraction)]
-    # the floor a model has to beat: every pair left at the identity pose
-    identity = [geom.RigidTransform.identity()] * len(test_s)
-    reports = [("identity", evalbench.evaluate_poses(identity, [s.gt for s in test_s]))]
-    if baselines:
-        # the feature-matched ICP takes its neighbour count from the checkpoint
-        reports += [("icp", evalbench.evaluate_icp(test_s))]
-        reports += [(f"icp+{kind}", evalbench.evaluate_icp(test_s, init_spec=FeatureSpec(kind),
-                                                          k=model.config.k))
-                    for kind in ("pfh", "spfh")]
-    rows += [dict(asdict(rep), method=method, chamfer_improved=float("nan"))
-             for method, rep in reports]
-    return rows
-
-
 def cmd_bench(args) -> int:
-    cfg = resolve_config(args)
-    model, test_s = _model_and_test_split(args, cfg)
-    if args.baselines and model.config.k < 3:
-        raise CliError(f"--baselines estimates normals over the checkpoint's k = "
-                       f"{model.config.k} neighbours, which needs k >= 3")
-    rows = _bench_rows(model, test_s, args.baselines)
-    print_table(rows)
-    _write_run(args, cfg, {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
-               inputs=("model",))
-    return 0
-
-
-def cmd_sweep_outliers(args) -> int:
     cfg = resolve_config(args)
     ratios = _parse_ratios(args.ratios)
     # two ratios on one stream, or one that corrupts no point, fail before --out exists
     evalbench.check_outlier_ratios(ratios, cfg[_points_key(cfg)])
     model, test_s = _model_and_test_split(args, cfg)
-    sweep = evalbench.outlier_sweep(model, test_s, ratios, seed=cfg["seed"])
-    rows = []
-    for entry in sweep:
-        for method in ("model", "icp"):
-            rows.append({"ratio": entry["ratio"], "method": method, **asdict(entry[method]),
-                         "mae_rot_monotone": entry[f"{method}_mae_rot_monotone"]})
+    if args.baselines and model.config.k < 3:
+        raise CliError(f"--baselines estimates normals over the checkpoint's k = "
+                       f"{model.config.k} neighbours, which needs k >= 3")
+    rows = evalbench.bench_rows(model, test_s, ratios, args.baselines, cfg["seed"])
     print_table(rows)
-    _write_run(args, cfg, {os.path.join(args.out, "outlier_sweep.csv"):
-                           lambda p: write_csv(p, rows)}, inputs=("model",))
+    _write_run(args, cfg, {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
+               inputs=("model",))
     return 0
 
 
@@ -541,13 +509,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="checkpoint (.upcr)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--baselines", action="store_true",
-                   help="also run ICP and feature-initialized ICP")
-
-    p = _add_subcommand(sub, "sweep-outliers", cmd_sweep_outliers, "outlier-robustness sweep")
-    p.add_argument("--model", required=True, help="checkpoint (.upcr)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--ratios", default="0,10,20,30",
-                   help="comma list of outlier percentages in [0, 100) (default 0,10,20,30)")
+                   help="also run ICP from PFH and from SPFH matches")
+    p.add_argument("--ratios", default="0",
+                   help="comma list of outlier percentages in [0, 100) (default 0)")
 
     return parser
 

@@ -1,8 +1,9 @@
-"""Error metrics, ICP baselines, model evaluation and protocol sweeps."""
+"""Error metrics, ICP baselines, model evaluation, and the one report that
+puts the model beside its baselines at each outlier ratio."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,7 +34,9 @@ def evaluate_poses(predictions, ground_truths) -> MetricReport:
     """Errors of paired poses, from each pair's relative rotation R_gt^T R_pred
     and offset t_pred - t_gt: RMSE and MAE over all 3n Euler angles (degrees)
     and over all 3n offset components, and ``me_t``, the mean geodesic angle
-    (degrees) plus translation norm of the relative pose gt^-1 * pred."""
+    (degrees) plus translation norm of the relative pose gt^-1 * pred. The
+    angle is atan2(|v|, (tr R - 1) / 2), v the axial vector of R's skew part,
+    which stays exact near 0 and 180 degrees, where arccos loses it."""
     if len(predictions) != len(ground_truths) or not predictions:
         raise ValueError(f"need equal nonempty lists, got {len(predictions)} "
                          f"vs {len(ground_truths)}")
@@ -43,8 +46,10 @@ def evaluate_poses(predictions, ground_truths) -> MetricReport:
         offset = pred.translation - gt.translation
         rot.extend(np.rad2deg(geom.euler_from_matrix(rel_rot)))
         trans.append(offset)
-        cos = np.clip((np.trace(rel_rot) - 1.0) / 2.0, -1.0, 1.0)
-        total += np.rad2deg(np.arccos(cos)) + float(np.linalg.norm(gt.rotation.T @ offset))
+        axial = np.array([rel_rot[2, 1] - rel_rot[1, 2], rel_rot[0, 2] - rel_rot[2, 0],
+                          rel_rot[1, 0] - rel_rot[0, 1]]) / 2.0
+        angle = np.arctan2(np.linalg.norm(axial), (np.trace(rel_rot) - 1.0) / 2.0)
+        total += np.rad2deg(angle) + float(np.linalg.norm(gt.rotation.T @ offset))
     rot, trans = np.array(rot), np.concatenate(trans)
     return MetricReport(float(np.sqrt(np.mean(rot ** 2))), float(np.mean(np.abs(rot))),
                         float(np.sqrt(np.mean(trans ** 2))), float(np.mean(np.abs(trans))),
@@ -108,7 +113,7 @@ def feature_match_init(source: PointCloud, target: PointCloud,
 
 
 # ---------------------------------------------------------------------------
-# model evaluation and sweeps
+# model evaluation and the bench report
 
 
 @dataclass
@@ -186,28 +191,39 @@ def check_outlier_ratios(ratios: list[float], n: int) -> list[int]:
     return [round(r * 100) for r in ratios]
 
 
-def outlier_sweep(model: ModelParams, samples: list[DatasetSample],
-                  ratios: list[float], seed: int = 0) -> list[dict]:
-    """Model-vs-ICP reports per outlier ratio, each flagged with whether
-    that method's rotation MAE never falls as the ratio grows. Each ratio
-    corrupts its clouds from its own stream, and must replace a point of the
-    smallest cloud (:func:`check_outlier_ratios`)."""
+def bench_rows(model: ModelParams, samples: list[DatasetSample], ratios: list[float],
+               baselines: bool, seed: int) -> list[dict]:
+    """The one report of a model beside its baselines: per outlier ratio (a
+    percentage) a row for the model, the identity pose (the floor a model
+    has to beat) and plain ICP, and with ``baselines`` ICP started from PFH
+    and from SPFH matches over the model's ``k`` neighbours. Each ratio
+    corrupts the split from its own stream, and must replace a point of the
+    smallest cloud (:func:`check_outlier_ratios`); ratio 0 leaves it as it
+    is. Each row is flagged with whether its method's rotation MAE never
+    falls as the ratio grows; ``chamfer_improved`` is NaN but for the model."""
     smallest = min(len(c) for s in samples for c in (s.source, s.target))
+    gts = [s.gt for s in samples]
     rows = []
     for ratio, stream in zip(ratios, check_outlier_ratios(ratios, smallest)):
         rng = Rng(derive_seed(seed, "outliers", stream))
-        corrupted = [
-            DatasetSample(corrupt_with_outliers(s.source, ratio, rng.spawn("src", i)),
-                          corrupt_with_outliers(s.target, ratio, rng.spawn("tgt", i)),
-                          s.gt, s.category)
-            for i, s in enumerate(samples)
-        ]
-        rows.append({"ratio": ratio, "model": evaluate_model(model, corrupted).report,
-                     "icp": evaluate_icp(corrupted)})
-    for method in ("model", "icp"):
-        vals = [r[method].mae_rot_deg for r in rows]
-        monotone = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        for r in rows:
-            r[f"{method}_mae_rot_monotone"] = monotone
+        split = [DatasetSample(corrupt_with_outliers(s.source, ratio, rng.spawn("src", i)),
+                               corrupt_with_outliers(s.target, ratio, rng.spawn("tgt", i)),
+                               s.gt, s.category)
+                 for i, s in enumerate(samples)]
+        ev = evaluate_model(model, split)
+        reports = [("model", ev.report, ev.chamfer_improved_fraction),
+                   ("identity", evaluate_poses([RigidTransform.identity()] * len(split), gts),
+                    np.nan),
+                   ("icp", evaluate_icp(split), np.nan)]
+        if baselines:
+            reports += [(f"icp+{kind}", evaluate_icp(split, FeatureSpec(kind), model.config.k),
+                         np.nan) for kind in ("pfh", "spfh")]
+        rows += [{"ratio": ratio, "method": method, **asdict(report), "chamfer_improved": chamfer}
+                 for method, report, chamfer in reports]
+    maes: dict[str, list] = {}
+    for r in rows:
+        maes.setdefault(r["method"], []).append((r["ratio"], r["mae_rot_deg"]))
+    for r in rows:
+        vals = [mae for _, mae in sorted(maes[r["method"]])]
+        r["mae_rot_monotone"] = all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
     return rows
-

@@ -197,12 +197,11 @@ def _neighbor_table(data: np.ndarray, k: int) -> np.ndarray:
     table, twin = _scan(data, np.arange(n), k)
     if not twin:
         return table
-    uniq, inverse = np.unique(data, axis=0, return_inverse=True)
+    # a location's first occurrence is its lowest row
+    uniq, reps, inverse = np.unique(data, axis=0, return_index=True, return_inverse=True)
     m = uniq.shape[0]
     if m == n or m - 1 < k:
         return table
-    reps = np.full(m, n, dtype=np.int64)
-    np.minimum.at(reps, inverse, np.arange(n))
     nbr_uniq, _ = _scan(uniq, reps, k)  # [m, k] in unique-row ids
     return reps[nbr_uniq][inverse]
 

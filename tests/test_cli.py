@@ -41,12 +41,13 @@ def test_help_lists_subcommands_and_defaults(capsys):
         main(["--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    for cmd in ("gen", "train", "finetune", "register", "bench",
-                "sweep-outliers"):
+    for cmd in ("gen", "train", "finetune", "register", "bench"):
         assert cmd in out
-    with pytest.raises(SystemExit) as exc:
-        main(["time"])  # timing lives in perfbench/, not in the CLI
-    assert exc.value.code == 2
+    # timing lives in perfbench/, and the outlier sweep is bench --ratios
+    for gone in ("time", "sweep-outliers"):
+        with pytest.raises(SystemExit) as exc:
+            main([gone])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["train", "--help"])
     out = capsys.readouterr().out
@@ -287,8 +288,8 @@ def test_register_save_transformed_creates_its_directory(tmp_path, capsys):
     ["finetune", "--model", "{nope}"],
     ["register", "--source", "{nope}", "--target", "{nope}", "--model", "{nope}"],
     ["bench", "--model", "{nope}"],
-    ["sweep-outliers", "--model", "{nope}"],
-], ids=lambda argv: argv[0])
+    ["bench", "--model", "{nope}", "--ratios", "0,10"],
+], ids=["gen", "train", "finetune", "register", "bench", "bench-ratios"])
 def test_out_that_is_a_file_rejected_before_the_command_runs(tmp_path, capsys, argv):
     out = tmp_path / "outfile"
     out.write_text("kept\n")
@@ -360,6 +361,21 @@ def test_gen_writes_dataset_and_manifest(tmp_path):
     assert "seed = 3" in manifest and "sha256" in manifest
 
 
+def test_gen_index_round_trips_the_ground_truth_poses(tmp_path):
+    out = tmp_path / "data"
+    argv = ["gen", "--out", str(out)] + TINY
+    assert main(argv) == 0
+    train_s, test_s = cli.make_splits(cli.resolve_config(cli.build_parser().parse_args(argv)))
+    header, *rows = (line.split(",") for line in (out / "index.csv").read_text().splitlines())
+    assert len(rows) == len(train_s) + len(test_s) == 6
+    for row in map(dict, (zip(header, row) for row in rows)):
+        gt = {"train": train_s, "test": test_s}[row["split"]][int(row["index"])].gt
+        pose = RigidTransform([[float(row[f"r{r}{c}"]) for c in range(3)] for r in range(3)],
+                              [float(row[f"t{c}"]) for c in range(3)])
+        assert pose.rotation.tobytes() == gt.rotation.tobytes()
+        assert pose.translation.tobytes() == gt.translation.tobytes()
+
+
 def test_gen_partial_keep_alone_writes_partial_clouds(tmp_path):
     out = tmp_path / "o"
     assert main(["gen", "--partial-keep", "24", "--out", str(out)] + TINY) == 0
@@ -405,7 +421,7 @@ def test_bench_reports_the_identity_pose(tmp_path):
     assert main(["bench", "--model", tiny_model_file(tmp_path), "--out", str(out)] + TINY) == 0
     header, *rows = (line.split(",") for line in (out / "metrics.csv").read_text().splitlines())
     rows = {row[header.index("method")]: dict(zip(header, row)) for row in rows}
-    assert list(rows) == ["model", "identity"]
+    assert list(rows) == ["model", "identity", "icp"]
     _, test_s = build_benchmark(Protocol(), 4, 4, 2, 32, seed=7)  # TINY at the default seed
     floor = evaluate_poses([RigidTransform.identity()] * 2, [s.gt for s in test_s])
     assert rows["identity"]["mae_rot_deg"] == cli._fmt(floor.mae_rot_deg)
@@ -470,15 +486,33 @@ def test_finetune_rejects_non_object_metadata_before_out(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_outliers_csv(tmp_path):
+def test_bench_ratios_csv(tmp_path):
     model = tiny_model_file(tmp_path)
-    out = str(tmp_path / "sweep")
-    rc = main(["sweep-outliers", "--model", model, "--out", out,
+    out = str(tmp_path / "bench")
+    rc = main(["bench", "--model", model, "--out", out,
                "--ratios", "0,10"] + TINY)
     assert rc == 0
-    lines = Path(out, "outlier_sweep.csv").read_text().splitlines()
+    lines = Path(out, "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("ratio,method")
-    assert len(lines) == 5  # header + 2 ratios x 2 methods
+    assert len(lines) == 7  # header + 2 ratios x 3 methods
+
+
+def test_bench_ratio_zero_rows_equal_a_plain_bench(tmp_path):
+    model = tiny_model_file(tmp_path)
+    tables = []
+    for name, ratios in (("plain", []), ("swept", ["--ratios", "0,10"])):
+        out = tmp_path / name
+        assert main(["bench", "--baselines", "--model", model, "--out", str(out)]
+                    + ratios + TINY) == 0
+        tables.append([line.split(",") for line in (out / "metrics.csv").read_text().splitlines()])
+    plain, swept = tables
+    assert plain[0] == swept[0] and plain[0][:2] == ["ratio", "method"]
+    assert plain[0][-1] == "mae_rot_monotone"
+    methods = ["model", "identity", "icp", "icp+pfh", "icp+spfh"]
+    assert [row[:2] for row in swept[1:]] == [[r, m] for r in ("0", "10") for m in methods]
+    # the monotone flag spans both ratios, so it alone may differ
+    assert [row[:-1] for row in swept[1:6]] == [row[:-1] for row in plain[1:]]
+    assert all(row[-1] == "True" for row in plain[1:])
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -671,15 +705,18 @@ OFFERED = {
                                                "--epochs", "--lr", "--batch", "--out"},
     "finetune": _PAIR_FLAGS | {"--model", "--out"},
     "register": {"--source", "--target", "--model", "--save-transformed", "--out"},
-    "bench": _PAIR_FLAGS | {"--model", "--out", "--baselines"},
-    "sweep-outliers": _PAIR_FLAGS | {"--model", "--out", "--ratios"},
+    "bench": _PAIR_FLAGS | {"--model", "--out", "--baselines", "--ratios"},
 }
 
 
-def subparser(name):
+def subcommands():
     parser = cli.build_parser()
     (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices[name]
+    return sub.choices
+
+
+def subparser(name):
+    return subcommands()[name]
 
 
 def test_model_keys_are_exactly_the_config_and_spec_fields():
@@ -696,14 +733,23 @@ def test_empty_out_rejected(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == []
 
 
-def test_readme_cli_section_names_exactly_the_offered_flags():
+def readme_cli_section():
     readme = Path(__file__).resolve().parent.parent.joinpath("README.md").read_text(
         encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_section_names_exactly_the_offered_flags():
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
     offered = {s for name in OFFERED for a in subparser(name)._actions
                for s in a.option_strings}
     assert documented - {"--help"} == offered - {"-h", "--help"}
+
+
+def test_readme_cli_section_names_exactly_the_parsers_subcommands():
+    block = readme_cli_section().split("```sh\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("upcr ")}
+    assert documented == set(subcommands())
 
 
 def test_keys_with_choices_offer_at_least_two():
@@ -729,7 +775,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
 @pytest.mark.parametrize("argv", [
     ["bench", "--model", "{model}", "--k", "7"],
     ["bench", "--model", "{model}", "--feature", "pfh"],
-    ["sweep-outliers", "--model", "{model}", "--mode", "euler"],
+    ["bench", "--model", "{model}", "--ratios", "0,10", "--mode", "euler"],
     ["train", "--mode", "euler"],
     ["train", "--test-pairs", "2"],
     ["train", "--finetune"],
@@ -741,7 +787,7 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
      "--seed", "1"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--config", "{cloud}"],
-], ids=["bench-k", "bench-feature", "sweep-mode", "train-mode", "train-test-pairs",
+], ids=["bench-k", "bench-feature", "bench-ratios-mode", "train-mode", "train-test-pairs",
         "train-finetune", "finetune-m", "finetune-epochs", "gen-layers", "gen-pairing", "register-seed",
         "register-config"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
@@ -770,7 +816,7 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     runs = {
         "bench": ["bench", "--model", model],
         "finetune": ["finetune", "--model", model],
-        "sweep": ["sweep-outliers", "--model", model, "--ratios", "0"],
+        "bench-ratios": ["bench", "--model", model, "--ratios", "0,10"],
         "gen": ["gen"],
         "train": ["train", "--epochs", "0"] + TINY_MODEL,
     }
@@ -779,7 +825,7 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
         assert main(argv + tiny + ["--out", str(tmp_path / name)]) == 0, name
     pairs = {key for key in cli.KEYS if cli._section(key) in ("seed", "protocol", "data")}
     assert manifest_keys(tmp_path / "bench") == pairs
-    assert manifest_keys(tmp_path / "sweep") == pairs
+    assert manifest_keys(tmp_path / "bench-ratios") == pairs
     assert manifest_keys(tmp_path / "gen") == pairs
     finetune = {"finetune.epochs", "finetune.lr"}
     assert manifest_keys(tmp_path / "finetune") == pairs | finetune | {"train.batch"}
@@ -815,9 +861,9 @@ def manifest_hashes(out):
     ["register", "--source", "{a}", "--target", "{b}", "--model", "{model}",
      "--save-transformed", "{out}/moved.xyz"],
     ["bench", "--model", "{model}"] + TINY,
-    ["sweep-outliers", "--model", "{model}", "--ratios", "0"] + TINY,
+    ["bench", "--model", "{model}", "--ratios", "0,10"] + TINY,
 ], ids=["gen", "train", "finetune", "finetune-into-its-model-dir", "register", "bench",
-        "sweep-outliers"])
+        "bench-ratios"])
 def test_manifest_hashes_every_file_the_run_read_and_wrote(tmp_path, argv):
     out = tmp_path / "out"
     names = {"out": out, "model": tiny_model_file(tmp_path), "a": tmp_path / "a.xyz",
@@ -866,22 +912,22 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["finetune", "--model", "{model}", "--test-pairs", "0"],
      "finetune has no pairs: data.test = 0"),
     (["bench", "--model", "{model}", "--test-pairs", "0"], "bench has no pairs: data.test = 0"),
-    (["sweep-outliers", "--model", "{model}", "--test-pairs", "0"],
-     "sweep-outliers has no pairs: data.test = 0"),
+    (["bench", "--model", "{model}", "--ratios", "0,10", "--test-pairs", "0"],
+     "bench has no pairs: data.test = 0"),
     (["finetune", "--model", "{nope}"], "cannot read model {nope}: "),
     (["bench", "--model", "{nope}"], "cannot read model {nope}: "),
-    (["sweep-outliers", "--model", "{nope}"], "cannot read model {nope}: "),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "10,abc"],
+    (["bench", "--model", "{nope}", "--ratios", "0,10"], "cannot read model {nope}: "),
+    (["bench", "--model", "{model}", "--ratios", "10,abc"],
      "--ratios must be a comma list of percentages in [0, 100), got '10,abc'"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "100"],
+    (["bench", "--model", "{model}", "--ratios", "100"],
      "--ratios must be a comma list of percentages in [0, 100), got '100'"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "nan"],
+    (["bench", "--model", "{model}", "--ratios", "nan"],
      "--ratios must be a comma list of percentages in [0, 100), got 'nan'"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "0.561,0.559"],
+    (["bench", "--model", "{model}", "--ratios", "0.561,0.559"],
      "ratios 0.561 and 0.559 round to one corruption stream"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "0,3"],
+    (["bench", "--model", "{model}", "--ratios", "0,3"],
      "outlier ratio 3.0 replaces no point of a 32-point cloud; use 0 or at least 3.125"),
-    (["sweep-outliers", "--model", "{model}", "--ratios", "4", "--partial-keep", "20"],
+    (["bench", "--model", "{model}", "--ratios", "4", "--partial-keep", "20"],
      "outlier ratio 4.0 replaces no point of a 20-point cloud; use 0 or at least 5"),
     (["train", "--k", "40"], "data.points = 32 must exceed encoder.k = 40"),
     (["train", "--partial-keep", "16", "--k", "20"],
@@ -905,8 +951,8 @@ def test_bench_baselines_take_k_from_the_checkpoint(tmp_path, monkeypatch):
     (["gen", "--config", ""], "--config must name a file, got ''"),
     (["train", "--config", ""], "--config must name a file, got ''"),
 ], ids=["gen-no-pairs", "train-no-pairs", "finetune-no-pairs",
-        "bench-no-pairs", "sweep-no-pairs", "finetune-no-model", "bench-no-model",
-        "sweep-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
+        "bench-no-pairs", "bench-ratios-no-pairs", "finetune-no-model", "bench-no-model",
+        "bench-ratios-no-model", "ratios-not-a-number", "ratios-100", "ratios-nan", "ratios-one-stream",
         "ratios-below-one-point", "ratios-below-one-partial-point",
         "train-k-above-points", "train-k-above-partial-keep", "bench-checkpoint-k-above-points",
         "train-spfh-bins-0", "train-spfh-bins-negative", "bench-baselines-checkpoint-k-below-3",

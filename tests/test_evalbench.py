@@ -6,7 +6,7 @@ import pytest
 from upcr import evalbench, features, geom
 from upcr.datagen import DatasetSample, Protocol, build_benchmark, synth_shape
 from upcr.encoder import EncoderConfig, init_params
-from upcr.evalbench import evaluate_poses, feature_match_init, icp, outlier_sweep
+from upcr.evalbench import MetricReport, bench_rows, evaluate_poses, feature_match_init, icp
 from upcr.features import FeatureSpec
 from upcr.geom import PointCloud, RigidTransform
 from upcr.rng import Rng
@@ -81,6 +81,17 @@ def test_se3_mean_error_cases():
     assert evaluate_poses(ident, ident).me_t == 0.0
     pred = [RigidTransform(rot_z(90.0), np.zeros(3))]
     assert evaluate_poses(pred, ident).me_t == pytest.approx(90.0)
+
+
+@pytest.mark.parametrize("angle", [1e-10, 1e-7, np.pi - 1e-9],
+                         ids=["1e-10", "1e-7", "pi-minus-1e-9"])
+def test_se3_mean_error_resolves_angles_near_0_and_180_degrees(angle):
+    # arccos((tr R - 1) / 2) read 0, 1.2% low and 180 degrees here
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    k = np.array([[0, -axis[2], axis[1]], [axis[2], 0, -axis[0]], [-axis[1], axis[0], 0]])
+    rot = np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+    report = evaluate_poses([RigidTransform(rot, np.zeros(3))], [RigidTransform.identity()])
+    assert report.me_t == pytest.approx(np.rad2deg(angle), rel=1e-12)
 
 
 def test_se3_left_invariance():
@@ -233,7 +244,7 @@ def test_evaluate_icp_propagates_errors_other_than_a_failed_match(k, message):
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# the bench report
 
 
 def small_model():
@@ -241,42 +252,62 @@ def small_model():
     return init_params(cfg, FeatureSpec("distance"), "euler", 3)
 
 
-def test_outlier_sweep_zero_ratio_matches_base():
+def rows_of(rows, method):
+    return [r for r in rows if r["method"] == method]
+
+
+def test_bench_rows_zero_ratio_matches_base():
     model = small_model()
     _, test_s = build_benchmark(Protocol(setting="UPC"), 4, 4, 3, 32, seed=14)
-    rows = outlier_sweep(model, test_s, [0.0, 10.0], seed=14)
+    rows = bench_rows(model, test_s, [0.0, 10.0], False, 14)
     base = evalbench.evaluate_model(model, test_s)
-    assert rows[0]["model"].mae_rot_deg == pytest.approx(base.report.mae_rot_deg)
+    assert rows_of(rows, "model")[0]["mae_rot_deg"] == pytest.approx(base.report.mae_rot_deg)
     assert rows[0]["ratio"] == 0.0
+    assert [(r["ratio"], r["method"]) for r in rows] == [
+        (ratio, method) for ratio in (0.0, 10.0) for method in ("model", "identity", "icp")]
+    identity = [{k: v for k, v in r.items() if k != "ratio"} for r in rows_of(rows, "identity")]
+    assert identity[0] == identity[1] and identity[0]["mae_rot_monotone"]
 
 
-def test_outlier_sweep_deterministic():
+def test_bench_rows_deterministic():
     model = small_model()
     _, test_s = build_benchmark(Protocol(setting="UPC"), 4, 4, 3, 32, seed=15)
-    a = outlier_sweep(model, test_s, [0.0, 20.0], seed=15)
-    b = outlier_sweep(model, test_s, [0.0, 20.0], seed=15)
+    a = bench_rows(model, test_s, [0.0, 20.0], True, 15)
+    b = bench_rows(model, test_s, [0.0, 20.0], True, 15)
+    assert len(a) == 10
     for ra, rb in zip(a, b):
-        assert ra["model"].mae_rot_deg == rb["model"].mae_rot_deg
-        assert ra["icp"].mae_rot_deg == rb["icp"].mae_rot_deg
+        assert ra["method"] == rb["method"]
+        assert ra["mae_rot_deg"] == rb["mae_rot_deg"]
 
 
-def test_outlier_sweep_ratio_bounds():
+def test_bench_rows_ratio_bounds():
     model = small_model()
     _, test_s = build_benchmark(Protocol(setting="UPC"), 4, 4, 2, 32, seed=16)
     with pytest.raises(ValueError):
-        outlier_sweep(model, test_s, [0.0, 100.0], seed=16)
+        bench_rows(model, test_s, [0.0, 100.0], False, 16)
 
 
-def test_outlier_sweep_ratios_a_hundredth_apart_corrupt_differently(monkeypatch):
+def test_bench_rows_monotone_flag_follows_ascending_ratios(monkeypatch):
+    maes = iter([3.0, 1.0, 2.0])  # the model's MAE at ratios 20, 0 and 10
+    monkeypatch.setattr(evalbench, "evaluate_model", lambda model, s: SimpleNamespace(
+        report=MetricReport(0.0, next(maes), 0.0, 0.0, 0.0, len(s)),
+        chamfer_improved_fraction=0.0))
+    _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=21)
+    rows = rows_of(bench_rows(small_model(), test_s, [20.0, 0.0, 10.0], False, 21), "model")
+    assert [r["mae_rot_deg"] for r in rows] == [3.0, 1.0, 2.0]
+    assert all(r["mae_rot_monotone"] for r in rows)
+
+
+def test_bench_rows_ratios_a_hundredth_apart_corrupt_differently(monkeypatch):
     # 0.56 * 100 and 0.57 * 100 both truncate to 56, so int() gave them one
     # stream; at 256 points each ratio replaces one point
     seen = []
-    report = SimpleNamespace(mae_rot_deg=0.0)
-    monkeypatch.setattr(evalbench, "evaluate_model",
-                        lambda model, s: seen.append(s) or SimpleNamespace(report=report))
+    report = MetricReport(0.0, 0.0, 0.0, 0.0, 0.0, 2)
+    monkeypatch.setattr(evalbench, "evaluate_model", lambda model, s: seen.append(s)
+                        or SimpleNamespace(report=report, chamfer_improved_fraction=0.0))
     monkeypatch.setattr(evalbench, "evaluate_icp", lambda s: report)
     _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 256, seed=18)
-    outlier_sweep(small_model(), test_s, [0.56, 0.57], seed=18)
+    bench_rows(small_model(), test_s, [0.56, 0.57], False, 18)
     assert evalbench.check_outlier_ratios([0.56, 0.57], 256) == [56, 57]
     for lo, hi, base in zip(*seen, test_s):
         for cloud in ("source", "target"):
@@ -285,23 +316,23 @@ def test_outlier_sweep_ratios_a_hundredth_apart_corrupt_differently(monkeypatch)
             assert a.tobytes() != b.tobytes()
 
 
-def test_outlier_sweep_rejects_ratios_on_one_stream():
+def test_bench_rows_rejects_ratios_on_one_stream():
     _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=19)
     with pytest.raises(ValueError, match=r"ratios 0\.561 and 0\.559 round to one"):
-        outlier_sweep(small_model(), test_s, [0.0, 0.561, 0.559], seed=19)
+        bench_rows(small_model(), test_s, [0.0, 0.561, 0.559], False, 19)
     assert evalbench.check_outlier_ratios([0.0, 10.0, 20.0, 10.0], 32) == [0, 1000, 2000, 1000]
 
 
-def test_outlier_sweep_rejects_a_ratio_that_replaces_no_point():
+def test_bench_rows_rejects_a_ratio_that_replaces_no_point():
     # 4% of 32 points replaces one, of 20 points none: the row would measure
     # the clean clouds, so the smallest cloud decides
     _, test_s = build_benchmark(Protocol(setting="UPC"), 2, 2, 2, 32, seed=20)
-    assert outlier_sweep(small_model(), test_s, [0.0, 4.0], seed=20)[1]["ratio"] == 4.0
+    assert bench_rows(small_model(), test_s, [0.0, 4.0], False, 20)[-1]["ratio"] == 4.0
     cropped = [DatasetSample(s.source, PointCloud(s.target.points[:20]), s.gt, s.category)
                for s in test_s]
     with pytest.raises(ValueError, match=r"^outlier ratio 4\.0 replaces no point of a "
                                          r"20-point cloud; use 0 or at least 5$"):
-        outlier_sweep(small_model(), cropped, [0.0, 4.0], seed=20)
+        bench_rows(small_model(), cropped, [0.0, 4.0], False, 20)
     assert evalbench.check_outlier_ratios([0.0, 5.0], 20) == [0, 500]
 
 

@@ -2,8 +2,9 @@
 and descriptor tables on seeded inputs, of seeded ND benchmark splits, of one
 seeded desk registration, of one seeded desk training run (with its loss
 curve), of the parameters and checkpoint files a seeded train and fine-tune
-write and of the CSVs that ``upcr bench`` and ``upcr sweep-outliers`` write,
-pinned so that a speed or format change proves it left outputs unchanged.
+write and of the CSV that ``upcr bench --baselines --ratios`` writes (every
+method at three outlier ratios), pinned so that a speed or format change
+proves it left outputs unchanged.
 
 A change that moves any of these on purpose says so and re-pins them.
 """
@@ -34,7 +35,7 @@ GRAPH_KNN_SHA = {
     128: "bb349b2f3d97d2b66dcf6d1c5a71b419c6675d7c11ab34de772f4e03221dc692",
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
-POSE_REPORT_SHA = "a2b89ae8da95a1276e3759da8ff56c189875fa3fae54cc271bdd7b5812db88e9"
+POSE_REPORT_SHA = "d3f84cc2d57da55148849ed90a8c4c4b43f8c2e7d7f05319598fb9f177356ee9"
 FEATURE_TABLE_SHA = "0d65d9b1e8f4c7fc3d3bb405e80fc1901ce2cde537ff2e9e2d268672e6b1a996"
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
@@ -53,8 +54,7 @@ CHECKPOINT_FILE_SHA = {
     "fine_tune": "e875a7d8913020262e452be872273ed3f2711373299fdf4a33159bba52baaa23",
 }
 CSV_SHA = {
-    "metrics.csv": "06657621c6583e5e53224ea1723d34b91303cdd4058a3da0ba321faec7a4c3bb",
-    "outlier_sweep.csv": "5630ace14e8721ae37c64b3122db90957fa142273823025547cfd60f348267ff",
+    "metrics.csv": "9ad01860de3896845c5b27c6bc71a240ae326a44dd02dae3ddfa11e0b2e9497d",
 }
 
 
@@ -180,9 +180,8 @@ def test_checkpoint_files_pinned(tmp_path):
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["bench", "--baselines", "--seed", "7"], "metrics.csv"),
-    (["sweep-outliers", "--ratios", "0,10,20"], "outlier_sweep.csv"),
-], ids=["bench", "sweep-outliers"])
+    (["bench", "--baselines", "--seed", "7", "--ratios", "0,10,20"], "metrics.csv"),
+], ids=["bench"])
 def test_cli_csv_files_pinned(tmp_path, argv, name):
     out = tmp_path / "out"
     assert main(argv + ["--model", tiny_model_file(tmp_path), "--out", str(out)] + TINY) == 0
