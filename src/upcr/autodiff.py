@@ -161,14 +161,14 @@ def leaky_relu(a) -> Tensor:
     """y = x * gate with gate 1 for x >= 0 and ``SLOPE`` below; the backward
     multiplies g by the same gate.
 
-    The forward builds no [n, c] float gate, so only a taped input's backward
-    does: as SLOPE is in (0, 1), max(SLOPE*x, x) is x*gate bit for bit, NaN
-    payloads included, since the product's quieted NaN comes first.
+    The forward, :func:`_activate` on a copy of x, builds no float gate; only
+    a taped input's backward does. As SLOPE is in (0, 1), max(SLOPE*x, x) is
+    x*gate bit for bit, NaN payloads included: the quieted product comes first.
     """
     a = as_tensor(a)
     x = a.data
-    out = np.multiply(SLOPE, x, out=np.empty(x.shape))
-    np.maximum(out, x, out=out)
+    out = x.copy()
+    _activate(out, None)
     return _emit("leaky_relu", out, [(a, lambda g: _gated(g, x >= 0.0))])
 
 

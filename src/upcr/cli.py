@@ -7,7 +7,8 @@ A key resolves from its default (or ``--preset``), then an optional
 ``--config`` file (flat ``key = value`` lines with ``[section]`` headers;
 a key set twice is an error), then its flag. ``COMMANDS`` names the keys or
 sections whose flags each subcommand offers and those its manifest records:
-``gen`` and ``bench`` the seed, protocol and data that build their pairs;
+``gen`` and ``bench`` the seed, protocol and data that build their pairs,
+and ``bench`` its ``--baselines`` and ``--ratios`` flags as given;
 ``train`` the model and training keys and those that build its training
 pairs; ``finetune`` the pair keys, and it records the ``train.batch`` and
 ``finetune`` keys it also reads; ``register`` none. A command that loads a
@@ -91,13 +92,14 @@ _PAIRS = ("seed", "protocol", "data")  # the sections that build a command's pai
 _TRAIN = ("seed", "encoder", "feature", "protocol", "data.points", "data.categories",
           "data.train", "train")
 
-# subcommand: (keys or sections whose flags it offers, those its manifest records)
+# subcommand: (keys or sections whose flags it offers, those its manifest
+# records; bench's also name two flags that are not keys)
 COMMANDS = {
     "gen": (_PAIRS, _PAIRS),
     "train": (_TRAIN, _TRAIN),
     "finetune": (_PAIRS, _PAIRS + ("train.batch", "finetune")),
     "register": ((), ()),
-    "bench": (_PAIRS, _PAIRS),
+    "bench": (_PAIRS, _PAIRS + ("--baselines", "--ratios")),
 }
 
 PRESETS = {
@@ -457,7 +459,8 @@ def cmd_bench(args) -> int:
                        f"{model.config.k} neighbours, which needs k >= 3")
     rows = evalbench.bench_rows(model, test_s, ratios, args.baselines, cfg["seed"])
     print_table(rows)
-    _write_run(args, cfg, {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
+    _write_run(args, {**cfg, "--baselines": args.baselines, "--ratios": args.ratios},
+               {os.path.join(args.out, "metrics.csv"): lambda p: write_csv(p, rows)},
                inputs=("model",))
     return 0
 

@@ -103,7 +103,8 @@ def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
 
 
 def param_shapes(config: EncoderConfig, spec: FeatureSpec) -> dict[str, tuple[int, int]]:
-    """Name and shape of every parameter, in :func:`init_params` order."""
+    """Name and shape of every parameter, in :func:`init_params` order: also
+    the checkpoint payload's layout, so reordering it bumps the file version."""
     shapes: dict[str, tuple[int, int]] = {}
     c_in = 3
     for i, c_out in enumerate(config.widths):

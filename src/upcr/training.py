@@ -1,5 +1,7 @@
 """Unsupervised training: Chamfer loss on latent canonical shapes, Adam,
-train / fine-tune loops, and binary checkpoints.
+train / fine-tune loops, and binary checkpoints: a JSON header, then every
+parameter as float64 in ``encoder.param_shapes`` order, so the header alone
+fixes the payload's layout and length.
 
 The loss path receives nothing but point clouds; ground-truth transforms
 never enter this module's training functions.
@@ -24,7 +26,7 @@ from .rng import Rng, derive_seed
 from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -125,15 +127,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 # checkpoints
 
 
-def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
-    nb = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(nb)))
-    fh.write(nb)
-    fh.write(struct.pack("<I", arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
 def _read_exact(fh, n: int) -> bytes:
     """The next ``n`` bytes; a length past the end of the file raises unread."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
@@ -143,32 +136,22 @@ def _read_exact(fh, n: int) -> bytes:
     return fh.read(n)
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (nlen,) = struct.unpack("<I", _read_exact(fh, 4))
-    try:
-        name = _read_exact(fh, nlen).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{fh.name}: corrupt checkpoint tensor name: {exc}") from None
-    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
-    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
-    count = math.prod(dims)  # a Python int: no overflow, 1 for rank 0
-    data = np.frombuffer(_read_exact(fh, 8 * count), dtype="<f8").astype(np.float64)
-    return name, data.reshape(dims)
-
-
 def save_checkpoint(path: str, model: ModelParams) -> None:
-    """Write ``model``; no optimizer state is kept, as fine-tuning starts afresh."""
-    header = {"config": asdict(model.config), "spec": asdict(model.spec),
-              "metadata": model.metadata}
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    """Write ``model``, raising ValueError before the file is opened unless its
+    parameters have exactly ``param_shapes``' names and shapes. No optimizer
+    state is kept, as fine-tuning starts afresh."""
+    shapes = param_shapes(model.config, model.spec)
+    got = {k: np.shape(a) for k, a in model.params.items()}
+    wrong = [f"{k} is {got.get(k, 'missing')}, expected {shapes.get(k, 'absent')}"
+             for k in sorted(got.keys() | shapes.keys()) if got.get(k) != shapes.get(k)]
+    if wrong:
+        raise ValueError("model parameters do not match param_shapes: " + "; ".join(wrong))
+    blob = json.dumps({"config": asdict(model.config), "spec": asdict(model.spec),
+                       "metadata": model.metadata}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(struct.pack("<I", len(model.params)))
-        for name, arr in model.params.items():
-            _write_tensor(fh, name, arr)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob)
+        for name in shapes:
+            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
 
 def _check_keys(d: dict, names, label) -> None:
@@ -194,42 +177,30 @@ def load_checkpoint(path: str) -> ModelParams:
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         (hlen,) = struct.unpack("<I", _read_exact(fh, 4))
+        blob = _read_exact(fh, hlen)
         try:
-            header = json.loads(_read_exact(fh, hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = json.loads(blob.decode("utf-8"))  # both errors are ValueErrors
+            if not isinstance(header, dict):
+                raise TypeError("the header must be a JSON object")
+            _check_keys(header, HEADER_KEYS, lambda k: f"key {k!r}")
+            if not all(isinstance(header[k], dict) for k in HEADER_KEYS):
+                raise TypeError("config, spec and metadata must be JSON objects")
+            config = _from_fields(EncoderConfig, header["config"], "config")
+            spec = _from_fields(FeatureSpec, header["spec"], "spec")
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
-        (count,) = struct.unpack("<I", _read_exact(fh, 4))
-        records = [_read_tensor(fh) for _ in range(count)]
+        shapes = param_shapes(config, spec)
+        sizes = [math.prod(s) for s in shapes.values()]  # Python ints: no overflow
+        payload = _read_exact(fh, 8 * sum(sizes))
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after checkpoint payload")
-
-    try:
-        if not isinstance(header, dict):
-            raise TypeError("the header must be a JSON object")
-        _check_keys(header, HEADER_KEYS, lambda k: f"key {k!r}")
-        metadata = header["metadata"]
-        if not all(isinstance(v, dict) for v in (header["config"], header["spec"], metadata)):
-            raise TypeError("config, spec and metadata must be JSON objects")
-        config = _from_fields(EncoderConfig, header["config"], "config")
-        spec = _from_fields(FeatureSpec, header["spec"], "spec")
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: corrupt checkpoint header: {exc}") from None
-    want = param_shapes(config, spec)
-    tensors = dict(records)
-    got = {k: a.shape for k, a in tensors.items()}
-    names = [k for k, _ in records]
-    problems = ([f"duplicate {k}" for k in got if names.count(k) > 1]
-                + [f"missing {k}" for k in want if k not in got]
-                + [f"unexpected {k}" for k in got if k not in want]
-                + [f"{k} has shape {got[k]}, expected {s}"
-                   for k, s in want.items() if k in got and got[k] != s])
-    if problems:
-        raise ValueError(f"{path}: checkpoint tensors do not match header: "
-                         + "; ".join(problems))
-    bad = [k for k, a in tensors.items() if not np.all(np.isfinite(a))]
+    # astype makes the one writeable copy that every parameter views
+    chunks = np.split(np.frombuffer(payload, "<f8").astype(np.float64), np.cumsum(sizes)[:-1])
+    params = {k: c.reshape(s) for (k, s), c in zip(shapes.items(), chunks)}
+    bad = [k for k, a in params.items() if not np.all(np.isfinite(a))]
     if bad:
         raise ValueError(f"{path}: non-finite values in checkpoint tensor " + ", ".join(bad))
-    return ModelParams(config, spec, tensors, metadata)
+    return ModelParams(config, spec, params, header["metadata"])
 
 
 # ---------------------------------------------------------------------------

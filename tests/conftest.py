@@ -89,19 +89,6 @@ def chamfer_oracle(a: np.ndarray, b: np.ndarray) -> float:
     return float(d2.min(axis=1).mean() + d2.min(axis=0).mean())
 
 
-def claim_tensor_dims(path: str, dims: tuple[int, ...]) -> None:
-    """Rewrite a saved checkpoint's first tensor record to claim ``dims``,
-    keeping its data bytes: the corrupt-length case of the file format."""
-    blob = Path(path).read_bytes()
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    at = 12 + hlen + 4  # past magic, version, header length, header and count
-    (nlen,) = struct.unpack("<I", blob[at:at + 4])
-    at += 4 + nlen
-    (rank,) = struct.unpack("<I", blob[at:at + 4])
-    record = struct.pack(f"<I{len(dims)}I", len(dims), *dims)
-    Path(path).write_bytes(blob[:at] + record + blob[at + 4 + 4 * rank:])
-
-
 def replace_header(path, header):
     """Swap a saved checkpoint's JSON header for ``header``, any JSON value."""
     blob = Path(path).read_bytes()

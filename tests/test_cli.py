@@ -17,7 +17,7 @@ from upcr.geom import RigidTransform
 from upcr.rng import Rng
 from upcr.training import load_checkpoint, save_checkpoint
 
-from conftest import TINY, claim_tensor_dims, replace_header, rewrite_header, set_version, \
+from conftest import TINY, replace_header, rewrite_header, set_version, \
     tiny_model_file
 
 # only train builds a model; every other command runs the checkpoint's
@@ -94,13 +94,13 @@ def test_non_object_checkpoint_header_is_error(tmp_path, capsys, header):
                    "the header must be a JSON object\n")
 
 
-@pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
+@pytest.mark.parametrize("m,head", [(2 ** 31, 8), (2 ** 32 - 1, 2 ** 32 - 1)],
                          ids=["16GiB", "int64-overflow"])
-def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, dims):
+def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, m, head):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
     model = tiny_model_file(tmp_path)
-    claim_tensor_dims(model, dims)
+    rewrite_header(model, lambda h: h["config"].update(m=m, widths=[8, m], head_widths=[head]))
     rc = main(["register", "--source", a, "--target", a, "--model", model])
     assert rc == 1
     assert f"error: {model}: checkpoint truncated: " in capsys.readouterr().err
@@ -125,6 +125,7 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
      "corrupt checkpoint header: dynamic_graph must be a bool, got 'false'"),
     (lambda p: set_version(p, 2), "unsupported checkpoint version 2"),
     (lambda p: set_version(p, 3), "unsupported checkpoint version 3"),
+    (lambda p: set_version(p, 4), "unsupported checkpoint version 4"),
     # a feature kind and rotation modes deleted for losing to distance and
     # euler after fine-tuning; since version 4 the header names no mode at all
     (lambda p: rewrite_header(p, lambda h: h["spec"].update(kind="ppf")),
@@ -133,7 +134,7 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p, mode=mode: rewrite_header(p, lambda h: h.update(rotation_mode=mode)),
      "corrupt checkpoint header: unexpected key 'rotation_mode'")
     for mode in ("quaternion", "sixd", "matrix")
-], ids=["string-dynamic-graph", "version-2", "version-3", "deleted-kind-ppf",
+], ids=["string-dynamic-graph", "version-2", "version-3", "version-4", "deleted-kind-ppf",
         "deleted-mode-quaternion", "deleted-mode-sixd", "deleted-mode-matrix"])
 def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit, message):
     a = str(tmp_path / "a.xyz")
@@ -146,17 +147,16 @@ def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit,
 
 
 def test_checkpoint_missing_tensor_is_error(tmp_path, capsys):
+    """A payload one tensor short, the last."""
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
-    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
-    ckpt = init_params(cfg, FeatureSpec("distance"), "euler", 3)
-    del ckpt.params["head.0.w"]
-    model = str(tmp_path / "model.upcr")
-    save_checkpoint(model, ckpt)
+    model = tiny_model_file(tmp_path)
+    sizes = [8 * p.size for p in load_checkpoint(model).params.values()]
+    Path(model).write_bytes(Path(model).read_bytes()[:-sizes[-1]])
     rc = main(["register", "--source", a, "--target", a, "--model", model])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "checkpoint tensors do not match header: missing head.0.w" in err
+    assert capsys.readouterr().err == (f"error: {model}: checkpoint truncated: a record needs "
+                                       f"{sum(sizes)} bytes, {sum(sizes[:-1])} are left\n")
 
 
 def test_checkpoint_non_finite_tensor_is_error(tmp_path, capsys):
@@ -824,8 +824,8 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
         tiny = TINY_TRAIN if name == "train" else TINY
         assert main(argv + tiny + ["--out", str(tmp_path / name)]) == 0, name
     pairs = {key for key in cli.KEYS if cli._section(key) in ("seed", "protocol", "data")}
-    assert manifest_keys(tmp_path / "bench") == pairs
-    assert manifest_keys(tmp_path / "bench-ratios") == pairs
+    assert manifest_keys(tmp_path / "bench") == pairs | {"--baselines", "--ratios"}
+    assert manifest_keys(tmp_path / "bench-ratios") == pairs | {"--baselines", "--ratios"}
     assert manifest_keys(tmp_path / "gen") == pairs
     finetune = {"finetune.epochs", "finetune.lr"}
     assert manifest_keys(tmp_path / "finetune") == pairs | finetune | {"train.batch"}
@@ -840,6 +840,23 @@ def test_manifests_record_only_the_sections_a_command_reads(tmp_path):
     assert lines[0] == "command = register"
     assert [line.split(" sha256 = ")[0] for line in lines[1:]] == [
         f"input --source {a}", f"input --target {b}", f"input --model {model}"]
+
+
+def test_bench_manifest_records_ratios_and_baselines(tmp_path):
+    """Two reports on one checkpoint differ in their manifests' flag lines,
+    not only in the hash of metrics.csv."""
+    model = tiny_model_file(tmp_path)
+    runs = {"plain": ["--ratios", "0"], "swept": ["--ratios", "0,10", "--baselines"]}
+    lines = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main(["bench", "--model", model, *flags] + TINY + ["--out", str(out)]) == 0
+        lines[name] = set(Path(out, "manifest.txt").read_text().splitlines())
+    plain, swept = lines["plain"] - lines["swept"], lines["swept"] - lines["plain"]
+    assert {line for line in plain if " sha256 = " not in line} == {
+        "--baselines = False", "--ratios = 0"}
+    assert {line for line in swept if " sha256 = " not in line} == {
+        "--baselines = True", "--ratios = 0,10"}
 
 
 def manifest_hashes(out):

@@ -50,8 +50,8 @@ CHECKPOINT_PARAMS_SHA = {
     "fine_tune": "54519a72cf234be918814f1b6a40bf294ba91568d721d6f7fecb4fc44b0dcc5d",
 }
 CHECKPOINT_FILE_SHA = {
-    "train": "1b76d499dd3b1661b93b498e16631bd3b2d24f943d34afc5bbe864bfd934e33b",
-    "fine_tune": "e875a7d8913020262e452be872273ed3f2711373299fdf4a33159bba52baaa23",
+    "train": "bbb308e36841b3bd0b19d8b6f9070a9deb8f714f3619d5eeb47086580af9cd3f",
+    "fine_tune": "c4f8a824c0dfef75ec99cbf3d02b2062948f08eac83b5d9e713d3c0e0e2aa5ef",
 }
 CSV_SHA = {
     "metrics.csv": "9ad01860de3896845c5b27c6bc71a240ae326a44dd02dae3ddfa11e0b2e9497d",

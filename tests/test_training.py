@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import io
 import json
 import math
 import re
@@ -22,7 +21,7 @@ from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
                            unsupervised_loss, write_loss_curve)
 
-from conftest import add, chamfer_oracle, claim_tensor_dims, grad_check, replace_header, \
+from conftest import add, chamfer_oracle, grad_check, replace_header, \
     rewrite_header, set_version
 
 CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
@@ -335,10 +334,11 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path):
 
 
 def test_version_1_checkpoint_names_path_and_version(tmp_path):
-    """Versions 1 to 3 predate the current header; none loads."""
+    """Versions 1 to 3 predate the current header, and version 4 the bare
+    payload; none loads."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 19))
-    for version in (1, 2, 3):
+    for version in (1, 2, 3, 4):
         set_version(path, version)
         with pytest.raises(ValueError,
                            match=f"^{re.escape(path)}: unsupported checkpoint version {version}$"):
@@ -366,29 +366,51 @@ def test_checkpoint_truncated_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_non_utf8_tensor_name_names_the_file(tmp_path):
-    path = str(tmp_path / "model.upcr")
-    save_checkpoint(path, init_params(CFG, SPEC, "euler", 23))
-    blob = bytearray(Path(path).read_bytes())
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    # magic, version, header length, header, tensor count, name length
-    blob[12 + hlen + 8] = 0xFF
-    Path(path).write_bytes(bytes(blob))
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}: corrupt checkpoint tensor name: "):
-        load_checkpoint(path)
+def _payload_bytes(config: EncoderConfig, spec: FeatureSpec = SPEC) -> int:
+    return 8 * sum(math.prod(s) for s in param_shapes(config, spec).values())
 
 
-# 2**31 doubles would ask for 16 GiB; the product of two 2**32 - 1 dims
+# 2**31 doubles in one weight would ask for 16 GiB; a (2**32 - 1)**2 weight
 # overflows an int64 np.prod
-@pytest.mark.parametrize("dims", [(2 ** 31,), (2 ** 32 - 1, 2 ** 32 - 1)],
+@pytest.mark.parametrize("m,head", [(2 ** 31, 8), (2 ** 32 - 1, 2 ** 32 - 1)],
                          ids=["16GiB", "int64-overflow"])
-def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, dims):
+def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, m, head):
+    """A header whose layout needs more bytes than the file holds fails
+    before the payload is read."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 23))
-    claim_tensor_dims(path, dims)
+    rewrite_header(path, lambda h: h["config"].update(m=m, widths=[8, m], head_widths=[head]))
+    claimed = EncoderConfig(k=5, m=m, layers=2, widths=(8, m), head_widths=(head,))
+    left = _payload_bytes(CFG)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint truncated: "
-                                         f"a record needs {8 * math.prod(dims)} bytes"):
+                                         f"a record needs {_payload_bytes(claimed)} bytes, "
+                                         f"{left} are left$"):
         load_checkpoint(path)
+
+
+def test_checkpoint_file_is_exactly_its_layout(tmp_path):
+    """12 bytes of magic, version and header length, the header, then every
+    parameter's float64 bytes in ``param_shapes`` order, and nothing else."""
+    path = str(tmp_path / "model.upcr")
+    model = init_params(CFG, SPEC, "euler", 23)
+    save_checkpoint(path, model)
+    blob = Path(path).read_bytes()
+    assert blob[:4] == b"UPCR"
+    version, hlen = struct.unpack("<II", blob[4:12])
+    assert version == training.CHECKPOINT_VERSION
+    assert len(blob) == 12 + hlen + _payload_bytes(CFG)
+    payload = np.concatenate([model.params[k].ravel() for k in param_shapes(CFG, SPEC)])
+    assert blob[12 + hlen:] == payload.astype("<f8").tobytes()
+
+
+def test_readme_names_the_checkpoint_version():
+    """README's checkpoint bullet gives the current version and its history."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullet = " ".join(readme.split("* **Checkpoints**", 1)[1].split("\n* ", 1)[0].split())
+    version = training.CHECKPOINT_VERSION
+    assert f"(`training.CHECKPOINT_VERSION`, {version})" in bullet
+    assert f"version {version} replaced" in bullet
+    assert f"versions 1 to {version - 1}," in bullet
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -426,23 +448,6 @@ def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
         load_checkpoint(path)
 
 
-def test_checkpoint_duplicate_tensor_rejected(tmp_path):
-    """A second record under one name, with the record count raised to match."""
-    path = str(tmp_path / "model.upcr")
-    model = init_params(CFG, SPEC, "euler", 29)
-    save_checkpoint(path, model)
-    blob = bytearray(Path(path).read_bytes())
-    (hlen,) = struct.unpack("<I", blob[8:12])
-    (count,) = struct.unpack("<I", blob[12 + hlen:16 + hlen])
-    blob[12 + hlen:16 + hlen] = struct.pack("<I", count + 1)
-    extra = io.BytesIO()
-    training._write_tensor(extra, "head.1.b", model.params["head.1.b"] + 1.0)
-    Path(path).write_bytes(bytes(blob) + extra.getvalue())
-    with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint tensors do not match "
-                                         "header: duplicate head.1.b$"):
-        load_checkpoint(path)
-
-
 @pytest.mark.parametrize("header", [[1, 2], None], ids=["list", "null"])
 def test_checkpoint_non_object_header_rejected(tmp_path, header):
     path = str(tmp_path / "model.upcr")
@@ -460,19 +465,21 @@ def _save(path, edit=lambda m: None):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda c: c.params.pop("head.0.w"), "missing head.0.w"),
-    (lambda c: c.params.update(extra=np.zeros((1, 1))), "unexpected extra"),
+    (lambda c: c.params.pop("head.0.w"), r"head.0.w is missing, expected \(16, 8\)$"),
+    (lambda c: c.params.update(extra=np.zeros((1, 1))), r"extra is \(1, 1\), expected absent$"),
     (lambda c: c.params.update({"alpha.b": np.zeros((1, 3))}),
-     r"alpha.b has shape \(1, 3\), expected \(1, 8\)"),
-    # a v1 Adam moment is no longer stripped on load
+     r"alpha.b is \(1, 3\), expected \(1, 8\)$"),
+    # a v1 Adam moment is not a parameter
     (lambda c: c.params.update({"optim.m.alpha.w": np.zeros((3, 8))}),
-     "unexpected optim.m.alpha.w"),
+     r"optim.m.alpha.w is \(3, 8\), expected absent$"),
 ], ids=["missing", "extra", "wrong-shape", "optim-extra"])
 def test_checkpoint_tensors_must_match_header(tmp_path, edit, message):
-    path = str(tmp_path / "model.upcr")
-    _save(path, edit)
-    with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
-        load_checkpoint(path)
+    """``save_checkpoint`` writes no file for a model off ``param_shapes``."""
+    path = tmp_path / "model.upcr"
+    with pytest.raises(ValueError, match=f"^model parameters do not match param_shapes: "
+                                         f".*{message}"):
+        _save(str(path), edit)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -485,19 +492,22 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, value):
 
 
 @pytest.mark.parametrize("edit,message", [
-    (lambda h: h["spec"].update(kind="pfh"), r"alpha.w has shape \(3, 8\), expected \(125, 8\)"),
-    (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]), "missing global.2.w"),
-], ids=["spec", "layers"])
+    (lambda h: h["spec"].update(kind="pfh"), "checkpoint truncated: a record needs"),
+    (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]),
+     "checkpoint truncated: a record needs"),
+    (lambda h: h["config"].update(head_widths=[4]), "trailing bytes after checkpoint payload"),
+], ids=["spec", "layers", "head-widths"])
 def test_checkpoint_header_must_match_tensors(tmp_path, edit, message):
+    """A header edited to another layout reads a payload of another length."""
     path = str(tmp_path / "model.upcr")
     _save(path)
     rewrite_header(path, edit)
-    with pytest.raises(ValueError, match=f"checkpoint tensors do not match header: .*{message}"):
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {message}"):
         load_checkpoint(path)
 
 
 def test_checkpoint_unknown_rotation_mode_rejected(tmp_path):
-    """A version-4 header that still names a rotation mode, even the one the
+    """A header that still names a rotation mode, even the one the
     head decodes, is a header with an extra key."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 27))
