@@ -1,14 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 tensors.
 
 The operator set is exactly what the registration pipeline needs: affine
-layers, ``matmul`` and ``leaky_relu``, max-pooling with deterministic
-tie-breaking, and softmax. Fused ops live beside the code they serve: the
-point embedding, the edge convolution and ``channel_norm`` in ``encoder``,
-the pose-related term and the pose decode with its canonical coordinates in
-``separation``, the Chamfer loss and the batch mean in ``training``. The
-point embedding and the edge convolution share one pooling step,
-:func:`_max_pool`: it adds each row's max over its k candidates to the row
-and activates it, building and pooling the [n*k, c] candidate table in
+layers, ``matmul`` and ``leaky_relu``, and max-pooling with deterministic
+tie-breaking. Fused ops live beside the code they serve: the point
+embedding, the edge convolution and ``channel_norm`` in ``encoder``, the two
+softmaxes with the pose-related term and the pose decode with its canonical
+coordinates in ``separation``, the Chamfer loss and the batch mean in
+``training``. The point embedding and the edge convolution share one pooling
+step, :func:`_max_pool`: it adds each row's max over its k candidates to the
+row and activates it, building and pooling the [n*k, c] candidate table in
 bounded row blocks, so the table never exists whole. No broadcasting, no
 higher-order derivatives, no views: every op produces a fresh array.
 
@@ -198,17 +198,6 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     av, bv = a.data, b.data
     return _emit("matmul", av @ bv, [(a, lambda g: g @ bv.T), (b, lambda g: av.T @ g)])
-
-
-def softmax(v) -> Tensor:
-    """Probability vector of a rank-1 input; stable under max-subtraction."""
-    v = as_tensor(v)
-    if v.ndim != 1:
-        raise ShapeError(f"softmax: expects a rank-1 tensor, got shape {v.shape}")
-    z = v.data - np.max(v.data)
-    e = np.exp(z)
-    p = e / np.sum(e)
-    return _emit("softmax", p, [(v, lambda g: p * (g - np.dot(g, p)))])
 
 
 def _first_max_index(table: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from . import evalbench, geom
 from .datagen import REGIMES, SETTINGS, Protocol, build_benchmark, cloud_format, \
     load_cloud, save_cloud, undecodable
 from .encoder import EncoderConfig
-from .features import FEATURE_KINDS, FeatureSpec
+from .features import FEATURE_KINDS, NORMALS_MIN_K, FeatureSpec
 from .separation import register_pair
 from .training import fine_tune, load_checkpoint, save_checkpoint, train, write_loss_curve
 
@@ -190,9 +190,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     # range, cross-key and name checks for every command, before any output exists
     _check_ranges(cfg)
     encoder_config(cfg)
-    if feature_spec(cfg).needs_normals and cfg["encoder.k"] < 3:
-        raise CliError(f"feature.kind = {cfg['feature.kind']} estimates normals over "
-                       f"encoder.k = {cfg['encoder.k']} neighbours, which needs k >= 3")
+    if feature_spec(cfg).needs_normals and cfg["encoder.k"] < NORMALS_MIN_K:
+        raise CliError(f"feature.kind = {cfg['feature.kind']} estimates normals over encoder.k = "
+                       f"{cfg['encoder.k']} neighbours, which needs k >= {NORMALS_MIN_K}")
     protocol(cfg)
     return cfg
 
@@ -454,9 +454,9 @@ def cmd_bench(args) -> int:
     # two ratios on one stream, or one that corrupts no point, fail before --out exists
     evalbench.check_outlier_ratios(ratios, cfg[_points_key(cfg)])
     model, test_s = _model_and_test_split(args, cfg)
-    if args.baselines and model.config.k < 3:
+    if args.baselines and model.config.k < NORMALS_MIN_K:
         raise CliError(f"--baselines estimates normals over the checkpoint's k = "
-                       f"{model.config.k} neighbours, which needs k >= 3")
+                       f"{model.config.k} neighbours, which needs k >= {NORMALS_MIN_K}")
     rows = evalbench.bench_rows(model, test_s, ratios, args.baselines, cfg["seed"])
     print_table(rows)
     _write_run(args, {**cfg, "--baselines": args.baselines, "--ratios": args.ratios},

@@ -43,6 +43,9 @@ FEATURE_KINDS = (
 SPFH_BINS = 11
 PFH_BINS = 5
 
+# the fewest neighbours estimate_normals takes; the CLI checks k against it before any work
+NORMALS_MIN_K = 3
+
 
 class MatchError(ValueError):
     """Descriptor matching can give no pose: a descriptor is not finite, or
@@ -95,8 +98,8 @@ def estimate_normals(pts: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     then +x). A degenerate (rank < 2) neighborhood gets (0, 0, 1).
     """
     n, k = nbr.shape
-    if k < 3:
-        raise ValueError(f"normal estimation needs k >= 3, got {k}")
+    if k < NORMALS_MIN_K:
+        raise ValueError(f"normal estimation needs k >= {NORMALS_MIN_K}, got {k}")
     nbh = np.concatenate([np.arange(n)[:, None], nbr], axis=1)  # [n, k+1]
     p = pts[nbh]  # [n, k+1, 3]
     p = p - p.mean(axis=1, keepdims=True)

@@ -30,18 +30,27 @@ class PosePrediction:
     decoded: RigidTransform
 
 
-def _pose_related_t(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
-    """Entrywise p_i * log(p_i / q_i), ``EPS_FLOOR`` added to both inside the
-    log, as the [1, m] row the pose head reads; entries sum to KL(p || q) >= 0.
-    One tape op, whose gradients add their terms in the order of a backward
-    over the add, div, log and mul chain."""
-    pv = p.data
-    pa, qa = pv + EPS_FLOOR, q.data + EPS_FLOOR
+def _softmax_vjp(s: np.ndarray, gs: np.ndarray) -> np.ndarray:
+    """The gradient of the softmax's input, given ``gs``, that of its output ``s``."""
+    return s * (gs - np.dot(gs, s))
+
+
+def _pose_related_t(gamma_v: ad.Tensor, gamma_g: ad.Tensor) -> ad.Tensor:
+    """The [1, m] row the pose head reads, from the invariant and global
+    m-vectors: p = softmax(gamma_v) and q = softmax(gamma_g), each after
+    max-subtraction, then entrywise p_i * log(p_i / q_i), ``EPS_FLOOR`` added
+    to both inside the log; the entries sum to KL(p || q) >= 0. One tape op
+    with the values and gradients of the chain it fuses (two softmaxes, then
+    add, div, log and mul), bit for bit: each gradient map is the chain's map
+    followed by the softmax VJP."""
+    ev, eg = (np.exp(t.data - np.max(t.data)) for t in (gamma_v, gamma_g))
+    p, q = ev / np.sum(ev), eg / np.sum(eg)
+    pa, qa = p + EPS_FLOOR, q + EPS_FLOOR
     ratio = pa / qa
     log_ratio = np.log(ratio)
-    return ad._emit("pose_related", (pv * log_ratio).reshape(1, -1),
-                    [(p, lambda g: g[0] * log_ratio + g[0] * pv / ratio / qa),
-                     (q, lambda g: -(g[0] * pv / ratio) * pa / (qa * qa))])
+    return ad._emit("pose_related", (p * log_ratio).reshape(1, -1), [
+        (gamma_v, lambda g: _softmax_vjp(p, g[0] * log_ratio + g[0] * p / ratio / qa)),
+        (gamma_g, lambda g: _softmax_vjp(q, -(g[0] * p / ratio) * pa / (qa * qa)))])
 
 
 def _head_forward(x: ad.Tensor, params: dict, config: EncoderConfig) -> ad.Tensor:
@@ -108,9 +117,7 @@ def _forward_cloud(cloud: PointCloud, model: ModelParams, params: dict,
     the one decoded rotation that the loss trains on."""
     gamma_g = encode_global(cloud, model.config, params, cache)
     gamma_v = encode_invariant(cloud, model.spec, model.config, params, cache)
-    q = ad.softmax(gamma_g)
-    p = ad.softmax(gamma_v)
-    head = _head_forward(_pose_related_t(p, q), params, model.config)
+    head = _head_forward(_pose_related_t(gamma_v, gamma_g), params, model.config)
     canonical, decoded = _canonical_t(cloud.points, head)
     return PosePrediction(decoded), canonical
 

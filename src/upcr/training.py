@@ -56,20 +56,15 @@ def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tens
     dy = x[i_star] - y
     out = np.add(np.divide(np.sum(dx * dx), float(nx)), np.divide(np.sum(dy * dy), float(ny)))
 
+    @ad._per_g
     def terms(g):  # d loss / d dx and d loss / d dy, each the sum of a square's two factors
         gx = np.full(dx.shape, float(g / nx))
         gy = np.full(dy.shape, float(g / ny))
         return gx * dx + gx * dx, gy * dy + gy * dy
 
-    def grad_x(g):
-        tx, ty = terms(g)
-        return tx + ad._scatter_rows(i_star, ty, nx)
-
-    def grad_y(g):
-        tx, ty = terms(g)
-        return -ty + ad._scatter_rows(j_star, -tx, ny)
-
-    return ad._emit("chamfer", out, [(canonical_x, grad_x), (canonical_y, grad_y)])
+    return ad._emit("chamfer", out, [
+        (canonical_x, lambda g: terms(g)[0] + ad._scatter_rows(i_star, terms(g)[1], nx)),
+        (canonical_y, lambda g: -terms(g)[1] + ad._scatter_rows(j_star, -terms(g)[0], ny))])
 
 
 def _mean(losses: list[ad.Tensor]) -> ad.Tensor:

@@ -238,6 +238,35 @@ def reshape(a, shape: tuple[int, ...]) -> ad.Tensor:
     return ad._emit("reshape", a.data.reshape(shape), [(a, lambda g: g.reshape(in_shape))])
 
 
+def softmax(v) -> ad.Tensor:
+    """The probability vector of a rank-1 ``v`` on the tape, stable under
+    max-subtraction, for the oracles: the library fuses both softmaxes into
+    ``separation._pose_related_t``."""
+    v = ad.as_tensor(v)
+    e = np.exp(v.data - np.max(v.data))
+    p = e / np.sum(e)
+    return ad._emit("softmax", p, [(v, lambda g: p * (g - np.dot(g, p)))])
+
+
+def _pose_related_of_probabilities(p: ad.Tensor, q: ad.Tensor) -> ad.Tensor:
+    """Entrywise p_i * log(p_i / q_i) of two probability vectors, ``EPS_FLOOR``
+    added to both inside the log, as one op whose gradients add their terms
+    in the order of a backward over the add, div, log and mul chain."""
+    pv = p.data
+    pa, qa = pv + separation.EPS_FLOOR, q.data + separation.EPS_FLOOR
+    ratio = pa / qa
+    log_ratio = np.log(ratio)
+    return ad._emit("pose_related", (pv * log_ratio).reshape(1, -1),
+                    [(p, lambda g: g[0] * log_ratio + g[0] * pv / ratio / qa),
+                     (q, lambda g: -(g[0] * pv / ratio) * pa / (qa * qa))])
+
+
+def pose_related_chain(gamma_v, gamma_g) -> ad.Tensor:
+    """``separation._pose_related_t`` as the chain of three tape ops it
+    fuses: a softmax of each m-vector, then the pose-related term."""
+    return _pose_related_of_probabilities(softmax(gamma_v), softmax(gamma_g))
+
+
 def pair_table_oracle(a, b, neighbors) -> ad.Tensor:
     """``autodiff.pair_table`` on the tape, from the general ops:
     row i*k + j is a[i] + b[neighbors[i, j]]."""

@@ -116,48 +116,6 @@ def test_leaky_relu_gate_only_on_a_tape(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# softmax
-
-
-def test_softmax_symmetry():
-    np.testing.assert_allclose(ad.softmax(ad.constant([0.0, 0.0])).data, [0.5, 0.5])
-
-
-def test_softmax_direct_evaluation():
-    # independent evaluation with math.exp
-    e = [math.exp(v) for v in (1.0, 2.0, 3.0)]
-    expected = [v / sum(e) for v in e]
-    out = ad.softmax(ad.constant([1.0, 2.0, 3.0])).data
-    np.testing.assert_allclose(out, expected, rtol=1e-12)
-    np.testing.assert_allclose(out, [0.090031, 0.244728, 0.665241], atol=1e-6)
-
-
-def test_softmax_large_inputs_no_overflow():
-    out = ad.softmax(ad.constant([1000.0, 1000.0])).data
-    np.testing.assert_allclose(out, [0.5, 0.5])
-    assert np.all(np.isfinite(out))
-
-
-def test_softmax_is_probability_vector(rng):
-    for _ in range(20):
-        v = rng.uniform(-50, 50, 17)
-        p = ad.softmax(ad.constant(v)).data
-        assert np.all(p >= 0)
-        assert abs(p.sum() - 1.0) <= 1e-12
-        shifted = ad.softmax(ad.constant(v + 7.3)).data
-        np.testing.assert_allclose(shifted, p, atol=1e-12)
-
-
-def test_softmax_gradient():
-    rng = Rng(5)
-    v = rng.uniform(-2, 2, 6)
-    w = ad.constant(rng.uniform(-1, 1, 6))
-    rep = grad_check(lambda t: weighted_sum(ad.softmax(t), w), v,
-                     h=1e-6, tol=1e-5)
-    assert rep.passed, rep.max_rel_error
-
-
-# ---------------------------------------------------------------------------
 # the op contract: one (operand, gradient map) pair per operand
 
 _NBR5 = np.array([[1, 2], [0, 0], [4, 1], [2, 3], [0, 4]])
@@ -182,8 +140,7 @@ CONTRACT_OPS = {
 
 
 def _contract_values(rng, name):
-    low = 0.1 if name == "pose_related" else -1.0  # it takes a log of its operands
-    return [rng.uniform(low, 1, s) for s in CONTRACT_OPS[name][1]]
+    return [rng.uniform(-1, 1, s) for s in CONTRACT_OPS[name][1]]
 
 
 @pytest.mark.parametrize("name", list(CONTRACT_OPS))
@@ -800,9 +757,10 @@ def test_grad_check_exact_for_sum():
     assert rep.max_rel_error < 1e-9
 
 
-def test_grad_check_softmax_sum_uses_absolute_fallback():
-    # softmax sums to one, so the analytic gradient is ~0 everywhere
-    rep = grad_check(lambda t: weighted_sum(ad.softmax(t)),
+def test_grad_check_zero_function_uses_absolute_fallback():
+    # the pose-related term of a vector against itself is identically 0, so
+    # the analytic gradient is ~0 everywhere
+    rep = grad_check(lambda t: weighted_sum(separation._pose_related_t(t, t)),
                      np.array([0.3, -0.2, 1.4]))
     assert rep.passed
     np.testing.assert_allclose(rep.analytic, 0.0, atol=1e-15)

@@ -1,10 +1,12 @@
 """Every module-level import in the package and in the tests is used by its
 module; every module-level function or class is referenced by some package
 module, and every method and property of one is read as an attribute by some
-package module, so code that only tests read lives in the tests; and every
-annotated class field is read."""
+package module, so code that only tests read lives in the tests; every
+annotated class field is read; and README's ``upcr.autodiff`` operator set
+names exactly the tape ops ``autodiff`` defines."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -202,3 +204,27 @@ def test_every_annotated_field_is_read():
     package = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE}
     readers = [p.read_text(encoding="utf-8") for p in READERS]
     assert unread_fields(package, readers) == []
+
+
+def emitting_ops(source: str) -> set[str]:
+    """The public module-level functions whose body calls ``_emit``: a
+    module's tape ops."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "_emit" for call in ast.walk(node))}
+
+
+def test_guard_finds_the_ops_that_emit():
+    source = ("def op(a):\n    return _emit('op', a, [])\n"
+              "def helper(a):\n    return a\n"
+              "def _private(a):\n    return _emit('p', a, [])\n")
+    assert emitting_ops(source) == {"op"}
+
+
+def test_readme_autodiff_operator_set_names_exactly_the_ops_that_emit():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (row,) = [line for line in readme.splitlines() if line.startswith("| `upcr.autodiff` |")]
+    listed = row.split("the operator set (", 1)[1].split(";", 1)[0]
+    source = (Path(upcr.__file__).parent / "autodiff.py").read_text(encoding="utf-8")
+    assert set(re.findall(r"`(\w+)`", listed)) == emitting_ops(source)

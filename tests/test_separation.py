@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -15,8 +16,8 @@ from upcr.rng import Rng
 from upcr.separation import register_pair
 from upcr.training import unsupervised_loss
 
-from conftest import (canonicalize, decode_rotation, grad_check, random_transform,
-                      rotation_oracle, weighted_sum)
+from conftest import (canonicalize, decode_rotation, grad_check, pose_related_chain,
+                      random_transform, rotation_oracle, softmax, weighted_sum)
 
 CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -27,66 +28,66 @@ def small_model(seed=2):
 
 
 # ---------------------------------------------------------------------------
-# softmax distributions
+# pose-related term: both softmaxes and p * log(p / q) as one op
 
 
-def test_to_distribution_uniform_on_constant():
-    out = ad.softmax(ad.constant(np.full(8, 3.25))).data
-    assert np.all(out >= 0) and abs(out.sum() - 1.0) <= 1e-9
-    np.testing.assert_allclose(out, 1.0 / 8)
+def softmax_ref(logits) -> np.ndarray:
+    """The softmax by ``math.exp``, independent of the library."""
+    e = [math.exp(v) for v in logits]
+    return np.array(e) / sum(e)
 
 
-def test_to_distribution_reference_values():
-    out = ad.softmax(ad.constant([1.0, 2.0, 3.0])).data
-    e = [math.exp(v) for v in (1.0, 2.0, 3.0)]
-    np.testing.assert_allclose(out, np.array(e) / sum(e), rtol=1e-12)
-
-
-def test_to_distribution_shift_invariance():
-    rng = Rng(1)
-    v = rng.uniform(-3, 3, 16)
-    a = ad.softmax(ad.constant(v)).data
-    b = ad.softmax(ad.constant(v + 7.3)).data
-    np.testing.assert_allclose(a, b, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# pose-related subtraction
-
-
-def dist(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
-    return v / v.sum()
-
-
-def pose_related(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def pose_related(gamma_v, gamma_g) -> np.ndarray:
     """The term's entries; the op emits them as the [1, m] row the head reads."""
-    out = separation._pose_related_t(ad.constant(p), ad.constant(q)).data
-    assert out.shape == (1, len(p))
+    out = separation._pose_related_t(ad.constant(gamma_v), ad.constant(gamma_g)).data
+    assert out.shape == (1, len(gamma_v))
     return out[0]
 
 
 def test_pose_related_identical_is_exact_zero():
-    p = dist(Rng(2).uniform(0.1, 1.0, 12))
-    out = pose_related(p, p)
-    assert np.all(out == 0.0)
+    v = Rng(2).uniform(-3, 3, 12)
+    assert np.all(pose_related(v, v) == 0.0)
 
 
 def test_pose_related_reference_values():
-    p = dist([0.5, 0.5])
-    q = dist([0.25, 0.75])
-    out = pose_related(p, q)
+    # logits (0, 0) and (0, log 3) give p = (1/2, 1/2) and q = (1/4, 3/4)
+    out = pose_related([0.0, 0.0], [0.0, math.log(3.0)])
     expected = [0.5 * math.log(2.0), 0.5 * math.log(2.0 / 3.0)]
     np.testing.assert_allclose(out, expected, atol=1e-9)
     np.testing.assert_allclose(out, [0.346574, -0.202733], atol=1e-6)
+    v, g = [1.0, 2.0, 3.0], [0.5, -1.0, 2.0]
+    p, q = softmax_ref(v), softmax_ref(g)
+    np.testing.assert_allclose(pose_related(v, g), p * np.log(p / q), rtol=1e-9)
+
+
+def test_pose_related_uniform_on_constant_logits():
+    g = np.linspace(-2.0, 2.0, 8)
+    out = pose_related(np.full(8, 3.25), g)
+    np.testing.assert_allclose(out, np.log(0.125 / softmax_ref(g)) / 8, rtol=1e-9)
+
+
+@pytest.mark.parametrize("side", ["gamma_v", "gamma_g"])
+def test_pose_related_shift_invariance(side):
+    rng = Rng(1)
+    v, g = rng.uniform(-3, 3, 16), rng.uniform(-3, 3, 16)
+    shifted = (v + 7.3, g) if side == "gamma_v" else (v, g + 7.3)
+    np.testing.assert_allclose(pose_related(*shifted), pose_related(v, g), atol=1e-12)
+
+
+def test_pose_related_large_logits_are_finite():
+    out = pose_related([1000.0, -1000.0, 1000.0], [-1000.0, 1000.0, 0.0])
+    eps = separation.EPS_FLOOR
+    np.testing.assert_allclose(out, [0.5 * math.log((0.5 + eps) / eps), 0.0,
+                                     0.5 * math.log((0.5 + eps) / eps)], rtol=1e-12)
+    assert np.all(pose_related([1000.0, 1000.0], [-1000.0, -1000.0]) == 0.0)
 
 
 def test_pose_related_sum_is_kl_and_nonnegative():
     rng = Rng(3)
     for _ in range(1000):
-        p = dist(rng.uniform(0.01, 1.0, 10))
-        q = dist(rng.uniform(0.01, 1.0, 10))
-        out = pose_related(p, q)
+        v, g = rng.uniform(-2, 2, 10), rng.uniform(-2, 2, 10)
+        p, q = softmax_ref(v), softmax_ref(g)
+        out = pose_related(v, g)
         kl = float(np.sum(p * np.log(p / q)))
         assert abs(out.sum() - kl) <= 1e-9
         assert out.sum() >= -1e-9
@@ -94,27 +95,51 @@ def test_pose_related_sum_is_kl_and_nonnegative():
 
 def test_pose_related_width_mismatch():
     with pytest.raises(ValueError):
-        pose_related(dist(np.ones(4)), dist(np.ones(5)))
+        pose_related(np.ones(4), np.ones(5))
 
 
 @pytest.mark.parametrize("small", ["p", "q"])
 def test_pose_related_gradient_with_entries_below_the_floor(small):
     """Two logits 30 below the rest give softmax entries near 1e-14, under
-    ``EPS_FLOOR``; the finite differences perturb the logits, not the entries."""
+    ``EPS_FLOOR``; the finite differences perturb the logits."""
     rng = Rng(21)
     logits = rng.uniform(-1, 1, 8)
     logits[[1, 5]] -= 30.0
-    other = ad.constant(dist(rng.uniform(0.1, 1.0, 8)))
+    other = ad.constant(rng.uniform(-1, 1, 8))
     probe = ad.constant(rng.uniform(-1, 1, (1, 8)))
 
     def fn(z):
-        s = ad.softmax(z)
-        p, q = (s, other) if small == "p" else (other, s)
-        return weighted_sum(separation._pose_related_t(p, q), probe)
+        v, g = (z, other) if small == "p" else (other, z)
+        return weighted_sum(separation._pose_related_t(v, g), probe)
 
-    assert ad.softmax(ad.constant(logits)).data[[1, 5]].max() < separation.EPS_FLOOR
+    assert softmax_ref(logits)[[1, 5]].max() < separation.EPS_FLOOR
     rep = grad_check(fn, logits, h=1e-6, tol=1e-4)
     assert rep.passed, rep.max_rel_error
+
+
+@pytest.mark.parametrize("m, scale", [(4, 1e-3), (4, 1.0), (16, 30.0), (64, 1.0), (64, 100.0),
+                                      (512, 1e-3), (512, 10.0), (512, 800.0)])
+def test_pose_related_matches_the_softmax_chain_bit_for_bit(m, scale):
+    """The fused op's row and both leaf gradients equal those of the chain of
+    two softmaxes and the pose-related term of their probabilities, byte for
+    byte: on two draws, on identical inputs, and on one leaf passed twice.
+    From scale 30, some softmax entries fall under ``EPS_FLOOR``."""
+    rng = Rng(zlib.crc32(repr((m, scale)).encode()))
+    v, g = rng.uniform(-scale, scale, m), rng.uniform(-scale, scale, m)
+    probe = rng.uniform(-1, 1, (1, m))
+    if scale >= 30:
+        assert min(softmax(ad.constant(x)).data.min() for x in (v, g)) < separation.EPS_FLOOR
+
+    def run(op, a, b):
+        tape = ad.Tape()
+        ta = tape.leaf(a.copy())
+        tb = ta if b is None else tape.leaf(b.copy())
+        out = op(ta, tb)
+        ad.backward(weighted_sum(out, probe))
+        return [out.data.tobytes(), ta.grad.tobytes(), tb.grad.tobytes()]
+
+    for a, b in [(v, g), (g, v), (v, v), (v, None)]:
+        assert run(separation._pose_related_t, a, b) == run(pose_related_chain, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +300,11 @@ def test_register_rejects_a_cloud_of_k_points(small):
 
 def test_taped_pair_records_one_node_per_fused_step():
     """The node kinds of one taped pair plus its loss. Each edge convolution,
-    point embedding, channel norm, pose-related term, pose decode with its
-    canonical-coordinate map and Chamfer loss is one node, so a chain that
-    grows back (a sub, add, matmul, sqrt, log, row-repeat, mul, reduce_sum,
-    reshape, row gather or Euler node) fails here."""
+    point embedding, channel norm, pose-related term with its two softmaxes,
+    pose decode with its canonical-coordinate map and Chamfer loss is one
+    node, so a chain that grows back (a sub, add, matmul, sqrt, log,
+    row-repeat, mul, reduce_sum, reshape, row gather, Euler or softmax node)
+    fails here."""
     x = synth_shape(1, 24, Rng(25))
     y = geom.apply_transform(random_transform(Rng(26), 45.0, 0.5), x)
     model = small_model()
@@ -288,11 +314,10 @@ def test_taped_pair_records_one_node_per_fused_step():
     kinds = Counter(node.kind for node in tape.nodes)
     assert kinds == {
         "leaf": 16, "edge_conv": 10, "embed": 2, "channel_norm": 8, "reduce_max": 4,
-        "softmax": 4, "pose_related": 2, "affine": 4, "leaky_relu": 2, "canonical": 2,
-        "chamfer": 1,
+        "pose_related": 2, "affine": 4, "leaky_relu": 2, "canonical": 2, "chamfer": 1,
     }
-    assert not {"reshape", "gather_rows", "euler_rotation"} & set(kinds)
-    assert sum(kinds.values()) == 55
+    assert not {"reshape", "gather_rows", "euler_rotation", "softmax"} & set(kinds)
+    assert sum(kinds.values()) == 51
 
 
 def test_full_pipeline_grad_check_all_parameters():

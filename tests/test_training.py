@@ -88,6 +88,21 @@ def test_loss_gradient_at_an_argmin_tie_goes_to_the_lowest_index():
     np.testing.assert_allclose(yt.grad, [5 / 3 * e, -2 / 3 * e, -5 / 3 * e], rtol=1e-15, atol=0)
 
 
+def test_chamfer_vjp_builds_its_terms_once(monkeypatch):
+    """Both gradient maps read one set of g-only terms: one VJP fills the two
+    [n, 3] upstream arrays once, not once per map."""
+    rng = Rng(4)
+    tape = ad.Tape()
+    x, y = tape.leaf(rng.uniform(-1, 1, (7, 3))), tape.leaf(rng.uniform(-1, 1, (5, 3)))
+    loss = unsupervised_loss(x, y)
+    calls = []
+    full = np.full
+    monkeypatch.setattr(np, "full", lambda *a, **kw: calls.append(a[0]) or full(*a, **kw))
+    entries = tape.nodes[loss.node_id].vjp(np.ones(()))
+    assert [nid for nid, _ in entries] == [x.node_id, y.node_id]
+    assert calls == [(7, 3), (5, 3)]
+
+
 @pytest.mark.parametrize("values", [[0.375], [1.0, 1e16, -1e16]], ids=["one", "three"])
 def test_batch_mean_is_the_left_to_right_sum_over_b(values):
     # 1.0 + 1e16 rounds to 1e16, so left to right gives 0 where right to left gives 1/3
