@@ -53,8 +53,7 @@ class Key(NamedTuple):
 KEYS = {
     "encoder.k": Key(24, "--k", "neighbor count"),
     "encoder.m": Key(64, "--m", "representation width"),
-    "encoder.layers": Key(5, "--layers", "encoder depth"),
-    "encoder.widths": Key(()),          # comma list; empty = preset for (layers, m)
+    "encoder.widths": Key(()),  # comma list, one width per layer; empty = preset for m
     "encoder.dynamic_graph": Key(True),
     "encoder.head_widths": Key((256, 128)),
     "feature.kind": Key("distance+spfh", "--feature", "pose-invariant feature kind",
@@ -216,7 +215,7 @@ def _check_ranges(cfg: dict) -> None:
 
 def encoder_config(cfg: dict) -> EncoderConfig:
     return EncoderConfig(k=cfg["encoder.k"], m=cfg["encoder.m"],
-                         layers=cfg["encoder.layers"], widths=cfg["encoder.widths"] or None,
+                         widths=cfg["encoder.widths"] or None,
                          dynamic_graph=cfg["encoder.dynamic_graph"],
                          head_widths=cfg["encoder.head_widths"])
 

@@ -37,10 +37,10 @@ from .features import FeatureSpec, neighbor_feature_array
 from .geom import PointCloud
 from .rng import Rng
 
-# per-layer widths for the two standard sizes (last width == m)
+# per-layer widths of the two standard sizes, by m; the depth is len(widths)
 _PRESET_WIDTHS = {
-    (5, 512): (64, 64, 128, 256, 512),
-    (5, 64): (16, 16, 32, 32, 64),
+    512: (64, 64, 128, 256, 512),
+    64: (16, 16, 32, 32, 64),
 }
 
 
@@ -54,26 +54,21 @@ def check_counts(label: str, *values) -> None:
 class EncoderConfig:
     k: int = 24
     m: int = 512
-    layers: int = 5
     widths: tuple[int, ...] | None = None
     dynamic_graph: bool = True
     head_widths: tuple[int, ...] = (256, 128)
 
     def __post_init__(self):
-        check_counts("k, m and layers", self.k, self.m, self.layers)
+        check_counts("k and m", self.k, self.m)
         if not isinstance(self.dynamic_graph, bool):
             raise ValueError(f"dynamic_graph must be a bool, got {self.dynamic_graph!r}")
-        if self.widths is None:
-            self.widths = _PRESET_WIDTHS.get((self.layers, self.m))
-        if self.widths is None:
-            # geometric ramp up to m
-            self.widths = tuple(
-                max(4, self.m >> (self.layers - 1 - i)) for i in range(self.layers - 1)
-            ) + (self.m,)
+        if self.widths is None:  # the preset for m, else a five-layer geometric ramp up to m
+            self.widths = _PRESET_WIDTHS.get(self.m) or tuple(
+                max(4, self.m >> (4 - i)) for i in range(4)) + (self.m,)
         self.widths, self.head_widths = tuple(self.widths), tuple(self.head_widths)
+        if not self.widths:
+            raise ValueError("widths must name at least one layer, got ()")
         check_counts("layer and head widths", *self.widths, *self.head_widths)
-        if len(self.widths) != self.layers:
-            raise ValueError(f"widths {self.widths} must have one entry per layer ({self.layers})")
         if self.widths[-1] != self.m:
             raise ValueError(f"last width {self.widths[-1]} must equal m={self.m}")
 
@@ -114,8 +109,7 @@ def param_shapes(config: EncoderConfig, spec: FeatureSpec) -> dict[str, tuple[in
     shapes["alpha.w"] = (spec.dim, config.widths[0])
     shapes["alpha.b"] = (1, config.widths[0])
     c_in = config.widths[0]
-    for i in range(1, config.layers):
-        c_out = config.widths[i]
+    for i, c_out in enumerate(config.widths[1:], start=1):
         shapes[f"inv.{i}.w"] = (2 * c_in, c_out)
         shapes[f"inv.{i}.b"] = (1, c_out)
         c_in = c_out
@@ -304,14 +298,15 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
     """Global representation: stacked edge convolutions on raw coordinates,
     max-pooled over all points into an m-vector. Pose sensitive by design."""
     x = ad.constant(cloud.points)
-    for i in range(config.layers):
+    depth = len(config.widths)
+    for i in range(depth):
         if i == 0:
             nbr = cache.spatial_graph if cache is not None else geom.graph_knn(
                 cloud.points, config.k)
         elif config.dynamic_graph:
             nbr = geom.graph_knn(x.data, config.k)
         x = edge_conv_layer(x, nbr, params[f"global.{i}.w"], params[f"global.{i}.b"])
-        if i < config.layers - 1:
+        if i < depth - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)
 
@@ -324,8 +319,9 @@ def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig
         cache = precompute_cloud(cloud, spec, config)
     x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"])
     x = channel_norm(x)
-    for i in range(1, config.layers):
+    depth = len(config.widths)
+    for i in range(1, depth):
         x = edge_conv_layer(x, cache.spatial_graph, params[f"inv.{i}.w"], params[f"inv.{i}.b"])
-        if i < config.layers - 1:
+        if i < depth - 1:
             x = channel_norm(x)
     return ad.reduce_max(x, axis=0)

@@ -26,7 +26,7 @@ from .rng import Rng, derive_seed
 from .separation import register_pair
 
 CHECKPOINT_MAGIC = b"UPCR"
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -232,18 +232,22 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
             tape = ad.Tape()
             bound = model.bind(tape)
             losses = []
-            for i in batch:
-                x, y = pairs[i]
-                res = register_pair(x, y, model, caches=caches[i], bound=bound)
-                losses.append(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
-                sample_losses.append(losses[-1].item())
-            loss = _mean(losses)
-            if not np.isfinite(loss.item()):
+            try:  # an overflow, invalid operation or division by zero diverges the step
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    for i in batch:
+                        x, y = pairs[i]
+                        res = register_pair(x, y, model, caches=caches[i], bound=bound)
+                        losses.append(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
+                        sample_losses.append(losses[-1].item())
+                    loss = _mean(losses)
+                    if not np.isfinite(loss.item()):
+                        raise FloatingPointError("non-finite loss")
+                    ad.backward(loss)
+                    grads = {name: bound[name].grad for name in model.params}
+                    adam_step(model.params, grads, state)
+            except FloatingPointError:
                 model.params = last_good.params
                 return curve, True
-            ad.backward(loss)
-            grads = {name: bound[name].grad for name in model.params}
-            adam_step(model.params, grads, state)
         curve.append(float(np.mean(sample_losses)))
         last_good = model.copy()
     return curve, False

@@ -51,7 +51,7 @@ def canonicalize(cloud: geom.PointCloud, t: geom.RigidTransform) -> geom.PointCl
 
 def tiny_model_file(tmp_path, kind="distance", k=5, name="model.upcr"):
     """A seeded, untrained two-layer checkpoint for the CLI to load."""
-    cfg = EncoderConfig(k=k, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    cfg = EncoderConfig(k=k, m=16, widths=(8, 16), head_widths=(8,))
     model = init_params(cfg, FeatureSpec(kind), "euler", 3)
     path = str(tmp_path / name)
     save_checkpoint(path, model)

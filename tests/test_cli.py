@@ -1,6 +1,8 @@
 import argparse
+import json
 import os
 import re
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,7 +23,7 @@ from conftest import TINY, replace_header, rewrite_header, set_version, \
     tiny_model_file
 
 # only train builds a model; every other command runs the checkpoint's
-TINY_MODEL = ["--k", "5", "--m", "16", "--layers", "2"]
+TINY_MODEL = ["--k", "5", "--m", "16"]
 # train builds no test pairs, so it takes no --test-pairs
 TINY_TRAIN = TINY[:TINY.index("--test-pairs")]
 # bench resolves its configuration before it reads the model file
@@ -107,7 +109,7 @@ def test_checkpoint_oversized_dims_is_error(tmp_path, capsys, m, head):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda h: h["config"].update(k=5.5), "k, m and layers must be positive ints, got (5.5, 16, 2)"),
+    (lambda h: h["config"].update(k=5.5), "k and m must be positive ints, got (5.5, 16)"),
     (lambda h: h["spec"].update(pfh_bins=-1), "unexpected spec.pfh_bins"),
 ], ids=["float-k", "negative-pfh-bins"])
 def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, edit, message):
@@ -126,6 +128,7 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p: set_version(p, 2), "unsupported checkpoint version 2"),
     (lambda p: set_version(p, 3), "unsupported checkpoint version 3"),
     (lambda p: set_version(p, 4), "unsupported checkpoint version 4"),
+    (lambda p: set_version(p, 5), "unsupported checkpoint version 5"),
     # a feature kind and rotation modes deleted for losing to distance and
     # euler after fine-tuning; since version 4 the header names no mode at all
     (lambda p: rewrite_header(p, lambda h: h["spec"].update(kind="ppf")),
@@ -134,8 +137,9 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p, mode=mode: rewrite_header(p, lambda h: h.update(rotation_mode=mode)),
      "corrupt checkpoint header: unexpected key 'rotation_mode'")
     for mode in ("quaternion", "sixd", "matrix")
-], ids=["string-dynamic-graph", "version-2", "version-3", "version-4", "deleted-kind-ppf",
-        "deleted-mode-quaternion", "deleted-mode-sixd", "deleted-mode-matrix"])
+], ids=["string-dynamic-graph", "version-2", "version-3", "version-4", "version-5",
+        "deleted-kind-ppf", "deleted-mode-quaternion", "deleted-mode-sixd",
+        "deleted-mode-matrix"])
 def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit, message):
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
@@ -163,7 +167,7 @@ def test_checkpoint_non_finite_tensor_is_error(tmp_path, capsys):
     """The checkpoint is named, not the finite input clouds."""
     a = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), a)
-    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    cfg = EncoderConfig(k=5, m=16, widths=(8, 16), head_widths=(8,))
     ckpt = init_params(cfg, FeatureSpec("distance"), "euler", 3)
     ckpt.params["head.1.b"][0, 0] = np.nan
     model = str(tmp_path / "model.upcr")
@@ -392,7 +396,10 @@ def test_gen_partial_keep_alone_writes_partial_clouds(tmp_path):
      "{cfg}:2: unknown configuration key 'protocol.noise_clip'"),
     (["gen"], "[data]\npoints = 64\npoints = 32\n",
      "{cfg}:3: configuration key 'data.points' already set on line 2"),
-], ids=["pairing", "noise-clip", "key-set-twice"])
+    # the encoder's depth is the number of encoder.widths entries
+    (["gen"], "[encoder]\nlayers = 2\n",
+     "{cfg}:2: unknown configuration key 'encoder.layers'"),
+], ids=["pairing", "noise-clip", "key-set-twice", "encoder-layers"])
 def test_protocol_keys_that_would_be_ignored_rejected(tmp_path, capsys, argv, cfg_text,
                                                       message):
     cfg = tmp_path / "run.cfg"
@@ -414,6 +421,19 @@ def test_diverged_fine_tune_warns(tmp_path, capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     assert "warning: fine-tuning diverged; checkpoint is the last finite state\n" in out
     assert "warning: training diverged" not in out
+
+
+def test_train_whose_step_overflows_warns_and_writes_the_model(tmp_path, capsys):
+    """At lr 1e200 the second epoch's forward overflows; the run rolls back
+    to the first epoch's parameters instead of failing."""
+    out = tmp_path / "o"
+    rc = main(["train", "--out", str(out), "--epochs", "5", "--lr", "1e200",
+               "--feature", "distance"] + TINY_TRAIN + TINY_MODEL)
+    assert rc == 0
+    assert "warning: training diverged; checkpoint is the last finite state\n" in (
+        capsys.readouterr().out)
+    model = load_checkpoint(str(out / "model.upcr"))
+    assert model.metadata["diverged"] is True and model.metadata["epochs"] == 1
 
 
 def test_bench_reports_the_identity_pose(tmp_path):
@@ -518,7 +538,7 @@ def test_bench_ratio_zero_rows_equal_a_plain_bench(tmp_path):
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("seed = 9\n"
-                   "[encoder]\nk = 6\nm = 16\nlayers = 2\n"
+                   "[encoder]\nk = 6\nm = 16\nwidths = 8,16\n"
                    "[data]\npoints = 32\ncategories = 4\ntrain = 4\ntest = 2\n")
     ns = cli.build_parser().parse_args(["train", "--config", str(cfg),
                                         "--out", "x", "--k", "7"])
@@ -576,16 +596,17 @@ def test_config_file_bad_width_list_rejected(tmp_path, capsys, command, line):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "bench"])
-def test_config_file_widths_layers_mismatch_rejected(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["gen", "train", "finetune", "bench"])
+def test_config_file_last_width_must_equal_m(tmp_path, capsys, command):
     # a cross-key error is caught for every command that takes a config file,
     # not only for the one that builds an encoder
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[encoder]\nwidths = 8,16\n")
-    argv = ["gen"] if command == "gen" else BENCH
+    argv = {"gen": ["gen"], "train": ["train"], "finetune": ["finetune", "--model", "m.upcr"],
+            "bench": BENCH}[command]
     rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 1
-    assert "error: widths (8, 16) must have one entry per layer (5)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: last width 16 must equal m=64\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -593,7 +614,7 @@ def test_config_file_width_lists_parsed(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[encoder]\nwidths = 8, 16\nhead_widths = 12\n")
     ns = cli.build_parser().parse_args(["train", "--out", "x", "--config", str(cfg),
-                                        "--layers", "2", "--m", "16"])
+                                        "--m", "16"])
     enc = cli.encoder_config(cli.resolve_config(ns))
     assert enc.widths == (8, 16) and enc.head_widths == (12,)
     defaults = cli.encoder_config(cli.resolve_config(cli.build_parser().parse_args(
@@ -701,7 +722,7 @@ _PAIR_FLAGS = {"--config", "--preset", "--seed", "--setting", "--regime",
                "--partial-keep", "--points", "--categories", "--train-pairs", "--test-pairs"}
 OFFERED = {
     "gen": _PAIR_FLAGS | {"--out"},
-    "train": _PAIR_FLAGS - {"--test-pairs"} | {"--k", "--m", "--layers", "--feature",
+    "train": _PAIR_FLAGS - {"--test-pairs"} | {"--k", "--m", "--feature",
                                                "--epochs", "--lr", "--batch", "--out"},
     "finetune": _PAIR_FLAGS | {"--model", "--out"},
     "register": {"--source", "--target", "--model", "--save-transformed", "--out"},
@@ -719,11 +740,17 @@ def subparser(name):
     return subcommands()[name]
 
 
-def test_model_keys_are_exactly_the_config_and_spec_fields():
-    """A model setting is a dataclass field with a key, never one without the other."""
-    for section, cls in (("encoder", EncoderConfig), ("feature", FeatureSpec)):
+def test_model_keys_are_exactly_the_config_and_spec_fields(tmp_path):
+    """A model setting is a dataclass field with a key, never one without the
+    other, and a checkpoint header stores exactly those fields: a deleted
+    field leaves no key behind, and a new one cannot go unkeyed."""
+    blob = Path(tiny_model_file(tmp_path)).read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    for section, cls, stored in (("encoder", EncoderConfig, "config"),
+                                 ("feature", FeatureSpec, "spec")):
         keys = {key.split(".", 1)[1] for key in cli.KEYS if cli._section(key) == section}
-        assert keys == {f.name for f in fields(cls)}, section
+        assert keys == {f.name for f in fields(cls)} == header[stored].keys(), section
 
 
 def test_empty_out_rejected(tmp_path, capsys, monkeypatch):
@@ -781,15 +808,15 @@ def test_each_command_offers_exactly_the_flags_it_reads(command):
     ["train", "--finetune"],
     ["finetune", "--model", "{model}", "--m", "16"],
     ["finetune", "--model", "{model}", "--epochs", "1"],
-    ["gen", "--layers", "2"],
+    ["train", "--layers", "2"],
     ["gen", "--pairing", "partial"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--seed", "1"],
     ["register", "--source", "{cloud}", "--target", "{cloud}", "--model", "{model}",
      "--config", "{cloud}"],
 ], ids=["bench-k", "bench-feature", "bench-ratios-mode", "train-mode", "train-test-pairs",
-        "train-finetune", "finetune-m", "finetune-epochs", "gen-layers", "gen-pairing", "register-seed",
-        "register-config"])
+        "train-finetune", "finetune-m", "finetune-epochs", "train-layers", "gen-pairing",
+        "register-seed", "register-config"])
 def test_flags_a_command_does_not_read_exit_2(tmp_path, capsys, argv):
     cloud = str(tmp_path / "a.xyz")
     save_cloud(synth_shape(0, 32, Rng(1)), cloud)

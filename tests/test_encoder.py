@@ -7,7 +7,8 @@ from upcr import autodiff as ad
 from upcr import geom, separation
 from upcr.datagen import synth_shape
 from upcr.encoder import (EncoderConfig, channel_norm, edge_conv_layer, embed_from_features,
-                          init_params, precompute_cloud, encode_global, encode_invariant)
+                          init_params, param_shapes, precompute_cloud, encode_global,
+                          encode_invariant)
 from upcr.features import FEATURE_KINDS, FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
@@ -15,7 +16,7 @@ from upcr.rng import Rng
 from conftest import (add, edge_conv_chain, edge_conv_oracle, embed_chain, embed_oracle,
                       grad_check, random_transform, weighted_sum)
 
-DESK = EncoderConfig(k=6, m=32, layers=3, widths=(8, 16, 32), head_widths=(16,))
+DESK = EncoderConfig(k=6, m=32, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
 
 
@@ -24,16 +25,21 @@ def model_for(config=DESK, seed=1):
 
 
 def test_config_presets_and_validation():
-    assert EncoderConfig(k=24, m=512, layers=5).widths == (64, 64, 128, 256, 512)
-    assert EncoderConfig(k=24, m=64, layers=5).widths == (16, 16, 32, 32, 64)
-    with pytest.raises(ValueError):
-        EncoderConfig(k=24, m=64, layers=5, widths=(16, 64))
-    with pytest.raises(ValueError):
-        EncoderConfig(k=24, m=64, layers=2, widths=(16, 32))  # last != m
-    with pytest.raises(ValueError):
-        EncoderConfig(k=0, m=8, layers=1)
+    assert EncoderConfig(k=24, m=512).widths == (64, 64, 128, 256, 512)
+    assert EncoderConfig(k=24, m=64).widths == (16, 16, 32, 32, 64)
+    # off the presets, a five-layer geometric ramp up to m
+    assert EncoderConfig(k=24, m=16).widths == (4, 4, 4, 8, 16)
+    assert EncoderConfig(k=24, m=256).widths == (16, 32, 64, 128, 256)
+    # the depth is the number of widths
+    assert EncoderConfig(k=24, m=64, widths=(16, 64)).widths == (16, 64)
+    with pytest.raises(ValueError, match=r"^last width 32 must equal m=64$"):
+        EncoderConfig(k=24, m=64, widths=(16, 32))
+    with pytest.raises(ValueError, match=r"^widths must name at least one layer, got \(\)$"):
+        EncoderConfig(k=24, m=64, widths=())
+    with pytest.raises(ValueError, match=r"^k and m must be positive ints, got \(0, 8\)$"):
+        EncoderConfig(k=0, m=8)
     with pytest.raises(ValueError, match="head widths must be positive"):
-        EncoderConfig(k=24, m=64, layers=5, head_widths=(8, 0))
+        EncoderConfig(k=24, m=64, head_widths=(8, 0))
 
 
 @pytest.mark.parametrize("fields", [dict(k=5.5), dict(k=True), dict(m=np.int64(16)),
@@ -41,7 +47,23 @@ def test_config_presets_and_validation():
                          ids=["float-k", "bool-k", "numpy-m", "float-width", "bool-head-width"])
 def test_config_rejects_counts_that_are_not_plain_ints(fields):
     with pytest.raises(ValueError, match="must be positive ints, got"):
-        EncoderConfig(**{**dict(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,)), **fields})
+        EncoderConfig(**{**dict(k=5, m=16, widths=(8, 16), head_widths=(8,)), **fields})
+
+
+@pytest.mark.parametrize("widths", [(16,), (8, 16), (4, 8, 8, 16)], ids=["1", "2", "4"])
+def test_depth_is_the_number_of_widths(widths):
+    config = EncoderConfig(k=5, m=16, widths=widths, head_widths=(8,))
+    shapes = param_shapes(config, SPEC)
+    depth = len(widths)
+    assert [n for n in shapes if n.startswith("global.")] == [
+        f"global.{i}.{p}" for i in range(depth) for p in "wb"]
+    assert [n for n in shapes if n.startswith("inv.")] == [
+        f"inv.{i}.{p}" for i in range(1, depth) for p in "wb"]
+    model = init_params(config, SPEC, "euler", 3)
+    cloud = synth_shape(0, 24, Rng(4))
+    for out in (encode_global(cloud, config, model.params),
+                encode_invariant(cloud, SPEC, config, model.params)):
+        assert out.shape == (16,) and np.all(np.isfinite(out.data))
 
 
 @pytest.mark.parametrize("flag", ["false", 0], ids=["string", "int"])
@@ -66,7 +88,7 @@ def test_init_params_rejects_unknown_rotation_mode():
     """The head has one decoder; a former mode name fails instead of being ignored."""
     for mode in ("quaternion", "spin", None):
         with pytest.raises(ValueError, match=f"^rotation_mode must be 'euler', got {mode!r}$"):
-            init_params(EncoderConfig(k=4, m=16, layers=2, widths=(8, 16)), SPEC, mode, 0)
+            init_params(EncoderConfig(k=4, m=16, widths=(8, 16)), SPEC, mode, 0)
 
 
 def test_edge_conv_shape_contract():
@@ -219,7 +241,7 @@ def test_register_pair_edge_tables_stay_within_the_block_budget(monkeypatch):
     x = synth_shape(0, n, Rng(1))
     separation.register_pair(x, geom.apply_transform(random_transform(Rng(2)), x),
                              model_for(config))
-    assert len(sizes) > 2 * (2 * config.layers - 1)  # some layer took several blocks
+    assert len(sizes) > 2 * (2 * len(config.widths) - 1)  # some layer took several blocks
     assert all(size <= max(ad._EDGE_BLOCK_BYTES, row) for size, row in sizes)
     widths = config.widths
     assert sum(size for size, _ in sizes) == 2 * 8 * n * k * (sum(widths) + sum(widths[1:]))

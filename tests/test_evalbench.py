@@ -248,7 +248,7 @@ def test_evaluate_icp_propagates_errors_other_than_a_failed_match(k, message):
 
 
 def small_model():
-    cfg = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    cfg = EncoderConfig(k=5, m=16, widths=(8, 16), head_widths=(8,))
     return init_params(cfg, FeatureSpec("distance"), "euler", 3)
 
 

@@ -364,7 +364,7 @@ def test_one_neighbor_search_per_cloud(monkeypatch):
             return _orig(*args)
         monkeypatch.setattr(geom, name, counted)
     cloud = synth_shape(2, 40, Rng(52))
-    config = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16))
+    config = EncoderConfig(k=6, m=16, widths=(8, 16))
     for kind in features.FEATURE_KINDS:
         spec = FeatureSpec(kind)
         calls.update(knn=0, graph_knn=0)

@@ -50,8 +50,8 @@ CHECKPOINT_PARAMS_SHA = {
     "fine_tune": "54519a72cf234be918814f1b6a40bf294ba91568d721d6f7fecb4fc44b0dcc5d",
 }
 CHECKPOINT_FILE_SHA = {
-    "train": "bbb308e36841b3bd0b19d8b6f9070a9deb8f714f3619d5eeb47086580af9cd3f",
-    "fine_tune": "c4f8a824c0dfef75ec99cbf3d02b2062948f08eac83b5d9e713d3c0e0e2aa5ef",
+    "train": "cd2e3e2c2fc0faf6ba1296294848720b57d65232b8b5b9730bacd6417e54f6ec",
+    "fine_tune": "5ea0bbc8ba8689b59866706e4107b778ab50f30018f29ec26a0011f49b63b6a7",
 }
 CSV_SHA = {
     "metrics.csv": "9ad01860de3896845c5b27c6bc71a240ae326a44dd02dae3ddfa11e0b2e9497d",
@@ -160,7 +160,7 @@ def test_desk_training_pinned():
 def test_checkpoint_files_pinned(tmp_path):
     """The parameters and the bytes on disk, with the graph and the feature
     kind off their defaults: a fixed graph and a combined histogram kind."""
-    cfg = EncoderConfig(k=6, m=16, layers=2, widths=(8, 16), head_widths=(8,),
+    cfg = EncoderConfig(k=6, m=16, widths=(8, 16), head_widths=(8,),
                         dynamic_graph=False)
     spec = FeatureSpec("distance+ppf+spfh")
     pairs = rotated_pairs(13, 4, 48)

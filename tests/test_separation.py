@@ -19,7 +19,7 @@ from upcr.training import unsupervised_loss
 from conftest import (canonicalize, decode_rotation, grad_check, pose_related_chain,
                       random_transform, rotation_oracle, softmax, weighted_sum)
 
-CFG = EncoderConfig(k=5, m=24, layers=3, widths=(8, 12, 24), head_widths=(16,))
+CFG = EncoderConfig(k=5, m=24, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
 
 
@@ -322,7 +322,7 @@ def test_taped_pair_records_one_node_per_fused_step():
 
 def test_full_pipeline_grad_check_all_parameters():
     # 8-point clouds keep the finite-difference sweep cheap
-    cfg = EncoderConfig(k=3, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+    cfg = EncoderConfig(k=3, m=16, widths=(8, 16), head_widths=(8,))
     model = init_params(cfg, SPEC, "euler", 16)
     x = PointCloud(Rng(17).uniform(-1, 1, (8, 3)))
     y = geom.apply_transform(random_transform(Rng(18), 30.0, 0.3), x)

@@ -15,7 +15,7 @@ from upcr import training
 from upcr.datagen import Protocol, build_benchmark
 from upcr.encoder import EncoderConfig, init_params, param_shapes
 from upcr.features import FeatureSpec
-from upcr.rng import Rng
+from upcr.rng import Rng, derive_seed
 from upcr.separation import register_pair
 from upcr.training import (OptimState, adam_step, fine_tune,
                            load_checkpoint, save_checkpoint, train,
@@ -24,7 +24,7 @@ from upcr.training import (OptimState, adam_step, fine_tune,
 from conftest import add, chamfer_oracle, grad_check, replace_header, \
     rewrite_header, set_version
 
-CFG = EncoderConfig(k=5, m=16, layers=2, widths=(8, 16), head_widths=(8,))
+CFG = EncoderConfig(k=5, m=16, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
 
 
@@ -286,6 +286,23 @@ def test_divergence_rolls_back_parameters(monkeypatch):
         assert res.checkpoint.params[name].tobytes() == arr.tobytes()
 
 
+@pytest.mark.parametrize("lr", [1e100, 1e200])
+def test_overflowing_step_rolls_back(lr):
+    """An overflow inside a step diverges it, even where the loss stays
+    finite: at lr 1e100 the canonical points would all round to one value
+    and "train" to a loss of exactly 0.0."""
+    train_s, _ = tiny_dataset(n_train=6, n_test=0, points=32)  # two steps per epoch
+    init = init_params(CFG, SPEC, "euler", derive_seed(11, "init"))
+    res = train(CFG, SPEC, "euler", train_s, epochs=3, lr=lr, batch_size=4, seed=11)
+    ft = fine_tune(init, [(s.source, s.target) for s in train_s], epochs=3, lr=lr,
+                   batch_size=4, seed=11)
+    assert res.diverged and res.loss_curve == [] and res.checkpoint.metadata["diverged"]
+    assert ft.diverged and ft.loss_curve == [] and ft.checkpoint.metadata["fine_tune_diverged"]
+    for name, arr in init.params.items():
+        assert res.checkpoint.params[name].tobytes() == arr.tobytes()
+        assert ft.checkpoint.params[name].tobytes() == arr.tobytes()
+
+
 def test_finetune_lr_zero_keeps_parameters():
     train_s, test_s = tiny_dataset()
     res = train(CFG, SPEC, "euler", train_s, epochs=1, seed=15)
@@ -349,11 +366,11 @@ def test_trained_checkpoint_holds_only_the_model(tmp_path):
 
 
 def test_version_1_checkpoint_names_path_and_version(tmp_path):
-    """Versions 1 to 3 predate the current header, and version 4 the bare
-    payload; none loads."""
+    """Versions 1 to 3 predate the current header, version 4 the bare
+    payload and version 5 the header without ``config.layers``; none loads."""
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 19))
-    for version in (1, 2, 3, 4):
+    for version in (1, 2, 3, 4, 5):
         set_version(path, version)
         with pytest.raises(ValueError,
                            match=f"^{re.escape(path)}: unsupported checkpoint version {version}$"):
@@ -395,7 +412,7 @@ def test_checkpoint_oversized_dims_rejected_before_any_read(tmp_path, m, head):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 23))
     rewrite_header(path, lambda h: h["config"].update(m=m, widths=[8, m], head_widths=[head]))
-    claimed = EncoderConfig(k=5, m=m, layers=2, widths=(8, m), head_widths=(head,))
+    claimed = EncoderConfig(k=5, m=m, widths=(8, m), head_widths=(head,))
     left = _payload_bytes(CFG)
     with pytest.raises(ValueError, match=f"^{re.escape(path)}: checkpoint truncated: "
                                          f"a record needs {_payload_bytes(claimed)} bytes, "
@@ -439,10 +456,10 @@ def test_readme_names_the_checkpoint_version():
     (lambda h: h.update(metadat=h.pop("metadata")),
      "missing key 'metadata'; unexpected key 'metadat'$"),
     (lambda h: h.update(junk=1), "unexpected key 'junk'$"),
-    (lambda h: h["config"].update(k=5.5),
-     r"k, m and layers must be positive ints, got \(5\.5, 16, 2\)$"),
-    (lambda h: h["config"].update(k=True),
-     r"k, m and layers must be positive ints, got \(True, 16, 2\)$"),
+    (lambda h: h["config"].update(k=5.5), r"k and m must be positive ints, got \(5\.5, 16\)$"),
+    (lambda h: h["config"].update(k=True), r"k and m must be positive ints, got \(True, 16\)$"),
+    (lambda h: h["config"].update(layers=2), "unexpected config.layers$"),
+    (lambda h: h["config"].update(widths=[]), r"widths must name at least one layer, got \(\)$"),
     (lambda h: h["config"].update(widths=[8.7, 16]),
      r"layer and head widths must be positive ints, got \(8\.7, 16, 8\)$"),
     (lambda h: h["config"].update(head_widths=[False]),
@@ -453,8 +470,9 @@ def test_readme_names_the_checkpoint_version():
     (lambda h: h["config"].update(dynamic_graph=0), "dynamic_graph must be a bool, got 0$"),
 ], ids=["missing-key", "unknown-config-key", "missing-config-field", "missing-spec-field",
         "non-dict-config", "non-dict-metadata", "negative-slope", "misspelled-metadata",
-        "unknown-top-level-key", "float-k", "bool-k", "float-width", "bool-head-width",
-        "zero-spfh-bins", "string-dynamic-graph", "int-dynamic-graph"])
+        "unknown-top-level-key", "float-k", "bool-k", "deleted-layers", "empty-widths",
+        "float-width", "bool-head-width", "zero-spfh-bins", "string-dynamic-graph",
+        "int-dynamic-graph"])
 def test_checkpoint_malformed_header_rejected(tmp_path, edit, message):
     path = str(tmp_path / "model.upcr")
     save_checkpoint(path, init_params(CFG, SPEC, "euler", 29))
@@ -508,7 +526,7 @@ def test_checkpoint_non_finite_tensor_rejected(tmp_path, value):
 
 @pytest.mark.parametrize("edit,message", [
     (lambda h: h["spec"].update(kind="pfh"), "checkpoint truncated: a record needs"),
-    (lambda h: h["config"].update(layers=3, widths=[8, 8, 16]),
+    (lambda h: h["config"].update(widths=[8, 8, 16]),
      "checkpoint truncated: a record needs"),
     (lambda h: h["config"].update(head_widths=[4]), "trailing bytes after checkpoint payload"),
 ], ids=["spec", "layers", "head-widths"])
