@@ -5,10 +5,10 @@ layers, ``matmul`` and ``leaky_relu``, and max-pooling with deterministic
 tie-breaking. Fused ops live beside the code they serve: the point
 embedding, the edge convolution and ``channel_norm`` in ``encoder``, the two
 softmaxes with the pose-related term and the pose decode with its canonical
-coordinates in ``separation``, the Chamfer loss and the batch mean in
-``training``. The point embedding and the edge convolution share one pooling
-step, :func:`_max_pool`: it adds each row's max over its k candidates to the
-row and activates it, building and pooling the [n*k, c] candidate table in
+coordinates in ``separation``, and the Chamfer loss in ``training``. The
+point embedding and the edge convolution share one pooling step,
+:func:`_max_pool`: it adds each row's max over its k candidates to the row
+and activates it, building and pooling the [n*k, c] candidate table in
 bounded row blocks, so the table never exists whole. No broadcasting, no
 higher-order derivatives, no views: every op produces a fresh array.
 
@@ -27,7 +27,10 @@ serves both training and inference.
 One :func:`backward` uses up a tape, as PyTorch's default
 ``retain_graph=False`` does: each node's VJP, and the forward arrays it holds,
 is released once it has run, and each intermediate gradient once it has been
-passed on. Only leaf gradients are kept, for :attr:`Tensor.grad`.
+passed on. Only leaf gradients are kept, for :attr:`Tensor.grad`. With the
+loss's upstream gradient and a carry of leaf gradients from earlier tapes,
+a sum of losses runs one tape per term, newest first, and every leaf
+gradient rounds as one tape over the whole sum would.
 """
 
 from __future__ import annotations
@@ -338,13 +341,20 @@ def _max_pool(out: np.ndarray, k: int, block: Callable[[int, int], np.ndarray], 
 # backward pass
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, upstream: float = 1.0,
+             carry: dict[Tensor, np.ndarray] | None = None) -> None:
     """Fill ``tape.grads`` with dLoss/dLeaf for every leaf ``loss`` reaches.
 
     ``loss`` must be a single-element tensor on a tape that no backward has
-    used. The pass walks the tape newest first and releases each VJP as it
-    passes it; a node's gradient lives only until its VJP has run, so after
-    the pass only leaves hold gradients and a second backward raises.
+    used; ``upstream`` is its own gradient. The pass walks the tape newest
+    first and releases each VJP as it passes it; a node's gradient lives only
+    until its VJP has run, so after the pass only leaves hold gradients and a
+    second backward raises.
+
+    ``carry`` maps leaves of this tape to gradients summed on earlier tapes.
+    A carried leaf starts from its carried gradient and adds this tape's
+    contributions in walk order, as one tape holding the earlier tapes'
+    nodes after this one's would; a leaf the loss does not reach keeps it.
     """
     if loss.tape is None or loss.node_id is None:
         return
@@ -354,8 +364,14 @@ def backward(loss: Tensor) -> None:
     if tape.grads is not None:
         raise RuntimeError("backward: this tape was used up by an earlier backward; "
                            "record the forward again on a new tape")
+    pending: dict[int, np.ndarray] = {}
+    for leaf, g in (carry or {}).items():
+        if leaf.tape is not tape or tape.nodes[leaf.node_id].kind != "leaf":
+            raise ValueError("backward: a carried gradient must belong to a leaf "
+                             "of the loss's tape")
+        pending[leaf.node_id] = g
     tape.grads = {}
-    pending: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
+    pending[loss.node_id] = np.full_like(loss.data, upstream)
     for nid in range(len(tape.nodes) - 1, -1, -1):
         node = tape.nodes[nid]
         vjp, node.vjp = node.vjp, None

@@ -84,7 +84,13 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     |a|^2 + |b|^2, so a coincident pair may read a small positive number,
     never a negative one. Doubling the product in place is exact: every
     entry rounds as ``a2[:, None] + b2 - 2.0 * (a @ b.T)`` does.
+
+    A ``b`` sharing ``a``'s memory is copied first: NumPy would send
+    ``a @ a.T`` to BLAS syrk, several times slower than gemm here and
+    rounded differently from ``a @ a.copy().T``.
     """
+    if np.may_share_memory(a, b):
+        b = b.copy()
     a2 = np.sum(a * a, axis=1)
     b2 = np.sum(b * b, axis=1)
     d2 = a2[:, None] + b2
@@ -137,12 +143,14 @@ def _scan(data: np.ndarray, tie_key: np.ndarray, k: int) -> tuple[np.ndarray, bo
     so no [N, N] matrix exists. Ties go by ``tie_key``: the row, or a twin
     location's lowest row.
 
-    One block (N <= 360) is the same BLAS call as ``sqdist_matrix(data,
-    data)``. On OpenBLAS 0.3.31, the blocks also round every dot product as
-    the full product does whenever N is a multiple of 8 (checked for N = 368
-    to 4096 at widths 3 to 512). At other N a few dot products round one ulp
-    apart, which can swap only two neighbors whose distances agree to that
-    ulp.
+    One block (N <= 360) multiplies by a copy of ``data``, as
+    ``sqdist_matrix(data, data)`` does, so it takes gemm, not the syrk path
+    NumPy gives a product of a buffer with its own transpose; the two round
+    alike. On OpenBLAS 0.3.31, the blocks of a larger N round every dot
+    product as that full product does whenever N is a multiple of 8 (checked
+    for N = 368 to 4096 at widths 3 to 512). At other N a few dot products
+    round one ulp apart, which can swap only two neighbors whose distances
+    agree to that ulp.
 
     Twin flag: an exact twin of row i (equal values, -0.0 == 0.0) is at true
     distance 0. The squared norm and the dot product are each within
@@ -162,11 +170,12 @@ def _scan(data: np.ndarray, tie_key: np.ndarray, k: int) -> tuple[np.ndarray, bo
     # the dot products differently from the full product
     blocks = -(-n // max(8, _SCAN_BLOCK_BYTES // (64 * n) * 8))
     rows = -(-n // (8 * blocks)) * 8
+    other = data.copy() if rows >= n else data  # a one-block product would alias
     table = np.empty((n, k), dtype=np.int64)
     twin = False
     for s in range(0, n, rows):
         e = min(s + rows, n)
-        d2 = sq[s:e, None] + sq - 2.0 * (data[s:e] @ data.T)
+        d2 = sq[s:e, None] + sq - 2.0 * (data[s:e] @ other.T)
         np.maximum(d2, 0.0, out=d2)
         local = np.arange(e - s)
         d2[local, s + local] = np.inf

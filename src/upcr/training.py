@@ -3,6 +3,13 @@ train / fine-tune loops, and binary checkpoints: a JSON header, then every
 parameter as float64 in ``encoder.param_shapes`` order, so the header alone
 fixes the payload's layout and length.
 
+A step's loss is the mean of its B pair losses, yet a step holds one taped
+pair at a time: each pair runs its forward, Chamfer loss and backward on its
+own tape, last pair first, with the mean's upstream gradient 1/B and a carry
+of the later pairs' leaf gradients (:func:`autodiff.backward`), so every
+gradient rounds as one tape over the batch would. The mean itself, summed
+left to right, is computed off the tape to check that it is finite.
+
 The loss path receives nothing but point clouds; ground-truth transforms
 never enter this module's training functions.
 """
@@ -65,15 +72,6 @@ def unsupervised_loss(canonical_x: ad.Tensor, canonical_y: ad.Tensor) -> ad.Tens
     return ad._emit("chamfer", out, [
         (canonical_x, lambda g: terms(g)[0] + ad._scatter_rows(i_star, terms(g)[1], nx)),
         (canonical_y, lambda g: -terms(g)[1] + ad._scatter_rows(j_star, -terms(g)[0], ny))])
-
-
-def _mean(losses: list[ad.Tensor]) -> ad.Tensor:
-    """A batch's loss as one tape node: the pair losses summed left to
-    right, divided by their count B; each pair's gradient is g / B."""
-    total = reduce(np.add, [li.data for li in losses])
-    count = np.asarray(float(len(losses)))
-    return ad._emit("mean", np.divide(total, count),
-                    [(li, lambda g: g / count) for li in losses])
 
 
 # ---------------------------------------------------------------------------
@@ -229,21 +227,23 @@ def _run_epochs(model: ModelParams, pairs: list[tuple[PointCloud, PointCloud]],
         sample_losses: list[float] = []
         for lo in range(0, len(idx), batch_size):
             batch = idx[lo:lo + batch_size]
-            tape = ad.Tape()
-            bound = model.bind(tape)
-            losses = []
+            losses: list[float] = []
+            grads: dict[str, np.ndarray] = {}
             try:  # an overflow, invalid operation or division by zero diverges the step
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    for i in batch:
-                        x, y = pairs[i]
-                        res = register_pair(x, y, model, caches=caches[i], bound=bound)
-                        losses.append(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
-                        sample_losses.append(losses[-1].item())
-                    loss = _mean(losses)
-                    if not np.isfinite(loss.item()):
+                    for i in reversed(batch):  # newest first, as a batch tape's backward runs
+                        tape = ad.Tape()
+                        bound = model.bind(tape)
+                        res = register_pair(*pairs[i], model, caches=caches[i], bound=bound)
+                        loss = unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
+                        ad.backward(loss, 1.0 / len(batch),
+                                    {bound[name]: g for name, g in grads.items()})
+                        grads = {name: t.grad for name, t in bound.items() if t.grad is not None}
+                        losses.append(loss.item())
+                    losses.reverse()
+                    sample_losses += losses
+                    if not np.isfinite(np.divide(reduce(np.add, losses), len(batch))):
                         raise FloatingPointError("non-finite loss")
-                    ad.backward(loss)
-                    grads = {name: bound[name].grad for name in model.params}
                     adam_step(model.params, grads, state)
             except FloatingPointError:
                 model.params = last_good.params

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -56,6 +57,17 @@ def tiny_model_file(tmp_path, kind="distance", k=5, name="model.upcr"):
     path = str(tmp_path / name)
     save_checkpoint(path, model)
     return path
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """The most bytes traced while ``fn()`` ran, over those traced when it began."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def weighted_sum(t, w=None) -> ad.Tensor:

@@ -135,7 +135,6 @@ CONTRACT_OPS = {
     "pose_related": (separation._pose_related_t, [(4,), (4,)]),
     "canonical": (lambda head: separation._canonical_t(_PTS4, head)[0], [(1, 6)]),
     "chamfer": (training.unsupervised_loss, [(5, 3), (4, 3)]),
-    "mean": (lambda *losses: training._mean(list(losses)), [(), (), ()]),
 }
 
 
@@ -707,6 +706,33 @@ def test_second_backward_raises():
         ad.backward(loss)
     assert len(tape.nodes) == nodes
     np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+
+def test_backward_scales_by_the_upstream_gradient():
+    tape = ad.Tape()
+    x = leaf(tape, [1.0, -2.0])
+    ad.backward(weighted_sum(x, [3.0, 5.0]), 0.25)
+    assert x.grad.tolist() == [0.75, 1.25]
+
+
+def test_backward_adds_to_carried_gradients_and_keeps_unreached_ones():
+    tape = ad.Tape()
+    x, y, z = leaf(tape, [1.0, -2.0]), leaf(tape, [4.0]), leaf(tape, [0.5])
+    gy = np.array([7.0])
+    ad.backward(weighted_sum(x, x), carry={x: np.array([0.5, 0.25]), y: gy})
+    assert x.grad.tolist() == [2.5, -3.75]
+    assert y.grad is gy  # the loss does not reach y: its carried gradient stays
+    assert z.grad is None
+
+
+def test_backward_rejects_a_carry_off_the_loss_tape_or_on_a_non_leaf():
+    tape, other = ad.Tape(), ad.Tape()
+    x = leaf(tape, [1.0, -2.0])
+    sq = add(x, x)
+    for bad in (leaf(other, [1.0, 2.0]), sq, ad.constant([1.0, 2.0])):
+        with pytest.raises(ValueError, match="carried"):
+            ad.backward(weighted_sum(sq), carry={bad: np.ones(2)})
+        assert tape.grads is None  # the tape is not used up
 
 
 def test_backward_rejects_non_scalar():

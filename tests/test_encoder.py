@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,7 @@ from upcr.geom import PointCloud
 from upcr.rng import Rng
 
 from conftest import (add, edge_conv_chain, edge_conv_oracle, embed_chain, embed_oracle,
-                      grad_check, random_transform, weighted_sum)
+                      grad_check, random_transform, traced_peak, weighted_sum)
 
 DESK = EncoderConfig(k=6, m=32, widths=(8, 16, 32), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -256,12 +254,7 @@ def test_untaped_edge_conv_peak_memory_stays_far_below_its_edge_table():
     feats = ad.constant(rng.uniform(-1, 1, (n, c)))
     nbr = rng.integers(0, n, (n, k))
     w, b = rng.uniform(-0.1, 0.1, (2 * c, c)), np.zeros((1, c))
-    tracemalloc.start()
-    try:
-        edge_conv_layer(feats, nbr, w, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: edge_conv_layer(feats, nbr, w, b))
     assert peak < 2 * n * c * 8 + ad._EDGE_BLOCK_BYTES + 2**18
 
 

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from upcr.geom import PointCloud
 from upcr.rng import Rng
 
 from conftest import (descriptor_table_oracle, distance_feature, pfh_oracle, ppf_feature,
-                      random_cloud, random_transform, weighted_sum)
+                      random_cloud, random_transform, traced_peak, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +399,7 @@ def test_pfh_descriptor_table_never_builds_the_neighbor_array():
     cloud = synth_shape(3, 256, Rng(1))
     spec = FeatureSpec("pfh")
     features.point_descriptor_table(cloud, spec, 24)
-    tracemalloc.start()
-    try:
-        features.point_descriptor_table(cloud, spec, 24)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: features.point_descriptor_table(cloud, spec, 24))
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 

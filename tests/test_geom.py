@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from upcr.rng import Rng
 
 from conftest import (_select_k_oracle, canonicalize, chamfer, decode_rotation,
                       inverse_transform, neighbor_table_oracle, random_cloud, random_transform,
-                      sqdist_oracle)
+                      sqdist_oracle, traced_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +299,13 @@ def test_sqdist_matrix_equals_the_unfused_expression(case):
     assert got.shape == (len(a), len(b)) and not np.signbit(got).any()
 
 
+@pytest.mark.parametrize("shape", [(37, 5), (300, 33)])
+def test_sqdist_matrix_of_rows_with_themselves_rounds_as_with_their_copy(shape):
+    # NumPy sends a @ a.T on one buffer to BLAS syrk, which rounds unlike gemm
+    a = np.random.default_rng(shape[0]).normal(size=shape)
+    assert geom.sqdist_matrix(a, a).tobytes() == geom.sqdist_matrix(a, a.copy()).tobytes()
+
+
 def test_twin_free_scan_skips_unique_and_the_full_matrix(monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("called on a twin-free input")
@@ -315,12 +320,7 @@ def test_twin_free_scan_skips_unique_and_the_full_matrix(monkeypatch):
 def test_scan_never_holds_an_n_by_n_matrix():
     n = 2048
     data = np.random.default_rng(9).normal(size=(n, 3))
-    tracemalloc.start()
-    try:
-        geom.graph_knn(data, 24)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: geom.graph_knn(data, 24))
     assert peak < (n * n * 8) // 4, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import zlib
 from collections import Counter
 
@@ -17,7 +16,8 @@ from upcr.separation import register_pair
 from upcr.training import unsupervised_loss
 
 from conftest import (canonicalize, decode_rotation, grad_check, pose_related_chain,
-                      random_transform, rotation_oracle, softmax, weighted_sum)
+                      random_transform, rotation_oracle, softmax, traced_peak,
+                      weighted_sum)
 
 CFG = EncoderConfig(k=5, m=24, widths=(8, 12, 24), head_widths=(16,))
 SPEC = FeatureSpec("distance")
@@ -374,14 +374,7 @@ def test_untaped_paper_pair_transients_stay_small():
     x = synth_shape(3, 1024, rng.spawn("x"))
     y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)
     model = init_params(EncoderConfig(k=24, m=512), SPEC, "euler", 7)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        register_pair(x, y, model)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 14 * 2**20
+    assert traced_peak(lambda: register_pair(x, y, model)) < 14 * 2**20
 
 
 def test_taped_paper_pair_with_backward_stays_small():
@@ -393,15 +386,12 @@ def test_taped_paper_pair_with_backward_stays_small():
     x = synth_shape(3, 1024, rng.spawn("x"))
     y = geom.apply_transform(random_transform(rng, 45.0, 0.5), x)
     model = init_params(EncoderConfig(k=24, m=512), SPEC, "euler", 7)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
+
+    def step():
         res = register_pair(x, y, model, bound=model.bind(ad.Tape()))
         ad.backward(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < 72 * 2**20
+
+    assert traced_peak(step) < 72 * 2**20
 
 
 def test_winner_search_only_on_a_tape(monkeypatch):

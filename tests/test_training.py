@@ -5,6 +5,7 @@ import math
 import re
 import struct
 from collections import Counter
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from upcr.training import (OptimState, adam_step, fine_tune,
                            unsupervised_loss, write_loss_curve)
 
 from conftest import add, chamfer_oracle, grad_check, replace_header, \
-    rewrite_header, set_version
+    rewrite_header, set_version, traced_peak, weighted_sum
 
 CFG = EncoderConfig(k=5, m=16, widths=(8, 16), head_widths=(8,))
 SPEC = FeatureSpec("distance")
@@ -104,41 +105,87 @@ def test_chamfer_vjp_builds_its_terms_once(monkeypatch):
 
 
 @pytest.mark.parametrize("values", [[0.375], [1.0, 1e16, -1e16]], ids=["one", "three"])
-def test_batch_mean_is_the_left_to_right_sum_over_b(values):
-    # 1.0 + 1e16 rounds to 1e16, so left to right gives 0 where right to left gives 1/3
-    tape = ad.Tape()
-    losses = [tape.leaf(np.asarray(v)) for v in values]
-    mean = training._mean(losses)
-    total = np.asarray(values[0])
-    for v in values[1:]:
-        total = np.add(total, np.asarray(v))
-    b = np.asarray(float(len(values)))
-    assert mean.data.tobytes() == np.divide(total, b).tobytes()
-    ad.backward(mean)
-    for li in losses:
-        assert li.grad.tobytes() == np.divide(np.ones(()), b).tobytes()
+def test_per_pair_backward_with_carry_equals_one_shared_tape(values):
+    """Pair i adds values[i] / B to one parameter's gradient. One tape over
+    the batch sums them newest first, (-1e16 + 1e16) + 1.0 in thirds, where
+    batch order would round 1.0 away: the carry must keep the tape's order."""
+    upstream = 1.0 / len(values)
+    shared = ad.Tape()
+    w = shared.leaf(np.ones(1))
+    ad.backward(reduce(add, [weighted_sum(w, [v]) for v in values]), upstream)
+    carried = None
+    for v in reversed(values):
+        tape = ad.Tape()
+        wi = tape.leaf(np.ones(1))
+        ad.backward(weighted_sum(wi, [v]), upstream, {} if carried is None else {wi: carried})
+        carried = wi.grad
+    assert carried.tobytes() == w.grad.tobytes()
+    if len(values) > 1:
+        in_batch_order = reduce(np.add, [np.full(1, upstream) * v for v in values])
+        assert in_batch_order.tobytes() != w.grad.tobytes()
 
 
-def test_one_step_records_one_chamfer_node_per_pair_and_one_mean(monkeypatch):
-    """A batch of 3 pairs: each pair's tape nodes, its Chamfer loss as one
-    node, then one mean node; no add or div of the loss is left."""
+def test_a_step_hands_adam_the_gradients_of_one_shared_tape(monkeypatch):
+    """A batch of 3 pairs, each on its own tape, gives Adam every gradient
+    byte-equal to one tape over the batch whose adds pass each pair loss the
+    mean's upstream 1/B."""
     train_s, _ = tiny_dataset(n_train=3)
-    tapes = []
-    backward = ad.backward
-    monkeypatch.setattr(ad, "backward", lambda loss: tapes.append(loss.tape) or backward(loss))
+    seen = []
+    step = training.adam_step
+    monkeypatch.setattr(training, "adam_step", lambda params, grads, state:
+                        seen.append(grads) or step(params, grads, state))
     train(CFG, SPEC, "euler", train_s, epochs=1, batch_size=3, seed=9)
-    (tape,) = tapes
-    kinds = Counter(node.kind for node in tape.nodes)
+    (grads,) = seen
+    batch = list(range(3))
+    Rng(derive_seed(9, "batch-order")).shuffle(batch)
+    model = init_params(CFG, SPEC, "euler", derive_seed(9, "init"))
+    tape = ad.Tape()
+    bound = model.bind(tape)
+    losses = []
+    for i in batch:
+        res = register_pair(train_s[i].source, train_s[i].target, model, bound=bound)
+        losses.append(unsupervised_loss(res.canonical_x_t, res.canonical_y_t))
+    ad.backward(reduce(add, losses), 1.0 / 3)
+    want = {name: t.grad for name, t in bound.items() if t.grad is not None}
+    assert grads.keys() == want.keys() == model.params.keys()
+    for name, g in want.items():
+        assert grads[name].tobytes() == g.tobytes(), name
+
+
+def test_one_step_records_one_tape_per_pair(monkeypatch):
+    """A batch of 3 pairs: 3 backward calls, each on a tape of the parameter
+    leaves, that pair's nodes and its Chamfer loss as the last node, with the
+    mean's upstream 1/3; no add, div or mean of the loss is recorded."""
+    train_s, _ = tiny_dataset(n_train=3)
+    calls = []
+    backward = ad.backward
+    monkeypatch.setattr(ad, "backward", lambda loss, *args: calls.append(
+        (Counter(node.kind for node in loss.tape.nodes), loss.tape.nodes[-1].kind, args[0]))
+        or backward(loss, *args))
+    train(CFG, SPEC, "euler", train_s, epochs=1, batch_size=3, seed=9)
     model = init_params(CFG, SPEC, "euler", 9)
     pair = ad.Tape()
     bound = model.bind(pair)
     res = register_pair(train_s[0].source, train_s[0].target, model, bound=bound)
     unsupervised_loss(res.canonical_x_t, res.canonical_y_t)
     per_pair = Counter(node.kind for node in pair.nodes[len(bound):])
-    assert per_pair["chamfer"] == 1 and "div" not in per_pair
-    leaves = Counter(leaf=len(bound))
-    assert kinds == leaves + per_pair + per_pair + per_pair + Counter(mean=1)
-    assert tape.nodes[-1].kind == "mean"
+    assert per_pair["chamfer"] == 1 and not {"add", "div", "mean"} & per_pair.keys()
+    assert calls == [(Counter(leaf=len(bound)) + per_pair, "chamfer", 1.0 / 3)] * 3
+
+
+def test_a_batch_step_holds_one_taped_pair_at_a_time():
+    """One step over 8 desk-size pairs (256 points, k = 24, m = 64) peaks
+    near 8 steps of one pair each over the same pairs, whose feature caches
+    both hold: each pair's tape is used up before the next is recorded.
+    Recording the whole batch on one tape peaked ~2.7x higher."""
+    train_s, _ = tiny_dataset(n_train=8, n_test=0, points=256)
+    cfg = EncoderConfig(k=24, m=64)
+
+    def epoch(batch_size):
+        return traced_peak(lambda: train(cfg, SPEC, "euler", train_s, epochs=1,
+                                         batch_size=batch_size, seed=1))
+
+    assert epoch(8) < 1.3 * epoch(1)
 
 
 def test_loss_rejects_empty_cloud():
