@@ -33,7 +33,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geom
-from .features import FeatureSpec, neighbor_feature_array
+from .features import FeatureSpec, neighbor_feature_array, point_tables
 from .geom import PointCloud
 from .rng import Rng
 
@@ -216,7 +216,7 @@ def edge_conv_layer(feats: ad.Tensor, neighbors: np.ndarray, weight, bias) -> ad
     def parts(g):  # the centre term's gradient, then the neighbor term's
         gate, arg = won
         g_centre = ad._gated(g, gate)
-        return g_centre, ad._scatter_rows(np.take_along_axis(nbr, arg, axis=1), g_centre, n)
+        return g_centre, ad._scatter_rows(geom.take_rows(nbr, arg), g_centre, n)
 
     def grad_feats(g):
         g_centre, g_nbr = parts(g)
@@ -278,25 +278,44 @@ def embed_from_features(phi: np.ndarray, weight, bias) -> ad.Tensor:
 
 @dataclass
 class CloudCache:
-    """Pose- and parameter-independent per-cloud work, reusable across steps."""
+    """Pose- and parameter-independent per-cloud work that costs more than a
+    rebuild, reusable across steps. The [N, k, d] invariant features are
+    rebuilt from it on each forward, so only the graph has a k-fold axis."""
 
-    # [N, k] geom.graph_knn table, the cloud's one spatial neighbor search: normals,
-    # SPFH/PFH and phi are built over it; global layer 0 and the invariant layers use it
+    # [N, k] geom.graph_knn table, the cloud's one spatial neighbor search: the
+    # features are built over it; global layer 0 and the invariant layers use it
     spatial_graph: np.ndarray
-    phi: np.ndarray  # [N, k, d] raw invariant neighbor features over spatial_graph
+    tables: dict[str, np.ndarray]  # features.point_tables over spatial_graph
 
 
 def precompute_cloud(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig) -> CloudCache:
+    """The cloud's spatial graph and the per-point tables of ``spec`` over it."""
     if len(cloud) <= config.k:
         raise ValueError(f"need more than k={config.k} points, got {len(cloud)}")
     graph = geom.graph_knn(cloud.points, config.k)
-    return CloudCache(graph, neighbor_feature_array(cloud, spec, graph))
+    return CloudCache(graph, point_tables(cloud, spec, graph))
+
+
+def _check_cache(cache: CloudCache, cloud: PointCloud, config: EncoderConfig,
+                 spec: FeatureSpec | None = None) -> None:
+    """Raise ValueError unless ``cache`` fits the cloud, the config and, when
+    given, the spec: an [N, k] graph, and exactly ``spec.table_names``."""
+    want = (len(cloud), config.k)
+    if cache.spatial_graph.shape != want:
+        raise ValueError(f"cache graph is {cache.spatial_graph.shape}, but {len(cloud)} points "
+                         f"at k={config.k} need {want}")
+    if spec is not None and tuple(cache.tables) != spec.table_names:
+        raise ValueError(f"cache holds tables {tuple(cache.tables)}, but kind {spec.kind!r} "
+                         f"needs {spec.table_names}")
 
 
 def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
                   cache: CloudCache | None = None) -> ad.Tensor:
     """Global representation: stacked edge convolutions on raw coordinates,
-    max-pooled over all points into an m-vector. Pose sensitive by design."""
+    max-pooled over all points into an m-vector. Pose sensitive by design.
+    A ``cache`` whose graph is not [len(cloud), config.k] raises ValueError."""
+    if cache is not None:
+        _check_cache(cache, cloud, config)
     x = ad.constant(cloud.points)
     depth = len(config.widths)
     for i in range(depth):
@@ -314,10 +333,14 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
 def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig,
                      params: dict, cache: CloudCache | None = None) -> ad.Tensor:
     """Pose-invariant representation: invariant point embedding followed by
-    edge convolutions over the (pose-invariant) spatial neighbor graph."""
+    edge convolutions over the (pose-invariant) spatial neighbor graph. The
+    [N, k, d] features are rebuilt from ``cache`` (built here when not given);
+    a cache that does not fit the cloud, config or spec raises ValueError."""
     if cache is None:
         cache = precompute_cloud(cloud, spec, config)
-    x = embed_from_features(cache.phi, params["alpha.w"], params["alpha.b"])
+    _check_cache(cache, cloud, config, spec)
+    phi = neighbor_feature_array(cloud, spec, cache.spatial_graph, cache.tables)
+    x = embed_from_features(phi, params["alpha.w"], params["alpha.b"])
     x = channel_norm(x)
     depth = len(config.widths)
     for i in range(1, depth):

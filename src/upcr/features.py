@@ -11,11 +11,13 @@ That invariance is what makes the downstream invariant representation
 possible: ``encoder`` embeds these [N, k, d] tables on the tape. Nothing
 here records a tape.
 
-Each part is built once per cloud, either per point ([N, d]: SPFH, PFH) or
-per edge ([N, k, d]: distance, PPF). ``neighbor_feature_array`` gathers the
-per-point tables at each edge's neighbor for the encoder;
-``point_descriptor_table`` pools them over the k neighbors in place, so a
-matching descriptor never builds the [N, k, d] array.
+Features come in two stages. :func:`point_tables` does the costly per-point
+work once per cloud: the normals, then the SPFH / PFH tables ([N, d]). The
+per-edge parts ([N, k, d]: distance, PPF) are cheap, so they are rebuilt from
+the points, the neighbor table and the cached normals wherever they are read.
+``neighbor_feature_array`` gathers the per-point tables at each edge's
+neighbor for the encoder; ``point_descriptor_table`` pools them over the k
+neighbors in place, so a matching descriptor never builds the [N, k, d] array.
 """
 
 from __future__ import annotations
@@ -73,6 +75,13 @@ class FeatureSpec:
     @property
     def needs_normals(self) -> bool:
         return any(p in ("ppf", "spfh", "pfh") for p in self.parts)
+
+    @property
+    def table_names(self) -> tuple[str, ...]:
+        """Keys of the per-point tables :func:`point_tables` builds, in order:
+        the normals when a per-edge part (PPF) reads them, then each SPFH/PFH part."""
+        return ("normals",) * ("ppf" in self.parts) + tuple(
+            p for p in self.parts if p in ("spfh", "pfh"))
 
     @property
     def dim(self) -> int:
@@ -246,16 +255,27 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 # assembled neighbor features
 
 
-def _part_features(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray):
-    """Each part of ``spec`` in order: a per-point [N, d] table (SPFH, PFH),
-    which an edge reads at its neighbor, or a per-edge [N, k, d] array
-    (distance, PPF).
+def point_tables(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> dict[str, np.ndarray]:
+    """The per-point stage over the neighbor table ``nbr``: each of
+    ``spec.table_names`` mapped to its [N, d] table. This is the work that
+    costs more than a rebuild: the normals, kept only when PPF reads them per
+    edge, and the SPFH/PFH histograms."""
+    pts = cloud.points
+    nrm = estimate_normals(pts, nbr) if spec.needs_normals else None
+    build = {"normals": lambda: nrm, "spfh": lambda: spfh_table(pts, nrm, nbr),
+             "pfh": lambda: pfh_table(pts, nrm, nbr)}
+    return {name: build[name]() for name in spec.table_names}
 
-    The normals and the SPFH/PFH tables come from the same table ``nbr``.
+
+def _part_features(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray,
+                   tables: dict[str, np.ndarray]):
+    """Each part of ``spec`` in order: a per-point [N, d] table (SPFH, PFH)
+    from ``tables``, which an edge reads at its neighbor, or a per-edge
+    [N, k, d] array (distance, PPF) built here from the points, ``nbr`` and
+    the normals in ``tables``.
     """
     n, k = nbr.shape
     pts = cloud.points
-    nrm = estimate_normals(pts, nbr) if spec.needs_normals else None
     center = pts.mean(axis=0)
     for part in spec.parts:
         if part == "distance":
@@ -265,25 +285,28 @@ def _part_features(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray):
             d_op = np.repeat(np.linalg.norm(pts - center, axis=1)[:, None], k, axis=1)
             yield np.stack([d_oc, d_pc, d_op], axis=2)
         elif part == "ppf":
-            p1, n1, p2, n2 = _edge_rows(pts, nrm, nbr)
+            p1, n1, p2, n2 = _edge_rows(pts, tables["normals"], nbr)
             dn, dist = _unit_rows(p2 - p1)
             a1 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, dn), -1.0, 1.0))
             a2 = np.arccos(np.clip(np.einsum("ij,ij->i", n2, dn), -1.0, 1.0))
             a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
             yield np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4)
-        elif part == "spfh":
-            yield spfh_table(pts, nrm, nbr)
-        elif part == "pfh":
-            yield pfh_table(pts, nrm, nbr)
+        else:
+            yield tables[part]
 
 
-def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> np.ndarray:
+def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray,
+                           tables: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
 
-    A per-point part is gathered at each edge's neighbor; parts are
-    concatenated only when there are two or more.
+    ``tables`` is :func:`point_tables` of the same cloud, spec and ``nbr``,
+    built here when not given, with the same bytes out either way; the
+    per-edge parts are rebuilt on every call. A per-point part is gathered at
+    each edge's neighbor; parts are concatenated only when there are two or more.
     """
-    blocks = [f[nbr] if f.ndim == 2 else f for f in _part_features(cloud, spec, nbr)]
+    if tables is None:
+        tables = point_tables(cloud, spec, nbr)
+    blocks = [f[nbr] if f.ndim == 2 else f for f in _part_features(cloud, spec, nbr, tables)]
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
 
 
@@ -299,7 +322,7 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.n
     """
     nbr = geom.knn(cloud, k)
     pooled = []
-    for f in _part_features(cloud, spec, nbr):
+    for f in _part_features(cloud, spec, nbr, point_tables(cloud, spec, nbr)):
         if f.ndim == 3:
             pooled.append(f.max(axis=1))
         else:

@@ -101,6 +101,13 @@ def sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
+def take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(a, idx, axis=1)`` for 2-D ``a`` and ``idx`` with
+    every index in [0, a.shape[1]), as one flat ``np.take`` at row offsets:
+    the same values, about twice as fast at the neighbor tables' shapes."""
+    return np.take(a, idx + np.arange(len(a))[:, None] * a.shape[1])
+
+
 def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
     """Per row, indices of the k smallest entries, ascending; ties broken by
     the distinct ints ``tie_key``.
@@ -119,8 +126,8 @@ def _select_k(d2: np.ndarray, tie_key: np.ndarray, k: int) -> np.ndarray:
     keys.partition(k, axis=1)
     first = np.sort(keys[:, :k], axis=1)
     cols = by_rank[first & ((1 << bits) - 1)]
-    cd = np.take_along_axis(d2, cols, axis=1)
-    out = np.take_along_axis(cols, np.argsort(cd, axis=1, kind="stable"), axis=1)
+    cd = take_rows(d2, cols)
+    out = take_rows(cols, np.argsort(cd, axis=1, kind="stable"))
     unsafe = (first[:, -1] >> bits == keys[:, k] >> bits) | (first[:, 0] < 0)
     for i in np.nonzero(unsafe | np.isnan(cd).any(axis=1))[0]:
         out[i] = np.lexsort((tie_key, d2[i]))[:k]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from upcr.datagen import synth_shape
 from upcr.encoder import (EncoderConfig, channel_norm, edge_conv_layer, embed_from_features,
                           init_params, param_shapes, precompute_cloud, encode_global,
                           encode_invariant)
-from upcr.features import FEATURE_KINDS, FeatureSpec
+from upcr.features import FEATURE_KINDS, FeatureSpec, neighbor_feature_array
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
@@ -467,13 +469,55 @@ def test_all_parameters_receive_gradients():
         assert g is not None and np.any(g != 0), name
 
 
-def test_precompute_cache_matches_direct():
-    model = model_for()
+@pytest.mark.parametrize("kind", FEATURE_KINDS)
+def test_precompute_cache_matches_direct(kind):
+    spec = FeatureSpec(kind)
+    params = init_params(DESK, spec, "euler", 1).params
     cloud = synth_shape(9, 40, Rng(16))
-    cache = precompute_cloud(cloud, SPEC, DESK)
-    direct = encode_invariant(cloud, SPEC, DESK, model.params).data
-    cached = encode_invariant(cloud, SPEC, DESK, model.params, cache).data
-    np.testing.assert_array_equal(direct, cached)
-    direct_g = encode_global(cloud, DESK, model.params).data
-    cached_g = encode_global(cloud, DESK, model.params, cache).data
-    np.testing.assert_array_equal(direct_g, cached_g)
+    cache = precompute_cloud(cloud, spec, DESK)
+    direct = encode_invariant(cloud, spec, DESK, params).data
+    cached = encode_invariant(cloud, spec, DESK, params, cache).data
+    assert direct.tobytes() == cached.tobytes()
+    direct_g = encode_global(cloud, DESK, params).data
+    cached_g = encode_global(cloud, DESK, params, cache).data
+    assert direct_g.tobytes() == cached_g.tobytes()
+    graph = cache.spatial_graph
+    assert (neighbor_feature_array(cloud, spec, graph, cache.tables).tobytes()
+            == neighbor_feature_array(cloud, spec, graph).tobytes())
+
+
+def test_desk_caches_hold_no_k_fold_features():
+    """A cache keeps the [N, k] graph and [N, d] tables only: 8 desk clouds at
+    distance+spfh hold well under the 13.9 MiB their [N, k, d] features took."""
+    config, spec = EncoderConfig(k=24, m=64), FeatureSpec("distance+spfh")
+    clouds = [synth_shape(i, 256, Rng(60 + i)) for i in range(8)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        caches = [precompute_cloud(c, spec, config) for c in clouds]
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+    for cache in caches:
+        assert cache.spatial_graph.shape == (256, 24)
+        assert {name: t.shape for name, t in cache.tables.items()} == {"spfh": (256, 33)}
+
+
+@pytest.mark.parametrize("n, k, kind, msg", [
+    (40, 8, "distance+spfh", r"^cache graph is \(40, 8\), but 40 points at k=6 need \(40, 6\)$"),
+    (50, 6, "distance+spfh", r"^cache graph is \(50, 6\), but 40 points at k=6 need \(40, 6\)$"),
+    (40, 6, "distance+ppf",
+     r"^cache holds tables \('normals',\), but kind 'distance\+spfh' needs \('spfh',\)$"),
+], ids=["wrong-k", "wrong-n", "other-kind"])
+def test_a_cache_that_does_not_fit_is_rejected(n, k, kind, msg):
+    spec = FeatureSpec("distance+spfh")
+    params = init_params(DESK, spec, "euler", 1).params
+    cloud = synth_shape(9, 40, Rng(16))
+    cache = precompute_cloud(synth_shape(9, n, Rng(16)), FeatureSpec(kind),
+                             EncoderConfig(k=k, m=32))
+    with pytest.raises(ValueError, match=msg):
+        encode_invariant(cloud, spec, DESK, params, cache)
+    if kind == spec.kind:  # the global branch reads the graph alone
+        with pytest.raises(ValueError, match=msg):
+            encode_global(cloud, DESK, params, cache)

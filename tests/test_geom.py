@@ -480,3 +480,12 @@ def test_fit_rigid_recovers_transform():
     fit = geom.fit_rigid(cloud.points, moved.points)
     np.testing.assert_allclose(fit.rotation, t.rotation, atol=1e-10)
     np.testing.assert_allclose(fit.translation, t.translation, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape, width", [((7, 9), 4), ((5, 3), 6), ((1, 1), 1)])
+def test_take_rows_is_take_along_axis(shape, width):
+    rng = np.random.default_rng(width)
+    for a in (rng.normal(size=shape), rng.normal(size=shape[::-1]).T,
+              rng.integers(0, 99, size=shape)):
+        idx = rng.integers(0, a.shape[1], size=(a.shape[0], width))
+        assert geom.take_rows(a, idx).tobytes() == np.take_along_axis(a, idx, axis=1).tobytes()
