@@ -1,11 +1,11 @@
 """Graph encoders for the global and pose-invariant cloud representations.
 
-Both branches stack edge-convolution layers: per point, every neighbor
-contributes concat(center, neighbor - center) through a shared affine +
-LeakyReLU, and max-pooling over neighbors gives the new point feature.
-Between layers, and after the invariant branch's point embedding,
-``channel_norm`` rescales every channel over the cloud. Max-pooling over all
-points turns the last layer into an m-vector.
+Both branches run one loop of edge-convolution layers: per point, every
+neighbor contributes concat(center, neighbor - center) through a shared
+affine + LeakyReLU, and max-pooling over neighbors gives the new point
+feature. Between layers, and after the invariant branch's point embedding
+(its layer 0) at every depth, ``channel_norm`` rescales every channel over
+the cloud. Max-pooling over all points turns the last layer into an m-vector.
 
 LeakyReLU with slope ``autodiff.SLOPE`` >= 0 is monotone, and so is the
 float rounding of SLOPE*x and of a sum, so max_j act(a_i + b_j) ==
@@ -309,6 +309,23 @@ def _check_cache(cache: CloudCache, cloud: PointCloud, config: EncoderConfig,
                          f"needs {spec.table_names}")
 
 
+def _edge_stack(x: ad.Tensor, prefix: str, first: int, graph: np.ndarray, dynamic: bool,
+                config: EncoderConfig, params: dict) -> ad.Tensor:
+    """Edge convolutions ``first`` to the last of one branch on ``x``, with a
+    channel norm after every layer but the last, max-pooled over the points.
+    Layer ``first`` reads ``graph``; with ``dynamic`` each later layer reads
+    the kNN graph of its own input features, else ``graph`` too. Callers pass
+    ``x`` inline, so no local of theirs holds it past layer ``first``."""
+    depth = len(config.widths)
+    for i in range(first, depth):
+        if dynamic and i > first:
+            graph = geom.graph_knn(x.data, config.k)
+        x = edge_conv_layer(x, graph, params[f"{prefix}.{i}.w"], params[f"{prefix}.{i}.b"])
+        if i < depth - 1:
+            x = channel_norm(x)
+    return ad.reduce_max(x, axis=0)
+
+
 def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
                   cache: CloudCache | None = None) -> ad.Tensor:
     """Global representation: stacked edge convolutions on raw coordinates,
@@ -316,18 +333,9 @@ def encode_global(cloud: PointCloud, config: EncoderConfig, params: dict,
     A ``cache`` whose graph is not [len(cloud), config.k] raises ValueError."""
     if cache is not None:
         _check_cache(cache, cloud, config)
-    x = ad.constant(cloud.points)
-    depth = len(config.widths)
-    for i in range(depth):
-        if i == 0:
-            nbr = cache.spatial_graph if cache is not None else geom.graph_knn(
-                cloud.points, config.k)
-        elif config.dynamic_graph:
-            nbr = geom.graph_knn(x.data, config.k)
-        x = edge_conv_layer(x, nbr, params[f"global.{i}.w"], params[f"global.{i}.b"])
-        if i < depth - 1:
-            x = channel_norm(x)
-    return ad.reduce_max(x, axis=0)
+    graph = geom.graph_knn(cloud.points, config.k) if cache is None else cache.spatial_graph
+    return _edge_stack(ad.constant(cloud.points), "global", 0, graph, config.dynamic_graph,
+                       config, params)
 
 
 def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig,
@@ -340,11 +348,5 @@ def encode_invariant(cloud: PointCloud, spec: FeatureSpec, config: EncoderConfig
         cache = precompute_cloud(cloud, spec, config)
     _check_cache(cache, cloud, config, spec)
     phi = neighbor_feature_array(cloud, spec, cache.spatial_graph, cache.tables)
-    x = embed_from_features(phi, params["alpha.w"], params["alpha.b"])
-    x = channel_norm(x)
-    depth = len(config.widths)
-    for i in range(1, depth):
-        x = edge_conv_layer(x, cache.spatial_graph, params[f"inv.{i}.w"], params[f"inv.{i}.b"])
-        if i < depth - 1:
-            x = channel_norm(x)
-    return ad.reduce_max(x, axis=0)
+    return _edge_stack(channel_norm(embed_from_features(phi, params["alpha.w"], params["alpha.b"])),
+                       "inv", 1, cache.spatial_graph, False, config, params)

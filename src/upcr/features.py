@@ -12,12 +12,13 @@ possible: ``encoder`` embeds these [N, k, d] tables on the tape. Nothing
 here records a tape.
 
 Features come in two stages. :func:`point_tables` does the costly per-point
-work once per cloud: the normals, then the SPFH / PFH tables ([N, d]). The
-per-edge parts ([N, k, d]: distance, PPF) are cheap, so they are rebuilt from
-the points, the neighbor table and the cached normals wherever they are read.
-``neighbor_feature_array`` gathers the per-point tables at each edge's
-neighbor for the encoder; ``point_descriptor_table`` pools them over the k
-neighbors in place, so a matching descriptor never builds the [N, k, d] array.
+work once per cloud: the normals, then the SPFH / PFH tables ([N, d]). One
+writer then fills a caller's [N, c, d] buffer with the features of c edges per
+point, part by part: it rebuilds the cheap per-edge parts (distance, PPF) from
+the points and the cached normals and gathers the tables at each neighbor.
+``neighbor_feature_array`` runs it once over all k neighbors for the encoder;
+``point_descriptor_table`` runs it once per neighbor column and pools in
+place, so a matching descriptor never builds the [N, k, d] array.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ FEATURE_KINDS = (
 # SPFH concatenates three 11-bin histograms, PFH bins the triplet into 5**3 cells
 SPFH_BINS = 11
 PFH_BINS = 5
+
+# feature columns per part of a kind
+_PART_DIMS = {"distance": 3, "ppf": 4, "spfh": 3 * SPFH_BINS, "pfh": PFH_BINS ** 3}
 
 # the fewest neighbours estimate_normals takes; the CLI checks k against it before any work
 NORMALS_MIN_K = 3
@@ -85,13 +89,7 @@ class FeatureSpec:
 
     @property
     def dim(self) -> int:
-        sizes = {
-            "distance": 3,
-            "ppf": 4,
-            "spfh": 3 * SPFH_BINS,
-            "pfh": PFH_BINS ** 3,
-        }
-        return sum(sizes[p] for p in self.parts)
+        return sum(_PART_DIMS[p] for p in self.parts)
 
 
 # ---------------------------------------------------------------------------
@@ -267,32 +265,33 @@ def point_tables(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> dict[
     return {name: build[name]() for name in spec.table_names}
 
 
-def _part_features(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray,
-                   tables: dict[str, np.ndarray]):
-    """Each part of ``spec`` in order: a per-point [N, d] table (SPFH, PFH)
-    from ``tables``, which an edge reads at its neighbor, or a per-edge
-    [N, k, d] array (distance, PPF) built here from the points, ``nbr`` and
-    the normals in ``tables``.
-    """
-    n, k = nbr.shape
+def _write_edges(out: np.ndarray, cloud: PointCloud, spec: FeatureSpec, cols: np.ndarray,
+                 tables: dict[str, np.ndarray]) -> None:
+    """Write the features of the edges (i, cols[i, j]) into [N, c, d] ``out``,
+    each part of ``spec`` once, into its own columns. A distance reads the
+    per-point |p - center| at the neighbor and at the owner; PPF reads the
+    normals in ``tables``; a table is gathered one neighbor column at a time.
+    An out-of-range neighbor raises IndexError."""
     pts = cloud.points
-    center = pts.mean(axis=0)
+    n, c = cols.shape
+    at = 0
     for part in spec.parts:
         if part == "distance":
-            pn = pts[nbr]  # [n, k, 3]
-            d_oc = np.linalg.norm(pn - center, axis=2)
-            d_pc = np.linalg.norm(pn - pts[:, None, :], axis=2)
-            d_op = np.repeat(np.linalg.norm(pts - center, axis=1)[:, None], k, axis=1)
-            yield np.stack([d_oc, d_pc, d_op], axis=2)
+            r = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+            out[:, :, at] = r[cols]
+            out[:, :, at + 1] = np.linalg.norm(pts[cols] - pts[:, None, :], axis=2)
+            out[:, :, at + 2] = r[:, None]
         elif part == "ppf":
-            p1, n1, p2, n2 = _edge_rows(pts, tables["normals"], nbr)
+            p1, n1, p2, n2 = _edge_rows(pts, tables["normals"], cols)
             dn, dist = _unit_rows(p2 - p1)
-            a1 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, dn), -1.0, 1.0))
-            a2 = np.arccos(np.clip(np.einsum("ij,ij->i", n2, dn), -1.0, 1.0))
-            a3 = np.arccos(np.clip(np.einsum("ij,ij->i", n1, n2), -1.0, 1.0))
-            yield np.stack([a1, a2, a3, dist], axis=1).reshape(n, k, 4)
+            for i, (a, b) in enumerate(((n1, dn), (n2, dn), (n1, n2))):
+                cos = np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
+                out[:, :, at + i] = np.arccos(cos).reshape(n, c)
+            out[:, :, at + 3] = dist.reshape(n, c)
         else:
-            yield tables[part]
+            for j in range(c):
+                out[:, j, at:at + _PART_DIMS[part]] = tables[part][cols[:, j]]
+        at += _PART_DIMS[part]
 
 
 def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray,
@@ -301,13 +300,13 @@ def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray
 
     ``tables`` is :func:`point_tables` of the same cloud, spec and ``nbr``,
     built here when not given, with the same bytes out either way; the
-    per-edge parts are rebuilt on every call. A per-point part is gathered at
-    each edge's neighbor; parts are concatenated only when there are two or more.
+    per-edge parts are rebuilt on every call.
     """
     if tables is None:
         tables = point_tables(cloud, spec, nbr)
-    blocks = [f[nbr] if f.ndim == 2 else f for f in _part_features(cloud, spec, nbr, tables)]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
+    out = np.empty(nbr.shape + (spec.dim,))
+    _write_edges(out, cloud, spec, nbr, tables)
+    return out
 
 
 def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.ndarray:
@@ -316,21 +315,15 @@ def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.n
     ``neighbor_feature_array(...).max(axis=1)``.
 
     One neighbor table per cloud feeds the normals, histograms and features.
-    A per-point part is pooled in place, one neighbor column at a time, so no
-    [N, k, d] array of it exists; a per-edge part is reduced over k. Raises
-    MatchError on a non-finite descriptor.
+    Each neighbor column is written into one [N, 1, d] row and pooled in
+    place. Raises MatchError on a non-finite descriptor.
     """
     nbr = geom.knn(cloud, k)
-    pooled = []
-    for f in _part_features(cloud, spec, nbr, point_tables(cloud, spec, nbr)):
-        if f.ndim == 3:
-            pooled.append(f.max(axis=1))
-        else:
-            out = f[nbr[:, 0]]
-            for col in nbr.T[1:]:
-                np.maximum(out, f[col], out=out)
-            pooled.append(out)
-    table = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=1)
+    tables = point_tables(cloud, spec, nbr)
+    row, table = np.empty((len(cloud), 1, spec.dim)), np.full((len(cloud), spec.dim), -np.inf)
+    for j in range(k):
+        _write_edges(row, cloud, spec, nbr[:, j:j + 1], tables)
+        np.maximum(table, row[:, 0], out=table)
     if not np.all(np.isfinite(table)):
         raise MatchError("feature table contains non-finite entries")
     return table

@@ -521,3 +521,45 @@ def test_a_cache_that_does_not_fit_is_rejected(n, k, kind, msg):
     if kind == spec.kind:  # the global branch reads the graph alone
         with pytest.raises(ValueError, match=msg):
             encode_global(cloud, DESK, params, cache)
+
+
+@pytest.mark.parametrize("dynamic, cached, depth, searches", [
+    (True, False, 1, 4), (True, False, 3, 8), (True, False, 5, 12),
+    (False, False, 1, 4), (False, False, 3, 4), (False, False, 5, 4),
+    (True, True, 1, 0), (True, True, 3, 4), (True, True, 5, 8),
+    (False, True, 1, 0), (False, True, 3, 0), (False, True, 5, 0),
+])
+def test_neighbor_searches_per_registered_pair(monkeypatch, dynamic, cached, depth, searches):
+    """Per cloud: one spatial graph, which both branches read at their first
+    layer, plus one feature-space graph per later global layer when dynamic.
+    A cache holds the spatial graph, so a cached pair searches only the latter."""
+    widths = (4, 8, 8, 8, 16)[-depth:]
+    config = EncoderConfig(k=5, m=16, widths=widths, dynamic_graph=dynamic, head_widths=(8,))
+    model = init_params(config, SPEC, "euler", 3)
+    x = synth_shape(2, 30, Rng(40))
+    y = geom.apply_transform(random_transform(Rng(41), 30.0, 0.3), x)
+    caches = tuple(precompute_cloud(c, SPEC, config) for c in (x, y)) if cached else None
+    calls = []
+    real = geom.graph_knn
+    monkeypatch.setattr(geom, "graph_knn", lambda *a: calls.append(1) or real(*a))
+    separation.register_pair(x, y, model, caches)
+    assert len(calls) == searches
+
+
+@pytest.mark.parametrize("widths, want_global, want_invariant", [
+    ((8, 16, 32), ["edge_conv", "channel_norm", "edge_conv", "channel_norm", "edge_conv",
+                   "reduce_max"],
+     ["embed", "channel_norm", "edge_conv", "channel_norm", "edge_conv", "reduce_max"]),
+    ((32,), ["edge_conv", "reduce_max"], ["embed", "channel_norm", "reduce_max"]),
+], ids=["depth-3", "depth-1"])
+def test_each_branch_records_its_layers_in_order(widths, want_global, want_invariant):
+    """A channel norm follows every layer but the last, and the invariant
+    embedding (layer 0) at every depth."""
+    config = EncoderConfig(k=6, m=32, widths=widths, head_widths=(16,))
+    model = model_for(config)
+    cloud = synth_shape(3, 30, Rng(42))
+    for encode, want in ((lambda p: encode_global(cloud, config, p), want_global),
+                         (lambda p: encode_invariant(cloud, SPEC, config, p), want_invariant)):
+        tape = ad.Tape()
+        encode(model.bind(tape))
+        assert [node.kind for node in tape.nodes if node.kind != "leaf"] == want

@@ -403,6 +403,40 @@ def test_pfh_descriptor_table_never_builds_the_neighbor_array():
     assert peak < 8 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
+def _feature_build_peak(kind: str, n: int) -> int:
+    """Traced peak of ``neighbor_feature_array`` at k = 24 with cached tables."""
+    cloud = synth_shape(3, n, Rng(1))
+    nbr = geom.graph_knn(cloud.points, 24)
+    spec = FeatureSpec(kind)
+    tables = features.point_tables(cloud, spec, nbr)
+    return traced_peak(lambda: features.neighbor_feature_array(cloud, spec, nbr, tables))
+
+
+def test_combined_feature_build_writes_each_feature_once():
+    # each feature is written once into the output; a second [N, k, d] copy would reach 2x
+    peak = _feature_build_peak("distance+spfh", 256)
+    assert peak < 1.5 * 256 * 24 * 36 * 8, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n, mib", [(256, 0.56), (1024, 2.25)])
+def test_distance_feature_build_peak(n, mib):
+    # the bounds are the peaks of stacking three [N, k] distance columns, rounded down
+    peak = _feature_build_peak("distance", n)
+    assert peak <= mib * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("kind", ["spfh", "pfh", "distance+spfh"])
+def test_neighbor_feature_array_rejects_an_index_out_of_range(kind):
+    cloud = synth_shape(4, 40, Rng(3))
+    spec = FeatureSpec(kind)
+    nbr = geom.knn(cloud, 6)
+    tables = features.point_tables(cloud, spec, nbr)
+    bad = nbr.copy()
+    bad[7, 2] = len(cloud)
+    with pytest.raises(IndexError):
+        features.neighbor_feature_array(cloud, spec, bad, tables)
+
+
 # ---------------------------------------------------------------------------
 # invariant point embedding
 
