@@ -189,7 +189,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     # range, cross-key and name checks for every command, before any output exists
     _check_ranges(cfg)
     encoder_config(cfg)
-    if feature_spec(cfg).needs_normals and cfg["encoder.k"] < NORMALS_MIN_K:
+    if feature_spec(cfg).table_names and cfg["encoder.k"] < NORMALS_MIN_K:
         raise CliError(f"feature.kind = {cfg['feature.kind']} estimates normals over encoder.k = "
                        f"{cfg['encoder.k']} neighbours, which needs k >= {NORMALS_MIN_K}")
     protocol(cfg)

@@ -146,6 +146,7 @@ def _sample_box_edges(rng: Rng, n: int, half: np.ndarray) -> np.ndarray:
 
 _BASE_KINDS = 4
 _ATTACH_KINDS = 4  # rod, thin ring, box wireframe, small ellipsoid; three per shape
+_PART_WEIGHTS = np.array([0.4, 0.24, 0.2, 0.16])  # share of points: base, then each attachment
 
 
 def _sample_primitive(kind: int, rng: Rng, n: int, size: np.ndarray) -> np.ndarray:
@@ -182,7 +183,6 @@ class _Recipe:
     base_lo: np.ndarray
     base_hi: np.ndarray
     attachments: list[_Attachment]
-    weights: np.ndarray
 
 
 def _category_recipe(category: int) -> _Recipe:
@@ -216,8 +216,7 @@ def _category_recipe(category: int) -> _Recipe:
             offset=(lo, lo + 0.05),
             scale=(scale_lo, scale_lo + 0.04),
         ))
-    weights = np.array([0.4, 0.24, 0.2, 0.16])
-    return _Recipe(base_kind, center - spread, center + spread, attachments, weights)
+    return _Recipe(base_kind, center - spread, center + spread, attachments)
 
 
 def synth_shape(category: int, n_points: int, rng: Rng) -> PointCloud:
@@ -226,7 +225,7 @@ def synth_shape(category: int, n_points: int, rng: Rng) -> PointCloud:
     if n_points < 16:
         raise ValueError(f"n_points must be >= 16, got {n_points}")
     recipe = _category_recipe(category)
-    counts = np.maximum((recipe.weights * n_points).astype(int), 4)
+    counts = np.maximum((_PART_WEIGHTS * n_points).astype(int), 4)
     counts[0] += n_points - counts.sum()
 
     base_size = rng.uniform(0.0, 1.0, 3) * (recipe.base_hi - recipe.base_lo) + recipe.base_lo

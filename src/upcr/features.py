@@ -1,24 +1,20 @@
 """Pose-invariant point features, in plain NumPy.
 
 Feature kinds: plain distances to the cloud center and neighborhood, the
-SPFH / PFH Darboux-angle histograms, and the concatenated combinations of
-distances with point pair features (PPF) and SPFH. PPF is only a part: alone
-it did not beat distances after test-split fine-tuning, while every kept
-combination did (README, reproduction findings). All of them are unchanged
-by a rigid motion of the points: the normals that PPF, SPFH and PFH read are
-estimated from the points' own neighbor table, so they turn with the cloud.
-That invariance is what makes the downstream invariant representation
-possible: ``encoder`` embeds these [N, k, d] tables on the tape. Nothing
-here records a tape.
+SPFH / PFH Darboux-angle histograms, and distances concatenated with SPFH.
+All of them are unchanged by a rigid motion of the points: the normals that
+SPFH and PFH read are estimated from the points' own neighbor table, so they
+turn with the cloud. That invariance is what makes the downstream invariant
+representation possible: ``encoder`` embeds these [N, k, d] tables on the
+tape. Nothing here records a tape.
 
 Features come in two stages. :func:`point_tables` does the costly per-point
-work once per cloud: the normals, then the SPFH / PFH tables ([N, d]). One
-writer then fills a caller's [N, c, d] buffer with the features of c edges per
-point, part by part: it rebuilds the cheap per-edge parts (distance, PPF) from
-the points and the cached normals and gathers the tables at each neighbor.
-``neighbor_feature_array`` runs it once over all k neighbors for the encoder;
-``point_descriptor_table`` runs it once per neighbor column and pools in
-place, so a matching descriptor never builds the [N, k, d] array.
+work once per cloud: the normals, then the SPFH / PFH tables ([N, d]).
+:func:`neighbor_feature_array` then writes the features of all k edges per
+point into one [N, k, d] buffer, part by part: it rebuilds the cheap distances
+from the points and gathers the tables at each neighbor. The matching
+descriptors of the ICP baselines, :func:`point_descriptor_table`, take only
+the two histogram kinds and pool a table over the neighbors in place.
 """
 
 from __future__ import annotations
@@ -31,14 +27,7 @@ import numpy as np
 from . import geom
 from .geom import PointCloud
 
-FEATURE_KINDS = (
-    "distance",
-    "spfh",
-    "pfh",
-    "distance+ppf",
-    "distance+spfh",
-    "distance+ppf+spfh",
-)
+FEATURE_KINDS = ("distance", "spfh", "pfh", "distance+spfh")
 
 
 # histogram bins per Darboux angle, the PCL defaults (Rusu et al., ICRA 2009):
@@ -47,7 +36,10 @@ SPFH_BINS = 11
 PFH_BINS = 5
 
 # feature columns per part of a kind
-_PART_DIMS = {"distance": 3, "ppf": 4, "spfh": 3 * SPFH_BINS, "pfh": PFH_BINS ** 3}
+_PART_DIMS = {"distance": 3, "spfh": 3 * SPFH_BINS, "pfh": PFH_BINS ** 3}
+
+# the parts built as per-point tables, and the only kinds a matching descriptor takes
+_TABLE_PARTS = ("spfh", "pfh")
 
 # the fewest neighbours estimate_normals takes; the CLI checks k against it before any work
 NORMALS_MIN_K = 3
@@ -77,15 +69,10 @@ class FeatureSpec:
         return tuple(self.kind.split("+"))
 
     @property
-    def needs_normals(self) -> bool:
-        return any(p in ("ppf", "spfh", "pfh") for p in self.parts)
-
-    @property
     def table_names(self) -> tuple[str, ...]:
         """Keys of the per-point tables :func:`point_tables` builds, in order:
-        the normals when a per-edge part (PPF) reads them, then each SPFH/PFH part."""
-        return ("normals",) * ("ppf" in self.parts) + tuple(
-            p for p in self.parts if p in ("spfh", "pfh"))
+        each SPFH/PFH part. Only these read the normals."""
+        return tuple(p for p in self.parts if p in _TABLE_PARTS)
 
     @property
     def dim(self) -> int:
@@ -165,14 +152,6 @@ def _darboux(ps, ns, pt, nt):
     return alpha, phi, theta, ok
 
 
-def _edge_rows(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray):
-    """Owner point, owner normal, neighbor point and neighbor normal rows
-    [N*k, 3] of every edge in ``nbr``."""
-    k = nbr.shape[1]
-    return (np.repeat(pts, k, axis=0), np.repeat(nrm, k, axis=0),
-            pts[nbr.ravel()], nrm[nbr.ravel()])
-
-
 def _frequencies(flat: np.ndarray, n: int, cells: int) -> np.ndarray:
     """Per-row relative frequencies [n, cells] of the cell ids ``flat`` (row *
     cells + cell); a row with no ids stays zero."""
@@ -201,7 +180,8 @@ def spfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
     antiparallel-normal seam (theta = +-pi) lands in one bin.
     """
     n, k = nbr.shape
-    alpha, phi, theta, ok = _darboux(*_edge_rows(pts, nrm, nbr))
+    alpha, phi, theta, ok = _darboux(np.repeat(pts, k, axis=0), np.repeat(nrm, k, axis=0),
+                                     pts[nbr.ravel()], nrm[nbr.ravel()])
     owner = np.repeat(np.arange(n), k)[ok] * SPFH_BINS
     sub_bins = (_bin_index(alpha, -1.0, 1.0, SPFH_BINS), _bin_index(phi, -1.0, 1.0, SPFH_BINS),
                 _theta_bin(theta, SPFH_BINS))
@@ -255,75 +235,59 @@ def pfh_table(pts: np.ndarray, nrm: np.ndarray, nbr: np.ndarray) -> np.ndarray:
 
 def point_tables(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray) -> dict[str, np.ndarray]:
     """The per-point stage over the neighbor table ``nbr``: each of
-    ``spec.table_names`` mapped to its [N, d] table. This is the work that
-    costs more than a rebuild: the normals, kept only when PPF reads them per
-    edge, and the SPFH/PFH histograms."""
+    ``spec.table_names`` mapped to its [N, d] SPFH/PFH table. This is the work
+    that costs more than a rebuild; the normals are estimated only for it."""
     pts = cloud.points
-    nrm = estimate_normals(pts, nbr) if spec.needs_normals else None
-    build = {"normals": lambda: nrm, "spfh": lambda: spfh_table(pts, nrm, nbr),
-             "pfh": lambda: pfh_table(pts, nrm, nbr)}
-    return {name: build[name]() for name in spec.table_names}
-
-
-def _write_edges(out: np.ndarray, cloud: PointCloud, spec: FeatureSpec, cols: np.ndarray,
-                 tables: dict[str, np.ndarray]) -> None:
-    """Write the features of the edges (i, cols[i, j]) into [N, c, d] ``out``,
-    each part of ``spec`` once, into its own columns. A distance reads the
-    per-point |p - center| at the neighbor and at the owner; PPF reads the
-    normals in ``tables``; a table is gathered one neighbor column at a time.
-    An out-of-range neighbor raises IndexError."""
-    pts = cloud.points
-    n, c = cols.shape
-    at = 0
-    for part in spec.parts:
-        if part == "distance":
-            r = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
-            out[:, :, at] = r[cols]
-            out[:, :, at + 1] = np.linalg.norm(pts[cols] - pts[:, None, :], axis=2)
-            out[:, :, at + 2] = r[:, None]
-        elif part == "ppf":
-            p1, n1, p2, n2 = _edge_rows(pts, tables["normals"], cols)
-            dn, dist = _unit_rows(p2 - p1)
-            for i, (a, b) in enumerate(((n1, dn), (n2, dn), (n1, n2))):
-                cos = np.clip(np.einsum("ij,ij->i", a, b), -1.0, 1.0)
-                out[:, :, at + i] = np.arccos(cos).reshape(n, c)
-            out[:, :, at + 3] = dist.reshape(n, c)
-        else:
-            for j in range(c):
-                out[:, j, at:at + _PART_DIMS[part]] = tables[part][cols[:, j]]
-        at += _PART_DIMS[part]
+    nrm = estimate_normals(pts, nbr) if spec.table_names else None
+    build = {"spfh": spfh_table, "pfh": pfh_table}
+    return {name: build[name](pts, nrm, nbr) for name in spec.table_names}
 
 
 def neighbor_feature_array(cloud: PointCloud, spec: FeatureSpec, nbr: np.ndarray,
                            tables: dict[str, np.ndarray] | None = None) -> np.ndarray:
     """Raw pose-invariant features for every (point, neighbor) edge, [N, k, d].
 
+    Each part of ``spec`` is written once, into its own columns. A distance
+    reads the per-point |p - center| at the neighbor and at the owner, and is
+    rebuilt on every call; a table is gathered one neighbor column at a time.
     ``tables`` is :func:`point_tables` of the same cloud, spec and ``nbr``,
-    built here when not given, with the same bytes out either way; the
-    per-edge parts are rebuilt on every call.
+    built here when not given, with the same bytes out either way. An
+    out-of-range neighbor raises IndexError.
     """
     if tables is None:
         tables = point_tables(cloud, spec, nbr)
+    pts = cloud.points
     out = np.empty(nbr.shape + (spec.dim,))
-    _write_edges(out, cloud, spec, nbr, tables)
+    at = 0
+    for part in spec.parts:
+        if part == "distance":
+            r = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
+            out[:, :, at] = r[nbr]
+            out[:, :, at + 1] = np.linalg.norm(pts[nbr] - pts[:, None, :], axis=2)
+            out[:, :, at + 2] = r[:, None]
+        else:
+            for j in range(nbr.shape[1]):
+                out[:, j, at:at + _PART_DIMS[part]] = tables[part][nbr[:, j]]
+        at += _PART_DIMS[part]
     return out
 
 
 def point_descriptor_table(cloud: PointCloud, spec: FeatureSpec, k: int) -> np.ndarray:
-    """Per-point descriptors [N, d] for feature matching: the max over each
-    point's k neighbor features, the same values as
+    """Per-point descriptors [N, d] for feature matching: the max of a point's
+    SPFH or PFH table over its k neighbors, the same values as
     ``neighbor_feature_array(...).max(axis=1)``.
 
-    One neighbor table per cloud feeds the normals, histograms and features.
-    Each neighbor column is written into one [N, 1, d] row and pooled in
-    place. Raises MatchError on a non-finite descriptor.
+    One neighbor table per cloud feeds the normals and the histograms. Any
+    kind but ``spfh`` and ``pfh`` raises ValueError; a non-finite descriptor
+    raises MatchError.
     """
+    if spec.kind not in _TABLE_PARTS:
+        raise ValueError(f"matching descriptors take kind 'spfh' or 'pfh', got {spec.kind!r}")
     nbr = geom.knn(cloud, k)
-    tables = point_tables(cloud, spec, nbr)
-    row, table = np.empty((len(cloud), 1, spec.dim)), np.full((len(cloud), spec.dim), -np.inf)
-    for j in range(k):
-        _write_edges(row, cloud, spec, nbr[:, j:j + 1], tables)
-        np.maximum(table, row[:, 0], out=table)
+    hist = point_tables(cloud, spec, nbr)[spec.kind]
+    table = hist[nbr[:, 0]]
+    for j in range(1, k):
+        np.maximum(table, hist[nbr[:, j]], out=table)
     if not np.all(np.isfinite(table)):
         raise MatchError("feature table contains non-finite entries")
     return table

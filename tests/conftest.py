@@ -136,19 +136,6 @@ def distance_feature(center, point, neighbor) -> np.ndarray:
     ])
 
 
-def ppf_feature(p1, n1, p2, n2) -> np.ndarray:
-    """Scalar reference for one edge of the "ppf" block of
-    ``features.neighbor_feature_array``:
-    (angle(n1, d), angle(n2, d), angle(n1, n2), |d|) with d = p2 - p1."""
-    d = np.asarray(p2, dtype=np.float64) - np.asarray(p1, dtype=np.float64)
-    dist = np.linalg.norm(d)
-    if dist < 1e-12:
-        raise ValueError("ppf_feature: coincident points")
-    dn = d / dist
-    ang = lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0)))
-    return np.array([ang(n1, dn), ang(n2, dn), ang(n1, n2), dist])
-
-
 @pytest.fixture
 def rng():
     return Rng(0xC0FFEE)

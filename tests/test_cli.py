@@ -129,16 +129,19 @@ def test_checkpoint_count_that_is_not_a_positive_int_is_error(tmp_path, capsys, 
     (lambda p: set_version(p, 3), "unsupported checkpoint version 3"),
     (lambda p: set_version(p, 4), "unsupported checkpoint version 4"),
     (lambda p: set_version(p, 5), "unsupported checkpoint version 5"),
-    # a feature kind and rotation modes deleted for losing to distance and
+    # feature kinds and rotation modes deleted for losing to distance(+spfh) and
     # euler after fine-tuning; since version 4 the header names no mode at all
-    (lambda p: rewrite_header(p, lambda h: h["spec"].update(kind="ppf")),
-     f"corrupt checkpoint header: unknown feature kind 'ppf'; choose from {FEATURE_KINDS}"),
+] + [
+    (lambda p, kind=kind: rewrite_header(p, lambda h: h["spec"].update(kind=kind)),
+     f"corrupt checkpoint header: unknown feature kind '{kind}'; choose from {FEATURE_KINDS}")
+    for kind in ("ppf", "distance+ppf", "distance+ppf+spfh")
 ] + [
     (lambda p, mode=mode: rewrite_header(p, lambda h: h.update(rotation_mode=mode)),
      "corrupt checkpoint header: unexpected key 'rotation_mode'")
     for mode in ("quaternion", "sixd", "matrix")
 ], ids=["string-dynamic-graph", "version-2", "version-3", "version-4", "version-5",
-        "deleted-kind-ppf", "deleted-mode-quaternion", "deleted-mode-sixd",
+        "deleted-kind-ppf", "deleted-kind-distance+ppf", "deleted-kind-distance+ppf+spfh",
+        "deleted-mode-quaternion", "deleted-mode-sixd",
         "deleted-mode-matrix"])
 def test_checkpoint_the_loader_rejects_is_one_error_line(tmp_path, capsys, edit, message):
     a = str(tmp_path / "a.xyz")

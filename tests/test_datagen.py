@@ -253,7 +253,7 @@ def test_synth_shape_follows_category_recipe():
         dirs = np.array([a.direction for a in recipe.attachments])
         assert np.all(np.abs(dirs @ dirs.T)[np.triu_indices(3, 1)] < 0.5)
         assert all(0 <= a.kind < datagen._ATTACH_KINDS for a in recipe.attachments)
-        counts = np.maximum((recipe.weights * n).astype(int), 4)
+        counts = np.maximum((datagen._PART_WEIGHTS * n).astype(int), 4)
         counts[0] += n - counts.sum()
         parts = np.split(synth_shape(cat, n, Rng(cat)).points, np.cumsum(counts)[:-1])
         base_center = parts[0].mean(axis=0)

@@ -507,8 +507,8 @@ def test_desk_caches_hold_no_k_fold_features():
 @pytest.mark.parametrize("n, k, kind, msg", [
     (40, 8, "distance+spfh", r"^cache graph is \(40, 8\), but 40 points at k=6 need \(40, 6\)$"),
     (50, 6, "distance+spfh", r"^cache graph is \(50, 6\), but 40 points at k=6 need \(40, 6\)$"),
-    (40, 6, "distance+ppf",
-     r"^cache holds tables \('normals',\), but kind 'distance\+spfh' needs \('spfh',\)$"),
+    (40, 6, "pfh",
+     r"^cache holds tables \('pfh',\), but kind 'distance\+spfh' needs \('spfh',\)$"),
 ], ids=["wrong-k", "wrong-n", "other-kind"])
 def test_a_cache_that_does_not_fit_is_rejected(n, k, kind, msg):
     spec = FeatureSpec("distance+spfh")

@@ -208,13 +208,27 @@ def test_feature_match_output_in_so3():
 
 
 def test_feature_match_too_few_matches():
-    a = PointCloud(Rng(13).uniform(-1, 1, (12, 3)))
     # two far-apart random sets still produce mutual matches, so force the
-    # failure with a tiny k on tiny clouds where descriptors collide
-    with pytest.raises(ValueError):
+    # failure with the smallest k on tiny clouds where descriptors collide
+    with pytest.raises(features.MatchError, match="only 2 mutual matches"):
         feature_match_init(PointCloud(np.zeros((4, 3)) + np.eye(4, 3)),
                            PointCloud(100.0 + np.zeros((4, 3)) + np.eye(4, 3) * -1),
-                           FeatureSpec("distance"), k=2)
+                           FeatureSpec("spfh"), k=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a, b, spec: features.point_descriptor_table(a, spec, 8),
+    lambda a, b, spec: feature_match_init(a, b, spec, k=8),
+    lambda a, b, spec: evalbench.evaluate_icp([DatasetSample(a, b, RigidTransform.identity(), 0)],
+                                              init_spec=spec, k=8),
+], ids=["point_descriptor_table", "feature_match_init", "evaluate_icp"])
+def test_matching_rejects_a_kind_without_a_histogram_table(call):
+    # a plain ValueError, not a MatchError, which evaluate_icp would turn into an identity start
+    a = synth_shape(3, 32, Rng(18))
+    with pytest.raises(ValueError, match="'spfh' or 'pfh', got 'distance'") as err:
+        call(a, geom.apply_transform(random_transform(Rng(19), 30.0, 0.5), a),
+             FeatureSpec("distance"))
+    assert not isinstance(err.value, features.MatchError)
 
 
 def test_non_finite_descriptor_falls_back_to_plain_icp(monkeypatch):

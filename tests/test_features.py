@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from upcr.features import FeatureSpec
 from upcr.geom import PointCloud
 from upcr.rng import Rng
 
-from conftest import (descriptor_table_oracle, distance_feature, pfh_oracle, ppf_feature,
-                      random_cloud, random_transform, traced_peak, weighted_sum)
+from conftest import (descriptor_table_oracle, distance_feature, pfh_oracle, random_cloud,
+                      random_transform, traced_peak, weighted_sum)
 
 
 # ---------------------------------------------------------------------------
@@ -21,9 +23,7 @@ def test_spec_dims():
     assert FeatureSpec("distance").dim == 3
     assert FeatureSpec("spfh").dim == 33
     assert FeatureSpec("pfh").dim == 125
-    assert FeatureSpec("distance+ppf").dim == 7
     assert FeatureSpec("distance+spfh").dim == 36
-    assert FeatureSpec("distance+ppf+spfh").dim == 40
 
 
 def test_spec_rejects_unknown_kind():
@@ -32,10 +32,10 @@ def test_spec_rejects_unknown_kind():
 
 
 def test_spec_rejects_ppf_alone():
-    # PPF lost to distance alone after fine-tuning; it stays only as a part
-    with pytest.raises(ValueError, match="^unknown feature kind 'ppf'; choose from "):
-        FeatureSpec("ppf")
-    assert FeatureSpec("distance+ppf").parts == ("distance", "ppf")
+    # PPF lost to distances after fine-tuning alone, and then as a part too (README)
+    for kind in ("ppf", "distance+ppf", "distance+ppf+spfh"):
+        with pytest.raises(ValueError, match="^" + re.escape(f"unknown feature kind '{kind}'")):
+            FeatureSpec(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +117,6 @@ def test_normals_unit_length_and_follow_rigid_motion():
         np.testing.assert_array_equal(moved_nbr, nbr)
         moved_nrm = features.estimate_normals(moved.points, moved_nbr)
         np.testing.assert_allclose(moved_nrm, nrm @ t.rotation.T, rtol=0, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# ppf
-
-
-def test_ppf_orthogonal_configuration():
-    out = ppf_feature([0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 0, 1])
-    np.testing.assert_allclose(out, [np.pi / 2, np.pi / 2, 0.0, 1.0], atol=1e-12)
-
-
-def test_ppf_antipodal_normals():
-    n1 = np.array([0.0, 0.0, 1.0])
-    out = ppf_feature([0, 0, 0], n1, [1, 0, 0], -n1)
-    assert out[2] == pytest.approx(np.pi)
-
-
-def test_ppf_coincident_points_rejected():
-    with pytest.raises(ValueError):
-        ppf_feature([1, 2, 3], [0, 0, 1], [1, 2, 3], [0, 0, 1])
-
-
-def test_ppf_rigid_invariance():
-    rng = Rng(34)
-    p1, p2 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-    n1, n2 = rng.unit_vector(), rng.unit_vector()
-    base = ppf_feature(p1, n1, p2, n2)
-    for _ in range(200):
-        t = random_transform(rng, 180.0, 10.0)
-        out = ppf_feature(t.rotation @ p1 + t.translation, t.rotation @ n1,
-                          t.rotation @ p2 + t.translation, t.rotation @ n2)
-        np.testing.assert_allclose(out, base, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -335,22 +303,16 @@ def test_pfh_evaluates_each_distinct_ordered_pair_once(monkeypatch):
 
 
 def test_neighbor_feature_blocks_match_scalar_oracles():
-    # arccos near +-1 turns a one-ulp dot difference into ~1e-8, hence the
-    # looser angle bound; distances and |d| agree to rounding
+    # distances agree with the scalar oracle to rounding
     for category in (1, 4, 6):
         cloud = synth_shape(category, 64, Rng(50 + category))
         nbr = geom.knn(cloud, 8)
-        phi = features.neighbor_feature_array(cloud, FeatureSpec("distance+ppf"), nbr)
+        phi = features.neighbor_feature_array(cloud, FeatureSpec("distance"), nbr)
         pts = cloud.points
-        nrm = features.estimate_normals(pts, nbr)
         center = pts.mean(axis=0)
         dist = np.array([[distance_feature(center, pts[i], pts[j]) for j in row]
                          for i, row in enumerate(nbr)])
-        ppf = np.array([[ppf_feature(pts[i], nrm[i], pts[j], nrm[j]) for j in row]
-                        for i, row in enumerate(nbr)])
-        np.testing.assert_allclose(phi[:, :, :3], dist, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(phi[:, :, 3:6], ppf[:, :, :3], rtol=0, atol=1e-7)
-        np.testing.assert_allclose(phi[:, :, 6], ppf[:, :, 3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(phi, dist, rtol=0, atol=1e-12)
 
 
 def test_one_neighbor_search_per_cloud(monkeypatch):
@@ -363,14 +325,14 @@ def test_one_neighbor_search_per_cloud(monkeypatch):
         monkeypatch.setattr(geom, name, counted)
     cloud = synth_shape(2, 40, Rng(52))
     config = EncoderConfig(k=6, m=16, widths=(8, 16))
-    for kind in features.FEATURE_KINDS:
-        spec = FeatureSpec(kind)
-        calls.update(knn=0, graph_knn=0)
-        features.point_descriptor_table(cloud, spec, 6)
+    for kind in ("spfh", "pfh"):
+        features.point_descriptor_table(cloud, FeatureSpec(kind), 6)
         assert calls == {"knn": 1, "graph_knn": 0}, kind
-        calls.update(knn=0, graph_knn=0)
-        precompute_cloud(cloud, spec, config)
+        calls.update(knn=0)
+    for kind in features.FEATURE_KINDS:
+        precompute_cloud(cloud, FeatureSpec(kind), config)
         assert calls == {"knn": 0, "graph_knn": 1}, kind
+        calls.update(graph_knn=0)
 
 
 def _descriptor_clouds() -> dict:
@@ -383,7 +345,7 @@ def _descriptor_clouds() -> dict:
 
 @pytest.mark.parametrize("k", [3, 10, 24])
 @pytest.mark.parametrize("name", sorted(_descriptor_clouds()))
-@pytest.mark.parametrize("kind", features.FEATURE_KINDS)
+@pytest.mark.parametrize("kind", ["spfh", "pfh"])
 def test_descriptor_table_equals_pooled_neighbor_features(kind, name, k):
     cloud = PointCloud(_descriptor_clouds()[name])
     spec = FeatureSpec(kind)

@@ -36,7 +36,7 @@ GRAPH_KNN_SHA = {
     256: "43f78e720e42fa8cd2c0b4b041d8176e4fd2315badbfa0d7becb6aaefe95bdff",
 }
 POSE_REPORT_SHA = "d3f84cc2d57da55148849ed90a8c4c4b43f8c2e7d7f05319598fb9f177356ee9"
-FEATURE_TABLE_SHA = "0d65d9b1e8f4c7fc3d3bb405e80fc1901ce2cde537ff2e9e2d268672e6b1a996"
+FEATURE_TABLE_SHA = "3e70326c47867fa2ba1022591ab3bc30f7626c78c05be9bc608dba4bace5cee3"
 REGISTER_SHA = "9517c347e981933dd2aaa70b30a96d08b3005750ef7b13bb872f3a302b8d8cef"
 TRAIN_LOSS_HEX = ["0x1.caf8883c4e3efp-4", "0x1.74421b5ac79d0p-4"]
 TRAIN_PARAMS_SHA = "df4c7ea877ab4c126ff2cb57703440b34cd9d84a2ae7e566bf5181a02402d23b"
@@ -46,12 +46,12 @@ ND_SPLIT_SHA = {
     "partial": "aa8fe68242394e783c1bcd41a97881eed9e35c073ac8827ae31f2fde60096f98",
 }
 CHECKPOINT_PARAMS_SHA = {
-    "train": "fd79d185af3bbb5e37b53b46b9e6dd0f19e5d43c11c87727df88f5b790be8318",
-    "fine_tune": "54519a72cf234be918814f1b6a40bf294ba91568d721d6f7fecb4fc44b0dcc5d",
+    "train": "63920a35da191e71a3483ae597b54caa7b00c8f8f3c1c0ae10482f8cf87bbb62",
+    "fine_tune": "e8ef7a1d0a3ad12842193f2da5749a750547a5fb0cf97f83a3b53bb700fe48c3",
 }
 CHECKPOINT_FILE_SHA = {
-    "train": "cd2e3e2c2fc0faf6ba1296294848720b57d65232b8b5b9730bacd6417e54f6ec",
-    "fine_tune": "5ea0bbc8ba8689b59866706e4107b778ab50f30018f29ec26a0011f49b63b6a7",
+    "train": "46cf5575ff3d363ba0f93c6682e6b419fe2e16231f97f5514e00b84c4ebf0977",
+    "fine_tune": "dc85a7e468016841ca506070de4d1b713c8c46f97d6bce209ca11bd97df80ca4",
 }
 CSV_SHA = {
     "metrics.csv": "9ad01860de3896845c5b27c6bc71a240ae326a44dd02dae3ddfa11e0b2e9497d",
@@ -92,18 +92,18 @@ def test_pose_reports_pinned():
 
 
 def test_feature_tables_pinned():
-    """Neighbor features and descriptors of each histogram kind and of the
-    combined kind that holds every part, PPF among them, on an anisotropic
-    cloud and on a plane grid with duplicated points."""
+    """Neighbor features of each histogram kind and of the combined kind, and
+    the matching descriptors of the histogram kinds, on an anisotropic cloud
+    and on a plane grid with duplicated points."""
     rng = np.random.default_rng(22)
     grid = np.stack(np.meshgrid(np.arange(8.0), np.arange(8.0), [0.0]), axis=-1).reshape(-1, 3)
     clouds = [PointCloud(rng.normal(size=(96, 3)) * np.array([1.0, 0.6, 0.3])),
               PointCloud(np.concatenate([grid, grid[:6]]))]
-    specs = [FeatureSpec("distance+ppf+spfh"), FeatureSpec("pfh"), FeatureSpec("spfh")]
     tables = []
     for cloud in clouds:
         nbr = geom.knn(cloud, 10)
-        for spec in specs:
+        tables.append(neighbor_feature_array(cloud, FeatureSpec("distance+spfh"), nbr))
+        for spec in (FeatureSpec("pfh"), FeatureSpec("spfh")):
             tables += [neighbor_feature_array(cloud, spec, nbr),
                        point_descriptor_table(cloud, spec, 10)]
     assert sha(*tables) == FEATURE_TABLE_SHA
@@ -162,7 +162,7 @@ def test_checkpoint_files_pinned(tmp_path):
     kind off their defaults: a fixed graph and a combined histogram kind."""
     cfg = EncoderConfig(k=6, m=16, widths=(8, 16), head_widths=(8,),
                         dynamic_graph=False)
-    spec = FeatureSpec("distance+ppf+spfh")
+    spec = FeatureSpec("distance+spfh")
     pairs = rotated_pairs(13, 4, 48)
     res = train(cfg, spec, "euler", pairs, epochs=2, lr=1e-3, batch_size=2, seed=3)
     ft = fine_tune(res.checkpoint, [(p.source, p.target) for p in pairs], epochs=1,
